@@ -9,6 +9,8 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -62,23 +64,28 @@ class RunConfig:
     q: int | None = None
     p: str | None = None
     s: str | None = None
-    w: str | None = None
     terms: int | None = None
     tol: float = 1e-9
     fmt: str = "pretty"
 
 
 def parse_complex_value(text: str) -> complex:
-    """Accept exact rationals ("3", "-5/2") or complex decimals ("2+1i")."""
+    """Accept exact rationals ("3", "-5/2") or complex decimals ("2+1i").
+
+    Non-finite values ("nan", "inf", "1e400") are rejected.
+    """
     t = text.strip().replace(" ", "")
     try:
-        return complex(Fraction(t))
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return complex(t.replace("i", "j"))
-    except ValueError as exc:
-        raise ParseError(f"cannot parse complex value {text!r}") from exc
+        value = complex(Fraction(t))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        # the imaginary unit can only be the last character
+        try:
+            value = complex(t[:-1] + "j" if t.endswith("i") else t)
+        except ValueError as exc:
+            raise ParseError(f"cannot parse complex value {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise ParseError(f"complex value {text!r} is not finite")
+    return value
 
 
 def parse_base(text: str) -> int | float:
@@ -89,9 +96,12 @@ def parse_base(text: str) -> int | float:
     except ValueError:
         pass
     try:
-        return float(t)
+        value = float(t)
     except ValueError as exc:
         raise ParseError(f"cannot parse base {text!r}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"base {text!r} is not finite")
+    return value
 
 
 def _load_powers(arg: str) -> PowerLogSum:
@@ -331,7 +341,7 @@ def _default_tol() -> float:
         tol = float(raw)
     except ValueError:
         return 1e-9
-    return tol if tol > 0 else 1e-9
+    return tol if 0 < tol < math.inf else 1e-9
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--q", type=int)
         cmd.add_argument("--p", metavar="PRIME|REAL")
         cmd.add_argument("--s", metavar="COMPLEX")
-        cmd.add_argument("--w", metavar="COMPLEX")
         cmd.add_argument("--terms", type=int)
         cmd.add_argument("--tol", type=float)
         cmd.add_argument("--format", dest="fmt", choices=("pretty", "records"),
@@ -373,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(argv: list[str] | None = None) -> RunConfig:
     args = build_parser().parse_args(argv)
     tol = args.tol if args.tol is not None else _default_tol()
-    if tol <= 0:
-        raise ParseError("tolerances must be positive")
+    if not 0 < tol < math.inf:
+        raise ParseError(f"tolerances must be positive and finite, got {tol!r}")
     return RunConfig(
         command=args.command,
         scheme_path=args.scheme_path,
@@ -384,7 +393,6 @@ def config_from_args(argv: list[str] | None = None) -> RunConfig:
         q=args.q,
         p=args.p,
         s=args.s,
-        w=args.w,
         terms=args.terms,
         tol=tol,
         fmt=args.fmt,

@@ -25,9 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from scipy import special
-from scipy.integrate import quad
-
 from .errors import ConvergenceError, PreconditionError, SingularityError
 from .powerlog import PowerLogSum
 
@@ -35,6 +32,11 @@ Complex = Union[complex, float, int]
 
 
 def _complex_quad(fn: Callable[[float], complex], a: float, b: float) -> complex:
+    """Adaptive quadrature of a complex integrand, real and imaginary
+    parts separately.  scipy is imported here, on first use, so that the
+    exact layers and the CLI start without it."""
+    from scipy.integrate import quad
+
     re, _ = quad(lambda x: fn(x).real, a, b, epsabs=1e-13, epsrel=1e-12, limit=400)
     im, _ = quad(lambda x: fn(x).imag, a, b, epsabs=1e-13, epsrel=1e-12, limit=400)
     return complex(re, im)
@@ -95,7 +97,9 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
     upper = _complex_quad(
         lambda t: weighted(t) * cmath.exp((ww - 1) * math.log(t)), 1.0, math.inf
     )
-    return (lower + upper) / special.gamma(ww)
+    from scipy.special import gamma
+
+    return (lower + upper) / gamma(ww)
 
 
 def zeta_from_regularization(n: PowerLogSum, s: Complex) -> complex:
@@ -359,7 +363,8 @@ def regularized_det(
     The derivative at 0 is assembled from the explicit head
     -sum mult log(lam + s), the continued bare-tail derivative, and the
     split series sum_{k>=1} (-1)^k s^k D(k) / k with D(k) the continued
-    tails; failure to meet `tol` raises with the bound achieved.
+    tails; failure to meet `tol` raises with the bound achieved, and a
+    determinant beyond float range raises with its achieved log.
     """
     if spectrum.dirichlet_tail is None or spectrum.dirichlet_tail_deriv is None:
         raise ConvergenceError(
@@ -388,4 +393,9 @@ def regularized_det(
     )
     if bound > tol:
         raise ConvergenceError(f"tail bound not met: achieved {bound:.3e} > {tol:.3e}")
-    return math.exp(-zeta_prime)
+    try:
+        return math.exp(-zeta_prime)
+    except OverflowError:
+        raise ConvergenceError(
+            f"determinant overflows a float: achieved log det = {-zeta_prime!r}"
+        ) from None

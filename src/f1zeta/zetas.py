@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from scipy.integrate import quad
-
 from .errors import ParseError, PreconditionError, SingularityError
 from .powerlog import (
     FunctionalEquationWitness,
@@ -31,6 +29,7 @@ from .powerlog import (
     _frac,
     witness_holds,
 )
+from .regularize import _complex_quad
 
 Factor = tuple[Fraction, int, Fraction]
 
@@ -293,9 +292,7 @@ def log_zeta_integral(n: PowerLogSum, s: complex, region: str = "upper") -> LogZ
             total += c * cmath.exp(expo) * t ** (m - 1)
         return total
 
-    re, _ = quad(lambda t: integrand(t).real, 0, math.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-    im, _ = quad(lambda t: integrand(t).imag, 0, math.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-    value = complex(re, im)
+    value = _complex_quad(integrand, 0.0, math.inf)
     if region == "lower":
         value = -value
     return LogZetaIntegral(value, region, edge)

@@ -174,12 +174,23 @@ def test_complex_parsing():
         cli.parse_complex_value("wat")
     assert cli.parse_base("7") == 7
     assert cli.parse_base("1.5") == 1.5
+    assert cli.parse_complex_value("1i") == 1j
+    assert cli.parse_complex_value("1e300") == 1e300
+    for value in ("nan", "inf", "-inf", "infi", "1e400"):
+        with pytest.raises(cli.ParseError, match=f"{value!r} is not finite"):
+            cli.parse_complex_value(value)
+    for value in ("nan", "inf", "-inf", "1e400"):
+        with pytest.raises(cli.ParseError, match=f"{value!r} is not finite"):
+            cli.parse_base(value)
 
 
 def test_tolerance_env_default(monkeypatch):
     monkeypatch.setenv(cli.DEFAULT_TOL_ENV, "1e-5")
     config = cli.config_from_args(["epsilon", "--powers", "u"])
     assert config.tol == 1e-5
+    monkeypatch.setenv(cli.DEFAULT_TOL_ENV, "nan")
+    config = cli.config_from_args(["epsilon", "--powers", "u"])
+    assert config.tol == 1e-9
     monkeypatch.delenv(cli.DEFAULT_TOL_ENV)
     config = cli.config_from_args(["epsilon", "--powers", "u"])
     assert config.tol == 1e-9
@@ -192,3 +203,34 @@ def test_powers_file_round_trip(capsys, tmp_path):
     code, out = _run(capsys, "dual", "--powers", str(path), "--format", "records")
     assert code == 0
     assert from_records([l.split("\t") for l in out.strip().splitlines()]) == n.dual()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "infi"])
+def test_non_finite_s_is_a_parse_error(capsys, p1_scheme, value):
+    for argv in (["regdet", "--spectrum", "circle"], ["limit", "--scheme", p1_scheme]):
+        code = cli.main([*argv, f"--s={value}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"parse error: complex value {value!r} is not finite\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_p_is_a_parse_error(capsys, p1_scheme, value):
+    code, out = _run(capsys, "local", "--scheme", p1_scheme, f"--p={value}")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-3", "nan", "inf"])
+def test_tolerance_must_be_positive_and_finite(capsys, value):
+    # a NaN tolerance would make every `residual > tol` check pass
+    code, out = _run(capsys, "epsilon", "--powers", "u^3 - u + 1", f"--tol={value}")
+    assert code == 2 and out == ""
+
+
+def test_regdet_overflow_is_a_tolerance_failure(capsys):
+    code = cli.main(["regdet", "--spectrum", "circle", "--s", "1e6"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    # log det'(Delta + s) = 2 pi sqrt(s) - log s + O(e^(-2 pi sqrt(s)))
+    reported = float(captured.err.rsplit("log det = ", 1)[1])
+    assert reported == pytest.approx(2 * math.pi * 1e3 - math.log(1e6), rel=1e-10)

@@ -1,0 +1,94 @@
+"""Fresh-process start-up: exact subcommands never load scipy or numpy,
+and the numeric integrals load scipy on first use."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import f1zeta
+from f1zeta import cli
+from f1zeta.schemes import projective_space_model, scheme_to_dict
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(f1zeta.__file__)))
+
+CLI_CHILD = """
+import sys
+from f1zeta import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print("loaded=" + ",".join(m for m in ("scipy", "numpy") if m in sys.modules), file=sys.stderr)
+sys.exit(code)
+"""
+
+NUMERIC_CHILD = """
+import cmath, sys
+from f1zeta.powerlog import parse_power_log
+from f1zeta.regularize import two_variable_zeta_closed, two_variable_zeta_numeric
+from f1zeta.zetas import evaluate_zeta, log_zeta_integral, zeta_of
+assert "scipy" not in sys.modules
+n = parse_power_log("u^2 - 2*u*log + 1")
+w, s = 0.7 + 0.2j, 3.5 - 1j
+numeric = two_variable_zeta_numeric(n, w, s)
+closed = two_variable_zeta_closed(n, w, s)
+n0 = parse_power_log("1 - u^-1")
+inv = cmath.exp(-log_zeta_integral(n0, 3 + 1j).value)
+print(abs(numeric - closed) / abs(closed))
+print(abs(inv * evaluate_zeta(zeta_of(n0), 3 + 1j) - 1))
+print("scipy" in sys.modules)
+"""
+
+
+def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cold")
+    p1 = root / "p1.scheme"
+    p1.write_text(json.dumps(scheme_to_dict(projective_space_model(1))))
+    torsion = root / "t.scheme"
+    torsion.write_text(json.dumps({"points": [{"rank": 0, "torsion": [3]}]}))
+    return {"p1": str(p1), "torsion": str(torsion)}
+
+
+CASES = [
+    ("count", "--scheme", "{p1}", "--q", "5"),
+    ("fe-check", "--scheme", "{p1}"),
+    ("zeta", "--group", "GL:2"),
+    ("local", "--scheme", "{p1}", "--p", "2", "--terms", "3"),
+    ("limit", "--scheme", "{p1}", "--s", "3", "--terms", "3"),
+    ("dual", "--powers", "u - 1"),
+    ("epsilon", "--powers", "1*u^2"),
+    ("group", "--group", "SL2"),
+    ("regdet", "--spectrum", "circle", "--s", "1"),
+    ("fourier", "--scheme", "{torsion}", "--p", "2"),
+]
+
+
+def test_cases_cover_every_subcommand():
+    assert sorted(case[0] for case in CASES) == sorted(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=[case[0] for case in CASES])
+def test_subcommand_starts_without_scipy_or_numpy(inputs, argv):
+    proc = _fresh(CLI_CHILD, *(arg.format(**inputs) for arg in argv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    loaded = proc.stderr.strip().splitlines()[-1]
+    assert loaded == "loaded=", f"{argv[0]} {loaded}"
+
+
+def test_numeric_integrals_load_scipy_on_first_call():
+    proc = _fresh(NUMERIC_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    rel_two_variable, rel_log_integral, scipy_loaded = proc.stdout.split()
+    assert float(rel_two_variable) < 1e-9
+    assert float(rel_log_integral) < 1e-8
+    assert scipy_loaded == "True"
