@@ -25,6 +25,7 @@ from .schemes import (
     FourierData,
     MonoidScheme,
     TorsionPoint,
+    counting_coefficients,
     exact_count,
     f1_point,
     fourier_data,

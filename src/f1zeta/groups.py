@@ -14,6 +14,7 @@ zeta(d+p-s) = (-1)^chi zeta(s)^((-1)^r) with chi = N_G(1) = 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,14 +22,11 @@ from .errors import ParseError, PreconditionError
 from .powerlog import (
     FunctionalEquationWitness,
     PowerLogSum,
+    _parity,
     detect_functional_equation,
     product_of_reciprocal_powers,
 )
 from .zetas import FactoredZeta, power_zeta, reflect_zeta, shift_zeta, zeta_of
-
-
-def _parity(n: int) -> int:
-    return -1 if n % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -77,11 +75,9 @@ def torus_counting(r: int) -> PowerLogSum:
     """(u - 1)^r, the counting polynomial of the r-fold torus."""
     if r < 0:
         raise PreconditionError("torus rank must be >= 0")
-    base = PowerLogSum.power(1) - PowerLogSum.constant(1)
-    out = PowerLogSum.constant(1)
-    for _ in range(r):
-        out = out * base
-    return out
+    return PowerLogSum.from_dict(
+        {(k, 0): math.comb(r, k) * _parity(r - k) for k in range(r + 1)}
+    )
 
 
 def group_counting(group: ReductiveGroupData) -> PowerLogSum:
@@ -209,8 +205,9 @@ def group_functional_equation(group: ReductiveGroupData) -> GroupFEReport:
     witness_ok = witness is not None and witness.c == sign and witness.omega == center
     bad_pair = None
     if not witness_ok:
+        coeffs = n.as_dict()
         for lam, m, c in n.terms:
-            mirror = n.coefficient(center - lam, m)
+            mirror = coeffs.get((center - lam, m), Fraction(0))
             if mirror != sign * c:
                 bad_pair = (lam, c, mirror)
                 break

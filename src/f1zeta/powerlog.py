@@ -34,6 +34,11 @@ def _frac(x: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _parity(n: int) -> int:
+    """(-1)^n for an integer n."""
+    return -1 if n % 2 else 1
+
+
 def _canonical(terms: Mapping[tuple[Fraction, int], Fraction]) -> tuple[Term, ...]:
     items = [(lam, m, c) for (lam, m), c in terms.items() if c != 0]
     items.sort(key=lambda t: (t[0], t[1]))
@@ -154,7 +159,7 @@ class PowerLogSum:
 
     def dual(self) -> "PowerLogSum":
         """N*(u) = N(1/u): each term maps to (-lam, m, (-1)^m c)."""
-        acc = {(-lam, m): (-c if m % 2 else c) for lam, m, c in self.terms}
+        acc = {(-lam, m): _parity(m) * c for lam, m, c in self.terms}
         return PowerLogSum(_canonical(acc))
 
     # -- numeric -------------------------------------------------------

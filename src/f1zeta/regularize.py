@@ -99,7 +99,7 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
     )
     from scipy.special import gamma
 
-    return (lower + upper) / gamma(ww)
+    return complex((lower + upper) / gamma(ww))
 
 
 def zeta_from_regularization(n: PowerLogSum, s: Complex) -> complex:

@@ -1,30 +1,26 @@
 """Global zeta functions of monoid schemes over the one-element base.
 
-The p -> 1 limit of the smoothed local zeta is the rational function
+The zeta of a scheme is the zeta of its torsion-smoothed counting
+function N(q) = sum_x T(x) (q-1)^R(x) = sum_k a_k q^k (coefficients from
+`schemes.counting_coefficients`): the p -> 1 limit of the smoothed local
+zeta is the rational function
 
-    zeta(s) = prod_{r=0}^{R} (s - r)^(E_r),
-    E_r = sum_x T(x) C(R(x), r) (-1)^(R(x)-r-1),
+    zeta(s) = prod_{r=0}^{R} (s - r)^(E_r),   E_r = -a_r,
 
-equivalently prod_l (s - l)^(-b_{2l}) with the even Betti numbers
-b_{2l} = sum_x (-1)^(l+R(x)) C(R(x), l) T(x) (odd ones vanish in this
-class).  The global functional equation zeta(d-s) = (-1)^chi zeta(s)
-holds exactly iff the Betti profile is palindromic.
+so the even Betti numbers are b_{2l} = a_l (odd ones vanish in this
+class) and the Euler characteristic is N(1) = sum_k a_k.  The global
+functional equation zeta(d-s) = (-1)^chi zeta(s) holds exactly iff the
+Betti profile is palindromic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import PreconditionError
-from .powerlog import PowerLogSum
-from .schemes import MonoidScheme
-from .zetas import FactoredZeta, reflect_zeta
-
-
-def _parity(n: int) -> int:
-    return -1 if n % 2 else 1
+from .powerlog import PowerLogSum, _parity
+from .schemes import MonoidScheme, counting_coefficients
+from .zetas import FactoredZeta, reflect_zeta, zeta_of
 
 
 @dataclass(frozen=True)
@@ -58,53 +54,31 @@ class BettiProfile:
 
 
 def betti_profile(scheme: MonoidScheme) -> BettiProfile:
-    """b_{2l} = sum_x (-1)^(l+R(x)) C(R(x), l) T(x) for l = 0..dim."""
+    """b_{2l} = a_l for l = 0..dim, zero above the maximal rank."""
     d = scheme.dim
-    values = []
-    for l in range(d + 1):
-        b = sum(
-            _parity(l + pt.rank) * math.comb(pt.rank, l) * pt.torsion_cardinality
-            for pt in scheme.points
-        )
-        values.append(b)
+    values = (counting_coefficients(scheme) + (0,) * d)[: d + 1]
     warning = None
     if not scheme.smooth_projective:
         warning = "smooth_projective not asserted; values are formal"
         if any(v < 0 for v in values):
             warning += " (negative entries are not Betti numbers)"
-    return BettiProfile(tuple(values), d, warning)
+    return BettiProfile(values, d, warning)
 
 
 def zeta_of_scheme(scheme: MonoidScheme) -> FactoredZeta:
-    """The scheme's zeta as an exactly factored rational function.
+    """The scheme's zeta, the zeta of its smoothed counting function.
 
-    Exponents are accumulated point by point from the defining product,
-    prod_x prod_r (s - r)^(T(x) C(R(x),r) (-1)^(R(x)-r-1)); for
-    torsion-free schemes this reproduces the counting-polynomial zeta
-    s^(-a_0) (s-1)^(-a_1) ... with N(q) = sum_j a_j q^j.
+    In factored-zeta orientation the exponent at s = r is a_r, i.e.
+    zeta(s) = prod_r (s - r)^(-a_r) with N(q) = sum_r a_r q^r.
     """
-    exps: dict[tuple[Fraction, int], Fraction] = {}
-    for pt in scheme.points:
-        t_card = pt.torsion_cardinality
-        for r in range(pt.rank + 1):
-            e_r = t_card * math.comb(pt.rank, r) * _parity(pt.rank - r - 1)
-            key = (Fraction(r), 0)
-            # factored-zeta orientation stores -E_r so that exponent e > 0
-            # marks a pole of order e
-            exps[key] = exps.get(key, Fraction(0)) - e_r
-    return FactoredZeta.from_dict(exps)
+    return zeta_of(scheme_counting_function(scheme))
 
 
 def scheme_counting_function(scheme: MonoidScheme) -> PowerLogSum:
     """Smoothed counting function sum_x T(x) (u - 1)^R(x) as an exact sum."""
-    u_minus_1 = PowerLogSum.power(1) - PowerLogSum.constant(1)
-    out = PowerLogSum.zero()
-    for pt in scheme.points:
-        term = PowerLogSum.constant(pt.torsion_cardinality)
-        for _ in range(pt.rank):
-            term = term * u_minus_1
-        out = out + term
-    return out
+    return PowerLogSum.from_dict(
+        {(k, 0): a for k, a in enumerate(counting_coefficients(scheme))}
+    )
 
 
 @dataclass(frozen=True)

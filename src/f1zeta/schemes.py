@@ -129,6 +129,20 @@ def smoothed_count(scheme: MonoidScheme, q: Union[int, Fraction, float]) -> Frac
     )
 
 
+def counting_coefficients(scheme: MonoidScheme) -> tuple[int, ...]:
+    """a_0..a_R with sum_x T(x) (q-1)^R(x) = sum_k a_k q^k, the vector behind
+    every torsion-smoothed quantity: a_k = sum_R w_R C(R, k) (-1)^(R-k)
+    over the rank weights w_R = sum_{x: R(x) = R} T(x)."""
+    weights: dict[int, int] = {}
+    for pt in scheme.points:
+        weights[pt.rank] = weights.get(pt.rank, 0) + pt.torsion_cardinality
+    coeffs = [0] * (max(weights) + 1)
+    for rank, w in weights.items():
+        for k in range(rank + 1):
+            coeffs[k] += w * math.comb(rank, k) * (-1) ** (rank - k)
+    return tuple(coeffs)
+
+
 # -- Fourier expansion of n |-> gcd(t, p^n - 1) -------------------------
 
 

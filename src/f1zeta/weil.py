@@ -4,12 +4,12 @@ The local zeta of a scheme at p is exp(sum_n #X(F_{p^n}) T^n / n); its
 torsion-smoothed companion replaces gcd(t, p^n - 1) by t throughout
 and factors exactly as
 
-    Z~(p, T) = prod_x prod_{r=0}^{R(x)} (1 - p^r T)^(T(x) C(R(x),r) (-1)^(R(x)-r-1)).
+    Z~(p, T) = prod_{r=0}^{R} (1 - p^r T)^(e_r),   e_r = E_r = -a_r = -b_{2r},
 
-Multiplying by (p-1)^N with N the pole order at p = 1 and letting
-p -> 1 along reals produces the scheme's global zeta; both the limit
-probe and the exact functional-equation check in T operate on the
-factored form.
+with N(q) = sum_r a_r q^r the smoothed counting function.  Multiplying
+by (p-1)^N, N = N(1) the pole order at p = 1, and letting p -> 1 along
+reals gives the global zeta; the limit probe (in log space) and the
+exact functional-equation check in T both use the factored form.
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import PreconditionError, SingularityError
-from .schemes import MonoidScheme, exact_count
-
-
-def _parity(n: int) -> int:
-    return -1 if n % 2 else 1
+from .errors import ConvergenceError, PreconditionError, SingularityError
+from .schemes import MonoidScheme, counting_coefficients, exact_count
 
 
 @dataclass(frozen=True)
@@ -90,18 +86,23 @@ class LocalZetaFactors:
             total *= base**e
         return total
 
-    def evaluate_s(self, s: complex) -> complex:
-        """Value at T = base^(-s)."""
+    def log_evaluate_s(self, s: complex) -> complex:
+        """sum_r e_r log(1 - base^(r-s)): a log of the value at T = base^(-s)
+        that stays in float range where the product of powers would not."""
         lb = math.log(self.base)
-        total = 1.0 + 0j
+        total = 0j
         for r, e in self.factors:
             factor = 1 - cmath.exp((r - complex(s)) * lb)
             if abs(factor) < 1e-13:
                 raise SingularityError(
                     f"factor (1 - p^({r}-s))^{e} vanishes at s = {s}"
                 )
-            total *= factor**e
+            total += e * cmath.log(factor)
         return total
+
+    def evaluate_s(self, s: complex) -> complex:
+        """Value at T = base^(-s)."""
+        return cmath.exp(self.log_evaluate_s(s))
 
     def series(self, order: int) -> TruncatedSeries:
         """Exact expansion in T; requires an integer base."""
@@ -139,24 +140,13 @@ def smoothed_local_zeta(scheme: MonoidScheme, p: Union[int, float]) -> LocalZeta
     """Factored form of the torsion-smoothed local zeta at base p > 1."""
     if p <= 1:
         raise PreconditionError(f"smoothed local zeta needs p > 1, got {p!r}")
-    exps: dict[int, int] = {}
-    for pt in scheme.points:
-        t_card = pt.torsion_cardinality
-        for r in range(pt.rank + 1):
-            e = t_card * math.comb(pt.rank, r) * _parity(pt.rank - r - 1)
-            exps[r] = exps.get(r, 0) + e
-    factors = tuple(sorted((r, e) for r, e in exps.items() if e != 0))
-    return LocalZetaFactors(p, factors)
+    coeffs = counting_coefficients(scheme)
+    return LocalZetaFactors(p, tuple((r, -a) for r, a in enumerate(coeffs) if a))
 
 
 def pole_order(scheme: MonoidScheme) -> int:
-    """Order of the pole of the smoothed local zeta at p = 1."""
-    total = 0
-    for pt in scheme.points:
-        t_card = pt.torsion_cardinality
-        for r in range(pt.rank + 1):
-            total += t_card * math.comb(pt.rank, r) * _parity(r - pt.rank)
-    return total
+    """Order of the pole of the smoothed local zeta at p = 1, i.e. N(1)."""
+    return sum(counting_coefficients(scheme))
 
 
 def default_base_sequence(count: int = 6) -> list[float]:
@@ -172,7 +162,8 @@ def limit_toward_one(
     """(p-1)^N Z~(p, p^-s) along a sequence of real p decreasing to 1.
 
     The values converge to the scheme's global zeta at s; singular s
-    propagate as evaluation errors.
+    propagate as evaluation errors, and a value beyond float range
+    raises ConvergenceError naming its logarithm.
     """
     seq = list(base_sequence) if base_sequence is not None else default_base_sequence()
     if any(p <= 1 for p in seq) or any(a <= b for a, b in zip(seq, seq[1:])):
@@ -181,7 +172,13 @@ def limit_toward_one(
     out = []
     for p in seq:
         z = smoothed_local_zeta(scheme, p)
-        out.append((p - 1) ** n * z.evaluate_s(s))
+        log_value = n * math.log(p - 1) + z.log_evaluate_s(s)
+        try:
+            out.append(cmath.exp(log_value))
+        except OverflowError:
+            raise ConvergenceError(
+                f"limit value at p = {p!r} overflows a float: achieved log = {log_value!r}"
+            ) from None
     return out
 
 

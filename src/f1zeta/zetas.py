@@ -27,6 +27,7 @@ from .powerlog import (
     PowerLogSum,
     Rational,
     _frac,
+    _parity,
     witness_holds,
 )
 from .regularize import _complex_quad
@@ -111,11 +112,11 @@ def reflect_zeta(z: FactoredZeta, omega: Rational) -> tuple[int, FactoredZeta]:
         raise PreconditionError(
             "reflection sign undefined: total order-zero exponent is not an integer"
         )
-    sign = -1 if total.numerator % 2 else 1
+    sign = _parity(total.numerator)
     acc: dict[tuple[Fraction, int], Fraction] = {}
     for lam, m, e in z.factors:
         key = (ww - lam, m)
-        val = -e if m % 2 else e
+        val = _parity(m) * e
         acc[key] = acc.get(key, Fraction(0)) + val
     return sign, FactoredZeta(_canonical(acc))
 
@@ -166,7 +167,7 @@ def epsilon_factor(n: PowerLogSum) -> EpsilonFactor:
     n1 = n.value_at_one()
     if n1.denominator != 1:
         raise PreconditionError(f"epsilon sign undefined: N(1) = {n1} is not an integer")
-    sign = -1 if n1.numerator % 2 else 1
+    sign = _parity(n1.numerator)
     z = zeta_of(n)
     zd = zeta_of(n.dual())
     radius = max((abs(float(lam)) for lam, _, _ in n.terms), default=0.0)
@@ -217,15 +218,15 @@ def verify_functional_equation(
     n1 = n.value_at_one()
     if n1.denominator != 1:
         raise PreconditionError(f"N(1) = {n1} is not an integer")
-    prefactor = -1 if n1.numerator % 2 else 1
+    prefactor = _parity(n1.numerator)
     z = zeta_of(n)
     sign, reflected = reflect_zeta(z, witness.omega)
     rhs = power_zeta(z, witness.c)
     mismatches: list[tuple[Fraction, Fraction, Fraction]] = []
-    keys = sorted(set(reflected.as_dict()) | set(rhs.as_dict()))
-    for key in keys:
-        le = reflected.exponent(key[0], key[1])
-        re = rhs.exponent(key[0], key[1])
+    left, right = reflected.as_dict(), rhs.as_dict()
+    for key in sorted(set(left) | set(right)):
+        le = left.get(key, Fraction(0))
+        re = right.get(key, Fraction(0))
         if le != re:
             mismatches.append((key[0], le, re))
     holds = not mismatches and sign == prefactor

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, exit codes, round-trips."""
 
+import cmath
 import json
 import math
 
@@ -7,7 +8,8 @@ import pytest
 
 from f1zeta import cli
 from f1zeta.powerlog import from_records, parse_power_log, to_records
-from f1zeta.schemes import projective_space_model, scheme_to_dict
+from f1zeta.schemes import load_scheme, projective_space_model, scheme_to_dict
+from f1zeta.weil import default_base_sequence, limit_toward_one
 
 
 @pytest.fixture()
@@ -234,3 +236,45 @@ def test_regdet_overflow_is_a_tolerance_failure(capsys):
     # log det'(Delta + s) = 2 pi sqrt(s) - log s + O(e^(-2 pi sqrt(s)))
     reported = float(captured.err.rsplit("log det = ", 1)[1])
     assert reported == pytest.approx(2 * math.pi * 1e3 - math.log(1e6), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "points,dimension,s",
+    [
+        (
+            [
+                {"rank": 4, "torsion": [3, 4]},
+                {"rank": 4, "torsion": [2]},
+                {"rank": 4, "torsion": []},
+                {"rank": 3, "torsion": [3]},
+            ],
+            5,
+            "7.5",
+        ),
+        ([{"rank": 0, "torsion": [4, 4]}] * 4, None, "0.5+0.25i"),
+    ],
+)
+def test_limit_with_large_exponents(capsys, tmp_path, points, dimension, s):
+    # a plain float product of the factors under- or overflows on both inputs
+    data = {"points": points}
+    if dimension is not None:
+        data["dimension"] = dimension
+    path = tmp_path / "big.scheme"
+    path.write_text(json.dumps(data))
+    code = cli.main(["limit", "--scheme", str(path), "--s", s, "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rows = [line.split("\t") for line in captured.out.strip().splitlines()]
+    want = limit_toward_one(load_scheme(str(path)), cli.parse_complex_value(s))
+    assert [float(r[0]) for r in rows] == default_base_sequence()
+    got = [complex(float(r[1]), float(r[2])) for r in rows]
+    assert got == want and all(cmath.isfinite(v) for v in got)
+
+
+def test_limit_overflow_is_a_tolerance_failure(capsys, tmp_path):
+    path = tmp_path / "huge.scheme"
+    path.write_text(json.dumps({"points": [{"rank": 0, "torsion": [2000]}]}))
+    code = cli.main(["limit", "--scheme", str(path), "--s", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert "overflows a float" in captured.err

@@ -120,6 +120,14 @@ def test_family_identities_gl1_reduces_to_torus():
     assert group_counting(gl_group_data(1)) == torus_counting(1)
 
 
+@pytest.mark.parametrize("r", range(0, 7))
+def test_torus_counting_is_binomial_power(r):
+    expected = PowerLogSum.constant(1)
+    for _ in range(r):
+        expected = expected * (PowerLogSum.power(1) - PowerLogSum.constant(1))
+    assert torus_counting(r) == expected
+
+
 def test_family_identities_rejections():
     with pytest.raises(PreconditionError):
         verify_family_identities(0, "gl")

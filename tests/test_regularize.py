@@ -80,6 +80,7 @@ def test_numeric_examples():
     got = two_variable_zeta_numeric(PowerLogSum.log_power(), 0.5, 2)
     expected = special.gamma(1.5) / special.gamma(0.5) * 2**-1.5
     assert got == pytest.approx(expected, rel=1e-9)
+    assert type(got) is complex  # not a numpy scalar
     assert two_variable_zeta_numeric(PowerLogSum.constant(1), 2, 1) == pytest.approx(
         1.0, rel=1e-9
     )

@@ -4,10 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from f1zeta.errors import PreconditionError
+from f1zeta.powerlog import PowerLogSum
 from f1zeta.scheme_zeta import (
     betti_profile,
     global_functional_equation,
@@ -17,17 +18,20 @@ from f1zeta.scheme_zeta import (
 from f1zeta.schemes import (
     MonoidScheme,
     TorsionPoint,
+    counting_coefficients,
     projective_space_model,
     smoothed_count,
     torsion_point_model,
     torus_model,
 )
-from f1zeta.weil import limit_toward_one, pole_order
+from f1zeta.weil import limit_toward_one, pole_order, smoothed_local_zeta
 from f1zeta.zetas import FactoredZeta, evaluate_zeta
 
 
 @st.composite
-def schemes(draw, max_points=6, max_rank=4, max_torsion=12, torsion_free=False):
+def schemes(
+    draw, max_points=6, max_rank=4, max_torsion=12, torsion_free=False, declared_dim=False
+):
     n = draw(st.integers(1, max_points))
     pts = []
     for _ in range(n):
@@ -36,7 +40,8 @@ def schemes(draw, max_points=6, max_rank=4, max_torsion=12, torsion_free=False):
             draw(st.lists(st.integers(2, max_torsion), max_size=3))
         )
         pts.append(TorsionPoint(rank, torsion))
-    return MonoidScheme(tuple(pts))
+    dimension = draw(st.integers(0, max_rank + 2)) if declared_dim else None
+    return MonoidScheme(tuple(pts), dimension=dimension)
 
 
 def test_betti_examples():
@@ -138,3 +143,73 @@ def test_limit_converges_to_zeta(scheme, s):
     value = limit_toward_one(scheme, s, [1 + 1e-6])[0]
     target = evaluate_zeta(zeta_of_scheme(scheme), s)
     assert abs(value - target) <= 1e-4
+
+
+def _sign(n: int) -> int:
+    return -1 if n % 2 else 1
+
+
+def _per_point_reference(scheme):
+    """Each torsion-smoothed quantity summed point by point from its own formula."""
+    zeta_exps: dict[int, int] = {}
+    local_exps: dict[int, int] = {}
+    pole = 0
+    counting = PowerLogSum.zero()
+    u_minus_1 = PowerLogSum.power(1) - PowerLogSum.constant(1)
+    for pt in scheme.points:
+        t_card = pt.torsion_cardinality
+        for r in range(pt.rank + 1):
+            e_r = t_card * math.comb(pt.rank, r) * _sign(pt.rank - r - 1)
+            zeta_exps[r] = zeta_exps.get(r, 0) - e_r
+            local_exps[r] = local_exps.get(r, 0) + e_r
+            pole += t_card * math.comb(pt.rank, r) * _sign(r - pt.rank)
+        term = PowerLogSum.constant(t_card)
+        for _ in range(pt.rank):
+            term = term * u_minus_1
+        counting = counting + term
+    betti = tuple(
+        sum(
+            _sign(l + pt.rank) * math.comb(pt.rank, l) * pt.torsion_cardinality
+            for pt in scheme.points
+        )
+        for l in range(scheme.dim + 1)
+    )
+    return zeta_exps, betti, counting, local_exps, pole
+
+
+@settings(max_examples=80, deadline=None)
+@given(schemes(declared_dim=True))
+@example(MonoidScheme((TorsionPoint(3, (2, 5)), TorsionPoint(1)), dimension=6))
+@example(MonoidScheme((TorsionPoint(4, (3,)), TorsionPoint(2, (2, 2))), dimension=1))
+def test_derived_quantities_match_per_point_formulas(scheme):
+    zeta_exps, betti, counting, local_exps, pole = _per_point_reference(scheme)
+    assert zeta_of_scheme(scheme) == FactoredZeta.from_dict(
+        {(r, 0): e for r, e in zeta_exps.items()}
+    )
+    assert betti_profile(scheme).values == betti
+    assert scheme_counting_function(scheme) == counting
+    expected_factors = tuple((r, e) for r, e in sorted(local_exps.items()) if e != 0)
+    assert smoothed_local_zeta(scheme, 3).factors == expected_factors
+    assert pole_order(scheme) == pole
+
+
+def test_counting_coefficients_examples():
+    # P^2: 1 + q + q^2
+    assert counting_coefficients(projective_space_model(2)) == (1, 1, 1)
+    # T = 6 at rank 1 plus a rank-0 point: 6(q - 1) + 1 = 6q - 5
+    scheme = MonoidScheme((TorsionPoint(1, (2, 3)), TorsionPoint(0)))
+    assert counting_coefficients(scheme) == (-5, 6)
+    # zero coefficients below the top stay in the vector: (q-1)^2 + 2(q-1) = q^2 - 1
+    scheme = MonoidScheme((TorsionPoint(2), TorsionPoint(1), TorsionPoint(1)))
+    assert counting_coefficients(scheme) == (-1, 0, 1)
+
+
+def test_projective_space_p16():
+    scheme = projective_space_model(16)
+    assert len(scheme.points) == 131071
+    assert counting_coefficients(scheme) == (1,) * 17
+    z = zeta_of_scheme(scheme)
+    assert tuple(z.exponent(r) for r in range(17)) == (1,) * 17
+    assert len(z.factors) == 17
+    assert betti_profile(scheme).values == (1,) * 17
+    assert pole_order(scheme) == 17

@@ -1,12 +1,14 @@
 """Local zeta series, factored smoothed zeta, limits and the local FE."""
 
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from f1zeta.errors import PreconditionError, SingularityError
+from f1zeta.errors import ConvergenceError, PreconditionError, SingularityError
 from f1zeta.schemes import (
     MonoidScheme,
     TorsionPoint,
@@ -89,6 +91,64 @@ def test_limit_examples():
     assert abs(vals[-1] - 1.5) < 1e-4
     vals = limit_toward_one(f1_point(), 1, seq)
     assert abs(vals[-1] - 1.0) < 1e-4
+
+
+# exponent sums far past the range where a plain float product of the
+# factors (1 - p^(r-s))^(e_r) stays finite
+LARGE_EXPONENT_LIMITS = [
+    (
+        MonoidScheme(
+            (
+                TorsionPoint(4, (3, 4)),
+                TorsionPoint(4, (2,)),
+                TorsionPoint(4),
+                TorsionPoint(3, (3,)),
+            ),
+            dimension=5,
+        ),
+        7.5 + 0j,
+    ),
+    (MonoidScheme((TorsionPoint(0, (4, 4)),) * 4), 0.5 + 0.25j),
+]
+
+
+def _scaled_product_limit(scheme, s, p):
+    """(p-1)^N prod_r (1 - p^(r-s))^(e_r) by repeated multiplication, with
+    the running product renormalized by powers of two; exponents come from
+    the per-point formula e_r = sum_x T(x) C(R(x), r) (-1)^(R(x)-r-1)."""
+    exps: dict[int, int] = {}
+    for pt in scheme.points:
+        for r in range(pt.rank + 1):
+            sign = 1 if (pt.rank - r) % 2 else -1
+            exps[r] = exps.get(r, 0) + sign * pt.torsion_cardinality * math.comb(pt.rank, r)
+    pole = -sum(exps.values())
+    factors = [(p - 1, pole)]
+    factors += [(1 - cmath.exp((r - s) * math.log(p)), e) for r, e in exps.items()]
+    mantissa, scale = 1 + 0j, 0
+    for f, e in factors:
+        step = f if e > 0 else 1 / f
+        for _ in range(abs(e)):
+            _, k = math.frexp(abs(mantissa * step))
+            mantissa = mantissa * step / 2.0**k
+            scale += k
+    return complex(math.ldexp(mantissa.real, scale), math.ldexp(mantissa.imag, scale))
+
+
+@pytest.mark.parametrize("scheme,s", LARGE_EXPONENT_LIMITS)
+def test_limit_with_large_exponents_matches_scaled_product(scheme, s):
+    seq = default_base_sequence()
+    values = limit_toward_one(scheme, s, seq)
+    for p, v in zip(seq, values):
+        want = _scaled_product_limit(scheme, s, p)
+        assert abs(v - want) <= 1e-11 * abs(want)
+    target = evaluate_zeta(zeta_of_scheme(scheme), s)
+    assert abs(values[-1] - target) <= 1e-3 * abs(target)
+
+
+def test_limit_overflow_is_a_convergence_error():
+    # zeta = s^(-2000): 2^2000 at s = 1/2 is beyond float range
+    with pytest.raises(ConvergenceError, match="achieved log"):
+        limit_toward_one(torsion_point_model([2000]), 0.5)
 
 
 def test_limit_sequence_validation():
