@@ -293,7 +293,9 @@ def _cmd_fourier(config: RunConfig, out) -> int:
     print(f"period\t{data.period}", file=out)
     for x, jidx, t, coeffs in data.entries:
         for nu, c in enumerate(coeffs, start=1):
-            print(f"{x}\t{jidx}\t{t}\t{nu}\t{c.real!r}\t{c.imag!r}", file=out)
+            # the coefficients are exact rationals; the real/imaginary
+            # column pair keeps the complex layout of the table
+            print(f"{x}\t{jidx}\t{t}\t{nu}\t{float(c)!r}\t0.0", file=out)
     err = data.reconstruction_error()
     print(f"reconstruction_error\t{err!r}", file=out)
     if err > config.tol:

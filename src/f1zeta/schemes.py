@@ -9,12 +9,12 @@ field with q elements the point count is
 
 and the torsion-smoothed variant replaces each gcd by t_{x,j}.  The
 Fourier machinery expands n |-> gcd(t, p^n - 1), which is periodic of
-period phi(t), into its discrete Fourier series.
+period phi(t), into its discrete Fourier series, whose coefficients are
+exact rationals read off the multiplicative orders of p.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -159,17 +159,66 @@ def fourier_period(scheme: MonoidScheme) -> int:
     return period
 
 
-def _gcd_sequence(t: int, p: int, length: int) -> list[int]:
-    # gcd(t, p^n - 1) only depends on p^n mod t
-    out = []
-    for n in range(1, length + 1):
-        out.append(math.gcd(t, (pow(p, n, t) - 1) % t) if t > 1 else 1)
-    return out
+def _divisors(n: int) -> list[int]:
+    """Divisors of n >= 1 in increasing order, by trial division up to sqrt(n)."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d < n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
-def gcd_fourier_coefficients(t: int, p: int, n0: int) -> tuple[complex, ...]:
+def _mobius(n: int) -> int:
+    """Moebius mu(n) via trial-division factorization."""
+    result, m, p = 1, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if m > 1 else result
+
+
+def _divides_power_minus_one(e: int, p: int, h: int) -> bool:
+    """e | p^h - 1, decided in residues mod e."""
+    return (pow(p, h, e) - 1) % e == 0
+
+
+def _part_prime_to(t: int, p: int) -> int:
+    """t with every prime it shares with p removed."""
+    while (g := math.gcd(t, p)) > 1:
+        t //= g
+    return t
+
+
+def _class_vector(n: int, pieces: dict[int, Fraction]) -> tuple[Fraction, ...]:
+    """(v_1, ..., v_n) with v_nu = sum of pieces[q] over the q dividing nu.
+
+    Every q divides n, so v_nu depends only on gcd(nu, n): one sum per
+    divisor of n, then one lookup per index.
+    """
+    by_class = {
+        g: sum((v for q, v in pieces.items() if g % q == 0), Fraction(0))
+        for g in _divisors(n)
+    }
+    return tuple(by_class[math.gcd(nu, n)] for nu in range(1, n + 1))
+
+
+def gcd_fourier_coefficients(t: int, p: int, n0: int) -> tuple[Fraction, ...]:
     """Coefficients c_nu, nu = 1..n0, of gcd(t, p^n - 1) as a Fourier
     series sum_nu c_nu xi^(n nu) in n, where xi = e^(2 pi i / n0).
+
+    With t' the part of t prime to p, gcd(t, p^n - 1) equals
+    sum_{e | t'} phi(e) [ord_e(p) | n], and [o | n] = (1/o) sum over the
+    nu that are multiples of n0/o of xi^(n nu).  So the coefficients are
+    the exact rationals c_nu = sum of phi(e)/ord_e(p) over the e with
+    (n0/ord_e(p)) | nu; they are real and depend only on gcd(nu, n0).
 
     n0 must be a multiple of the actual period of the sequence (phi(t)
     always works); other values are rejected since reconstruction would
@@ -181,18 +230,16 @@ def gcd_fourier_coefficients(t: int, p: int, n0: int) -> tuple[complex, ...]:
         raise PreconditionError(f"base prime must be >= 2, got {p}")
     if n0 < 1:
         raise PreconditionError(f"period length must be >= 1, got {n0}")
-    seq = _gcd_sequence(t, p, 2 * n0)
-    if any(seq[i] != seq[i + n0] for i in range(n0)):
-        raise PreconditionError(
-            f"{n0} is not a multiple of the period of gcd({t}, {p}^n - 1)"
-        )
-    coeffs = []
-    for nu in range(1, n0 + 1):
-        acc = 0j
-        for n in range(1, n0 + 1):
-            acc += seq[n - 1] * cmath.exp(-2j * cmath.pi * n * nu / n0)
-        coeffs.append(acc / n0)
-    return tuple(coeffs)
+    heights = _divisors(n0)
+    weights: dict[int, int] = {}  # ord_e(p) -> sum of phi(e)
+    for e in _divisors(_part_prime_to(t, p)):
+        order = next((h for h in heights if _divides_power_minus_one(e, p, h)), None)
+        if order is None:
+            raise PreconditionError(
+                f"{n0} is not a multiple of the period of gcd({t}, {p}^n - 1)"
+            )
+        weights[order] = weights.get(order, 0) + totient(e)
+    return _class_vector(n0, {n0 // o: Fraction(w, o) for o, w in weights.items()})
 
 
 def gcd_inner_fourier(t: int) -> tuple[Fraction, ...]:
@@ -206,35 +253,59 @@ def gcd_inner_fourier(t: int) -> tuple[Fraction, ...]:
     """
     if t < 1:
         raise PreconditionError(f"modulus must be >= 1, got {t}")
-    divisors = [e for e in range(1, t + 1) if t % e == 0]
-    pieces = [(t // e, Fraction(totient(e), e)) for e in divisors]
-    out = []
-    for alpha in range(1, t + 1):
-        out.append(sum((v for q, v in pieces if alpha % q == 0), Fraction(0)))
-    return tuple(out)
+    return _class_vector(t, {t // e: Fraction(totient(e), e) for e in _divisors(t)})
 
 
 @dataclass(frozen=True)
 class FourierData:
-    """Per-(point, torsion index) Fourier coefficients at a fixed prime."""
+    """Per-(point, torsion index) Fourier coefficients at a fixed prime.
+
+    Each coefficient vector has length `period` = n0 and expands
+    gcd(t, p^n - 1) as sum_nu c_nu xi^(n nu) with xi = e^(2 pi i / n0).
+    """
 
     prime: int
     period: int
-    root: complex
-    entries: tuple[tuple[int, int, int, tuple[complex, ...]], ...] = field(default=())
+    entries: tuple[tuple[int, int, int, tuple[Fraction, ...]], ...] = field(default=())
     # entry layout: (point index, torsion index, torsion order, coefficient vector)
 
     def reconstruction_error(self, n_max: int | None = None) -> float:
-        """Max |sum_nu c_nu xi^(n nu) - gcd(t, p^n - 1)| over n = 1..n_max."""
-        limit = 3 * self.period if n_max is None else n_max
+        """Max |sum_nu c_nu xi^(n nu) - gcd(t, p^n - 1)| over n = 1..n_max,
+        evaluated exactly; inf for a vector that is not constant on the
+        classes gcd(nu, n0) (or not of length n0).
+
+        Grouping the nu by g = gcd(nu, n0) turns the root-of-unity sums
+        into integer Ramanujan sums: the series equals
+        sum_g C_g c_{n0/g}(n) with c_q(m) = sum_{d | gcd(q, m)} mu(q/d) d.
+        """
+        n0 = self.period
+        limit = 3 * n0 if n_max is None else n_max
+        divs = _divisors(n0)
+        mobius = {d: _mobius(d) for d in divs}
+
+        def ramanujan(q: int, m: int) -> int:
+            return sum(mobius[q // d] * d for d in _divisors(math.gcd(q, m)))
+
         worst = 0.0
         for _, _, t, coeffs in self.entries:
-            seq = _gcd_sequence(t, self.prime, limit)
-            for n in range(1, limit + 1):
-                val = sum(
-                    c * self.root ** (n * nu) for nu, c in enumerate(coeffs, start=1)
-                )
-                worst = max(worst, abs(val - seq[n - 1]))
+            if len(coeffs) != n0:
+                return math.inf
+            by_class: dict[int, Fraction] = {}
+            for nu, c in enumerate(coeffs, start=1):
+                if by_class.setdefault(math.gcd(nu, n0), c) != c:
+                    return math.inf
+            # The series depends on n only through gcd(n, n0), and so does
+            # gcd(t, p^n - 1) when every ord_e(p) divides n0, i.e. when t's
+            # part prime to p divides p^n0 - 1.  Then one n per class that
+            # occurs in 1..n_max suffices, and the smallest n in class g is g.
+            if _divides_power_minus_one(_part_prime_to(t, self.prime), self.prime, n0):
+                ns = [g for g in divs if g <= limit]
+            else:
+                ns = range(1, limit + 1)
+            for n in ns:
+                value = sum(c * ramanujan(n0 // g, n) for g, c in by_class.items() if c)
+                exact = math.gcd(t, pow(self.prime, n, t) - 1)  # gcd(t, p^n - 1)
+                worst = max(worst, float(abs(value - exact)))
         return worst
 
     def verify(self) -> bool:
@@ -245,12 +316,11 @@ class FourierData:
 def fourier_data(scheme: MonoidScheme, p: int) -> FourierData:
     """Assemble the full coefficient table c_{x,j,nu}(p) for a scheme."""
     n0 = fourier_period(scheme)
-    root = cmath.exp(2j * cmath.pi / n0)
     entries = []
     for i, pt in enumerate(scheme.points):
         for j, t in enumerate(pt.torsion_orders):
             entries.append((i, j, t, gcd_fourier_coefficients(t, p, n0)))
-    return FourierData(p, n0, root, tuple(entries))
+    return FourierData(p, n0, tuple(entries))
 
 
 # -- ready-made models --------------------------------------------------

@@ -136,12 +136,16 @@ def _mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list
     return out
 
 
+def _smoothed_factors(coeffs: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(r, e_r = -a_r) for the nonzero counting coefficients a_r."""
+    return tuple((r, -a) for r, a in enumerate(coeffs) if a)
+
+
 def smoothed_local_zeta(scheme: MonoidScheme, p: Union[int, float]) -> LocalZetaFactors:
     """Factored form of the torsion-smoothed local zeta at base p > 1."""
     if p <= 1:
         raise PreconditionError(f"smoothed local zeta needs p > 1, got {p!r}")
-    coeffs = counting_coefficients(scheme)
-    return LocalZetaFactors(p, tuple((r, -a) for r, a in enumerate(coeffs) if a))
+    return LocalZetaFactors(p, _smoothed_factors(counting_coefficients(scheme)))
 
 
 def pole_order(scheme: MonoidScheme) -> int:
@@ -168,11 +172,12 @@ def limit_toward_one(
     seq = list(base_sequence) if base_sequence is not None else default_base_sequence()
     if any(p <= 1 for p in seq) or any(a <= b for a, b in zip(seq, seq[1:])):
         raise PreconditionError("base sequence must decrease strictly toward 1")
-    n = pole_order(scheme)
+    coeffs = counting_coefficients(scheme)
+    n = sum(coeffs)  # the pole order N(1)
+    factors = _smoothed_factors(coeffs)
     out = []
     for p in seq:
-        z = smoothed_local_zeta(scheme, p)
-        log_value = n * math.log(p - 1) + z.log_evaluate_s(s)
+        log_value = n * math.log(p - 1) + LocalZetaFactors(p, factors).log_evaluate_s(s)
         try:
             out.append(cmath.exp(log_value))
         except OverflowError:

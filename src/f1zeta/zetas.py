@@ -147,6 +147,23 @@ def evaluate_zeta(z: FactoredZeta, s: complex) -> complex:
     return total
 
 
+def log_evaluate_zeta(z: FactoredZeta, s: complex) -> complex:
+    """A logarithm of the value at s: sum of -e log(s - lam) over the m = 0
+    factors plus e (m-1)! (s - lam)^(-m) over the others.  It stays in
+    float range where the product of factors would over- or underflow."""
+    ss = complex(s)
+    total = 0j
+    for lam, m, e in z.factors:
+        base = ss - complex(float(lam))
+        if base == 0:
+            raise SingularityError(f"log zeta is singular at s = {lam} (log index m = {m})")
+        if m == 0:
+            total -= float(e) * cmath.log(base)
+        else:
+            total += float(e) * math.factorial(m - 1) * base ** (-m)
+    return total
+
+
 # -- epsilon factor ----------------------------------------------------
 
 
@@ -162,7 +179,10 @@ def epsilon_factor(n: PowerLogSum) -> EpsilonFactor:
 
     The sign is computed exactly from N(1); the numeric residual is the
     maximal deviation of the evaluated ratio from it at three sample
-    points chosen away from all singularities.
+    points chosen away from all singularities.  The ratio is the exp of
+    a difference of logs, so that large exponents cannot under- or
+    overflow a product of factors; a ratio that still leaves float range
+    counts as an infinite residual.
     """
     n1 = n.value_at_one()
     if n1.denominator != 1:
@@ -174,8 +194,12 @@ def epsilon_factor(n: PowerLogSum) -> EpsilonFactor:
     samples = tuple(radius + 1.5 + k + 0.7j * (k + 1) for k in range(3))
     residual = 0.0
     for s in samples:
-        ratio = evaluate_zeta(zd, -s) / evaluate_zeta(z, s)
-        residual = max(residual, abs(ratio - sign))
+        try:
+            ratio = cmath.exp(log_evaluate_zeta(zd, -s) - log_evaluate_zeta(z, s))
+        except OverflowError:
+            ratio = complex(math.inf)
+        deviation = abs(ratio - sign)
+        residual = max(residual, math.inf if math.isnan(deviation) else deviation)
     return EpsilonFactor(sign, residual, samples)
 
 

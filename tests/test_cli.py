@@ -46,6 +46,33 @@ def test_epsilon_tolerance_failure(capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("powers", ["100000*u", "2000*u^{1/2}"])
+def test_epsilon_with_large_exponents(capsys, powers):
+    # a plain float product of the factors underflows to 0 on both inputs
+    code = cli.main(["epsilon", "--powers", powers, "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    fields = dict(line.split("\t") for line in captured.out.strip().splitlines())
+    assert fields["sign"] == "1"
+    assert 0.0 <= float(fields["residual"]) <= 1e-9
+
+
+def test_epsilon_beyond_float_range_is_a_tolerance_failure(capsys):
+    # 199! does not fit a float, so the log of the zeta cannot be evaluated
+    code = cli.main(["epsilon", "--powers", "u*log^200", "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.err == ""
+    assert captured.out == "sign\t1\nresidual\tinf\n"
+
+
+@pytest.mark.parametrize("command", ["zeta", "group", "fe-check"])
+def test_oversized_group_is_a_precondition_error(capsys, command):
+    code = cli.main([command, "--group", "GL:500"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("precondition violated: GL(500) has a counting polynomial")
+
+
 def test_zeta_records_and_stability(capsys, p1_scheme):
     code, out1 = _run(capsys, "zeta", "--scheme", p1_scheme, "--format", "records")
     code2, out2 = _run(capsys, "zeta", "--scheme", p1_scheme, "--format", "records")
@@ -147,7 +174,9 @@ def test_fourier(capsys, tmp_path):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "period\t2"
-    assert lines[-1].startswith("reconstruction_error\t")
+    # gcd(3, 2^n - 1) alternates 1, 3 = 2 + (-1)^n: c_1 = 1, c_2 = 2, exactly
+    assert lines[1:-1] == ["0\t0\t3\t1\t1.0\t0.0", "0\t0\t3\t2\t2.0\t0.0"]
+    assert lines[-1] == "reconstruction_error\t0.0"
 
 
 def test_parse_error_exit_codes(capsys, tmp_path):

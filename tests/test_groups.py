@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from f1zeta.errors import ParseError, PreconditionError
 from f1zeta.groups import (
+    MAX_COUNTING_DEGREE,
     ReductiveGroupData,
     gl_group_data,
     group_counting,
@@ -160,6 +161,20 @@ def test_group_epsilon_factor_is_plus_one(r):
 
     for group in (gl_group_data(r), torus_group_data(r)):
         assert epsilon_factor(group_counting(group)).sign == 1
+
+
+def test_counting_degree_cap():
+    # GL(r) has degree r^2 + r(r-1)/2: 287 at r = 14, 477 at 18, 532 at 19
+    assert MAX_COUNTING_DEGREE == 500
+    assert gl_group_data(18).dimension == 324
+    assert torus_group_data(500).rank == 500
+    for build in (lambda: gl_group_data(19), lambda: gl_group_data(500),
+                  lambda: torus_group_data(501),
+                  lambda: ReductiveGroupData(1, 1001, (1,) * 501),
+                  lambda: verify_family_identities(501, "gm_power"),
+                  lambda: verify_family_identities(19, "gl")):
+        with pytest.raises(PreconditionError, match="counting polynomial of degree"):
+            build()
 
 
 def test_group_data_validation():

@@ -142,6 +142,81 @@ def test_gcd_fourier_reconstruction_sweep():
                 assert abs(val - expected) < 1e-10
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 59), st.sampled_from([2, 3, 4, 5, 6, 7]), st.integers(1, 2))
+def test_exact_table_matches_dft_oracle(t, p, multiple):
+    # composite bases must work too: primes shared with p drop out of t
+    n0 = multiple * totient(t)
+    coeffs = gcd_fourier_coefficients(t, p, n0)
+    assert all(type(c) is Fraction for c in coeffs)
+    seq = [math.gcd(t, p**n - 1) for n in range(1, n0 + 1)]
+    for ours, oracle in zip(coeffs, _dft_oracle(seq, n0), strict=True):
+        assert abs(complex(ours) - oracle) < 1e-9
+
+
+@pytest.mark.parametrize("torsion,p", [((97, 101), 2), ((802,), 5)])
+def test_fourier_data_verifies_where_float_tables_missed(torsion, p):
+    # the float DFT tables reconstructed these only to 3.3e-10 and 3e-10,
+    # outside the declared 1e-10
+    data = fourier_data(torsion_point_model(torsion), p)
+    assert data.period == fourier_period(torsion_point_model(torsion))
+    assert data.reconstruction_error() == 0.0
+    assert data.verify()
+
+
+def _with_coefficient(data, entry, nu, value):
+    x, j, t, coeffs = data.entries[entry]
+    changed = coeffs[: nu - 1] + (value,) + coeffs[nu:]
+    entries = data.entries[:entry] + ((x, j, t, changed),) + data.entries[entry + 1 :]
+    return FourierData(data.prime, data.period, entries)
+
+
+def test_reconstruction_check_catches_changed_coefficients():
+    data = fourier_data(torsion_point_model([5, 7]), 3)  # period 12
+    assert data.verify()
+    # nu = n0 is alone in its class gcd(nu, n0) = n0: the vector stays a
+    # valid class function, and the exact error is the perturbation itself
+    c = data.entries[1][3][-1]
+    bumped = _with_coefficient(data, 1, 12, c + Fraction(1, 10**6))
+    assert bumped.reconstruction_error() == pytest.approx(1e-6)
+    assert not bumped.verify()
+    # nu = 1 and nu = 5 share the class gcd = 1: changing only one of them
+    # leaves a vector no class function matches
+    split = _with_coefficient(data, 0, 1, data.entries[0][3][0] + 1)
+    assert split.reconstruction_error() == math.inf
+    assert not split.verify()
+    # moving the whole class gcd = 3 (nu = 3, 9) shifts the series by
+    # delta c_4(n): 0 at n = 1 (mu(4) = 0), -2 delta at n = 2
+    delta = Fraction(1, 1000)
+    c3 = data.entries[0][3][2]
+    moved = _with_coefficient(_with_coefficient(data, 0, 3, c3 + delta), 0, 9, c3 + delta)
+    assert moved.reconstruction_error(n_max=1) == 0.0
+    assert moved.reconstruction_error() == pytest.approx(2e-3)
+    assert not moved.verify()
+    short = FourierData(3, 12, ((0, 0, 5, data.entries[0][3][:-1]),))
+    assert short.reconstruction_error() == math.inf
+
+
+def test_reconstruction_check_with_too_short_period():
+    # gcd(3, 2^n - 1) alternates 1, 3; no constant matches it, and the
+    # check then walks every n instead of one n per class
+    data = FourierData(2, 1, ((0, 0, 3, (Fraction(1),)),))
+    assert data.reconstruction_error(n_max=1) == 0.0
+    assert data.reconstruction_error() == 2.0
+    assert not data.verify()
+
+
+def test_inner_fourier_matches_per_alpha_sum():
+    # the deleted per-alpha form: d_alpha = sum of phi(e)/e over e | t, (t/e) | alpha
+    for t in range(1, 120):
+        divisors = [e for e in range(1, t + 1) if t % e == 0]
+        want = tuple(
+            sum((Fraction(totient(e), e) for e in divisors if alpha % (t // e) == 0), Fraction(0))
+            for alpha in range(1, t + 1)
+        )
+        assert gcd_inner_fourier(t) == want
+
+
 def test_inner_fourier_examples():
     assert gcd_inner_fourier(1) == (Fraction(1),)
     assert gcd_inner_fourier(2) == (Fraction(1, 2), Fraction(3, 2))

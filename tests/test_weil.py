@@ -38,6 +38,17 @@ def torsion_free_schemes(draw, max_points=4, max_rank=3):
     return MonoidScheme(pts)
 
 
+@st.composite
+def torsion_schemes(draw, max_points=5, max_rank=4):
+    n = draw(st.integers(1, max_points))
+    pts = tuple(
+        TorsionPoint(draw(st.integers(0, max_rank)),
+                     tuple(draw(st.lists(st.integers(2, 6), max_size=2))))
+        for _ in range(n)
+    )
+    return MonoidScheme(pts)
+
+
 def test_series_examples():
     assert local_zeta_series(f1_point(), 2, 3).coefficients == (1, 1, 1, 1)
     # G_m at p=2: (1-T)/(1-2T) = 1 + T + 2T^2 + ...
@@ -143,6 +154,22 @@ def test_limit_with_large_exponents_matches_scaled_product(scheme, s):
         assert abs(v - want) <= 1e-11 * abs(want)
     target = evaluate_zeta(zeta_of_scheme(scheme), s)
     assert abs(values[-1] - target) <= 1e-3 * abs(target)
+
+
+@settings(max_examples=40, deadline=None)
+@given(torsion_schemes(), st.floats(0.5, 3), st.floats(-3, 3))
+def test_limit_reads_the_per_base_factors(scheme, re, im):
+    # one counting-coefficient pass for all bases, bit for bit the value
+    # that the factored local zeta at each base gives; Re(s) > max rank
+    # keeps every factor 1 - p^(r-s) away from 0
+    s = complex(scheme.max_rank + re, im)
+    seq = default_base_sequence()
+    want = [
+        cmath.exp(pole_order(scheme) * math.log(p - 1)
+                  + smoothed_local_zeta(scheme, p).log_evaluate_s(s))
+        for p in seq
+    ]
+    assert limit_toward_one(scheme, s, seq) == want
 
 
 def test_limit_overflow_is_a_convergence_error():

@@ -20,6 +20,7 @@ from f1zeta.zetas import (
     FactoredZeta,
     epsilon_factor,
     evaluate_zeta,
+    log_evaluate_zeta,
     log_zeta_integral,
     multiply_zeta,
     power_zeta,
@@ -94,6 +95,33 @@ def test_evaluate_singularities():
     assert evaluate_zeta(zero, 2) == 0
     with pytest.raises(SingularityError):
         evaluate_zeta(zeta_of(PowerLogSum.log_power(alpha=1)), 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(power_log_sums(), st.floats(6, 9), st.floats(-3, 3))
+def test_log_evaluate_is_a_log_of_the_value(n, re, im):
+    z = zeta_of(n)
+    s = complex(re, im)  # every factor sits at |s - lam| >= 1
+    value = evaluate_zeta(z, s)
+    assert cmath.exp(log_evaluate_zeta(z, s)) == pytest.approx(value, rel=1e-9)
+
+
+def test_log_evaluate_beyond_float_range():
+    # (s - 1)^(-100000) underflows a float at s = 2.5 + 0.7i; its log does not
+    z = zeta_of(PowerLogSum.power(1, 100000))
+    s = 2.5 + 0.7j
+    assert log_evaluate_zeta(z, s) == pytest.approx(-100000 * cmath.log(s - 1))
+    with pytest.raises(SingularityError):
+        log_evaluate_zeta(z, 1)
+    with pytest.raises(SingularityError):
+        log_evaluate_zeta(power_zeta(z, -1), 1)  # a zero has no log either
+
+
+def test_epsilon_residual_is_never_silently_dropped():
+    # 1e308-sized log terms: at the first sample both logs overflow to inf
+    # and their difference is NaN, which must count as a failed check
+    n = parse_power_log(" + ".join(f"1e308*u^{{{k}}}*log" for k in (-3, -2, -1, 0, 1, 2, 3)))
+    assert epsilon_factor(n).numeric_residual == math.inf
 
 
 def test_multiply_examples():
