@@ -8,6 +8,10 @@ with rational exponents lam, nonnegative integer log powers m and
 rational coefficients c.  All algebra (addition, multiplication,
 duality u -> 1/u, functional-equation detection) is exact; floating
 point enters only through :meth:`PowerLogSum.evaluate`.
+
+The sparse term map underneath, :class:`TermMap`, is shared with
+factored zetas (:class:`f1zeta.zetas.FactoredZeta`), together with its
+record codec and the JSON file reader of every input format.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from itertools import chain
+from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import ParseError, PreconditionError
 
@@ -24,6 +29,9 @@ Rational = Union[int, Fraction]
 
 # internal term layout: (exponent lam, log power m, coefficient c)
 Term = tuple[Fraction, int, Fraction]
+Key = tuple[Fraction, int]
+
+_M = TypeVar("_M", bound="TermMap")
 
 
 def _frac(x: Rational) -> Fraction:
@@ -39,29 +47,135 @@ def _parity(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-def _canonical(terms: Mapping[tuple[Fraction, int], Fraction]) -> tuple[Term, ...]:
-    items = [(lam, m, c) for (lam, m), c in terms.items() if c != 0]
-    items.sort(key=lambda t: (t[0], t[1]))
-    return tuple(items)
+def _integer(value: object) -> int:
+    """An int that is not a bool, or a string holding one (records printed
+    by the CLI are read back tab-split).  Anything else is a ValueError, so
+    1.5 is never truncated to 1."""
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{value!r} is not an integer")
+
+
+def _read_json(path: str) -> object:
+    """The JSON value stored in a file.  Bytes that are not UTF-8, malformed
+    JSON and nesting too deep for the parser are ParseErrors."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _decode_record(rec: object) -> tuple[Key, Fraction]:
+    if not isinstance(rec, (list, tuple)):
+        raise ParseError(f"bad term record {rec!r}: expected a list of five integers")
+    try:
+        ln, ld, m, cn, cd = (_integer(v) for v in rec)
+    except ValueError as exc:
+        raise ParseError(f"bad term record {rec!r}: {exc}") from exc
+    if m < 0:
+        raise ParseError(f"negative log power in record {rec!r}")
+    if ld == 0 or cd == 0:
+        raise ParseError(f"zero denominator in record {rec!r}")
+    return (Fraction(ln, ld), m), Fraction(cn, cd)
 
 
 @dataclass(frozen=True)
-class PowerLogSum:
-    """Immutable finite sum of u^lam (log u)^m terms with exact coefficients."""
+class TermMap:
+    """Canonical sparse map (lam, m) -> nonzero Fraction, stored as the
+    terms (lam, m, value) sorted by (lam, m).
+
+    A counting function N(u) = sum c u^lam (log u)^m and its zeta
+    prod phi_m(s - lam)^c are indexed by the same terms, so N -> zeta_N
+    is the identity on this map: sums of counting functions are sums of
+    factor exponents, u^delta N shifts the factors and N(1/u) reflects
+    them.  Subclasses share the map and its operations but never compare
+    equal to, or add to, one another.
+    """
 
     terms: tuple[Term, ...] = ()
 
     # -- constructors -------------------------------------------------
 
-    @staticmethod
-    def from_dict(d: Mapping[tuple[Rational, int], Rational]) -> "PowerLogSum":
-        acc: dict[tuple[Fraction, int], Fraction] = {}
-        for (lam, m), c in d.items():
-            if m < 0:
-                raise PreconditionError("log power m must be nonnegative")
-            key = (_frac(lam), int(m))
-            acc[key] = acc.get(key, Fraction(0)) + _frac(c)
-        return PowerLogSum(_canonical(acc))
+    @classmethod
+    def _canonical(cls: type[_M], acc: Mapping[Key, Fraction]) -> _M:
+        items = [(lam, m, c) for (lam, m), c in acc.items() if c != 0]
+        items.sort()  # keys are distinct, so values are never compared
+        return cls(tuple(items))
+
+    @classmethod
+    def _collect(cls: type[_M], items: Iterable[tuple[Key, Fraction]]) -> _M:
+        acc: dict[Key, Fraction] = {}
+        for key, c in items:
+            prev = acc.get(key)
+            acc[key] = c if prev is None else prev + c
+        return cls._canonical(acc)
+
+    @classmethod
+    def from_dict(cls: type[_M], d: Mapping[tuple[Rational, int], Rational]) -> _M:
+        """The map with value d[(lam, m)] at (lam, m); equal keys accumulate."""
+        if any(m < 0 for _, m in d):
+            raise PreconditionError("log power m must be nonnegative")
+        return cls._collect(((_frac(lam), int(m)), _frac(c)) for (lam, m), c in d.items())
+
+    @classmethod
+    def from_records(cls: type[_M], records: Iterable[Sequence[int]]) -> _M:
+        """Inverse of `to_records`.  Each field is an integer or a string
+        holding one; anything else is a ParseError."""
+        return cls._collect(_decode_record(rec) for rec in records)
+
+    def to_records(self) -> list[list[int]]:
+        """One record [lam_num, lam_den, m, c_num, c_den] per term, in order."""
+        return [
+            [lam.numerator, lam.denominator, m, c.numerator, c.denominator]
+            for lam, m, c in self.terms
+        ]
+
+    # -- inspection ----------------------------------------------------
+
+    def as_dict(self) -> dict[Key, Fraction]:
+        return {(lam, m): c for lam, m, c in self.terms}
+
+    def coefficient(self, lam: Rational, m: int = 0) -> Fraction:
+        return self.as_dict().get((_frac(lam), m), Fraction(0))
+
+    # -- algebra -------------------------------------------------------
+
+    def __add__(self: _M, other: _M) -> _M:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._collect(((lam, m), c) for lam, m, c in chain(self.terms, other.terms))
+
+    def __neg__(self: _M) -> _M:
+        return self.scale(-1)
+
+    def __sub__(self: _M, other: _M) -> _M:
+        return self + (-other)
+
+    def scale(self: _M, k: Rational) -> _M:
+        kk = _frac(k)
+        if kk == 0:
+            return type(self)()
+        return type(self)(tuple((lam, m, c * kk) for lam, m, c in self.terms))
+
+    def shift_exponents(self: _M, delta: Rational) -> _M:
+        """Add delta to every exponent lam (for a counting function:
+        multiply by u^delta)."""
+        dd = _frac(delta)
+        return type(self)(tuple((lam + dd, m, c) for lam, m, c in self.terms))
+
+    def dual(self: _M) -> _M:
+        """Each term (lam, m, c) maps to (-lam, m, (-1)^m c): N*(u) = N(1/u)."""
+        return self._canonical({(-lam, m): _parity(m) * c for lam, m, c in self.terms})
+
+
+@dataclass(frozen=True)
+class PowerLogSum(TermMap):
+    """Immutable finite sum of u^lam (log u)^m terms with exact coefficients."""
+
+    # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "PowerLogSum":
@@ -82,12 +196,6 @@ class PowerLogSum:
         return PowerLogSum.from_dict({(_frac(alpha), int(m)): coeff})
 
     # -- inspection ----------------------------------------------------
-
-    def as_dict(self) -> dict[tuple[Fraction, int], Fraction]:
-        return {(lam, m): c for lam, m, c in self.terms}
-
-    def coefficient(self, lam: Rational, m: int = 0) -> Fraction:
-        return self.as_dict().get((_frac(lam), m), Fraction(0))
 
     @property
     def is_zero(self) -> bool:
@@ -125,42 +233,13 @@ class PowerLogSum:
 
     # -- algebra -------------------------------------------------------
 
-    def __add__(self, other: "PowerLogSum") -> "PowerLogSum":
-        acc = dict(self.as_dict())
-        for (lam, m), c in other.as_dict().items():
-            acc[(lam, m)] = acc.get((lam, m), Fraction(0)) + c
-        return PowerLogSum(_canonical(acc))
-
-    def __neg__(self) -> "PowerLogSum":
-        return self.scale(-1)
-
-    def __sub__(self, other: "PowerLogSum") -> "PowerLogSum":
-        return self + (-other)
-
-    def scale(self, k: Rational) -> "PowerLogSum":
-        kk = _frac(k)
-        if kk == 0:
-            return PowerLogSum()
-        return PowerLogSum(tuple((lam, m, c * kk) for lam, m, c in self.terms))
-
     def __mul__(self, other: "PowerLogSum") -> "PowerLogSum":
         # u^a (log u)^i * u^b (log u)^j = u^(a+b) (log u)^(i+j)
-        acc: dict[tuple[Fraction, int], Fraction] = {}
-        for la, ma, ca in self.terms:
-            for lb, mb, cb in other.terms:
-                key = (la + lb, ma + mb)
-                acc[key] = acc.get(key, Fraction(0)) + ca * cb
-        return PowerLogSum(_canonical(acc))
-
-    def shift_exponents(self, delta: Rational) -> "PowerLogSum":
-        """Multiply by u^delta."""
-        dd = _frac(delta)
-        return PowerLogSum(tuple((lam + dd, m, c) for lam, m, c in self.terms))
-
-    def dual(self) -> "PowerLogSum":
-        """N*(u) = N(1/u): each term maps to (-lam, m, (-1)^m c)."""
-        acc = {(-lam, m): _parity(m) * c for lam, m, c in self.terms}
-        return PowerLogSum(_canonical(acc))
+        return PowerLogSum._collect(
+            ((la + lb, ma + mb), ca * cb)
+            for la, ma, ca in self.terms
+            for lb, mb, cb in other.terms
+        )
 
     # -- numeric -------------------------------------------------------
 
@@ -255,34 +334,15 @@ def product_of_reciprocal_powers(omegas: Sequence[Rational]) -> PowerLogSum:
 
 
 def to_records(n: PowerLogSum) -> list[list[int]]:
-    return [
-        [lam.numerator, lam.denominator, m, c.numerator, c.denominator]
-        for lam, m, c in n.terms
-    ]
+    return n.to_records()
 
 
 def from_records(records: Iterable[Sequence[int]]) -> PowerLogSum:
-    acc: dict[tuple[Fraction, int], Fraction] = {}
-    for rec in records:
-        try:
-            ln, ld, m, cn, cd = (int(v) for v in rec)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad power-log record {rec!r}") from exc
-        if m < 0:
-            raise ParseError(f"negative log power in record {rec!r}")
-        if ld == 0 or cd == 0:
-            raise ParseError(f"zero denominator in record {rec!r}")
-        key = (Fraction(ln, ld), m)
-        acc[key] = acc.get(key, Fraction(0)) + Fraction(cn, cd)
-    return PowerLogSum(_canonical(acc))
+    return PowerLogSum.from_records(records)
 
 
 def load_power_log(path: str) -> PowerLogSum:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    data = _read_json(path)
     if not isinstance(data, list):
         raise ParseError(f"{path}: expected a list of records")
     return from_records(data)
@@ -328,7 +388,7 @@ def parse_power_log(text: str) -> PowerLogSum:
     terms = _split_terms(s) if s else []
     if not terms:
         raise ParseError("empty power-log expression")
-    acc: dict[tuple[Fraction, int], Fraction] = {}
+    items: list[tuple[Key, Fraction]] = []
     for term in terms:
         sign = 1
         while term and term[0] in "+-":
@@ -358,6 +418,5 @@ def parse_power_log(text: str) -> PowerLogSum:
                 raise ParseError(f"empty factor in term {term!r}")
         if m < 0:
             raise ParseError(f"negative log power in term {term!r}")
-        key = (lam, m)
-        acc[key] = acc.get(key, Fraction(0)) + sign * coeff
-    return PowerLogSum(_canonical(acc))
+        items.append(((lam, m), sign * coeff))
+    return PowerLogSum._collect(items)

@@ -15,13 +15,13 @@ exact rationals read off the multiplicative orders of p.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import ParseError, PreconditionError
+from .powerlog import _read_json
 
 COMPLEX_TOLERANCE = 1e-10  # declared tolerance for Fourier reconstruction
 
@@ -409,9 +409,4 @@ def scheme_to_dict(scheme: MonoidScheme) -> dict:
 
 
 def load_scheme(path: str) -> MonoidScheme:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return scheme_from_dict(data)
+    return scheme_from_dict(_read_json(path))

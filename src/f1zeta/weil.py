@@ -97,7 +97,7 @@ class LocalZetaFactors:
                 raise SingularityError(
                     f"factor (1 - p^({r}-s))^{e} vanishes at s = {s}"
                 )
-            total += e * cmath.log(factor)
+            total += _float_exponent(e, f"e_{r}") * cmath.log(factor)
         return total
 
     def evaluate_s(self, s: complex) -> complex:
@@ -134,6 +134,17 @@ def _mul_trunc(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list
             if b[j] != 0:
                 out[i + j] += ai * b[j]
     return out
+
+
+def _float_exponent(e: int, name: str) -> float:
+    """An integer exponent as a float; one beyond float range is a
+    ConvergenceError naming it (its size, as it may be too long to print)."""
+    try:
+        return float(e)
+    except OverflowError:
+        raise ConvergenceError(
+            f"exponent {name} of about 2^{abs(e).bit_length()} is beyond float range"
+        ) from None
 
 
 def _smoothed_factors(coeffs: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -177,7 +188,8 @@ def limit_toward_one(
     factors = _smoothed_factors(coeffs)
     out = []
     for p in seq:
-        log_value = n * math.log(p - 1) + LocalZetaFactors(p, factors).log_evaluate_s(s)
+        log_value = (_float_exponent(n, "N(1)") * math.log(p - 1)
+                     + LocalZetaFactors(p, factors).log_evaluate_s(s))
         try:
             out.append(cmath.exp(log_value))
         except OverflowError:

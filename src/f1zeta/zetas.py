@@ -19,51 +19,39 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .errors import ParseError, PreconditionError, SingularityError
+from .errors import PreconditionError, SingularityError
 from .powerlog import (
     FunctionalEquationWitness,
     PowerLogSum,
     Rational,
-    _frac,
+    Term,
+    TermMap,
     _parity,
     witness_holds,
 )
 from .regularize import _complex_quad
 
-Factor = tuple[Fraction, int, Fraction]
-
-
-def _canonical(factors: Mapping[tuple[Fraction, int], Fraction]) -> tuple[Factor, ...]:
-    items = [(lam, m, e) for (lam, m), e in factors.items() if e != 0]
-    items.sort(key=lambda f: (f[0], f[1]))
-    return tuple(items)
-
 
 @dataclass(frozen=True)
-class FactoredZeta:
-    factors: tuple[Factor, ...] = ()
+class FactoredZeta(TermMap):
+    """The term map of a counting function read as factors (lam, m, e).
 
-    @staticmethod
-    def from_dict(d: Mapping[tuple[Rational, int], Rational]) -> "FactoredZeta":
-        acc: dict[tuple[Fraction, int], Fraction] = {}
-        for (lam, m), e in d.items():
-            if m < 0:
-                raise PreconditionError("factor log-index m must be nonnegative")
-            key = (_frac(lam), int(m))
-            acc[key] = acc.get(key, Fraction(0)) + _frac(e)
-        return FactoredZeta(_canonical(acc))
+    Not a PowerLogSum: zetas multiply by adding exponents (`+`), and
+    are evaluated by `evaluate_zeta`.
+    """
+
+    @property
+    def factors(self) -> tuple[Term, ...]:
+        """The factors (lam, m, e): a read-only alias of `terms`."""
+        return self.terms
 
     @staticmethod
     def one() -> "FactoredZeta":
         return FactoredZeta()
 
-    def as_dict(self) -> dict[tuple[Fraction, int], Fraction]:
-        return {(lam, m): e for lam, m, e in self.factors}
-
-    def exponent(self, lam: Rational, m: int = 0) -> Fraction:
-        return self.as_dict().get((_frac(lam), m), Fraction(0))
+    exponent = TermMap.coefficient
 
     def poles(self) -> list[tuple[Fraction, Fraction]]:
         return [(lam, e) for lam, m, e in self.factors if m == 0 and e > 0]
@@ -75,27 +63,20 @@ class FactoredZeta:
 def zeta_of(n: PowerLogSum) -> FactoredZeta:
     """Zeta function of a finite power-log sum: each term (lam, m, c)
     contributes the factor phi_m(s - lam)^c."""
-    return FactoredZeta(tuple(n.terms))
+    return FactoredZeta(n.terms)
 
 
 def multiply_zeta(z1: FactoredZeta, z2: FactoredZeta) -> FactoredZeta:
-    acc = dict(z1.as_dict())
-    for key, e in z2.as_dict().items():
-        acc[key] = acc.get(key, Fraction(0)) + e
-    return FactoredZeta(_canonical(acc))
+    return z1 + z2
 
 
 def power_zeta(z: FactoredZeta, k: Rational) -> FactoredZeta:
-    kk = _frac(k)
-    if kk == 0:
-        return FactoredZeta()
-    return FactoredZeta(tuple((lam, m, e * kk) for lam, m, e in z.factors))
+    return z.scale(k)
 
 
 def shift_zeta(z: FactoredZeta, a: Rational) -> FactoredZeta:
     """Factors of s |-> zeta(s + a)."""
-    aa = _frac(a)
-    return FactoredZeta(_canonical({(lam - aa, m): e for lam, m, e in z.factors}))
+    return z.shift_exponents(-a)
 
 
 def reflect_zeta(z: FactoredZeta, omega: Rational) -> tuple[int, FactoredZeta]:
@@ -103,22 +84,15 @@ def reflect_zeta(z: FactoredZeta, omega: Rational) -> tuple[int, FactoredZeta]:
 
     Uses phi_0(-s) = -phi_0(s) and phi_m(-s) = phi_m(s)^((-1)^m), so
     the reflected function is (-1)^(sum of m = 0 exponents) times a
-    genuine factored zeta.  The total m = 0 exponent must be an integer
-    for the sign to be defined.
+    genuine factored zeta: the dual term map shifted by omega.  The
+    total m = 0 exponent must be an integer for the sign to be defined.
     """
-    ww = _frac(omega)
     total = sum((e for lam, m, e in z.factors if m == 0), Fraction(0))
     if total.denominator != 1:
         raise PreconditionError(
             "reflection sign undefined: total order-zero exponent is not an integer"
         )
-    sign = _parity(total.numerator)
-    acc: dict[tuple[Fraction, int], Fraction] = {}
-    for lam, m, e in z.factors:
-        key = (ww - lam, m)
-        val = _parity(m) * e
-        acc[key] = acc.get(key, Fraction(0)) + val
-    return sign, FactoredZeta(_canonical(acc))
+    return _parity(total.numerator), z.dual().shift_exponents(omega)
 
 
 def evaluate_zeta(z: FactoredZeta, s: complex) -> complex:
@@ -212,16 +186,12 @@ class ZetaFEReport:
     center: Fraction
     exponent_sign: int
     prefactor_sign: int
-    mismatches: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
     def __str__(self) -> str:
         status = "holds" if self.holds else "FAILS"
         pre = "" if self.prefactor_sign == 1 else "-"
         expo = "" if self.exponent_sign == 1 else "^(-1)"
-        out = f"zeta({self.center} - s) = {pre}zeta(s){expo}: {status}"
-        for lam, le, re in self.mismatches:
-            out += f"\n  factor mismatch at lam = {lam}: {le} vs {re}"
-        return out
+        return f"zeta({self.center} - s) = {pre}zeta(s){expo}: {status}"
 
 
 def verify_functional_equation(
@@ -245,16 +215,8 @@ def verify_functional_equation(
     prefactor = _parity(n1.numerator)
     z = zeta_of(n)
     sign, reflected = reflect_zeta(z, witness.omega)
-    rhs = power_zeta(z, witness.c)
-    mismatches: list[tuple[Fraction, Fraction, Fraction]] = []
-    left, right = reflected.as_dict(), rhs.as_dict()
-    for key in sorted(set(left) | set(right)):
-        le = left.get(key, Fraction(0))
-        re = right.get(key, Fraction(0))
-        if le != re:
-            mismatches.append((key[0], le, re))
-    holds = not mismatches and sign == prefactor
-    return ZetaFEReport(holds, witness.omega, witness.c, prefactor, tuple(mismatches))
+    holds = reflected == power_zeta(z, witness.c) and sign == prefactor
+    return ZetaFEReport(holds, witness.omega, witness.c, prefactor)
 
 
 # -- log-integral representation for N(1) = 0 --------------------------
@@ -368,21 +330,8 @@ def pretty_zeta(z: FactoredZeta) -> str:
 
 
 def zeta_to_records(z: FactoredZeta) -> list[list[int]]:
-    return [
-        [lam.numerator, lam.denominator, m, e.numerator, e.denominator]
-        for lam, m, e in z.factors
-    ]
+    return z.to_records()
 
 
 def zeta_from_records(records: Iterable[Sequence[int]]) -> FactoredZeta:
-    acc: dict[tuple[Fraction, int], Fraction] = {}
-    for rec in records:
-        try:
-            ln, ld, m, en, ed = (int(v) for v in rec)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad zeta record {rec!r}") from exc
-        if m < 0 or ld == 0 or ed == 0:
-            raise ParseError(f"bad zeta record {rec!r}")
-        key = (Fraction(ln, ld), m)
-        acc[key] = acc.get(key, Fraction(0)) + Fraction(en, ed)
-    return FactoredZeta(_canonical(acc))
+    return FactoredZeta.from_records(records)

@@ -307,3 +307,47 @@ def test_limit_overflow_is_a_tolerance_failure(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
     assert "overflows a float" in captured.err
+    # factor exponents C(2000, r) * 3 are themselves beyond float range
+    path.write_text(json.dumps({"points": [{"rank": 2000, "torsion": [3]}, {"rank": 0}]}))
+    code = cli.main(["limit", "--scheme", str(path), "--s", "2100.5"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert "exponent e_" in captured.err and "beyond float range" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["count", "--q", "3", "--scheme"], ["dual", "--powers"],
+                                  ["group", "--group"]], ids=["count", "dual", "group"])
+@pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"points": [{"rank": 1}]}', b"[" * 200_000 + b"]" * 200_000],
+    ids=["not-utf8", "nested-200000-deep"],
+)
+def test_undecodable_input_file_is_a_parse_error(capsys, tmp_path, argv, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code = cli.main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("parse error:")
+
+
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("--powers", "[[1, 1, 0, 1.5, 1]]"),
+        ("--powers", "[[1, 1, 0, true, 1]]"),
+        ("--powers", "[[1, 1, 0, 1e400, 1]]"),
+        ("--group", '{"rank": 1.9, "dimension": 1, "flag_betti": [1]}'),
+        ("--group", '{"rank": 1, "dimension": 1e400, "flag_betti": [1]}'),
+    ],
+    ids=["record-1.5", "record-true", "record-1e400", "rank-1.9", "dimension-1e400"],
+)
+def test_non_integer_field_is_a_parse_error(capsys, tmp_path, flag, content):
+    # int() would truncate 1.5 to 1 and fail on 1e400 (a float infinity)
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    command = "dual" if flag == "--powers" else "group"
+    code = cli.main([command, flag, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("parse error:") and "is not an integer" in captured.err

@@ -18,6 +18,7 @@ from f1zeta.powerlog import (
     to_records,
     witness_holds,
 )
+from f1zeta.zetas import zeta_from_records
 
 
 @st.composite
@@ -191,11 +192,23 @@ def test_parse_rejections(bad):
 
 
 @pytest.mark.parametrize(
-    "bad", [[[1, 0, 0, 1, 1]], [[1, 1, -1, 1, 1]], [[1, 1, 0, 1, 0]], [["x", 1, 0, 1, 1]]]
+    "bad",
+    [
+        [[1, 0, 0, 1, 1]],
+        [[1, 1, -1, 1, 1]],
+        [[1, 1, 0, 1, 0]],
+        [["x", 1, 0, 1, 1]],
+        [[1, 1, 0, 1.5, 1]],
+        [[1, 1, 0, True, 1]],
+        [[1, 1, 0, 1e400, 1]],
+        ["11011"],
+    ],
 )
 def test_record_rejections(bad):
-    with pytest.raises(ParseError):
-        from_records(bad)
+    # counting functions and factored zetas share one record decoder
+    for decode in (from_records, zeta_from_records):
+        with pytest.raises(ParseError):
+            decode(bad)
 
 
 def test_degree_and_min_exponent():

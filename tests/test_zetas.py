@@ -13,8 +13,10 @@ from f1zeta.powerlog import (
     FunctionalEquationWitness,
     PowerLogSum,
     detect_functional_equation,
+    from_records,
     parse_power_log,
     product_of_reciprocal_powers,
+    to_records,
 )
 from f1zeta.zetas import (
     FactoredZeta,
@@ -324,3 +326,33 @@ def test_zeta_records_round_trip():
     assert zeta_from_records(zeta_to_records(z)) == z
     with pytest.raises(ParseError):
         zeta_from_records([[1, 0, 0, 1, 1]])
+
+
+@given(power_log_sums(), st.fractions(min_value=-6, max_value=6, max_denominator=4))
+def test_reflection_is_the_dual_shifted(n, omega):
+    # zeta_N(omega - s): the factors of zeta_{N*} shifted by omega, with
+    # the sign (-1)^N(1); the expected factors are built term by term
+    sign, reflected = reflect_zeta(zeta_of(n), omega)
+    expected = FactoredZeta.from_dict(
+        {(omega - lam, m): (-1) ** m * c for lam, m, c in n.terms}
+    )
+    assert reflected == expected == zeta_of(n.dual()).shift_exponents(omega)
+    assert sign == (-1) ** (n.value_at_one().numerator % 2)
+
+
+@given(power_log_sums())
+def test_counting_functions_and_zetas_share_one_term_map(n):
+    z = zeta_of(n)
+    assert from_records(to_records(n)) == n
+    assert zeta_from_records(zeta_to_records(z)) == z
+    assert to_records(n) == zeta_to_records(z)
+    printed = [[str(v) for v in rec] for rec in to_records(n)]
+    assert from_records(printed) == n and zeta_from_records(printed) == z
+    # the same terms, but a counting function is never a zeta
+    d = n.as_dict()
+    assert PowerLogSum.from_dict(d) != FactoredZeta.from_dict(d)
+    assert z.factors == n.terms
+    with pytest.raises(TypeError):
+        n + z
+    with pytest.raises(TypeError):
+        z * z
