@@ -386,6 +386,8 @@ def config_from_args(argv: list[str] | None = None) -> RunConfig:
     tol = args.tol if args.tol is not None else _default_tol()
     if not 0 < tol < math.inf:
         raise ParseError(f"tolerances must be positive and finite, got {tol!r}")
+    if args.terms is not None and args.terms < 1:
+        raise ParseError(f"--terms must be at least 1, got {args.terms}")
     return RunConfig(
         command=args.command,
         scheme_path=args.scheme_path,

@@ -12,15 +12,25 @@ point enters only through :meth:`PowerLogSum.evaluate`.
 The sparse term map underneath, :class:`TermMap`, is shared with
 factored zetas (:class:`f1zeta.zetas.FactoredZeta`), together with its
 record codec and the JSON file reader of every input format.
+
+Counting polynomials have integer coefficients on an arithmetic
+progression of exponents.  They are expanded by an integer kernel, a
+dense `list[int]` convolution (`_convolve`) and one conversion into a
+canonical map (`PowerLogSum.from_int_coefficients`), so no product of
+them runs through `Fraction` term algebra.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby, repeat
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import ParseError, PreconditionError
@@ -56,6 +66,23 @@ def _integer(value: object) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{value!r} is not an integer")
+
+
+def _convolve(a: Sequence[int], b: Sequence[int], size: int | None = None) -> list[int]:
+    """Coefficients of (sum a_i x^i)(sum b_j x^j), truncated to the first
+    `size` when given.  Only the nonzero coefficients of the sparser
+    factor are walked, so multiplying by 1 - x^k costs one pass."""
+    if not a or not b:
+        return []
+    if sum(1 for x in a if x) < sum(1 for x in b if x):
+        a, b = b, a
+    n = len(a) + len(b) - 1 if size is None else min(size, len(a) + len(b) - 1)
+    out = [0] * n
+    for j, bj in enumerate(b[:n]):
+        if bj:
+            k = min(len(a), n - j)
+            out[j : j + k] = map(add, out[j : j + k], map(mul, a[:k], repeat(bj)))
+    return out
 
 
 def _read_json(path: str) -> object:
@@ -96,6 +123,10 @@ class TermMap:
     """
 
     terms: tuple[Term, ...] = ()
+
+    # New term tuples are built from lists: tuple() of a generator grows
+    # the tuple by repeated reallocation, and over many calls that churn
+    # keeps raising the process's resident memory.
 
     # -- constructors -------------------------------------------------
 
@@ -139,7 +170,11 @@ class TermMap:
         return {(lam, m): c for lam, m, c in self.terms}
 
     def coefficient(self, lam: Rational, m: int = 0) -> Fraction:
-        return self.as_dict().get((_frac(lam), m), Fraction(0))
+        key = (_frac(lam), m)
+        i = bisect_left(self.terms, key)  # (lam, m) sorts just before (lam, m, c)
+        if i < len(self.terms) and self.terms[i][:2] == key:
+            return self.terms[i][2]
+        return Fraction(0)
 
     # -- algebra -------------------------------------------------------
 
@@ -158,17 +193,28 @@ class TermMap:
         kk = _frac(k)
         if kk == 0:
             return type(self)()
-        return type(self)(tuple((lam, m, c * kk) for lam, m, c in self.terms))
+        return type(self)(tuple([(lam, m, c * kk) for lam, m, c in self.terms]))
 
     def shift_exponents(self: _M, delta: Rational) -> _M:
         """Add delta to every exponent lam (for a counting function:
         multiply by u^delta)."""
         dd = _frac(delta)
-        return type(self)(tuple((lam + dd, m, c) for lam, m, c in self.terms))
+        return type(self)(tuple([(lam + dd, m, c) for lam, m, c in self.terms]))
 
     def dual(self: _M) -> _M:
-        """Each term (lam, m, c) maps to (-lam, m, (-1)^m c): N*(u) = N(1/u)."""
-        return self._canonical({(-lam, m): _parity(m) * c for lam, m, c in self.terms})
+        """Each term (lam, m, c) maps to (-lam, m, (-1)^m c): N*(u) = N(1/u).
+
+        Negating lam reverses the order of the lam groups.  Reversing the
+        terms does that, and reversing each group back keeps m ascending,
+        so the result is canonical without a sort."""
+        out = [(-lam, m, -c if m % 2 else c) for lam, m, c in reversed(self.terms)]
+        start = 0
+        for i in range(1, len(out) + 1):
+            if i == len(out) or out[i][0] != out[start][0]:
+                if i - start > 1:
+                    out[start:i] = reversed(out[start:i])
+                start = i
+        return type(self)(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -195,6 +241,23 @@ class PowerLogSum(TermMap):
         """c * u^alpha * (log u)^m."""
         return PowerLogSum.from_dict({(_frac(alpha), int(m)): coeff})
 
+    @staticmethod
+    def from_int_coefficients(
+        coeffs: Sequence[int], offset: Rational = 0, step: Rational = 1
+    ) -> "PowerLogSum":
+        """sum_k coeffs[k] u^(offset + k step) for integers coeffs[k] and a
+        step > 0.  The exponents increase with k, so the terms come out
+        canonical in one pass, without a sort or a Fraction comparison."""
+        off, st = _frac(offset), _frac(step)
+        if st <= 0:
+            raise PreconditionError(f"exponent step must be positive, got {st}")
+        den = math.lcm(off.denominator, st.denominator)
+        a = off.numerator * (den // off.denominator)
+        b = st.numerator * (den // st.denominator)
+        return PowerLogSum(tuple([
+            (Fraction(a + k * b, den), 0, Fraction(c)) for k, c in enumerate(coeffs) if c
+        ]))
+
     # -- inspection ----------------------------------------------------
 
     @property
@@ -207,7 +270,7 @@ class PowerLogSum(TermMap):
 
     def support(self) -> list[Fraction]:
         """Sorted distinct exponents lam occurring in the sum."""
-        return sorted({lam for lam, _, _ in self.terms})
+        return [lam for lam, _ in groupby(t[0] for t in self.terms)]
 
     @property
     def degree(self) -> Fraction:
@@ -307,11 +370,10 @@ def detect_functional_equation(
         raise PreconditionError("functional equations of the zero sum are vacuous")
     if restrict_to_powers and not n.is_pure_power:
         raise PreconditionError("restrict_to_powers requires all log powers m = 0")
-    sup = n.support()
-    omega = sup[0] + sup[-1]
-    shifted = n.shift_exponents(-omega)
-    lam, m, coeff = shifted.terms[0]
-    target = n.dual().coefficient(lam, m)
+    lam, m, coeff = n.terms[0]
+    omega = lam + n.degree
+    # the coefficient of N(1/u) at (lam - omega, m), matched against coeff
+    target = _parity(m) * n.coefficient(omega - lam, m)
     if target == coeff:
         c = 1
     elif target == -coeff:
@@ -323,11 +385,32 @@ def detect_functional_equation(
 
 
 def product_of_reciprocal_powers(omegas: Sequence[Rational]) -> PowerLogSum:
-    """Expand prod_i (1 - u^(-omega_i)) exactly."""
-    out = PowerLogSum.constant(1)
-    for w in omegas:
-        out = out * (PowerLogSum.constant(1) - PowerLogSum.power(-_frac(w)))
-    return out
+    """Expand prod_i (1 - u^(-omega_i)) exactly.
+
+    With D the lcm of the denominators, every factor is an integer
+    polynomial in v = u^(-1/D): 1 - v^k for k = D omega > 0, and
+    v^k (v^(-k) - 1) for k < 0.  A factor repeated j times is expanded
+    once by the binomial theorem, and the factors are multiplied by the
+    integer kernel.
+    """
+    ws = [_frac(w) for w in omegas]
+    if any(w == 0 for w in ws):
+        return PowerLogSum.zero()  # 1 - u^0 = 0
+    den = math.lcm(1, *(w.denominator for w in ws))
+    coeffs = [1]
+    shift = 0  # the product is v^shift times the polynomial coeffs in v
+    for w, j in Counter(ws).items():
+        k = int(w * den)
+        sign = 1 if k > 0 else _parity(j)
+        if k < 0:
+            k, shift = -k, shift + k * j
+        power = [0] * (k * j + 1)
+        for i in range(j + 1):
+            power[k * i] = sign * _parity(i) * math.comb(j, i)
+        coeffs = _convolve(coeffs, power)
+    # v^(shift + i) = u^(-(shift + i)/D): reversed, the exponents increase
+    top = shift + len(coeffs) - 1
+    return PowerLogSum.from_int_coefficients(coeffs[::-1], Fraction(-top, den), Fraction(1, den))
 
 
 # -- file format: list of records [lam_num, lam_den, m, c_num, c_den] --

@@ -76,9 +76,7 @@ def zeta_of_scheme(scheme: MonoidScheme) -> FactoredZeta:
 
 def scheme_counting_function(scheme: MonoidScheme) -> PowerLogSum:
     """Smoothed counting function sum_x T(x) (u - 1)^R(x) as an exact sum."""
-    return PowerLogSum.from_dict(
-        {(k, 0): a for k, a in enumerate(counting_coefficients(scheme))}
-    )
+    return PowerLogSum.from_int_coefficients(counting_coefficients(scheme))
 
 
 @dataclass(frozen=True)

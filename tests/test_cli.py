@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -351,3 +352,67 @@ def test_non_integer_field_is_a_parse_error(capsys, tmp_path, flag, content):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("parse error:") and "is not an integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"points": [{"rank": true}], "dimension": true}',
+        '{"points": [{"rank": 1}], "dimension": true}',
+        '{"points": [{"rank": false}]}',
+        '{"points": [{"rank": 1, "torsion": [true, 3]}]}',
+        '{"points": [{"rank": 1.0}]}',
+        '{"points": [{"rank": 1, "torsion": [2.5]}]}',
+        '{"points": [{"torsion": [2]}]}',
+    ],
+    ids=["rank-and-dimension-true", "dimension-true", "rank-false", "torsion-true",
+         "rank-1.0", "torsion-2.5", "rank-missing"],
+)
+def test_non_integer_scheme_field_is_a_parse_error(capsys, tmp_path, content):
+    # JSON true passes isinstance(_, int); it must not run as 1
+    path = tmp_path / "input.scheme"
+    path.write_text(content)
+    code = cli.main(["count", "--scheme", str(path), "--q", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "-1"])
+@pytest.mark.parametrize("command", ["local", "limit", "regdet"])
+def test_terms_below_one_is_a_parse_error(capsys, p1_scheme, command, value):
+    argv = {"local": ["local", "--scheme", p1_scheme, "--p", "2"],
+            "limit": ["limit", "--scheme", p1_scheme, "--s", "2.5"],
+            "regdet": ["regdet", "--s", "1"]}[command]
+    code = cli.main([*argv, "--terms", value])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"parse error: --terms must be at least 1, got {value}\n"
+
+
+def test_local_series_order_above_the_cap_is_a_precondition_error(capsys, p1_scheme):
+    from f1zeta.weil import MAX_SERIES_ORDER
+
+    code = cli.main(["local", "--scheme", p1_scheme, "--p", "2",
+                     "--terms", str(MAX_SERIES_ORDER + 1)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "at most" in captured.err
+
+
+# Recorded with the Fraction implementation that preceded the integer
+# kernel; these outputs must never change.
+_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", _GOLDEN["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_stdout_is_byte_identical_to_recorded_output(capsys, tmp_path, case):
+    paths = {}
+    for name, data in _GOLDEN["schemes"].items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(data))
+    argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in case["argv"]]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == case["stdout"]

@@ -1,0 +1,222 @@
+"""The integer kernel against the generic Fraction algebra it replaced.
+
+Each oracle below is the Fraction computation that counting polynomials,
+reciprocal products and local series went through before they were
+expanded in int: products of PowerLogSums, a Fraction Newton recurrence
+over per-point counts, and truncated Fraction products of binomial
+series.  The kernel must agree with them exactly.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from f1zeta import weil
+from f1zeta.errors import PreconditionError
+from f1zeta.groups import ReductiveGroupData, group_counting
+from f1zeta.powerlog import (
+    PowerLogSum,
+    _convolve,
+    product_of_reciprocal_powers,
+)
+from f1zeta.schemes import MonoidScheme, TorsionPoint, exact_count, projective_space_model
+from f1zeta.weil import (
+    MAX_SERIES_ORDER,
+    LocalZetaFactors,
+    local_zeta_series,
+    smoothed_local_zeta,
+)
+
+
+# -- Fraction oracles -------------------------------------------------------
+
+
+def _oracle_reciprocal_product(omegas):
+    out = PowerLogSum.constant(1)
+    for w in omegas:
+        out = out * (PowerLogSum.constant(1) - PowerLogSum.power(-Fraction(w)))
+    return out
+
+
+def _oracle_group_counting(group: ReductiveGroupData) -> PowerLogSum:
+    r = group.rank
+    torus = PowerLogSum.from_dict(
+        {(k, 0): math.comb(r, k) * (-1) ** (r - k) for k in range(r + 1)}
+    )
+    flag = PowerLogSum.from_dict({(l, 0): b for l, b in enumerate(group.flag_betti)})
+    return torus * PowerLogSum.power(group.positive_roots) * flag
+
+
+def _oracle_count(scheme: MonoidScheme, q: int) -> int:
+    # one walk over the points, no point types
+    total = 0
+    for pt in scheme.points:
+        term = (q - 1) ** pt.rank
+        for t in pt.torsion_orders:
+            term *= math.gcd(t, q - 1)
+        total += term
+    return total
+
+
+def _oracle_local_series(scheme: MonoidScheme, p: int, order: int) -> tuple:
+    a = [Fraction(0)] + [Fraction(_oracle_count(scheme, p**n), n) for n in range(1, order + 1)]
+    e = [Fraction(1)] + [Fraction(0)] * order
+    for n in range(1, order + 1):
+        e[n] = sum((k * a[k] * e[n - k] for k in range(1, n + 1)), Fraction(0)) / n
+    return tuple(e)
+
+
+def _oracle_factored_series(base: int, factors, order: int) -> tuple:
+    out = [Fraction(1)] + [Fraction(0)] * order
+    for r, e in factors:
+        fac, c = [Fraction(1)], Fraction(1)
+        for n in range(1, order + 1):
+            c *= Fraction(e - n + 1, n)
+            fac.append(c * (-(base**r)) ** n)
+        out = [sum((out[i] * fac[n - i] for i in range(n + 1)), Fraction(0))
+               for n in range(order + 1)]
+    return tuple(out)
+
+
+# -- strategies ---------------------------------------------------------------
+
+
+omegas = st.lists(
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)), max_size=7
+)
+
+
+@st.composite
+def palindromic_groups(draw):
+    r = draw(st.integers(1, 5))
+    p = draw(st.integers(0, 6))
+    half = draw(st.lists(st.integers(0, 9), min_size=p // 2 + 1, max_size=p // 2 + 1))
+    flag = tuple(half + half[: (p + 1) // 2][::-1])
+    return ReductiveGroupData(r, r + 2 * p, flag)
+
+
+@st.composite
+def torsion_schemes(draw):
+    pts = draw(st.lists(
+        st.builds(TorsionPoint, st.integers(0, 3),
+                  st.lists(st.integers(2, 12), max_size=3).map(tuple)),
+        min_size=1, max_size=6,
+    ))
+    return MonoidScheme(tuple(pts))
+
+
+# -- counting polynomials -----------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(omegas)
+def test_reciprocal_product_matches_fraction_oracle(ws):
+    assert product_of_reciprocal_powers(ws) == _oracle_reciprocal_product(ws)
+
+
+@pytest.mark.parametrize("ws", [
+    [], [1], [-1], [1, 1, 1], [-2, -2], [Fraction(1, 2), -3, Fraction(1, 2), Fraction(-2, 3)],
+    [0], [2, 0, -1], list(range(1, 15)), [1] * 40,
+])
+def test_reciprocal_product_examples(ws):
+    assert product_of_reciprocal_powers(ws) == _oracle_reciprocal_product(ws)
+
+
+@settings(max_examples=100, deadline=None)
+@given(palindromic_groups())
+def test_group_counting_matches_fraction_oracle(group):
+    assert group_counting(group) == _oracle_group_counting(group)
+
+
+def test_convolve_truncates_and_skips_zeros():
+    assert _convolve([1, 2, 3], [4, 0, 5]) == [4, 8, 17, 10, 15]
+    assert _convolve([1, 2, 3], [4, 0, 5], 2) == [4, 8]
+    assert _convolve([1, 0, 0, -1], [1, 1, 1, 1, 1]) == [1, 1, 1, 0, 0, -1, -1, -1]
+    assert _convolve([], [1]) == []
+
+
+def test_from_int_coefficients_is_canonical():
+    n = PowerLogSum.from_int_coefficients([3, 0, -1, 0, 2], Fraction(-1, 2), Fraction(2, 3))
+    assert n == PowerLogSum.from_dict(
+        {(Fraction(-1, 2), 0): 3, (Fraction(5, 6), 0): -1, (Fraction(13, 6), 0): 2}
+    )
+    assert PowerLogSum.from_int_coefficients([0, 0]).is_zero
+    with pytest.raises(PreconditionError):
+        PowerLogSum.from_int_coefficients([1, 1], 0, 0)
+
+
+# -- term-map operations without sorting ----------------------------------------
+
+
+@settings(max_examples=150)
+@given(st.dictionaries(
+    st.tuples(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)), st.integers(0, 3)),
+    st.integers(-4, 4).filter(bool).map(Fraction), max_size=10,
+))
+def test_dual_support_and_coefficient_match_sorted_forms(d):
+    n = PowerLogSum.from_dict(d)
+    assert n.dual() == PowerLogSum._canonical(
+        {(-lam, m): (-1) ** m * c for (lam, m), c in d.items()}
+    )
+    assert n.dual().dual() == n
+    assert n.support() == sorted({lam for lam, _ in d})
+    for (lam, m), c in d.items():
+        assert n.coefficient(lam, m) == c
+        assert n.coefficient(lam, m + 7) == 0
+    assert n.coefficient(Fraction(99), 0) == 0
+
+
+# -- local series -----------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(torsion_schemes(), st.sampled_from([2, 3, 4, 6, 7]), st.integers(1, 14))
+def test_local_series_matches_fraction_oracle(scheme, p, order):
+    series = local_zeta_series(scheme, p, order)
+    assert series.coefficients == _oracle_local_series(scheme, p, order)
+    assert all(type(c) is Fraction for c in series.coefficients)
+    assert exact_count(scheme, p**order) == _oracle_count(scheme, p**order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(-4, 4).filter(bool)),
+             max_size=4, unique_by=lambda f: f[0]),
+    st.sampled_from([2, 3, 5]),
+    st.integers(0, 12),
+)
+def test_factored_series_matches_fraction_oracle(factors, base, order):
+    z = LocalZetaFactors(base, tuple(factors))
+    series = z.series(order)
+    assert series.coefficients == _oracle_factored_series(base, factors, order)
+    assert all(type(c) is Fraction for c in series.coefficients)
+
+
+def test_point_types_collapse_projective_space():
+    scheme = projective_space_model(8)
+    assert len(scheme.points) == 511
+    assert sorted((r, k) for r, _, k in scheme.point_types) == [
+        (r, math.comb(9, r + 1)) for r in range(9)
+    ]
+    for p in (2, 3, 6):
+        assert local_zeta_series(scheme, p, 6).coefficients == _oracle_local_series(scheme, p, 6)
+        assert smoothed_local_zeta(scheme, p).series(6) == local_zeta_series(scheme, p, 6)
+
+
+def test_non_integral_step_raises_instead_of_rounding(monkeypatch):
+    # N_1 = 1, N_2 = 0 is no Dold sequence: 2 e_2 = N_1 e_1 + N_2 e_0 = 1
+    monkeypatch.setattr(weil, "exact_count", lambda scheme, q: 1 if q == 3 else 0)
+    with pytest.raises(ArithmeticError, match="e_2 .* not an integer"):
+        local_zeta_series(projective_space_model(1), 3, 4)
+
+
+def test_series_order_cap():
+    scheme = projective_space_model(1)
+    assert local_zeta_series(scheme, 2, MAX_SERIES_ORDER).order == MAX_SERIES_ORDER
+    with pytest.raises(PreconditionError, match="at most"):
+        local_zeta_series(scheme, 2, MAX_SERIES_ORDER + 1)
+    with pytest.raises(PreconditionError, match="at most"):
+        smoothed_local_zeta(scheme, 2).series(MAX_SERIES_ORDER + 1)
