@@ -85,6 +85,7 @@ from .groups import (
 from .regularize import (
     Spectrum,
     circle_spectrum,
+    log_regularized_det,
     regularized_det,
     shift_spectrum,
     spectral_zeta,

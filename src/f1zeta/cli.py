@@ -27,6 +27,7 @@ from .groups import (
 )
 from .powerlog import (
     PowerLogSum,
+    _check_printable,
     detect_functional_equation,
     load_power_log,
     parse_power_log,
@@ -124,7 +125,7 @@ def _fmt_complex(z: complex) -> str:
 def _cmd_count(config: RunConfig, out) -> int:
     scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
     q = int(_require(config, "q", "--q"))
-    print(exact_count(scheme, q), file=out)
+    print(_check_printable(exact_count(scheme, q), "the point count"), file=out)
     return EXIT_OK
 
 

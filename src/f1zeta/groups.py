@@ -20,6 +20,7 @@ from itertools import accumulate
 
 from .errors import ParseError, PreconditionError
 from .powerlog import (
+    MAX_COUNTING_DEGREE,
     FunctionalEquationWitness,
     PowerLogSum,
     _convolve,
@@ -31,13 +32,13 @@ from .powerlog import (
 )
 from .zetas import FactoredZeta, power_zeta, reflect_zeta, shift_zeta, zeta_of
 
-# Largest accepted degree d + p of a group's counting polynomial: GL(18)
-# (degree 477) and Gm^500 are accepted, GL(19) (degree 532) is not.  The
-# polynomials are expanded in int; the exact Fraction checks of a group
-# report grow faster than linearly in the degree.  In-process `cli.main`
-# on a 2-core host: `group --group GL:18` takes 0.02 s and `Gm:500` 0.08 s
-# (with the cap lifted: GL:40 0.11 s, Gm:1000 0.27 s, Gm:2000 1.0 s).
-MAX_COUNTING_DEGREE = 500
+# MAX_COUNTING_DEGREE (shared with the scheme rank cap) bounds the degree
+# d + p of a group's counting polynomial: GL(18) (degree 477) and Gm^500
+# are accepted, GL(19) (degree 532) is not.  The polynomials are expanded
+# in int; the exact Fraction checks of a group report grow faster than
+# linearly in the degree.  In-process `cli.main` on a 2-core host:
+# `group --group GL:18` takes 0.02 s and `Gm:500` 0.08 s (with the cap
+# lifted: GL:40 0.11 s, Gm:1000 0.27 s, Gm:2000 1.0 s).
 
 
 def _check_counting_degree(degree: int, name: str) -> None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -36,6 +37,14 @@ from typing import Iterable, Mapping, Sequence, TypeVar, Union
 from .errors import ParseError, PreconditionError
 
 Rational = Union[int, Fraction]
+
+# Largest accepted degree of a counting polynomial: the degree d + p of a
+# group's (groups.py) and the maximal point rank of a scheme (schemes.py),
+# which is the degree of its counting polynomial.  Measured with
+# in-process `cli.main` on a 2-core host: a scheme with 501 distinct
+# ranks up to 500 takes 1.7 s for `zeta` and `fe-check` and 0.9 s for
+# `limit`; at ranks up to 2000 each ran for more than 100 s.
+MAX_COUNTING_DEGREE = 500
 
 # internal term layout: (exponent lam, log power m, coefficient c)
 Term = tuple[Fraction, int, Fraction]
@@ -66,6 +75,22 @@ def _integer(value: object) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"{value!r} is not an integer")
+
+
+def _check_printable(value: int, what: str, *args: object) -> int:
+    """`value`, if `str` can convert it.  An int of more decimal digits
+    than `sys.get_int_max_str_digits()` (0 means no limit) is a
+    PreconditionError naming `what.format(*args)`, so that a result too
+    large to print stops the computation producing it instead of ending
+    in a ValueError.  The message is formatted only on failure."""
+    limit = sys.get_int_max_str_digits()
+    # |value| < 2^bits <= 8^limit < 10^limit needs no decimal comparison
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+        raise PreconditionError(
+            f"{what.format(*args)} has more than {limit} decimal digits, the limit "
+            "for printing an integer (sys.get_int_max_str_digits())"
+        )
+    return value
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], size: int | None = None) -> list[int]:

@@ -137,6 +137,10 @@ _BERNOULLI = {
 }
 
 
+# B_2k / (2k)! for k = 1, 2, ..., as floats, built once
+_EM_COEFFS = tuple(float(b) / math.factorial(n) for n, b in sorted(_BERNOULLI.items()))
+
+
 def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, float]:
     """Continued tail sum_{n > start} n^(-b) with its d/db derivative.
 
@@ -149,8 +153,8 @@ def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, 
     bb = complex(b)
     if abs(bb - 1) < 1e-9:
         raise SingularityError("the continued Dirichlet tail has a pole at exponent 1")
-    if terms + 1 > max(_BERNOULLI) // 2:
-        raise PreconditionError(f"at most {max(_BERNOULLI) // 2 - 1} correction terms supported")
+    if terms + 1 > len(_EM_COEFFS):
+        raise PreconditionError(f"at most {len(_EM_COEFFS) - 1} correction terms supported")
     a = float(start + 1)
     la = math.log(a)
     apow = cmath.exp(-bb * la)  # a^-b
@@ -163,7 +167,7 @@ def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, 
             f = bb + length
             rise_v, rise_d = rise_v * f, rise_d * f + rise_v
             length += 1
-        coef = float(_BERNOULLI[2 * k]) / math.factorial(2 * k)
+        coef = _EM_COEFFS[k - 1]
         apk = cmath.exp(-(bb + 2 * k - 1) * la)
         term = coef * rise_v * apk
         dterm = coef * apk * (rise_d - la * rise_v)
@@ -177,6 +181,10 @@ def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, 
 # -- spectra --------------------------------------------------------------
 
 
+# continued_tails(a, count, J) -> ((T(a), T'(a)), ..., (T(a+count-1), T'(a+count-1)))
+TailTable = Callable[[complex, int, int], tuple[tuple[complex, complex], ...]]
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Plug-in description of the nonzero eigenvalues of a Laplacian.
@@ -184,16 +192,19 @@ class Spectrum:
     `eigenvalues(count)` yields the first `count` (value, multiplicity)
     pairs in nondecreasing order; `tail_bound(J, w, s)` bounds the
     omitted raw tail |sum_{j>J} mult (lam_j + s)^-w|.  The optional
-    `dirichlet_tail(a, J)` / `dirichlet_tail_deriv(a, J)` callbacks
-    provide the analytically continued bare tails sum_{j>J} mult lam^-a
-    and enable continuation to w = 0 (required by regularized_det).
+    `continued_tails(a, count, J)` returns the table
+    ((T(a + k), T'(a + k)) for k < count) of the analytically continued
+    bare tails T(b) = sum_{j>J} mult lam_j^-b and their b-derivatives;
+    it enables continuation to w = 0 (required by log_regularized_det
+    and regularized_det).  Callers ask for every exponent they need in
+    one table, so a spectrum derived from another (shift_spectrum)
+    fetches each base tail once.
     """
 
     name: str
     eigenvalues: Callable[[int], tuple[tuple[float, int], ...]]
     tail_bound: Callable[[int, complex, complex], float]
-    dirichlet_tail: Optional[Callable[[complex, int], complex]] = None
-    dirichlet_tail_deriv: Optional[Callable[[complex, int], complex]] = None
+    continued_tails: Optional[TailTable] = None
 
 
 def circle_spectrum() -> Spectrum:
@@ -214,21 +225,27 @@ def circle_spectrum() -> Spectrum:
         wobble = math.exp(math.pi * abs(complex(w).imag))
         return 2 * skew * wobble * (j ** (1 - 2 * rw) / (2 * rw - 1) + (j + 1) ** (-2 * rw))
 
-    def dirichlet_tail(a: complex, j: int) -> complex:
-        val, _, _ = _em_tail(2 * complex(a), j)
-        return 2 * val
+    def continued_tails(a: complex, count: int, j: int) -> tuple[tuple[complex, complex], ...]:
+        # sum_{n>j} 2 (n^2)^-b = 2 T_em(2b), with d/db = 4 T_em'(2b)
+        aa = complex(a)
+        table = []
+        for k in range(count):
+            val, der, _ = _em_tail(2 * (aa + k), j)
+            table.append((2 * val, 4 * der))
+        return tuple(table)
 
-    def dirichlet_tail_deriv(a: complex, j: int) -> complex:
-        _, der, _ = _em_tail(2 * complex(a), j)
-        return 4 * der
-
-    return Spectrum("circle", eigenvalues, tail_bound, dirichlet_tail, dirichlet_tail_deriv)
+    return Spectrum("circle", eigenvalues, tail_bound, continued_tails)
 
 
 def shift_spectrum(base: Spectrum, shift: float, split_order: int = 24) -> Spectrum:
     """The spectrum mu_j = lam_j + shift, with continued tails derived
     from the base spectrum by a binomial split (requires shift small
-    against the first omitted eigenvalue)."""
+    against the first omitted eigenvalue):
+
+        T_mu(b) = sum_{k < split_order} C(-b, k) shift^k T_lam(b + k).
+
+    A table of `count` exponents reads one base table of
+    count + split_order - 1 entries."""
 
     def eigenvalues(count: int) -> tuple[tuple[float, int], ...]:
         pairs = tuple((lam + shift, m) for lam, m in base.eigenvalues(count))
@@ -239,33 +256,27 @@ def shift_spectrum(base: Spectrum, shift: float, split_order: int = 24) -> Spect
     def tail_bound(j: int, w: complex, s: complex) -> float:
         return base.tail_bound(j, w, complex(s) + shift)
 
-    def dirichlet_tail(a: complex, j: int) -> complex:
-        if base.dirichlet_tail is None:
+    def continued_tails(a: complex, count: int, j: int) -> tuple[tuple[complex, complex], ...]:
+        if base.continued_tails is None:
             raise ConvergenceError(f"spectrum {base.name} lacks continued tails")
-        total = 0j
-        binom = 1.0 + 0j
-        for k in range(split_order):
-            total += binom * shift**k * base.dirichlet_tail(complex(a) + k, j)
-            binom *= (-complex(a) - k) / (k + 1)
-        return total
+        aa = complex(a)
+        tails = base.continued_tails(aa, count + split_order - 1, j)
+        table = []
+        for m in range(count):
+            b = aa + m
+            val = der = 0j
+            bv, bd = 1.0 + 0j, 0j  # binom(-b, k) and its d/db
+            for k in range(split_order):
+                t, dt = tails[m + k]
+                sk = shift**k
+                val += bv * sk * t
+                der += sk * (bd * t + bv * dt)
+                f = (-b - k) / (k + 1)
+                bv, bd = bv * f, bd * f + bv * (-1.0 / (k + 1))
+            table.append((val, der))
+        return tuple(table)
 
-    def dirichlet_tail_deriv(a: complex, j: int) -> complex:
-        if base.dirichlet_tail is None or base.dirichlet_tail_deriv is None:
-            raise ConvergenceError(f"spectrum {base.name} lacks continued tails")
-        total = 0j
-        bv, bd = 1.0 + 0j, 0j  # binom(-a, k) and its d/da
-        for k in range(split_order):
-            total += shift**k * (
-                bd * base.dirichlet_tail(complex(a) + k, j)
-                + bv * base.dirichlet_tail_deriv(complex(a) + k, j)
-            )
-            f = (-complex(a) - k) / (k + 1)
-            bv, bd = bv * f, bd * f + bv * (-1.0 / (k + 1))
-        return total
-
-    return Spectrum(
-        f"{base.name}+{shift}", eigenvalues, tail_bound, dirichlet_tail, dirichlet_tail_deriv
-    )
+    return Spectrum(f"{base.name}+{shift}", eigenvalues, tail_bound, continued_tails)
 
 
 BUILTIN_SPECTRA: dict[str, Callable[[], Spectrum]] = {"circle": circle_spectrum}
@@ -318,7 +329,7 @@ def spectral_zeta(
     reported alongside the value."""
     ww = complex(w)
     ss = complex(s)
-    j = _grow_terms(spectrum, ss, terms or (48 if spectrum.dirichlet_tail else 512))
+    j = _grow_terms(spectrum, ss, terms or (48 if spectrum.continued_tails else 512))
     pairs = _head_terms(spectrum, j + 1, ss)
     guard = pairs[j][0]
     head = 0j
@@ -328,13 +339,14 @@ def spectral_zeta(
             raise SingularityError(f"eigenvalue shift vanishes: lam = {lam}, s = {s}")
         head += mult * cmath.exp(-ww * cmath.log(base))
 
-    if spectrum.dirichlet_tail is not None:
+    if spectrum.continued_tails is not None:
         x = abs(ss) / guard
         tail = 0j
         binom = 1.0 + 0j
         last = math.inf
         for k in range(40):
-            term = binom * ss**k * spectrum.dirichlet_tail(ww + k, j)
+            # one exponent per step: the stopping rule decides how many are needed
+            term = binom * ss**k * spectrum.continued_tails(ww + k, 1, j)[0][0]
             tail += term
             last = abs(term)
             if k > 0 and last < 1e-18 * max(1.0, abs(tail)):
@@ -351,22 +363,24 @@ def spectral_zeta(
     return SpectralValue(head, bound, j)
 
 
-def regularized_det(
+def log_regularized_det(
     spectrum: Spectrum,
     s: float,
     tol: float = 1e-8,
     terms: int | None = None,
     split_order: int = 30,
-) -> float:
-    """det'(Delta + s) = exp(-d/dw zeta_{Delta+s}(w) at w = 0).
+) -> SpectralValue:
+    """log det'(Delta + s) = -d/dw zeta_{Delta+s}(w) at w = 0, as a
+    SpectralValue (log det, achieved bound, head terms used).
 
     The derivative at 0 is assembled from the explicit head
-    -sum mult log(lam + s), the continued bare-tail derivative, and the
-    split series sum_{k>=1} (-1)^k s^k D(k) / k with D(k) the continued
-    tails; failure to meet `tol` raises with the bound achieved, and a
-    determinant beyond float range raises with its achieved log.
+    -sum mult log(lam + s), the continued bare-tail derivative T'(0),
+    and the split series sum_{k>=1} (-1)^k s^k T(k) / k; the first
+    omitted term, from T(split_order), bounds the series remainder.  All
+    of these come from one tail table T(0), ..., T(split_order).
+    Failure to meet `tol` raises with the bound achieved.
     """
-    if spectrum.dirichlet_tail is None or spectrum.dirichlet_tail_deriv is None:
+    if spectrum.continued_tails is None:
         raise ConvergenceError(
             f"spectrum {spectrum.name} lacks continued tails; cannot reach w = 0"
         )
@@ -380,22 +394,36 @@ def regularized_det(
             raise PreconditionError(f"shifted eigenvalue {lam} + {s} is not positive")
         head_log += mult * math.log(lam + ss)
 
+    tails = spectrum.continued_tails(0, split_order + 1, j)
     series = 0.0
     for k in range(1, split_order):
-        series += (-1) ** k * ss**k * spectrum.dirichlet_tail(k, j).real / k
+        series += (-1) ** k * ss**k * tails[k][0].real / k
 
-    zeta_prime = -head_log + spectrum.dirichlet_tail_deriv(0.0, j).real + series
+    zeta_prime = -head_log + tails[0][1].real + series
 
     x = abs(ss) / guard
-    rem = abs(spectrum.dirichlet_tail(split_order, j).real)
+    rem = abs(tails[split_order][0].real)
     bound = rem * abs(ss) ** split_order / (split_order * (1 - x)) + 1e-14 * (
         1 + abs(head_log)
     )
     if bound > tol:
         raise ConvergenceError(f"tail bound not met: achieved {bound:.3e} > {tol:.3e}")
+    return SpectralValue(-zeta_prime, bound, j)
+
+
+def regularized_det(
+    spectrum: Spectrum,
+    s: float,
+    tol: float = 1e-8,
+    terms: int | None = None,
+    split_order: int = 30,
+) -> float:
+    """det'(Delta + s) = exp(log_regularized_det(...)); a determinant
+    beyond float range raises with its achieved log."""
+    log_det = log_regularized_det(spectrum, s, tol, terms, split_order).value
     try:
-        return math.exp(-zeta_prime)
+        return math.exp(log_det)
     except OverflowError:
         raise ConvergenceError(
-            f"determinant overflows a float: achieved log det = {-zeta_prime!r}"
+            f"determinant overflows a float: achieved log det = {log_det!r}"
         ) from None

@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import ParseError, PreconditionError
-from .powerlog import _integer, _read_json
+from .powerlog import MAX_COUNTING_DEGREE, _integer, _read_json
 
 COMPLEX_TOLERANCE = 1e-10  # declared tolerance for Fourier reconstruction
 
@@ -86,6 +86,13 @@ class MonoidScheme:
             raise PreconditionError("a scheme needs at least one point")
         if self.dimension is not None and self.dimension < 0:
             raise PreconditionError("dimension must be nonnegative")
+        # a walk over the points, so that point_types stays lazy
+        top = max(pt.rank for pt in self.points)
+        if top > MAX_COUNTING_DEGREE:
+            raise PreconditionError(
+                f"a point of rank {top} gives a counting polynomial of that "
+                f"degree; at most {MAX_COUNTING_DEGREE} is supported"
+            )
 
     @property
     def max_rank(self) -> int:

@@ -33,7 +33,7 @@ from operator import mul
 from typing import Sequence, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
-from .powerlog import _convolve
+from .powerlog import _check_printable, _convolve
 from .schemes import MonoidScheme, counting_coefficients, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
@@ -75,21 +75,28 @@ def local_zeta_series(scheme: MonoidScheme, p: int, order: int) -> TruncatedSeri
     """exp(sum_{n=1}^{order} #X(F_{p^n}) T^n / n), truncated, exact.
 
     The coefficients are integers (see the module docstring), computed by
-    the Newton recurrence n e_n = sum_{k=1}^{n} N_k e_{n-k} in int."""
+    the Newton recurrence n e_n = sum_{k=1}^{n} N_k e_{n-k} in int.  A
+    coefficient too long to print is a PreconditionError, raised before
+    the recurrence runs on to the next coefficient."""
     _check_series_order(order, 1)
     if not isinstance(p, int) or p < 2:
         raise PreconditionError(f"need an integer base p >= 2, got {p!r}")
-    counts = [exact_count(scheme, p**n) for n in range(1, order + 1)]
+    # every N_k >= 0 makes every e_n >= 0, so e_order >= N_order / order:
+    # a last coefficient too long to print is known before the recurrence
+    _check_printable(exact_count(scheme, p**order) // order,
+                     "local zeta coefficient e_{} at p = {}", order, p)
+    counts: list[int] = []
     e = [1]
     for n in range(1, order + 1):
-        # counts[:n] is N_1..N_n and reversed(e) is e_{n-1}..e_0
-        q, r = divmod(sum(map(mul, counts[:n], reversed(e))), n)
+        counts.append(exact_count(scheme, p**n))
+        # counts is N_1..N_n and reversed(e) is e_{n-1}..e_0
+        q, r = divmod(sum(map(mul, counts, reversed(e))), n)
         if r:
             raise ArithmeticError(
                 f"local zeta coefficient e_{n} of {scheme.name or 'the scheme'} at p = {p} "
                 "is not an integer: the point counts are not a Dold sequence"
             )
-        e.append(q)
+        e.append(_check_printable(q, "local zeta coefficient e_{} at p = {}", n, p))
     return TruncatedSeries(tuple(e))
 
 
@@ -138,13 +145,16 @@ class LocalZetaFactors:
 
     def series(self, order: int) -> TruncatedSeries:
         """Exact expansion in T; requires an integer base.  Every factor
-        has integer coefficients, so the product is formed in int."""
+        has integer coefficients, so the product is formed in int; a
+        coefficient too long to print is a PreconditionError."""
         if not isinstance(self.base, int):
             raise PreconditionError("exact expansion needs an integer base")
         _check_series_order(order, 0)
         out = [1]
         for r, e in self.factors:
             out = _convolve(out, _binomial_factor_series(self.base**r, e, order), order + 1)
+        for n, c in enumerate(out):
+            _check_printable(c, "coefficient {} of the factored local zeta series", n)
         return TruncatedSeries(tuple(out + [0] * (order + 1 - len(out))))
 
 

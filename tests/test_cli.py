@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -308,9 +309,15 @@ def test_limit_overflow_is_a_tolerance_failure(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
     assert "overflows a float" in captured.err
-    # factor exponents C(2000, r) * 3 are themselves beyond float range
+    # rank 2000 is beyond the scheme rank cap
     path.write_text(json.dumps({"points": [{"rank": 2000, "torsion": [3]}, {"rank": 0}]}))
     code = cli.main(["limit", "--scheme", str(path), "--s", "2100.5"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "at most 500" in captured.err
+    # factor exponents C(500, r) * 10^200 are themselves beyond float range
+    path.write_text(json.dumps({"points": [{"rank": 500, "torsion": [10**200]}, {"rank": 0}]}))
+    code = cli.main(["limit", "--scheme", str(path), "--s", "500.5"])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
     assert "exponent e_" in captured.err and "beyond float range" in captured.err
@@ -398,6 +405,41 @@ def test_local_series_order_above_the_cap_is_a_precondition_error(capsys, p1_sch
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert "at most" in captured.err
+
+
+_P12_POINTS = [{"rank": r} for r in range(13) for _ in range(math.comb(13, r + 1))]
+
+
+@pytest.mark.parametrize(
+    "points,argv",
+    [
+        # e_500 >= N_500 / 500 has more than 4300 decimal digits, known before
+        # the recurrence starts (which would pass the limit at e_425, e_11, e_45)
+        (_P12_POINTS, ["local", "--p", "7", "--terms", "500"]),
+        ([{"rank": 500}], ["local", "--p", "7", "--terms", "500"]),
+        ([{"rank": 16}], ["local", "--p", "1000003", "--terms", "500"]),
+        # (10^50 - 1)^100 has 5000 digits
+        ([{"rank": 100}], ["count", "--q", "1" + "0" * 50]),
+        # beyond the scheme rank cap
+        ([{"rank": 2000}], ["local", "--p", "3"]),
+        ([{"rank": 501}, {"rank": 0}], ["zeta"]),
+        ([{"rank": 5000}], ["fe-check"]),
+        ([{"rank": r} for r in range(2001)], ["limit", "--s", "2001.5"]),
+    ],
+    ids=["local-P12", "local-rank-500", "local-p-1000003", "count-q-1e50", "local-rank-2000",
+         "zeta-rank-501", "fe-check-rank-5000", "limit-ranks-to-2000"],
+)
+def test_oversized_results_are_precondition_errors(capsys, tmp_path, points, argv):
+    path = tmp_path / "big.scheme"
+    path.write_text(json.dumps({"points": points}))
+    start = time.perf_counter()
+    code = cli.main([argv[0], "--scheme", str(path), *argv[1:]])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "at most" in captured.err or "decimal digits" in captured.err
+    assert elapsed < 5
 
 
 # Recorded with the Fraction implementation that preceded the integer

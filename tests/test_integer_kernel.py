@@ -8,6 +8,7 @@ series.  The kernel must agree with them exactly.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from f1zeta.errors import PreconditionError
 from f1zeta.groups import ReductiveGroupData, group_counting
 from f1zeta.powerlog import (
     PowerLogSum,
+    _check_printable,
     _convolve,
     product_of_reciprocal_powers,
 )
@@ -220,3 +222,47 @@ def test_series_order_cap():
         local_zeta_series(scheme, 2, MAX_SERIES_ORDER + 1)
     with pytest.raises(PreconditionError, match="at most"):
         smoothed_local_zeta(scheme, 2).series(MAX_SERIES_ORDER + 1)
+
+
+# -- integers too long to print ----------------------------------------------
+
+
+@pytest.fixture()
+def digit_limit():
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def test_check_printable_is_exact_at_the_digit_limit(digit_limit):
+    digit_limit(700)
+    for value in (10**700 - 1, -(10**700 - 1), 2**2100, 0):
+        assert _check_printable(value, "x") == value
+        str(value)
+    for value in (10**700, -(10**700), 2**2400):
+        with pytest.raises(PreconditionError, match="x 7 has more than 700 decimal digits"):
+            _check_printable(value, "x {}", 7)
+        with pytest.raises(ValueError):
+            str(value)
+    digit_limit(0)  # no limit
+    assert _check_printable(10**5000, "x") == 10**5000
+
+
+def test_series_stop_at_the_first_coefficient_too_long_to_print(digit_limit):
+    # for G_m at p = 10^9, e_n = p^n - p^(n-1) has 9n digits and
+    # N_72 // 72 has 647: at a limit of 647 digits the bound checked before
+    # the recurrence passes, and the recurrence itself stops at e_72
+    torus, p = TorsionPoint(1), 10**9
+    scheme = MonoidScheme((torus,))
+    assert len(str(exact_count(scheme, p**72) // 72)) == 647
+    digit_limit(647)
+    assert local_zeta_series(scheme, p, 71).coefficients[71] == p**71 - p**70
+    with pytest.raises(PreconditionError, match="e_72 at p = 1000000000 has more than 647"):
+        local_zeta_series(scheme, p, 72)
+    assert smoothed_local_zeta(scheme, p).series(71) == local_zeta_series(scheme, p, 71)
+    with pytest.raises(PreconditionError, match="coefficient 72 .* more than 647"):
+        smoothed_local_zeta(scheme, p).series(72)
+    # e_72 >= N_72 / 72 has more than 646 digits before any step runs
+    digit_limit(646)
+    with pytest.raises(PreconditionError, match="e_72 at p = 1000000000 has more than 646"):
+        local_zeta_series(scheme, p, 72)

@@ -13,8 +13,10 @@ from f1zeta.errors import ConvergenceError, PreconditionError, SingularityError
 from f1zeta.powerlog import PowerLogSum, parse_power_log
 from f1zeta.regularize import (
     Spectrum,
+    _em_tail,
     circle_spectrum,
     gamma_ratio_poly,
+    log_regularized_det,
     regularized_det,
     shift_spectrum,
     spectral_zeta,
@@ -192,14 +194,115 @@ def test_regularized_det_matches_w_derivative():
     assert math.exp(-slope) == pytest.approx(regularized_det(circ, s), rel=1e-6)
 
 
-def test_shift_consistency():
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.05, 0.95), st.floats(0.0, 4.0))
+def test_shift_consistency(a, s):
+    circ = circle_spectrum()
+    shifted = shift_spectrum(circ, a)
+    assert regularized_det(shifted, s) == pytest.approx(regularized_det(circ, a + s), rel=1e-9)
+
+
+def test_shifted_spectral_zeta_consistency():
     circ = circle_spectrum()
     for s0 in (0.5, 1.0):
         shifted = shift_spectrum(circ, s0)
-        fresh = regularized_det(shifted, 0.0)
-        assert fresh == pytest.approx(regularized_det(circ, s0), rel=1e-9)
         moved = spectral_zeta(shifted, 2, 0.25).value
         assert moved == pytest.approx(spectral_zeta(circ, 2, 0.25 + s0).value, rel=1e-11)
+
+
+# The per-exponent callbacks that the tail tables replaced, kept as
+# oracles: the circle's bare tail and its derivative, and the shift's
+# binomial split of each, one base tail per call.
+def _oracle_circle_tail(a, j):
+    val, _, _ = _em_tail(2 * complex(a), j)
+    return 2 * val
+
+
+def _oracle_circle_tail_deriv(a, j):
+    _, der, _ = _em_tail(2 * complex(a), j)
+    return 4 * der
+
+
+def _oracle_shift_tail(shift, a, j, split_order=24):
+    total = 0j
+    binom = 1.0 + 0j
+    for k in range(split_order):
+        total += binom * shift**k * _oracle_circle_tail(complex(a) + k, j)
+        binom *= (-complex(a) - k) / (k + 1)
+    return total
+
+
+def _oracle_shift_tail_deriv(shift, a, j, split_order=24):
+    total = 0j
+    bv, bd = 1.0 + 0j, 0j
+    for k in range(split_order):
+        total += shift**k * (
+            bd * _oracle_circle_tail(complex(a) + k, j)
+            + bv * _oracle_circle_tail_deriv(complex(a) + k, j)
+        )
+        f = (-complex(a) - k) / (k + 1)
+        bv, bd = bv * f, bd * f + bv * (-1.0 / (k + 1))
+    return total
+
+
+# a nonzero imaginary part keeps a + i off the tails' pole at 1/2
+_DYADIC = st.builds(
+    lambda x, y: complex(x / 64, y / 64), st.integers(-128, 192), st.integers(-128, 128).filter(bool)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.05, 0.95),
+    st.one_of(st.sampled_from([0, 1]), _DYADIC),
+    st.integers(1, 35),
+    st.sampled_from([48, 64, 128]),
+)
+def test_continued_tails_match_the_per_exponent_oracle_bit_for_bit(shift, a, count, j):
+    # Entry m of a table at a is the tail at a + m.  The shift's table reads
+    # the base tail at a + (m + k), the oracle at (a + m) + k: the same
+    # float for the integer and dyadic starts drawn here, and for every
+    # call regularized_det (a = 0) and spectral_zeta (count = 1) make.
+    circle = circle_spectrum().continued_tails(a, count, j)
+    assert circle == tuple(
+        (_oracle_circle_tail(complex(a) + m, j), _oracle_circle_tail_deriv(complex(a) + m, j))
+        for m in range(count)
+    )
+    shifted = shift_spectrum(circle_spectrum(), shift).continued_tails(a, count, j)
+    assert shifted == tuple(
+        (_oracle_shift_tail(shift, complex(a) + m, j), _oracle_shift_tail_deriv(shift, complex(a) + m, j))
+        for m in range(count)
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.05, 0.95), st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))
+def test_shifted_tails_at_any_complex_start_agree_with_the_oracle(shift, a):
+    # a + (m + k) and (a + m) + k may round apart by an ulp for k >= 1,
+    # where the term carries a factor shift^k (lam_J+1)^-k
+    if abs(a.imag) < 0.1:
+        a += 0.25j  # keep clear of the tails' real poles at a + i = 1/2
+    table = shift_spectrum(circle_spectrum(), shift).continued_tails(a, 5, 64)
+    for m, (val, der) in enumerate(table):
+        want = _oracle_shift_tail(shift, complex(a) + m, 64)
+        want_d = _oracle_shift_tail_deriv(shift, complex(a) + m, 64)
+        assert abs(val - want) <= 1e-14 * abs(want)
+        assert abs(der - want_d) <= 1e-14 * abs(want_d)
+
+
+def test_log_regularized_det():
+    circ = circle_spectrum()
+    for spectrum, s in ((circ, 1.0), (shift_spectrum(circ, 0.4), 0.6)):
+        got = log_regularized_det(spectrum, s)
+        assert math.exp(got.value) == regularized_det(spectrum, s)
+        assert 0 < got.error_bound <= 1e-8 and got.terms_used == 64
+    # beyond float range the log is still a value; the determinant raises with it
+    big = log_regularized_det(circ, 1e6)
+    assert big.value == pytest.approx(2 * math.pi * 1e3 - math.log(1e6), rel=1e-10)
+    with pytest.raises(ConvergenceError, match=f"log det = {big.value!r}"):
+        regularized_det(circ, 1e6)
+    with pytest.raises(ConvergenceError, match="tail bound not met"):
+        log_regularized_det(circ, 4.0, tol=1e-30)
 
 
 def test_regularized_det_requires_continuation():

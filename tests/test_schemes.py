@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from f1zeta import groups
 from f1zeta.errors import ParseError, PreconditionError
+from f1zeta.powerlog import MAX_COUNTING_DEGREE
 from f1zeta.schemes import (
     FourierData,
     MonoidScheme,
@@ -54,6 +56,17 @@ def test_validation():
         MonoidScheme((TorsionPoint(0),), dimension=-1)
     assert TorsionPoint(0, (2, 3)).torsion_cardinality == 6
     assert TorsionPoint(2).torsion_cardinality == 1
+
+
+def test_rank_cap_is_the_counting_degree_cap():
+    # the counting polynomial of a scheme has degree equal to its maximal rank
+    assert MAX_COUNTING_DEGREE is groups.MAX_COUNTING_DEGREE
+    top = MonoidScheme((TorsionPoint(MAX_COUNTING_DEGREE), TorsionPoint(0)))
+    assert top.max_rank == MAX_COUNTING_DEGREE
+    with pytest.raises(PreconditionError, match=f"rank {MAX_COUNTING_DEGREE + 1}.*at most"):
+        MonoidScheme((TorsionPoint(0), TorsionPoint(MAX_COUNTING_DEGREE + 1)))
+    with pytest.raises(PreconditionError, match="at most"):
+        scheme_from_dict({"points": [{"rank": 2000}]})
 
 
 def test_dimension_defaults_to_max_rank():
