@@ -79,11 +79,12 @@ def _integer(value: object) -> int:
 
 def _check_printable(value: int, what: str, *args: object) -> int:
     """`value`, if `str` can convert it.  An int of more decimal digits
-    than `sys.get_int_max_str_digits()` (0 means no limit) is a
+    than `sys.get_int_max_str_digits()` (0 means no limit; Pythons before
+    3.10.7 have neither the function nor a limit) is a
     PreconditionError naming `what.format(*args)`, so that a result too
     large to print stops the computation producing it instead of ending
     in a ValueError.  The message is formatted only on failure."""
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # |value| < 2^bits <= 8^limit < 10^limit needs no decimal comparison
     if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
         raise PreconditionError(

@@ -39,8 +39,10 @@ from .schemes import MonoidScheme, counting_coefficients, exact_count
 # Largest accepted order of an exact series in T.  At order n the
 # coefficients of a d-dimensional scheme have about d n log2(p) bits, and
 # the recurrence makes about n^2/2 products of them.  Measured at the cap on a
-# 2-core host: local_zeta_series 0.24 s on P2 at p = 7, 0.84 s on P4 and
-# 8.8 s on P16 (P2 at p = 7: 3.3 s at order 1000, 16 s at 1500).
+# 2-core host: local_zeta_series 0.24 s on P2 at p = 7, 0.8 s on P4 and
+# about 4 s on P10, the largest projective space whose coefficients stay
+# printable at p = 7; P11 and above exit at once on the digit limit (P2 at
+# p = 7: 3.3 s at order 1000, 16 s at 1500).
 MAX_SERIES_ORDER = 500
 
 
@@ -82,14 +84,14 @@ def local_zeta_series(scheme: MonoidScheme, p: int, order: int) -> TruncatedSeri
     if not isinstance(p, int) or p < 2:
         raise PreconditionError(f"need an integer base p >= 2, got {p!r}")
     # every N_k >= 0 makes every e_n >= 0, so e_order >= N_order / order:
-    # a last coefficient too long to print is known before the recurrence
-    _check_printable(exact_count(scheme, p**order) // order,
-                     "local zeta coefficient e_{} at p = {}", order, p)
-    counts: list[int] = []
+    # a last coefficient too long to print is known from N_order alone,
+    # before the other counts (together far costlier) are made
+    last = exact_count(scheme, p**order)
+    _check_printable(last // order, "local zeta coefficient e_{} at p = {}", order, p)
+    counts = [exact_count(scheme, p**n) for n in range(1, order)] + [last]
     e = [1]
     for n in range(1, order + 1):
-        counts.append(exact_count(scheme, p**n))
-        # counts is N_1..N_n and reversed(e) is e_{n-1}..e_0
+        # reversed(e) is e_{n-1}..e_0, so map pairs it with N_1..N_n
         q, r = divmod(sum(map(mul, counts, reversed(e))), n)
         if r:
             raise ArithmeticError(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 from scipy import special
 
@@ -195,7 +195,9 @@ def test_regularized_det_matches_w_derivative():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.floats(0.05, 0.95), st.floats(0.0, 4.0))
+@given(st.floats(0.05, 1.0), st.floats(0.0, 4.0))
+@example(0.5, 0.0)
+@example(1.0, 0.0)
 def test_shift_consistency(a, s):
     circ = circle_spectrum()
     shifted = shift_spectrum(circ, a)
