@@ -8,7 +8,8 @@ the counting polynomial is
 
 Coefficient symmetry a_k = (-1)^r a_{d+p-k} gives the functional
 equation N_G(1/q) = (-1)^r q^(-d-p) N_G(q), equivalently
-zeta(d+p-s) = (-1)^chi zeta(s)^((-1)^r) with chi = N_G(1) = 0.
+zeta(d+p-s) = (-1)^chi zeta(s)^((-1)^r) with chi = N_G(1) = 0; both are
+checked at once, on the integer coefficients.
 """
 
 from __future__ import annotations
@@ -23,22 +24,22 @@ from .powerlog import (
     MAX_COUNTING_DEGREE,
     FunctionalEquationWitness,
     PowerLogSum,
+    _asymmetries,
     _convolve,
     _integer,
     _parity,
     _read_json,
-    detect_functional_equation,
     product_of_reciprocal_powers,
 )
-from .zetas import FactoredZeta, power_zeta, reflect_zeta, shift_zeta, zeta_of
+from .zetas import FactoredZeta, power_zeta, shift_zeta, zeta_of
 
 # MAX_COUNTING_DEGREE (shared with the scheme rank cap) bounds the degree
 # d + p of a group's counting polynomial: GL(18) (degree 477) and Gm^500
 # are accepted, GL(19) (degree 532) is not.  The polynomials are expanded
-# in int; the exact Fraction checks of a group report grow faster than
-# linearly in the degree.  In-process `cli.main` on a 2-core host:
-# `group --group GL:18` takes 0.02 s and `Gm:500` 0.08 s (with the cap
-# lifted: GL:40 0.11 s, Gm:1000 0.27 s, Gm:2000 1.0 s).
+# and their functional equations checked in int.  In-process `cli.main`
+# on a 2-core host, best of 5: `group --group GL:18` takes 0.007 s and
+# `Gm:500` 0.026 s (with the cap lifted: GL:40 0.04 s, Gm:1000 0.11 s,
+# Gm:2000 0.6 s).
 
 
 def _check_counting_degree(degree: int, name: str) -> None:
@@ -104,12 +105,16 @@ def torus_counting(r: int) -> PowerLogSum:
     return PowerLogSum.from_int_coefficients(_torus_coefficients(r))
 
 
+def _group_coefficients(group: ReductiveGroupData) -> list[int]:
+    """Coefficients a_k of N_G(q) / q^p = (q-1)^r sum_l b_{2l} q^l from q^0
+    up; N_G(1/q) = (-1)^r q^(-d-p) N_G(q) iff a_k = (-1)^r a_{r+p-k}."""
+    group.validate_palindrome()
+    return _convolve(_torus_coefficients(group.rank), group.flag_betti)
+
+
 def group_counting(group: ReductiveGroupData) -> PowerLogSum:
     """(q-1)^r q^p sum_l b_{2l} q^l expanded exactly, in integers."""
-    group.validate_palindrome()
-    return PowerLogSum.from_int_coefficients(
-        _convolve(_torus_coefficients(group.rank), group.flag_betti), group.positive_roots
-    )
+    return PowerLogSum.from_int_coefficients(_group_coefficients(group), group.positive_roots)
 
 
 def gl_group_data(r: int) -> ReductiveGroupData:
@@ -198,23 +203,19 @@ class GroupFEReport:
 def group_functional_equation(group: ReductiveGroupData) -> GroupFEReport:
     """Verify the counting and zeta functional equations of a group.
 
-    The witness must be ((-1)^r, d + p); the zeta identity
-    zeta(d+p-s) = (-1)^chi zeta(s)^((-1)^r) is checked on exact factor
-    data with chi computed as N_G(1) (zero whenever (q-1)^r divides).
+    Both hold iff the coefficients are a signed palindrome (see
+    `_group_coefficients`): zeta_of keeps the terms of N_G, and the sign
+    (-1)^chi of the reflected zeta is 1, as chi = N_G(1) = 0.  The
+    witness is ((-1)^r, d + p) when they hold and None otherwise.
     """
-    n = group_counting(group)
+    coeffs = _group_coefficients(group)
+    if not any(coeffs):
+        raise PreconditionError("functional equations of the zero sum are vacuous")
     center = Fraction(group.dimension + group.positive_roots)
     sign = _parity(group.rank)
-    witness = detect_functional_equation(n)
-    chi_frac = n.value_at_one()
-    chi = chi_frac.numerator  # integer: counting polynomials have integer coefficients
-
-    witness_ok = witness is not None and witness.c == sign and witness.omega == center
-    z = zeta_of(n)
-    refl_sign, reflected = reflect_zeta(z, center)
-    zeta_ok = reflected == power_zeta(z, sign) and refl_sign == _parity(chi)
-
-    return GroupFEReport(witness_ok and zeta_ok, witness, chi, center, sign)
+    holds = not _asymmetries(coeffs, len(coeffs) - 1, sign)
+    witness = FunctionalEquationWitness(sign, center) if holds else None
+    return GroupFEReport(holds, witness, sum(coeffs), center, sign)
 
 
 # -- shift / duality / reflection identity families -------------------------
@@ -245,9 +246,10 @@ class FamilyIdentityReport:
 
 
 def verify_family_identities(r: int, family: str) -> FamilyIdentityReport:
-    """Exact factored verification of the shift, duality and reflection
-    identities tying prod (1 - u^-omega_i) to the torus-power and
-    general-linear zeta functions.
+    """Exact verification of the shift, duality and reflection identities
+    tying prod (1 - u^-omega_i) to the torus-power and general-linear
+    zeta functions; (c) is the palindrome of `group_functional_equation`
+    with the sign (-1)^chi = 1.
 
     family "gm_power": N = (1 - 1/u)^r against zeta of the r-fold torus:
       (a) zeta_N(s) = zeta_T(s + r)
@@ -258,49 +260,34 @@ def verify_family_identities(r: int, family: str) -> FamilyIdentityReport:
       (a) zeta_N(s) = zeta_GL(s + r^2)
       (b) zeta_{N*}(s) = zeta_GL(s + r(r-1)/2)^((-1)^r)
       (c) zeta_GL(r(3r-1)/2 - s) = zeta_GL(s)^((-1)^r)
+
+    i.e. the shifts d and p and the center d + p of the group.
     """
     if r < 1:
         raise PreconditionError("family identities need rank >= 1")
-    sign = _parity(r)
-    results: list[tuple[str, bool]] = []
     if family == "gm_power":
-        zg = group_zeta(torus_group_data(r))
-        n = product_of_reciprocal_powers([1] * r)
-        results.append(("shift: zeta_N(s) = zeta_T(s+r)", zeta_of(n) == shift_zeta(zg, r)))
-        results.append(
-            (
-                "dual: zeta_{N*}(s) = zeta_T(s)^((-1)^r)",
-                zeta_of(n.dual()) == power_zeta(zg, sign),
-            )
-        )
-        refl_sign, reflected = reflect_zeta(zg, r)
-        results.append(
-            (
-                "reflection: zeta_T(r-s) = zeta_T(s)^((-1)^r)",
-                reflected == power_zeta(zg, sign) and refl_sign == 1,
-            )
+        group, omegas = torus_group_data(r), [1] * r
+        labels = (
+            "shift: zeta_N(s) = zeta_T(s+r)",
+            "dual: zeta_{N*}(s) = zeta_T(s)^((-1)^r)",
+            "reflection: zeta_T(r-s) = zeta_T(s)^((-1)^r)",
         )
     elif family == "gl":
-        zgl = group_zeta(gl_group_data(r))
-        n = product_of_reciprocal_powers(range(1, r + 1))
-        results.append(
-            ("shift: zeta_N(s) = zeta_GL(s+r^2)", zeta_of(n) == shift_zeta(zgl, r * r))
-        )
-        half = Fraction(r * (r - 1), 2)
-        results.append(
-            (
-                "dual: zeta_{N*}(s) = zeta_GL(s+r(r-1)/2)^((-1)^r)",
-                zeta_of(n.dual()) == power_zeta(shift_zeta(zgl, half), sign),
-            )
-        )
-        center = Fraction(r * (3 * r - 1), 2)
-        refl_sign, reflected = reflect_zeta(zgl, center)
-        results.append(
-            (
-                "reflection: zeta_GL(r(3r-1)/2-s) = zeta_GL(s)^((-1)^r)",
-                reflected == power_zeta(zgl, sign) and refl_sign == 1,
-            )
+        group, omegas = gl_group_data(r), range(1, r + 1)
+        labels = (
+            "shift: zeta_N(s) = zeta_GL(s+r^2)",
+            "dual: zeta_{N*}(s) = zeta_GL(s+r(r-1)/2)^((-1)^r)",
+            "reflection: zeta_GL(r(3r-1)/2-s) = zeta_GL(s)^((-1)^r)",
         )
     else:
         raise PreconditionError(f"unknown family {family!r} (gm_power or gl)")
-    return FamilyIdentityReport(family, r, tuple(results))
+    coeffs = _group_coefficients(group)
+    zg = zeta_of(PowerLogSum.from_int_coefficients(coeffs, group.positive_roots))
+    n = product_of_reciprocal_powers(omegas)
+    sign = _parity(r)
+    checks = (
+        zeta_of(n) == shift_zeta(zg, group.dimension),
+        zeta_of(n.dual()) == power_zeta(shift_zeta(zg, group.positive_roots), sign),
+        not _asymmetries(coeffs, len(coeffs) - 1, sign) and _parity(sum(coeffs)) == 1,
+    )
+    return FamilyIdentityReport(family, r, tuple(zip(labels, checks)))

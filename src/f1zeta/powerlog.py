@@ -111,6 +111,22 @@ def _convolve(a: Sequence[int], b: Sequence[int], size: int | None = None) -> li
     return out
 
 
+def _asymmetries(a: Sequence[int], center: int, sign: int = 1) -> tuple[tuple[int, int, int], ...]:
+    """(k, a_k, a_{center-k}) for each k <= center - k with
+    a_k != sign * a_{center-k}, in ascending k; entries outside `a` are
+    zero.  None means sum a_k x^k = sign x^center sum a_k x^-k, the
+    counting identity N(1/u) = sign u^-center N(u) in integers."""
+
+    def at(i: int) -> int:
+        return a[i] if 0 <= i < len(a) else 0
+
+    return tuple([
+        (k, at(k), at(center - k))
+        for k in range(min(0, center - len(a) + 1), center // 2 + 1)
+        if at(k) != sign * at(center - k)
+    ])
+
+
 def _read_json(path: str) -> object:
     """The JSON value stored in a file.  Bytes that are not UTF-8, malformed
     JSON and nesting too deep for the parser are ParseErrors."""

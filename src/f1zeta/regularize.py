@@ -27,8 +27,27 @@ from typing import Callable, Optional, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
 from .powerlog import PowerLogSum
+from .zetas import log_evaluate_zeta, zeta_of
 
 Complex = Union[complex, float, int]
+
+
+def _power_log_integrand(n: PowerLogSum, rate: complex, k: int) -> Callable[[float], complex]:
+    """t |-> N(e^t) e^(-rate t) t^k for N = sum c u^lam log^m u, assembled
+    per term as c e^((lam - rate) t) t^(m + k) so that no power of e^t
+    overflows; a term below e^-745 underflows and is skipped."""
+    terms = [(float(lam), m, float(c)) for lam, m, c in n.terms]
+
+    def integrand(t: float) -> complex:
+        total = 0j
+        for lam, m, c in terms:
+            expo = (lam - rate) * t
+            if expo.real < -745.0:
+                continue
+            total += c * cmath.exp(expo) * t ** (m + k)
+        return total
+
+    return integrand
 
 
 def _complex_quad(fn: Callable[[float], complex], a: float, b: float) -> complex:
@@ -66,9 +85,10 @@ def two_variable_zeta_closed(n: PowerLogSum, w: Complex, s: Complex) -> complex:
 def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex:
     """Quadrature evaluation of Z_N(w, s) on its convergence half-planes.
 
-    Substituting u = e^t gives 1/Gamma(w) int_0^oo N(e^t) e^-st t^(w-1) dt.
-    The endpoint weight t^(w-1) on (0, 1) is removed by t = e^-v, which
-    turns that piece into a smooth integrand decaying like e^(-Re(w) v).
+    Substituting u = e^t gives 1/Gamma(w) int_0^oo N(e^t) e^-st t^(w-1) dt,
+    split at t0 = max(1, 4 / (Re s - degree)).  The endpoint weight
+    t^(w-1) on (0, t0) is removed by t = t0 e^-v, which turns that piece
+    into t0^w times a smooth integrand decaying like e^(-Re(w) v).
     """
     if n.is_zero:
         return 0j
@@ -79,23 +99,15 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
     edge = float(n.degree)
     if ss.real <= edge:
         raise PreconditionError(f"integral needs Re(s) > {edge}, got Re(s) = {ss.real}")
-    terms = [(float(lam), m, float(c)) for lam, m, c in n.terms]
-
-    def weighted(t: float) -> complex:
-        # N(e^t) e^(-st) assembled per term in log space to avoid overflow
-        total = 0j
-        for lam, m, c in terms:
-            expo = (lam - ss) * t
-            if expo.real < -745.0:
-                continue
-            total += c * cmath.exp(expo) * t**m
-        return total
-
+    weighted = _power_log_integrand(n, ss, 0)
+    # split where the tail e^(-(Re s - degree) t) has fallen by e^-4, so
+    # that the upper piece starts near its bulk instead of far before it
+    t0 = max(1.0, 4.0 / (ss.real - edge))
     lower = _complex_quad(
-        lambda v: weighted(math.exp(-v)) * cmath.exp(-ww * v), 0.0, math.inf
-    )
+        lambda v: weighted(t0 * math.exp(-v)) * cmath.exp(-ww * v), 0.0, math.inf
+    ) * cmath.exp(ww * math.log(t0))
     upper = _complex_quad(
-        lambda t: weighted(t) * cmath.exp((ww - 1) * math.log(t)), 1.0, math.inf
+        lambda t: weighted(t) * cmath.exp((ww - 1) * math.log(t)), t0, math.inf
     )
     from scipy.special import gamma
 
@@ -106,19 +118,9 @@ def zeta_from_regularization(n: PowerLogSum, s: Complex) -> complex:
     """exp(d/dw Z_N(w, s) at w = 0), evaluated from the closed form.
 
     Term derivatives at w = 0: -c log(s - lam) for m = 0 and
-    c (m-1)! (s - lam)^-m for m >= 1.
+    c (m-1)! (s - lam)^-m for m >= 1, which sum to log_evaluate_zeta.
     """
-    ss = complex(s)
-    deriv = 0j
-    for lam, m, c in n.terms:
-        base = ss - float(lam)
-        if base == 0:
-            raise SingularityError(f"singular at s = {lam}")
-        if m == 0:
-            deriv -= float(c) * cmath.log(base)
-        else:
-            deriv += float(c) * math.factorial(m - 1) * base ** (-m)
-    return cmath.exp(deriv)
+    return cmath.exp(log_evaluate_zeta(zeta_of(n), s))
 
 
 # -- Euler-Maclaurin tails of bare Dirichlet sums ------------------------

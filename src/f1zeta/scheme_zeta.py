@@ -9,8 +9,8 @@ zeta is the rational function
 
 so the even Betti numbers are b_{2l} = a_l (odd ones vanish in this
 class) and the Euler characteristic is N(1) = sum_k a_k.  The global
-functional equation zeta(d-s) = (-1)^chi zeta(s) holds exactly iff the
-Betti profile is palindromic.
+functional equation zeta(d-s) = (-1)^chi zeta(s) holds exactly iff no
+rank exceeds d and the Betti profile is palindromic, an integer check.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .powerlog import PowerLogSum, _parity
+from .powerlog import PowerLogSum, _asymmetries
 from .schemes import MonoidScheme, counting_coefficients
-from .zetas import FactoredZeta, reflect_zeta, zeta_of
+from .zetas import FactoredZeta, zeta_of
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,8 @@ class BettiProfile:
         return self.values == self.values[::-1]
 
     def asymmetries(self) -> tuple[tuple[int, int, int], ...]:
-        d = self.dimension
-        out = []
-        for l in range(d // 2 + 1):
-            if self.values[l] != self.values[d - l]:
-                out.append((l, self.values[l], self.values[d - l]))
-        return tuple(out)
+        """(l, b_{2l}, b_{2(d-l)}) for each l <= d - l where they differ."""
+        return _asymmetries(self.values, self.dimension)
 
 
 def betti_profile(scheme: MonoidScheme) -> BettiProfile:
@@ -95,17 +91,17 @@ class GlobalFEReport:
 
 
 def global_functional_equation(scheme: MonoidScheme) -> GlobalFEReport:
-    """Exact factored check of zeta(d - s) = (-1)^chi zeta(s).
+    """Exact check of zeta(d - s) = (-1)^chi zeta(s), in integers.
 
-    Requires the smooth_projective assertion; a failing check is
-    diagnosed through the Betti asymmetry that causes it.
+    Reflection sends the factor (s - r)^(-a_r) to (s - d + r)^(-a_r), with
+    sign (-1)^N(1), so the identity holds iff a_r = a_{d-r} and no rank
+    exceeds d (the top coefficient is positive).  Requires the
+    smooth_projective assertion; a failing check is diagnosed through
+    the Betti asymmetry that causes it.
     """
     if not scheme.smooth_projective:
         raise PreconditionError("global functional equation requires smooth_projective")
-    z = zeta_of_scheme(scheme)
     profile = betti_profile(scheme)
-    chi = profile.euler_characteristic
-    sign, reflected = reflect_zeta(z, scheme.dim)
-    expected_sign = _parity(chi)
-    holds = reflected == z and sign == expected_sign
-    return GlobalFEReport(holds, chi, scheme.dim, profile.asymmetries())
+    asymmetries = profile.asymmetries()
+    holds = scheme.max_rank <= scheme.dim and not asymmetries
+    return GlobalFEReport(holds, profile.euler_characteristic, scheme.dim, asymmetries)

@@ -86,6 +86,11 @@ class MonoidScheme:
             raise PreconditionError("a scheme needs at least one point")
         if self.dimension is not None and self.dimension < 0:
             raise PreconditionError("dimension must be nonnegative")
+        if self.dimension is not None and self.dimension > MAX_COUNTING_DEGREE:
+            # the Betti profile and the zeta tables have an entry per index up to it
+            raise PreconditionError(
+                f"declared dimension {self.dimension}; at most {MAX_COUNTING_DEGREE} is supported"
+            )
         # a walk over the points, so that point_types stays lazy
         top = max(pt.rank for pt in self.points)
         if top > MAX_COUNTING_DEGREE:

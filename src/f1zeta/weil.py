@@ -33,7 +33,7 @@ from operator import mul
 from typing import Sequence, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
-from .powerlog import _check_printable, _convolve
+from .powerlog import _asymmetries, _check_printable, _convolve
 from .schemes import MonoidScheme, counting_coefficients, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
@@ -271,7 +271,8 @@ def local_functional_equation(scheme: MonoidScheme, p: int) -> LocalFEReport:
     Performed on the factored smoothed zeta: substituting T -> 1/(p^d T)
     sends each (1 - p^r T)^e to (1 - p^(d-r) T)^e up to monomial
     factors, so the identity reduces to exponent symmetry e_r = e_{d-r}
-    together with integer bookkeeping 2 sum_r r e_r = -d chi.  When
+    together with integer bookkeeping 2 sum_r r e_r = -d chi, both
+    checked on the counting coefficients a_r = -e_r.  When
     d*chi is odd the p^(d chi/2) prefactor is irrational; the doubled
     (squared) identity is then checked exactly and the sign separately
     by one floating-point evaluation.
@@ -280,17 +281,12 @@ def local_functional_equation(scheme: MonoidScheme, p: int) -> LocalFEReport:
         raise PreconditionError("local functional equation requires smooth_projective")
     if not isinstance(p, int) or p < 2:
         raise PreconditionError(f"need an integer prime base >= 2, got {p!r}")
-    z = smoothed_local_zeta(scheme, p)
-    exps = z.exponents()
+    coeffs = counting_coefficients(scheme)
+    z = LocalZetaFactors(p, _smoothed_factors(coeffs))
     d = scheme.dim
-    chi = -sum(exps.values())
-    mismatches = []
-    for r in sorted(set(exps) | {d - r for r in exps}):
-        er = exps.get(r, 0)
-        em = exps.get(d - r, 0)
-        if er != em and r <= d - r:
-            mismatches.append((r, er, em))
-    exponent_ok = 2 * sum(r * e for r, e in exps.items()) == -d * chi
+    chi = sum(coeffs)
+    mismatches = tuple([(r, -a, -b) for r, a, b in _asymmetries(coeffs, d)])
+    exponent_ok = 2 * sum(r * a for r, a in enumerate(coeffs)) == d * chi
     squared = (d * chi) % 2 == 1
 
     residual = math.inf
@@ -303,6 +299,4 @@ def local_functional_equation(scheme: MonoidScheme, p: int) -> LocalFEReport:
         pass
 
     holds = not mismatches and exponent_ok
-    return LocalFEReport(
-        holds, chi, d, p, tuple(mismatches), exponent_ok, squared, residual
-    )
+    return LocalFEReport(holds, chi, d, p, mismatches, exponent_ok, squared, residual)

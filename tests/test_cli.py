@@ -442,6 +442,19 @@ def test_oversized_results_are_precondition_errors(capsys, tmp_path, points, arg
     assert elapsed < 5
 
 
+@pytest.mark.parametrize("argv", [["zeta"], ["zeta", "--pretty"], ["fe-check"],
+                                  ["fe-check", "--p", "2"], ["limit", "--s", "3"]])
+def test_declared_dimension_above_the_cap_is_a_precondition_error(capsys, tmp_path, argv):
+    # a dimension of 10^6 used to print a 19.9 MB exponent table with exit 0
+    path = tmp_path / "tall.scheme"
+    path.write_text(json.dumps({"points": [{"rank": 1}], "dimension": 1000000}))
+    code = cli.main([argv[0], "--scheme", str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "dimension 1000000" in captured.err
+
+
 # Recorded with the Fraction implementation that preceded the integer
 # kernel; these outputs must never change.
 _GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())

@@ -21,8 +21,14 @@ from f1zeta.groups import (
     torus_group_data,
     verify_family_identities,
 )
-from f1zeta.powerlog import PowerLogSum, parse_power_log, product_of_reciprocal_powers
-from f1zeta.zetas import pretty_zeta
+from f1zeta.powerlog import (
+    FunctionalEquationWitness,
+    PowerLogSum,
+    detect_functional_equation,
+    parse_power_log,
+    product_of_reciprocal_powers,
+)
+from f1zeta.zetas import power_zeta, pretty_zeta, reflect_zeta
 
 
 def _eval_exact(n: PowerLogSum, q: Fraction) -> Fraction:
@@ -107,11 +113,43 @@ def test_group_fe_rejects_broken_palindrome():
         group_functional_equation(broken)
 
 
+def _fraction_group_fe(group):
+    """The group FE as the Fraction checks once made it: the detected
+    witness must be ((-1)^r, d + p), and the zeta reflected about d + p
+    must be zeta^((-1)^r) with the sign (-1)^N(1)."""
+    n = group_counting(group)
+    center = Fraction(group.dimension + group.positive_roots)
+    sign = (-1) ** group.rank
+    witness = detect_functional_equation(n)
+    sign_of_reflection, reflected = reflect_zeta(group_zeta(group), center)
+    holds = (
+        witness == FunctionalEquationWitness(sign, center)
+        and reflected == power_zeta(group_zeta(group), sign)
+        and sign_of_reflection == (-1) ** (n.value_at_one().numerator % 2)
+    )
+    return holds, witness
+
+
+@settings(max_examples=60)
+@given(palindromic_groups())
+def test_group_fe_matches_the_fraction_checks(group):
+    if group_counting(group).is_zero:
+        with pytest.raises(PreconditionError):
+            group_functional_equation(group)
+        return
+    report = group_functional_equation(group)
+    assert (report.holds, report.witness) == _fraction_group_fe(group)
+    assert report.holds
+
+
 @pytest.mark.parametrize("family", ["gm_power", "gl"])
 @pytest.mark.parametrize("r", range(1, 6))
 def test_family_identities(family, r):
     report = verify_family_identities(r, family)
     assert report.holds, report.first_failure
+    # (c) against the factored reflection it replaced
+    group = gl_group_data(r) if family == "gl" else torus_group_data(r)
+    assert report.results[2][1] == _fraction_group_fe(group)[0]
 
 
 def test_family_identities_gl1_reduces_to_torus():

@@ -20,6 +20,7 @@ from f1zeta.errors import PreconditionError
 from f1zeta.groups import ReductiveGroupData, group_counting
 from f1zeta.powerlog import (
     PowerLogSum,
+    _asymmetries,
     _check_printable,
     _convolve,
     product_of_reciprocal_powers,
@@ -140,8 +141,19 @@ def test_convolve_truncates_and_skips_zeros():
     assert _convolve([], [1]) == []
 
 
+def test_asymmetries_examples():
+    assert _asymmetries([1, 2, 1], 2) == ()
+    assert _asymmetries([-1, 0, 1], 2, -1) == ()
+    assert _asymmetries([-1, 0, 1], 2) == ((0, -1, 1),)
+    assert _asymmetries([2, 1], 1) == ((0, 2, 1),)
+    # entries outside the vector read as zero, on either side of it
+    assert _asymmetries([0, 1, 1], 3) == ()
+    assert _asymmetries([1], 2) == ((0, 1, 0),)
+    assert _asymmetries([0, 0, 1, 2], 1) == ((-2, 0, 2), (-1, 0, 1))
+
+
 def test_from_int_coefficients_is_canonical():
-    n = PowerLogSum.from_int_coefficients([3, 0, -1, 0, 2], Fraction(-1, 2), Fraction(2, 3))
+    n =PowerLogSum.from_int_coefficients([3, 0, -1, 0, 2], Fraction(-1, 2), Fraction(2, 3))
     assert n == PowerLogSum.from_dict(
         {(Fraction(-1, 2), 0): 3, (Fraction(5, 6), 0): -1, (Fraction(13, 6), 0): 2}
     )

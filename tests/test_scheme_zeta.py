@@ -1,5 +1,6 @@
 """Global scheme zeta, Betti profiles and the global functional equation."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,8 +25,13 @@ from f1zeta.schemes import (
     torsion_point_model,
     torus_model,
 )
-from f1zeta.weil import limit_toward_one, pole_order, smoothed_local_zeta
-from f1zeta.zetas import FactoredZeta, evaluate_zeta
+from f1zeta.weil import (
+    limit_toward_one,
+    local_functional_equation,
+    pole_order,
+    smoothed_local_zeta,
+)
+from f1zeta.zetas import FactoredZeta, evaluate_zeta, reflect_zeta
 
 
 @st.composite
@@ -42,6 +48,24 @@ def schemes(
         pts.append(TorsionPoint(rank, torsion))
     dimension = draw(st.integers(0, max_rank + 2)) if declared_dim else None
     return MonoidScheme(tuple(pts), dimension=dimension)
+
+
+@st.composite
+def palindromic_schemes(draw, max_dim=5):
+    """Disjoint unions of P^a x A^j (a + 2j = d), each times a torsion
+    point: counting polynomials palindromic about d, which the declared
+    dimension meets, misses by one, or leaves to the maximal rank."""
+    d = draw(st.integers(0, max_dim))
+    pts = []
+    for _ in range(draw(st.integers(1, 3))):
+        j = draw(st.integers(0, d // 2))
+        torsion = tuple(draw(st.lists(st.integers(2, 6), max_size=1)))
+        for r in range(d - 2 * j + 1):  # P^a: C(a + 1, r + 1) points of rank r
+            for i in range(j + 1):  # A^j: C(j, i) points of rank i
+                count = math.comb(d - 2 * j + 1, r + 1) * math.comb(j, i)
+                pts += [TorsionPoint(r + i, torsion)] * count
+    dimension = draw(st.sampled_from([None, d, d + 1, max(d - 1, 0)]))
+    return MonoidScheme(tuple(pts), dimension=dimension, smooth_projective=True)
 
 
 def test_betti_examples():
@@ -213,3 +237,39 @@ def test_projective_space_p16():
     assert len(z.factors) == 17
     assert betti_profile(scheme).values == (1,) * 17
     assert pole_order(scheme) == 17
+
+
+def _reflected_zeta_holds(scheme) -> bool:
+    """The factored check the global FE once made: the zeta reflected
+    about the declared dimension is the zeta itself, with sign (-1)^chi."""
+    z = zeta_of_scheme(scheme)
+    sign, reflected = reflect_zeta(z, scheme.dim)
+    return reflected == z and sign == _sign(betti_profile(scheme).euler_characteristic)
+
+
+def _exponent_mismatches(scheme) -> tuple:
+    """The local FE's former exponent loop: (r, e_r, e_{d-r}) for r <= d - r."""
+    exps = smoothed_local_zeta(scheme, 2).exponents()
+    d = scheme.dim
+    return tuple(
+        (r, exps.get(r, 0), exps.get(d - r, 0))
+        for r in sorted(set(exps) | {d - r for r in exps})
+        if exps.get(r, 0) != exps.get(d - r, 0) and r <= d - r
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    schemes(declared_dim=True).map(lambda x: dataclasses.replace(x, smooth_projective=True)),
+    palindromic_schemes(),
+))
+@example(MonoidScheme((TorsionPoint(0), TorsionPoint(2)), dimension=1, smooth_projective=True))
+@example(projective_space_model(3))
+def test_integer_fe_checks_match_the_reflected_zeta(scheme):
+    # the integer palindrome checks against the factored zeta forms they replaced,
+    # with declared dimensions below, at and above the maximal rank
+    report = global_functional_equation(scheme)
+    assert report.holds == _reflected_zeta_holds(scheme)
+    assert report.holds == (scheme.max_rank <= scheme.dim and not report.asymmetries)
+    local = local_functional_equation(scheme, 2)
+    assert local.mismatches == _exponent_mismatches(scheme)

@@ -67,6 +67,10 @@ def test_rank_cap_is_the_counting_degree_cap():
         MonoidScheme((TorsionPoint(0), TorsionPoint(MAX_COUNTING_DEGREE + 1)))
     with pytest.raises(PreconditionError, match="at most"):
         scheme_from_dict({"points": [{"rank": 2000}]})
+    # and caps the declared dimension, the length of the Betti profile
+    assert MonoidScheme((TorsionPoint(1),), dimension=MAX_COUNTING_DEGREE).dim == 500
+    with pytest.raises(PreconditionError, match=f"dimension {MAX_COUNTING_DEGREE + 1}.*at most"):
+        MonoidScheme((TorsionPoint(1),), dimension=MAX_COUNTING_DEGREE + 1)
 
 
 def test_dimension_defaults_to_max_rank():

@@ -17,6 +17,7 @@ from f1zeta.powerlog import (
     parse_power_log,
     product_of_reciprocal_powers,
     to_records,
+    witness_holds,
 )
 from f1zeta.zetas import (
     FactoredZeta,
@@ -59,6 +60,31 @@ def power_log_sums(draw, max_terms=5):
         if c:
             terms[key] = terms.get(key, Fraction(0)) + c
     return PowerLogSum.from_dict(terms)
+
+
+@st.composite
+def witnessed_sums(draw, sums):
+    """A sum and a candidate witness (c, omega); half the time the sum is
+    symmetrized to N + c u^omega N(1/u), which satisfies it."""
+    n = draw(sums)
+    witness = FunctionalEquationWitness(
+        draw(st.sampled_from((1, -1))),
+        draw(st.fractions(min_value=-6, max_value=6, max_denominator=2)),
+    )
+    if draw(st.booleans()):
+        n = n + n.dual().shift_exponents(witness.omega).scale(witness.c)
+    return n, witness
+
+
+def _zeta_reflection_holds(n, witness) -> bool:
+    """The zeta-level form of the witnessed identity, the re-check that
+    verify_functional_equation once made on factor data:
+    zeta_N(omega - s) = (-1)^N(1) zeta_N(s)^c."""
+    z = zeta_of(n)
+    sign, reflected = reflect_zeta(z, witness.omega)
+    return reflected == power_zeta(z, witness.c) and sign == (-1) ** (
+        n.value_at_one().numerator % 2
+    )
 
 
 def test_zeta_of_examples():
@@ -252,6 +278,27 @@ def test_fe_numeric_consistency():
             lhs = evaluate_zeta(z, complex(w.omega) - s)
             rhs = report.prefactor_sign * evaluate_zeta(z, s) ** w.c
             assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+
+
+@settings(max_examples=300)
+@given(witnessed_sums(power_log_sums()))
+def test_zeta_reflection_is_the_witnessed_identity(case):
+    n, witness = case
+    assert _zeta_reflection_holds(n, witness) == witness_holds(n, witness)
+
+
+@settings(max_examples=200)
+@given(witnessed_sums(pure_power_sums()))
+def test_verify_fe_agrees_with_the_zeta_reflection(case):
+    n, witness = case
+    if n.is_zero or not witness_holds(n, witness):
+        with pytest.raises(PreconditionError):
+            verify_functional_equation(n, witness)
+        return
+    report = verify_functional_equation(n, witness)
+    assert report.holds and _zeta_reflection_holds(n, witness)
+    assert (report.center, report.exponent_sign) == (witness.omega, witness.c)
+    assert report.prefactor_sign == (-1) ** (n.value_at_one().numerator % 2)
 
 
 def test_poles_and_zeros():
