@@ -19,8 +19,10 @@ gcd(t, p^n - 1).  Fixed-point counts of the iterates of one map form a
 Dold sequence, so exp(sum N_n T^n / n) = prod over periodic orbits of
 (1 - T^length)^-1 has integer coefficients, and every division of the
 Newton recurrence n e_n = sum_k N_k e_{n-k} is exact; a remainder is
-an ArithmeticError, never rounded.  The factored form has integer
-coefficients too: (1 - a T)^e has the binomial coefficients C(e, n) (-a)^n.
+an ArithmeticError, never rounded.  The factored form is expanded by
+the same recurrence on its power sums N_k = sum_r a_r p^(rk); its
+coefficients are integers too, as each factor (1 - p^r T)^(e_r) has the
+integer binomial coefficients C(e_r, n) (-p^r)^n.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from operator import mul
 from typing import Sequence, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
-from .powerlog import _asymmetries, _check_printable, _convolve
+from .powerlog import _asymmetries, _check_printable
 from .schemes import MonoidScheme, counting_coefficients, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
@@ -86,20 +88,30 @@ def local_zeta_series(scheme: MonoidScheme, p: int, order: int) -> TruncatedSeri
     # every N_k >= 0 makes every e_n >= 0, so e_order >= N_order / order:
     # a last coefficient too long to print is known from N_order alone,
     # before the other counts (together far costlier) are made
+    what = "local zeta coefficient e_{} at p = {}"
     last = exact_count(scheme, p**order)
-    _check_printable(last // order, "local zeta coefficient e_{} at p = {}", order, p)
+    _check_printable(last // order, what, order, p)
     counts = [exact_count(scheme, p**n) for n in range(1, order)] + [last]
+    return TruncatedSeries(tuple(_newton_series(counts, what, p)))
+
+
+def _newton_series(counts: Sequence[int], what: str, *args: object) -> list[int]:
+    """e_0, ..., e_len(counts) of exp(sum_k N_k T^k / k), N_k = counts[k-1],
+    by the Newton recurrence n e_n = sum_{k=1}^{n} N_k e_{n-k} in int.
+    A remainder is an ArithmeticError; a coefficient too long to print is
+    a PreconditionError naming `what.format(n, *args)`, raised before the
+    recurrence runs on to the next coefficient."""
     e = [1]
-    for n in range(1, order + 1):
+    for n in range(1, len(counts) + 1):
         # reversed(e) is e_{n-1}..e_0, so map pairs it with N_1..N_n
         q, r = divmod(sum(map(mul, counts, reversed(e))), n)
         if r:
             raise ArithmeticError(
-                f"local zeta coefficient e_{n} of {scheme.name or 'the scheme'} at p = {p} "
-                "is not an integer: the point counts are not a Dold sequence"
+                f"{what.format(n, *args)} is not an integer: "
+                "the power sums are not a Dold sequence"
             )
-        e.append(_check_printable(q, "local zeta coefficient e_{} at p = {}", n, p))
-    return TruncatedSeries(tuple(e))
+        e.append(_check_printable(q, what, n, *args))
+    return e
 
 
 # -- factored smoothed local zeta ----------------------------------------
@@ -146,33 +158,17 @@ class LocalZetaFactors:
         return cmath.exp(self.log_evaluate_s(s))
 
     def series(self, order: int) -> TruncatedSeries:
-        """Exact expansion in T; requires an integer base.  Every factor
-        has integer coefficients, so the product is formed in int; a
-        coefficient too long to print is a PreconditionError."""
+        """Exact expansion in T; requires an integer base.  The product is
+        exp(sum_k N_k T^k / k) with the power sums N_k = -sum_r e_r base^(rk),
+        expanded by the Newton recurrence in int; a coefficient too long to
+        print is a PreconditionError."""
         if not isinstance(self.base, int):
             raise PreconditionError("exact expansion needs an integer base")
         _check_series_order(order, 0)
-        out = [1]
-        for r, e in self.factors:
-            out = _convolve(out, _binomial_factor_series(self.base**r, e, order), order + 1)
-        for n, c in enumerate(out):
-            _check_printable(c, "coefficient {} of the factored local zeta series", n)
-        return TruncatedSeries(tuple(out + [0] * (order + 1 - len(out))))
-
-
-def _binomial_factor_series(a: int, e: int, order: int) -> list[int]:
-    """(1 - a T)^e to order T^order for any integer e: the coefficients
-    C(e, n) (-a)^n of the generalized binomial series, integers since
-    n C(e, n) = (e - n + 1) C(e, n - 1) makes each division exact."""
-    coeffs = [1]
-    binom = power = 1
-    for n in range(1, order + 1):
-        binom = binom * (e - n + 1) // n
-        if not binom:
-            break  # e >= 0: the polynomial ends at T^e
-        power *= -a
-        coeffs.append(binom * power)
-    return coeffs
+        counts = [-sum(e * self.base ** (r * k) for r, e in self.factors)
+                  for k in range(1, order + 1)]
+        coeffs = _newton_series(counts, "coefficient {} of the factored local zeta series")
+        return TruncatedSeries(tuple(coeffs))
 
 
 def _float_exponent(e: int, name: str) -> float:

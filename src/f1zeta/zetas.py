@@ -223,6 +223,7 @@ class LogZetaIntegral:
     value: complex
     region: str
     abscissa: float
+    error_estimate: float  # the quadrature's own estimate (see regularize._complex_quad)
 
 
 def log_zeta_integral(n: PowerLogSum, s: complex, region: str = "upper") -> LogZetaIntegral:
@@ -238,7 +239,7 @@ def log_zeta_integral(n: PowerLogSum, s: complex, region: str = "upper") -> LogZ
         raise PreconditionError("log-integral form requires N(1) = 0")
     ss = complex(s)
     if n.is_zero:
-        return LogZetaIntegral(0j, region, 0.0)
+        return LogZetaIntegral(0j, region, 0.0, 0.0)
     if region == "upper":
         edge = float(n.degree)
         if ss.real <= edge:
@@ -270,10 +271,10 @@ def log_zeta_integral(n: PowerLogSum, s: complex, region: str = "upper") -> LogZ
     def integrand(t: float) -> complex:
         return limit0 if t == 0.0 else over_t(t)
 
-    value = _complex_quad(integrand, 0.0, math.inf)
+    value, estimate = _complex_quad(integrand, 0.0)
     if region == "lower":
         value = -value
-    return LogZetaIntegral(value, region, edge)
+    return LogZetaIntegral(value, region, edge, estimate)
 
 
 # -- display and serialization ------------------------------------------

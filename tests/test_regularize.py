@@ -1,5 +1,6 @@
 """Two-variable zeta regularization and spectral determinants."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -9,11 +10,14 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 from scipy import special
 
+from f1zeta import regularize
 from f1zeta.errors import ConvergenceError, PreconditionError, SingularityError
 from f1zeta.powerlog import PowerLogSum, parse_power_log
 from f1zeta.regularize import (
     Spectrum,
+    _complex_quad,
     _em_tail,
+    _gamma,
     circle_spectrum,
     gamma_ratio_poly,
     log_regularized_det,
@@ -108,6 +112,62 @@ def test_closed_matches_numeric(n):
             closed = two_variable_zeta_closed(n, w, s)
             numeric = two_variable_zeta_numeric(n, w, s)
             assert abs(numeric - closed) <= 1e-8 * abs(closed)
+
+
+def test_lanczos_gamma_matches_scipy():
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-3, 6, 3000) + 1j * rng.uniform(-6, 6, 3000)
+    poles = np.array([0, -1, -2, -3])
+    z = z[np.abs(z[:, None] - poles[None, :]).min(axis=1) > 0.05]
+    assert len(z) >= 2000
+    got = np.array([_gamma(complex(x)) for x in z])
+    assert np.max(np.abs(got - special.gamma(z)) / np.abs(special.gamma(z))) <= 1e-13
+    assert _gamma(5 + 0j) == pytest.approx(24, rel=1e-14)
+    assert _gamma(0.5 + 0j) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+
+
+def test_exp_sinh_rule_values_and_estimates():
+    xs = []
+
+    def decay(x):
+        xs.append(x)
+        return complex(math.exp(-x), math.exp(-2 * x))
+
+    value, estimate = _complex_quad(decay, 0.0)
+    assert abs(value - (1 + 0.5j)) <= 1e-14
+    assert 0 < estimate <= 1e-12 * abs(value)
+    assert len(set(xs)) == len(xs)  # one evaluation per node
+    value, estimate = _complex_quad(lambda x: 1 / (1 + x * x), 2.0)
+    assert value == pytest.approx(math.pi / 2 - math.atan(2), rel=1e-13)
+    assert 0 < estimate <= 1e-12 * abs(value)
+    assert _complex_quad(lambda x: 0j, 3.0) == (0j, 0.0)
+
+
+def test_exp_sinh_rule_raises_when_it_cannot_converge(monkeypatch):
+    # an algebraic tail x^-1.1 is still far from negligible at x = 5e30
+    with pytest.raises(ConvergenceError, match=r"estimate \S+ > \S+"):
+        _complex_quad(lambda x: (1 + x) ** -1.1, 0.0)
+    # e^-x needs step 2^-5: a table cut after step 2^-3 misses
+    monkeypatch.setattr(regularize, "_LEVELS", 4)
+    with pytest.raises(ConvergenceError, match="after 4 levels"):
+        _complex_quad(lambda x: cmath.exp(-x), 0.0)
+
+
+@pytest.mark.parametrize("expr", ["u^2 - 2*u*log + 1", "3*u^(3/2) - u^-1*log^2"])
+@pytest.mark.parametrize("offset", [0.05, 0.5])
+@pytest.mark.parametrize("re_w", [0.05, 3.0])
+@pytest.mark.parametrize("im_s", [-4.8, 0.0, 5.0])
+def test_numeric_at_the_edges_of_convergence(expr, offset, re_w, im_s):
+    n = parse_power_log(expr)
+    w, s = complex(re_w, 0), complex(float(n.degree) + offset, im_s)
+    closed = two_variable_zeta_closed(n, w, s)
+    if offset == 0.05 and im_s:
+        # e^(-(0.05 + 5i) t) turns hundreds of times before it decays,
+        # more than the finest step resolves: the estimate must say so
+        with pytest.raises(ConvergenceError, match="estimate"):
+            two_variable_zeta_numeric(n, w, s)
+        return
+    assert abs(two_variable_zeta_numeric(n, w, s) - closed) <= 1e-12 * abs(closed)
 
 
 def test_regularized_zeta_examples():

@@ -5,13 +5,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from f1zeta.errors import ConvergenceError, PreconditionError, SingularityError
 from f1zeta.schemes import (
     MonoidScheme,
     TorsionPoint,
+    counting_coefficients,
     f1_point,
     projective_space_model,
     torsion_point_model,
@@ -191,6 +192,29 @@ def test_series_matches_factored_expansion(scheme, p, order):
     series = local_zeta_series(scheme, p, order)
     factored = smoothed_local_zeta(scheme, p).series(order)
     assert series.coefficients == factored.coefficients
+
+
+def _binomial_product_series(z: LocalZetaFactors, order: int) -> tuple[int, ...]:
+    # the former expansion: one binomial series (1 - a T)^e per factor,
+    # multiplied out by truncated convolution
+    out = [1] + [0] * order
+    for r, e in z.factors:
+        a = z.base**r
+        factor = [1]
+        binom = 1
+        for n in range(1, order + 1):
+            binom = binom * (e - n + 1) // n
+            factor.append(binom * (-a) ** n)
+        out = [sum(out[i] * factor[n - i] for i in range(n + 1)) for n in range(order + 1)]
+    return tuple(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(torsion_schemes(), st.sampled_from([2, 3, 5, 7]), st.integers(0, 14))
+def test_factored_series_matches_the_binomial_product(scheme, p, order):
+    assume(any(a < 0 for a in counting_coefficients(scheme)))
+    z = smoothed_local_zeta(scheme, p)
+    assert z.series(order).coefficients == _binomial_product_series(z, order)
 
 
 @pytest.mark.parametrize("torsion,p", [((2,), 3), ((2, 3), 7), ((4,), 5), ((5, 2), 11)])

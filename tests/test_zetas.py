@@ -343,6 +343,14 @@ def test_log_zeta_integral_lower():
     assert cmath.exp(-got2.value) == pytest.approx(math.exp(-1), rel=1e-8)
 
 
+def test_log_zeta_integral_reports_its_error_estimate():
+    n = parse_power_log("u - 2 + u^-1 + u^-1*log")
+    for s, region in ((3 + 1j, "upper"), (-2 - 0.5j, "lower")):
+        got = log_zeta_integral(n, s, region)
+        assert 0 < got.error_estimate <= max(1e-12 * abs(got.value), 1e-14)
+    assert log_zeta_integral(PowerLogSum.zero(), 2).error_estimate == 0.0
+
+
 def test_log_zeta_integral_rejections():
     with pytest.raises(PreconditionError):
         log_zeta_integral(PowerLogSum.constant(1), 2)  # N(1) != 0
