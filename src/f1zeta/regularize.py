@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
 from .powerlog import PowerLogSum
@@ -64,9 +64,14 @@ def _power_log_integrand(n: PowerLogSum, rate: complex, k: complex) -> Callable[
 # x = a + exp(pi/2 sinh t) for t in [-4.5, 4.5] puts x within 2e-31 of a
 # at the left end and beyond 5e30 at the right.  Level 0 has step 1 and
 # the nodes at every integer t; level k >= 1 halves the step and adds the
-# nodes at the odd multiples of 2^-k, 9 * 2^(k-1) of them.
+# nodes at the odd multiples of 2^-k, 9 * 2^(k-1) of them.  Levels 11-14
+# serve integrands that turn hundreds of times before they decay, such as
+# e^(-(0.05 + 5i) x).
 _T_MAX = 4.5
-_LEVELS = 11
+_LEVELS = 15
+# the node tables of levels 0-10 are kept (4608 nodes at level 10); the
+# deeper levels, 129 024 nodes together, are generated when reached
+_TABLED_LEVELS = 11
 _EPSREL = 1e-12
 _EPSABS = 1e-14
 # levels 0 and 1 (step 1/2) decide which right-hand nodes later levels
@@ -75,20 +80,24 @@ _SCOUT_LEVELS = 2
 _NEGLIGIBLE = 1e-20
 
 
-@cache
-def _exp_sinh_nodes(level: int) -> tuple[tuple[float, float, float], ...]:
+def _exp_sinh_nodes(level: int) -> Iterator[tuple[float, float, float]]:
     """(t, exp(pi/2 sinh t), its t-derivative) for the nodes a level adds,
-    in increasing t; built on the first call that reaches the level."""
+    in increasing t."""
     step = 2.0**-level
     last = int(_T_MAX / step)
-    nodes = []
     for i in range(-last, last + 1):
         if level and i % 2 == 0:
             continue  # a node of an earlier level
         t = i * step
         u = math.exp(math.pi / 2 * math.sinh(t))
-        nodes.append((t, u, math.pi / 2 * math.cosh(t) * u))
-    return tuple(nodes)
+        yield t, u, math.pi / 2 * math.cosh(t) * u
+
+
+@cache
+def _node_table(level: int) -> tuple[tuple[float, float, float], ...]:
+    """The nodes of a level below _TABLED_LEVELS, built on the first call
+    that reaches it."""
+    return tuple(_exp_sinh_nodes(level))
 
 
 def _right_cut(terms: list[tuple[float, complex]]) -> float:
@@ -104,7 +113,9 @@ def _right_cut(terms: list[tuple[float, complex]]) -> float:
     return cut
 
 
-def _complex_quad(fn: Callable[[float], complex], a: float) -> tuple[complex, float]:
+def _complex_quad(
+    fn: Callable[[float], complex], a: float, target: Optional[float] = None
+) -> tuple[complex, float]:
     """(value, estimate) of int_a^oo fn(x) dx for a complex integrand.
 
     The exp-sinh rule (Takahasi-Mori; Bailey-Jeyabalan-Li): substituting
@@ -117,11 +128,10 @@ def _complex_quad(fn: Callable[[float], complex], a: float) -> tuple[complex, fl
 
     The estimate is the difference of the last two levels.  The rule
     stops at the first level (from the second on) whose estimate is
-    within max(1e-12 |value|, 1e-14); a miss after the last level is a
-    ConvergenceError naming the estimate and the tolerance.
-    An integrand that oscillates many times before it decays, such as
-    e^(-(0.05 + 5i) x), outruns the finest step and ends there, as does
-    one decaying too slowly to be negligible at x = 5e30.
+    within the tolerance: `target` if given, else max(1e-12 |value|,
+    1e-14).  A miss after the last level (step 2^-14) is a
+    ConvergenceError naming the estimate and the tolerance; an integrand
+    decaying too slowly to be negligible at x = 5e30 ends there.
     """
     total = 0j  # sum of fn(x) dx/dt over the nodes of every level so far
     previous = 0j
@@ -129,7 +139,8 @@ def _complex_quad(fn: Callable[[float], complex], a: float) -> tuple[complex, fl
     scouted: list[tuple[float, complex]] = []
     cut = math.inf
     for level in range(_LEVELS):
-        for t, u, weight in _exp_sinh_nodes(level):
+        nodes = _node_table(level) if level < _TABLED_LEVELS else _exp_sinh_nodes(level)
+        for t, u, weight in nodes:
             if t > cut:
                 break
             term = fn(a + u) * weight
@@ -141,7 +152,7 @@ def _complex_quad(fn: Callable[[float], complex], a: float) -> tuple[complex, fl
         value = total * 2.0**-level
         if level:
             estimate = abs(value - previous)
-            tolerance = max(_EPSREL * abs(value), _EPSABS)
+            tolerance = max(_EPSREL * abs(value), _EPSABS) if target is None else target
             if estimate <= tolerance:
                 return value, estimate
         previous = value
@@ -179,7 +190,9 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
     split at t0 = max(1, 4 / (Re s - degree)).  The endpoint weight
     t^(w-1) on (0, t0) is removed by t = t0 e^-v, which turns that piece
     into t0^w times a smooth integrand decaying like e^(-Re(w) v).  Either
-    piece missing the quadrature tolerance is a ConvergenceError.
+    piece missing the quadrature tolerance is a ConvergenceError.  When
+    the two estimates together miss the tolerance on the sum (the pieces
+    cancel), each piece is rerun to half of that tolerance.
     """
     if n.is_zero:
         return 0j
@@ -194,9 +207,23 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
     # split where the tail e^(-(Re s - degree) t) has fallen by e^-4, so
     # that the upper piece starts near its bulk instead of far before it
     t0 = max(1.0, 4.0 / (ss.real - edge))
-    lower, _ = _complex_quad(lambda v: weighted(t0 * math.exp(-v)) * cmath.exp(-ww * v), 0.0)
-    upper, _ = _complex_quad(_power_log_integrand(n, ss, ww - 1), t0)
-    return (lower * cmath.exp(ww * math.log(t0)) + upper) / _gamma(ww)
+    scale = cmath.exp(ww * math.log(t0))
+
+    def lower_fn(v: float) -> complex:
+        return weighted(t0 * math.exp(-v)) * cmath.exp(-ww * v)
+
+    upper_fn = _power_log_integrand(n, ss, ww - 1)
+    lower, lower_estimate = _complex_quad(lower_fn, 0.0)
+    upper, upper_estimate = _complex_quad(upper_fn, t0)
+    total = lower * scale + upper
+    tolerance = max(_EPSREL * abs(total), _EPSABS)
+    if lower_estimate * abs(scale) + upper_estimate > tolerance:
+        # the pieces are far larger than their sum when e^(-st) turns many
+        # times over (0, t0): rerun each to half the tolerance on the sum
+        lower, lower_estimate = _complex_quad(lower_fn, 0.0, tolerance / 2 / abs(scale))
+        upper, upper_estimate = _complex_quad(upper_fn, t0, tolerance / 2)
+        total = lower * scale + upper
+    return total / _gamma(ww)
 
 
 # Lanczos approximation with g = 7 and 9 coefficients

@@ -19,10 +19,12 @@ gcd(t, p^n - 1).  Fixed-point counts of the iterates of one map form a
 Dold sequence, so exp(sum N_n T^n / n) = prod over periodic orbits of
 (1 - T^length)^-1 has integer coefficients, and every division of the
 Newton recurrence n e_n = sum_k N_k e_{n-k} is exact; a remainder is
-an ArithmeticError, never rounded.  The factored form is expanded by
-the same recurrence on its power sums N_k = sum_r a_r p^(rk); its
-coefficients are integers too, as each factor (1 - p^r T)^(e_r) has the
-integer binomial coefficients C(e_r, n) (-p^r)^n.
+an ArithmeticError, never rounded.  The factored form has integer
+coefficients too, as each factor (1 - p^r T)^(e_r) has the integer
+binomial coefficients C(e_r, n) (-p^r)^n; it is expanded factor by
+factor, one pass per unit of |e_r|, or by the same recurrence on its
+power sums N_k = sum_r a_r p^(rk) when the sum of the |e_r| exceeds the
+order.
 """
 
 from __future__ import annotations
@@ -88,18 +90,18 @@ def local_zeta_series(scheme: MonoidScheme, p: int, order: int) -> TruncatedSeri
     # every N_k >= 0 makes every e_n >= 0, so e_order >= N_order / order:
     # a last coefficient too long to print is known from N_order alone,
     # before the other counts (together far costlier) are made
-    what = "local zeta coefficient e_{} at p = {}"
+    what = f"local zeta coefficient e_{{}} at p = {p}"
     last = exact_count(scheme, p**order)
-    _check_printable(last // order, what, order, p)
+    _check_printable(last // order, what, order)
     counts = [exact_count(scheme, p**n) for n in range(1, order)] + [last]
-    return TruncatedSeries(tuple(_newton_series(counts, what, p)))
+    return TruncatedSeries(tuple(_newton_series(counts, what)))
 
 
-def _newton_series(counts: Sequence[int], what: str, *args: object) -> list[int]:
+def _newton_series(counts: Sequence[int], what: str) -> list[int]:
     """e_0, ..., e_len(counts) of exp(sum_k N_k T^k / k), N_k = counts[k-1],
     by the Newton recurrence n e_n = sum_{k=1}^{n} N_k e_{n-k} in int.
     A remainder is an ArithmeticError; a coefficient too long to print is
-    a PreconditionError naming `what.format(n, *args)`, raised before the
+    a PreconditionError naming `what.format(n)`, raised before the
     recurrence runs on to the next coefficient."""
     e = [1]
     for n in range(1, len(counts) + 1):
@@ -107,10 +109,10 @@ def _newton_series(counts: Sequence[int], what: str, *args: object) -> list[int]
         q, r = divmod(sum(map(mul, counts, reversed(e))), n)
         if r:
             raise ArithmeticError(
-                f"{what.format(n, *args)} is not an integer: "
+                f"{what.format(n)} is not an integer: "
                 "the power sums are not a Dold sequence"
             )
-        e.append(_check_printable(q, what, n, *args))
+        e.append(_check_printable(q, what, n))
     return e
 
 
@@ -158,16 +160,34 @@ class LocalZetaFactors:
         return cmath.exp(self.log_evaluate_s(s))
 
     def series(self, order: int) -> TruncatedSeries:
-        """Exact expansion in T; requires an integer base.  The product is
-        exp(sum_k N_k T^k / k) with the power sums N_k = -sum_r e_r base^(rk),
-        expanded by the Newton recurrence in int; a coefficient too long to
-        print is a PreconditionError."""
+        """Exact expansion in T; requires an integer base; a coefficient too
+        long to print is a PreconditionError.
+
+        With sum |e_r| <= order, each factor (1 - p^r T)^(e_r) is applied
+        as |e_r| passes over the coefficients, each multiplying by or
+        dividing by 1 - p^r T in O(order) steps.  Otherwise the product is
+        exp(sum_k N_k T^k / k) with the power sums N_k = -sum_r e_r p^(rk),
+        expanded by the Newton recurrence in O(order^2) steps."""
         if not isinstance(self.base, int):
             raise PreconditionError("exact expansion needs an integer base")
         _check_series_order(order, 0)
-        counts = [-sum(e * self.base ** (r * k) for r, e in self.factors)
-                  for k in range(1, order + 1)]
-        coeffs = _newton_series(counts, "coefficient {} of the factored local zeta series")
+        what = "coefficient {} of the factored local zeta series"
+        if sum(abs(e) for _, e in self.factors) > order:
+            counts = [-sum(e * self.base ** (r * k) for r, e in self.factors)
+                      for k in range(1, order + 1)]
+            return TruncatedSeries(tuple(_newton_series(counts, what)))
+        coeffs = [1] + [0] * order
+        for r, e in self.factors:
+            a = self.base**r
+            for _ in range(abs(e)):
+                if e > 0:  # times 1 - aT, from the top down
+                    for n in range(order, 0, -1):
+                        coeffs[n] -= a * coeffs[n - 1]
+                else:  # over 1 - aT: c_n += a c_(n-1), from the bottom up
+                    for n in range(1, order + 1):
+                        coeffs[n] += a * coeffs[n - 1]
+        for n, c in enumerate(coeffs):
+            _check_printable(c, what, n)
         return TruncatedSeries(tuple(coeffs))
 
 

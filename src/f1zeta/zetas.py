@@ -262,16 +262,9 @@ def log_zeta_integral(n: PowerLogSum, s: complex, region: str = "upper") -> LogZ
     # imported here: regularize imports this module
     from .regularize import _complex_quad, _power_log_integrand
 
-    # substitution u = e^t maps both forms to +-int_0^oo shape(e^t) e^(-rate*t) / t dt
-    lin = sum((c * lam for lam, m, c in shape.terms if m == 0), Fraction(0))
-    lin += sum((c for lam, m, c in shape.terms if m == 1), Fraction(0))
-    limit0 = complex(float(lin))
-    over_t = _power_log_integrand(shape, rate, -1)
-
-    def integrand(t: float) -> complex:
-        return limit0 if t == 0.0 else over_t(t)
-
-    value, estimate = _complex_quad(integrand, 0.0)
+    # substitution u = e^t maps both forms to +-int_0^oo shape(e^t) e^(-rate*t) / t dt;
+    # the rule never evaluates at t = 0 itself
+    value, estimate = _complex_quad(_power_log_integrand(shape, rate, -1), 0.0)
     if region == "lower":
         value = -value
     return LogZetaIntegral(value, region, edge, estimate)

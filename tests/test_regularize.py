@@ -161,9 +161,10 @@ def test_numeric_at_the_edges_of_convergence(expr, offset, re_w, im_s):
     n = parse_power_log(expr)
     w, s = complex(re_w, 0), complex(float(n.degree) + offset, im_s)
     closed = two_variable_zeta_closed(n, w, s)
-    if offset == 0.05 and im_s:
-        # e^(-(0.05 + 5i) t) turns hundreds of times before it decays,
-        # more than the finest step resolves: the estimate must say so
+    if offset == 0.05 and re_w == 3.0 and im_s:
+        # t^2 e^(-(0.05 + 5i) t) turns hundreds of times before it decays:
+        # both pieces exceed their sum a thousandfold, and no step brings
+        # them to 1e-12 of it (float rounding alone is above that)
         with pytest.raises(ConvergenceError, match="estimate"):
             two_variable_zeta_numeric(n, w, s)
         return

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,22 @@ def test_factored_series_matches_the_binomial_product(scheme, p, order):
     assume(any(a < 0 for a in counting_coefficients(scheme)))
     z = smoothed_local_zeta(scheme, p)
     assert z.series(order).coefficients == _binomial_product_series(z, order)
+
+
+@pytest.mark.parametrize("e", [-1, -40], ids=["passes", "newton"])
+def test_factored_series_names_its_first_unprintable_coefficient(e):
+    # sum |e_r| = 3 <= 30 expands factor by factor, 42 > 30 by the recurrence
+    z = LocalZetaFactors(7, ((0, 2), (40, e)))
+    expected = _binomial_product_series(z, 30)
+    assert z.series(30).coefficients == expected
+    first = next(n for n, c in enumerate(expected) if abs(c) >= 10**640)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(PreconditionError, match=f"coefficient {first} of .* 640 decimal"):
+            z.series(30)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 @pytest.mark.parametrize("torsion,p", [((2,), 3), ((2, 3), 7), ((4,), 5), ((5, 2), 11)])
