@@ -130,8 +130,6 @@ def _cmd_count(config: RunConfig, out) -> int:
 
 
 def _resolve_zeta(config: RunConfig):
-    if config.scheme_path is not None:
-        return zeta_of_scheme(load_scheme(config.scheme_path))
     if config.group is not None:
         return group_zeta(_resolve_group(config.group))
     if config.powers is not None:
@@ -146,15 +144,16 @@ def _resolve_group(arg: str):
 
 
 def _cmd_zeta(config: RunConfig, out) -> int:
-    z = _resolve_zeta(config)
+    scheme = load_scheme(config.scheme_path) if config.scheme_path is not None else None
+    z = zeta_of_scheme(scheme) if scheme is not None else _resolve_zeta(config)
     if config.fmt == "records":
         for rec in zeta_to_records(z):
             print("\t".join(str(v) for v in rec), file=out)
         return EXIT_OK
     print(pretty_zeta(z), file=out)
-    if config.scheme_path is not None:
+    if scheme is not None:
         # exponent table: level r, factor exponent e_r, Betti number b_2r
-        profile = betti_profile(load_scheme(config.scheme_path))
+        profile = betti_profile(scheme)
         for r, b in enumerate(profile.values):
             print(f"exponent\t{r}\t{-b}\t{b}", file=out)
     return EXIT_OK
@@ -220,10 +219,11 @@ def _cmd_limit(config: RunConfig, out) -> int:
     count = config.terms if config.terms is not None else 6
     seq = default_base_sequence(count)
     values = limit_toward_one(scheme, s, seq)
+    # the target is computed before any row is printed: a failure leaves stdout empty
+    target = zetas.evaluate_zeta(zeta_of_scheme(scheme), s) if config.fmt == "pretty" else None
     for p, v in zip(seq, values):
         print(f"{p!r}\t{_fmt_complex(v)}", file=out)
-    if config.fmt == "pretty":
-        target = zetas.evaluate_zeta(zeta_of_scheme(scheme), s)
+    if target is not None:
         print(f"target\t{_fmt_complex(target)}", file=out)
         print(f"pole_order\t{pole_order(scheme)}", file=out)
     return EXIT_OK

@@ -14,7 +14,6 @@ checked at once, on the integer coefficients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -25,6 +24,7 @@ from .powerlog import (
     FunctionalEquationWitness,
     PowerLogSum,
     _asymmetries,
+    _binomial_row,
     _convolve,
     _integer,
     _parity,
@@ -37,9 +37,9 @@ from .zetas import FactoredZeta, power_zeta, shift_zeta, zeta_of
 # d + p of a group's counting polynomial: GL(18) (degree 477) and Gm^500
 # are accepted, GL(19) (degree 532) is not.  The polynomials are expanded
 # and their functional equations checked in int.  In-process `cli.main`
-# on a 2-core host, best of 5: `group --group GL:18` takes 0.007 s and
-# `Gm:500` 0.026 s (with the cap lifted: GL:40 0.04 s, Gm:1000 0.11 s,
-# Gm:2000 0.6 s).
+# on a 2-core host, best of 5: `group --group GL:18` takes 0.012 s and
+# `Gm:500` 0.029 s (with the cap lifted: GL:40 0.05 s, Gm:1000 0.06 s,
+# Gm:2000 0.12 s).
 
 
 def _check_counting_degree(degree: int, name: str) -> None:
@@ -93,23 +93,18 @@ class ReductiveGroupData:
             )
 
 
-def _torus_coefficients(r: int) -> list[int]:
-    """Coefficients of (u - 1)^r from u^0 up."""
-    return [math.comb(r, k) * _parity(r - k) for k in range(r + 1)]
-
-
 def torus_counting(r: int) -> PowerLogSum:
     """(u - 1)^r, the counting polynomial of the r-fold torus."""
     if r < 0:
         raise PreconditionError("torus rank must be >= 0")
-    return PowerLogSum.from_int_coefficients(_torus_coefficients(r))
+    return PowerLogSum.from_int_coefficients(_binomial_row(r))
 
 
 def _group_coefficients(group: ReductiveGroupData) -> list[int]:
     """Coefficients a_k of N_G(q) / q^p = (q-1)^r sum_l b_{2l} q^l from q^0
     up; N_G(1/q) = (-1)^r q^(-d-p) N_G(q) iff a_k = (-1)^r a_{r+p-k}."""
     group.validate_palindrome()
-    return _convolve(_torus_coefficients(group.rank), group.flag_betti)
+    return _convolve(_binomial_row(group.rank), group.flag_betti)
 
 
 def group_counting(group: ReductiveGroupData) -> PowerLogSum:

@@ -34,7 +34,7 @@ from itertools import chain, groupby, repeat
 from operator import add, mul
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
-from .errors import ParseError, PreconditionError
+from .errors import ConvergenceError, ParseError, PreconditionError
 
 Rational = Union[int, Fraction]
 
@@ -92,6 +92,29 @@ def _check_printable(value: int, what: str, *args: object) -> int:
             "for printing an integer (sys.get_int_max_str_digits())"
         )
     return value
+
+
+def _exp_in_range(log_value: float | complex, what: str, name: str = "log") -> float | complex:
+    """exp(log_value): `math.exp` of a real log, `cmath.exp` of a complex
+    one.  A value that is not finite (a log too large, or not a number) is
+    a ConvergenceError naming `what` and the achieved log; a value too
+    small for a float rounds toward 0."""
+    try:
+        value = cmath.exp(log_value) if isinstance(log_value, complex) else math.exp(log_value)
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise ConvergenceError(f"{what} overflows a float: achieved {name} = {log_value!r}")
+
+
+def _binomial_row(r: int) -> list[int]:
+    """Coefficients (-1)^(r-k) C(r, k) of (x - 1)^r from x^0 up, by the
+    running product C(r, k + 1) = C(r, k) (r - k) / (k + 1)."""
+    row = [_parity(r)]
+    for k in range(r):
+        row.append(-row[-1] * (r - k) // (k + 1))
+    return row
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], size: int | None = None) -> list[int]:
@@ -443,12 +466,12 @@ def product_of_reciprocal_powers(omegas: Sequence[Rational]) -> PowerLogSum:
     shift = 0  # the product is v^shift times the polynomial coeffs in v
     for w, j in Counter(ws).items():
         k = int(w * den)
-        sign = 1 if k > 0 else _parity(j)
+        # (1 - v^k)^j is (-1)^j (v^k - 1)^j; for k < 0 it is v^(kj) (v^(-k) - 1)^j
+        sign = _parity(j) if k > 0 else 1
         if k < 0:
             k, shift = -k, shift + k * j
         power = [0] * (k * j + 1)
-        for i in range(j + 1):
-            power[k * i] = sign * _parity(i) * math.comb(j, i)
+        power[::k] = [sign * c for c in _binomial_row(j)]
         coeffs = _convolve(coeffs, power)
     # v^(shift + i) = u^(-(shift + i)/D): reversed, the exponents increase
     top = shift + len(coeffs) - 1

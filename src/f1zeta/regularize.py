@@ -34,7 +34,7 @@ from functools import cache
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
-from .powerlog import PowerLogSum
+from .powerlog import PowerLogSum, _exp_in_range
 from .zetas import log_evaluate_zeta, zeta_of
 
 Complex = Union[complex, float, int]
@@ -131,7 +131,8 @@ def _complex_quad(
     within the tolerance: `target` if given, else max(1e-12 |value|,
     1e-14).  A miss after the last level (step 2^-14) is a
     ConvergenceError naming the estimate and the tolerance; an integrand
-    decaying too slowly to be negligible at x = 5e30 ends there.
+    decaying too slowly to be negligible at x = 5e30 ends there, and so
+    does one that overflows a float.
     """
     total = 0j  # sum of fn(x) dx/dt over the nodes of every level so far
     previous = 0j
@@ -143,7 +144,12 @@ def _complex_quad(
         for t, u, weight in nodes:
             if t > cut:
                 break
-            term = fn(a + u) * weight
+            try:
+                term = fn(a + u) * weight
+            except OverflowError:
+                raise ConvergenceError(
+                    f"exp-sinh quadrature: the integrand overflows a float at x = {a + u!r}"
+                ) from None
             total += term
             if level < _SCOUT_LEVELS:
                 scouted.append((t, term))
@@ -207,7 +213,7 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
     # split where the tail e^(-(Re s - degree) t) has fallen by e^-4, so
     # that the upper piece starts near its bulk instead of far before it
     t0 = max(1.0, 4.0 / (ss.real - edge))
-    scale = cmath.exp(ww * math.log(t0))
+    scale = _exp_in_range(ww * math.log(t0), f"t0^w at t0 = {t0!r}")
 
     def lower_fn(v: float) -> complex:
         return weighted(t0 * math.exp(-v)) * cmath.exp(-ww * v)
@@ -249,16 +255,17 @@ def _gamma(z: complex) -> complex:
     z -= 1
     x = _LANCZOS[0] + sum(c / (z + i) for i, c in enumerate(_LANCZOS[1:], 1))
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * cmath.exp((z + 0.5) * cmath.log(t) - t) * x
+    return math.sqrt(2 * math.pi) * _exp_in_range((z + 0.5) * cmath.log(t) - t, "Gamma") * x
 
 
 def zeta_from_regularization(n: PowerLogSum, s: Complex) -> complex:
     """exp(d/dw Z_N(w, s) at w = 0), evaluated from the closed form.
 
     Term derivatives at w = 0: -c log(s - lam) for m = 0 and
-    c (m-1)! (s - lam)^-m for m >= 1, which sum to log_evaluate_zeta.
+    c (m-1)! (s - lam)^-m for m >= 1, which sum to log_evaluate_zeta; a
+    value beyond float range is a ConvergenceError naming that log.
     """
-    return cmath.exp(log_evaluate_zeta(zeta_of(n), s))
+    return _exp_in_range(log_evaluate_zeta(zeta_of(n), s), f"zeta value at s = {s!r}")
 
 
 # -- Euler-Maclaurin tails of bare Dirichlet sums ------------------------
@@ -561,9 +568,4 @@ def regularized_det(
     """det'(Delta + s) = exp(log_regularized_det(...)); a determinant
     beyond float range raises with its achieved log."""
     log_det = log_regularized_det(spectrum, s, tol, terms, split_order).value
-    try:
-        return math.exp(log_det)
-    except OverflowError:
-        raise ConvergenceError(
-            f"determinant overflows a float: achieved log det = {log_det!r}"
-        ) from None
+    return _exp_in_range(log_det, "determinant", "log det")

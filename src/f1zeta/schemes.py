@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import ParseError, PreconditionError
-from .powerlog import MAX_COUNTING_DEGREE, _integer, _read_json
+from .powerlog import MAX_COUNTING_DEGREE, _binomial_row, _integer, _read_json
 
 COMPLEX_TOLERANCE = 1e-10  # declared tolerance for Fourier reconstruction
 
@@ -160,8 +160,8 @@ def counting_coefficients(scheme: MonoidScheme) -> tuple[int, ...]:
         weights[rank] = weights.get(rank, 0) + k * math.prod(torsion)
     coeffs = [0] * (max(weights) + 1)
     for rank, w in weights.items():
-        for k in range(rank + 1):
-            coeffs[k] += w * math.comb(rank, k) * (-1) ** (rank - k)
+        for k, c in enumerate(_binomial_row(rank)):
+            coeffs[k] += w * c
     return tuple(coeffs)
 
 

@@ -10,7 +10,8 @@ Exponent orientation: an m = 0 factor with exponent e contributes
 (s - lam)^(-e), so e > 0 is a pole at lam of order e and e < 0 a zero
 of order -e.  All identity checks (multiplicativity, duality, reflected
 functional equations) are performed on the exact factor data; complex
-evaluation is a secondary numeric check.
+evaluation, always the exp of a sum of logs, is a secondary numeric
+check.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .powerlog import (
     Rational,
     Term,
     TermMap,
+    _exp_in_range,
     _parity,
     witness_holds,
 )
@@ -95,29 +97,26 @@ def reflect_zeta(z: FactoredZeta, omega: Rational) -> tuple[int, FactoredZeta]:
 
 
 def evaluate_zeta(z: FactoredZeta, s: complex) -> complex:
-    """Numeric value at s using principal powers for rational exponents."""
+    """Numeric value at s, with principal powers for rational exponents.
+
+    The value is exp(log_evaluate_zeta(z, s)), so a product of factors
+    whose partial products leave float range is still evaluated; a value
+    beyond float range is a ConvergenceError naming its log.  The relative
+    error is about 2^-52 times sum |e log(s - lam)| over the m = 0 factors
+    plus sum |e (m-1)! (s - lam)^-m| over the others.  At a zero (only
+    m = 0 factors with e < 0 sit at s) the value is 0; at a pole or an
+    essential singularity it is a SingularityError.
+    """
     ss = complex(s)
-    total = 1.0 + 0j
-    for lam, m, e in z.factors:
-        base = ss - complex(float(lam))
-        if m == 0:
-            if base == 0:
-                if e > 0:
-                    raise SingularityError(f"pole of order {e} at s = {lam}")
-                total *= 0.0
-                continue
-            k = -e  # (s - lam)^(-e)
-            if k.denominator == 1:
-                total *= base ** k.numerator
-            else:
-                total *= cmath.exp(float(k) * cmath.log(base))
-        else:
-            if base == 0:
-                raise SingularityError(
-                    f"essential singularity at s = {lam} (log index m = {m})"
-                )
-            total *= cmath.exp(float(e) * math.factorial(m - 1) * base ** (-m))
-    return total
+    at_s = [(lam, m, e) for lam, m, e in z.factors if ss == float(lam)]
+    for lam, m, e in at_s:
+        if m:
+            raise SingularityError(f"essential singularity at s = {lam} (log index m = {m})")
+        if e > 0:
+            raise SingularityError(f"pole of order {e} at s = {lam}")
+    if at_s:
+        return 0j
+    return _exp_in_range(log_evaluate_zeta(z, ss), f"zeta value at s = {s!r}")
 
 
 def log_evaluate_zeta(z: FactoredZeta, s: complex) -> complex:

@@ -3,7 +3,9 @@
 import cmath
 import json
 import math
+import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -321,6 +323,79 @@ def test_limit_overflow_is_a_tolerance_failure(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
     assert "exponent e_" in captured.err and "beyond float range" in captured.err
+    # exponents of 10^308 are floats, but their logs sum to inf - inf = nan
+    path.write_text(json.dumps({"points": [{"rank": 1, "torsion": [10**308]}]}))
+    code = cli.main(["limit", "--scheme", str(path), "--s", "1.5", "--format", "records"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert "achieved log = (nan" in captured.err
+    # the row at p = 1.1 is in float range, the target (about e^768) is not
+    path.write_text(json.dumps({"points": [{"rank": 2, "torsion": [2957]},
+                                           {"rank": 1, "torsion": [2423]}]}))
+    code = cli.main(["limit", "--scheme", str(path), "--s", "4.84", "--terms", "1"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert "zeta value at s = (4.84+0j) overflows a float" in captured.err
+
+
+def _limit_rows_and_target(out):
+    rows = [line.split("\t") for line in out.strip().splitlines()]
+    values = [complex(float(r[1]), float(r[2])) for r in rows if r[0] not in ("target", "pole_order")]
+    (target,) = [complex(float(r[1]), float(r[2])) for r in rows if r[0] == "target"]
+    return values, target
+
+
+@pytest.mark.parametrize(
+    "points,s,coeffs",
+    [
+        # (s - 1)^-400 s^400: each factor leaves float range, the value does not
+        ([{"rank": 1, "torsion": [400]}], "100.5", (-400, 400)),
+        # partial products under- and overflow; a float product printed 0.0
+        ([{"rank": 4, "torsion": [43]}, {"rank": 4}], "29.62", (44, -176, 264, -176, 44)),
+    ],
+)
+def test_limit_target_where_the_factors_leave_float_range(capsys, tmp_path, points, s, coeffs):
+    # the target prod_r (s - r)^(-a_r), exactly in rationals
+    want = float(math.prod((Fraction(s) - r) ** -a for r, a in enumerate(coeffs)))
+    path = tmp_path / "x.scheme"
+    path.write_text(json.dumps({"points": points}))
+    code = cli.main(["limit", "--scheme", str(path), "--s", s])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    values, target = _limit_rows_and_target(captured.out)
+    assert target == pytest.approx(want, rel=1e-12)
+    assert abs(values[-1] - target) <= 1e-3 * abs(target)
+
+
+def test_limit_on_random_torsion_schemes_ends_in_a_documented_exit(capsys, tmp_path):
+    # ranks <= 6, torsion orders <= 60, Re s - max rank in [0.2, 30]
+    rng = random.Random(10)
+    path = tmp_path / "random.scheme"
+    exits = []
+    for _ in range(120):
+        points = [{"rank": rng.randint(0, 6), "torsion": [rng.randint(2, 60)]}
+                  for _ in range(rng.randint(1, 3))]
+        re = max(p["rank"] for p in points) + rng.uniform(0.2, 30)
+        s = f"{re:.3f}" if rng.random() < 0.5 else f"{re:.3f}{rng.uniform(-3, 3):+.3f}i"
+        path.write_text(json.dumps({"points": points}))
+        code = cli.main(["limit", "--scheme", str(path), "--s", s])
+        captured = capsys.readouterr()
+        assert code in (0, 5) and "Traceback" not in captured.err, (points, s)
+        exits.append(code)
+        if code == 5:
+            assert captured.out == "" and "achieved log" in captured.err
+            continue
+        values, target = _limit_rows_and_target(captured.out)
+        assert abs(values[-1] - target) <= 1e-2 * abs(target), (points, s)
+    assert exits.count(0) >= 100
+
+
+def test_zeta_scheme_pretty_loads_the_scheme_once(capsys, monkeypatch, p1_scheme):
+    loads = []
+    monkeypatch.setattr(cli, "load_scheme", lambda path: loads.append(path) or load_scheme(path))
+    code, out = _run(capsys, "zeta", "--scheme", p1_scheme)
+    assert code == 0 and loads == [p1_scheme]
+    assert out.splitlines()[1:] == ["exponent\t0\t-1\t1", "exponent\t1\t-1\t1"]
 
 
 @pytest.mark.parametrize("argv", [["count", "--q", "3", "--scheme"], ["dual", "--powers"],

@@ -21,6 +21,7 @@ from f1zeta.groups import ReductiveGroupData, group_counting
 from f1zeta.powerlog import (
     PowerLogSum,
     _asymmetries,
+    _binomial_row,
     _check_printable,
     _convolve,
     product_of_reciprocal_powers,
@@ -132,6 +133,11 @@ def test_reciprocal_product_examples(ws):
 @given(palindromic_groups())
 def test_group_counting_matches_fraction_oracle(group):
     assert group_counting(group) == _oracle_group_counting(group)
+
+
+def test_binomial_row_matches_math_comb():
+    for r in range(61):
+        assert _binomial_row(r) == [(-1) ** (r - k) * math.comb(r, k) for k in range(r + 1)]
 
 
 def test_convolve_truncates_and_skips_zeros():

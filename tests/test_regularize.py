@@ -29,7 +29,9 @@ from f1zeta.regularize import (
     two_variable_zeta_numeric,
     zeta_from_regularization,
 )
-from f1zeta.zetas import evaluate_zeta, zeta_of
+from f1zeta.zetas import zeta_of
+
+from test_zetas import product_value
 
 
 def _circle_det_oracle(s: float) -> float:
@@ -171,6 +173,19 @@ def test_numeric_at_the_edges_of_convergence(expr, offset, re_w, im_s):
     assert abs(two_variable_zeta_numeric(n, w, s) - closed) <= 1e-12 * abs(closed)
 
 
+def test_numeric_at_large_re_w():
+    n = parse_power_log("u")
+    closed = two_variable_zeta_closed(n, 100, 3)
+    assert closed == pytest.approx(7.8886090522e-31, rel=1e-10)
+    assert abs(two_variable_zeta_numeric(n, 100, 3) - closed) <= 1e-12 * abs(closed)
+    # t^(w-1) and Gamma(w) leave float range; neither is an OverflowError
+    for w, s in ((150, 3), (180, 3), (100, 1.001)):  # t0^w at t0 = 4000 as well
+        with pytest.raises(ConvergenceError, match="overflows a float"):
+            two_variable_zeta_numeric(n, w, s)
+    with pytest.raises(ConvergenceError, match="Gamma overflows a float"):
+        _gamma(180 + 0j)
+
+
 def test_regularized_zeta_examples():
     alpha = 1.0
     assert zeta_from_regularization(PowerLogSum.power(1), 3) == pytest.approx(
@@ -188,7 +203,7 @@ def test_regularized_zeta_examples():
 def test_w_derivative_agrees_with_factored_evaluation(n):
     s = float(n.degree) + 1.7 + 0.3j
     direct = zeta_from_regularization(n, s)
-    factored = evaluate_zeta(zeta_of(n), s)
+    factored = product_value(zeta_of(n), s)
     assert abs(direct - factored) <= 1e-12 * abs(factored)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from f1zeta.errors import ParseError, PreconditionError, SingularityError
+from f1zeta.errors import ConvergenceError, ParseError, PreconditionError, SingularityError
 from f1zeta.powerlog import (
     FunctionalEquationWitness,
     PowerLogSum,
@@ -35,6 +35,31 @@ from f1zeta.zetas import (
     zeta_of,
     zeta_to_records,
 )
+
+
+def product_value(z: FactoredZeta, s: complex) -> complex:
+    """Oracle: the plain product of the factors, each raised to its
+    exponent in floats, with principal powers for rational exponents."""
+    ss = complex(s)
+    total = 1.0 + 0j
+    for lam, m, e in z.factors:
+        base = ss - complex(float(lam))
+        if m == 0:
+            if base == 0:
+                if e > 0:
+                    raise SingularityError(f"pole of order {e} at s = {lam}")
+                total *= 0.0
+                continue
+            k = -e  # (s - lam)^(-e)
+            if k.denominator == 1:
+                total *= base ** k.numerator
+            else:
+                total *= cmath.exp(float(k) * cmath.log(base))
+        else:
+            if base == 0:
+                raise SingularityError(f"essential singularity at s = {lam} (m = {m})")
+            total *= cmath.exp(float(e) * math.factorial(m - 1) * base ** (-m))
+    return total
 
 
 @st.composite
@@ -130,8 +155,9 @@ def test_evaluate_singularities():
 def test_log_evaluate_is_a_log_of_the_value(n, re, im):
     z = zeta_of(n)
     s = complex(re, im)  # every factor sits at |s - lam| >= 1
-    value = evaluate_zeta(z, s)
+    value = product_value(z, s)
     assert cmath.exp(log_evaluate_zeta(z, s)) == pytest.approx(value, rel=1e-9)
+    assert evaluate_zeta(z, s) == pytest.approx(value, rel=1e-9)
 
 
 def test_log_evaluate_beyond_float_range():
@@ -143,6 +169,26 @@ def test_log_evaluate_beyond_float_range():
         log_evaluate_zeta(z, 1)
     with pytest.raises(SingularityError):
         log_evaluate_zeta(power_zeta(z, -1), 1)  # a zero has no log either
+
+
+def test_evaluate_beyond_float_range_names_its_log():
+    # (s - 1)^100000 overflows a float at s = 2.5 + 0.7i
+    z = zeta_of(PowerLogSum.power(1, -100000))
+    s = 2.5 + 0.7j
+    with pytest.raises(ConvergenceError, match=rf"achieved log = \({log_evaluate_zeta(z, s).real!r}"):
+        evaluate_zeta(z, s)
+    assert evaluate_zeta(z, 1) == 0  # a zero is still 0, not a log
+    # its inverse underflows toward 0 instead of raising
+    assert evaluate_zeta(power_zeta(z, -1), s) == 0
+
+
+def test_evaluate_where_partial_products_leave_float_range():
+    # (s - 1)^-400 (s - 2)^400 = ((s - 2)/(s - 1))^400 at s = 100.5: each
+    # factor is beyond float range, the value (98.5/99.5)^400 is not
+    z = FactoredZeta.from_dict({(1, 0): 400, (2, 0): -400})
+    with pytest.raises(OverflowError):
+        product_value(z, 100.5)
+    assert evaluate_zeta(z, 100.5) == pytest.approx((98.5 / 99.5) ** 400, rel=1e-13)
 
 
 def test_epsilon_residual_is_never_silently_dropped():
