@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 from .errors import ParseError, PreconditionError
@@ -29,17 +30,17 @@ from .powerlog import (
     _integer,
     _parity,
     _read_json,
-    product_of_reciprocal_powers,
+    _reciprocal_power_coefficients,
 )
-from .zetas import FactoredZeta, power_zeta, shift_zeta, zeta_of
+from .zetas import FactoredZeta, zeta_of
 
 # MAX_COUNTING_DEGREE (shared with the scheme rank cap) bounds the degree
 # d + p of a group's counting polynomial: GL(18) (degree 477) and Gm^500
 # are accepted, GL(19) (degree 532) is not.  The polynomials are expanded
-# and their functional equations checked in int.  In-process `cli.main`
-# on a 2-core host, best of 5: `group --group GL:18` takes 0.012 s and
-# `Gm:500` 0.029 s (with the cap lifted: GL:40 0.05 s, Gm:1000 0.06 s,
-# Gm:2000 0.12 s).
+# and their functional equations and family identities checked in int.
+# In-process `cli.main` on a 2-core host, best of 5: `group --group GL:18`
+# takes 0.009 s and `Gm:500` 0.016 s (with the cap lifted: GL:40 0.036 s,
+# Gm:1000 0.031 s, Gm:2000 0.088 s).
 
 
 def _check_counting_degree(degree: int, name: str) -> None:
@@ -92,6 +93,16 @@ class ReductiveGroupData:
                 f"flag Betti numbers {self.flag_betti} are not palindromic"
             )
 
+    @cached_property
+    def coefficients(self) -> tuple[int, ...]:
+        """Coefficients a_k of N_G(q) / q^p = (q-1)^r sum_l b_{2l} q^l from
+        q^0 up; N_G(1/q) = (-1)^r q^(-d-p) N_G(q) iff a_k = (-1)^r a_{r+p-k}.
+
+        Expanded once per group.  Broken (non-palindromic) data raises on
+        every access, since a raising property caches nothing."""
+        self.validate_palindrome()
+        return tuple(_convolve(_binomial_row(self.rank), self.flag_betti))
+
 
 def torus_counting(r: int) -> PowerLogSum:
     """(u - 1)^r, the counting polynomial of the r-fold torus."""
@@ -100,16 +111,9 @@ def torus_counting(r: int) -> PowerLogSum:
     return PowerLogSum.from_int_coefficients(_binomial_row(r))
 
 
-def _group_coefficients(group: ReductiveGroupData) -> list[int]:
-    """Coefficients a_k of N_G(q) / q^p = (q-1)^r sum_l b_{2l} q^l from q^0
-    up; N_G(1/q) = (-1)^r q^(-d-p) N_G(q) iff a_k = (-1)^r a_{r+p-k}."""
-    group.validate_palindrome()
-    return _convolve(_binomial_row(group.rank), group.flag_betti)
-
-
 def group_counting(group: ReductiveGroupData) -> PowerLogSum:
     """(q-1)^r q^p sum_l b_{2l} q^l expanded exactly, in integers."""
-    return PowerLogSum.from_int_coefficients(_group_coefficients(group), group.positive_roots)
+    return PowerLogSum.from_int_coefficients(group.coefficients, group.positive_roots)
 
 
 def gl_group_data(r: int) -> ReductiveGroupData:
@@ -199,11 +203,12 @@ def group_functional_equation(group: ReductiveGroupData) -> GroupFEReport:
     """Verify the counting and zeta functional equations of a group.
 
     Both hold iff the coefficients are a signed palindrome (see
-    `_group_coefficients`): zeta_of keeps the terms of N_G, and the sign
-    (-1)^chi of the reflected zeta is 1, as chi = N_G(1) = 0.  The
-    witness is ((-1)^r, d + p) when they hold and None otherwise.
+    `ReductiveGroupData.coefficients`): zeta_of keeps the terms of N_G,
+    and the sign (-1)^chi of the reflected zeta is 1, as
+    chi = N_G(1) = 0.  The witness is ((-1)^r, d + p) when they hold and
+    None otherwise.
     """
-    coeffs = _group_coefficients(group)
+    coeffs = group.coefficients
     if not any(coeffs):
         raise PreconditionError("functional equations of the zero sum are vacuous")
     center = Fraction(group.dimension + group.positive_roots)
@@ -242,9 +247,8 @@ class FamilyIdentityReport:
 
 def verify_family_identities(r: int, family: str) -> FamilyIdentityReport:
     """Exact verification of the shift, duality and reflection identities
-    tying prod (1 - u^-omega_i) to the torus-power and general-linear
-    zeta functions; (c) is the palindrome of `group_functional_equation`
-    with the sign (-1)^chi = 1.
+    tying N = prod (1 - u^-omega_i) to the torus-power and general-linear
+    zeta functions.
 
     family "gm_power": N = (1 - 1/u)^r against zeta of the r-fold torus:
       (a) zeta_N(s) = zeta_T(s + r)
@@ -256,7 +260,16 @@ def verify_family_identities(r: int, family: str) -> FamilyIdentityReport:
       (b) zeta_{N*}(s) = zeta_GL(s + r(r-1)/2)^((-1)^r)
       (c) zeta_GL(r(3r-1)/2 - s) = zeta_GL(s)^((-1)^r)
 
-    i.e. the shifts d and p and the center d + p of the group.
+    i.e. the shifts d and p and the center d + p of the group.  As zeta_of
+    keeps the terms of N, all three are checked on integer vectors: v, top
+    and den from `_reciprocal_power_coefficients` (den = 1, as the omegas
+    are integers) and a = `ReductiveGroupData.coefficients`.  (a) is
+    N = u^(-d) N_G: top = d - p and v reversed is a.  (b) is
+    N(1/u) = (-1)^r u^(-p) N_G: the lowest power of v is v^0 (for
+    len(v) = r + p + 1 again top = d - p) and (-1)^r v is a.  (c) is the
+    palindrome of `group_functional_equation` with (-1)^chi = 1.  Both
+    v and a have nonzero ends (b_0 = b_p = 1 here), so equal term maps
+    are equal vectors.
     """
     if r < 1:
         raise PreconditionError("family identities need rank >= 1")
@@ -276,13 +289,13 @@ def verify_family_identities(r: int, family: str) -> FamilyIdentityReport:
         )
     else:
         raise PreconditionError(f"unknown family {family!r} (gm_power or gl)")
-    coeffs = _group_coefficients(group)
-    zg = zeta_of(PowerLogSum.from_int_coefficients(coeffs, group.positive_roots))
-    n = product_of_reciprocal_powers(omegas)
+    coeffs = group.coefficients
+    v, top, den = _reciprocal_power_coefficients(omegas)
     sign = _parity(r)
+    aligned = den == 1 and top == group.dimension - group.positive_roots
     checks = (
-        zeta_of(n) == shift_zeta(zg, group.dimension),
-        zeta_of(n.dual()) == power_zeta(shift_zeta(zg, group.positive_roots), sign),
+        aligned and tuple(v[::-1]) == coeffs,
+        aligned and tuple([sign * x for x in v]) == coeffs,
         not _asymmetries(coeffs, len(coeffs) - 1, sign) and _parity(sum(coeffs)) == 1,
     )
     return FamilyIdentityReport(family, r, tuple(zip(labels, checks)))

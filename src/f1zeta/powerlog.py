@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, repeat
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import ConvergenceError, ParseError, PreconditionError
@@ -356,8 +356,11 @@ class PowerLogSum(TermMap):
         return self.terms[0][0]
 
     def value_at_one(self) -> Fraction:
-        """N(1): log-carrying terms vanish at u = 1."""
-        return sum((c for lam, m, c in self.terms if m == 0), Fraction(0))
+        """N(1): log-carrying terms vanish at u = 1.  The coefficients are
+        summed as integers over the lcm of their denominators."""
+        cs = [c for _, m, c in self.terms if m == 0]
+        den = math.lcm(1, *(c.denominator for c in cs))
+        return Fraction(sum([c.numerator * (den // c.denominator) for c in cs]), den)
 
     # -- algebra -------------------------------------------------------
 
@@ -415,9 +418,36 @@ class FunctionalEquationWitness:
 
 
 def witness_holds(n: PowerLogSum, witness: FunctionalEquationWitness) -> bool:
-    """Exact term-algebra check of the witnessed identity."""
-    shifted = n.shift_exponents(-witness.omega).scale(witness.c)
-    return n.dual() == shifted
+    """Exact check of N(1/u) = c u^(-omega) N(u), on integer fields.
+
+    It says c(lam, m) = c (-1)^m c(omega - lam, m): lam -> omega - lam
+    reverses the lam groups, so group g pairs with group G-1-g slot by
+    slot.  With lam_i = a_i/d_i and omega = e/f a pair holds iff
+    (a1 d2 + a2 d1) f = e d1 d2, the log powers are equal, and the
+    coefficients have equal denominators and numerators c1 = c (-1)^m c2.
+    For c = +-1 the relation is symmetric, so the first half of the
+    groups decides; for any other c only the empty sum holds.
+    """
+    c, e, f = witness.c, witness.omega.numerator, witness.omega.denominator
+    if c not in (1, -1):
+        return not n.terms
+    # terms keyed by (numerator, denominator): grouping compares int pairs
+    keyed = [((lam.numerator, lam.denominator), m, coeff) for lam, m, coeff in n.terms]
+    groups = [list(g) for _, g in groupby(keyed, key=itemgetter(0))]
+    for low, high in zip(groups[: (len(groups) + 1) // 2], reversed(groups)):
+        if len(low) != len(high):
+            return False
+        (a1, d1), (a2, d2) = low[0][0], high[0][0]
+        if (a1 * d2 + a2 * d1) * f != e * d1 * d2:
+            return False
+        for (_, m1, c1), (_, m2, c2) in zip(low, high):
+            if (
+                m1 != m2
+                or c1.denominator != c2.denominator
+                or c1.numerator != (-c if m1 % 2 else c) * c2.numerator
+            ):
+                return False
+    return True
 
 
 def detect_functional_equation(
@@ -429,7 +459,7 @@ def detect_functional_equation(
     itself under lam -> omega - lam, so omega = min + max of the
     support (for a single exponent alpha this degenerates to 2*alpha).
     The sign c is read off one matched coefficient pair and then the
-    whole identity is verified by exact term algebra.
+    whole identity is verified by `witness_holds`.
     """
     if n.is_zero:
         raise PreconditionError("functional equations of the zero sum are vacuous")
@@ -449,18 +479,19 @@ def detect_functional_equation(
     return witness if witness_holds(n, witness) else None
 
 
-def product_of_reciprocal_powers(omegas: Sequence[Rational]) -> PowerLogSum:
-    """Expand prod_i (1 - u^(-omega_i)) exactly.
+def _reciprocal_power_coefficients(omegas: Sequence[Rational]) -> tuple[list[int], int, int]:
+    """(coeffs, top, den) with prod_i (1 - u^(-omega_i)) =
+    sum_i coeffs[i] v^(top - len(coeffs) + 1 + i), v = u^(-1/den).
 
-    With D the lcm of the denominators, every factor is an integer
-    polynomial in v = u^(-1/D): 1 - v^k for k = D omega > 0, and
-    v^k (v^(-k) - 1) for k < 0.  A factor repeated j times is expanded
-    once by the binomial theorem, and the factors are multiplied by the
-    integer kernel.
+    With den the lcm of the denominators, every factor is an integer
+    polynomial in v: 1 - v^k for k = den omega > 0, and v^k (v^(-k) - 1)
+    for k < 0.  A factor repeated j times is expanded once by the
+    binomial theorem, and the factors are multiplied by the integer
+    kernel.  coeffs has nonzero ends; a zero omega gives ([], 0, 1).
     """
     ws = [_frac(w) for w in omegas]
     if any(w == 0 for w in ws):
-        return PowerLogSum.zero()  # 1 - u^0 = 0
+        return [], 0, 1  # 1 - u^0 = 0
     den = math.lcm(1, *(w.denominator for w in ws))
     coeffs = [1]
     shift = 0  # the product is v^shift times the polynomial coeffs in v
@@ -473,8 +504,14 @@ def product_of_reciprocal_powers(omegas: Sequence[Rational]) -> PowerLogSum:
         power = [0] * (k * j + 1)
         power[::k] = [sign * c for c in _binomial_row(j)]
         coeffs = _convolve(coeffs, power)
-    # v^(shift + i) = u^(-(shift + i)/D): reversed, the exponents increase
-    top = shift + len(coeffs) - 1
+    return coeffs, shift + len(coeffs) - 1, den
+
+
+def product_of_reciprocal_powers(omegas: Sequence[Rational]) -> PowerLogSum:
+    """Expand prod_i (1 - u^(-omega_i)) exactly, in integers (see
+    `_reciprocal_power_coefficients`)."""
+    coeffs, top, den = _reciprocal_power_coefficients(omegas)
+    # v^(top - j) = u^((j - top)/den) for the reversed coefficients: the exponents increase
     return PowerLogSum.from_int_coefficients(coeffs[::-1], Fraction(-top, den), Fraction(1, den))
 
 

@@ -67,19 +67,6 @@ def zeta_of(n: PowerLogSum) -> FactoredZeta:
     return FactoredZeta(n.terms)
 
 
-def multiply_zeta(z1: FactoredZeta, z2: FactoredZeta) -> FactoredZeta:
-    return z1 + z2
-
-
-def power_zeta(z: FactoredZeta, k: Rational) -> FactoredZeta:
-    return z.scale(k)
-
-
-def shift_zeta(z: FactoredZeta, a: Rational) -> FactoredZeta:
-    """Factors of s |-> zeta(s + a)."""
-    return z.shift_exponents(-a)
-
-
 def reflect_zeta(z: FactoredZeta, omega: Rational) -> tuple[int, FactoredZeta]:
     """Factors of s |-> zeta(omega - s), returned as (sign, factors).
 

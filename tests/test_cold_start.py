@@ -1,6 +1,7 @@
-"""Fresh-process start-up: no subcommand and no numeric integral ever
-loads scipy or numpy."""
+"""Fresh-process start-up: `import f1zeta` loads no layer module, and no
+subcommand and no numeric integral ever loads scipy or numpy."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -21,6 +22,12 @@ code = cli.main(sys.argv[1:])
 sys.stdout.flush()
 print("loaded=" + ",".join(m for m in ("scipy", "numpy") if m in sys.modules), file=sys.stderr)
 sys.exit(code)
+"""
+
+IMPORT_CHILD = """
+import sys
+import f1zeta
+print(",".join(sorted(m for m in sys.modules if m.startswith("f1zeta."))) or "-")
 """
 
 NUMERIC_CHILD = """
@@ -92,3 +99,24 @@ def test_numeric_integrals_never_load_scipy_or_numpy():
     assert float(rel_two_variable) < 1e-9
     assert float(rel_log_integral) < 1e-8
     assert loaded == "-"
+
+
+def test_import_loads_no_layer_module():
+    proc = _fresh(IMPORT_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "-"
+
+
+def test_exported_names_are_the_module_objects():
+    for name in f1zeta.__all__:
+        module = importlib.import_module(f"f1zeta.{f1zeta._MODULE_OF[name]}")
+        assert getattr(f1zeta, name) is getattr(module, name), name
+    from f1zeta import PowerLogSum, zetas
+
+    assert PowerLogSum is f1zeta.powerlog.PowerLogSum
+    assert zetas is importlib.import_module("f1zeta.zetas")
+    assert f1zeta.schemes.scheme_from_dict is importlib.import_module("f1zeta.schemes").scheme_from_dict
+    assert set(f1zeta.__all__) <= set(dir(f1zeta))
+    for missing in ("shift_zeta", "power_zeta", "multiply_zeta", "no_such_name"):
+        with pytest.raises(AttributeError):
+            getattr(f1zeta, missing)

@@ -28,7 +28,7 @@ from f1zeta.powerlog import (
     parse_power_log,
     product_of_reciprocal_powers,
 )
-from f1zeta.zetas import power_zeta, pretty_zeta, reflect_zeta
+from f1zeta.zetas import pretty_zeta, reflect_zeta, zeta_of
 
 
 def _eval_exact(n: PowerLogSum, q: Fraction) -> Fraction:
@@ -124,7 +124,7 @@ def _fraction_group_fe(group):
     sign_of_reflection, reflected = reflect_zeta(group_zeta(group), center)
     holds = (
         witness == FunctionalEquationWitness(sign, center)
-        and reflected == power_zeta(group_zeta(group), sign)
+        and reflected == group_zeta(group).scale(sign)
         and sign_of_reflection == (-1) ** (n.value_at_one().numerator % 2)
     )
     return holds, witness
@@ -150,6 +150,67 @@ def test_family_identities(family, r):
     # (c) against the factored reflection it replaced
     group = gl_group_data(r) if family == "gl" else torus_group_data(r)
     assert report.results[2][1] == _fraction_group_fe(group)[0]
+
+
+def _factored_family_identities(r, family):
+    """Identities (a) and (b) as factored zetas once compared them:
+    zeta_N = zeta_G shifted by d, and zeta_{N*} = zeta_G shifted by p,
+    to the power (-1)^r."""
+    if family == "gl":
+        group, omegas = gl_group_data(r), range(1, r + 1)
+    else:
+        group, omegas = torus_group_data(r), [1] * r
+    zg = zeta_of(PowerLogSum.from_int_coefficients(group.coefficients, group.positive_roots))
+    n = product_of_reciprocal_powers(omegas)
+    return (
+        zeta_of(n) == zg.shift_exponents(-group.dimension),
+        zeta_of(n.dual()) == zg.shift_exponents(-group.positive_roots).scale((-1) ** r),
+    )
+
+
+@pytest.mark.parametrize("family", ["gm_power", "gl"])
+@pytest.mark.parametrize("r", range(1, 21))
+def test_family_shift_and_dual_match_the_factored_zetas(family, r):
+    if family == "gl" and r > 18:  # GL(19) is beyond the counting-degree cap
+        for check in (verify_family_identities, _factored_family_identities):
+            with pytest.raises(PreconditionError, match="counting polynomial of degree"):
+                check(r, family)
+        return
+    report = verify_family_identities(r, family)
+    integer = tuple(ok for _, ok in report.results[:2])
+    assert integer == _factored_family_identities(r, family) == (True, True)
+
+
+@pytest.mark.parametrize("family", ["gm_power", "gl"])
+@pytest.mark.parametrize("slot", [0, 1, -1])
+def test_family_identities_fail_on_a_wrong_coefficient_vector(monkeypatch, family, slot):
+    expand = ReductiveGroupData.coefficients.func
+
+    def wrong(group):
+        a = list(expand(group))
+        a[slot] += 1
+        return tuple(a)
+
+    monkeypatch.setattr(ReductiveGroupData, "coefficients", property(wrong))
+    for r in (1, 2, 3, 6):
+        report = verify_family_identities(r, family)
+        integer = tuple(ok for _, ok in report.results[:2])
+        assert integer == _factored_family_identities(r, family) == (False, False)
+        assert not report.holds
+
+
+def test_group_coefficients_are_expanded_once():
+    group = gl_group_data(4)
+    assert group.coefficients is group.coefficients
+    assert group_counting(group) == PowerLogSum.from_int_coefficients(
+        group.coefficients, group.positive_roots)
+    # a broken palindrome raises on every access: nothing is cached
+    broken = ReductiveGroupData(1, 5, (2, 0, 1))
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="not palindromic"):
+            broken.coefficients
+        with pytest.raises(PreconditionError, match="not palindromic"):
+            group_functional_equation(broken)
 
 
 def test_family_identities_gl1_reduces_to_torus():

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from f1zeta.errors import ParseError, PreconditionError
@@ -159,6 +159,57 @@ def test_detected_witness_satisfies_identity(seed, sign):
     assert w is not None
     assert witness_holds(n, w)
     assert n.dual() == n.shift_exponents(-w.omega).scale(w.c)
+
+
+def _term_algebra_witness_holds(n, witness) -> bool:
+    """Oracle: the witnessed identity N(1/u) = c u^(-omega) N(u) by term
+    algebra, the check `witness_holds` made before it compared integers."""
+    return n.dual() == n.shift_exponents(-witness.omega).scale(witness.c)
+
+
+@st.composite
+def witness_cases(draw):
+    """A candidate witness and a sum: a random one, one symmetric under
+    it by construction (N + c u^omega N(1/u)), or that one perturbed by a
+    single term, at an exponent of the sum or a fresh one."""
+    fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    witness = FunctionalEquationWitness(draw(st.sampled_from((1, -1))), draw(fractions))
+    terms = draw(st.dictionaries(
+        st.tuples(fractions, st.integers(0, 3)),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+        max_size=5,
+    ))
+    n = PowerLogSum.from_dict(terms)
+    shape = draw(st.sampled_from(("random", "symmetric", "perturbed")))
+    if shape != "random":
+        n = n + n.dual().shift_exponents(witness.omega).scale(witness.c)
+    if shape == "perturbed":
+        lam = draw(st.sampled_from([t[0] for t in n.terms]) | fractions if n.terms else fractions)
+        c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
+        n = n + PowerLogSum.log_power(draw(st.integers(0, 3)), c, lam)
+    return n, witness
+
+
+@settings(max_examples=200)
+@given(witness_cases())
+@example((PowerLogSum.zero(), FunctionalEquationWitness(1, Fraction(3))))
+@example((PowerLogSum.zero(), FunctionalEquationWitness(-1, Fraction(-1, 2))))
+# a lone middle group, lam = omega/2: its own mirror, slot by slot
+@example((PowerLogSum.from_dict({(Fraction(3, 4), 0): 2, (Fraction(3, 4), 1): -1}),
+          FunctionalEquationWitness(1, Fraction(3, 2))))
+@example((PowerLogSum.from_dict({(Fraction(3, 4), 1): Fraction(1, 3)}),
+          FunctionalEquationWitness(-1, Fraction(3, 2))))
+@example((PowerLogSum.from_dict({(Fraction(3, 4), 0): 2, (Fraction(3, 4), 1): -1}),
+          FunctionalEquationWitness(-1, Fraction(3, 2))))
+# equal numerators over different denominators; a mirror with another log power
+@example((parse_power_log("1/2*u + 1/3"), FunctionalEquationWitness(1, Fraction(1))))
+@example((parse_power_log("u*log + 1"), FunctionalEquationWitness(1, Fraction(1))))
+# a witness with |c| != 1 holds for the zero sum only
+@example((PowerLogSum.zero(), FunctionalEquationWitness(2, Fraction(0))))
+@example((PowerLogSum.power(0), FunctionalEquationWitness(2, Fraction(0))))
+def test_witness_holds_agrees_with_term_algebra(case):
+    n, witness = case
+    assert witness_holds(n, witness) == _term_algebra_witness_holds(n, witness)
 
 
 def test_product_builder_vanishes_at_one():

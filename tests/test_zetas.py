@@ -25,16 +25,31 @@ from f1zeta.zetas import (
     evaluate_zeta,
     log_evaluate_zeta,
     log_zeta_integral,
-    multiply_zeta,
-    power_zeta,
     pretty_zeta,
     reflect_zeta,
-    shift_zeta,
     verify_functional_equation,
     zeta_from_records,
     zeta_of,
     zeta_to_records,
 )
+
+
+# Products, powers and shifts of zetas, one term-map call each.  The
+# package checks its identities on integer vectors instead; here they
+# are oracles.
+
+
+def multiply_zeta(z1: FactoredZeta, z2: FactoredZeta) -> FactoredZeta:
+    return z1 + z2
+
+
+def power_zeta(z: FactoredZeta, k) -> FactoredZeta:
+    return z.scale(k)
+
+
+def shift_zeta(z: FactoredZeta, a) -> FactoredZeta:
+    """Factors of s |-> zeta(s + a)."""
+    return z.shift_exponents(-a)
 
 
 def product_value(z: FactoredZeta, s: complex) -> complex:
