@@ -1,5 +1,10 @@
 """Command-line surface.
 
+Each subcommand is one row of `_HANDLERS` (name -> handler, help line),
+which both `build_parser` and `run` read.  Every subcommand takes the
+same flags; the parsed `argparse.Namespace`, with `--tol` defaulted and
+`--tol`/`--terms` checked by `config_from_args`, is what a handler reads.
+
 Exit codes: 0 success, 2 parse errors, 3 precondition violations,
 4 identity-check failures, 5 numeric-tolerance failures.  The
 `records` output format is deterministic: identical inputs produce
@@ -13,7 +18,6 @@ import cmath
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConvergenceError, ParseError, PreconditionError
@@ -53,21 +57,6 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_IDENTITY = 4
 EXIT_TOLERANCE = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    scheme_path: str | None = None
-    powers: str | None = None
-    group: str | None = None
-    spectrum: str = "circle"
-    q: int | None = None
-    p: str | None = None
-    s: str | None = None
-    terms: int | None = None
-    tol: float = 1e-9
-    fmt: str = "pretty"
 
 
 def parse_complex_value(text: str) -> complex:
@@ -111,44 +100,63 @@ def _load_powers(arg: str) -> PowerLogSum:
     return parse_power_log(arg)
 
 
-def _require(config: RunConfig, attr: str, flag: str) -> object:
+def _require(config: argparse.Namespace, attr: str, flag: str) -> object:
     value = getattr(config, attr)
     if value is None:
         raise PreconditionError(f"command {config.command!r} requires {flag}")
     return value
 
 
+def _prime_base(config: argparse.Namespace, what: str) -> int:
+    """--p as an integer base; `what` names the computation that needs one."""
+    p = parse_base(str(_require(config, "p", "--p")))
+    if not isinstance(p, int):
+        raise PreconditionError(f"{what} need an integer prime base")
+    return p
+
+
 def _fmt_complex(z: complex) -> str:
     return f"{z.real!r}\t{z.imag!r}"
 
 
-def _cmd_count(config: RunConfig, out) -> int:
+def _print_records(records, out) -> None:
+    for rec in records:
+        print("\t".join(str(v) for v in rec), file=out)
+
+
+def _cmd_count(config: argparse.Namespace, out) -> int:
     scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
     q = int(_require(config, "q", "--q"))
     print(_check_printable(exact_count(scheme, q), "the point count"), file=out)
     return EXIT_OK
 
 
-def _resolve_zeta(config: RunConfig):
+def _resolve_zeta(config: argparse.Namespace):
     if config.group is not None:
-        return group_zeta(_resolve_group(config.group))
+        return group_zeta(_resolve_group(config.group)[0])
     if config.powers is not None:
         return zetas.zeta_of(_load_powers(config.powers))
     raise PreconditionError("need one of --scheme, --group, --powers")
 
 
+# catalog groups with family identities, by the prefix of the name
+# group_from_name gives them: GL(r) and Gm^r
+_FAMILIES = {"GL": "gl", "Gm": "gm_power"}
+
+
 def _resolve_group(arg: str):
+    """The --group group and its identity family (None for a file or SL2)."""
     if os.path.exists(arg):
-        return load_group(arg)
-    return group_from_name(arg)
+        return load_group(arg), None
+    group = group_from_name(arg)
+    return group, _FAMILIES.get(group.name[:2])
 
 
-def _cmd_zeta(config: RunConfig, out) -> int:
+def _cmd_zeta(config: argparse.Namespace, out) -> int:
     scheme = load_scheme(config.scheme_path) if config.scheme_path is not None else None
     z = zeta_of_scheme(scheme) if scheme is not None else _resolve_zeta(config)
     if config.fmt == "records":
-        for rec in zeta_to_records(z):
-            print("\t".join(str(v) for v in rec), file=out)
+        _print_records(zeta_to_records(z), out)
         return EXIT_OK
     print(pretty_zeta(z), file=out)
     if scheme is not None:
@@ -159,14 +167,11 @@ def _cmd_zeta(config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_fe_check(config: RunConfig, out) -> int:
+def _cmd_fe_check(config: argparse.Namespace, out) -> int:
     if config.scheme_path is not None:
         scheme = load_scheme(config.scheme_path)
         if config.p is not None:
-            p = parse_base(config.p)
-            if not isinstance(p, int):
-                raise PreconditionError("local checks need an integer prime base")
-            local = local_functional_equation(scheme, p)
+            local = local_functional_equation(scheme, _prime_base(config, "local checks"))
             if config.fmt == "records":
                 print(f"holds\t{str(local.holds).lower()}", file=out)
                 print(f"chi\t{local.chi}", file=out)
@@ -186,7 +191,7 @@ def _cmd_fe_check(config: RunConfig, out) -> int:
             print(report, file=out)
         return EXIT_OK if report.holds else EXIT_IDENTITY
     if config.group is not None:
-        report = group_functional_equation(_resolve_group(config.group))
+        report = group_functional_equation(_resolve_group(config.group)[0])
         print(report, file=out)
         return EXIT_OK if report.holds else EXIT_IDENTITY
     if config.powers is not None:
@@ -195,25 +200,23 @@ def _cmd_fe_check(config: RunConfig, out) -> int:
         if witness is None:
             print("no functional equation witness", file=out)
             return EXIT_IDENTITY
-        fe = zetas.verify_functional_equation(n, witness)
+        # detect_functional_equation has checked the witness
+        fe = zetas._witnessed_report(n, witness)
         print(fe, file=out)
         return EXIT_OK if fe.holds else EXIT_IDENTITY
     raise PreconditionError("need one of --scheme, --group, --powers")
 
 
-def _cmd_local(config: RunConfig, out) -> int:
+def _cmd_local(config: argparse.Namespace, out) -> int:
     scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
-    p = parse_base(str(_require(config, "p", "--p")))
-    if not isinstance(p, int):
-        raise PreconditionError("local series need an integer prime base")
     order = config.terms if config.terms is not None else 8
-    series = local_zeta_series(scheme, p, order)
+    series = local_zeta_series(scheme, _prime_base(config, "local series"), order)
     for n, c in enumerate(series.coefficients):
         print(f"{n}\t{c.numerator}/{c.denominator}", file=out)
     return EXIT_OK
 
 
-def _cmd_limit(config: RunConfig, out) -> int:
+def _cmd_limit(config: argparse.Namespace, out) -> int:
     scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
     s = parse_complex_value(str(_require(config, "s", "--s")))
     count = config.terms if config.terms is not None else 6
@@ -229,18 +232,17 @@ def _cmd_limit(config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_dual(config: RunConfig, out) -> int:
+def _cmd_dual(config: argparse.Namespace, out) -> int:
     n = _load_powers(str(_require(config, "powers", "--powers")))
     d = n.dual()
     if config.fmt == "records":
-        for rec in to_records(d):
-            print("\t".join(str(v) for v in rec), file=out)
+        _print_records(to_records(d), out)
     else:
         print(d, file=out)
     return EXIT_OK
 
 
-def _cmd_epsilon(config: RunConfig, out) -> int:
+def _cmd_epsilon(config: argparse.Namespace, out) -> int:
     n = _load_powers(str(_require(config, "powers", "--powers")))
     eps = epsilon_factor(n)
     if config.fmt == "records":
@@ -253,9 +255,9 @@ def _cmd_epsilon(config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_group(config: RunConfig, out) -> int:
+def _cmd_group(config: argparse.Namespace, out) -> int:
     name = str(_require(config, "group", "--group"))
-    group = _resolve_group(name)
+    group, family = _resolve_group(name)
     n = group_counting(group)
     report = group_functional_equation(group)
     print(f"group\t{group.name or name}", file=out)
@@ -264,9 +266,7 @@ def _cmd_group(config: RunConfig, out) -> int:
     print(f"fe\t{str(report.holds).lower()}\tcenter\t{report.expected_center}"
           f"\tsign\t{report.expected_sign}", file=out)
     status = EXIT_OK if report.holds else EXIT_IDENTITY
-    key = name.split(":")[0].lower()
-    if key in ("gl", "gm"):
-        family = "gl" if key == "gl" else "gm_power"
+    if family is not None:
         fam = verify_family_identities(group.rank, family)
         for label, ok in fam.results:
             print(f"identity\t{str(ok).lower()}\t{label}", file=out)
@@ -275,7 +275,7 @@ def _cmd_group(config: RunConfig, out) -> int:
     return status
 
 
-def _cmd_regdet(config: RunConfig, out) -> int:
+def _cmd_regdet(config: argparse.Namespace, out) -> int:
     spec = spectrum_by_name(config.spectrum)
     s = parse_complex_value(str(_require(config, "s", "--s")))
     if s.imag != 0:
@@ -285,12 +285,9 @@ def _cmd_regdet(config: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_fourier(config: RunConfig, out) -> int:
+def _cmd_fourier(config: argparse.Namespace, out) -> int:
     scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
-    p = parse_base(str(_require(config, "p", "--p")))
-    if not isinstance(p, int):
-        raise PreconditionError("Fourier coefficients need an integer prime base")
-    data = fourier_data(scheme, p)
+    data = fourier_data(scheme, _prime_base(config, "Fourier coefficients"))
     print(f"period\t{data.period}", file=out)
     for x, jidx, t, coeffs in data.entries:
         for nu, c in enumerate(coeffs, start=1):
@@ -305,24 +302,24 @@ def _cmd_fourier(config: RunConfig, out) -> int:
 
 
 _HANDLERS = {
-    "count": _cmd_count,
-    "zeta": _cmd_zeta,
-    "fe-check": _cmd_fe_check,
-    "local": _cmd_local,
-    "limit": _cmd_limit,
-    "dual": _cmd_dual,
-    "epsilon": _cmd_epsilon,
-    "group": _cmd_group,
-    "regdet": _cmd_regdet,
-    "fourier": _cmd_fourier,
+    "count": (_cmd_count, "point count of a scheme over F_q"),
+    "zeta": (_cmd_zeta, "factored zeta of a scheme, group or counting function"),
+    "fe-check": (_cmd_fe_check, "verify a functional equation exactly"),
+    "local": (_cmd_local, "local zeta series coefficients at a prime"),
+    "limit": (_cmd_limit, "(p-1)^N Z~(p, p^-s) along p -> 1"),
+    "dual": (_cmd_dual, "dual counting function u -> 1/u"),
+    "epsilon": (_cmd_epsilon, "epsilon factor of a counting function"),
+    "group": (_cmd_group, "reductive-group counting, zeta and identities"),
+    "regdet": (_cmd_regdet, "regularized determinant of a spectrum shifted by s"),
+    "fourier": (_cmd_fourier, "Fourier coefficients of gcd(t, p^n - 1)"),
 }
 
 
-def run(config: RunConfig, out=None) -> int:
+def run(config: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        return _HANDLERS[config.command](config, out)
-    except ParseError as exc:
+        return _HANDLERS[config.command][0](config, out)
+    except (ParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ConvergenceError as exc:
@@ -331,17 +328,11 @@ def run(config: RunConfig, out=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except OSError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
 
 
 def _default_tol() -> float:
-    raw = os.environ.get(DEFAULT_TOL_ENV)
-    if raw is None:
-        return 1e-9
     try:
-        tol = float(raw)
+        tol = float(os.environ.get(DEFAULT_TOL_ENV, "1e-9"))
     except ValueError:
         return 1e-9
     return tol if 0 < tol < math.inf else 1e-9
@@ -353,18 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Counting functions and zeta functions over the one-element base.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, helptext in [
-        ("count", "point count of a scheme over F_q"),
-        ("zeta", "factored zeta of a scheme, group or counting function"),
-        ("fe-check", "verify a functional equation exactly"),
-        ("local", "local zeta series coefficients at a prime"),
-        ("limit", "(p-1)^N Z~(p, p^-s) along p -> 1"),
-        ("dual", "dual counting function u -> 1/u"),
-        ("epsilon", "epsilon factor of a counting function"),
-        ("group", "reductive-group counting, zeta and identities"),
-        ("regdet", "regularized determinant of a spectrum shifted by s"),
-        ("fourier", "Fourier coefficients of gcd(t, p^n - 1)"),
-    ]:
+    for name, (_, helptext) in _HANDLERS.items():
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--scheme", dest="scheme_path", metavar="FILE")
         cmd.add_argument("--powers", metavar="EXPR|FILE")
@@ -382,26 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(argv: list[str] | None = None) -> RunConfig:
+def config_from_args(argv: list[str] | None = None) -> argparse.Namespace:
     args = build_parser().parse_args(argv)
-    tol = args.tol if args.tol is not None else _default_tol()
-    if not 0 < tol < math.inf:
-        raise ParseError(f"tolerances must be positive and finite, got {tol!r}")
+    if args.tol is None:
+        args.tol = _default_tol()
+    if not 0 < args.tol < math.inf:
+        raise ParseError(f"tolerances must be positive and finite, got {args.tol!r}")
     if args.terms is not None and args.terms < 1:
         raise ParseError(f"--terms must be at least 1, got {args.terms}")
-    return RunConfig(
-        command=args.command,
-        scheme_path=args.scheme_path,
-        powers=args.powers,
-        group=args.group,
-        spectrum=args.spectrum,
-        q=args.q,
-        p=args.p,
-        s=args.s,
-        terms=args.terms,
-        tol=tol,
-        fmt=args.fmt,
-    )
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -330,6 +330,7 @@ def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, 
 
 # continued_tails(a, count, J) -> ((T(a), T'(a)), ..., (T(a+count-1), T'(a+count-1)))
 TailTable = Callable[[complex, int, int], tuple[tuple[complex, complex], ...]]
+_SHIFT_SPLIT_ORDER = 24  # base tails summed per tail of a shifted spectrum
 
 
 @dataclass(frozen=True)
@@ -384,15 +385,15 @@ def circle_spectrum() -> Spectrum:
     return Spectrum("circle", eigenvalues, tail_bound, continued_tails)
 
 
-def shift_spectrum(base: Spectrum, shift: float, split_order: int = 24) -> Spectrum:
+def shift_spectrum(base: Spectrum, shift: float) -> Spectrum:
     """The spectrum mu_j = lam_j + shift, with continued tails derived
     from the base spectrum by a binomial split (requires shift small
     against the first omitted eigenvalue):
 
-        T_mu(b) = sum_{k < split_order} C(-b, k) shift^k T_lam(b + k).
+        T_mu(b) = sum_{k < _SHIFT_SPLIT_ORDER} C(-b, k) shift^k T_lam(b + k).
 
     A table of `count` exponents reads one base table of
-    count + split_order - 1 entries."""
+    count + _SHIFT_SPLIT_ORDER - 1 entries."""
 
     def eigenvalues(count: int) -> tuple[tuple[float, int], ...]:
         pairs = tuple((lam + shift, m) for lam, m in base.eigenvalues(count))
@@ -407,13 +408,13 @@ def shift_spectrum(base: Spectrum, shift: float, split_order: int = 24) -> Spect
         if base.continued_tails is None:
             raise ConvergenceError(f"spectrum {base.name} lacks continued tails")
         aa = complex(a)
-        tails = base.continued_tails(aa, count + split_order - 1, j)
+        tails = base.continued_tails(aa, count + _SHIFT_SPLIT_ORDER - 1, j)
         table = []
         for m in range(count):
             b = aa + m
             val = der = 0j
             bv, bd = 1.0 + 0j, 0j  # binom(-b, k) and its d/db
-            for k in range(split_order):
+            for k in range(_SHIFT_SPLIT_ORDER):
                 t, dt = tails[m + k]
                 sk = shift**k
                 val += bv * sk * t
@@ -440,6 +441,9 @@ def spectrum_by_name(name: str) -> Spectrum:
 
 # -- spectral zeta and determinant -----------------------------------------
 
+MAX_HEAD_TERMS = 1 << 20  # explicit eigenvalues summed before a tail
+_DET_SPLIT_ORDER = 30  # the log det split series stops before T(30), which bounds the rest
+
 
 @dataclass(frozen=True)
 class SpectralValue:
@@ -460,10 +464,12 @@ def _head_terms(spectrum: Spectrum, count: int, s: complex) -> tuple[tuple[float
 
 
 def _grow_terms(spectrum: Spectrum, s: complex, start: int) -> int:
+    if start > MAX_HEAD_TERMS:
+        raise PreconditionError(f"at most {MAX_HEAD_TERMS} head terms are supported, got {start}")
     j = start
     while spectrum.eigenvalues(j + 1)[j][0] <= 2 * abs(complex(s)) :
         j *= 2
-        if j > 1 << 20:
+        if j > MAX_HEAD_TERMS:
             raise ConvergenceError("eigenvalue growth too slow against |s|")
     return j
 
@@ -515,7 +521,6 @@ def log_regularized_det(
     s: float,
     tol: float = 1e-8,
     terms: int | None = None,
-    split_order: int = 30,
 ) -> SpectralValue:
     """log det'(Delta + s) = -d/dw zeta_{Delta+s}(w) at w = 0, as a
     SpectralValue (log det, achieved bound, head terms used).
@@ -523,8 +528,8 @@ def log_regularized_det(
     The derivative at 0 is assembled from the explicit head
     -sum mult log(lam + s), the continued bare-tail derivative T'(0),
     and the split series sum_{k>=1} (-1)^k s^k T(k) / k; the first
-    omitted term, from T(split_order), bounds the series remainder.  All
-    of these come from one tail table T(0), ..., T(split_order).
+    omitted term, from T(_DET_SPLIT_ORDER), bounds the series remainder.
+    All of these come from one tail table T(0), ..., T(_DET_SPLIT_ORDER).
     Failure to meet `tol` raises with the bound achieved.
     """
     if spectrum.continued_tails is None:
@@ -541,16 +546,16 @@ def log_regularized_det(
             raise PreconditionError(f"shifted eigenvalue {lam} + {s} is not positive")
         head_log += mult * math.log(lam + ss)
 
-    tails = spectrum.continued_tails(0, split_order + 1, j)
+    tails = spectrum.continued_tails(0, _DET_SPLIT_ORDER + 1, j)
     series = 0.0
-    for k in range(1, split_order):
+    for k in range(1, _DET_SPLIT_ORDER):
         series += (-1) ** k * ss**k * tails[k][0].real / k
 
     zeta_prime = -head_log + tails[0][1].real + series
 
     x = abs(ss) / guard
-    rem = abs(tails[split_order][0].real)
-    bound = rem * abs(ss) ** split_order / (split_order * (1 - x)) + 1e-14 * (
+    rem = abs(tails[_DET_SPLIT_ORDER][0].real)
+    bound = rem * abs(ss) ** _DET_SPLIT_ORDER / (_DET_SPLIT_ORDER * (1 - x)) + 1e-14 * (
         1 + abs(head_log)
     )
     if bound > tol:
@@ -563,9 +568,8 @@ def regularized_det(
     s: float,
     tol: float = 1e-8,
     terms: int | None = None,
-    split_order: int = 30,
 ) -> float:
     """det'(Delta + s) = exp(log_regularized_det(...)); a determinant
     beyond float range raises with its achieved log."""
-    log_det = log_regularized_det(spectrum, s, tol, terms, split_order).value
+    log_det = log_regularized_det(spectrum, s, tol, terms).value
     return _exp_in_range(log_det, "determinant", "log det")

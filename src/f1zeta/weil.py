@@ -209,7 +209,9 @@ def pole_order(scheme: MonoidScheme) -> int:
 
 
 def default_base_sequence(count: int = 6) -> list[float]:
-    """p = 1 + 10^-k for k = 1..count."""
+    """p = 1 + 10^-k for k = 1..count; from k = 16 on, p rounds to 1.0."""
+    if count > 15:
+        raise PreconditionError(f"at most 15 bases 1 + 10^-k are above 1.0 in floats, got {count}")
     return [1 + 10.0**-k for k in range(1, count + 1)]
 
 

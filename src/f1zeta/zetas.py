@@ -191,10 +191,17 @@ def verify_functional_equation(
     """
     if n.is_zero:
         raise PreconditionError("functional equation of the zero sum is vacuous")
+    # a sum that is not a pure power fails in _witnessed_report
+    if n.is_pure_power and not witness_holds(n, witness):
+        raise PreconditionError("witness does not satisfy the counting identity")
+    return _witnessed_report(n, witness)
+
+
+def _witnessed_report(n: PowerLogSum, witness: FunctionalEquationWitness) -> ZetaFEReport:
+    """`verify_functional_equation` for a nonzero N and a witness that has
+    already passed `witness_holds`, as every detected witness has."""
     if not n.is_pure_power:
         raise PreconditionError("zeta functional equations are checked for pure powers")
-    if not witness_holds(n, witness):
-        raise PreconditionError("witness does not satisfy the counting identity")
     n1 = n.value_at_one()
     if n1.denominator != 1:
         raise PreconditionError(f"N(1) = {n1} is not an integer")

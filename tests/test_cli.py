@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, exit codes, round-trips."""
 
+import argparse
 import cmath
 import json
 import math
@@ -546,3 +547,120 @@ def test_stdout_is_byte_identical_to_recorded_output(capsys, tmp_path, case):
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     assert captured.out == case["stdout"]
+
+
+# -- one command table, one base reader, one group-name parse ---------------
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_parser_subcommands_are_the_handler_table():
+    assert list(_subcommands(cli.build_parser())) == list(cli._HANDLERS)
+
+
+def test_every_subcommand_takes_the_same_flags():
+    flags = [["-h", "--help"], ["--scheme"], ["--powers"], ["--group"], ["--spectrum"], ["--q"],
+             ["--p"], ["--s"], ["--terms"], ["--tol"], ["--format"], ["--pretty"]]
+    for name, parser in _subcommands(cli.build_parser()).items():
+        assert [a.option_strings for a in parser._actions] == flags, name
+
+
+def test_parsed_arguments_are_the_config(monkeypatch):
+    monkeypatch.delenv(cli.DEFAULT_TOL_ENV, raising=False)
+    config = cli.config_from_args(["local", "--scheme", "x", "--p", "3", "--terms", "4"])
+    assert isinstance(config, argparse.Namespace)
+    assert (config.command, config.scheme_path, config.p, config.terms, config.tol, config.fmt) == \
+        ("local", "x", "3", 4, 1e-9, "pretty")
+
+
+@pytest.fixture()
+def torsion_scheme(tmp_path):
+    path = tmp_path / "t.scheme"
+    path.write_text(json.dumps({"points": [{"rank": 0, "torsion": [3]}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "value,code,err",
+    [
+        ("7", 0, ""),
+        ("2.5", 3, "precondition violated: {what} need an integer prime base\n"),
+        ("nan", 2, "parse error: base 'nan' is not finite\n"),
+        ("x", 2, "parse error: cannot parse base 'x'\n"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command,what",
+    [("fe-check", "local checks"), ("local", "local series"), ("fourier", "Fourier coefficients")],
+)
+def test_integer_base_rule(capsys, p1_scheme, torsion_scheme, command, what, value, code, err):
+    scheme = torsion_scheme if command == "fourier" else p1_scheme
+    assert cli.main([command, "--scheme", scheme, f"--p={value}"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err.format(what=what)
+    assert bool(captured.out) == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "powers,code,out,err",
+    [
+        ("u^2 - 1", 0, "zeta(2 - s) = zeta(s)^(-1): holds\n", ""),
+        ("u + 2", 4, "no functional equation witness\n", ""),
+        ("log", 3, "", "precondition violated: zeta functional equations are checked for pure powers\n"),
+        ("1/3*u + 1/3", 3, "", "precondition violated: N(1) = 2/3 is not an integer\n"),
+        ("u - u", 3, "", "precondition violated: functional equations of the zero sum are vacuous\n"),
+    ],
+)
+def test_fe_check_powers(capsys, powers, code, out, err):
+    assert cli.main(["fe-check", "--powers", powers]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+
+
+def test_fe_check_powers_checks_its_witness_once(capsys, monkeypatch):
+    from f1zeta import powerlog, zetas
+
+    calls = []
+
+    def counted(n, witness, check=powerlog.witness_holds):
+        calls.append(witness)
+        return check(n, witness)
+
+    monkeypatch.setattr(powerlog, "witness_holds", counted)
+    monkeypatch.setattr(zetas, "witness_holds", counted)
+    assert cli.main(["fe-check", "--powers", "u^2 - 1"]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def _identity_lines(out):
+    return [line for line in out.splitlines() if line.startswith("identity\t")]
+
+
+@pytest.mark.parametrize("name", ["SL(2)", "GL(1)"])
+def test_group_file_never_prints_identities(capsys, tmp_path, monkeypatch, name):
+    # the file name, and in one case the name field, look like GL(1), but the file holds SL(2)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gl:1.json").write_text(
+        json.dumps({"rank": 1, "dimension": 3, "flag_betti": [1, 1], "name": name}))
+    code, out = _run(capsys, "group", "--group", "gl:1.json")
+    assert code == 0
+    assert out.splitlines()[:3] == [f"group\t{name}", "counting\tu^3 - u", "zeta\t(s-1)/(s-3)"]
+    assert _identity_lines(out) == []
+
+
+@pytest.mark.parametrize("name", [" GL:2", "gl:2 ", " Gm:2 "])
+def test_catalog_names_print_identities_in_any_case_and_spacing(capsys, name):
+    canonical = "GL:2" if "l" in name.lower() else "Gm:2"
+    _, want = _run(capsys, "group", "--group", canonical)
+    code, out = _run(capsys, "group", "--group", name)
+    assert code == 0 and out == want and len(_identity_lines(out)) == 3
+
+
+def test_limit_base_count_above_the_float_range_is_a_precondition_error(capsys, p1_scheme):
+    code = cli.main(["limit", "--scheme", p1_scheme, "--s", "3", "--terms", "16"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "at most 15 bases" in captured.err

@@ -411,3 +411,19 @@ def test_spectrum_registry():
     assert spectrum_by_name("circle").name == "circle"
     with pytest.raises(PreconditionError):
         spectrum_by_name("klein-bottle")
+
+
+def test_head_terms_above_the_cap_fail_before_enumerating():
+    circle = circle_spectrum()
+    asked = []
+
+    def eigenvalues(count):
+        asked.append(count)
+        assert count <= 1 << 20, "enumerated past the cap"
+        return circle.eigenvalues(count)
+
+    guarded = Spectrum("circle", eigenvalues, circle.tail_bound, circle.continued_tails)
+    with pytest.raises(PreconditionError, match="head terms"):
+        log_regularized_det(guarded, 1.0, terms=(1 << 20) + 1)
+    assert asked == []
+    assert regularize.MAX_HEAD_TERMS == 1 << 20

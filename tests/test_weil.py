@@ -325,3 +325,9 @@ def test_factored_series_requires_integer_base():
     z = smoothed_local_zeta(torus_model(), 2.5)
     with pytest.raises(PreconditionError):
         z.series(4)
+
+
+def test_base_sequence_stops_where_floats_reach_one():
+    assert default_base_sequence(15)[-1] > 1.0
+    with pytest.raises(PreconditionError, match="at most 15 bases"):
+        default_base_sequence(16)
