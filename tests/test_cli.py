@@ -613,7 +613,7 @@ def test_integer_base_rule(capsys, p1_scheme, torsion_scheme, command, what, val
         ("u - u", 3, "", "precondition violated: functional equations of the zero sum are vacuous\n"),
     ],
 )
-def test_fe_check_powers(capsys, powers, code, out, err):
+def test_fe_check_powers_outcomes(capsys, powers, code, out, err):
     assert cli.main(["fe-check", "--powers", powers]) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, err)
