@@ -22,14 +22,14 @@ _EXPORTS = {
     "scheme_counting_function zeta_of_scheme",
     "weil": "LocalZetaFactors TruncatedSeries default_base_sequence limit_toward_one "
     "local_functional_equation local_zeta_series pole_order smoothed_local_zeta",
-    "zetas": "EpsilonFactor FactoredZeta epsilon_factor evaluate_zeta log_zeta_integral "
-    "pretty_zeta reflect_zeta verify_functional_equation zeta_of",
+    "zetas": "EpsilonFactor FactoredZeta epsilon_factor evaluate_zeta pretty_zeta "
+    "reflect_zeta verify_functional_equation zeta_of",
     "groups": "ReductiveGroupData gl_group_data group_counting group_from_name "
     "group_functional_equation group_zeta sl2_group_data torus_counting torus_group_data "
     "verify_family_identities",
-    "regularize": "Spectrum circle_spectrum log_regularized_det regularized_det shift_spectrum "
-    "spectral_zeta spectrum_by_name two_variable_zeta_closed two_variable_zeta_numeric "
-    "zeta_from_regularization",
+    "regularize": "Spectrum circle_spectrum log_regularized_det log_zeta_integral "
+    "regularized_det shift_spectrum spectral_zeta spectrum_by_name two_variable_zeta_closed "
+    "two_variable_zeta_numeric zeta_from_regularization",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli"}

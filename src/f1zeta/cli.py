@@ -4,6 +4,8 @@ Each subcommand is one row of `_HANDLERS` (name -> handler, help line),
 which both `build_parser` and `run` read.  Every subcommand takes the
 same flags; the parsed `argparse.Namespace`, with `--tol` defaulted and
 `--tol`/`--terms` checked by `config_from_args`, is what a handler reads.
+Each handler imports the layer modules it uses, so that a fresh process
+loads only those of its own subcommand.
 
 Exit codes: 0 success, 2 parse errors, 3 precondition violations,
 4 identity-check failures, 5 numeric-tolerance failures.  The
@@ -19,36 +21,12 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import ConvergenceError, ParseError, PreconditionError
-from .groups import (
-    group_counting,
-    group_from_name,
-    group_functional_equation,
-    group_zeta,
-    load_group,
-    verify_family_identities,
-)
-from .powerlog import (
-    PowerLogSum,
-    _check_printable,
-    detect_functional_equation,
-    load_power_log,
-    parse_power_log,
-    to_records,
-)
-from .regularize import regularized_det, spectrum_by_name
-from .scheme_zeta import betti_profile, global_functional_equation, zeta_of_scheme
-from .schemes import exact_count, fourier_data, load_scheme
-from .weil import (
-    default_base_sequence,
-    limit_toward_one,
-    local_functional_equation,
-    local_zeta_series,
-    pole_order,
-)
-from .zetas import epsilon_factor, pretty_zeta, zeta_to_records
-from . import zetas
+
+if TYPE_CHECKING:
+    from .powerlog import PowerLogSum
 
 DEFAULT_TOL_ENV = "F1ZETA_TOL"
 
@@ -95,6 +73,8 @@ def parse_base(text: str) -> int | float:
 
 
 def _load_powers(arg: str) -> PowerLogSum:
+    from .powerlog import load_power_log, parse_power_log
+
     if os.path.exists(arg):
         return load_power_log(arg)
     return parse_power_log(arg)
@@ -125,6 +105,9 @@ def _print_records(records, out) -> None:
 
 
 def _cmd_count(config: argparse.Namespace, out) -> int:
+    from .powerlog import _check_printable
+    from .schemes import exact_count, load_scheme
+
     scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
     q = int(_require(config, "q", "--q"))
     print(_check_printable(exact_count(scheme, q), "the point count"), file=out)
@@ -133,9 +116,13 @@ def _cmd_count(config: argparse.Namespace, out) -> int:
 
 def _resolve_zeta(config: argparse.Namespace):
     if config.group is not None:
+        from .groups import group_zeta
+
         return group_zeta(_resolve_group(config.group)[0])
     if config.powers is not None:
-        return zetas.zeta_of(_load_powers(config.powers))
+        from .zetas import zeta_of
+
+        return zeta_of(_load_powers(config.powers))
     raise PreconditionError("need one of --scheme, --group, --powers")
 
 
@@ -146,6 +133,8 @@ _FAMILIES = {"GL": "gl", "Gm": "gm_power"}
 
 def _resolve_group(arg: str):
     """The --group group and its identity family (None for a file or SL2)."""
+    from .groups import group_from_name, load_group
+
     if os.path.exists(arg):
         return load_group(arg), None
     group = group_from_name(arg)
@@ -153,8 +142,17 @@ def _resolve_group(arg: str):
 
 
 def _cmd_zeta(config: argparse.Namespace, out) -> int:
-    scheme = load_scheme(config.scheme_path) if config.scheme_path is not None else None
-    z = zeta_of_scheme(scheme) if scheme is not None else _resolve_zeta(config)
+    from .zetas import pretty_zeta, zeta_to_records
+
+    scheme = None
+    if config.scheme_path is not None:
+        from .scheme_zeta import betti_profile, zeta_of_scheme
+        from .schemes import load_scheme
+
+        scheme = load_scheme(config.scheme_path)
+        z = zeta_of_scheme(scheme)
+    else:
+        z = _resolve_zeta(config)
     if config.fmt == "records":
         _print_records(zeta_to_records(z), out)
         return EXIT_OK
@@ -169,8 +167,12 @@ def _cmd_zeta(config: argparse.Namespace, out) -> int:
 
 def _cmd_fe_check(config: argparse.Namespace, out) -> int:
     if config.scheme_path is not None:
+        from .schemes import load_scheme
+
         scheme = load_scheme(config.scheme_path)
         if config.p is not None:
+            from .weil import local_functional_equation
+
             local = local_functional_equation(scheme, _prime_base(config, "local checks"))
             if config.fmt == "records":
                 print(f"holds\t{str(local.holds).lower()}", file=out)
@@ -181,6 +183,8 @@ def _cmd_fe_check(config: argparse.Namespace, out) -> int:
             else:
                 print(local, file=out)
             return EXIT_OK if local.holds else EXIT_IDENTITY
+        from .scheme_zeta import global_functional_equation
+
         report = global_functional_equation(scheme)
         if config.fmt == "records":
             print(f"holds\t{str(report.holds).lower()}", file=out)
@@ -191,23 +195,31 @@ def _cmd_fe_check(config: argparse.Namespace, out) -> int:
             print(report, file=out)
         return EXIT_OK if report.holds else EXIT_IDENTITY
     if config.group is not None:
+        from .groups import group_functional_equation
+
         report = group_functional_equation(_resolve_group(config.group)[0])
         print(report, file=out)
         return EXIT_OK if report.holds else EXIT_IDENTITY
     if config.powers is not None:
+        from .powerlog import detect_functional_equation
+        from .zetas import _witnessed_report
+
         n = _load_powers(config.powers)
         witness = detect_functional_equation(n)
         if witness is None:
             print("no functional equation witness", file=out)
             return EXIT_IDENTITY
         # detect_functional_equation has checked the witness
-        fe = zetas._witnessed_report(n, witness)
+        fe = _witnessed_report(n, witness)
         print(fe, file=out)
         return EXIT_OK if fe.holds else EXIT_IDENTITY
     raise PreconditionError("need one of --scheme, --group, --powers")
 
 
 def _cmd_local(config: argparse.Namespace, out) -> int:
+    from .schemes import load_scheme
+    from .weil import local_zeta_series
+
     scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
     order = config.terms if config.terms is not None else 8
     series = local_zeta_series(scheme, _prime_base(config, "local series"), order)
@@ -217,13 +229,21 @@ def _cmd_local(config: argparse.Namespace, out) -> int:
 
 
 def _cmd_limit(config: argparse.Namespace, out) -> int:
+    from .schemes import load_scheme
+    from .weil import default_base_sequence, limit_toward_one, pole_order
+
     scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
     s = parse_complex_value(str(_require(config, "s", "--s")))
     count = config.terms if config.terms is not None else 6
     seq = default_base_sequence(count)
     values = limit_toward_one(scheme, s, seq)
     # the target is computed before any row is printed: a failure leaves stdout empty
-    target = zetas.evaluate_zeta(zeta_of_scheme(scheme), s) if config.fmt == "pretty" else None
+    target = None
+    if config.fmt == "pretty":
+        from .scheme_zeta import zeta_of_scheme
+        from .zetas import evaluate_zeta
+
+        target = evaluate_zeta(zeta_of_scheme(scheme), s)
     for p, v in zip(seq, values):
         print(f"{p!r}\t{_fmt_complex(v)}", file=out)
     if target is not None:
@@ -233,6 +253,8 @@ def _cmd_limit(config: argparse.Namespace, out) -> int:
 
 
 def _cmd_dual(config: argparse.Namespace, out) -> int:
+    from .powerlog import to_records
+
     n = _load_powers(str(_require(config, "powers", "--powers")))
     d = n.dual()
     if config.fmt == "records":
@@ -243,6 +265,8 @@ def _cmd_dual(config: argparse.Namespace, out) -> int:
 
 
 def _cmd_epsilon(config: argparse.Namespace, out) -> int:
+    from .zetas import epsilon_factor
+
     n = _load_powers(str(_require(config, "powers", "--powers")))
     eps = epsilon_factor(n)
     if config.fmt == "records":
@@ -256,6 +280,9 @@ def _cmd_epsilon(config: argparse.Namespace, out) -> int:
 
 
 def _cmd_group(config: argparse.Namespace, out) -> int:
+    from .groups import _family_report, group_counting, group_functional_equation, group_zeta
+    from .zetas import pretty_zeta
+
     name = str(_require(config, "group", "--group"))
     group, family = _resolve_group(name)
     n = group_counting(group)
@@ -267,7 +294,7 @@ def _cmd_group(config: argparse.Namespace, out) -> int:
           f"\tsign\t{report.expected_sign}", file=out)
     status = EXIT_OK if report.holds else EXIT_IDENTITY
     if family is not None:
-        fam = verify_family_identities(group.rank, family)
+        fam = _family_report(group, family)
         for label, ok in fam.results:
             print(f"identity\t{str(ok).lower()}\t{label}", file=out)
         if not fam.holds:
@@ -276,6 +303,8 @@ def _cmd_group(config: argparse.Namespace, out) -> int:
 
 
 def _cmd_regdet(config: argparse.Namespace, out) -> int:
+    from .regularize import regularized_det, spectrum_by_name
+
     spec = spectrum_by_name(config.spectrum)
     s = parse_complex_value(str(_require(config, "s", "--s")))
     if s.imag != 0:
@@ -286,6 +315,8 @@ def _cmd_regdet(config: argparse.Namespace, out) -> int:
 
 
 def _cmd_fourier(config: argparse.Namespace, out) -> int:
+    from .schemes import fourier_data, load_scheme
+
     scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
     data = fourier_data(scheme, _prime_base(config, "Fourier coefficients"))
     print(f"period\t{data.period}", file=out)
@@ -343,22 +374,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="f1zeta",
         description="Counting functions and zeta functions over the one-element base.",
     )
+    # the flags every subcommand takes, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--scheme", dest="scheme_path", metavar="FILE")
+    common.add_argument("--powers", metavar="EXPR|FILE")
+    common.add_argument("--group", metavar="NAME|FILE")
+    common.add_argument("--spectrum", default="circle", metavar="NAME")
+    common.add_argument("--q", type=int)
+    common.add_argument("--p", metavar="PRIME|REAL")
+    common.add_argument("--s", metavar="COMPLEX")
+    common.add_argument("--terms", type=int)
+    common.add_argument("--tol", type=float)
+    common.add_argument("--format", dest="fmt", choices=("pretty", "records"),
+                        default="pretty")
+    common.add_argument("--pretty", action="store_const", const="pretty", dest="fmt",
+                        help="shorthand for --format pretty")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (_, helptext) in _HANDLERS.items():
-        cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--scheme", dest="scheme_path", metavar="FILE")
-        cmd.add_argument("--powers", metavar="EXPR|FILE")
-        cmd.add_argument("--group", metavar="NAME|FILE")
-        cmd.add_argument("--spectrum", default="circle", metavar="NAME")
-        cmd.add_argument("--q", type=int)
-        cmd.add_argument("--p", metavar="PRIME|REAL")
-        cmd.add_argument("--s", metavar="COMPLEX")
-        cmd.add_argument("--terms", type=int)
-        cmd.add_argument("--tol", type=float)
-        cmd.add_argument("--format", dest="fmt", choices=("pretty", "records"),
-                         default="pretty")
-        cmd.add_argument("--pretty", action="store_const", const="pretty", dest="fmt",
-                         help="shorthand for --format pretty")
+        sub.add_parser(name, help=helptext, parents=[common])
     return parser
 
 

@@ -274,21 +274,30 @@ def verify_family_identities(r: int, family: str) -> FamilyIdentityReport:
     if r < 1:
         raise PreconditionError("family identities need rank >= 1")
     if family == "gm_power":
-        group, omegas = torus_group_data(r), [1] * r
+        return _family_report(torus_group_data(r), family)
+    if family == "gl":
+        return _family_report(gl_group_data(r), family)
+    raise PreconditionError(f"unknown family {family!r} (gm_power or gl)")
+
+
+def _family_report(group: ReductiveGroupData, family: str) -> FamilyIdentityReport:
+    """`verify_family_identities(group.rank, family)` for the group it
+    builds (the torus power or GL(r)), passed in by a caller that has it."""
+    r = group.rank
+    if family == "gm_power":
+        omegas = [1] * r
         labels = (
             "shift: zeta_N(s) = zeta_T(s+r)",
             "dual: zeta_{N*}(s) = zeta_T(s)^((-1)^r)",
             "reflection: zeta_T(r-s) = zeta_T(s)^((-1)^r)",
         )
-    elif family == "gl":
-        group, omegas = gl_group_data(r), range(1, r + 1)
+    else:
+        omegas = range(1, r + 1)
         labels = (
             "shift: zeta_N(s) = zeta_GL(s+r^2)",
             "dual: zeta_{N*}(s) = zeta_GL(s+r(r-1)/2)^((-1)^r)",
             "reflection: zeta_GL(r(3r-1)/2-s) = zeta_GL(s)^((-1)^r)",
         )
-    else:
-        raise PreconditionError(f"unknown family {family!r} (gm_power or gl)")
     coeffs = group.coefficients
     v, top, den = _reciprocal_power_coefficients(omegas)
     sign = _parity(r)

@@ -14,7 +14,8 @@ the same integral turns N(u) = sum u^(-lam_j) into the operator zeta
 sum_j (lam_j + s)^(-w); continuation to w = 0 is done by splitting
 (lam + s)^(-w) = lam^-w (1 + s/lam)^-w binomially after finitely many
 explicit terms, with the resulting bare Dirichlet tails summed by
-Euler-Maclaurin.
+Euler-Maclaurin.  For N(1) = 0 the same substitution gives log zeta_N
+itself as an integral (`log_zeta_integral`).
 
 The numeric core is stdlib only.  Integrals over [a, oo) use an exp-sinh
 double-exponential rule (`_complex_quad`) whose step halves level by
@@ -266,6 +267,58 @@ def zeta_from_regularization(n: PowerLogSum, s: Complex) -> complex:
     value beyond float range is a ConvergenceError naming that log.
     """
     return _exp_in_range(log_evaluate_zeta(zeta_of(n), s), f"zeta value at s = {s!r}")
+
+
+# -- log-integral representation for N(1) = 0 --------------------------
+
+
+@dataclass(frozen=True)
+class LogZetaIntegral:
+    value: complex
+    region: str
+    abscissa: float
+    error_estimate: float  # the quadrature's own estimate (see _complex_quad)
+
+
+def log_zeta_integral(n: PowerLogSum, s: complex, region: str = "upper") -> LogZetaIntegral:
+    """The integral of N(u) / (u^(s+1) log u) over (1, oo) or (0, 1).
+
+    Both integrals exist only for N(1) = 0 (the integrand is otherwise
+    non-integrable at u = 1).  The upper form converges for
+    Re(s) > max exponent and satisfies exp(-I) = zeta_N(s)^(-1); the
+    lower form converges for Re(s) < min exponent and yields
+    exp(-I) = zeta_{N*}(-s).
+    """
+    if n.value_at_one() != 0:
+        raise PreconditionError("log-integral form requires N(1) = 0")
+    ss = complex(s)
+    if n.is_zero:
+        return LogZetaIntegral(0j, region, 0.0, 0.0)
+    if region == "upper":
+        edge = float(n.degree)
+        if ss.real <= edge:
+            raise PreconditionError(
+                f"upper integral diverges: need Re(s) > {edge}, got {ss.real}"
+            )
+        shape = n
+        rate = ss
+    elif region == "lower":
+        edge = float(n.min_exponent)
+        if ss.real >= edge:
+            raise PreconditionError(
+                f"lower integral diverges: need Re(s) < {edge}, got {ss.real}"
+            )
+        shape = n.dual()
+        rate = -ss
+    else:
+        raise PreconditionError(f"unknown region {region!r}")
+
+    # substitution u = e^t maps both forms to +-int_0^oo shape(e^t) e^(-rate*t) / t dt;
+    # the rule never evaluates at t = 0 itself
+    value, estimate = _complex_quad(_power_log_integrand(shape, rate, -1), 0.0)
+    if region == "lower":
+        value = -value
+    return LogZetaIntegral(value, region, edge, estimate)
 
 
 # -- Euler-Maclaurin tails of bare Dirichlet sums ------------------------

@@ -208,61 +208,6 @@ def _witnessed_report(n: PowerLogSum, witness: FunctionalEquationWitness) -> Zet
     return ZetaFEReport(True, witness.omega, witness.c, _parity(n1.numerator))
 
 
-# -- log-integral representation for N(1) = 0 --------------------------
-
-
-@dataclass(frozen=True)
-class LogZetaIntegral:
-    value: complex
-    region: str
-    abscissa: float
-    error_estimate: float  # the quadrature's own estimate (see regularize._complex_quad)
-
-
-def log_zeta_integral(n: PowerLogSum, s: complex, region: str = "upper") -> LogZetaIntegral:
-    """The integral of N(u) / (u^(s+1) log u) over (1, oo) or (0, 1).
-
-    Both integrals exist only for N(1) = 0 (the integrand is otherwise
-    non-integrable at u = 1).  The upper form converges for
-    Re(s) > max exponent and satisfies exp(-I) = zeta_N(s)^(-1); the
-    lower form converges for Re(s) < min exponent and yields
-    exp(-I) = zeta_{N*}(-s).
-    """
-    if n.value_at_one() != 0:
-        raise PreconditionError("log-integral form requires N(1) = 0")
-    ss = complex(s)
-    if n.is_zero:
-        return LogZetaIntegral(0j, region, 0.0, 0.0)
-    if region == "upper":
-        edge = float(n.degree)
-        if ss.real <= edge:
-            raise PreconditionError(
-                f"upper integral diverges: need Re(s) > {edge}, got {ss.real}"
-            )
-        shape = n
-        rate = ss
-    elif region == "lower":
-        edge = float(n.min_exponent)
-        if ss.real >= edge:
-            raise PreconditionError(
-                f"lower integral diverges: need Re(s) < {edge}, got {ss.real}"
-            )
-        shape = n.dual()
-        rate = -ss
-    else:
-        raise PreconditionError(f"unknown region {region!r}")
-
-    # imported here: regularize imports this module
-    from .regularize import _complex_quad, _power_log_integrand
-
-    # substitution u = e^t maps both forms to +-int_0^oo shape(e^t) e^(-rate*t) / t dt;
-    # the rule never evaluates at t = 0 itself
-    value, estimate = _complex_quad(_power_log_integrand(shape, rate, -1), 0.0)
-    if region == "lower":
-        value = -value
-    return LogZetaIntegral(value, region, edge, estimate)
-
-
 # -- display and serialization ------------------------------------------
 
 

@@ -20,6 +20,7 @@ from f1zeta.groups import (
 from f1zeta.powerlog import PowerLogSum, parse_power_log
 from f1zeta.regularize import (
     circle_spectrum,
+    log_zeta_integral,
     regularized_det,
     two_variable_zeta_closed,
     two_variable_zeta_numeric,
@@ -44,7 +45,6 @@ from f1zeta.zetas import (
     FactoredZeta,
     epsilon_factor,
     evaluate_zeta,
-    log_zeta_integral,
     pretty_zeta,
     zeta_of,
 )

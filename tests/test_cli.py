@@ -392,8 +392,10 @@ def test_limit_on_random_torsion_schemes_ends_in_a_documented_exit(capsys, tmp_p
 
 
 def test_zeta_scheme_pretty_loads_the_scheme_once(capsys, monkeypatch, p1_scheme):
+    from f1zeta import schemes
+
     loads = []
-    monkeypatch.setattr(cli, "load_scheme", lambda path: loads.append(path) or load_scheme(path))
+    monkeypatch.setattr(schemes, "load_scheme", lambda path: loads.append(path) or load_scheme(path))
     code, out = _run(capsys, "zeta", "--scheme", p1_scheme)
     assert code == 0 and loads == [p1_scheme]
     assert out.splitlines()[1:] == ["exponent\t0\t-1\t1", "exponent\t1\t-1\t1"]
@@ -633,6 +635,22 @@ def test_fe_check_powers_checks_its_witness_once(capsys, monkeypatch):
     assert cli.main(["fe-check", "--powers", "u^2 - 1"]) == 0
     assert len(calls) == 1
     capsys.readouterr()
+
+
+def test_group_builds_its_group_once(capsys, monkeypatch):
+    from f1zeta import groups
+
+    builds = []
+
+    def counted(r, build=groups.gl_group_data):
+        builds.append(r)
+        return build(r)
+
+    monkeypatch.setattr(groups, "gl_group_data", counted)
+    code, out = _run(capsys, "group", "--group", "GL:5")
+    assert code == 0 and builds == [5]
+    assert _identity_lines(out) == [f"identity\ttrue\t{label}" for label, _ in
+                                    groups.verify_family_identities(5, "gl").results]
 
 
 def _identity_lines(out):

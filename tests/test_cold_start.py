@@ -1,5 +1,6 @@
-"""Fresh-process start-up: `import f1zeta` loads no layer module, and no
-subcommand and no numeric integral ever loads scipy or numpy."""
+"""Fresh-process start-up: `import f1zeta` loads no layer module, each
+subcommand loads only its own layers, and no subcommand and no numeric
+integral ever loads scipy or numpy."""
 
 import importlib
 import json
@@ -21,20 +22,22 @@ from f1zeta import cli
 code = cli.main(sys.argv[1:])
 sys.stdout.flush()
 print("loaded=" + ",".join(m for m in ("scipy", "numpy") if m in sys.modules), file=sys.stderr)
+print("layers=" + ",".join(sorted(m[7:] for m in sys.modules if m.startswith("f1zeta."))),
+      file=sys.stderr)
 sys.exit(code)
 """
 
 IMPORT_CHILD = """
-import sys
-import f1zeta
+import importlib, sys
+importlib.import_module(sys.argv[1])
 print(",".join(sorted(m for m in sys.modules if m.startswith("f1zeta."))) or "-")
 """
 
 NUMERIC_CHILD = """
 import cmath, sys
 from f1zeta.powerlog import parse_power_log
-from f1zeta.regularize import two_variable_zeta_closed, two_variable_zeta_numeric
-from f1zeta.zetas import evaluate_zeta, log_zeta_integral, zeta_of
+from f1zeta.regularize import log_zeta_integral, two_variable_zeta_closed, two_variable_zeta_numeric
+from f1zeta.zetas import evaluate_zeta, zeta_of
 assert "scipy" not in sys.modules
 n = parse_power_log("u^2 - 2*u*log + 1")
 w, s = 0.7 + 0.2j, 3.5 - 1j
@@ -79,17 +82,43 @@ CASES = [
 ]
 
 
+# the f1zeta modules each CASES row loads, besides cli and errors
+LAYERS = {
+    "count": "powerlog schemes",
+    "fe-check": "powerlog scheme_zeta schemes zetas",
+    "zeta": "groups powerlog zetas",
+    "local": "powerlog schemes weil",
+    "limit": "powerlog scheme_zeta schemes weil zetas",
+    "dual": "powerlog",
+    "epsilon": "powerlog zetas",
+    "group": "groups powerlog zetas",
+    "regdet": "powerlog regularize zetas",
+    "fourier": "powerlog schemes",
+}
+
+
 def test_cases_cover_every_subcommand():
-    assert sorted(case[0] for case in CASES) == sorted(cli._HANDLERS)
+    assert sorted(case[0] for case in CASES) == sorted(cli._HANDLERS) == sorted(LAYERS)
+
+
+def _run_case(inputs, argv) -> dict[str, str]:
+    """The child's closing stderr lines: loaded scipy/numpy and f1zeta layers."""
+    proc = _fresh(CLI_CHILD, *(arg.format(**inputs) for arg in argv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    return dict(line.split("=", 1) for line in proc.stderr.strip().splitlines()[-2:])
 
 
 @pytest.mark.parametrize("argv", CASES, ids=[case[0] for case in CASES])
 def test_subcommand_starts_without_scipy_or_numpy(inputs, argv):
-    proc = _fresh(CLI_CHILD, *(arg.format(**inputs) for arg in argv))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
-    loaded = proc.stderr.strip().splitlines()[-1]
-    assert loaded == "loaded=", f"{argv[0]} {loaded}"
+    loaded = _run_case(inputs, argv)["loaded"]
+    assert loaded == "", f"{argv[0]} {loaded}"
+
+
+@pytest.mark.parametrize("argv", CASES, ids=[case[0] for case in CASES])
+def test_subcommand_loads_only_its_layers(inputs, argv):
+    layers = _run_case(inputs, argv)["layers"].split(",")
+    assert layers == sorted(["cli", "errors", *LAYERS[argv[0]].split()])
 
 
 def test_numeric_integrals_never_load_scipy_or_numpy():
@@ -102,9 +131,15 @@ def test_numeric_integrals_never_load_scipy_or_numpy():
 
 
 def test_import_loads_no_layer_module():
-    proc = _fresh(IMPORT_CHILD)
+    proc = _fresh(IMPORT_CHILD, "f1zeta")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "-"
+
+
+def test_zetas_loads_no_numeric_layer():
+    proc = _fresh(IMPORT_CHILD, "f1zeta.zetas")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "f1zeta.errors,f1zeta.powerlog,f1zeta.zetas"
 
 
 def test_exported_names_are_the_module_objects():
@@ -115,6 +150,7 @@ def test_exported_names_are_the_module_objects():
 
     assert PowerLogSum is f1zeta.powerlog.PowerLogSum
     assert zetas is importlib.import_module("f1zeta.zetas")
+    assert f1zeta.log_zeta_integral is f1zeta.regularize.log_zeta_integral
     assert f1zeta.schemes.scheme_from_dict is importlib.import_module("f1zeta.schemes").scheme_from_dict
     assert set(f1zeta.__all__) <= set(dir(f1zeta))
     for missing in ("shift_zeta", "power_zeta", "multiply_zeta", "no_such_name"):

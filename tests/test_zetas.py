@@ -19,12 +19,12 @@ from f1zeta.powerlog import (
     to_records,
     witness_holds,
 )
+from f1zeta.regularize import log_zeta_integral
 from f1zeta.zetas import (
     FactoredZeta,
     epsilon_factor,
     evaluate_zeta,
     log_evaluate_zeta,
-    log_zeta_integral,
     pretty_zeta,
     reflect_zeta,
     verify_functional_equation,
