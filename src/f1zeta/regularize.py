@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator, Optional, Union
@@ -383,29 +383,32 @@ def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, 
 
 # continued_tails(a, count, J) -> ((T(a), T'(a)), ..., (T(a+count-1), T'(a+count-1)))
 TailTable = Callable[[complex, int, int], tuple[tuple[complex, complex], ...]]
-_SHIFT_SPLIT_ORDER = 24  # base tails summed per tail of a shifted spectrum
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Plug-in description of the nonzero eigenvalues of a Laplacian.
 
-    `eigenvalues(count)` yields the first `count` (value, multiplicity)
-    pairs in nondecreasing order; `tail_bound(J, w, s)` bounds the
-    omitted raw tail |sum_{j>J} mult (lam_j + s)^-w|.  The optional
+    The callbacks describe a sequence lam_j; the spectrum is
+    lam_j + shift.  `eigenvalues(count)` yields the first `count`
+    (lam_j, multiplicity) pairs in nondecreasing order;
+    `tail_bound(J, w, s)` bounds the omitted raw tail
+    |sum_{j>J} mult (lam_j + s)^-w|.  The optional
     `continued_tails(a, count, J)` returns the table
     ((T(a + k), T'(a + k)) for k < count) of the analytically continued
     bare tails T(b) = sum_{j>J} mult lam_j^-b and their b-derivatives;
     it enables continuation to w = 0 (required by log_regularized_det
     and regularized_det).  Callers ask for every exponent they need in
-    one table, so a spectrum derived from another (shift_spectrum)
-    fetches each base tail once.
+    one table.  spectral_zeta and log_regularized_det evaluate them at
+    s + shift where the caller passed s, so a shifted spectrum costs what
+    its base costs.
     """
 
     name: str
     eigenvalues: Callable[[int], tuple[tuple[float, int], ...]]
     tail_bound: Callable[[int, complex, complex], float]
     continued_tails: Optional[TailTable] = None
+    shift: float = 0.0
 
 
 def circle_spectrum() -> Spectrum:
@@ -439,45 +442,14 @@ def circle_spectrum() -> Spectrum:
 
 
 def shift_spectrum(base: Spectrum, shift: float) -> Spectrum:
-    """The spectrum mu_j = lam_j + shift, with continued tails derived
-    from the base spectrum by a binomial split (requires shift small
-    against the first omitted eigenvalue):
-
-        T_mu(b) = sum_{k < _SHIFT_SPLIT_ORDER} C(-b, k) shift^k T_lam(b + k).
-
-    A table of `count` exponents reads one base table of
-    count + _SHIFT_SPLIT_ORDER - 1 entries."""
-
-    def eigenvalues(count: int) -> tuple[tuple[float, int], ...]:
-        pairs = tuple((lam + shift, m) for lam, m in base.eigenvalues(count))
-        if pairs and pairs[0][0] <= 0:
-            raise PreconditionError("shifted eigenvalues must stay positive")
-        return pairs
-
-    def tail_bound(j: int, w: complex, s: complex) -> float:
-        return base.tail_bound(j, w, complex(s) + shift)
-
-    def continued_tails(a: complex, count: int, j: int) -> tuple[tuple[complex, complex], ...]:
-        if base.continued_tails is None:
-            raise ConvergenceError(f"spectrum {base.name} lacks continued tails")
-        aa = complex(a)
-        tails = base.continued_tails(aa, count + _SHIFT_SPLIT_ORDER - 1, j)
-        table = []
-        for m in range(count):
-            b = aa + m
-            val = der = 0j
-            bv, bd = 1.0 + 0j, 0j  # binom(-b, k) and its d/db
-            for k in range(_SHIFT_SPLIT_ORDER):
-                t, dt = tails[m + k]
-                sk = shift**k
-                val += bv * sk * t
-                der += sk * (bd * t + bv * dt)
-                f = (-b - k) / (k + 1)
-                bv, bd = bv * f, bd * f + bv * (-1.0 / (k + 1))
-            table.append((val, der))
-        return tuple(table)
-
-    return Spectrum(f"{base.name}+{shift}", eigenvalues, tail_bound, continued_tails)
+    """The spectrum lam_j + shift: the base with its shift moved by
+    `shift`, evaluated at s + shift wherever the base is evaluated at s.
+    The shifted eigenvalues must stay positive."""
+    shifted = replace(base, name=f"{base.name}+{shift}", shift=base.shift + shift)
+    first = shifted.eigenvalues(1)
+    if first and first[0][0] + shifted.shift <= 0:
+        raise PreconditionError("shifted eigenvalues must stay positive")
+    return shifted
 
 
 BUILTIN_SPECTRA: dict[str, Callable[[], Spectrum]] = {"circle": circle_spectrum}
@@ -505,44 +477,46 @@ class SpectralValue:
     terms_used: int
 
 
-def _head_terms(spectrum: Spectrum, count: int, s: complex) -> tuple[tuple[float, int], ...]:
-    pairs = spectrum.eigenvalues(count)
-    if not pairs:
-        raise PreconditionError("spectrum enumerated no eigenvalues")
-    if complex(s).real <= -pairs[0][0]:
-        raise PreconditionError(
-            f"need Re(s) > {-pairs[0][0]} for the first shifted eigenvalue"
-        )
-    return pairs
-
-
-def _grow_terms(spectrum: Spectrum, s: complex, start: int) -> int:
+def _head(spectrum: Spectrum, s: complex, start: int) -> tuple[int, tuple[tuple[float, int], ...]]:
+    """(j, the first j + 1 eigenvalue pairs) for the caller's s: j doubles
+    from `start` until lam_(j+1) > 2 |s + shift|, so that the binomial
+    split of the tail beyond j converges.  An s at or below the first
+    shifted eigenvalue fails before the head grows."""
     if start > MAX_HEAD_TERMS:
         raise PreconditionError(f"at most {MAX_HEAD_TERMS} head terms are supported, got {start}")
     j = start
-    while spectrum.eigenvalues(j + 1)[j][0] <= 2 * abs(complex(s)) :
+    pairs = spectrum.eigenvalues(j + 1)
+    if not pairs:
+        raise PreconditionError("spectrum enumerated no eigenvalues")
+    first = pairs[0][0] + spectrum.shift
+    if complex(s).real <= -first:
+        raise PreconditionError(f"need Re(s) > {-first} for the first shifted eigenvalue")
+    moved = abs(complex(s) + spectrum.shift)
+    while pairs[j][0] <= 2 * moved:
         j *= 2
         if j > MAX_HEAD_TERMS:
             raise ConvergenceError("eigenvalue growth too slow against |s|")
-    return j
+        pairs = spectrum.eigenvalues(j + 1)
+    return j, pairs
 
 
 def spectral_zeta(
     spectrum: Spectrum, w: Complex, s: Complex, terms: int | None = None
 ) -> SpectralValue:
-    """sum_j mult_j (lam_j + s)^(-w) with an explicit head plus a
+    """sum_j mult_j (lam_j + shift + s)^(-w) with an explicit head plus a
     continued (or rigorously bounded) tail; the achieved bound is
     reported alongside the value."""
     ww = complex(w)
-    ss = complex(s)
-    j = _grow_terms(spectrum, ss, terms or (48 if spectrum.continued_tails else 512))
-    pairs = _head_terms(spectrum, j + 1, ss)
+    j, pairs = _head(spectrum, s, terms or (48 if spectrum.continued_tails else 512))
+    ss = complex(s) + spectrum.shift
     guard = pairs[j][0]
     head = 0j
     for lam, mult in pairs[:j]:
         base = lam + ss
         if base == 0:
-            raise SingularityError(f"eigenvalue shift vanishes: lam = {lam}, s = {s}")
+            raise SingularityError(
+                f"eigenvalue shift vanishes: lam = {lam + spectrum.shift}, s = {s}"
+            )
         head += mult * cmath.exp(-ww * cmath.log(base))
 
     if spectrum.continued_tails is not None:
@@ -578,9 +552,10 @@ def log_regularized_det(
     """log det'(Delta + s) = -d/dw zeta_{Delta+s}(w) at w = 0, as a
     SpectralValue (log det, achieved bound, head terms used).
 
-    The derivative at 0 is assembled from the explicit head
-    -sum mult log(lam + s), the continued bare-tail derivative T'(0),
-    and the split series sum_{k>=1} (-1)^k s^k T(k) / k; the first
+    With x = s + spectrum.shift, the derivative at 0 is assembled from
+    the explicit head -sum mult log(lam + x), the continued bare-tail
+    derivative T'(0), and the split series
+    sum_{k>=1} (-1)^k x^k T(k) / k; the first
     omitted term, from T(_DET_SPLIT_ORDER), bounds the series remainder.
     All of these come from one tail table T(0), ..., T(_DET_SPLIT_ORDER).
     Failure to meet `tol` raises with the bound achieved.
@@ -589,14 +564,15 @@ def log_regularized_det(
         raise ConvergenceError(
             f"spectrum {spectrum.name} lacks continued tails; cannot reach w = 0"
         )
-    ss = float(s)
-    j = _grow_terms(spectrum, ss, terms or 64)
-    pairs = _head_terms(spectrum, j + 1, ss)
+    j, pairs = _head(spectrum, s, terms or 64)
+    ss = float(s) + spectrum.shift
     guard = pairs[j][0]
     head_log = 0.0
     for lam, mult in pairs[:j]:
         if lam + ss <= 0:
-            raise PreconditionError(f"shifted eigenvalue {lam} + {s} is not positive")
+            raise PreconditionError(
+                f"shifted eigenvalue {lam + spectrum.shift} + {s} is not positive"
+            )
         head_log += mult * math.log(lam + ss)
 
     tails = spectrum.continued_tails(0, _DET_SPLIT_ORDER + 1, j)

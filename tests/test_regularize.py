@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 from scipy import special
 
@@ -243,6 +243,9 @@ def test_spectral_zeta_preconditions():
     circ = circle_spectrum()
     with pytest.raises(PreconditionError):
         spectral_zeta(circ, 2, -1)  # Re(s) <= -lambda_1
+    # far below -lambda_1 the head would outgrow its cap: the precondition comes first
+    with pytest.raises(PreconditionError, match="first shifted eigenvalue"):
+        log_regularized_det(circ, -1e12)
 
 
 def test_regularized_det_cross_validation():
@@ -292,8 +295,8 @@ def test_shifted_spectral_zeta_consistency():
 
 
 # The per-exponent callbacks that the tail tables replaced, kept as
-# oracles: the circle's bare tail and its derivative, and the shift's
-# binomial split of each, one base tail per call.
+# oracles: the circle's bare tail and its derivative, and the binomial
+# split of each that a shifted spectrum's own tails once were.
 def _oracle_circle_tail(a, j):
     val, _, _ = _em_tail(2 * complex(a), j)
     return 2 * val
@@ -334,41 +337,67 @@ _DYADIC = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.floats(0.05, 0.95),
     st.one_of(st.sampled_from([0, 1]), _DYADIC),
     st.integers(1, 35),
     st.sampled_from([48, 64, 128]),
 )
-def test_continued_tails_match_the_per_exponent_oracle_bit_for_bit(shift, a, count, j):
-    # Entry m of a table at a is the tail at a + m.  The shift's table reads
-    # the base tail at a + (m + k), the oracle at (a + m) + k: the same
-    # float for the integer and dyadic starts drawn here, and for every
-    # call regularized_det (a = 0) and spectral_zeta (count = 1) make.
+def test_continued_tails_match_the_per_exponent_oracle_bit_for_bit(a, count, j):
+    # Entry m of a table at a is the tail at a + m.
     circle = circle_spectrum().continued_tails(a, count, j)
     assert circle == tuple(
         (_oracle_circle_tail(complex(a) + m, j), _oracle_circle_tail_deriv(complex(a) + m, j))
         for m in range(count)
     )
-    shifted = shift_spectrum(circle_spectrum(), shift).continued_tails(a, count, j)
-    assert shifted == tuple(
-        (_oracle_shift_tail(shift, complex(a) + m, j), _oracle_shift_tail_deriv(shift, complex(a) + m, j))
-        for m in range(count)
-    )
+
+
+def _oracle_shifted_log_det(shift, s, j=64):
+    # log det'(Delta + shift + s) from the shifted spectrum's own head
+    # lam + shift and the binomial split of its tails, T_mu(0), ..., T_mu(30)
+    head = sum(2 * math.log(n * n + shift + s) for n in range(1, j + 1))
+    tails = [_oracle_shift_tail(shift, k, j) for k in range(30)]
+    series = sum((-1) ** k * s**k * tails[k].real / k for k in range(1, 30))
+    return head - _oracle_shift_tail_deriv(shift, 0, j).real - series
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-0.5, 1.0), st.floats(0.0, 4.0))
+@example(-0.5, 0.55)
+@example(1.0, 4.0)
+def test_shifted_log_det_meets_its_bound_and_the_split_oracle(a, s):
+    assume(a + s >= 0.05)
+    got = log_regularized_det(shift_spectrum(circle_spectrum(), a), s)
+    assert abs(got.value - math.log(_circle_det_oracle(a + s))) <= got.error_bound
+    want = _oracle_shifted_log_det(a, s)
+    assert abs(got.value - want) <= 1e-12 * abs(want)
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.floats(0.05, 0.95), st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))
-def test_shifted_tails_at_any_complex_start_agree_with_the_oracle(shift, a):
-    # a + (m + k) and (a + m) + k may round apart by an ulp for k >= 1,
-    # where the term carries a factor shift^k (lam_J+1)^-k
-    if abs(a.imag) < 0.1:
-        a += 0.25j  # keep clear of the tails' real poles at a + i = 1/2
-    table = shift_spectrum(circle_spectrum(), shift).continued_tails(a, 5, 64)
-    for m, (val, der) in enumerate(table):
-        want = _oracle_shift_tail(shift, complex(a) + m, 64)
-        want_d = _oracle_shift_tail_deriv(shift, complex(a) + m, 64)
-        assert abs(val - want) <= 1e-14 * abs(want)
-        assert abs(der - want_d) <= 1e-14 * abs(want_d)
+@given(st.floats(-0.5, 1.0), st.floats(-0.5, 1.0), st.floats(0.0, 4.0))
+def test_shifting_twice_is_one_shift_by_the_sum(a, b, s):
+    circle = circle_spectrum()
+    assume(a + b + s >= 0.05 and a + b > -1)
+    twice = shift_spectrum(shift_spectrum(circle, a), b)
+    once = shift_spectrum(circle, a + b)
+    assert log_regularized_det(twice, s) == log_regularized_det(once, s)
+    assert spectral_zeta(twice, 2, s) == spectral_zeta(once, 2, s)
+    assert spectral_zeta(twice, 0.5 + 1j, s + 0.5j) == spectral_zeta(once, 0.5 + 1j, s + 0.5j)
+
+
+def test_a_shift_below_the_first_eigenvalue_is_a_precondition_error():
+    circle = circle_spectrum()
+    with pytest.raises(PreconditionError, match="shifted eigenvalues must stay positive"):
+        regularized_det(shift_spectrum(circle, -1.5), 2.0)
+    # the messages name the caller's s and the shifted first eigenvalue
+    with pytest.raises(PreconditionError, match=r"need Re\(s\) > -1\.5 "):
+        spectral_zeta(shift_spectrum(circle, 0.5), 2, -2.0)
+
+
+def test_a_shifted_spectrum_without_continued_tails_sums_directly():
+    circle = circle_spectrum()
+    bare = Spectrum("bare", circle.eigenvalues, circle.tail_bound)
+    got = spectral_zeta(shift_spectrum(bare, 0.5), 3, 1.0)
+    assert got == spectral_zeta(bare, 3, 1.5)
+    assert got.value.real == pytest.approx(0.1423, abs=1e-4) and got.terms_used == 512
 
 
 def test_log_regularized_det():
