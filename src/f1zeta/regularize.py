@@ -11,11 +11,12 @@ sums the integral has the closed form
 
 which provides the continuation to w = 0.  For spectra of Laplacians
 the same integral turns N(u) = sum u^(-lam_j) into the operator zeta
-sum_j (lam_j + s)^(-w); continuation to w = 0 is done by splitting
-(lam + s)^(-w) = lam^-w (1 + s/lam)^-w binomially after finitely many
-explicit terms, with the resulting bare Dirichlet tails summed by
-Euler-Maclaurin.  For N(1) = 0 the same substitution gives log zeta_N
-itself as an integral (`log_zeta_integral`).
+sum_j (lam_j + s)^(-w).  One series continues it to w = 0: explicit
+head terms, then the binomial split sum_k C(-w, k) s^k T(w + k) of the
+rest into bare tails T(b) = sum lam_j^-b, continued by Euler-Maclaurin.
+log det'(Delta + s) = -d/dw zeta(0) is the w-derivative of that same
+series.  For N(1) = 0 the same substitution gives log zeta_N itself as
+an integral (`log_zeta_integral`).
 
 The numeric core is stdlib only.  Integrals over [a, oo) use an exp-sinh
 double-exponential rule (`_complex_quad`) whose step halves level by
@@ -381,10 +382,6 @@ def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, 
 # -- spectra --------------------------------------------------------------
 
 
-# continued_tails(a, count, J) -> ((T(a), T'(a)), ..., (T(a+count-1), T'(a+count-1)))
-TailTable = Callable[[complex, int, int], tuple[tuple[complex, complex], ...]]
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Plug-in description of the nonzero eigenvalues of a Laplacian.
@@ -394,12 +391,11 @@ class Spectrum:
     (lam_j, multiplicity) pairs in nondecreasing order;
     `tail_bound(J, w, s)` bounds the omitted raw tail
     |sum_{j>J} mult (lam_j + s)^-w|.  The optional
-    `continued_tails(a, count, J)` returns the table
-    ((T(a + k), T'(a + k)) for k < count) of the analytically continued
-    bare tails T(b) = sum_{j>J} mult lam_j^-b and their b-derivatives;
-    it enables continuation to w = 0 (required by log_regularized_det
-    and regularized_det).  Callers ask for every exponent they need in
-    one table.  spectral_zeta and log_regularized_det evaluate them at
+    `continued_tail(b, J)` returns (T(b), T'(b)): the analytically
+    continued bare tail T(b) = sum_{j>J} mult lam_j^-b and its
+    b-derivative, one exponent per call.  It enables continuation to
+    w = 0 (required by log_regularized_det and regularized_det).
+    spectral_zeta and log_regularized_det evaluate the callbacks at
     s + shift where the caller passed s, so a shifted spectrum costs what
     its base costs.
     """
@@ -407,7 +403,7 @@ class Spectrum:
     name: str
     eigenvalues: Callable[[int], tuple[tuple[float, int], ...]]
     tail_bound: Callable[[int, complex, complex], float]
-    continued_tails: Optional[TailTable] = None
+    continued_tail: Optional[Callable[[complex, int], tuple[complex, complex]]] = None
     shift: float = 0.0
 
 
@@ -429,16 +425,12 @@ def circle_spectrum() -> Spectrum:
         wobble = math.exp(math.pi * abs(complex(w).imag))
         return 2 * skew * wobble * (j ** (1 - 2 * rw) / (2 * rw - 1) + (j + 1) ** (-2 * rw))
 
-    def continued_tails(a: complex, count: int, j: int) -> tuple[tuple[complex, complex], ...]:
+    def continued_tail(b: complex, j: int) -> tuple[complex, complex]:
         # sum_{n>j} 2 (n^2)^-b = 2 T_em(2b), with d/db = 4 T_em'(2b)
-        aa = complex(a)
-        table = []
-        for k in range(count):
-            val, der, _ = _em_tail(2 * (aa + k), j)
-            table.append((2 * val, 4 * der))
-        return tuple(table)
+        val, der, _ = _em_tail(2 * complex(b), j)
+        return 2 * val, 4 * der
 
-    return Spectrum("circle", eigenvalues, tail_bound, continued_tails)
+    return Spectrum("circle", eigenvalues, tail_bound, continued_tail)
 
 
 def shift_spectrum(base: Spectrum, shift: float) -> Spectrum:
@@ -467,7 +459,8 @@ def spectrum_by_name(name: str) -> Spectrum:
 # -- spectral zeta and determinant -----------------------------------------
 
 MAX_HEAD_TERMS = 1 << 20  # explicit eigenvalues summed before a tail
-_DET_SPLIT_ORDER = 30  # the log det split series stops before T(30), which bounds the rest
+_SPLIT_TERMS = 40  # at most this many terms of the binomial split of the tail
+_ROUNDING = 2.0**-50  # rounding charged per unit of magnitude summed: 4 units of 2^-52
 
 
 @dataclass(frozen=True)
@@ -500,47 +493,79 @@ def _head(spectrum: Spectrum, s: complex, start: int) -> tuple[int, tuple[tuple[
     return j, pairs
 
 
+def _fsum(terms: list[complex]) -> complex:
+    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+
+
+def _zeta_and_slope(
+    spectrum: Spectrum, w: Complex, s: Complex, j: int, pairs: tuple[tuple[float, int], ...]
+) -> tuple[SpectralValue, Optional[SpectralValue]]:
+    """zeta(w) = sum mult (lam + x)^-w with x = s + shift, and its
+    w-derivative, each with its achieved bound, from the head of `_head`.
+
+    math.fsum sums the head terms mult (lam + x)^-w and their derivatives
+    -log(lam + x) mult (lam + x)^-w.  The rest splits binomially into
+    sum_k C(-w, k) x^k T(w + k), summed with its derivative until a term of
+    each is below 1e-18 of its sum, or for _SPLIT_TERMS terms.  As
+    T(b + 1) <= T(b) / lam_(j+1), the terms shrink by about
+    r = |x| / lam_(j+1) < 1/2 per step, and twice the last term times
+    r / (1 - r) bounds the rest.  Rounding adds _ROUNDING times the result
+    and the magnitudes summed, these scaled by 1 + |w log(lam + x)|.
+    Without continued tails the value is the head, bounded by tail_bound.
+    """
+    ww = complex(w)
+    x = complex(s) + spectrum.shift
+    guard = pairs[j][0]
+    values, slopes = [], []
+    for lam, mult in pairs[:j]:
+        log_base = cmath.log(lam + x)
+        term = mult * cmath.exp(-ww * log_base)
+        values.append(term)
+        slopes.append(-log_base * term)
+    head, head_slope = _fsum(values), _fsum(slopes)
+    size, slope_size = sum(map(abs, values)), sum(map(abs, slopes))
+    # |log z| <= |log|z|| + pi, and _head's Re(s) > -lam_1 - shift puts
+    # every |lam + x| in [lam_1 + Re x, lam_(j+1) + |x|]
+    reach = max(math.log(guard + abs(x)), -math.log(pairs[0][0] + x.real)) + math.pi
+    charge = _ROUNDING * (1 + abs(ww) * reach)
+
+    if spectrum.continued_tail is None:
+        bound = spectrum.tail_bound(j, ww, x)
+        if math.isinf(bound):
+            raise ConvergenceError(
+                f"insufficient convergence for Re(w) = {ww.real} after {j} terms (bound achieved: inf)"
+            )
+        return SpectralValue(head, bound + charge * size + _ROUNDING * abs(head), j), None
+
+    tail = tail_slope = 0j
+    binom, binom_slope = 1.0 + 0j, 0j  # C(-w, k) and its w-derivative
+    for k in range(_SPLIT_TERMS):
+        t, t_slope = spectrum.continued_tail(ww + k, j)
+        power = x**k
+        term = binom * power * t
+        term_slope = power * (binom_slope * t + binom * t_slope)
+        tail, tail_slope = tail + term, tail_slope + term_slope
+        size, slope_size = size + abs(term), slope_size + abs(term_slope)
+        if k and max(abs(term) / max(1.0, abs(tail)),
+                     abs(term_slope) / max(1.0, abs(tail_slope))) < 1e-18:
+            break
+        step = (-ww - k) / (k + 1)
+        binom, binom_slope = binom * step, binom_slope * step - binom / (k + 1)
+    rest = 2 * abs(x) / (guard - abs(x))  # 2 r / (1 - r)
+    value, slope = head + tail, head_slope + tail_slope
+    bound = rest * abs(term) + charge * size + _ROUNDING * abs(value)
+    slope_bound = rest * abs(term_slope) + charge * slope_size + _ROUNDING * abs(slope)
+    return SpectralValue(value, bound, j), SpectralValue(slope, slope_bound, j)
+
+
 def spectral_zeta(
     spectrum: Spectrum, w: Complex, s: Complex, terms: int | None = None
 ) -> SpectralValue:
     """sum_j mult_j (lam_j + shift + s)^(-w) with an explicit head plus a
     continued (or rigorously bounded) tail; the achieved bound is
     reported alongside the value."""
-    ww = complex(w)
-    j, pairs = _head(spectrum, s, terms or (48 if spectrum.continued_tails else 512))
-    ss = complex(s) + spectrum.shift
-    guard = pairs[j][0]
-    head = 0j
-    for lam, mult in pairs[:j]:
-        base = lam + ss
-        if base == 0:
-            raise SingularityError(
-                f"eigenvalue shift vanishes: lam = {lam + spectrum.shift}, s = {s}"
-            )
-        head += mult * cmath.exp(-ww * cmath.log(base))
-
-    if spectrum.continued_tails is not None:
-        x = abs(ss) / guard
-        tail = 0j
-        binom = 1.0 + 0j
-        last = math.inf
-        for k in range(40):
-            # one exponent per step: the stopping rule decides how many are needed
-            term = binom * ss**k * spectrum.continued_tails(ww + k, 1, j)[0][0]
-            tail += term
-            last = abs(term)
-            if k > 0 and last < 1e-18 * max(1.0, abs(tail)):
-                break
-            binom *= (-ww - k) / (k + 1)
-        bound = 2 * last * x / (1 - x) + 1e-14 * (abs(head) + abs(tail))
-        return SpectralValue(head + tail, bound, j)
-
-    bound = spectrum.tail_bound(j, ww, ss)
-    if math.isinf(bound):
-        raise ConvergenceError(
-            f"insufficient convergence for Re(w) = {ww.real} after {j} terms (bound achieved: inf)"
-        )
-    return SpectralValue(head, bound, j)
+    j, pairs = _head(spectrum, s, terms or (48 if spectrum.continued_tail else 512))
+    return _zeta_and_slope(spectrum, w, s, j, pairs)[0]
 
 
 def log_regularized_det(
@@ -550,46 +575,18 @@ def log_regularized_det(
     terms: int | None = None,
 ) -> SpectralValue:
     """log det'(Delta + s) = -d/dw zeta_{Delta+s}(w) at w = 0, as a
-    SpectralValue (log det, achieved bound, head terms used).
-
-    With x = s + spectrum.shift, the derivative at 0 is assembled from
-    the explicit head -sum mult log(lam + x), the continued bare-tail
-    derivative T'(0), and the split series
-    sum_{k>=1} (-1)^k x^k T(k) / k; the first
-    omitted term, from T(_DET_SPLIT_ORDER), bounds the series remainder.
-    All of these come from one tail table T(0), ..., T(_DET_SPLIT_ORDER).
-    Failure to meet `tol` raises with the bound achieved.
+    SpectralValue (log det, achieved bound, head terms used): the
+    derivative of spectral_zeta's own series, which at w = 0 is
+    -sum mult log(lam + x) + T'(0) + sum_{k>=1} (-1)^k x^k T(k) / k with
+    x = s + shift.  Failure to meet `tol` raises with the bound achieved.
     """
-    if spectrum.continued_tails is None:
-        raise ConvergenceError(
-            f"spectrum {spectrum.name} lacks continued tails; cannot reach w = 0"
-        )
-    j, pairs = _head(spectrum, s, terms or 64)
-    ss = float(s) + spectrum.shift
-    guard = pairs[j][0]
-    head_log = 0.0
-    for lam, mult in pairs[:j]:
-        if lam + ss <= 0:
-            raise PreconditionError(
-                f"shifted eigenvalue {lam + spectrum.shift} + {s} is not positive"
-            )
-        head_log += mult * math.log(lam + ss)
-
-    tails = spectrum.continued_tails(0, _DET_SPLIT_ORDER + 1, j)
-    series = 0.0
-    for k in range(1, _DET_SPLIT_ORDER):
-        series += (-1) ** k * ss**k * tails[k][0].real / k
-
-    zeta_prime = -head_log + tails[0][1].real + series
-
-    x = abs(ss) / guard
-    rem = abs(tails[_DET_SPLIT_ORDER][0].real)
-    bound = rem * abs(ss) ** _DET_SPLIT_ORDER / (_DET_SPLIT_ORDER * (1 - x)) + 1e-14 * (
-        1 + abs(head_log)
-    )
-    if bound > tol:
-        raise ConvergenceError(f"tail bound not met: achieved {bound:.3e} > {tol:.3e}")
-    return SpectralValue(-zeta_prime, bound, j)
+    if spectrum.continued_tail is None:
+        raise ConvergenceError(f"spectrum {spectrum.name} lacks continued tails; cannot reach w = 0")
+    j, pairs = _head(spectrum, float(s), terms or 64)
+    _, slope = _zeta_and_slope(spectrum, 0.0, float(s), j, pairs)
+    if slope.error_bound > tol:
+        raise ConvergenceError(f"tail bound not met: achieved {slope.error_bound:.3e} > {tol:.3e}")
+    return SpectralValue(-slope.value.real, slope.error_bound, j)
 
 
 def regularized_det(

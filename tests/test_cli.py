@@ -172,6 +172,13 @@ def test_regdet(capsys):
     assert float(out.strip()) == pytest.approx(expected, rel=1e-8)
 
 
+def test_regdet_with_a_long_head_meets_the_default_tolerance(capsys):
+    # the rounding charged to a 4000-term head stays below the default 1e-9
+    code, out = _run(capsys, "regdet", "--spectrum", "circle", "--s", "1", "--terms", "4000")
+    assert code == 0
+    assert float(out.strip()) == pytest.approx(4 * math.sinh(math.pi) ** 2, rel=1e-9)
+
+
 def test_fourier(capsys, tmp_path):
     path = tmp_path / "t.scheme"
     path.write_text(json.dumps({"points": [{"rank": 0, "torsion": [3]}]}))

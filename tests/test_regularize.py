@@ -294,9 +294,9 @@ def test_shifted_spectral_zeta_consistency():
         assert moved == pytest.approx(spectral_zeta(circ, 2, 0.25 + s0).value, rel=1e-11)
 
 
-# The per-exponent callbacks that the tail tables replaced, kept as
-# oracles: the circle's bare tail and its derivative, and the binomial
-# split of each that a shifted spectrum's own tails once were.
+# Oracles: the circle's bare tail 2 T_em(2b) and its derivative
+# 4 T_em'(2b) straight from `_em_tail`, and the binomial split of each
+# that a shifted spectrum's own tails once were.
 def _oracle_circle_tail(a, j):
     val, _, _ = _em_tail(2 * complex(a), j)
     return 2 * val
@@ -341,13 +341,12 @@ _DYADIC = st.builds(
     st.integers(1, 35),
     st.sampled_from([48, 64, 128]),
 )
-def test_continued_tails_match_the_per_exponent_oracle_bit_for_bit(a, count, j):
-    # Entry m of a table at a is the tail at a + m.
-    circle = circle_spectrum().continued_tails(a, count, j)
-    assert circle == tuple(
-        (_oracle_circle_tail(complex(a) + m, j), _oracle_circle_tail_deriv(complex(a) + m, j))
-        for m in range(count)
-    )
+def test_continued_tail_matches_the_per_exponent_oracle_bit_for_bit(a, count, j):
+    # the exponents a, a + 1, ..., a + count - 1, as the binomial split asks for them
+    tail = circle_spectrum().continued_tail
+    for m in range(count):
+        b = complex(a) + m
+        assert tail(b, j) == (_oracle_circle_tail(b, j), _oracle_circle_tail_deriv(b, j))
 
 
 def _oracle_shifted_log_det(shift, s, j=64):
@@ -369,6 +368,26 @@ def test_shifted_log_det_meets_its_bound_and_the_split_oracle(a, s):
     assert abs(got.value - math.log(_circle_det_oracle(a + s))) <= got.error_bound
     want = _oracle_shifted_log_det(a, s)
     assert abs(got.value - want) <= 1e-12 * abs(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(math.log(0.05), math.log(5000)).map(math.exp),
+    st.floats(-0.5, 1.0),
+    st.sampled_from([None, 1000, 4000]),
+)
+# split ratio near 1/2 (x = 2100 against lam_65 = 4225): the split runs its full 40 terms
+@example(2100.0, 0.0, None)
+# a long head: its rounding grows with the head and must stay inside the bound
+@example(0.3, 0.0, 65536)
+def test_log_det_meets_its_bound_against_the_closed_form(s, shift, terms):
+    # log det'(Delta + x) = log(4 sinh^2(pi sqrt(x)) / x) for the circle, x = s + shift
+    x = s + shift
+    assume(x >= 0.05)
+    got = log_regularized_det(shift_spectrum(circle_spectrum(), shift), s, terms=terms)
+    root = 2 * math.pi * math.sqrt(x)
+    want = root + 2 * math.log1p(-math.exp(-root)) - math.log(x)
+    assert abs(got.value - want) <= got.error_bound
 
 
 @settings(max_examples=20, deadline=None)
@@ -451,7 +470,7 @@ def test_head_terms_above_the_cap_fail_before_enumerating():
         assert count <= 1 << 20, "enumerated past the cap"
         return circle.eigenvalues(count)
 
-    guarded = Spectrum("circle", eigenvalues, circle.tail_bound, circle.continued_tails)
+    guarded = Spectrum("circle", eigenvalues, circle.tail_bound, circle.continued_tail)
     with pytest.raises(PreconditionError, match="head terms"):
         log_regularized_det(guarded, 1.0, terms=(1 << 20) + 1)
     assert asked == []
