@@ -7,10 +7,11 @@ field with q elements the point count is
 
     #X(F_q) = sum_x (q-1)^R(x) * prod_j gcd(t_{x,j}, q-1),
 
-and the torsion-smoothed variant replaces each gcd by t_{x,j}.  The
-Fourier machinery expands n |-> gcd(t, p^n - 1), which is periodic of
-period phi(t), into its discrete Fourier series, whose coefficients are
-exact rationals read off the multiplicative orders of p.
+evaluated in int by Horner in q - 1 over the scheme's count profile; the
+torsion-smoothed variant replaces each gcd by t_{x,j}.  The Fourier
+machinery expands n |-> gcd(t, p^n - 1), which is periodic of period
+phi(t), into its discrete Fourier series, whose coefficients are exact
+rationals read off the multiplicative orders of p and checked in int.
 """
 
 from __future__ import annotations
@@ -116,39 +117,70 @@ class MonoidScheme:
         types = Counter((pt.rank, pt.torsion_orders) for pt in self.points)
         return tuple((rank, tors, k) for (rank, tors), k in types.items())
 
+    @cached_property
+    def count_profile(self) -> tuple[tuple[int, ...], tuple[tuple[int, tuple, int], ...]]:
+        """(orders, rows), built once from `point_types`: the distinct torsion
+        orders, and per occupied rank R from the top down the row
+        (multiplicity of the torsion-free type of rank R or 0, (k, indices
+        into orders) per other type of rank R, R minus the next occupied
+        rank)."""
+        orders = sorted({t for _, torsion, _ in self.point_types for t in torsion})
+        index = {t: i for i, t in enumerate(orders)}
+        rows: dict[int, list] = {}
+        for rank, torsion, k in sorted(self.point_types, reverse=True):
+            row = rows.setdefault(rank, [0, []])
+            if torsion:
+                row[1].append((k, tuple(index[t] for t in torsion)))
+            else:
+                row[0] = k
+        below = [*rows, 0][1:]  # the lowest row drops to rank 0
+        return tuple(orders), tuple(
+            (free, tuple(typed), r - b) for (r, (free, typed)), b in zip(rows.items(), below))
+
 
 # -- counting ----------------------------------------------------------
 
 
 def exact_count(scheme: MonoidScheme, q: int) -> int:
-    """#X(F_q) = sum_x (q-1)^R(x) prod_j gcd(t_{x,j}, q-1).
+    """#X(F_q) = sum_x (q-1)^R(x) prod_j gcd(t_{x,j}, q-1), in int: one gcd
+    per distinct torsion order of `scheme.count_profile`, then the rank
+    weights w_R = sum_{x: R(x) = R} prod_j gcd(t_{x,j}, q-1) by Horner in
+    q - 1, one bigint multiply per occupied rank, by (q-1)^(rank drop).
 
     The caller is responsible for q being a prime power when modelling
     an actual finite field; any integer q >= 2 is accepted.
     """
     if not isinstance(q, int) or q < 2:
         raise PreconditionError(f"exact counts need an integer q >= 2, got {q!r}")
+    m = q - 1
+    orders, rows = scheme.count_profile
+    # a torsion-free scheme skips the comprehension, a call of its own
+    g = [math.gcd(t, m) for t in orders] if orders else orders
     total = 0
-    for rank, torsion, k in scheme.point_types:
-        term = k * (q - 1) ** rank
-        for t in torsion:
-            term *= math.gcd(t, q - 1)
-        total += term
+    for weight, typed, drop in rows:
+        for k, indices in typed:
+            for i in indices:
+                k *= g[i]
+            weight += k
+        total += weight
+        if drop:  # (q-1)^drop; a plain multiply for the common drop of 1
+            total *= m if drop == 1 else m**drop
     return total
 
 
 def smoothed_count(scheme: MonoidScheme, q: Union[int, Fraction, float]) -> Fraction:
-    """Torsion-smoothed count sum_x T(x) (q-1)^R(x), exact in q.
+    """Torsion-smoothed count sum_x T(x) (q-1)^R(x), exact in q: the
+    counting coefficients a_k evaluated by Horner in q.
 
     Agrees with `exact_count` at integers q = 1 mod every torsion order.
     """
     qq = Fraction(q)
     if qq <= 0:
         raise PreconditionError(f"smoothed counts need q > 0, got {q!r}")
-    return sum(
-        (k * math.prod(torsion) * (qq - 1) ** rank for rank, torsion, k in scheme.point_types),
-        Fraction(0),
-    )
+    total = Fraction(0)
+    for a in reversed(counting_coefficients(scheme)):
+        total = total * qq + a
+    return total
 
 
 def counting_coefficients(scheme: MonoidScheme) -> tuple[int, ...]:
@@ -174,11 +206,7 @@ def fourier_period(scheme: MonoidScheme) -> int:
     phi(t) is always a multiple of the minimal period, and is used as-is
     (no minimal-period reduction) because it is independent of p.
     """
-    period = 1
-    for _, torsion, _ in scheme.point_types:
-        for t in torsion:
-            period = math.lcm(period, totient(t))
-    return period
+    return math.lcm(*map(totient, scheme.count_profile[0]))
 
 
 def _divisors(n: int) -> list[int]:
@@ -192,19 +220,6 @@ def _divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def _mobius(n: int) -> int:
-    """Moebius mu(n) via trial-division factorization."""
-    result, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if m > 1 else result
 
 
 def _divides_power_minus_one(e: int, p: int, h: int) -> bool:
@@ -294,28 +309,38 @@ class FourierData:
     def reconstruction_error(self, n_max: int | None = None) -> float:
         """Max |sum_nu c_nu xi^(n nu) - gcd(t, p^n - 1)| over n = 1..n_max,
         evaluated exactly; inf for a vector that is not constant on the
-        classes gcd(nu, n0) (or not of length n0).
+        classes gcd(nu, n0) (or not of length n0), and for a class value
+        that is not a real rational, such as a complex one.  Ints,
+        Fractions and floats are read exactly, as Fraction(c).
 
-        Grouping the nu by g = gcd(nu, n0) turns the root-of-unity sums
-        into integer Ramanujan sums: the series equals
-        sum_g C_g c_{n0/g}(n) with c_q(m) = sum_{d | gcd(q, m)} mu(q/d) d.
+        The inverse of `_class_vector`: the class values, scaled to
+        integers by their common denominator D, are split into pieces
+        P_q (q | n0) with c_nu = sum of P_q over the q dividing nu, and the
+        indicator [q | nu] has the series (n0/q) [(n0/q) | n].  So D times
+        the series is an integer at every n, and each entry's error
+        max_n |value D - gcd D| / D is rounded once.
         """
         n0 = self.period
         limit = 3 * n0 if n_max is None else n_max
         divs = _divisors(n0)
-        mobius = {d: _mobius(d) for d in divs}
-
-        def ramanujan(q: int, m: int) -> int:
-            return sum(mobius[q // d] * d for d in _divisors(math.gcd(q, m)))
-
+        classes = [math.gcd(nu, n0) for nu in range(1, n0 + 1)]
         worst = 0.0
         for _, _, t, coeffs in self.entries:
             if len(coeffs) != n0:
                 return math.inf
-            by_class: dict[int, Fraction] = {}
-            for nu, c in enumerate(coeffs, start=1):
-                if by_class.setdefault(math.gcd(nu, n0), c) != c:
-                    return math.inf
+            by_class = dict(zip(classes, coeffs))
+            if list(map(by_class.__getitem__, classes)) != list(coeffs):
+                return math.inf
+            try:
+                values = [Fraction(by_class[g]) for g in divs]
+            except (TypeError, ValueError, OverflowError):  # complex, nan, inf
+                return math.inf
+            scale = math.lcm(*(v.denominator for v in values))
+            pieces: dict[int, int] = {}
+            for g, v in zip(divs, values):  # increasing, so each q | g is done
+                pieces[g] = v.numerator * (scale // v.denominator) - sum(
+                    c for q, c in pieces.items() if g % q == 0)
+            terms = [(n0 // q, c * (n0 // q)) for q, c in pieces.items() if c]
             # The series depends on n only through gcd(n, n0), and so does
             # gcd(t, p^n - 1) when every ord_e(p) divides n0, i.e. when t's
             # part prime to p divides p^n0 - 1.  Then one n per class that
@@ -324,10 +349,13 @@ class FourierData:
                 ns = [g for g in divs if g <= limit]
             else:
                 ns = range(1, limit + 1)
+            err = 0
             for n in ns:
-                value = sum(c * ramanujan(n0 // g, n) for g, c in by_class.items() if c)
+                value = sum(c for o, c in terms if n % o == 0)
                 exact = math.gcd(t, pow(self.prime, n, t) - 1)  # gcd(t, p^n - 1)
-                worst = max(worst, float(abs(value - exact)))
+                err = max(err, abs(value - exact * scale))
+            # int / int is correctly rounded: the float of Fraction(err, scale)
+            worst = max(worst, err / scale)
         return worst
 
     def verify(self) -> bool:
@@ -338,11 +366,9 @@ class FourierData:
 def fourier_data(scheme: MonoidScheme, p: int) -> FourierData:
     """Assemble the full coefficient table c_{x,j,nu}(p) for a scheme."""
     n0 = fourier_period(scheme)
-    entries = []
-    for i, pt in enumerate(scheme.points):
-        for j, t in enumerate(pt.torsion_orders):
-            entries.append((i, j, t, gcd_fourier_coefficients(t, p, n0)))
-    return FourierData(p, n0, tuple(entries))
+    vectors = {t: gcd_fourier_coefficients(t, p, n0) for t in scheme.count_profile[0]}
+    return FourierData(p, n0, tuple((i, j, t, vectors[t]) for i, pt in enumerate(scheme.points)
+                                    for j, t in enumerate(pt.torsion_orders)))
 
 
 # -- ready-made models --------------------------------------------------

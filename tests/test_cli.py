@@ -2,14 +2,19 @@
 
 import argparse
 import cmath
+import contextlib
+import io
 import json
 import math
 import random
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from f1zeta import cli
 from f1zeta.powerlog import from_records, parse_power_log, to_records
@@ -689,3 +694,43 @@ def test_limit_base_count_above_the_float_range_is_a_precondition_error(capsys, 
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert "at most 15 bases" in captured.err
+
+
+# -- count and fourier end in a documented exit on near-valid input ----------
+
+_NEAR_POINT = st.fixed_dictionaries(
+    {"rank": st.sampled_from((0, 1, 2, 5, 500, 501))},
+    optional={"torsion": st.lists(st.sampled_from((1, 2, 3, 4, 12, 60, 97)), max_size=3)},
+)
+_NEAR_SCHEME = st.fixed_dictionaries(
+    {"points": st.lists(_NEAR_POINT, max_size=4)},
+    optional={"dimension": st.sampled_from((0, 3, 500, 501))},
+)
+_NEAR_Q = st.sampled_from(("1", "2", "0", "-3", "7", "1024", str(7**40), str(2**64 + 1),
+                           str(10**400), "2.5", "1e3", "x"))
+_NEAR_P = st.sampled_from(("2", "5", "97", "4", "6", "9", "15", "1", "0", "-2", "2.5", "nan", "x"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_NEAR_SCHEME, st.one_of(st.tuples(st.just("count"), st.just("--q"), _NEAR_Q),
+                               st.tuples(st.just("fourier"), st.just("--p"), _NEAR_P)))
+def test_count_and_fourier_end_in_a_documented_exit(scheme, call):
+    command, flag, value = call
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "near.scheme"
+        path.write_text(json.dumps(scheme))
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([command, "--scheme", str(path), flag, value])
+            except SystemExit as exc:  # argparse rejects a non-integer --q
+                code = exc.code
+        elapsed = time.perf_counter() - start
+    assert code in (0, 2, 3, 4, 5), (scheme, call, code)
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < 5.0, (scheme, call, elapsed)
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() != ""

@@ -330,3 +330,201 @@ def test_fourier_data_type_contents():
     assert data.prime == 2 and data.period == 2
     (entry,) = data.entries
     assert entry[:3] == (0, 0, 3)
+
+
+# -- the count profile against the per-point formula -------------------------
+
+
+def _per_point_count(scheme, q):
+    # the formula exact_count evaluated before the count profile: a power
+    # of q - 1 and fresh gcds for every point
+    total = 0
+    for pt in scheme.points:
+        term = (q - 1) ** pt.rank
+        for t in pt.torsion_orders:
+            term *= math.gcd(t, q - 1)
+        total += term
+    return total
+
+
+# orders that share factors with one another and with the q below
+_ORDERS = (2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 36, 60, 97, 720)
+
+
+@st.composite
+def count_schemes(draw):
+    kind = draw(st.sampled_from(("mixed", "rank gap", "torsion-free", "torsion only")))
+    ranks = {"rank gap": st.sampled_from((0, 5)), "torsion only": st.just(0)}.get(
+        kind, st.integers(0, 7))
+    orders = st.lists(st.sampled_from(_ORDERS), min_size=int(kind == "torsion only"), max_size=3)
+    pts = []
+    for _ in range(draw(st.integers(1, 10))):
+        torsion = () if kind == "torsion-free" else tuple(draw(orders))
+        # a repeated point repeats its type, and its orders
+        pts.extend([TorsionPoint(draw(ranks), torsion)] * draw(st.integers(1, 3)))
+    return MonoidScheme(tuple(pts))
+
+
+_COUNT_QS = st.one_of(
+    st.integers(2, 100),
+    st.integers(2, 7**40),
+    st.sampled_from((7**40, 2**64 + 1, 2**64, 3**40)),
+    st.integers(1, 10**30).map(lambda k: 1 + 720 * k),  # 720 = 2^4 3^2 5 divides q - 1
+    st.integers(0, 40).map(lambda n: 7**n + 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_schemes(), _COUNT_QS)
+def test_exact_count_matches_the_per_point_formula(scheme, q):
+    got = exact_count(scheme, q)
+    assert type(got) is int and got == _per_point_count(scheme, q)
+
+
+def test_count_profile_rows_run_from_the_top_rank_down():
+    scheme = MonoidScheme((TorsionPoint(5), TorsionPoint(0, (4, 6)), TorsionPoint(0),
+                           TorsionPoint(5, (6,)), TorsionPoint(0), TorsionPoint(5, (6,))))
+    orders, rows = scheme.count_profile
+    assert orders == (4, 6)
+    # rank 5: one torsion-free point, two of torsion (6,); rank 0: two and one
+    assert rows == ((1, ((2, (1,)),), 5), (2, ((1, (0, 1)),), 0))
+    for q in (2, 5, 7**40, 2**64 + 1):
+        assert exact_count(scheme, q) == _per_point_count(scheme, q)
+    assert projective_space_model(2).count_profile == ((), ((1, (), 1), (3, (), 1), (3, (), 0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_schemes(), st.one_of(
+    st.integers(1, 10**6),
+    st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
+    st.floats(min_value=1e-6, max_value=1e6),
+))
+def test_smoothed_count_matches_the_per_type_sum(scheme, q):
+    # the per-type sum smoothed_count evaluated before the Horner form
+    qq = Fraction(q)
+    want = sum((k * math.prod(torsion) * (qq - 1) ** rank
+                for rank, torsion, k in scheme.point_types), Fraction(0))
+    got = smoothed_count(scheme, q)
+    assert type(got) is Fraction and got == want
+
+
+# -- the integer reconstruction check against its Fraction form --------------
+
+
+def _fraction_reconstruction_error(data, n_max=None):
+    # FourierData.reconstruction_error as it was before the integer check:
+    # Fraction class values times Ramanujan sums, one float per n
+    def divisors(n):
+        return [d for d in range(1, n + 1) if n % d == 0]
+
+    def mobius(n):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % r for r in range(2, p))]
+        return 0 if any(n % (p * p) == 0 for p in primes) else (-1) ** len(primes)
+
+    def ramanujan(q, m):
+        return sum(mobius(q // d) * d for d in divisors(math.gcd(q, m)))
+
+    n0, p = data.period, data.prime
+    limit = 3 * n0 if n_max is None else n_max
+    worst = 0.0
+    for _, _, t, coeffs in data.entries:
+        if len(coeffs) != n0:
+            return math.inf
+        by_class = {}
+        for nu, c in enumerate(coeffs, start=1):
+            if by_class.setdefault(math.gcd(nu, n0), c) != c:
+                return math.inf
+        part = t
+        while math.gcd(part, p) > 1:
+            part //= math.gcd(part, p)
+        if (pow(p, n0, part) - 1) % part == 0:
+            ns = [g for g in divisors(n0) if g <= limit]
+        else:
+            ns = range(1, limit + 1)
+        for n in ns:
+            value = sum(c * ramanujan(n0 // g, n) for g, c in by_class.items() if c)
+            worst = max(worst, float(abs(value - math.gcd(t, pow(p, n, t) - 1))))
+    return worst
+
+
+@st.composite
+def fourier_tables(draw):
+    """fourier_data tables, some with one entry changed: a bumped singleton
+    class (nu = n0), a whole class moved, one member of a class split off,
+    or a vector cut short; or a table over a period too short for t."""
+    how = draw(st.sampled_from(("as built", "bump", "move", "split", "short", "too short")))
+    p = draw(st.sampled_from((2, 3, 5, 7, 4, 6)))
+    if how == "too short":
+        t = draw(st.integers(2, 40))
+        n0 = draw(st.integers(1, 6))
+        values = {g: draw(st.fractions(max_denominator=50)) for g in range(1, n0 + 1) if n0 % g == 0}
+        vec = tuple(values[math.gcd(nu, n0)] for nu in range(1, n0 + 1))
+        return FourierData(p, n0, ((0, 0, t, vec),))
+    data = fourier_data(draw(schemes(max_points=3, max_torsion=16)), p)
+    if how == "as built" or not data.entries:
+        return data
+    entry = draw(st.integers(0, len(data.entries) - 1))
+    x, j, t, coeffs = data.entries[entry]
+    n0 = data.period
+    # denominators past 2^53 check that the error is rounded once, exactly
+    delta = draw(st.one_of(st.fractions(max_denominator=10**6),
+                           st.fractions(max_denominator=10**30)).filter(bool))
+    if how == "bump":
+        coeffs = coeffs[:-1] + (coeffs[-1] + delta,)
+    elif how == "move":
+        g = draw(st.sampled_from([g for g in range(1, n0 + 1) if n0 % g == 0]))
+        coeffs = tuple(c + delta if math.gcd(nu, n0) == g else c
+                       for nu, c in enumerate(coeffs, start=1))
+    elif how == "split":
+        nu = draw(st.integers(1, n0))
+        coeffs = coeffs[: nu - 1] + (coeffs[nu - 1] + delta,) + coeffs[nu:]
+    else:
+        coeffs = coeffs[:-1]
+    entries = data.entries[:entry] + ((x, j, t, coeffs),) + data.entries[entry + 1:]
+    return FourierData(data.prime, n0, entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fourier_tables(), st.one_of(st.none(), st.integers(0, 40)))
+def test_reconstruction_error_is_bit_identical_to_the_fraction_check(data, n_max):
+    assert data.reconstruction_error(n_max) == _fraction_reconstruction_error(data, n_max)
+    assert data.reconstruction_error() == _fraction_reconstruction_error(data)
+
+
+def test_reconstruction_error_reads_float_coefficients_exactly():
+    data = fourier_data(torsion_point_model([5]), 3)  # period 4
+    x, j, t, coeffs = data.entries[0]
+    as_floats = FourierData(3, 4, ((x, j, t, tuple(float(c) for c in coeffs)),))
+    assert as_floats.reconstruction_error() == 0.0
+    # 0.1 on the class gcd(nu, 12) = 1 (nu = 1, 5, 7, 11) of a period-12
+    # table moves the series by 0.1 c_12(n), and |c_12(n)| is 4 at most (at
+    # n = 6, 12) and 0 at n = 1: the exact error is 4 Fraction(0.1), whose
+    # float is 0.4.  Float arithmetic gave 0.40000000000000036
+    x, j, t, coeffs = fourier_data(torsion_point_model([5, 7]), 3).entries[0]
+    moved = tuple(float(c) + 0.1 if math.gcd(nu, 12) == 1 else c
+                  for nu, c in enumerate(coeffs, start=1))
+    data = FourierData(3, 12, ((x, j, t, moved),))
+    assert data.reconstruction_error() == 0.4 == float(4 * Fraction(0.1))
+    assert data.reconstruction_error(n_max=1) == 0.0
+
+
+def test_reconstruction_error_of_a_non_real_coefficient_is_inf():
+    # not a rational class function; the imaginary gap is not an error of
+    # the real series the check evaluates
+    data = fourier_data(torsion_point_model([5, 7]), 3)
+    for cast in (complex, lambda c: complex(c) + 1e-3j):
+        x, j, t, coeffs = data.entries[1]
+        entries = (data.entries[0], (x, j, t, coeffs[:-1] + (cast(coeffs[-1]),)))
+        assert FourierData(3, 12, entries).reconstruction_error() == math.inf
+    for bad in (math.nan, math.inf):
+        x, j, t, coeffs = data.entries[0]
+        changed = tuple(bad if math.gcd(nu, 12) == 12 else c for nu, c in enumerate(coeffs, 1))
+        assert FourierData(3, 12, ((x, j, t, changed),)).reconstruction_error() == math.inf
+
+
+def test_fourier_data_shares_one_vector_per_torsion_order():
+    data = fourier_data(MonoidScheme((TorsionPoint(0, (263, 263)), TorsionPoint(1, (263,)))), 2)
+    vectors = [entry[3] for entry in data.entries]
+    assert len(vectors) == 3 and vectors[0] is vectors[1] is vectors[2]
+    assert vectors[0] == gcd_fourier_coefficients(263, 2, 262)
+    assert data.reconstruction_error() == 0.0
