@@ -22,8 +22,14 @@ The numeric core is stdlib only.  Integrals over [a, oo) use an exp-sinh
 double-exponential rule (`_complex_quad`) whose step halves level by
 level; the difference of the last two levels is its error estimate, and
 an estimate above 1e-12 relative (1e-14 absolute) after the last level
-is a ConvergenceError, never a returned value.  Gamma(w) is a Lanczos
-approximation (`_gamma`).
+is a ConvergenceError, never a returned value.  The integrand of a
+power-log sum is formed by top-exponent factoring, one complex exp per
+node: e^((top - s) t) times a real sum of terms e^((lam - top) t) t^m,
+each at most 1 (`_power_log_integrand`).  An Euler-Maclaurin tail takes
+one exp and steps its correction powers by the real a^-2, in float
+arithmetic for a real exponent, and a determinant's head at real s sums
+real logs.  Gamma(w) is the exp of a Lanczos log-Gamma (`_log_gamma`),
+reflected in logs, so that it is finite wherever its value is.
 """
 
 from __future__ import annotations
@@ -42,21 +48,37 @@ from .zetas import log_evaluate_zeta, zeta_of
 Complex = Union[complex, float, int]
 
 
+def _top_factored(n: PowerLogSum) -> tuple[float, list[tuple[float, int, float]]]:
+    """(top, [(lam - top, m, c)]) for N = sum c u^lam log^m u with top =
+    n.degree, so that e^((lam - top) t) <= 1 for every term at t >= 0."""
+    top = float(n.degree)
+    return top, [(float(lam) - top, m, float(c)) for lam, m, c in n.terms]
+
+
 def _power_log_integrand(n: PowerLogSum, rate: complex, k: complex) -> Callable[[float], complex]:
-    """t |-> N(e^t) e^(-rate t) t^k for N = sum c u^lam log^m u, assembled
-    per term as c e^((lam - rate) t) t^(m + k) so that no power of e^t
-    overflows; a term below e^-745 underflows and is skipped before its
-    power of t is formed."""
-    terms = [(float(lam), m, float(c)) for lam, m, c in n.terms]
+    """t |-> N(e^t) e^(-rate t) t^k for N = sum c u^lam log^m u at t > 0,
+    by top-exponent factoring, one complex exp per node:
+        e^((top - rate) t) t^k sum c e^((lam - top) t) t^m,
+    with top = n.degree.  Each real exp in the sum is at most 1, so no
+    power of e^t overflows; a node where e^((top - rate) t) is below
+    e^-745 underflows to 0 before any power of t is formed.  A real k
+    stays a real power t^k; a complex k joins the exponent as k log t."""
+    top, terms = _top_factored(n)
+    lead = top - complex(rate)
+    kk = complex(k)
+    real_k = kk.real if kk.imag == 0 else None
 
     def integrand(t: float) -> complex:
-        total = 0j
-        for lam, m, c in terms:
-            expo = (lam - rate) * t
-            if expo.real < -745.0:
-                continue
-            total += c * cmath.exp(expo) * t ** (m + k)
-        return total
+        expo = lead * t
+        if expo.real < -745.0:
+            return 0j
+        total = 0.0
+        for gap, m, c in terms:
+            term = c * math.exp(gap * t)
+            total += term * t**m if m else term
+        if real_k is None:
+            return cmath.exp(expo + kk * math.log(t)) * total
+        return cmath.exp(expo) * (total * t**real_k if real_k else total)
 
     return integrand
 
@@ -211,14 +233,25 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
     edge = float(n.degree)
     if ss.real <= edge:
         raise PreconditionError(f"integral needs Re(s) > {edge}, got Re(s) = {ss.real}")
-    weighted = _power_log_integrand(n, ss, 0)
+    top, terms = _top_factored(n)
+    lead = top - ss
     # split where the tail e^(-(Re s - degree) t) has fallen by e^-4, so
     # that the upper piece starts near its bulk instead of far before it
     t0 = max(1.0, 4.0 / (ss.real - edge))
     scale = _exp_in_range(ww * math.log(t0), f"t0^w at t0 = {t0!r}")
 
     def lower_fn(v: float) -> complex:
-        return weighted(t0 * math.exp(-v)) * cmath.exp(-ww * v)
+        # the integrand of _power_log_integrand(n, ss, 0) at t = t0 e^-v,
+        # with e^(-w v) folded into its one complex exp
+        t = t0 * math.exp(-v)
+        expo = lead * t - ww * v
+        if expo.real < -745.0:
+            return 0j
+        total = 0.0
+        for gap, m, c in terms:
+            term = c * math.exp(gap * t)
+            total += term * t**m if m else term
+        return cmath.exp(expo) * total
 
     upper_fn = _power_log_integrand(n, ss, ww - 1)
     lower, lower_estimate = _complex_quad(lower_fn, 0.0)
@@ -249,15 +282,31 @@ _LANCZOS = (
 )
 
 
-def _gamma(z: complex) -> complex:
-    """Complex Gamma by the Lanczos approximation, reflected through
-    Gamma(z) Gamma(1 - z) = pi / sin(pi z) for Re z < 1/2."""
+def _log_gamma(z: complex) -> complex:
+    """A logarithm of the complex Gamma by the Lanczos approximation,
+    reflected through Gamma(z) Gamma(1 - z) = pi / sin(pi z) for
+    Re z < 1/2.  For |Im z| >= 1 the log of the sine is taken as
+    -i sg pi z + log(1 - e^(2 i sg pi z)) - log(-2 i sg) with sg the sign
+    of Im z, which no |Im z| overflows; |e^(2 i sg pi z)| <= e^-2pi
+    there, so nothing cancels."""
     if z.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * z) * _gamma(1 - z))
+        if abs(z.imag) >= 1:
+            sg = math.copysign(1.0, z.imag)
+            turn = 1j * sg * math.pi * z
+            log_sin = -turn + cmath.log(1 - cmath.exp(2 * turn)) - cmath.log(-2j * sg)
+        else:
+            log_sin = cmath.log(cmath.sin(math.pi * z))
+        return math.log(math.pi) - log_sin - _log_gamma(1 - z)
     z -= 1
     x = _LANCZOS[0] + sum(c / (z + i) for i, c in enumerate(_LANCZOS[1:], 1))
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * _exp_in_range((z + 0.5) * cmath.log(t) - t, "Gamma") * x
+    return 0.5 * math.log(2 * math.pi) + (z + 0.5) * cmath.log(t) - t + cmath.log(x)
+
+
+def _gamma(z: complex) -> complex:
+    """Complex Gamma, exp of `_log_gamma`; a value beyond float range is a
+    ConvergenceError, one below it rounds toward 0."""
+    return _exp_in_range(_log_gamma(z), "Gamma")
 
 
 def zeta_from_regularization(n: PowerLogSum, s: Complex) -> complex:
@@ -350,18 +399,25 @@ def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, 
         + sum_k B_2k/(2k)! * b(b+1)...(b+2k-2) * a^(-b-2k+1).
     Also returns the magnitude of the first omitted correction as an
     error estimate.  The continued sum has a genuine pole at b = 1.
+    One exp gives a^-b, and each correction power is the previous one
+    times a^-2.  A b with zero imaginary part runs in float arithmetic,
+    which rounds exactly as the complex one does there.
     """
     bb = complex(b)
     if abs(bb - 1) < 1e-9:
         raise SingularityError("the continued Dirichlet tail has a pole at exponent 1")
     if terms + 1 > len(_EM_COEFFS):
         raise PreconditionError(f"at most {len(_EM_COEFFS) - 1} correction terms supported")
+    if bb.imag == 0:
+        bb = bb.real
     a = float(start + 1)
     la = math.log(a)
-    apow = cmath.exp(-bb * la)  # a^-b
+    apow = cmath.exp(-bb * la) if isinstance(bb, complex) else math.exp(-bb * la)
+    inv_a2 = 1 / (a * a)
+    apk = apow / a  # a^-(b + 2k - 1) for k = 1, times a^-2 per k
     val = a * apow / (bb - 1) + apow / 2
     der = a * apow / (bb - 1) * (-la - 1 / (bb - 1)) - la * apow / 2
-    rise_v, rise_d = 1.0 + 0j, 0j  # rising factorial prod_{i<len}(b+i) and d/db
+    rise_v, rise_d = 1.0, 0.0  # rising factorial prod_{i<len}(b+i) and d/db
     length = 0
     for k in range(1, terms + 2):
         while length < 2 * k - 1:
@@ -369,13 +425,13 @@ def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, 
             rise_v, rise_d = rise_v * f, rise_d * f + rise_v
             length += 1
         coef = _EM_COEFFS[k - 1]
-        apk = cmath.exp(-(bb + 2 * k - 1) * la)
         term = coef * rise_v * apk
         dterm = coef * apk * (rise_d - la * rise_v)
         if k == terms + 1:
             return val, der, abs(term) + abs(dterm)
         val += term
         der += dterm
+        apk *= inv_a2
     raise AssertionError("unreachable")
 
 
@@ -516,13 +572,20 @@ def _zeta_and_slope(
     ww = complex(w)
     x = complex(s) + spectrum.shift
     guard = pairs[j][0]
-    values, slopes = [], []
-    for lam, mult in pairs[:j]:
-        log_base = cmath.log(lam + x)
-        term = mult * cmath.exp(-ww * log_base)
-        values.append(term)
-        slopes.append(-log_base * term)
-    head, head_slope = _fsum(values), _fsum(slopes)
+    if ww == 0 and x.imag == 0:
+        # every determinant: each head term is mult (lam + x)^0 = mult
+        # exactly, and its slope the real -mult log(lam + x)
+        values = [float(mult) for _, mult in pairs[:j]]
+        slopes = [-mult * math.log(lam + x.real) for lam, mult in pairs[:j]]
+        head, head_slope = complex(math.fsum(values)), complex(math.fsum(slopes))
+    else:
+        values, slopes = [], []
+        for lam, mult in pairs[:j]:
+            log_base = cmath.log(lam + x)
+            term = mult * cmath.exp(-ww * log_base)
+            values.append(term)
+            slopes.append(-log_base * term)
+        head, head_slope = _fsum(values), _fsum(slopes)
     size, slope_size = sum(map(abs, values)), sum(map(abs, slopes))
     # |log z| <= |log|z|| + pi, and _head's Re(s) > -lam_1 - shift puts
     # every |lam + x| in [lam_1 + Re x, lam_(j+1) + |x|]

@@ -18,6 +18,7 @@ from f1zeta.regularize import (
     _complex_quad,
     _em_tail,
     _gamma,
+    _power_log_integrand,
     circle_spectrum,
     gamma_ratio_poly,
     log_regularized_det,
@@ -109,7 +110,7 @@ def test_numeric_rejects_divergent_regions():
 @example(PowerLogSum.from_dict({(Fraction(3, 2), 1): 2, (Fraction(2), 2): 2}))
 def test_closed_matches_numeric(n):
     top = float(n.degree)
-    for w in (0.5, 1.0, 2.0):
+    for w in (0.5, 1.0, 2.0, 1.5 + 0.7j):
         for s in (top + 1.0, top + 2.5):
             closed = two_variable_zeta_closed(n, w, s)
             numeric = two_variable_zeta_numeric(n, w, s)
@@ -126,6 +127,47 @@ def test_lanczos_gamma_matches_scipy():
     assert np.max(np.abs(got - special.gamma(z)) / np.abs(special.gamma(z))) <= 1e-13
     assert _gamma(5 + 0j) == pytest.approx(24, rel=1e-14)
     assert _gamma(0.5 + 0j) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
+
+
+def test_gamma_far_from_the_real_axis_matches_scipy():
+    # |sin(pi z)| is beyond float range here, while Gamma is not
+    for z in (0.3 + 300j, 0.3 - 300j, -2.7 + 250j):
+        want = complex(special.gamma(z))
+        assert 0 < abs(want) < 1e-170
+        assert abs(_gamma(z) - want) <= 1e-12 * abs(want)
+
+
+@st.composite
+def power_log_integrand_cases(draw):
+    keys = draw(st.lists(st.tuples(st.fractions(-4, 6, max_denominator=4), st.integers(0, 3)),
+                         min_size=1, max_size=4, unique=True))
+    n = PowerLogSum.from_dict({key: draw(st.fractions(-7, 7, max_denominator=7).filter(bool)) for key in keys})
+    t = 10.0 ** draw(st.floats(-3, 3))
+    rate = complex(float(n.degree) + draw(st.floats(-0.5, 3)), draw(st.floats(-5, 5)))
+    k = draw(st.one_of(st.sampled_from((0, -1)), st.complex_numbers(max_magnitude=3).filter(lambda z: z.imag)))
+    return n, rate, k, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_log_integrand_cases())
+def test_power_log_integrand_matches_the_per_term_definition(case):
+    n, rate, k, t = case
+    # a float exp of x carries an error of about |x| 2^-52 in either form:
+    # keep every exponent where that stays below the 1e-13 compared
+    assume(abs((float(n.degree) - rate) * t) <= 300)
+    terms = [float(c) * cmath.exp((float(lam) - rate) * t) * t ** (m + k) for lam, m, c in n.terms]
+    got = _power_log_integrand(n, rate, k)(t)
+    assert abs(got - sum(terms)) <= 1e-13 * sum(map(abs, terms))
+
+
+def test_power_log_integrand_at_large_t():
+    n = parse_power_log("u^3 - 2*u^2*log^2")
+    # e^(3 t) alone overflows a float at t = 400; the integrand is e^-200
+    got = _power_log_integrand(n, 3.5 + 1j, -1)(400.0)
+    want = cmath.exp(-(0.5 + 1j) * 400) / 400 * (1 - 2 * math.exp(-400) * 400**2)
+    assert cmath.isfinite(got) and abs(got - want) <= 1e-12 * abs(want)
+    # below e^-745 the node underflows to 0 before any power of t
+    assert _power_log_integrand(n, 4 + 1j, 2 + 1j)(1e3) == 0j
 
 
 def test_exp_sinh_rule_values_and_estimates():
@@ -292,6 +334,43 @@ def test_shifted_spectral_zeta_consistency():
         shifted = shift_spectrum(circ, s0)
         moved = spectral_zeta(shifted, 2, 0.25).value
         assert moved == pytest.approx(spectral_zeta(circ, 2, 0.25 + s0).value, rel=1e-11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.5, 12, exclude_min=True), st.integers(0, 1000))
+def test_em_tail_matches_the_hurwitz_zeta(b, start):
+    # for the completely monotone n^-b the first omitted correction bounds
+    # the truncation; a^-b = e^(-b log a) rounds to about b log(a) 2^-52
+    value, _, estimate = _em_tail(b, start)
+    want = special.zeta(b, start + 1)
+    rounding = 2 * (1 + b * math.log(start + 1)) * 2.0**-52
+    assert abs(value - want) <= estimate + rounding * want
+
+
+# (value, error_bound) as float.hex, recorded with the head evaluated in
+# complex logs and exps and every Euler-Maclaurin power by its own exp:
+# the real determinant head and the power recurrence leave them unchanged
+_PINNED_LOG_DETS = {
+    (0.0, 0.3): ("0x1.252422e2e5d80p+2", "0x1.9ac9e7bbcb0a4p-40"),
+    (0.0, 5): ("0x1.8e16094518a40p+3", "0x1.9eb7f88cf82bcp-40"),
+    (0.0, 39): ("0x1.1c996e9e88d00p+5", "0x1.aa4989efdb76ep-40"),
+    (0.6, 2): ("0x1.259fab330ca00p+3", "0x1.9d162448d77c3p-40"),
+}
+_PINNED_ZETAS = {
+    2: ("0x1.9ba582e599b02p-4", "0x0.0p+0", "0x1.32dd6afcd4328p-49"),
+    1.5 + 0.5j: ("0x1.c802221eb10f3p-4", "-0x1.0ce83a36eff06p-2", "0x1.7d7c9ff162383p-48"),
+}
+
+
+def test_spectral_outputs_are_pinned_bit_for_bit():
+    circle = circle_spectrum()
+    for (shift, s), (value, bound) in _PINNED_LOG_DETS.items():
+        spectrum = shift_spectrum(circle, shift) if shift else circle
+        got = log_regularized_det(spectrum, s)
+        assert (got.value.hex(), got.error_bound.hex()) == (value, bound)
+    for w, (real, imag, bound) in _PINNED_ZETAS.items():
+        got = spectral_zeta(circle, w, 5)
+        assert (got.value.real.hex(), got.value.imag.hex(), got.error_bound.hex()) == (real, imag, bound)
 
 
 # Oracles: the circle's bare tail 2 T_em(2b) and its derivative
