@@ -14,7 +14,6 @@ checked at once, on the integer coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -31,6 +30,7 @@ from .powerlog import (
     _parity,
     _read_json,
     _reciprocal_power_coefficients,
+    _Record,
 )
 from .zetas import FactoredZeta, zeta_of
 
@@ -51,8 +51,7 @@ def _check_counting_degree(degree: int, name: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ReductiveGroupData:
+class ReductiveGroupData(_Record):
     """Rank, dimension and flag Betti numbers of a split reductive group.
 
     The palindrome condition b_{2l} = b_{2(p-l)} is validated by the
@@ -183,8 +182,7 @@ def group_zeta(group: ReductiveGroupData) -> FactoredZeta:
 # -- functional equation ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupFEReport:
+class GroupFEReport(_Record):
     holds: bool
     witness: FunctionalEquationWitness | None
     chi: int
@@ -221,8 +219,7 @@ def group_functional_equation(group: ReductiveGroupData) -> GroupFEReport:
 # -- shift / duality / reflection identity families -------------------------
 
 
-@dataclass(frozen=True)
-class FamilyIdentityReport:
+class FamilyIdentityReport(_Record):
     family: str
     rank: int
     results: tuple[tuple[str, bool], ...]

@@ -23,15 +23,13 @@ them runs through `Fraction` term algebra.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import sys
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby, repeat
-from operator import add, itemgetter, mul
+from operator import add, attrgetter, itemgetter, mul
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import ConvergenceError, ParseError, PreconditionError
@@ -152,7 +150,10 @@ def _asymmetries(a: Sequence[int], center: int, sign: int = 1) -> tuple[tuple[in
 
 def _read_json(path: str) -> object:
     """The JSON value stored in a file.  Bytes that are not UTF-8, malformed
-    JSON and nesting too deep for the parser are ParseErrors."""
+    JSON and nesting too deep for the parser are ParseErrors.  `json` is
+    imported here, so that a process that reads no file never loads it."""
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -174,8 +175,91 @@ def _decode_record(rec: object) -> tuple[Key, Fraction]:
     return (Fraction(ln, ld), m), Fraction(cn, cd)
 
 
-@dataclass(frozen=True)
-class TermMap:
+class _Record:
+    """Base of f1zeta's frozen value classes.
+
+    A subclass declares its fields as annotations, with class-level
+    defaults; the fields of its bases come first, in order.  They are read
+    once per class, when it is created.  Instances compare equal only to
+    instances of the same class with an equal field tuple, hash as that
+    tuple and print as `Name(field=value, ...)`.  Assignment and deletion
+    raise AttributeError; a `cached_property` still caches, since it
+    writes the instance dict directly.
+
+    The generic `__init__` takes the fields by position or by name, fills
+    in defaults and then runs `__post_init__`.  A class built many times
+    per operation writes its own `__init__`, storing the fields into
+    `self.__dict__`; that its parameters and defaults are the fields' own
+    is checked when the class is created.
+    """
+
+    # set per class: the field names, the defaults by name, and `_key`,
+    # the staticmethod giving an instance's field tuple
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        names: list[str] = []
+        for klass in reversed(cls.__mro__):
+            if issubclass(klass, _Record) and klass is not _Record:
+                # a class's own annotations (Python >= 3.10), in declaration order
+                names += [n for n in klass.__annotations__ if n not in names]
+        defaults = {n: getattr(cls, n) for n in names if hasattr(cls, n)}
+        if any(n not in defaults for n in names[len(names) - len(defaults):]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+        init = cls.__init__
+        if init is not _Record.__init__:
+            params = init.__code__.co_varnames[1 : init.__code__.co_argcount]
+            if params != tuple(names) or (init.__defaults__ or ()) != tuple(defaults.values()):
+                raise TypeError(f"{cls.__name__}.__init__ must take the fields {names} and their defaults")
+        cls._fields = tuple(names)
+        cls._defaults = defaults
+        get = attrgetter(*names)
+        cls._key = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__}() takes {len(names)} arguments, got {len(args)}")
+        values = self.__dict__
+        values.update(zip(names, args))
+        for field in names[len(args):]:
+            if field in kwargs:
+                values[field] = kwargs.pop(field)
+            elif field in self._defaults:
+                values[field] = self._defaults[field]
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {field!r}")
+        if kwargs:
+            raise TypeError(
+                f"{type(self).__name__}() got an unexpected or repeated argument {next(iter(kwargs))!r}"
+            )
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Validation run by the generic `__init__`; none by default."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class TermMap(_Record):
     """Canonical sparse map (lam, m) -> nonzero Fraction, stored as the
     terms (lam, m, value) sorted by (lam, m).
 
@@ -188,6 +272,9 @@ class TermMap:
     """
 
     terms: tuple[Term, ...] = ()
+
+    def __init__(self, terms: tuple[Term, ...] = ()) -> None:
+        self.__dict__["terms"] = terms
 
     # New term tuples are built from lists: tuple() of a generator grows
     # the tuple by repeated reallocation, and over many calls that churn
@@ -282,7 +369,6 @@ class TermMap:
         return type(self)(tuple(out))
 
 
-@dataclass(frozen=True)
 class PowerLogSum(TermMap):
     """Immutable finite sum of u^lam (log u)^m terms with exact coefficients."""
 
@@ -409,12 +495,14 @@ def _fmt_exp(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"({x})"
 
 
-@dataclass(frozen=True)
-class FunctionalEquationWitness:
+class FunctionalEquationWitness(_Record):
     """Witness of N(1/u) = c * u^(-omega) * N(u) with c in {+1, -1}."""
 
     c: int
     omega: Fraction
+
+    def __init__(self, c: int, omega: Fraction) -> None:
+        self.__dict__["c"], self.__dict__["omega"] = c, omega
 
 
 def witness_holds(n: PowerLogSum, witness: FunctionalEquationWitness) -> bool:

@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
-from .powerlog import PowerLogSum, _exp_in_range
+from .powerlog import PowerLogSum, _exp_in_range, _Record
 from .zetas import log_evaluate_zeta, zeta_of
 
 Complex = Union[complex, float, int]
@@ -322,8 +321,7 @@ def zeta_from_regularization(n: PowerLogSum, s: Complex) -> complex:
 # -- log-integral representation for N(1) = 0 --------------------------
 
 
-@dataclass(frozen=True)
-class LogZetaIntegral:
+class LogZetaIntegral(_Record):
     value: complex
     region: str
     abscissa: float
@@ -438,8 +436,7 @@ def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, 
 # -- spectra --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Record):
     """Plug-in description of the nonzero eigenvalues of a Laplacian.
 
     The callbacks describe a sequence lam_j; the spectrum is
@@ -447,9 +444,10 @@ class Spectrum:
     (lam_j, multiplicity) pairs in nondecreasing order;
     `tail_bound(J, w, s)` bounds the omitted raw tail
     |sum_{j>J} mult (lam_j + s)^-w|.  The optional
-    `continued_tail(b, J)` returns (T(b), T'(b)): the analytically
-    continued bare tail T(b) = sum_{j>J} mult lam_j^-b and its
-    b-derivative, one exponent per call.  It enables continuation to
+    `continued_tail(b, J)` returns (T(b), T'(b), err): the analytically
+    continued bare tail T(b) = sum_{j>J} mult lam_j^-b, its
+    b-derivative, and a bound on the truncation error of each, one
+    exponent per call.  It enables continuation to
     w = 0 (required by log_regularized_det and regularized_det).
     spectral_zeta and log_regularized_det evaluate the callbacks at
     s + shift where the caller passed s, so a shifted spectrum costs what
@@ -459,8 +457,20 @@ class Spectrum:
     name: str
     eigenvalues: Callable[[int], tuple[tuple[float, int], ...]]
     tail_bound: Callable[[int, complex, complex], float]
-    continued_tail: Optional[Callable[[complex, int], tuple[complex, complex]]] = None
+    continued_tail: Optional[Callable[[complex, int], tuple[complex, complex, float]]] = None
     shift: float = 0.0
+
+    def __init__(
+        self,
+        name: str,
+        eigenvalues: Callable[[int], tuple[tuple[float, int], ...]],
+        tail_bound: Callable[[int, complex, complex], float],
+        continued_tail: Optional[Callable[[complex, int], tuple[complex, complex, float]]] = None,
+        shift: float = 0.0,
+    ) -> None:
+        d = self.__dict__
+        d["name"], d["eigenvalues"], d["tail_bound"] = name, eigenvalues, tail_bound
+        d["continued_tail"], d["shift"] = continued_tail, shift
 
 
 def circle_spectrum() -> Spectrum:
@@ -481,10 +491,11 @@ def circle_spectrum() -> Spectrum:
         wobble = math.exp(math.pi * abs(complex(w).imag))
         return 2 * skew * wobble * (j ** (1 - 2 * rw) / (2 * rw - 1) + (j + 1) ** (-2 * rw))
 
-    def continued_tail(b: complex, j: int) -> tuple[complex, complex]:
-        # sum_{n>j} 2 (n^2)^-b = 2 T_em(2b), with d/db = 4 T_em'(2b)
-        val, der, _ = _em_tail(2 * complex(b), j)
-        return 2 * val, 4 * der
+    def continued_tail(b: complex, j: int) -> tuple[complex, complex, float]:
+        # sum_{n>j} 2 (n^2)^-b = 2 T_em(2b), with d/db = 4 T_em'(2b); the
+        # omitted Euler-Maclaurin correction of both, times 4, bounds each
+        val, der, err = _em_tail(2 * complex(b), j)
+        return 2 * val, 4 * der, 4 * err
 
     return Spectrum("circle", eigenvalues, tail_bound, continued_tail)
 
@@ -493,7 +504,8 @@ def shift_spectrum(base: Spectrum, shift: float) -> Spectrum:
     """The spectrum lam_j + shift: the base with its shift moved by
     `shift`, evaluated at s + shift wherever the base is evaluated at s.
     The shifted eigenvalues must stay positive."""
-    shifted = replace(base, name=f"{base.name}+{shift}", shift=base.shift + shift)
+    shifted = Spectrum(f"{base.name}+{shift}", base.eigenvalues, base.tail_bound,
+                       base.continued_tail, base.shift + shift)
     first = shifted.eigenvalues(1)
     if first and first[0][0] + shifted.shift <= 0:
         raise PreconditionError("shifted eigenvalues must stay positive")
@@ -519,11 +531,14 @@ _SPLIT_TERMS = 40  # at most this many terms of the binomial split of the tail
 _ROUNDING = 2.0**-50  # rounding charged per unit of magnitude summed: 4 units of 2^-52
 
 
-@dataclass(frozen=True)
-class SpectralValue:
+class SpectralValue(_Record):
     value: complex
     error_bound: float
     terms_used: int
+
+    def __init__(self, value: complex, error_bound: float, terms_used: int) -> None:
+        d = self.__dict__
+        d["value"], d["error_bound"], d["terms_used"] = value, error_bound, terms_used
 
 
 def _head(spectrum: Spectrum, s: complex, start: int) -> tuple[int, tuple[tuple[float, int], ...]]:
@@ -565,8 +580,11 @@ def _zeta_and_slope(
     each is below 1e-18 of its sum, or for _SPLIT_TERMS terms.  As
     T(b + 1) <= T(b) / lam_(j+1), the terms shrink by about
     r = |x| / lam_(j+1) < 1/2 per step, and twice the last term times
-    r / (1 - r) bounds the rest.  Rounding adds _ROUNDING times the result
-    and the magnitudes summed, these scaled by 1 + |w log(lam + x)|.
+    r / (1 - r) bounds the rest.  Each tail's truncation error err is
+    charged at its term's weight: |C(-w, k) x^k| err to the value and
+    (|d/dw C(-w, k)| + |C(-w, k)|) |x^k| err to the slope.  Rounding adds
+    _ROUNDING times the result and the magnitudes summed, these scaled by
+    1 + |w log(lam + x)|.
     Without continued tails the value is the head, bounded by tail_bound.
     """
     ww = complex(w)
@@ -601,14 +619,18 @@ def _zeta_and_slope(
         return SpectralValue(head, bound + charge * size + _ROUNDING * abs(head), j), None
 
     tail = tail_slope = 0j
+    truncation = slope_truncation = 0.0
     binom, binom_slope = 1.0 + 0j, 0j  # C(-w, k) and its w-derivative
     for k in range(_SPLIT_TERMS):
-        t, t_slope = spectrum.continued_tail(ww + k, j)
+        t, t_slope, err = spectrum.continued_tail(ww + k, j)
         power = x**k
         term = binom * power * t
         term_slope = power * (binom_slope * t + binom * t_slope)
         tail, tail_slope = tail + term, tail_slope + term_slope
         size, slope_size = size + abs(term), slope_size + abs(term_slope)
+        weight = abs(power) * err
+        truncation += abs(binom) * weight
+        slope_truncation += (abs(binom_slope) + abs(binom)) * weight
         if k and max(abs(term) / max(1.0, abs(tail)),
                      abs(term_slope) / max(1.0, abs(tail_slope))) < 1e-18:
             break
@@ -616,8 +638,10 @@ def _zeta_and_slope(
         binom, binom_slope = binom * step, binom_slope * step - binom / (k + 1)
     rest = 2 * abs(x) / (guard - abs(x))  # 2 r / (1 - r)
     value, slope = head + tail, head_slope + tail_slope
-    bound = rest * abs(term) + charge * size + _ROUNDING * abs(value)
-    slope_bound = rest * abs(term_slope) + charge * slope_size + _ROUNDING * abs(slope)
+    bound = rest * abs(term) + charge * size + _ROUNDING * abs(value) + truncation
+    slope_bound = (
+        rest * abs(term_slope) + charge * slope_size + _ROUNDING * abs(slope) + slope_truncation
+    )
     return SpectralValue(value, bound, j), SpectralValue(slope, slope_bound, j)
 
 

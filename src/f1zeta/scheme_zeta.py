@@ -15,16 +15,14 @@ rank exceeds d and the Betti profile is palindromic, an integer check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .powerlog import PowerLogSum, _asymmetries
+from .powerlog import PowerLogSum, _asymmetries, _Record
 from .schemes import MonoidScheme, counting_coefficients
 from .zetas import FactoredZeta, zeta_of
 
 
-@dataclass(frozen=True)
-class BettiProfile:
+class BettiProfile(_Record):
     """Even Betti numbers b_{2l}, l = 0..d, with their Euler characteristic.
 
     For inputs that are not asserted smooth projective the formula can
@@ -75,8 +73,7 @@ def scheme_counting_function(scheme: MonoidScheme) -> PowerLogSum:
     return PowerLogSum.from_int_coefficients(counting_coefficients(scheme))
 
 
-@dataclass(frozen=True)
-class GlobalFEReport:
+class GlobalFEReport(_Record):
     holds: bool
     chi: int
     dimension: int

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import ParseError, PreconditionError
-from .powerlog import MAX_COUNTING_DEGREE, _binomial_row, _integer, _read_json
+from .powerlog import MAX_COUNTING_DEGREE, _binomial_row, _integer, _read_json, _Record
 
 COMPLEX_TOLERANCE = 1e-10  # declared tolerance for Fourier reconstruction
 
@@ -47,8 +46,7 @@ def totient(n: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class TorsionPoint:
+class TorsionPoint(_Record):
     """One scheme point: unit-group rank and torsion orders."""
 
     rank: int
@@ -67,8 +65,7 @@ class TorsionPoint:
         return math.prod(self.torsion_orders)
 
 
-@dataclass(frozen=True)
-class MonoidScheme:
+class MonoidScheme(_Record):
     """Finite point list plus asserted dimension / projectivity metadata.
 
     `smooth_projective` is a caller assertion: it cannot be decided from
@@ -293,8 +290,7 @@ def gcd_inner_fourier(t: int) -> tuple[Fraction, ...]:
     return _class_vector(t, {t // e: Fraction(totient(e), e) for e in _divisors(t)})
 
 
-@dataclass(frozen=True)
-class FourierData:
+class FourierData(_Record):
     """Per-(point, torsion index) Fourier coefficients at a fixed prime.
 
     Each coefficient vector has length `period` = n0 and expands
@@ -303,7 +299,7 @@ class FourierData:
 
     prime: int
     period: int
-    entries: tuple[tuple[int, int, int, tuple[Fraction, ...]], ...] = field(default=())
+    entries: tuple[tuple[int, int, int, tuple[Fraction, ...]], ...] = ()
     # entry layout: (point index, torsion index, torsion order, coefficient vector)
 
     def reconstruction_error(self, n_max: int | None = None) -> float:

@@ -31,13 +31,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
-from .powerlog import _asymmetries, _check_printable, _exp_in_range
+from .powerlog import _asymmetries, _check_printable, _exp_in_range, _Record
 from .schemes import MonoidScheme, counting_coefficients, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
@@ -59,8 +58,7 @@ def _check_series_order(order: int, least: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(_Record):
     """Exact power-series jet in T with constant term 1."""
 
     coefficients: tuple[Fraction, ...]
@@ -119,12 +117,14 @@ def _newton_series(counts: Sequence[int], what: str) -> list[int]:
 # -- factored smoothed local zeta ----------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalZetaFactors:
+class LocalZetaFactors(_Record):
     """prod_r (1 - base^r T)^(e_r) for a real base > 1."""
 
     base: Union[int, float]
     factors: tuple[tuple[int, int], ...]  # (level r, exponent e_r), e_r != 0
+
+    def __init__(self, base: Union[int, float], factors: tuple[tuple[int, int], ...]) -> None:
+        self.__dict__["base"], self.__dict__["factors"] = base, factors
 
     def exponents(self) -> dict[int, int]:
         return dict(self.factors)
@@ -243,8 +243,7 @@ def limit_toward_one(
 # -- local functional equation -------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalFEReport:
+class LocalFEReport(_Record):
     holds: bool
     chi: int
     dimension: int

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -31,11 +30,11 @@ from .powerlog import (
     TermMap,
     _exp_in_range,
     _parity,
+    _Record,
     witness_holds,
 )
 
 
-@dataclass(frozen=True)
 class FactoredZeta(TermMap):
     """The term map of a counting function read as factors (lam, m, e).
 
@@ -126,8 +125,7 @@ def log_evaluate_zeta(z: FactoredZeta, s: complex) -> complex:
 # -- epsilon factor ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpsilonFactor:
+class EpsilonFactor(_Record):
     sign: int
     numeric_residual: float
     sample_points: tuple[complex, ...]
@@ -165,8 +163,7 @@ def epsilon_factor(n: PowerLogSum) -> EpsilonFactor:
 # -- functional equation at the zeta level -----------------------------
 
 
-@dataclass(frozen=True)
-class ZetaFEReport:
+class ZetaFEReport(_Record):
     holds: bool
     center: Fraction
     exponent_sign: int

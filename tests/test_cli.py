@@ -184,6 +184,15 @@ def test_regdet_with_a_long_head_meets_the_default_tolerance(capsys):
     assert float(out.strip()) == pytest.approx(4 * math.sinh(math.pi) ** 2, rel=1e-9)
 
 
+def test_regdet_with_a_one_term_head_fails_its_tolerance(capsys):
+    # the tails' Euler-Maclaurin truncation beyond one head term is about
+    # 5e-7 of the value and is charged to the bound, so it cannot meet 1e-9
+    code = cli.main(["regdet", "--spectrum", "circle", "--s", "0.3", "--terms", "1"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert "achieved 2.238e-03" in captured.err
+
+
 def test_fourier(capsys, tmp_path):
     path = tmp_path / "t.scheme"
     path.write_text(json.dumps({"points": [{"rank": 0, "torsion": [3]}]}))

@@ -1,6 +1,7 @@
 """Fresh-process start-up: `import f1zeta` loads no layer module, each
-subcommand loads only its own layers, and no subcommand and no numeric
-integral ever loads scipy or numpy."""
+subcommand loads only its own layers, no subcommand and no numeric
+integral ever loads scipy or numpy, no subcommand loads `dataclasses` or
+`inspect`, and a subcommand that reads no file does not load `json`."""
 
 import importlib
 import json
@@ -21,7 +22,8 @@ import sys
 from f1zeta import cli
 code = cli.main(sys.argv[1:])
 sys.stdout.flush()
-print("loaded=" + ",".join(m for m in ("scipy", "numpy") if m in sys.modules), file=sys.stderr)
+print("loaded=" + ",".join(m for m in ("scipy", "numpy", "dataclasses", "inspect", "json")
+                           if m in sys.modules), file=sys.stderr)
 print("layers=" + ",".join(sorted(m[7:] for m in sys.modules if m.startswith("f1zeta."))),
       file=sys.stderr)
 sys.exit(code)
@@ -101,24 +103,51 @@ def test_cases_cover_every_subcommand():
     assert sorted(case[0] for case in CASES) == sorted(cli._HANDLERS) == sorted(LAYERS)
 
 
-def _run_case(inputs, argv) -> dict[str, str]:
-    """The child's closing stderr lines: loaded scipy/numpy and f1zeta layers."""
+def _run_case(inputs, argv) -> dict[str, list[str]]:
+    """The child's closing stderr lines: which of the watched modules
+    (scipy, numpy, dataclasses, inspect, json) and which f1zeta layers it
+    loaded."""
     proc = _fresh(CLI_CHILD, *(arg.format(**inputs) for arg in argv))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
-    return dict(line.split("=", 1) for line in proc.stderr.strip().splitlines()[-2:])
+    lines = proc.stderr.strip().splitlines()[-2:]
+    return {key: [m for m in value.split(",") if m] for key, value in (line.split("=", 1) for line in lines)}
+
+
+@pytest.fixture(scope="module")
+def child(inputs):
+    """`_run_case`, run once per CASES row for all the tests below."""
+    runs: dict[str, dict[str, list[str]]] = {}
+
+    def run(argv):
+        if argv[0] not in runs:
+            runs[argv[0]] = _run_case(inputs, argv)
+        return runs[argv[0]]
+
+    return run
 
 
 @pytest.mark.parametrize("argv", CASES, ids=[case[0] for case in CASES])
-def test_subcommand_starts_without_scipy_or_numpy(inputs, argv):
-    loaded = _run_case(inputs, argv)["loaded"]
-    assert loaded == "", f"{argv[0]} {loaded}"
+def test_subcommand_starts_without_scipy_or_numpy(child, argv):
+    loaded = [m for m in child(argv)["loaded"] if m in ("scipy", "numpy")]
+    assert loaded == [], f"{argv[0]} {loaded}"
 
 
 @pytest.mark.parametrize("argv", CASES, ids=[case[0] for case in CASES])
-def test_subcommand_loads_only_its_layers(inputs, argv):
-    layers = _run_case(inputs, argv)["layers"].split(",")
-    assert layers == sorted(["cli", "errors", *LAYERS[argv[0]].split()])
+def test_subcommand_loads_neither_dataclasses_nor_inspect(child, argv):
+    loaded = [m for m in child(argv)["loaded"] if m in ("dataclasses", "inspect")]
+    assert loaded == [], f"{argv[0]} {loaded}"
+
+
+@pytest.mark.parametrize("argv", [case for case in CASES if not any("{" in arg for arg in case)],
+                         ids=lambda case: case[0])
+def test_subcommand_without_input_files_loads_no_json(child, argv):
+    assert "json" not in child(argv)["loaded"]
+
+
+@pytest.mark.parametrize("argv", CASES, ids=[case[0] for case in CASES])
+def test_subcommand_loads_only_its_layers(child, argv):
+    assert child(argv)["layers"] == sorted(["cli", "errors", *LAYERS[argv[0]].split()])
 
 
 def test_numeric_integrals_never_load_scipy_or_numpy():

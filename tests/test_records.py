@@ -1,0 +1,163 @@
+"""The frozen value classes: construction, immutability, equality, hash
+and repr of every class built on `powerlog._Record`."""
+
+import importlib
+from fractions import Fraction
+
+import pytest
+
+from f1zeta.errors import PreconditionError
+from f1zeta.groups import FamilyIdentityReport, GroupFEReport, ReductiveGroupData
+from f1zeta.powerlog import FunctionalEquationWitness, PowerLogSum, TermMap, _Record
+from f1zeta.regularize import LogZetaIntegral, SpectralValue, Spectrum, circle_spectrum
+from f1zeta.scheme_zeta import BettiProfile, GlobalFEReport
+from f1zeta.schemes import FourierData, MonoidScheme, TorsionPoint
+from f1zeta.weil import LocalFEReport, LocalZetaFactors, TruncatedSeries
+from f1zeta.zetas import EpsilonFactor, FactoredZeta, ZetaFEReport
+
+TERMS = ((Fraction(0), 0, Fraction(-1)), (Fraction(1), 0, Fraction(1)))
+CIRCLE = circle_spectrum()
+
+# per class: its fields in declaration order, with values its constructor keeps as given
+RECORDS = [
+    (TermMap, {"terms": TERMS}),
+    (PowerLogSum, {"terms": TERMS}),
+    (FactoredZeta, {"terms": TERMS}),
+    (FunctionalEquationWitness, {"c": -1, "omega": Fraction(1)}),
+    (TorsionPoint, {"rank": 1, "torsion_orders": (2, 3)}),
+    (MonoidScheme, {"points": (TorsionPoint(1), TorsionPoint(0)), "dimension": 1,
+                    "smooth_projective": True, "name": "P1"}),
+    (FourierData, {"prime": 2, "period": 2, "entries": ((0, 0, 3, (Fraction(2), Fraction(-1))),)}),
+    (ReductiveGroupData, {"rank": 1, "dimension": 3, "flag_betti": (1, 1), "name": "SL2"}),
+    (GroupFEReport, {"holds": True, "witness": FunctionalEquationWitness(-1, Fraction(4)), "chi": 0,
+                     "expected_center": Fraction(4), "expected_sign": -1}),
+    (FamilyIdentityReport, {"family": "GL", "rank": 2, "results": (("fe", True),)}),
+    (TruncatedSeries, {"coefficients": (Fraction(1), Fraction(3))}),
+    (LocalZetaFactors, {"base": 2, "factors": ((0, -1), (1, -1))}),
+    (LocalFEReport, {"holds": True, "chi": 2, "dimension": 1, "base": 2, "mismatches": (),
+                     "exponent_ok": True, "squared_form": False}),
+    (BettiProfile, {"values": (1, 1), "dimension": 1, "warning": None}),
+    (GlobalFEReport, {"holds": False, "chi": 2, "dimension": 1, "asymmetries": ((0, 1, 2),)}),
+    (EpsilonFactor, {"sign": 1, "numeric_residual": 0.0, "sample_points": (1.5 + 0.7j,)}),
+    (ZetaFEReport, {"holds": True, "center": Fraction(1, 2), "exponent_sign": 1, "prefactor_sign": -1}),
+    (LogZetaIntegral, {"value": 0.5 + 0j, "region": "upper", "abscissa": 1.0, "error_estimate": 1e-15}),
+    (Spectrum, {"name": "circle", "eigenvalues": CIRCLE.eigenvalues, "tail_bound": CIRCLE.tail_bound,
+                "continued_tail": CIRCLE.continued_tail, "shift": 0.25}),
+    (SpectralValue, {"value": 1.5 + 0j, "error_bound": 1e-14, "terms_used": 48}),
+]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_value_class_is_listed():
+    for layer in ("groups", "regularize", "scheme_zeta", "schemes", "weil", "zetas"):
+        importlib.import_module(f"f1zeta.{layer}")
+    listed = [cls for cls, _ in RECORDS]
+    assert len(listed) == len(set(listed)) == 20
+    assert {c for c in _subclasses(_Record) if c.__module__.startswith("f1zeta.")} == set(listed)
+
+
+@pytest.mark.parametrize("cls,fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_value_class_semantics(cls, fields):
+    by_name = cls(**fields)
+    by_position = cls(*fields.values())
+    assert by_name == by_position and not by_name != by_position
+    assert hash(by_name) == hash(by_position) == hash(tuple(fields.values()))
+    assert [getattr(by_name, name) for name in fields] == list(fields.values())
+    shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(by_name) == f"{cls.__name__}({shown})"
+    for name in (*fields, "unknown"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(by_name, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(by_name, name)
+    assert [getattr(by_name, name) for name in fields] == list(fields.values())
+    with pytest.raises(TypeError):
+        cls(*fields.values(), None)
+    with pytest.raises(TypeError):
+        cls(**fields, unknown=None)
+
+
+def test_records_with_a_different_field_differ():
+    assert TorsionPoint(1) != TorsionPoint(2)
+    assert SpectralValue(1.0, 0.5, 3) != SpectralValue(1.0, 0.5, 4)
+    assert MonoidScheme((TorsionPoint(0),)) != MonoidScheme((TorsionPoint(0),), name="pt")
+    assert FunctionalEquationWitness(1, Fraction(2)) != FunctionalEquationWitness(-1, Fraction(2))
+
+
+def test_reprs_read_like_constructor_calls():
+    assert repr(TorsionPoint(1, (2,))) == "TorsionPoint(rank=1, torsion_orders=(2,))"
+    assert repr(PowerLogSum()) == "PowerLogSum(terms=())"
+    assert repr(SpectralValue(1.0, 0.5, 3)) == "SpectralValue(value=1.0, error_bound=0.5, terms_used=3)"
+
+
+def test_defaults_fill_omitted_fields():
+    scheme = MonoidScheme((TorsionPoint(0),))
+    assert (scheme.dimension, scheme.smooth_projective, scheme.name) == (None, False, "")
+    assert TorsionPoint(2).torsion_orders == ()
+    assert FourierData(2, 1).entries == ()
+    assert Spectrum("s", CIRCLE.eigenvalues, CIRCLE.tail_bound).shift == 0.0
+    assert PowerLogSum() == PowerLogSum(()) == PowerLogSum.zero()
+    with pytest.raises(TypeError, match="missing argument 'dimension'"):
+        ReductiveGroupData(1)
+
+
+def test_post_init_validates_and_normalizes():
+    with pytest.raises(PreconditionError):
+        TorsionPoint(-1)
+    with pytest.raises(PreconditionError):
+        TorsionPoint(0, (1,))
+    with pytest.raises(PreconditionError):
+        TruncatedSeries((2,))
+    with pytest.raises(PreconditionError):
+        MonoidScheme(())
+    with pytest.raises(PreconditionError):
+        ReductiveGroupData(1, 2, (1,))
+    assert TorsionPoint(0, [3]).torsion_orders == (3,)
+    assert MonoidScheme([TorsionPoint(0)]).points == (TorsionPoint(0),)
+    assert TruncatedSeries([1, 2]).coefficients == (Fraction(1), Fraction(2))
+
+
+def test_term_maps_of_different_classes_never_compare_equal():
+    assert PowerLogSum(TERMS) != FactoredZeta(TERMS)
+    assert not PowerLogSum(TERMS) == FactoredZeta(TERMS)
+    assert PowerLogSum(TERMS) != TermMap(TERMS)
+    assert PowerLogSum(TERMS) != TERMS
+
+
+def test_cached_properties_cache_on_frozen_instances():
+    scheme = MonoidScheme((TorsionPoint(1), TorsionPoint(0), TorsionPoint(0)))
+    assert scheme.point_types is scheme.point_types
+    assert sorted(scheme.point_types) == [(0, (), 2), (1, (), 1)]
+    group = ReductiveGroupData(1, 3, (1, 1), "SL2")
+    assert group.coefficients is group.coefficients == (-1, 0, 1)
+    # a cached value is not a field: equality, hash and repr stay as they were
+    assert group == ReductiveGroupData(1, 3, (1, 1), "SL2")
+    assert repr(group) == "ReductiveGroupData(rank=1, dimension=3, flag_betti=(1, 1), name='SL2')"
+
+
+def test_a_class_is_checked_when_it_is_created():
+    with pytest.raises(TypeError, match="without a default follows"):
+        class Unordered(_Record):
+            a: int = 0
+            b: int
+
+    with pytest.raises(TypeError, match="must take the fields"):
+        class Mismatched(_Record):
+            a: int
+            b: int = 1
+
+            def __init__(self, a, b=2):
+                self.__dict__["a"], self.__dict__["b"] = a, b
+
+    class Extended(TorsionPoint):
+        label: str = ""
+
+    assert Extended(1, (2,), "x").label == "x"
+    assert repr(Extended(1)) == f"{Extended.__qualname__}(rank=1, torsion_orders=(), label='')"
+    with pytest.raises(PreconditionError):
+        Extended(-1)

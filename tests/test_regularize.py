@@ -349,7 +349,8 @@ def test_em_tail_matches_the_hurwitz_zeta(b, start):
 
 # (value, error_bound) as float.hex, recorded with the head evaluated in
 # complex logs and exps and every Euler-Maclaurin power by its own exp:
-# the real determinant head and the power recurrence leave them unchanged
+# the real determinant head and the power recurrence leave them unchanged;
+# the bounds include each tail's Euler-Maclaurin truncation
 _PINNED_LOG_DETS = {
     (0.0, 0.3): ("0x1.252422e2e5d80p+2", "0x1.9ac9e7bbcb0a4p-40"),
     (0.0, 5): ("0x1.8e16094518a40p+3", "0x1.9eb7f88cf82bcp-40"),
@@ -358,7 +359,7 @@ _PINNED_LOG_DETS = {
 }
 _PINNED_ZETAS = {
     2: ("0x1.9ba582e599b02p-4", "0x0.0p+0", "0x1.32dd6afcd4328p-49"),
-    1.5 + 0.5j: ("0x1.c802221eb10f3p-4", "-0x1.0ce83a36eff06p-2", "0x1.7d7c9ff162383p-48"),
+    1.5 + 0.5j: ("0x1.c802221eb10f3p-4", "-0x1.0ce83a36eff06p-2", "0x1.7d7c9ff162385p-48"),
 }
 
 
@@ -373,9 +374,9 @@ def test_spectral_outputs_are_pinned_bit_for_bit():
         assert (got.value.real.hex(), got.value.imag.hex(), got.error_bound.hex()) == (real, imag, bound)
 
 
-# Oracles: the circle's bare tail 2 T_em(2b) and its derivative
-# 4 T_em'(2b) straight from `_em_tail`, and the binomial split of each
-# that a shifted spectrum's own tails once were.
+# Oracles: the circle's bare tail 2 T_em(2b), its derivative 4 T_em'(2b)
+# and their truncation bound 4 err straight from `_em_tail`, and the
+# binomial split of each that a shifted spectrum's own tails once were.
 def _oracle_circle_tail(a, j):
     val, _, _ = _em_tail(2 * complex(a), j)
     return 2 * val
@@ -384,6 +385,11 @@ def _oracle_circle_tail(a, j):
 def _oracle_circle_tail_deriv(a, j):
     _, der, _ = _em_tail(2 * complex(a), j)
     return 4 * der
+
+
+def _oracle_circle_tail_err(a, j):
+    _, _, err = _em_tail(2 * complex(a), j)
+    return 4 * err
 
 
 def _oracle_shift_tail(shift, a, j, split_order=24):
@@ -425,7 +431,9 @@ def test_continued_tail_matches_the_per_exponent_oracle_bit_for_bit(a, count, j)
     tail = circle_spectrum().continued_tail
     for m in range(count):
         b = complex(a) + m
-        assert tail(b, j) == (_oracle_circle_tail(b, j), _oracle_circle_tail_deriv(b, j))
+        assert tail(b, j) == (
+            _oracle_circle_tail(b, j), _oracle_circle_tail_deriv(b, j), _oracle_circle_tail_err(b, j)
+        )
 
 
 def _oracle_shifted_log_det(shift, s, j=64):
@@ -460,13 +468,35 @@ def test_shifted_log_det_meets_its_bound_and_the_split_oracle(a, s):
 # a long head: its rounding grows with the head and must stay inside the bound
 @example(0.3, 0.0, 65536)
 def test_log_det_meets_its_bound_against_the_closed_form(s, shift, terms):
-    # log det'(Delta + x) = log(4 sinh^2(pi sqrt(x)) / x) for the circle, x = s + shift
     x = s + shift
     assume(x >= 0.05)
     got = log_regularized_det(shift_spectrum(circle_spectrum(), shift), s, terms=terms)
+    assert abs(got.value - _closed_form_log_det(x)) <= got.error_bound
+
+
+def _closed_form_log_det(x):
+    # log det'(Delta + x) = log(4 sinh^2(pi sqrt(x)) / x) for the circle
     root = 2 * math.pi * math.sqrt(x)
-    want = root + 2 * math.log1p(-math.exp(-root)) - math.log(x)
-    assert abs(got.value - want) <= got.error_bound
+    return root + 2 * math.log1p(-math.exp(-root)) - math.log(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(math.log(0.05), math.log(5000)).map(math.exp),
+    st.floats(-0.5, 1.0),
+    st.sampled_from([1, 2, 3, 4, 6]),
+)
+@example(0.3, 0.0, 1)
+@example(0.3, 0.0, 4)
+def test_a_short_head_charges_the_tails_truncation_to_its_bound(s, shift, terms):
+    # a few head terms leave the Euler-Maclaurin tails far from converged
+    # (5.5e-7 off at s = 0.3 after one term); no tolerance is asked, and the
+    # bound must still cover the error
+    x = s + shift
+    assume(x >= 0.05)
+    spectrum = shift_spectrum(circle_spectrum(), shift)
+    got = log_regularized_det(spectrum, s, tol=math.inf, terms=terms)
+    assert abs(got.value - _closed_form_log_det(x)) <= got.error_bound
 
 
 @settings(max_examples=20, deadline=None)

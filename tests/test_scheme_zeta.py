@@ -1,6 +1,5 @@
 """Global scheme zeta, Betti profiles and the global functional equation."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -260,7 +259,9 @@ def _exponent_mismatches(scheme) -> tuple:
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
-    schemes(declared_dim=True).map(lambda x: dataclasses.replace(x, smooth_projective=True)),
+    schemes(declared_dim=True).map(
+        lambda x: MonoidScheme(x.points, x.dimension, smooth_projective=True, name=x.name)
+    ),
     palindromic_schemes(),
 ))
 @example(MonoidScheme((TorsionPoint(0), TorsionPoint(2)), dimension=1, smooth_projective=True))
