@@ -14,8 +14,9 @@ the same integral turns N(u) = sum u^(-lam_j) into the operator zeta
 sum_j (lam_j + s)^(-w).  One series continues it to w = 0: explicit
 head terms, then the binomial split sum_k C(-w, k) s^k T(w + k) of the
 rest into bare tails T(b) = sum lam_j^-b, continued by Euler-Maclaurin.
-log det'(Delta + s) = -d/dw zeta(0) is the w-derivative of that same
-series.  For N(1) = 0 the same substitution gives log zeta_N itself as
+log det'(Delta + s) = -d/dw zeta(0) is the w-derivative of that series
+at w = 0, a real series of its own: each quantity sums only its own
+terms.  For N(1) = 0 the same substitution gives log zeta_N itself as
 an integral (`log_zeta_integral`).
 
 The numeric core is stdlib only.  Integrals over [a, oo) use an exp-sinh
@@ -324,7 +325,6 @@ def zeta_from_regularization(n: PowerLogSum, s: Complex) -> complex:
 class LogZetaIntegral(_Record):
     value: complex
     region: str
-    abscissa: float
     error_estimate: float  # the quadrature's own estimate (see _complex_quad)
 
 
@@ -341,7 +341,7 @@ def log_zeta_integral(n: PowerLogSum, s: complex, region: str = "upper") -> LogZ
         raise PreconditionError("log-integral form requires N(1) = 0")
     ss = complex(s)
     if n.is_zero:
-        return LogZetaIntegral(0j, region, 0.0, 0.0)
+        return LogZetaIntegral(0j, region, 0.0)
     if region == "upper":
         edge = float(n.degree)
         if ss.real <= edge:
@@ -366,7 +366,7 @@ def log_zeta_integral(n: PowerLogSum, s: complex, region: str = "upper") -> LogZ
     value, estimate = _complex_quad(_power_log_integrand(shape, rate, -1), 0.0)
     if region == "lower":
         value = -value
-    return LogZetaIntegral(value, region, edge, estimate)
+    return LogZetaIntegral(value, region, estimate)
 
 
 # -- Euler-Maclaurin tails of bare Dirichlet sums ------------------------
@@ -441,36 +441,31 @@ class Spectrum(_Record):
 
     The callbacks describe a sequence lam_j; the spectrum is
     lam_j + shift.  `eigenvalues(count)` yields the first `count`
-    (lam_j, multiplicity) pairs in nondecreasing order;
-    `tail_bound(J, w, s)` bounds the omitted raw tail
-    |sum_{j>J} mult (lam_j + s)^-w|.  The optional
+    (lam_j, multiplicity) pairs in nondecreasing order.
     `continued_tail(b, J)` returns (T(b), T'(b), err): the analytically
     continued bare tail T(b) = sum_{j>J} mult lam_j^-b, its
     b-derivative, and a bound on the truncation error of each, one
-    exponent per call.  It enables continuation to
-    w = 0 (required by log_regularized_det and regularized_det).
-    spectral_zeta and log_regularized_det evaluate the callbacks at
-    s + shift where the caller passed s, so a shifted spectrum costs what
-    its base costs.
+    exponent per call.  spectral_zeta asks for T at complex b = w + k,
+    log_regularized_det for T'(0) and T at the real b = k.  Both evaluate
+    the callbacks at s + shift where the caller passed s, so a shifted
+    spectrum costs what its base costs.
     """
 
     name: str
     eigenvalues: Callable[[int], tuple[tuple[float, int], ...]]
-    tail_bound: Callable[[int, complex, complex], float]
-    continued_tail: Optional[Callable[[complex, int], tuple[complex, complex, float]]] = None
+    continued_tail: Callable[[complex, int], tuple[complex, complex, float]]
     shift: float = 0.0
 
     def __init__(
         self,
         name: str,
         eigenvalues: Callable[[int], tuple[tuple[float, int], ...]],
-        tail_bound: Callable[[int, complex, complex], float],
-        continued_tail: Optional[Callable[[complex, int], tuple[complex, complex, float]]] = None,
+        continued_tail: Callable[[complex, int], tuple[complex, complex, float]],
         shift: float = 0.0,
     ) -> None:
         d = self.__dict__
-        d["name"], d["eigenvalues"], d["tail_bound"] = name, eigenvalues, tail_bound
-        d["continued_tail"], d["shift"] = continued_tail, shift
+        d["name"], d["eigenvalues"], d["continued_tail"], d["shift"] = (
+            name, eigenvalues, continued_tail, shift)
 
 
 def circle_spectrum() -> Spectrum:
@@ -483,29 +478,21 @@ def circle_spectrum() -> Spectrum:
     def eigenvalues(count: int) -> tuple[tuple[float, int], ...]:
         return tuple((float(n * n), 2) for n in range(1, count + 1))
 
-    def tail_bound(j: int, w: complex, s: complex) -> float:
-        rw = complex(w).real
-        if rw <= 0.5 or (j + 1) ** 2 <= 2 * abs(s):
-            return math.inf
-        skew = (1 - abs(s) / (j + 1) ** 2) ** (-max(rw, 0.0))
-        wobble = math.exp(math.pi * abs(complex(w).imag))
-        return 2 * skew * wobble * (j ** (1 - 2 * rw) / (2 * rw - 1) + (j + 1) ** (-2 * rw))
-
     def continued_tail(b: complex, j: int) -> tuple[complex, complex, float]:
         # sum_{n>j} 2 (n^2)^-b = 2 T_em(2b), with d/db = 4 T_em'(2b); the
         # omitted Euler-Maclaurin correction of both, times 4, bounds each
         val, der, err = _em_tail(2 * complex(b), j)
         return 2 * val, 4 * der, 4 * err
 
-    return Spectrum("circle", eigenvalues, tail_bound, continued_tail)
+    return Spectrum("circle", eigenvalues, continued_tail)
 
 
 def shift_spectrum(base: Spectrum, shift: float) -> Spectrum:
     """The spectrum lam_j + shift: the base with its shift moved by
     `shift`, evaluated at s + shift wherever the base is evaluated at s.
     The shifted eigenvalues must stay positive."""
-    shifted = Spectrum(f"{base.name}+{shift}", base.eigenvalues, base.tail_bound,
-                       base.continued_tail, base.shift + shift)
+    shifted = Spectrum(f"{base.name}+{shift}", base.eigenvalues, base.continued_tail,
+                       base.shift + shift)
     first = shifted.eigenvalues(1)
     if first and first[0][0] + shifted.shift <= 0:
         raise PreconditionError("shifted eigenvalues must stay positive")
@@ -546,6 +533,8 @@ def _head(spectrum: Spectrum, s: complex, start: int) -> tuple[int, tuple[tuple[
     from `start` until lam_(j+1) > 2 |s + shift|, so that the binomial
     split of the tail beyond j converges.  An s at or below the first
     shifted eigenvalue fails before the head grows."""
+    if start < 1:
+        raise PreconditionError(f"at least 1 head term is needed, got {start}")
     if start > MAX_HEAD_TERMS:
         raise PreconditionError(f"at most {MAX_HEAD_TERMS} head terms are supported, got {start}")
     j = start
@@ -568,91 +557,51 @@ def _fsum(terms: list[complex]) -> complex:
     return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
-def _zeta_and_slope(
-    spectrum: Spectrum, w: Complex, s: Complex, j: int, pairs: tuple[tuple[float, int], ...]
-) -> tuple[SpectralValue, Optional[SpectralValue]]:
-    """zeta(w) = sum mult (lam + x)^-w with x = s + shift, and its
-    w-derivative, each with its achieved bound, from the head of `_head`.
+def spectral_zeta(
+    spectrum: Spectrum, w: Complex, s: Complex, terms: int | None = None
+) -> SpectralValue:
+    """zeta(w) = sum mult (lam + x)^-w with x = s + shift, with its
+    achieved bound, from a head of `terms` eigenvalues (default 48, grown
+    by `_head`).
 
-    math.fsum sums the head terms mult (lam + x)^-w and their derivatives
-    -log(lam + x) mult (lam + x)^-w.  The rest splits binomially into
-    sum_k C(-w, k) x^k T(w + k), summed with its derivative until a term of
-    each is below 1e-18 of its sum, or for _SPLIT_TERMS terms.  As
+    math.fsum sums the head terms mult (lam + x)^-w.  The rest splits
+    binomially into sum_k C(-w, k) x^k T(w + k), summed until a term is
+    below 1e-18 of the sum, or for _SPLIT_TERMS terms.  As
     T(b + 1) <= T(b) / lam_(j+1), the terms shrink by about
     r = |x| / lam_(j+1) < 1/2 per step, and twice the last term times
     r / (1 - r) bounds the rest.  Each tail's truncation error err is
-    charged at its term's weight: |C(-w, k) x^k| err to the value and
-    (|d/dw C(-w, k)| + |C(-w, k)|) |x^k| err to the slope.  Rounding adds
-    _ROUNDING times the result and the magnitudes summed, these scaled by
+    charged at its term's weight |C(-w, k) x^k|.  Rounding adds _ROUNDING
+    times the result and the magnitudes summed, these scaled by
     1 + |w log(lam + x)|.
-    Without continued tails the value is the head, bounded by tail_bound.
     """
+    j, pairs = _head(spectrum, s, 48 if terms is None else terms)
     ww = complex(w)
     x = complex(s) + spectrum.shift
     guard = pairs[j][0]
-    if ww == 0 and x.imag == 0:
-        # every determinant: each head term is mult (lam + x)^0 = mult
-        # exactly, and its slope the real -mult log(lam + x)
-        values = [float(mult) for _, mult in pairs[:j]]
-        slopes = [-mult * math.log(lam + x.real) for lam, mult in pairs[:j]]
-        head, head_slope = complex(math.fsum(values)), complex(math.fsum(slopes))
-    else:
-        values, slopes = [], []
-        for lam, mult in pairs[:j]:
-            log_base = cmath.log(lam + x)
-            term = mult * cmath.exp(-ww * log_base)
-            values.append(term)
-            slopes.append(-log_base * term)
-        head, head_slope = _fsum(values), _fsum(slopes)
-    size, slope_size = sum(map(abs, values)), sum(map(abs, slopes))
+    values = [mult * cmath.exp(-ww * cmath.log(lam + x)) for lam, mult in pairs[:j]]
+    head = _fsum(values)
+    size = sum(map(abs, values))
+    tail = 0j
+    truncation = 0.0
+    binom = 1.0 + 0j  # C(-w, k)
+    for k in range(_SPLIT_TERMS):
+        t, _, err = spectrum.continued_tail(ww + k, j)
+        power = x**k
+        term = binom * power * t
+        tail += term
+        size += abs(term)
+        truncation += abs(binom) * (abs(power) * err)
+        if k and abs(term) / max(1.0, abs(tail)) < 1e-18:
+            break
+        binom *= (-ww - k) / (k + 1)
+    value = head + tail
+    rest = 2 * abs(x) / (guard - abs(x))  # 2 r / (1 - r)
     # |log z| <= |log|z|| + pi, and _head's Re(s) > -lam_1 - shift puts
     # every |lam + x| in [lam_1 + Re x, lam_(j+1) + |x|]
     reach = max(math.log(guard + abs(x)), -math.log(pairs[0][0] + x.real)) + math.pi
     charge = _ROUNDING * (1 + abs(ww) * reach)
-
-    if spectrum.continued_tail is None:
-        bound = spectrum.tail_bound(j, ww, x)
-        if math.isinf(bound):
-            raise ConvergenceError(
-                f"insufficient convergence for Re(w) = {ww.real} after {j} terms (bound achieved: inf)"
-            )
-        return SpectralValue(head, bound + charge * size + _ROUNDING * abs(head), j), None
-
-    tail = tail_slope = 0j
-    truncation = slope_truncation = 0.0
-    binom, binom_slope = 1.0 + 0j, 0j  # C(-w, k) and its w-derivative
-    for k in range(_SPLIT_TERMS):
-        t, t_slope, err = spectrum.continued_tail(ww + k, j)
-        power = x**k
-        term = binom * power * t
-        term_slope = power * (binom_slope * t + binom * t_slope)
-        tail, tail_slope = tail + term, tail_slope + term_slope
-        size, slope_size = size + abs(term), slope_size + abs(term_slope)
-        weight = abs(power) * err
-        truncation += abs(binom) * weight
-        slope_truncation += (abs(binom_slope) + abs(binom)) * weight
-        if k and max(abs(term) / max(1.0, abs(tail)),
-                     abs(term_slope) / max(1.0, abs(tail_slope))) < 1e-18:
-            break
-        step = (-ww - k) / (k + 1)
-        binom, binom_slope = binom * step, binom_slope * step - binom / (k + 1)
-    rest = 2 * abs(x) / (guard - abs(x))  # 2 r / (1 - r)
-    value, slope = head + tail, head_slope + tail_slope
     bound = rest * abs(term) + charge * size + _ROUNDING * abs(value) + truncation
-    slope_bound = (
-        rest * abs(term_slope) + charge * slope_size + _ROUNDING * abs(slope) + slope_truncation
-    )
-    return SpectralValue(value, bound, j), SpectralValue(slope, slope_bound, j)
-
-
-def spectral_zeta(
-    spectrum: Spectrum, w: Complex, s: Complex, terms: int | None = None
-) -> SpectralValue:
-    """sum_j mult_j (lam_j + shift + s)^(-w) with an explicit head plus a
-    continued (or rigorously bounded) tail; the achieved bound is
-    reported alongside the value."""
-    j, pairs = _head(spectrum, s, terms or (48 if spectrum.continued_tail else 512))
-    return _zeta_and_slope(spectrum, w, s, j, pairs)[0]
+    return SpectralValue(value, bound, j)
 
 
 def log_regularized_det(
@@ -662,18 +611,44 @@ def log_regularized_det(
     terms: int | None = None,
 ) -> SpectralValue:
     """log det'(Delta + s) = -d/dw zeta_{Delta+s}(w) at w = 0, as a
-    SpectralValue (log det, achieved bound, head terms used): the
-    derivative of spectral_zeta's own series, which at w = 0 is
-    -sum mult log(lam + x) + T'(0) + sum_{k>=1} (-1)^k x^k T(k) / k with
-    x = s + shift.  Failure to meet `tol` raises with the bound achieved.
+    SpectralValue (log det, achieved bound, head terms used), from a head
+    of `terms` eigenvalues (default 64, grown by `_head`).
+
+    At w = 0 the w-derivative of spectral_zeta's series is real:
+        -sum mult log(lam + x) + T'(0) + sum_{k>=1} c_k x^k T(k)
+    with x = s + shift and c_k = d/dw C(-w, k) at 0 = (-1)^k / k.  It is
+    summed, stopped and bounded as spectral_zeta's series is, with
+    |c_k x^k| err charged per tail.  Failure to meet `tol` raises with
+    the bound achieved.
     """
-    if spectrum.continued_tail is None:
-        raise ConvergenceError(f"spectrum {spectrum.name} lacks continued tails; cannot reach w = 0")
-    j, pairs = _head(spectrum, float(s), terms or 64)
-    _, slope = _zeta_and_slope(spectrum, 0.0, float(s), j, pairs)
-    if slope.error_bound > tol:
-        raise ConvergenceError(f"tail bound not met: achieved {slope.error_bound:.3e} > {tol:.3e}")
-    return SpectralValue(-slope.value.real, slope.error_bound, j)
+    j, pairs = _head(spectrum, float(s), 64 if terms is None else terms)
+    x = float(s) + spectrum.shift
+    guard = pairs[j][0]
+    slopes = [-mult * math.log(lam + x) for lam, mult in pairs[:j]]
+    head = math.fsum(slopes)
+    size = sum(map(abs, slopes))
+    _, tail, truncation = spectrum.continued_tail(0.0, j)  # T'(0), its err
+    size += abs(tail)
+    term = tail
+    coef = -1.0  # c_1
+    for k in range(1, _SPLIT_TERMS):
+        t, _, err = spectrum.continued_tail(float(k), j)
+        # complex ** int squares repeatedly, as spectral_zeta's x**k does;
+        # float ** int (libm pow) would round some x^k otherwise
+        power = (complex(x) ** k).real
+        term = power * (coef * t)
+        tail += term
+        size += abs(term)
+        truncation += abs(coef) * (abs(power) * err)
+        if abs(term) / max(1.0, abs(tail)) < 1e-18:
+            break
+        coef *= -k / (k + 1)
+    log_det = -(head + tail).real
+    rest = 2 * abs(x) / (guard - abs(x))  # 2 r / (1 - r)
+    bound = rest * abs(term) + _ROUNDING * size + _ROUNDING * abs(log_det) + truncation
+    if bound > tol:
+        raise ConvergenceError(f"tail bound not met: achieved {bound:.3e} > {tol:.3e}")
+    return SpectralValue(log_det, bound, j)
 
 
 def regularized_det(
