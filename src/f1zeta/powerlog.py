@@ -115,20 +115,19 @@ def _binomial_row(r: int) -> list[int]:
     return row
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], size: int | None = None) -> list[int]:
-    """Coefficients of (sum a_i x^i)(sum b_j x^j), truncated to the first
-    `size` when given.  Only the nonzero coefficients of the sparser
-    factor are walked, so multiplying by 1 - x^k costs one pass."""
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of (sum a_i x^i)(sum b_j x^j).  Only the nonzero
+    coefficients of the sparser factor are walked, so multiplying by
+    1 - x^k costs one pass."""
     if not a or not b:
         return []
     if sum(1 for x in a if x) < sum(1 for x in b if x):
         a, b = b, a
-    n = len(a) + len(b) - 1 if size is None else min(size, len(a) + len(b) - 1)
-    out = [0] * n
-    for j, bj in enumerate(b[:n]):
+    k = len(a)
+    out = [0] * (k + len(b) - 1)
+    for j, bj in enumerate(b):
         if bj:
-            k = min(len(a), n - j)
-            out[j : j + k] = map(add, out[j : j + k], map(mul, a[:k], repeat(bj)))
+            out[j : j + k] = map(add, out[j : j + k], map(mul, a, repeat(bj)))
     return out
 
 

@@ -387,12 +387,13 @@ _BERNOULLI = {
 
 # B_2k / (2k)! for k = 1, 2, ..., as floats, built once
 _EM_COEFFS = tuple(float(b) / math.factorial(n) for n, b in sorted(_BERNOULLI.items()))
+_EM_TERMS = 8  # Euler-Maclaurin correction terms of a continued tail
 
 
-def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, float]:
+def _em_tail(b: Complex, start: int) -> tuple[complex, complex, float]:
     """Continued tail sum_{n > start} n^(-b) with its d/db derivative.
 
-    Euler-Maclaurin with `terms` correction terms at a = start + 1:
+    Euler-Maclaurin with _EM_TERMS correction terms at a = start + 1:
         a^(1-b)/(b-1) + a^(-b)/2
         + sum_k B_2k/(2k)! * b(b+1)...(b+2k-2) * a^(-b-2k+1).
     Also returns the magnitude of the first omitted correction as an
@@ -404,8 +405,6 @@ def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, 
     bb = complex(b)
     if abs(bb - 1) < 1e-9:
         raise SingularityError("the continued Dirichlet tail has a pole at exponent 1")
-    if terms + 1 > len(_EM_COEFFS):
-        raise PreconditionError(f"at most {len(_EM_COEFFS) - 1} correction terms supported")
     if bb.imag == 0:
         bb = bb.real
     a = float(start + 1)
@@ -417,7 +416,7 @@ def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, 
     der = a * apow / (bb - 1) * (-la - 1 / (bb - 1)) - la * apow / 2
     rise_v, rise_d = 1.0, 0.0  # rising factorial prod_{i<len}(b+i) and d/db
     length = 0
-    for k in range(1, terms + 2):
+    for k in range(1, _EM_TERMS + 2):
         while length < 2 * k - 1:
             f = bb + length
             rise_v, rise_d = rise_v * f, rise_d * f + rise_v
@@ -425,7 +424,7 @@ def _em_tail(b: Complex, start: int, terms: int = 8) -> tuple[complex, complex, 
         coef = _EM_COEFFS[k - 1]
         term = coef * rise_v * apk
         dterm = coef * apk * (rise_d - la * rise_v)
-        if k == terms + 1:
+        if k == _EM_TERMS + 1:
             return val, der, abs(term) + abs(dterm)
         val += term
         der += dterm

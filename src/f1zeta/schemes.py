@@ -11,7 +11,7 @@ evaluated in int by Horner in q - 1 over the scheme's count profile; the
 torsion-smoothed variant replaces each gcd by t_{x,j}.  The Fourier
 machinery expands n |-> gcd(t, p^n - 1), which is periodic of period
 phi(t), into its discrete Fourier series, whose coefficients are exact
-rationals read off the multiplicative orders of p and checked in int.
+rationals, divisor differences of gcd(t', p^h - 1), checked in int.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import ParseError, PreconditionError
 from .powerlog import MAX_COUNTING_DEGREE, _binomial_row, _integer, _read_json, _Record
 
 COMPLEX_TOLERANCE = 1e-10  # declared tolerance for Fourier reconstruction
+MAX_FOURIER_PERIOD = 1 << 20  # coefficients per torsion order in a Fourier table
 
 
 def totient(n: int) -> int:
@@ -231,16 +232,22 @@ def _part_prime_to(t: int, p: int) -> int:
     return t
 
 
-def _class_vector(n: int, pieces: dict[int, Fraction]) -> tuple[Fraction, ...]:
-    """(v_1, ..., v_n) with v_nu = sum of pieces[q] over the q dividing nu.
+def _divisor_differences(divs: list[int], values: Sequence[int]) -> list[int]:
+    """The P_g with values_g = sum of P_q over the q dividing g, for the
+    increasing divisors g of n: Moebius inversion on them, in int."""
+    out: list[int] = []
+    for g, v in zip(divs, values):  # increasing, so each q | g is done
+        out.append(v - sum(c for q, c in zip(divs, out) if g % q == 0))
+    return out
 
-    Every q divides n, so v_nu depends only on gcd(nu, n): one sum per
-    divisor of n, then one lookup per index.
-    """
-    by_class = {
-        g: sum((v for q, v in pieces.items() if g % q == 0), Fraction(0))
-        for g in _divisors(n)
-    }
+
+def _class_vector(divs: list[int], weights: list[int]) -> tuple[Fraction, ...]:
+    """(v_1, ..., v_n), v_nu = sum of weights_o / o over the o | n = divs[-1]
+    with (n/o) | nu: over the denominator n, one int sum of the pieces
+    weights_o (n/o) and one Fraction per class gcd(nu, n)."""
+    n = divs[-1]
+    pieces = [(q, w * q) for q, w in zip(divs, reversed(weights)) if w]  # q = n/o
+    by_class = {g: Fraction(sum(c for q, c in pieces if g % q == 0), n) for g in divs}
     return tuple([by_class[math.gcd(nu, n)] for nu in range(1, n + 1)])
 
 
@@ -248,15 +255,15 @@ def gcd_fourier_coefficients(t: int, p: int, n0: int) -> tuple[Fraction, ...]:
     """Coefficients c_nu, nu = 1..n0, of gcd(t, p^n - 1) as a Fourier
     series sum_nu c_nu xi^(n nu) in n, where xi = e^(2 pi i / n0).
 
-    With t' the part of t prime to p, gcd(t, p^n - 1) equals
-    sum_{e | t'} phi(e) [ord_e(p) | n], and [o | n] = (1/o) sum over the
-    nu that are multiples of n0/o of xi^(n nu).  So the coefficients are
-    the exact rationals c_nu = sum of phi(e)/ord_e(p) over the e with
-    (n0/ord_e(p)) | nu; they are real and depend only on gcd(nu, n0).
+    With t' the part of t prime to p, gcd(t, p^n - 1) = gcd(t', p^n - 1)
+    = sum_{o | n} W_o, W_o the sum of phi(e) over the e | t' with
+    ord_e(p) = o: the W_o are divisor differences over the h | n0.  As
+    [o | n] = (1/o) sum over the nu that are multiples of n0/o of
+    xi^(n nu), the c_nu = sum of W_o/o over the o | n0 with (n0/o) | nu
+    are exact rationals, real and a function of gcd(nu, n0).
 
-    n0 must be a multiple of the actual period of the sequence (phi(t)
-    always works); other values are rejected since reconstruction would
-    fail.
+    n0 must be a multiple of the actual period ord_t'(p) (phi(t) always
+    works); other values are rejected since reconstruction would fail.
     """
     if t < 2:
         raise PreconditionError(f"torsion order must be >= 2, got {t}")
@@ -264,16 +271,12 @@ def gcd_fourier_coefficients(t: int, p: int, n0: int) -> tuple[Fraction, ...]:
         raise PreconditionError(f"base prime must be >= 2, got {p}")
     if n0 < 1:
         raise PreconditionError(f"period length must be >= 1, got {n0}")
+    part = _part_prime_to(t, p)
+    if not _divides_power_minus_one(part, p, n0):
+        raise PreconditionError(f"{n0} is not a multiple of the period of gcd({t}, {p}^n - 1)")
     heights = _divisors(n0)
-    weights: dict[int, int] = {}  # ord_e(p) -> sum of phi(e)
-    for e in _divisors(_part_prime_to(t, p)):
-        order = next((h for h in heights if _divides_power_minus_one(e, p, h)), None)
-        if order is None:
-            raise PreconditionError(
-                f"{n0} is not a multiple of the period of gcd({t}, {p}^n - 1)"
-            )
-        weights[order] = weights.get(order, 0) + totient(e)
-    return _class_vector(n0, {n0 // o: Fraction(w, o) for o, w in weights.items()})
+    gcds = [math.gcd(part, pow(p, h, part) - 1) for h in heights]
+    return _class_vector(heights, _divisor_differences(heights, gcds))
 
 
 def gcd_inner_fourier(t: int) -> tuple[Fraction, ...]:
@@ -287,7 +290,8 @@ def gcd_inner_fourier(t: int) -> tuple[Fraction, ...]:
     """
     if t < 1:
         raise PreconditionError(f"modulus must be >= 1, got {t}")
-    return _class_vector(t, {t // e: Fraction(totient(e), e) for e in _divisors(t)})
+    divs = _divisors(t)
+    return _class_vector(divs, _divisor_differences(divs, divs))  # e = sum_{q | e} phi(q)
 
 
 class FourierData(_Record):
@@ -332,11 +336,9 @@ class FourierData(_Record):
             except (TypeError, ValueError, OverflowError):  # complex, nan, inf
                 return math.inf
             scale = math.lcm(*(v.denominator for v in values))
-            pieces: dict[int, int] = {}
-            for g, v in zip(divs, values):  # increasing, so each q | g is done
-                pieces[g] = v.numerator * (scale // v.denominator) - sum(
-                    c for q, c in pieces.items() if g % q == 0)
-            terms = [(n0 // q, c * (n0 // q)) for q, c in pieces.items() if c]
+            pieces = _divisor_differences(
+                divs, [v.numerator * (scale // v.denominator) for v in values])
+            terms = [(n0 // q, c * (n0 // q)) for q, c in zip(divs, pieces) if c]
             # The series depends on n only through gcd(n, n0), and so does
             # gcd(t, p^n - 1) when every ord_e(p) divides n0, i.e. when t's
             # part prime to p divides p^n0 - 1.  Then one n per class that
@@ -360,8 +362,16 @@ class FourierData(_Record):
 
 
 def fourier_data(scheme: MonoidScheme, p: int) -> FourierData:
-    """Assemble the full coefficient table c_{x,j,nu}(p) for a scheme."""
+    """The coefficient table c_{x,j,nu}(p) of a scheme; the period is capped first."""
+    if p < 2:
+        raise PreconditionError(f"base prime must be >= 2, got {p}")
+    # phi(t) >= sqrt(t / 2): an order past 2 cap^2 is over the cap with no totient run
+    if (top := max(scheme.count_profile[0], default=1)) > 2 * MAX_FOURIER_PERIOD**2:
+        raise PreconditionError(f"torsion order {top}: a Fourier period of at most "
+                                f"{MAX_FOURIER_PERIOD} is supported")
     n0 = fourier_period(scheme)
+    if n0 > MAX_FOURIER_PERIOD:
+        raise PreconditionError(f"Fourier period {n0}; at most {MAX_FOURIER_PERIOD} is supported")
     vectors = {t: gcd_fourier_coefficients(t, p, n0) for t in scheme.count_profile[0]}
     return FourierData(p, n0, tuple((i, j, t, vectors[t]) for i, pt in enumerate(scheme.points)
                                     for j, t in enumerate(pt.torsion_orders)))

@@ -205,6 +205,21 @@ def test_fourier(capsys, tmp_path):
     assert lines[-1] == "reconstruction_error\t0.0"
 
 
+@pytest.mark.parametrize("points,p,message", [
+    ([{"rank": 1}], "1", "base prime must be >= 2, got 1"),
+    ([{"rank": 1}], "-3", "base prime must be >= 2, got -3"),
+    ([{"rank": 0, "torsion": [1000003, 999983]}], "2", "Fourier period 499991999982"),
+    ([{"rank": 0, "torsion": [10**18 + 3]}], "2", "a Fourier period of at most 1048576"),
+])
+def test_fourier_precondition_exits_before_a_table(capsys, tmp_path, points, p, message):
+    path = tmp_path / "t.scheme"
+    path.write_text(json.dumps({"points": points}))
+    code = cli.main(["fourier", "--scheme", str(path), "--p", p])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert message in captured.err
+
+
 def test_parse_error_exit_codes(capsys, tmp_path):
     code, _ = _run(capsys, "count", "--scheme", str(tmp_path / "nope"), "--q", "5")
     assert code == 2
@@ -709,7 +724,8 @@ def test_limit_base_count_above_the_float_range_is_a_precondition_error(capsys, 
 
 _NEAR_POINT = st.fixed_dictionaries(
     {"rank": st.sampled_from((0, 1, 2, 5, 500, 501))},
-    optional={"torsion": st.lists(st.sampled_from((1, 2, 3, 4, 12, 60, 97)), max_size=3)},
+    optional={"torsion": st.lists(st.sampled_from((1, 2, 3, 4, 12, 60, 97, 1000003, 999983, 10**18 + 3)),
+                                  max_size=3)},
 )
 _NEAR_SCHEME = st.fixed_dictionaries(
     {"points": st.lists(_NEAR_POINT, max_size=4)},
@@ -717,7 +733,7 @@ _NEAR_SCHEME = st.fixed_dictionaries(
 )
 _NEAR_Q = st.sampled_from(("1", "2", "0", "-3", "7", "1024", str(7**40), str(2**64 + 1),
                            str(10**400), "2.5", "1e3", "x"))
-_NEAR_P = st.sampled_from(("2", "5", "97", "4", "6", "9", "15", "1", "0", "-2", "2.5", "nan", "x"))
+_NEAR_P = st.sampled_from(("2", "5", "97", "4", "6", "9", "15", "1", "0", "-2", "-3", "2.5", "nan", "x"))
 
 
 @settings(max_examples=150, deadline=None)

@@ -140,9 +140,8 @@ def test_binomial_row_matches_math_comb():
         assert _binomial_row(r) == [(-1) ** (r - k) * math.comb(r, k) for k in range(r + 1)]
 
 
-def test_convolve_truncates_and_skips_zeros():
+def test_convolve_skips_zeros():
     assert _convolve([1, 2, 3], [4, 0, 5]) == [4, 8, 17, 10, 15]
-    assert _convolve([1, 2, 3], [4, 0, 5], 2) == [4, 8]
     assert _convolve([1, 0, 0, -1], [1, 1, 1, 1, 1]) == [1, 1, 1, 0, 0, -1, -1, -1]
     assert _convolve([], [1]) == []
 

@@ -12,6 +12,7 @@ from f1zeta import groups
 from f1zeta.errors import ParseError, PreconditionError
 from f1zeta.powerlog import MAX_COUNTING_DEGREE
 from f1zeta.schemes import (
+    MAX_FOURIER_PERIOD,
     FourierData,
     MonoidScheme,
     TorsionPoint,
@@ -28,6 +29,8 @@ from f1zeta.schemes import (
     torsion_point_model,
     torus_model,
     totient,
+    _divisor_differences,
+    _divisors,
 )
 
 
@@ -528,3 +531,77 @@ def test_fourier_data_shares_one_vector_per_torsion_order():
     assert len(vectors) == 3 and vectors[0] is vectors[1] is vectors[2]
     assert vectors[0] == gcd_fourier_coefficients(263, 2, 262)
     assert data.reconstruction_error() == 0.0
+
+
+# -- the divisor inversion against the multiplicative-order form -------------
+
+
+def _order_scan_coefficients(t, p, n0):
+    # gcd_fourier_coefficients as it was before the divisor inversion:
+    # c_nu = sum of phi(e)/ord_e(p) over the e | t' with (n0/ord_e(p)) | nu,
+    # each order found by a scan of the heights h | n0
+    part = t
+    while math.gcd(part, p) > 1:
+        part //= math.gcd(part, p)
+    heights = [h for h in range(1, n0 + 1) if n0 % h == 0]
+    weights = {}
+    for e in (e for e in range(1, part + 1) if part % e == 0):
+        order = next(h for h in heights if pow(p, h, e) == 1 % e)
+        weights[order] = weights.get(order, 0) + totient(e)
+    return tuple(sum((Fraction(w, o) for o, w in weights.items() if nu % (n0 // o) == 0), Fraction(0))
+                 for nu in range(1, n0 + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5000), st.integers(2, 12), st.integers(1, 2))
+def test_coefficients_match_the_order_scan(t, p, multiple):
+    n0 = multiple * totient(t)
+    coeffs = gcd_fourier_coefficients(t, p, n0)
+    assert all(type(c) is Fraction for c in coeffs)
+    assert coeffs == _order_scan_coefficients(t, p, n0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 120), st.integers(2, 12))
+def test_coefficients_raise_exactly_off_the_period(t, p):
+    part = t
+    while math.gcd(part, p) > 1:
+        part //= math.gcd(part, p)
+    order = next(h for h in range(1, t + 1) if pow(p, h, part) == 1 % part)  # ord_t'(p)
+    for n0 in range(1, 2 * totient(t) + 1):
+        if n0 % order:
+            with pytest.raises(PreconditionError, match="is not a multiple of the period"):
+                gcd_fourier_coefficients(t, p, n0)
+        else:
+            assert len(gcd_fourier_coefficients(t, p, n0)) == n0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2000), st.data())
+def test_divisor_differences_invert_the_class_sums(n, data):
+    divs = _divisors(n)
+    pieces = data.draw(st.lists(st.integers(-10**20, 10**20), min_size=len(divs), max_size=len(divs)))
+    sums = [sum(c for q, c in zip(divs, pieces) if g % q == 0) for g in divs]
+    assert _divisor_differences(divs, sums) == pieces
+    assert _divisor_differences(divs, divs) == [totient(e) for e in divs]
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_fourier_data_rejects_a_base_below_2_for_every_scheme(p):
+    for scheme in (torus_model(1), f1_point(), torsion_point_model([3])):
+        with pytest.raises(PreconditionError, match="base prime must be >= 2"):
+            fourier_data(scheme, p)
+
+
+def test_fourier_period_cap():
+    # the first order past the cap: phi(1048583) = 1048582
+    assert MAX_FOURIER_PERIOD < totient(1048583) == 1048582
+    with pytest.raises(PreconditionError, match="Fourier period 1048582; at most 1048576"):
+        fourier_data(torsion_point_model([1048583]), 2)
+    with pytest.raises(PreconditionError, match="Fourier period 499991999982"):
+        fourier_data(torsion_point_model([1000003, 999983]), 2)
+    # phi(t) >= sqrt(t / 2): past 2 cap^2 an order is rejected without its totient
+    for t in (2 * MAX_FOURIER_PERIOD**2 + 1, 10**18 + 3):
+        with pytest.raises(PreconditionError, match=f"torsion order {t}: a Fourier period"):
+            fourier_data(torsion_point_model([3, t]), 2)
+    assert fourier_data(torsion_point_model([4, 1048573]), 3).period == 1048572
