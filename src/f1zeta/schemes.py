@@ -369,9 +369,10 @@ def fourier_data(scheme: MonoidScheme, p: int) -> FourierData:
     if (top := max(scheme.count_profile[0], default=1)) > 2 * MAX_FOURIER_PERIOD**2:
         raise PreconditionError(f"torsion order {top}: a Fourier period of at most "
                                 f"{MAX_FOURIER_PERIOD} is supported")
-    n0 = fourier_period(scheme)
-    if n0 > MAX_FOURIER_PERIOD:
-        raise PreconditionError(f"Fourier period {n0}; at most {MAX_FOURIER_PERIOD} is supported")
+    n0 = 1  # fourier_period as a running lcm: stop at the first order past the cap
+    for t in scheme.count_profile[0]:
+        if (n0 := math.lcm(n0, totient(t))) > MAX_FOURIER_PERIOD:
+            raise PreconditionError(f"Fourier period {n0}; at most {MAX_FOURIER_PERIOD} is supported")
     vectors = {t: gcd_fourier_coefficients(t, p, n0) for t in scheme.count_profile[0]}
     return FourierData(p, n0, tuple((i, j, t, vectors[t]) for i, pt in enumerate(scheme.points)
                                     for j, t in enumerate(pt.torsion_orders)))

@@ -15,37 +15,43 @@ Both series are computed in int and are exact.  For any integer p >= 2,
 #X(F_{p^n}) counts the fixed points of the n-th iterate of x -> p x on
 (Q/Z)^R(x) x prod_j Z/t_{x,j}, summed over the points: on Q/Z the
 solutions of (p^n - 1) x = 0 number p^n - 1, on Z/t they number
-gcd(t, p^n - 1).  Fixed-point counts of the iterates of one map form a
-Dold sequence, so exp(sum N_n T^n / n) = prod over periodic orbits of
-(1 - T^length)^-1 has integer coefficients, and every division of the
-Newton recurrence n e_n = sum_k N_k e_{n-k} is exact; a remainder is
-an ArithmeticError, never rounded.  The factored form has integer
-coefficients too, as each factor (1 - p^r T)^(e_r) has the integer
-binomial coefficients C(e_r, n) (-p^r)^n; it is expanded factor by
-factor, one pass per unit of |e_r|, or by the same recurrence on its
-power sums N_k = sum_r a_r p^(rk) when the sum of the |e_r| exceeds the
-order.
+gcd(t, p^n - 1).  Grouped into the periodic orbits of that map, the
+local zeta is a finite product
+
+    Z(p, T) = prod_{i, o} (1 - p^(i o) T^o)^(-m_(i,o)),
+
+o the orbit lengths on the torsion, with integer m_(i,o).  When a bound
+B on sum |m| is at most the order it is expanded factor by factor, one
+strided pass per unit of |m|; otherwise by the Newton recurrence
+n e_n = sum_k N_k e_{n-k} over the counts, which form a Dold sequence,
+so every division is exact; a remainder is an ArithmeticError, never
+rounded.  The factored smoothed form is expanded the same two ways: by
+passes when the sum of its |e_r| is at most the order, otherwise by the
+recurrence on its power sums N_k = sum_r a_r p^(rk).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
-from .powerlog import _asymmetries, _check_printable, _exp_in_range, _Record
-from .schemes import MonoidScheme, counting_coefficients, exact_count
+from .powerlog import _asymmetries, _binomial_row, _check_printable, _exp_in_range, _Record
+from .schemes import (MonoidScheme, _divisor_differences, _part_prime_to, counting_coefficients,
+                      exact_count)
 
 # Largest accepted order of an exact series in T.  At order n the
-# coefficients of a d-dimensional scheme have about d n log2(p) bits, and
-# the recurrence makes about n^2/2 products of them.  Measured at the cap on a
-# 2-core host: local_zeta_series 0.24 s on P2 at p = 7, 0.8 s on P4 and
-# about 4 s on P10, the largest projective space whose coefficients stay
-# printable at p = 7; P11 and above exit at once on the digit limit (P2 at
-# p = 7: 3.3 s at order 1000, 16 s at 1500).
+# coefficients of a d-dimensional scheme have about d n log2(p) bits.
+# Measured at the cap on a 2-core host at p = 7: the orbit product takes
+# 0.5 ms on P2, 0.8 ms on P4 and 4 ms on P10, the largest projective space
+# whose coefficients stay printable at p = 7 (P11 and above exit at once
+# on the digit limit).  Above the bound B the recurrence makes about n^2/2
+# products: 0.11 s on 8 torsion points of rank <= 2, 2.8 s on P10 plus one
+# point of torsion 1000003.
 MAX_SERIES_ORDER = 500
 
 
@@ -76,23 +82,88 @@ class TruncatedSeries(_Record):
 
 
 def local_zeta_series(scheme: MonoidScheme, p: int, order: int) -> TruncatedSeries:
-    """exp(sum_{n=1}^{order} #X(F_{p^n}) T^n / n), truncated, exact.
-
-    The coefficients are integers (see the module docstring), computed by
-    the Newton recurrence n e_n = sum_{k=1}^{n} N_k e_{n-k} in int.  A
-    coefficient too long to print is a PreconditionError, raised before
-    the recurrence runs on to the next coefficient."""
+    """exp(sum_{n=1}^{order} #X(F_{p^n}) T^n / n), truncated, exact: the
+    orbit product of `_orbit_exponents` when its bound B is at most the
+    order, else the Newton recurrence over the counts (see the module
+    docstring).  A coefficient too long to print is a PreconditionError
+    naming the first such e_n."""
     _check_series_order(order, 1)
     if not isinstance(p, int) or p < 2:
         raise PreconditionError(f"need an integer base p >= 2, got {p!r}")
     # every N_k >= 0 makes every e_n >= 0, so e_order >= N_order / order:
     # a last coefficient too long to print is known from N_order alone,
-    # before the other counts (together far costlier) are made
+    # before the other counts or factors (together far costlier) are made
     what = f"local zeta coefficient e_{{}} at p = {p}"
     last = exact_count(scheme, p**order)
     _check_printable(last // order, what, order)
+    if (exponents := _orbit_exponents(scheme, p, order)) is not None:
+        return _expand([(p ** (i * o), o, -m) for (i, o), m in exponents.items()], order, what)
     counts = [exact_count(scheme, p**n) for n in range(1, order)] + [last]
     return TruncatedSeries(tuple(_newton_series(counts, what)))
+
+
+def _orbit_exponents(scheme: MonoidScheme, p: int, order: int) -> Counter | None:
+    """{(i, o): m_(i,o)}, o <= order, or None when B > order, for
+    B = sum |a_i| over the torsion-free types' counting coefficients plus
+    k 2^R prod_j t_j per torsion type: a bound on sum |m| and on every
+    t_j walked.  m_(i,o) = sum_x C(R, i) (-1)^(R-i) k_x W_o(x) / o over the
+    types x, with the weights W_o(x) of `_orbit_weights`."""
+    bound = sum(k * math.prod(torsion) << rank for rank, torsion, k in scheme.point_types if torsion)
+    free = {rank: {1: k} for rank, torsion, k in scheme.point_types if not torsion}
+    if bound > order or bound + sum(map(abs, _spread(free).values())) > order:
+        return None
+    weights: dict[int, Counter] = {}  # rank -> orbit length o -> sum of k W_o / o
+    for rank, torsion, k in scheme.point_types:
+        for o, w in _orbit_weights(torsion, p, order):
+            weights.setdefault(rank, Counter())[o] += k * w // o
+    return _spread(weights)
+
+
+def _orbit_weights(torsion: Sequence[int], p: int, order: int) -> list[tuple[int, int]]:
+    """(o, W_o) for the o <= order dividing L = lcm_j ord_(t'_j)(p), t'_j the
+    part of t_j prime to p: W_o points of prod_j Z/t_j lie on orbits of
+    length o under x -> p x, so o | W_o.  They are the divisor differences
+    of the fixed-point counts f(h) = prod_j gcd(t'_j, p^h - 1), h | L; no
+    torsion gives [(1, 1)]."""
+    parts = [t for t in (_part_prime_to(t, p) for t in torsion) if t > 1]
+    period = 1
+    for t in parts:  # a walk over the powers of p mod t
+        h, x = 1, p % t
+        while x != 1:
+            h, x = h + 1, x * p % t
+        period = math.lcm(period, h)
+    heights = [h for h in range(1, min(period, order) + 1) if period % h == 0]
+    fixed = [math.prod([math.gcd(t, pow(p, h, t) - 1) for t in parts]) for h in heights]
+    return list(zip(heights, _divisor_differences(heights, fixed)))
+
+
+def _spread(weights: dict[int, dict[int, int]]) -> Counter:
+    """{(i, o): sum_R C(R, i) (-1)^(R-i) weights[R][o]}: one binomial row per rank."""
+    out: Counter = Counter()
+    for rank, row in weights.items():
+        binomial = _binomial_row(rank)
+        for o, w in row.items():
+            for i, c in enumerate(binomial):
+                out[i, o] += c * w
+    return out
+
+
+def _expand(factors: Sequence[tuple[int, int, int]], order: int, what: str) -> TruncatedSeries:
+    """prod (1 - a T^o)^e over the (a, o, e), truncated at T^order, in int:
+    |e| strided passes of O(order / o) steps per factor.  A coefficient
+    too long to print is a PreconditionError naming the first such n."""
+    coeffs = [1] + [0] * order
+    for a, o, e in factors:
+        for _ in range(abs(e)):
+            if e > 0:  # times 1 - aT^o, from the top down
+                for n in range(order, o - 1, -1):
+                    coeffs[n] -= a * coeffs[n - o]
+            else:  # over 1 - aT^o: c_n += a c_(n-o), from the bottom up
+                for n in range(o, order + 1):
+                    coeffs[n] += a * coeffs[n - o]
+    for n, c in enumerate(coeffs):
+        _check_printable(c, what, n)
+    return TruncatedSeries(tuple(coeffs))
 
 
 def _newton_series(counts: Sequence[int], what: str) -> list[int]:
@@ -153,10 +224,10 @@ class LocalZetaFactors(_Record):
         long to print is a PreconditionError.
 
         With sum |e_r| <= order, each factor (1 - p^r T)^(e_r) is applied
-        as |e_r| passes over the coefficients, each multiplying by or
-        dividing by 1 - p^r T in O(order) steps.  Otherwise the product is
-        exp(sum_k N_k T^k / k) with the power sums N_k = -sum_r e_r p^(rk),
-        expanded by the Newton recurrence in O(order^2) steps."""
+        as |e_r| passes of `_expand`, O(order) steps each.  Otherwise the
+        product is exp(sum_k N_k T^k / k) with the power sums
+        N_k = -sum_r e_r p^(rk), expanded by the Newton recurrence in
+        O(order^2) steps."""
         if not isinstance(self.base, int):
             raise PreconditionError("exact expansion needs an integer base")
         _check_series_order(order, 0)
@@ -165,19 +236,7 @@ class LocalZetaFactors(_Record):
             counts = [-sum(e * self.base ** (r * k) for r, e in self.factors)
                       for k in range(1, order + 1)]
             return TruncatedSeries(tuple(_newton_series(counts, what)))
-        coeffs = [1] + [0] * order
-        for r, e in self.factors:
-            a = self.base**r
-            for _ in range(abs(e)):
-                if e > 0:  # times 1 - aT, from the top down
-                    for n in range(order, 0, -1):
-                        coeffs[n] -= a * coeffs[n - 1]
-                else:  # over 1 - aT: c_n += a c_(n-1), from the bottom up
-                    for n in range(1, order + 1):
-                        coeffs[n] += a * coeffs[n - 1]
-        for n, c in enumerate(coeffs):
-            _check_printable(c, what, n)
-        return TruncatedSeries(tuple(coeffs))
+        return _expand([(self.base**r, 1, e) for r, e in self.factors], order, what)
 
 
 def _float_exponent(e: int, name: str) -> float:

@@ -16,7 +16,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from f1zeta import cli
+from f1zeta import cli, schemes
 from f1zeta.powerlog import from_records, parse_power_log, to_records
 from f1zeta.schemes import load_scheme, projective_space_model, scheme_to_dict
 from f1zeta.weil import default_base_sequence, limit_toward_one
@@ -218,6 +218,21 @@ def test_fourier_precondition_exits_before_a_table(capsys, tmp_path, points, p, 
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert message in captured.err
+
+
+def test_fourier_period_cap_stops_at_the_first_order_past_it(capsys, tmp_path, monkeypatch):
+    # ten primes just below 2^41, each phi past the cap: one totient, not ten
+    # (each is a trial division to sqrt(2^41) when it runs)
+    primes = [2**41 - d for d in (21, 31, 55, 63, 73, 75, 91, 111, 133, 139)]
+    calls = []
+    monkeypatch.setattr(schemes, "totient", lambda t, real=schemes.totient: calls.append(t) or real(t))
+    path = tmp_path / "t.scheme"
+    path.write_text(json.dumps({"points": [{"rank": 0, "torsion": primes}]}))
+    code = cli.main(["fourier", "--scheme", str(path), "--p", "2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert f"Fourier period {min(primes) - 1}; at most 1048576" in captured.err
+    assert calls == [min(primes)]
 
 
 def test_parse_error_exit_codes(capsys, tmp_path):

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 import hypothesis.strategies as st
 
 from f1zeta import weil
@@ -225,11 +225,51 @@ def test_point_types_collapse_projective_space():
         assert smoothed_local_zeta(scheme, p).series(6) == local_zeta_series(scheme, p, 6)
 
 
-def test_non_integral_step_raises_instead_of_rounding(monkeypatch):
+def test_non_integral_step_raises_instead_of_rounding():
     # N_1 = 1, N_2 = 0 is no Dold sequence: 2 e_2 = N_1 e_1 + N_2 e_0 = 1
-    monkeypatch.setattr(weil, "exact_count", lambda scheme, q: 1 if q == 3 else 0)
     with pytest.raises(ArithmeticError, match="e_2 .* not an integer"):
-        local_zeta_series(projective_space_model(1), 3, 4)
+        weil._newton_series([1, 0, 0, 0], "local zeta coefficient e_{} at p = 3")
+
+
+def _newton_over_counts(scheme: MonoidScheme, p: int, order: int) -> tuple:
+    counts = [exact_count(scheme, p**n) for n in range(1, order + 1)]
+    return tuple(weil._newton_series(counts, "e_{}"))
+
+
+@st.composite
+def series_cases(draw):
+    p = draw(st.sampled_from([2, 3, 4, 5, 6, 7, 11]))
+    torsion = st.one_of(st.integers(2, 30), st.integers(1, 6).map(lambda k: k * p),
+                        st.integers(10**6, 10**7))
+    pts = draw(st.lists(st.builds(TorsionPoint, st.integers(0, 4),
+                                  st.lists(torsion, max_size=2).map(tuple)),
+                        min_size=1, max_size=3))
+    return MonoidScheme(tuple(pts)), p, draw(st.integers(1, 60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_cases())
+@example((MonoidScheme((TorsionPoint(1, (4, 6)), TorsionPoint(0, (9,)))), 5, 60))  # B = 57
+@example((MonoidScheme((TorsionPoint(4, (30,)),)), 2, 60))  # B = 480
+@example((MonoidScheme((TorsionPoint(0, (1000003,)),)), 7, 60))
+def test_series_sides_of_the_switch_match_newton_over_the_counts(case):
+    scheme, p, order = case
+    orbit = weil._orbit_exponents(scheme, p, order) is not None
+    event("orbit product" if orbit else "Newton over the counts")
+    assert local_zeta_series(scheme, p, order).coefficients == _newton_over_counts(scheme, p, order)
+
+
+def test_the_switch_takes_the_orbit_product_up_to_the_bound():
+    # B = (|a_0| + |a_1| = 2 for the rank-1 point) + 2^1 * 3 * 5 = 32
+    scheme = MonoidScheme((TorsionPoint(1), TorsionPoint(1, (3, 5))))
+    assert weil._orbit_exponents(scheme, 2, 32) is not None
+    assert weil._orbit_exponents(scheme, 2, 31) is None
+
+
+def test_orbit_product_at_a_large_order_matches_newton_over_the_counts():
+    scheme, p = projective_space_model(6), 5
+    assert weil._orbit_exponents(scheme, p, 300) == {(i, 1): 1 for i in range(7)}
+    assert local_zeta_series(scheme, p, 300).coefficients == _newton_over_counts(scheme, p, 300)
 
 
 def test_series_order_cap():
@@ -268,7 +308,7 @@ def test_check_printable_is_exact_at_the_digit_limit(digit_limit):
 def test_series_stop_at_the_first_coefficient_too_long_to_print(digit_limit):
     # for G_m at p = 10^9, e_n = p^n - p^(n-1) has 9n digits and
     # N_72 // 72 has 647: at a limit of 647 digits the bound checked before
-    # the recurrence passes, and the recurrence itself stops at e_72
+    # the expansion passes, and the expansion itself stops at e_72
     torus, p = TorsionPoint(1), 10**9
     scheme = MonoidScheme((torus,))
     assert len(str(exact_count(scheme, p**72) // 72)) == 647
@@ -282,4 +322,18 @@ def test_series_stop_at_the_first_coefficient_too_long_to_print(digit_limit):
     # e_72 >= N_72 / 72 has more than 646 digits before any step runs
     digit_limit(646)
     with pytest.raises(PreconditionError, match="e_72 at p = 1000000000 has more than 646"):
+        local_zeta_series(scheme, p, 72)
+
+
+def test_orbit_product_stops_at_the_first_coefficient_too_long_to_print(digit_limit):
+    # one rank-1 point of torsion 3 at p = 10^9 + 1 = 2 mod 3 has orbits of
+    # lengths 1 and 2 and B = 6 <= 72; N_72 // 72 has 647 digits, e_71 641
+    # and e_72 650, so at a limit of 647 the orbit product runs and stops at e_72
+    scheme, p = MonoidScheme((TorsionPoint(1, (3,)),)), 10**9 + 1
+    assert weil._orbit_exponents(scheme, p, 72) == {(0, 1): -1, (1, 1): 1, (0, 2): -1, (1, 2): 1}
+    want = _newton_over_counts(scheme, p, 71)
+    assert len(str(exact_count(scheme, p**72) // 72)) == 647 and len(str(want[71])) == 641
+    digit_limit(647)
+    assert local_zeta_series(scheme, p, 71).coefficients == want
+    with pytest.raises(PreconditionError, match="e_72 at p = 1000000001 has more than 647"):
         local_zeta_series(scheme, p, 72)
