@@ -315,16 +315,23 @@ def _cmd_regdet(config: argparse.Namespace, out) -> int:
 
 
 def _cmd_fourier(config: argparse.Namespace, out) -> int:
-    from .schemes import fourier_data, load_scheme
+    from .schemes import MAX_FOURIER_PERIOD, fourier_data, load_scheme
 
     scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
     data = fourier_data(scheme, _prime_base(config, "Fourier coefficients"))
+    rows = len(data.entries) * data.period
+    if rows > MAX_FOURIER_PERIOD:
+        raise PreconditionError(f"a Fourier table of {rows} rows (entries times period); "
+                                f"at most {MAX_FOURIER_PERIOD} are supported")
     print(f"period\t{data.period}", file=out)
     for x, jidx, t, coeffs in data.entries:
-        for nu, c in enumerate(coeffs, start=1):
-            # the coefficients are exact rationals; the real/imaginary
-            # column pair keeps the complex layout of the table
-            print(f"{x}\t{jidx}\t{t}\t{nu}\t{float(c)!r}\t0.0", file=out)
+        # the coefficients are exact rationals; the real/imaginary column
+        # pair keeps the complex layout of the table.  The classes
+        # gcd(nu, period) share one Fraction object each, so each distinct
+        # object is formatted once.
+        shown = {k: f"{float(c)!r}\t0.0\n" for k, c in {id(c): c for c in coeffs}.items()}
+        head = f"{x}\t{jidx}\t{t}\t"
+        out.writelines(f"{head}{nu}\t{shown[id(c)]}" for nu, c in enumerate(coeffs, start=1))
     err = data.reconstruction_error()
     print(f"reconstruction_error\t{err!r}", file=out)
     if err > config.tol:

@@ -15,7 +15,8 @@ record codec and the JSON file reader of every input format.
 
 Counting polynomials have integer coefficients on an arithmetic
 progression of exponents.  They are expanded by an integer kernel, a
-dense `list[int]` convolution (`_convolve`) and one conversion into a
+product base(X) prod (X^k - 1)^e packed into one big int at X = 2^B
+(`_packed_product`, Kronecker substitution), and one conversion into a
 canonical map (`PowerLogSum.from_int_coefficients`), so no product of
 them runs through `Fraction` term algebra.
 """
@@ -26,10 +27,9 @@ import cmath
 import math
 import sys
 from bisect import bisect_left
-from collections import Counter
 from fractions import Fraction
-from itertools import chain, groupby, repeat
-from operator import add, attrgetter, itemgetter, mul
+from itertools import chain, groupby
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import ConvergenceError, ParseError, PreconditionError
@@ -115,20 +115,40 @@ def _binomial_row(r: int) -> list[int]:
     return row
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of (sum a_i x^i)(sum b_j x^j).  Only the nonzero
-    coefficients of the sparser factor are walked, so multiplying by
-    1 - x^k costs one pass."""
-    if not a or not b:
+def _packed_product(base: Sequence[int], factors: Mapping[int, int], bound: int) -> list[int]:
+    """Coefficients of base(X) prod_k (X^k - 1)^(e_k) from X^0 up, for
+    `factors` {k >= 1: e_k} (a negative e_k divides exactly) and a
+    `bound` on every |coefficient| of the product.  A constant base times
+    one factor is a spread binomial row.  Otherwise the product is one
+    int at X = 2^B (Kronecker substitution), B the least multiple of 8
+    with |c| < 2^(B-1) for the result and the base, below 64 rounded up
+    to 8, 16, 32 or 64 for a memoryview cast: adding 2^(B-1) to every
+    digit makes each a B-bit chunk of the int's bytes."""
+    if not base:
         return []
-    if sum(1 for x in a if x) < sum(1 for x in b if x):
-        a, b = b, a
-    k = len(a)
-    out = [0] * (k + len(b) - 1)
-    for j, bj in enumerate(b):
-        if bj:
-            out[j : j + k] = map(add, out[j : j + k], map(mul, a, repeat(bj)))
-    return out
+    if len(base) == 1 and len(factors) == 1:
+        ((k, e),) = factors.items()
+        if e >= 0:
+            out = [0] * (k * e + 1)
+            out[::k] = [base[0] * c for c in _binomial_row(e)]
+            return out
+    nb = (max(bound, max(base), -min(base)).bit_length() + 8) // 8  # bytes per digit
+    nb = 1 << (nb - 1).bit_length() if nb < 8 else nb
+    bits, half = 8 * nb, 1 << (8 * nb - 1)
+    digit = b"\x00" * (nb - 1) + b"\x80"  # half, as nb little-endian bytes
+    value = int.from_bytes(b"".join([(c + half).to_bytes(nb, "little") for c in base]), "little")
+    value -= int.from_bytes(digit * len(base), "little")
+    den = 1
+    for k, e in factors.items():
+        for _ in range(e):  # times X^k - 1: a shift and a subtraction
+            value = (value << bits * k) - value
+        if e < 0:
+            den *= ((1 << bits * k) - 1) ** -e
+    n = len(base) + sum([k * e for k, e in factors.items()])
+    raw = (value // den + int.from_bytes(digit * n, "little")).to_bytes(n * nb, "little")
+    if sys.byteorder == "little" and (fmt := {1: "B", 2: "H", 4: "I", 8: "Q"}.get(nb)):
+        return [c - half for c in memoryview(raw).cast(fmt)]
+    return [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, n * nb, nb)]
 
 
 def _asymmetries(a: Sequence[int], center: int, sign: int = 1) -> tuple[tuple[int, int, int], ...]:
@@ -404,9 +424,11 @@ class PowerLogSum(TermMap):
         den = math.lcm(off.denominator, st.denominator)
         a = off.numerator * (den // off.denominator)
         b = st.numerator * (den // st.denominator)
-        return PowerLogSum(tuple([
-            (Fraction(a + k * b, den), 0, Fraction(c)) for k, c in enumerate(coeffs) if c
-        ]))
+        if den == 1:  # integer exponents: Fraction(n) takes no gcd
+            terms = [(Fraction(a + k * b), 0, Fraction(c)) for k, c in enumerate(coeffs) if c]
+        else:
+            terms = [(Fraction(a + k * b, den), 0, Fraction(c)) for k, c in enumerate(coeffs) if c]
+        return PowerLogSum(tuple(terms))
 
     # -- inspection ----------------------------------------------------
 
@@ -571,26 +593,25 @@ def _reciprocal_power_coefficients(omegas: Sequence[Rational]) -> tuple[list[int
     sum_i coeffs[i] v^(top - len(coeffs) + 1 + i), v = u^(-1/den).
 
     With den the lcm of the denominators, every factor is an integer
-    polynomial in v: 1 - v^k for k = den omega > 0, and v^k (v^(-k) - 1)
-    for k < 0.  A factor repeated j times is expanded once by the
-    binomial theorem, and the factors are multiplied by the integer
-    kernel.  coeffs has nonzero ends; a zero omega gives ([], 0, 1).
+    polynomial in v: 1 - v^k = -(v^k - 1) for k = den omega > 0, and
+    v^k (v^(-k) - 1) for k < 0.  The product of the (v^|k| - 1), of L1
+    norm at most 2^len(omegas), is one `_packed_product`.  coeffs has
+    nonzero ends; a zero omega gives ([], 0, 1).
     """
     ws = [_frac(w) for w in omegas]
-    if any(w == 0 for w in ws):
-        return [], 0, 1  # 1 - u^0 = 0
     den = math.lcm(1, *(w.denominator for w in ws))
-    coeffs = [1]
-    shift = 0  # the product is v^shift times the polynomial coeffs in v
-    for w, j in Counter(ws).items():
-        k = int(w * den)
-        # (1 - v^k)^j is (-1)^j (v^k - 1)^j; for k < 0 it is v^(kj) (v^(-k) - 1)^j
-        sign = _parity(j) if k > 0 else 1
-        if k < 0:
-            k, shift = -k, shift + k * j
-        power = [0] * (k * j + 1)
-        power[::k] = [sign * c for c in _binomial_row(j)]
-        coeffs = _convolve(coeffs, power)
+    powers: dict[int, int] = {}
+    sign, shift = 1, 0  # the product is sign v^shift prod (v^|k| - 1)
+    for w in ws:
+        k = w.numerator * (den // w.denominator)
+        if k == 0:
+            return [], 0, 1  # 1 - u^0 = 0
+        if k > 0:
+            sign = -sign
+        else:
+            k, shift = -k, shift + k
+        powers[k] = powers.get(k, 0) + 1
+    coeffs = _packed_product([sign], powers, 1 << len(ws))
     return coeffs, shift + len(coeffs) - 1, den
 
 

@@ -202,9 +202,24 @@ def fourier_period(scheme: MonoidScheme) -> int:
     """lcm of phi(t) over all torsion orders; 1 for torsion-free schemes.
 
     phi(t) is always a multiple of the minimal period, and is used as-is
-    (no minimal-period reduction) because it is independent of p.
+    (no minimal-period reduction) because it is independent of p.  A
+    period past MAX_FOURIER_PERIOD is a PreconditionError.
     """
-    return math.lcm(*map(totient, scheme.count_profile[0]))
+    return _capped_period(scheme.count_profile[0])
+
+
+def _capped_period(orders: Sequence[int]) -> int:
+    """lcm of phi(t) over `orders` as a running lcm that raises at the
+    first order taking it past MAX_FOURIER_PERIOD.  As phi(t) >= sqrt(t / 2),
+    an order past 2 cap^2 is rejected before any totient runs."""
+    if (top := max(orders, default=1)) > 2 * MAX_FOURIER_PERIOD**2:
+        raise PreconditionError(f"torsion order {top}: a Fourier period of at most "
+                                f"{MAX_FOURIER_PERIOD} is supported")
+    n0 = 1
+    for t in orders:
+        if (n0 := math.lcm(n0, totient(t))) > MAX_FOURIER_PERIOD:
+            raise PreconditionError(f"Fourier period {n0}; at most {MAX_FOURIER_PERIOD} is supported")
+    return n0
 
 
 def _divisors(n: int) -> list[int]:
@@ -365,14 +380,7 @@ def fourier_data(scheme: MonoidScheme, p: int) -> FourierData:
     """The coefficient table c_{x,j,nu}(p) of a scheme; the period is capped first."""
     if p < 2:
         raise PreconditionError(f"base prime must be >= 2, got {p}")
-    # phi(t) >= sqrt(t / 2): an order past 2 cap^2 is over the cap with no totient run
-    if (top := max(scheme.count_profile[0], default=1)) > 2 * MAX_FOURIER_PERIOD**2:
-        raise PreconditionError(f"torsion order {top}: a Fourier period of at most "
-                                f"{MAX_FOURIER_PERIOD} is supported")
-    n0 = 1  # fourier_period as a running lcm: stop at the first order past the cap
-    for t in scheme.count_profile[0]:
-        if (n0 := math.lcm(n0, totient(t))) > MAX_FOURIER_PERIOD:
-            raise PreconditionError(f"Fourier period {n0}; at most {MAX_FOURIER_PERIOD} is supported")
+    n0 = _capped_period(scheme.count_profile[0])
     vectors = {t: gcd_fourier_coefficients(t, p, n0) for t in scheme.count_profile[0]}
     return FourierData(p, n0, tuple((i, j, t, vectors[t]) for i, pt in enumerate(scheme.points)
                                     for j, t in enumerate(pt.torsion_orders)))

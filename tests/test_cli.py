@@ -210,6 +210,10 @@ def test_fourier(capsys, tmp_path):
     ([{"rank": 1}], "-3", "base prime must be >= 2, got -3"),
     ([{"rank": 0, "torsion": [1000003, 999983]}], "2", "Fourier period 499991999982"),
     ([{"rank": 0, "torsion": [10**18 + 3]}], "2", "a Fourier period of at most 1048576"),
+    # period 1000002 each, but three entries or two points make a table past 2^20 rows
+    ([{"rank": 0, "torsion": [1000003, 4, 3]}], "2", "a Fourier table of 3000006 rows"),
+    ([{"rank": 0, "torsion": [1000003]}, {"rank": 1, "torsion": [4]}], "2",
+     "a Fourier table of 2000004 rows"),
 ])
 def test_fourier_precondition_exits_before_a_table(capsys, tmp_path, points, p, message):
     path = tmp_path / "t.scheme"

@@ -10,6 +10,7 @@ series.  The kernel must agree with them exactly.
 import math
 import sys
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -17,13 +18,20 @@ import hypothesis.strategies as st
 
 from f1zeta import weil
 from f1zeta.errors import PreconditionError
-from f1zeta.groups import ReductiveGroupData, group_counting
+from f1zeta.groups import (
+    ReductiveGroupData,
+    gl_group_data,
+    group_counting,
+    torus_group_data,
+    verify_family_identities,
+)
 from f1zeta.powerlog import (
     PowerLogSum,
     _asymmetries,
     _binomial_row,
     _check_printable,
-    _convolve,
+    _packed_product,
+    _reciprocal_power_coefficients,
     product_of_reciprocal_powers,
 )
 from f1zeta.schemes import MonoidScheme, TorsionPoint, exact_count, projective_space_model
@@ -140,10 +148,106 @@ def test_binomial_row_matches_math_comb():
         assert _binomial_row(r) == [(-1) ** (r - k) * math.comb(r, k) for k in range(r + 1)]
 
 
-def test_convolve_skips_zeros():
-    assert _convolve([1, 2, 3], [4, 0, 5]) == [4, 8, 17, 10, 15]
-    assert _convolve([1, 0, 0, -1], [1, 1, 1, 1, 1]) == [1, 1, 1, 0, 0, -1, -1, -1]
-    assert _convolve([], [1]) == []
+# -- the packed product against naive double loops ------------------------------
+
+
+def _naive_product(base, factors):
+    """base(X) prod (X^k - 1)^e for e >= 0, a double loop over the
+    coefficients of the product so far and the two terms of each factor."""
+    out = list(base)
+    for k, e in factors.items():
+        for _ in range(e):
+            step = [0] * (len(out) + k)
+            for i, c in enumerate(out):
+                for j, f in ((k, 1), (0, -1)):
+                    step[i + j] += f * c
+            out = step
+    return out
+
+
+_EDGES = [2**63 - 1, 2**63, -(2**63) + 1, -(2**63), 2**64 + 5, -(2**71)]
+
+
+@st.composite
+def packed_cases(draw):
+    """(core, multipliers, divisors): the kernel gets core times the
+    divisors as its base and the exponent differences as its factors."""
+    width = draw(st.integers(1, 10))  # bytes of the drawn coefficients
+    if draw(st.integers(0, 3)):
+        coeff = st.integers(-(2 ** (8 * width - 1)), 2 ** (8 * width - 1))
+    else:
+        coeff = st.sampled_from(_EDGES)
+    core = draw(st.lists(coeff, min_size=1, max_size=8))
+    exps = st.dictionaries(st.integers(1, 6), st.integers(0, 3), max_size=3)
+    return core, draw(exps), draw(exps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_cases())
+@example(([2**63 - 1, -(2**63)], {1: 1}, {}))  # one digit across 2^63
+@example(([1, 0, 5], {2: 3}, {2: 3}))  # exponent 0: the base back
+def test_packed_product_matches_naive_double_loops(case):
+    core, mult, divs = case
+    base = _naive_product(core, divs)
+    want = _naive_product(core, mult)
+    factors = {k: mult.get(k, 0) - divs.get(k, 0) for k in mult.keys() | divs.keys()}
+    bound = max(map(abs, want))
+    nb = (max([bound] + [abs(c) for c in base]).bit_length() + 8) // 8
+    nb = 1 << (nb - 1).bit_length() if nb < 8 else nb  # the kernel's digit width
+    event(f"{nb} bytes per digit" if nb <= 9 else "more than 9 bytes per digit")
+    assert _packed_product(base, factors, bound) == want
+    assert _packed_product(base, factors, 2 * bound + 1) == want
+
+
+def _naive_reciprocal(omegas):
+    """(coeffs, top, den) of prod (1 - v^k), k = den omega, from a dict of
+    Laurent terms in v with one double loop per factor."""
+    den = math.lcm(1, *(Fraction(w).denominator for w in omegas))
+    poly = {0: 1}
+    for w in omegas:
+        k = int(Fraction(w) * den)
+        out = {}
+        for e, c in poly.items():
+            for shift, f in ((0, 1), (k, -1)):
+                out[e + shift] = out.get(e + shift, 0) + f * c
+        poly = out
+    if not any(poly.values()):
+        return [], 0, 1
+    lo, hi = min(e for e, c in poly.items() if c), max(e for e, c in poly.items() if c)
+    return [poly.get(e, 0) for e in range(lo, hi + 1)], hi, den
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]),
+                max_size=80))
+def test_reciprocal_coefficients_match_naive_double_loops(ws):
+    # repeated omegas of both signs; up to 2^80 as the bound, 11 bytes per digit
+    assert _reciprocal_power_coefficients(ws) == _naive_reciprocal(ws)
+
+
+def test_packed_product_examples():
+    # zeros inside the base are carried, and division by X - 1 takes them back
+    assert _packed_product([4, 0, 5], {1: 1}, 5) == [-4, 4, -5, 5]
+    assert _packed_product([-4, 4, -5, 5], {1: -1}, 5) == [4, 0, 5]
+    # (1 - X^3)(1 + X + X^2 + X^3 + X^4)
+    assert _packed_product([-1] * 5, {3: 1}, 1) == [1, 1, 1, 0, 0, -1, -1, -1]
+    assert _packed_product([], {1: 1}, 1) == []
+
+
+def test_gl_flag_betti_are_the_mahonian_numbers():
+    # the coefficients of prod_{i <= r} [i]_q count permutations by inversions
+    for r in range(1, 8):
+        counts = [0] * (r * (r - 1) // 2 + 1)
+        for perm in permutations(range(r)):
+            counts[sum(1 for i, j in combinations(perm, 2) if i > j)] += 1
+        assert gl_group_data(r).flag_betti == tuple(counts)
+
+
+def test_gm_power_at_rank_500_is_the_binomial_row():
+    row = _binomial_row(500)
+    assert torus_group_data(500).coefficients == tuple(row)
+    assert _reciprocal_power_coefficients([1] * 500) == (row, 500, 1)
+    assert verify_family_identities(500, "gm_power").holds
 
 
 def test_asymmetries_examples():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from f1zeta import groups
+from f1zeta import schemes as schemes_module
 from f1zeta.errors import ParseError, PreconditionError
 from f1zeta.powerlog import MAX_COUNTING_DEGREE
 from f1zeta.schemes import (
@@ -605,3 +606,15 @@ def test_fourier_period_cap():
         with pytest.raises(PreconditionError, match=f"torsion order {t}: a Fourier period"):
             fourier_data(torsion_point_model([3, t]), 2)
     assert fourier_data(torsion_point_model([4, 1048573]), 3).period == 1048572
+
+
+def test_fourier_period_stops_at_the_first_order_past_the_cap(monkeypatch):
+    # ten primes just below 2^41, each phi past the cap: one totient, not ten
+    primes = [2**41 - d for d in (21, 31, 55, 63, 73, 75, 91, 111, 133, 139)]
+    calls = []
+    real = schemes_module.totient
+    monkeypatch.setattr(schemes_module, "totient", lambda t: calls.append(t) or real(t))
+    with pytest.raises(PreconditionError, match=f"Fourier period {min(primes) - 1}; at most 1048576"):
+        fourier_period(torsion_point_model(primes))
+    assert len(calls) <= 1
+    assert fourier_period(torsion_point_model([4, 1048573])) == 1048572
