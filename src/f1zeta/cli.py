@@ -3,7 +3,8 @@
 Each subcommand is one row of `_HANDLERS` (name -> handler, help line),
 which both `build_parser` and `run` read.  Every subcommand takes the
 same flags; the parsed `argparse.Namespace`, with `--tol` defaulted and
-`--tol`/`--terms` checked by `config_from_args`, is what a handler reads.
+`--tol`/`--terms` checked by `config_from_args`, is what a handler reads;
+it prints to stdout.
 Each handler imports the layer modules it uses, so that a fresh process
 loads only those of its own subcommand.
 
@@ -56,22 +57,6 @@ def parse_complex_value(text: str) -> complex:
     return value
 
 
-def parse_base(text: str) -> int | float:
-    """A prime (integer) or real base for p."""
-    t = text.strip()
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        value = float(t)
-    except ValueError as exc:
-        raise ParseError(f"cannot parse base {text!r}") from exc
-    if not math.isfinite(value):
-        raise ParseError(f"base {text!r} is not finite")
-    return value
-
-
 def _load_powers(arg: str) -> PowerLogSum:
     from .powerlog import load_power_log, parse_power_log
 
@@ -88,29 +73,38 @@ def _require(config: argparse.Namespace, attr: str, flag: str) -> object:
 
 
 def _prime_base(config: argparse.Namespace, what: str) -> int:
-    """--p as an integer base; `what` names the computation that needs one."""
-    p = parse_base(str(_require(config, "p", "--p")))
-    if not isinstance(p, int):
-        raise PreconditionError(f"{what} need an integer prime base")
-    return p
+    """--p as an integer base; `what` names the computation that needs one.
+    A finite real is a PreconditionError, any other text a ParseError."""
+    text = str(_require(config, "p", "--p"))
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise ParseError(f"cannot parse base {text!r}") from exc
+    if not math.isfinite(value):
+        raise ParseError(f"base {text!r} is not finite")
+    raise PreconditionError(f"{what} need an integer prime base")
 
 
 def _fmt_complex(z: complex) -> str:
     return f"{z.real!r}\t{z.imag!r}"
 
 
-def _print_records(records, out) -> None:
+def _print_records(records) -> None:
     for rec in records:
-        print("\t".join(str(v) for v in rec), file=out)
+        print("\t".join(str(v) for v in rec))
 
 
-def _cmd_count(config: argparse.Namespace, out) -> int:
+def _cmd_count(config: argparse.Namespace) -> int:
     from .powerlog import _check_printable
     from .schemes import exact_count, load_scheme
 
     scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
     q = int(_require(config, "q", "--q"))
-    print(_check_printable(exact_count(scheme, q), "the point count"), file=out)
+    print(_check_printable(exact_count(scheme, q), "the point count"))
     return EXIT_OK
 
 
@@ -141,7 +135,7 @@ def _resolve_group(arg: str):
     return group, _FAMILIES.get(group.name[:2])
 
 
-def _cmd_zeta(config: argparse.Namespace, out) -> int:
+def _cmd_zeta(config: argparse.Namespace) -> int:
     from .zetas import pretty_zeta, zeta_to_records
 
     scheme = None
@@ -154,18 +148,18 @@ def _cmd_zeta(config: argparse.Namespace, out) -> int:
     else:
         z = _resolve_zeta(config)
     if config.fmt == "records":
-        _print_records(zeta_to_records(z), out)
+        _print_records(zeta_to_records(z))
         return EXIT_OK
-    print(pretty_zeta(z), file=out)
+    print(pretty_zeta(z))
     if scheme is not None:
         # exponent table: level r, factor exponent e_r, Betti number b_2r
         profile = betti_profile(scheme)
         for r, b in enumerate(profile.values):
-            print(f"exponent\t{r}\t{-b}\t{b}", file=out)
+            print(f"exponent\t{r}\t{-b}\t{b}")
     return EXIT_OK
 
 
-def _cmd_fe_check(config: argparse.Namespace, out) -> int:
+def _cmd_fe_check(config: argparse.Namespace) -> int:
     if config.scheme_path is not None:
         from .schemes import load_scheme
 
@@ -175,30 +169,30 @@ def _cmd_fe_check(config: argparse.Namespace, out) -> int:
 
             local = local_functional_equation(scheme, _prime_base(config, "local checks"))
             if config.fmt == "records":
-                print(f"holds\t{str(local.holds).lower()}", file=out)
-                print(f"chi\t{local.chi}", file=out)
-                print(f"squared_form\t{str(local.squared_form).lower()}", file=out)
+                print(f"holds\t{str(local.holds).lower()}")
+                print(f"chi\t{local.chi}")
+                print(f"squared_form\t{str(local.squared_form).lower()}")
                 for r, er, em in local.mismatches:
-                    print(f"mismatch\t{r}\t{er}\t{em}", file=out)
+                    print(f"mismatch\t{r}\t{er}\t{em}")
             else:
-                print(local, file=out)
+                print(local)
             return EXIT_OK if local.holds else EXIT_IDENTITY
         from .scheme_zeta import global_functional_equation
 
         report = global_functional_equation(scheme)
         if config.fmt == "records":
-            print(f"holds\t{str(report.holds).lower()}", file=out)
-            print(f"chi\t{report.chi}", file=out)
+            print(f"holds\t{str(report.holds).lower()}")
+            print(f"chi\t{report.chi}")
             for l, bl, bm in report.asymmetries:
-                print(f"asymmetry\t{l}\t{bl}\t{bm}", file=out)
+                print(f"asymmetry\t{l}\t{bl}\t{bm}")
         else:
-            print(report, file=out)
+            print(report)
         return EXIT_OK if report.holds else EXIT_IDENTITY
     if config.group is not None:
         from .groups import group_functional_equation
 
         report = group_functional_equation(_resolve_group(config.group)[0])
-        print(report, file=out)
+        print(report)
         return EXIT_OK if report.holds else EXIT_IDENTITY
     if config.powers is not None:
         from .powerlog import detect_functional_equation
@@ -207,16 +201,16 @@ def _cmd_fe_check(config: argparse.Namespace, out) -> int:
         n = _load_powers(config.powers)
         witness = detect_functional_equation(n)
         if witness is None:
-            print("no functional equation witness", file=out)
+            print("no functional equation witness")
             return EXIT_IDENTITY
         # detect_functional_equation has checked the witness
         fe = _witnessed_report(n, witness)
-        print(fe, file=out)
+        print(fe)
         return EXIT_OK if fe.holds else EXIT_IDENTITY
     raise PreconditionError("need one of --scheme, --group, --powers")
 
 
-def _cmd_local(config: argparse.Namespace, out) -> int:
+def _cmd_local(config: argparse.Namespace) -> int:
     from .schemes import load_scheme
     from .weil import local_zeta_series
 
@@ -224,11 +218,11 @@ def _cmd_local(config: argparse.Namespace, out) -> int:
     order = config.terms if config.terms is not None else 8
     series = local_zeta_series(scheme, _prime_base(config, "local series"), order)
     for n, c in enumerate(series.coefficients):
-        print(f"{n}\t{c.numerator}/{c.denominator}", file=out)
+        print(f"{n}\t{c.numerator}/{c.denominator}")
     return EXIT_OK
 
 
-def _cmd_limit(config: argparse.Namespace, out) -> int:
+def _cmd_limit(config: argparse.Namespace) -> int:
     from .schemes import load_scheme
     from .weil import default_base_sequence, limit_toward_one, pole_order
 
@@ -245,41 +239,41 @@ def _cmd_limit(config: argparse.Namespace, out) -> int:
 
         target = evaluate_zeta(zeta_of_scheme(scheme), s)
     for p, v in zip(seq, values):
-        print(f"{p!r}\t{_fmt_complex(v)}", file=out)
+        print(f"{p!r}\t{_fmt_complex(v)}")
     if target is not None:
-        print(f"target\t{_fmt_complex(target)}", file=out)
-        print(f"pole_order\t{pole_order(scheme)}", file=out)
+        print(f"target\t{_fmt_complex(target)}")
+        print(f"pole_order\t{pole_order(scheme)}")
     return EXIT_OK
 
 
-def _cmd_dual(config: argparse.Namespace, out) -> int:
+def _cmd_dual(config: argparse.Namespace) -> int:
     from .powerlog import to_records
 
     n = _load_powers(str(_require(config, "powers", "--powers")))
     d = n.dual()
     if config.fmt == "records":
-        _print_records(to_records(d), out)
+        _print_records(to_records(d))
     else:
-        print(d, file=out)
+        print(d)
     return EXIT_OK
 
 
-def _cmd_epsilon(config: argparse.Namespace, out) -> int:
+def _cmd_epsilon(config: argparse.Namespace) -> int:
     from .zetas import epsilon_factor
 
     n = _load_powers(str(_require(config, "powers", "--powers")))
     eps = epsilon_factor(n)
     if config.fmt == "records":
-        print(f"sign\t{eps.sign}", file=out)
-        print(f"residual\t{eps.numeric_residual!r}", file=out)
+        print(f"sign\t{eps.sign}")
+        print(f"residual\t{eps.numeric_residual!r}")
     else:
-        print(eps.sign, file=out)
+        print(eps.sign)
     if eps.numeric_residual > config.tol:
         return EXIT_TOLERANCE
     return EXIT_OK
 
 
-def _cmd_group(config: argparse.Namespace, out) -> int:
+def _cmd_group(config: argparse.Namespace) -> int:
     from .groups import _family_report, group_counting, group_functional_equation, group_zeta
     from .zetas import pretty_zeta
 
@@ -287,22 +281,22 @@ def _cmd_group(config: argparse.Namespace, out) -> int:
     group, family = _resolve_group(name)
     n = group_counting(group)
     report = group_functional_equation(group)
-    print(f"group\t{group.name or name}", file=out)
-    print(f"counting\t{n}", file=out)
-    print(f"zeta\t{pretty_zeta(group_zeta(group))}", file=out)
+    print(f"group\t{group.name or name}")
+    print(f"counting\t{n}")
+    print(f"zeta\t{pretty_zeta(group_zeta(group))}")
     print(f"fe\t{str(report.holds).lower()}\tcenter\t{report.expected_center}"
-          f"\tsign\t{report.expected_sign}", file=out)
+          f"\tsign\t{report.expected_sign}")
     status = EXIT_OK if report.holds else EXIT_IDENTITY
     if family is not None:
         fam = _family_report(group, family)
         for label, ok in fam.results:
-            print(f"identity\t{str(ok).lower()}\t{label}", file=out)
+            print(f"identity\t{str(ok).lower()}\t{label}")
         if not fam.holds:
             status = EXIT_IDENTITY
     return status
 
 
-def _cmd_regdet(config: argparse.Namespace, out) -> int:
+def _cmd_regdet(config: argparse.Namespace) -> int:
     from .regularize import regularized_det, spectrum_by_name
 
     spec = spectrum_by_name(config.spectrum)
@@ -310,20 +304,22 @@ def _cmd_regdet(config: argparse.Namespace, out) -> int:
     if s.imag != 0:
         raise PreconditionError("regularized determinants are evaluated at real s")
     value = regularized_det(spec, s.real, tol=config.tol, terms=config.terms)
-    print(repr(value), file=out)
+    print(repr(value))
     return EXIT_OK
 
 
-def _cmd_fourier(config: argparse.Namespace, out) -> int:
-    from .schemes import MAX_FOURIER_PERIOD, fourier_data, load_scheme
+def _cmd_fourier(config: argparse.Namespace) -> int:
+    from .schemes import MAX_FOURIER_PERIOD, fourier_data, fourier_period, load_scheme
 
     scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
-    data = fourier_data(scheme, _prime_base(config, "Fourier coefficients"))
-    rows = len(data.entries) * data.period
+    p = _prime_base(config, "Fourier coefficients")
+    # the table's size is known before any coefficient vector is built
+    rows = sum(len(pt.torsion_orders) for pt in scheme.points) * fourier_period(scheme)
     if rows > MAX_FOURIER_PERIOD:
         raise PreconditionError(f"a Fourier table of {rows} rows (entries times period); "
                                 f"at most {MAX_FOURIER_PERIOD} are supported")
-    print(f"period\t{data.period}", file=out)
+    data = fourier_data(scheme, p)
+    print(f"period\t{data.period}")
     for x, jidx, t, coeffs in data.entries:
         # the coefficients are exact rationals; the real/imaginary column
         # pair keeps the complex layout of the table.  The classes
@@ -331,9 +327,9 @@ def _cmd_fourier(config: argparse.Namespace, out) -> int:
         # object is formatted once.
         shown = {k: f"{float(c)!r}\t0.0\n" for k, c in {id(c): c for c in coeffs}.items()}
         head = f"{x}\t{jidx}\t{t}\t"
-        out.writelines(f"{head}{nu}\t{shown[id(c)]}" for nu, c in enumerate(coeffs, start=1))
+        sys.stdout.writelines(f"{head}{nu}\t{shown[id(c)]}" for nu, c in enumerate(coeffs, start=1))
     err = data.reconstruction_error()
-    print(f"reconstruction_error\t{err!r}", file=out)
+    print(f"reconstruction_error\t{err!r}")
     if err > config.tol:
         return EXIT_TOLERANCE
     return EXIT_OK
@@ -353,10 +349,9 @@ _HANDLERS = {
 }
 
 
-def run(config: argparse.Namespace, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def run(config: argparse.Namespace) -> int:
     try:
-        return _HANDLERS[config.command][0](config, out)
+        return _HANDLERS[config.command][0](config)
     except (ParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -388,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--group", metavar="NAME|FILE")
     common.add_argument("--spectrum", default="circle", metavar="NAME")
     common.add_argument("--q", type=int)
-    common.add_argument("--p", metavar="PRIME|REAL")
+    common.add_argument("--p", metavar="PRIME")
     common.add_argument("--s", metavar="COMPLEX")
     common.add_argument("--terms", type=int)
     common.add_argument("--tol", type=float)

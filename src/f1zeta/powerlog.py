@@ -559,9 +559,7 @@ def witness_holds(n: PowerLogSum, witness: FunctionalEquationWitness) -> bool:
     return True
 
 
-def detect_functional_equation(
-    n: PowerLogSum, restrict_to_powers: bool = False
-) -> FunctionalEquationWitness | None:
+def detect_functional_equation(n: PowerLogSum) -> FunctionalEquationWitness | None:
     """Find (c, omega) with N(1/u) = c u^(-omega) N(u), or None.
 
     The candidate omega is forced: the exponent support must map onto
@@ -572,8 +570,6 @@ def detect_functional_equation(
     """
     if n.is_zero:
         raise PreconditionError("functional equations of the zero sum are vacuous")
-    if restrict_to_powers and not n.is_pure_power:
-        raise PreconditionError("restrict_to_powers requires all log powers m = 0")
     lam, m, coeff = n.terms[0]
     omega = lam + n.degree
     # the coefficient of N(1/u) at (lam - omega, m), matched against coeff

@@ -17,7 +17,8 @@ rest into bare tails T(b) = sum lam_j^-b, continued by Euler-Maclaurin.
 log det'(Delta + s) = -d/dw zeta(0) is the w-derivative of that series
 at w = 0, a real series of its own: each quantity sums only its own
 terms.  For N(1) = 0 the same substitution gives log zeta_N itself as
-an integral (`log_zeta_integral`).
+an integral over (1, oo) (`log_zeta_integral`); the one over (0, 1) is
+minus that of the dual N(1/u) at -s.
 
 The numeric core is stdlib only.  Integrals over [a, oo) use an exp-sinh
 double-exponential rule (`_complex_quad`) whose step halves level by
@@ -324,49 +325,31 @@ def zeta_from_regularization(n: PowerLogSum, s: Complex) -> complex:
 
 class LogZetaIntegral(_Record):
     value: complex
-    region: str
     error_estimate: float  # the quadrature's own estimate (see _complex_quad)
 
 
-def log_zeta_integral(n: PowerLogSum, s: complex, region: str = "upper") -> LogZetaIntegral:
-    """The integral of N(u) / (u^(s+1) log u) over (1, oo) or (0, 1).
+def log_zeta_integral(n: PowerLogSum, s: complex) -> LogZetaIntegral:
+    """The integral I of N(u) / (u^(s+1) log u) over (1, oo).
 
-    Both integrals exist only for N(1) = 0 (the integrand is otherwise
-    non-integrable at u = 1).  The upper form converges for
-    Re(s) > max exponent and satisfies exp(-I) = zeta_N(s)^(-1); the
-    lower form converges for Re(s) < min exponent and yields
-    exp(-I) = zeta_{N*}(-s).
+    It exists only for N(1) = 0 (the integrand is otherwise
+    non-integrable at u = 1), converges for Re(s) > max exponent and
+    satisfies exp(-I) = zeta_N(s)^(-1).  The integral over (0, 1) is this
+    one for the dual N*(u) = N(1/u) at -s, negated (u -> 1/u): it
+    converges for Re(s) < min exponent, equals
+    -log_zeta_integral(n.dual(), -s).value and yields exp(-I) = zeta_{N*}(-s).
     """
     if n.value_at_one() != 0:
         raise PreconditionError("log-integral form requires N(1) = 0")
     ss = complex(s)
     if n.is_zero:
-        return LogZetaIntegral(0j, region, 0.0)
-    if region == "upper":
-        edge = float(n.degree)
-        if ss.real <= edge:
-            raise PreconditionError(
-                f"upper integral diverges: need Re(s) > {edge}, got {ss.real}"
-            )
-        shape = n
-        rate = ss
-    elif region == "lower":
-        edge = float(n.min_exponent)
-        if ss.real >= edge:
-            raise PreconditionError(
-                f"lower integral diverges: need Re(s) < {edge}, got {ss.real}"
-            )
-        shape = n.dual()
-        rate = -ss
-    else:
-        raise PreconditionError(f"unknown region {region!r}")
-
-    # substitution u = e^t maps both forms to +-int_0^oo shape(e^t) e^(-rate*t) / t dt;
+        return LogZetaIntegral(0j, 0.0)
+    edge = float(n.degree)
+    if ss.real <= edge:
+        raise PreconditionError(f"upper integral diverges: need Re(s) > {edge}, got {ss.real}")
+    # substitution u = e^t maps it to int_0^oo N(e^t) e^(-s t) / t dt;
     # the rule never evaluates at t = 0 itself
-    value, estimate = _complex_quad(_power_log_integrand(shape, rate, -1), 0.0)
-    if region == "lower":
-        value = -value
-    return LogZetaIntegral(value, region, estimate)
+    value, estimate = _complex_quad(_power_log_integrand(n, ss, -1), 0.0)
+    return LogZetaIntegral(value, estimate)
 
 
 # -- Euler-Maclaurin tails of bare Dirichlet sums ------------------------

@@ -38,10 +38,6 @@ class BettiProfile(_Record):
     def euler_characteristic(self) -> int:
         return sum(self.values)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.values == self.values[::-1]
-
     def asymmetries(self) -> tuple[tuple[int, int, int], ...]:
         """(l, b_{2l}, b_{2(d-l)}) for each l <= d - l where they differ."""
         return _asymmetries(self.values, self.dimension)

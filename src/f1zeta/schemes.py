@@ -321,8 +321,8 @@ class FourierData(_Record):
     entries: tuple[tuple[int, int, int, tuple[Fraction, ...]], ...] = ()
     # entry layout: (point index, torsion index, torsion order, coefficient vector)
 
-    def reconstruction_error(self, n_max: int | None = None) -> float:
-        """Max |sum_nu c_nu xi^(n nu) - gcd(t, p^n - 1)| over n = 1..n_max,
+    def reconstruction_error(self) -> float:
+        """Max |sum_nu c_nu xi^(n nu) - gcd(t, p^n - 1)| over n = 1..3 n0,
         evaluated exactly; inf for a vector that is not constant on the
         classes gcd(nu, n0) (or not of length n0), and for a class value
         that is not a real rational, such as a complex one.  Ints,
@@ -336,7 +336,6 @@ class FourierData(_Record):
         max_n |value D - gcd D| / D is rounded once.
         """
         n0 = self.period
-        limit = 3 * n0 if n_max is None else n_max
         divs = _divisors(n0)
         classes = [math.gcd(nu, n0) for nu in range(1, n0 + 1)]
         worst = 0.0
@@ -356,12 +355,12 @@ class FourierData(_Record):
             terms = [(n0 // q, c * (n0 // q)) for q, c in zip(divs, pieces) if c]
             # The series depends on n only through gcd(n, n0), and so does
             # gcd(t, p^n - 1) when every ord_e(p) divides n0, i.e. when t's
-            # part prime to p divides p^n0 - 1.  Then one n per class that
-            # occurs in 1..n_max suffices, and the smallest n in class g is g.
+            # part prime to p divides p^n0 - 1.  Then one n per class
+            # suffices, and the smallest n in class g is g.
             if _divides_power_minus_one(_part_prime_to(t, self.prime), self.prime, n0):
-                ns = [g for g in divs if g <= limit]
+                ns = divs
             else:
-                ns = range(1, limit + 1)
+                ns = range(1, 3 * n0 + 1)
             err = 0
             for n in ns:
                 value = sum(c for o, c in terms if n % o == 0)

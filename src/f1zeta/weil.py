@@ -21,13 +21,14 @@ local zeta is a finite product
     Z(p, T) = prod_{i, o} (1 - p^(i o) T^o)^(-m_(i,o)),
 
 o the orbit lengths on the torsion, with integer m_(i,o).  When a bound
-B on sum |m| is at most the order it is expanded factor by factor, one
-strided pass per unit of |m|; otherwise by the Newton recurrence
-n e_n = sum_k N_k e_{n-k} over the counts, which form a Dold sequence,
-so every division is exact; a remainder is an ArithmeticError, never
-rounded.  The factored smoothed form is expanded the same two ways: by
-passes when the sum of its |e_r| is at most the order, otherwise by the
-recurrence on its power sums N_k = sum_r a_r p^(rk).
+B on sum |m| is at most the order, the product is built and expanded by
+`_expand`; otherwise the series is the Newton recurrence
+n e_n = sum_k N_k e_{n-k} over the counts.  `_expand` also expands the
+factored smoothed form, and it owns the one switch between its two
+ways: one strided pass per unit of |e| when the sum of the |e| is at
+most the order, else the same recurrence on the product's power sums.
+Power sums of a zeta form a Dold sequence, so every division is exact; a
+remainder is an ArithmeticError, never rounded.
 """
 
 from __future__ import annotations
@@ -149,9 +150,16 @@ def _spread(weights: dict[int, dict[int, int]]) -> Counter:
 
 
 def _expand(factors: Sequence[tuple[int, int, int]], order: int, what: str) -> TruncatedSeries:
-    """prod (1 - a T^o)^e over the (a, o, e), truncated at T^order, in int:
-    |e| strided passes of O(order / o) steps per factor.  A coefficient
-    too long to print is a PreconditionError naming the first such n."""
+    """prod (1 - a T^o)^e over the (a, o, e), truncated at T^order, in int.
+    With sum |e| <= order: |e| strided passes of O(order / o) steps per
+    factor.  Otherwise the product is exp(sum_n N_n T^n / n) with the
+    power sums N_n = -sum_{o | n} e o a^(n/o), expanded by the Newton
+    recurrence in O(order^2) steps.  A coefficient too long to print is a
+    PreconditionError naming the first such n."""
+    if sum(abs(e) for _, _, e in factors) > order:
+        counts = [-sum(e * o * a ** (n // o) for a, o, e in factors if n % o == 0)
+                  for n in range(1, order + 1)]
+        return TruncatedSeries(tuple(_newton_series(counts, what)))
     coeffs = [1] + [0] * order
     for a, o, e in factors:
         for _ in range(abs(e)):
@@ -220,23 +228,13 @@ class LocalZetaFactors(_Record):
         return _exp_in_range(self.log_evaluate_s(s), f"local zeta value at s = {s!r}")
 
     def series(self, order: int) -> TruncatedSeries:
-        """Exact expansion in T; requires an integer base; a coefficient too
-        long to print is a PreconditionError.
-
-        With sum |e_r| <= order, each factor (1 - p^r T)^(e_r) is applied
-        as |e_r| passes of `_expand`, O(order) steps each.  Otherwise the
-        product is exp(sum_k N_k T^k / k) with the power sums
-        N_k = -sum_r e_r p^(rk), expanded by the Newton recurrence in
-        O(order^2) steps."""
+        """Exact expansion in T by `_expand`; requires an integer base; a
+        coefficient too long to print is a PreconditionError."""
         if not isinstance(self.base, int):
             raise PreconditionError("exact expansion needs an integer base")
         _check_series_order(order, 0)
-        what = "coefficient {} of the factored local zeta series"
-        if sum(abs(e) for _, e in self.factors) > order:
-            counts = [-sum(e * self.base ** (r * k) for r, e in self.factors)
-                      for k in range(1, order + 1)]
-            return TruncatedSeries(tuple(_newton_series(counts, what)))
-        return _expand([(self.base**r, 1, e) for r, e in self.factors], order, what)
+        return _expand([(self.base**r, 1, e) for r, e in self.factors], order,
+                       "coefficient {} of the factored local zeta series")
 
 
 def _float_exponent(e: int, name: str) -> float:

@@ -311,6 +311,8 @@ def test_local_series_matches_fraction_oracle(scheme, p, order):
     st.sampled_from([2, 3, 5]),
     st.integers(0, 12),
 )
+@example([(0, 4), (1, -3), (3, 3)], 3, 10)  # sum |e| = order: the passes
+@example([(0, 4), (1, -3), (3, 3)], 3, 9)  # sum |e| = order + 1: the Newton recurrence
 def test_factored_series_matches_fraction_oracle(factors, base, order):
     z = LocalZetaFactors(base, tuple(factors))
     series = z.series(order)

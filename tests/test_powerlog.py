@@ -130,8 +130,6 @@ def test_detect_fe_none_and_errors():
     assert detect_functional_equation(parse_power_log("u^2 + 2*u")) is None
     with pytest.raises(PreconditionError):
         detect_functional_equation(PowerLogSum.zero())
-    with pytest.raises(PreconditionError):
-        detect_functional_equation(PowerLogSum.log_power(), restrict_to_powers=True)
 
 
 def test_detect_fe_single_power():

@@ -40,7 +40,7 @@ RECORDS = [
     (GlobalFEReport, {"holds": False, "chi": 2, "dimension": 1, "asymmetries": ((0, 1, 2),)}),
     (EpsilonFactor, {"sign": 1, "numeric_residual": 0.0, "sample_points": (1.5 + 0.7j,)}),
     (ZetaFEReport, {"holds": True, "center": Fraction(1, 2), "exponent_sign": 1, "prefactor_sign": -1}),
-    (LogZetaIntegral, {"value": 0.5 + 0j, "region": "upper", "error_estimate": 1e-15}),
+    (LogZetaIntegral, {"value": 0.5 + 0j, "error_estimate": 1e-15}),
     (Spectrum, {"name": "circle", "eigenvalues": CIRCLE.eigenvalues,
                 "continued_tail": CIRCLE.continued_tail, "shift": 0.25}),
     (SpectralValue, {"value": 1.5 + 0j, "error_bound": 1e-14, "terms_used": 48}),

@@ -211,7 +211,6 @@ def test_reconstruction_check_catches_changed_coefficients():
     delta = Fraction(1, 1000)
     c3 = data.entries[0][3][2]
     moved = _with_coefficient(_with_coefficient(data, 0, 3, c3 + delta), 0, 9, c3 + delta)
-    assert moved.reconstruction_error(n_max=1) == 0.0
     assert moved.reconstruction_error() == pytest.approx(2e-3)
     assert not moved.verify()
     short = FourierData(3, 12, ((0, 0, 5, data.entries[0][3][:-1]),))
@@ -222,7 +221,6 @@ def test_reconstruction_check_with_too_short_period():
     # gcd(3, 2^n - 1) alternates 1, 3; no constant matches it, and the
     # check then walks every n instead of one n per class
     data = FourierData(2, 1, ((0, 0, 3, (Fraction(1),)),))
-    assert data.reconstruction_error(n_max=1) == 0.0
     assert data.reconstruction_error() == 2.0
     assert not data.verify()
 
@@ -415,7 +413,7 @@ def test_smoothed_count_matches_the_per_type_sum(scheme, q):
 # -- the integer reconstruction check against its Fraction form --------------
 
 
-def _fraction_reconstruction_error(data, n_max=None):
+def _fraction_reconstruction_error(data):
     # FourierData.reconstruction_error as it was before the integer check:
     # Fraction class values times Ramanujan sums, one float per n
     def divisors(n):
@@ -429,7 +427,6 @@ def _fraction_reconstruction_error(data, n_max=None):
         return sum(mobius(q // d) * d for d in divisors(math.gcd(q, m)))
 
     n0, p = data.period, data.prime
-    limit = 3 * n0 if n_max is None else n_max
     worst = 0.0
     for _, _, t, coeffs in data.entries:
         if len(coeffs) != n0:
@@ -442,9 +439,9 @@ def _fraction_reconstruction_error(data, n_max=None):
         while math.gcd(part, p) > 1:
             part //= math.gcd(part, p)
         if (pow(p, n0, part) - 1) % part == 0:
-            ns = [g for g in divisors(n0) if g <= limit]
+            ns = divisors(n0)
         else:
-            ns = range(1, limit + 1)
+            ns = range(1, 3 * n0 + 1)
         for n in ns:
             value = sum(c * ramanujan(n0 // g, n) for g, c in by_class.items() if c)
             worst = max(worst, float(abs(value - math.gcd(t, pow(p, n, t) - 1))))
@@ -489,9 +486,8 @@ def fourier_tables(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(fourier_tables(), st.one_of(st.none(), st.integers(0, 40)))
-def test_reconstruction_error_is_bit_identical_to_the_fraction_check(data, n_max):
-    assert data.reconstruction_error(n_max) == _fraction_reconstruction_error(data, n_max)
+@given(fourier_tables())
+def test_reconstruction_error_is_bit_identical_to_the_fraction_check(data):
     assert data.reconstruction_error() == _fraction_reconstruction_error(data)
 
 
@@ -509,7 +505,6 @@ def test_reconstruction_error_reads_float_coefficients_exactly():
                   for nu, c in enumerate(coeffs, start=1))
     data = FourierData(3, 12, ((x, j, t, moved),))
     assert data.reconstruction_error() == 0.4 == float(4 * Fraction(0.1))
-    assert data.reconstruction_error(n_max=1) == 0.0
 
 
 def test_reconstruction_error_of_a_non_real_coefficient_is_inf():
