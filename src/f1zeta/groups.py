@@ -264,8 +264,8 @@ def verify_family_identities(r: int, family: str) -> FamilyIdentityReport:
     are integers) and a = `ReductiveGroupData.coefficients`.  (a) is
     N = u^(-d) N_G: top = d - p and v reversed is a.  (b) is
     N(1/u) = (-1)^r u^(-p) N_G: the lowest power of v is v^0 (for
-    len(v) = r + p + 1 again top = d - p) and (-1)^r v is a.  (c) is the
-    palindrome of `group_functional_equation` with (-1)^chi = 1.  Both
+    len(v) = r + p + 1 again top = d - p) and (-1)^r v is a.  (c) is
+    `group_functional_equation`, whose (-1)^chi is 1 as N_G(1) = 0.  Both
     v and a have nonzero ends (b_0 = b_p = 1 here), so equal term maps
     are equal vectors.
     """
@@ -303,6 +303,6 @@ def _family_report(group: ReductiveGroupData, family: str) -> FamilyIdentityRepo
     checks = (
         aligned and tuple(v[::-1]) == coeffs,
         aligned and tuple([sign * x for x in v]) == coeffs,
-        not _asymmetries(coeffs, len(coeffs) - 1, sign) and _parity(sum(coeffs)) == 1,
+        group_functional_equation(group).holds,
     )
     return FamilyIdentityReport(family, r, tuple(zip(labels, checks)))

@@ -20,13 +20,12 @@ local zeta is a finite product
 
     Z(p, T) = prod_{i, o} (1 - p^(i o) T^o)^(-m_(i,o)),
 
-o the orbit lengths on the torsion, with integer m_(i,o).  When a bound
-B on sum |m| is at most the order, the product is built and expanded by
-`_expand`; otherwise the series is the Newton recurrence
-n e_n = sum_k N_k e_{n-k} over the counts.  `_expand` also expands the
-factored smoothed form, and it owns the one switch between its two
-ways: one strided pass per unit of |e| when the sum of the |e| is at
-most the order, else the same recurrence on the product's power sums.
+o the orbit lengths on the torsion, with integer m_(i,o).  The product
+over o <= order is built from the fixed-point counts and expanded by
+`_expand`, which also expands the factored smoothed form and owns the
+one switch between two ways: one strided pass per unit of |e| when the
+sum of the |e| is at most the order, else the Newton recurrence
+n e_n = sum_k N_k e_{n-k} on the product's power sums N_k.
 Power sums of a zeta form a Dold sequence, so every division is exact; a
 remainder is an ArithmeticError, never rounded.
 """
@@ -35,24 +34,23 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from fractions import Fraction
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 from typing import Sequence, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
 from .powerlog import _asymmetries, _binomial_row, _check_printable, _exp_in_range, _Record
-from .schemes import (MonoidScheme, _divisor_differences, _part_prime_to, counting_coefficients,
-                      exact_count)
+from .schemes import MonoidScheme, counting_coefficients, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
 # coefficients of a d-dimensional scheme have about d n log2(p) bits.
-# Measured at the cap on a 2-core host at p = 7: the orbit product takes
-# 0.5 ms on P2, 0.8 ms on P4 and 4 ms on P10, the largest projective space
-# whose coefficients stay printable at p = 7 (P11 and above exit at once
-# on the digit limit).  Above the bound B the recurrence makes about n^2/2
-# products: 0.11 s on 8 torsion points of rank <= 2, 2.8 s on P10 plus one
-# point of torsion 1000003.
+# Measured at the cap on a 2-core host at p = 7: the strided passes take
+# 0.5 ms on P2, 0.8 ms on P4, 4 ms on P10 (the largest projective space
+# printable at p = 7; P11 and above exit at once on the digit limit), 4 ms
+# on P10 plus a point of torsion 1000003 and 16 ms on 8 torsion points of
+# rank <= 2.  Past sum |m| = n the recurrence makes about n^2/2 products:
+# 0.15 s on one rank-2 point of torsion 7^6 - 1, 0.4 s beside P4.
 MAX_SERIES_ORDER = 500
 
 
@@ -84,69 +82,66 @@ class TruncatedSeries(_Record):
 
 def local_zeta_series(scheme: MonoidScheme, p: int, order: int) -> TruncatedSeries:
     """exp(sum_{n=1}^{order} #X(F_{p^n}) T^n / n), truncated, exact: the
-    orbit product of `_orbit_exponents` when its bound B is at most the
-    order, else the Newton recurrence over the counts (see the module
-    docstring).  A coefficient too long to print is a PreconditionError
-    naming the first such e_n."""
+    orbit product of `_orbit_exponents`, expanded by `_expand` (see the
+    module docstring).  A coefficient too long to print is a
+    PreconditionError naming the first such e_n."""
     _check_series_order(order, 1)
     if not isinstance(p, int) or p < 2:
         raise PreconditionError(f"need an integer base p >= 2, got {p!r}")
-    # every N_k >= 0 makes every e_n >= 0, so e_order >= N_order / order:
-    # a last coefficient too long to print is known from N_order alone,
-    # before the other counts or factors (together far costlier) are made
+    # every N_k >= 0 makes every e_n >= 0, so e_order >= N_order / order: a last
+    # coefficient too long to print shows in N_order, before any factor is made
     what = f"local zeta coefficient e_{{}} at p = {p}"
-    last = exact_count(scheme, p**order)
-    _check_printable(last // order, what, order)
-    if (exponents := _orbit_exponents(scheme, p, order)) is not None:
-        return _expand([(p ** (i * o), o, -m) for (i, o), m in exponents.items()], order, what)
-    counts = [exact_count(scheme, p**n) for n in range(1, order)] + [last]
-    return TruncatedSeries(tuple(_newton_series(counts, what)))
+    _check_printable(exact_count(scheme, p**order) // order, what, order)
+    exponents = _orbit_exponents(scheme, p, order)
+    return _expand([(p ** (i * o), o, -m) for (i, o), m in exponents.items()], order, what)
 
 
-def _orbit_exponents(scheme: MonoidScheme, p: int, order: int) -> Counter | None:
-    """{(i, o): m_(i,o)}, o <= order, or None when B > order, for
-    B = sum |a_i| over the torsion-free types' counting coefficients plus
-    k 2^R prod_j t_j per torsion type: a bound on sum |m| and on every
-    t_j walked.  m_(i,o) = sum_x C(R, i) (-1)^(R-i) k_x W_o(x) / o over the
-    types x, with the weights W_o(x) of `_orbit_weights`."""
-    bound = sum(k * math.prod(torsion) << rank for rank, torsion, k in scheme.point_types if torsion)
-    free = {rank: {1: k} for rank, torsion, k in scheme.point_types if not torsion}
-    if bound > order or bound + sum(map(abs, _spread(free).values())) > order:
-        return None
-    weights: dict[int, Counter] = {}  # rank -> orbit length o -> sum of k W_o / o
+def _orbit_exponents(scheme: MonoidScheme, p: int, order: int) -> dict[tuple[int, int], int]:
+    """{(i, o): m_(i,o) != 0} for o <= order.  W_(R,o), the points of rank R on orbits
+    of length o of x -> p x, is the Moebius inversion over h <= order of the fixed-point
+    counts w_R(h) = sum k prod_j gcd(t_j, p^h - 1) of the rank's torsion types, plus k at
+    o = 1 for its torsion-free type; m_(i,o) = sum_R C(R, i) (-1)^(R-i) W_(R,o) / o."""
+    gcds = {t: _gcd_row(t, p, order) for t in scheme.count_profile[0]}
+    weights: dict[int, dict[int, int]] = {}  # rank -> orbit length o -> W_(R,o) / o
+    fixed: dict[int, list[int]] = {}  # rank -> w_R(1..order) of its torsion types
     for rank, torsion, k in scheme.point_types:
-        for o, w in _orbit_weights(torsion, p, order):
-            weights.setdefault(rank, Counter())[o] += k * w // o
+        if not torsion:
+            weights.setdefault(rank, {})[1] = k  # a rank's one torsion-free type
+            continue
+        w = repeat(k, order)
+        for t in torsion:
+            w = map(mul, w, gcds[t])
+        fixed[rank] = list(map(add, fixed.get(rank, repeat(0)), w))
+    for rank, w in fixed.items():
+        row = weights.setdefault(rank, {})
+        for o, c in enumerate(w, 1):  # c = W_(R,o): its divisors' shares are off
+            if c:
+                for n in range(2 * o - 1, order, o):
+                    w[n] -= c
+                row[o] = row.get(o, 0) + c // o
     return _spread(weights)
 
 
-def _orbit_weights(torsion: Sequence[int], p: int, order: int) -> list[tuple[int, int]]:
-    """(o, W_o) for the o <= order dividing L = lcm_j ord_(t'_j)(p), t'_j the
-    part of t_j prime to p: W_o points of prod_j Z/t_j lie on orbits of
-    length o under x -> p x, so o | W_o.  They are the divisor differences
-    of the fixed-point counts f(h) = prod_j gcd(t'_j, p^h - 1), h | L; no
-    torsion gives [(1, 1)]."""
-    parts = [t for t in (_part_prime_to(t, p) for t in torsion) if t > 1]
-    period = 1
-    for t in parts:  # a walk over the powers of p mod t
-        h, x = 1, p % t
-        while x != 1:
-            h, x = h + 1, x * p % t
-        period = math.lcm(period, h)
-    heights = [h for h in range(1, min(period, order) + 1) if period % h == 0]
-    fixed = [math.prod([math.gcd(t, pow(p, h, t) - 1) for t in parts]) for h in heights]
-    return list(zip(heights, _divisor_differences(heights, fixed)))
+def _gcd_row(t: int, p: int, order: int) -> list[int]:
+    """gcd(t, p^h - 1) = gcd(t, x - 1) for h = 1..order, x = p^h mod t;
+    once x is back at 1 the row repeats with that period."""
+    x = p % t
+    row = [math.gcd(t, x - 1)]
+    while x != 1 and len(row) < order:
+        x = x * p % t
+        row.append(math.gcd(t, x - 1))
+    return (row * -(-order // len(row)))[:order]
 
 
-def _spread(weights: dict[int, dict[int, int]]) -> Counter:
-    """{(i, o): sum_R C(R, i) (-1)^(R-i) weights[R][o]}: one binomial row per rank."""
-    out: Counter = Counter()
+def _spread(weights: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
+    """{(i, o): m != 0}, m = sum_R C(R, i) (-1)^(R-i) weights[R][o]: one binomial row per rank."""
+    out: dict[tuple[int, int], int] = {}
     for rank, row in weights.items():
         binomial = _binomial_row(rank)
         for o, w in row.items():
             for i, c in enumerate(binomial):
-                out[i, o] += c * w
-    return out
+                out[i, o] = out.get((i, o), 0) + c * w
+    return {key: m for key, m in out.items() if m}
 
 
 def _expand(factors: Sequence[tuple[int, int, int]], order: int, what: str) -> TruncatedSeries:
@@ -157,8 +152,12 @@ def _expand(factors: Sequence[tuple[int, int, int]], order: int, what: str) -> T
     recurrence in O(order^2) steps.  A coefficient too long to print is a
     PreconditionError naming the first such n."""
     if sum(abs(e) for _, _, e in factors) > order:
-        counts = [-sum(e * o * a ** (n // o) for a, o, e in factors if n % o == 0)
-                  for n in range(1, order + 1)]
+        counts = [0] * order
+        for a, o, e in factors:  # -e o a^k at n = k o, one multiply per k
+            v = -e * o
+            for n in range(o - 1, order, o):
+                v *= a
+                counts[n] += v
         return TruncatedSeries(tuple(_newton_series(counts, what)))
     coeffs = [1] + [0] * order
     for a, o, e in factors:

@@ -10,7 +10,7 @@ series.  The kernel must agree with them exactly.
 import math
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -355,27 +355,60 @@ def series_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(series_cases())
-@example((MonoidScheme((TorsionPoint(1, (4, 6)), TorsionPoint(0, (9,)))), 5, 60))  # B = 57
-@example((MonoidScheme((TorsionPoint(4, (30,)),)), 2, 60))  # B = 480
-@example((MonoidScheme((TorsionPoint(0, (1000003,)),)), 7, 60))
+@example((MonoidScheme((TorsionPoint(1, (4, 6)), TorsionPoint(0, (9,)))), 5, 60))  # sum |m| = 31
+@example((MonoidScheme((TorsionPoint(4, (30,)),)), 2, 60))  # sum |m| = 80
+@example((MonoidScheme((TorsionPoint(0, (1000003,)),)), 7, 60))  # sum |m| = 1
 def test_series_sides_of_the_switch_match_newton_over_the_counts(case):
     scheme, p, order = case
-    orbit = weil._orbit_exponents(scheme, p, order) is not None
-    event("orbit product" if orbit else "Newton over the counts")
+    passes = sum(map(abs, weil._orbit_exponents(scheme, p, order).values())) <= order
+    event("strided passes" if passes else "Newton over the power sums")
     assert local_zeta_series(scheme, p, order).coefficients == _newton_over_counts(scheme, p, order)
 
 
-def test_the_switch_takes_the_orbit_product_up_to_the_bound():
-    # B = (|a_0| + |a_1| = 2 for the rank-1 point) + 2^1 * 3 * 5 = 32
+def test_the_switch_takes_the_passes_up_to_the_sum_of_the_exponents(monkeypatch):
+    # sum |m| = 12: m_(i,1) = -2, 2 (the rank-1 point and the fixed point of
+    # Z/3 x Z/5), m_(i,2) = -1, 1 and m_(i,4) = -3, 3 under doubling
     scheme = MonoidScheme((TorsionPoint(1), TorsionPoint(1, (3, 5))))
-    assert weil._orbit_exponents(scheme, 2, 32) is not None
-    assert weil._orbit_exponents(scheme, 2, 31) is None
+    assert weil._orbit_exponents(scheme, 2, 12) == {
+        (0, 1): -2, (1, 1): 2, (0, 2): -1, (1, 2): 1, (0, 4): -3, (1, 4): 3}
+    want = _newton_over_counts(scheme, 2, 12)
+    calls = []
+    monkeypatch.setattr(weil, "_newton_series",
+                        lambda counts, what, real=weil._newton_series: calls.append(len(counts))
+                        or real(counts, what))
+    assert local_zeta_series(scheme, 2, 12).coefficients == want
+    assert calls == []
+    assert local_zeta_series(scheme, 2, 11).coefficients == want[:12]
+    assert calls == [11]
 
 
 def test_orbit_product_at_a_large_order_matches_newton_over_the_counts():
     scheme, p = projective_space_model(6), 5
     assert weil._orbit_exponents(scheme, p, 300) == {(i, 1): 1 for i in range(7)}
     assert local_zeta_series(scheme, p, 300).coefficients == _newton_over_counts(scheme, p, 300)
+
+
+def test_a_torsion_point_of_long_period_adds_one_factor():
+    # a rank-0 point of torsion 1000003 is fixed by x -> 7x and by nothing
+    # else up to order 500, so it multiplies P10's series by 1 / (1 - T)
+    p10 = projective_space_model(10)
+    scheme = MonoidScheme(p10.points + (TorsionPoint(0, (1000003,)),))
+    assert weil._orbit_exponents(scheme, 7, 500) == {(0, 1): 2, **{(i, 1): 1 for i in range(1, 11)}}
+    want = tuple(accumulate(local_zeta_series(p10, 7, 500).coefficients))
+    assert local_zeta_series(scheme, 7, 500).coefficients == want
+
+
+@pytest.mark.parametrize("scheme, p, order", [
+    (MonoidScheme((TorsionPoint(4, (30,)),)), 2, 60),  # sum |m| = 80: Newton on the power sums
+    (MonoidScheme((TorsionPoint(1, (4, 6)), TorsionPoint(0, (9,)))), 5, 60),  # 31: the passes
+])
+def test_the_local_series_counts_points_once(monkeypatch, scheme, p, order):
+    # only the digit precheck on e_order reads a count
+    want = _newton_over_counts(scheme, p, order)
+    calls = []
+    monkeypatch.setattr(weil, "exact_count", lambda s, q, real=exact_count: calls.append(q) or real(s, q))
+    assert local_zeta_series(scheme, p, order).coefficients == want
+    assert calls == [p**order]
 
 
 def test_series_order_cap():
@@ -433,8 +466,8 @@ def test_series_stop_at_the_first_coefficient_too_long_to_print(digit_limit):
 
 def test_orbit_product_stops_at_the_first_coefficient_too_long_to_print(digit_limit):
     # one rank-1 point of torsion 3 at p = 10^9 + 1 = 2 mod 3 has orbits of
-    # lengths 1 and 2 and B = 6 <= 72; N_72 // 72 has 647 digits, e_71 641
-    # and e_72 650, so at a limit of 647 the orbit product runs and stops at e_72
+    # lengths 1 and 2 and sum |m| = 4 <= 72; N_72 // 72 has 647 digits, e_71 641
+    # and e_72 650, so at a limit of 647 the strided passes run and stop at e_72
     scheme, p = MonoidScheme((TorsionPoint(1, (3,)),)), 10**9 + 1
     assert weil._orbit_exponents(scheme, p, 72) == {(0, 1): -1, (1, 1): 1, (0, 2): -1, (1, 2): 1}
     want = _newton_over_counts(scheme, p, 71)
