@@ -75,14 +75,18 @@ def _integer(value: object) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
+# Pythons before 3.10.7 have neither the function nor a limit (0 means none);
+# called per check, so a limit set at run time applies
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def _check_printable(value: int, what: str, *args: object) -> int:
     """`value`, if `str` can convert it.  An int of more decimal digits
-    than `sys.get_int_max_str_digits()` (0 means no limit; Pythons before
-    3.10.7 have neither the function nor a limit) is a
+    than `sys.get_int_max_str_digits()` (0 means no limit) is a
     PreconditionError naming `what.format(*args)`, so that a result too
     large to print stops the computation producing it instead of ending
     in a ValueError.  The message is formatted only on failure."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _int_max_str_digits()
     # |value| < 2^bits <= 8^limit < 10^limit needs no decimal comparison
     if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
         raise PreconditionError(

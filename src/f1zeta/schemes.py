@@ -7,11 +7,12 @@ field with q elements the point count is
 
     #X(F_q) = sum_x (q-1)^R(x) * prod_j gcd(t_{x,j}, q-1),
 
-evaluated in int by Horner in q - 1 over the scheme's count profile; the
-torsion-smoothed variant replaces each gcd by t_{x,j}.  The Fourier
-machinery expands n |-> gcd(t, p^n - 1), which is periodic of period
-phi(t), into its discrete Fourier series, whose coefficients are exact
-rationals, divisor differences of gcd(t', p^h - 1), checked in int.
+evaluated by Horner in q - 1 over the scheme's count profile, the one
+derived form of its points; the torsion-smoothed variant is the same
+Horner with each gcd replaced by t_{x,j}.  The Fourier machinery expands
+n |-> gcd(t, p^n - 1), which is periodic of period phi(t), into its
+discrete Fourier series, whose coefficients are exact rationals, divisor
+differences of gcd(t, p^h - 1), checked in int.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class MonoidScheme(_Record):
             raise PreconditionError(
                 f"declared dimension {self.dimension}; at most {MAX_COUNTING_DEGREE} is supported"
             )
-        # a walk over the points, so that point_types stays lazy
+        # a walk over the points, so that the count profile stays lazy
         top = max(pt.rank for pt in self.points)
         if top > MAX_COUNTING_DEGREE:
             raise PreconditionError(
@@ -100,7 +101,7 @@ class MonoidScheme(_Record):
 
     @property
     def max_rank(self) -> int:
-        return max(rank for rank, _, _ in self.point_types)
+        return self.count_profile[1][0][0]  # the top row's rank
 
     @property
     def dim(self) -> int:
@@ -108,42 +109,49 @@ class MonoidScheme(_Record):
         return self.max_rank if self.dimension is None else self.dimension
 
     @cached_property
-    def point_types(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
-        """(rank, torsion orders, multiplicity) per distinct point type,
-        computed once per scheme: every count depends on a point only
-        through its type (P16 has 17 types for 131 071 points)."""
-        types = Counter((pt.rank, pt.torsion_orders) for pt in self.points)
-        return tuple((rank, tors, k) for (rank, tors), k in types.items())
-
-    @cached_property
     def count_profile(self) -> tuple[tuple[int, ...], tuple[tuple[int, tuple, int], ...]]:
-        """(orders, rows), built once from `point_types`: the distinct torsion
-        orders, and per occupied rank R from the top down the row
-        (multiplicity of the torsion-free type of rank R or 0, (k, indices
-        into orders) per other type of rank R, R minus the next occupied
-        rank)."""
-        orders = sorted({t for _, torsion, _ in self.point_types for t in torsion})
+        """(orders, rows), built once per scheme: the distinct torsion orders,
+        and per occupied rank R from the top down the row (R, (k, indices
+        into orders) per point type of rank R with its multiplicity k, R minus
+        the next occupied rank).  Every count depends on a point only through
+        its type (P16 has 17 types for 131 071 points)."""
+        types = Counter((pt.rank, pt.torsion_orders) for pt in self.points)
+        orders = sorted({t for _, torsion in types for t in torsion})
         index = {t: i for i, t in enumerate(orders)}
         rows: dict[int, list] = {}
-        for rank, torsion, k in sorted(self.point_types, reverse=True):
-            row = rows.setdefault(rank, [0, []])
-            if torsion:
-                row[1].append((k, tuple(index[t] for t in torsion)))
-            else:
-                row[0] = k
+        for (rank, torsion), k in sorted(types.items(), reverse=True):
+            rows.setdefault(rank, []).append((k, tuple(index[t] for t in torsion)))
         below = [*rows, 0][1:]  # the lowest row drops to rank 0
         return tuple(orders), tuple(
-            (free, tuple(typed), r - b) for (r, (free, typed)), b in zip(rows.items(), below))
+            (r, tuple(typed), r - b) for (r, typed), b in zip(rows.items(), below))
 
 
 # -- counting ----------------------------------------------------------
 
 
+def _count(rows: Sequence[tuple[int, tuple, int]], values: Sequence,
+           m: Union[int, Fraction]) -> Union[int, Fraction]:
+    """sum_R w_R m^R over the rows of a count profile, by Horner in m: the
+    rank weights w_R = sum k prod_j values[i_j] over the row's types, each
+    added to the total once, then one multiply per occupied rank, by
+    m^(rank drop)."""
+    total = 0
+    for _, types, drop in rows:
+        weight = 0
+        for k, indices in types:
+            for i in indices:
+                k *= values[i]
+            weight += k
+        total += weight
+        if drop:  # m^drop; a plain multiply for the common drop of 1
+            total *= m if drop == 1 else m**drop
+    return total
+
+
 def exact_count(scheme: MonoidScheme, q: int) -> int:
     """#X(F_q) = sum_x (q-1)^R(x) prod_j gcd(t_{x,j}, q-1), in int: one gcd
-    per distinct torsion order of `scheme.count_profile`, then the rank
-    weights w_R = sum_{x: R(x) = R} prod_j gcd(t_{x,j}, q-1) by Horner in
-    q - 1, one bigint multiply per occupied rank, by (q-1)^(rank drop).
+    per distinct torsion order of `scheme.count_profile`, then `_count` in
+    m = q - 1.
 
     The caller is responsible for q being a prime power when modelling
     an actual finite field; any integer q >= 2 is accepted.
@@ -153,45 +161,32 @@ def exact_count(scheme: MonoidScheme, q: int) -> int:
     m = q - 1
     orders, rows = scheme.count_profile
     # a torsion-free scheme skips the comprehension, a call of its own
-    g = [math.gcd(t, m) for t in orders] if orders else orders
-    total = 0
-    for weight, typed, drop in rows:
-        for k, indices in typed:
-            for i in indices:
-                k *= g[i]
-            weight += k
-        total += weight
-        if drop:  # (q-1)^drop; a plain multiply for the common drop of 1
-            total *= m if drop == 1 else m**drop
-    return total
+    return _count(rows, [math.gcd(t, m) for t in orders] if orders else orders, m)
 
 
 def smoothed_count(scheme: MonoidScheme, q: Union[int, Fraction, float]) -> Fraction:
-    """Torsion-smoothed count sum_x T(x) (q-1)^R(x), exact in q: the
-    counting coefficients a_k evaluated by Horner in q.
+    """Torsion-smoothed count sum_x T(x) (q-1)^R(x), exact in q: the Horner
+    of `exact_count` with each gcd(t, q-1) replaced by t.
 
     Agrees with `exact_count` at integers q = 1 mod every torsion order.
     """
     qq = Fraction(q)
     if qq <= 0:
         raise PreconditionError(f"smoothed counts need q > 0, got {q!r}")
-    total = Fraction(0)
-    for a in reversed(counting_coefficients(scheme)):
-        total = total * qq + a
-    return total
+    orders, rows = scheme.count_profile
+    return Fraction(_count(rows, orders, qq - 1))  # an int when every point has rank 0
 
 
 def counting_coefficients(scheme: MonoidScheme) -> tuple[int, ...]:
     """a_0..a_R with sum_x T(x) (q-1)^R(x) = sum_k a_k q^k, the vector behind
     every torsion-smoothed quantity: a_k = sum_R w_R C(R, k) (-1)^(R-k)
     over the rank weights w_R = sum_{x: R(x) = R} T(x)."""
-    weights: dict[int, int] = {}
-    for rank, torsion, k in scheme.point_types:
-        weights[rank] = weights.get(rank, 0) + k * math.prod(torsion)
-    coeffs = [0] * (max(weights) + 1)
-    for rank, w in weights.items():
-        for k, c in enumerate(_binomial_row(rank)):
-            coeffs[k] += w * c
+    orders, rows = scheme.count_profile
+    coeffs = [0] * (scheme.max_rank + 1)
+    for row in rows:
+        w = _count((row,), orders, 1)  # w_R: the row's own count at m = 1
+        for j, c in enumerate(_binomial_row(row[0])):
+            coeffs[j] += w * c
     return tuple(coeffs)
 
 
@@ -235,16 +230,12 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _divides_power_minus_one(e: int, p: int, h: int) -> bool:
-    """e | p^h - 1, decided in residues mod e."""
-    return (pow(p, h, e) - 1) % e == 0
-
-
-def _part_prime_to(t: int, p: int) -> int:
-    """t with every prime it shares with p removed."""
+def _period_divides(t: int, p: int, n: int) -> bool:
+    """The part of t prime to p divides p^n - 1, decided in residues: then
+    n is a multiple of the period of h |-> gcd(t, p^h - 1)."""
     while (g := math.gcd(t, p)) > 1:
         t //= g
-    return t
+    return (pow(p, n, t) - 1) % t == 0
 
 
 def _divisor_differences(divs: list[int], values: Sequence[int]) -> list[int]:
@@ -286,11 +277,10 @@ def gcd_fourier_coefficients(t: int, p: int, n0: int) -> tuple[Fraction, ...]:
         raise PreconditionError(f"base prime must be >= 2, got {p}")
     if n0 < 1:
         raise PreconditionError(f"period length must be >= 1, got {n0}")
-    part = _part_prime_to(t, p)
-    if not _divides_power_minus_one(part, p, n0):
+    if not _period_divides(t, p, n0):
         raise PreconditionError(f"{n0} is not a multiple of the period of gcd({t}, {p}^n - 1)")
     heights = _divisors(n0)
-    gcds = [math.gcd(part, pow(p, h, part) - 1) for h in heights]
+    gcds = [math.gcd(t, pow(p, h, t) - 1) for h in heights]  # gcd(t, p^h - 1)
     return _class_vector(heights, _divisor_differences(heights, gcds))
 
 
@@ -357,7 +347,7 @@ class FourierData(_Record):
             # gcd(t, p^n - 1) when every ord_e(p) divides n0, i.e. when t's
             # part prime to p divides p^n0 - 1.  Then one n per class
             # suffices, and the smallest n in class g is g.
-            if _divides_power_minus_one(_part_prime_to(t, self.prime), self.prime, n0):
+            if _period_divides(t, self.prime, n0):
                 ns = divs
             else:
                 ns = range(1, 3 * n0 + 1)

@@ -101,23 +101,24 @@ def _orbit_exponents(scheme: MonoidScheme, p: int, order: int) -> dict[tuple[int
     of length o of x -> p x, is the Moebius inversion over h <= order of the fixed-point
     counts w_R(h) = sum k prod_j gcd(t_j, p^h - 1) of the rank's torsion types, plus k at
     o = 1 for its torsion-free type; m_(i,o) = sum_R C(R, i) (-1)^(R-i) W_(R,o) / o."""
-    gcds = {t: _gcd_row(t, p, order) for t in scheme.count_profile[0]}
+    orders, rows = scheme.count_profile
+    gcds = [_gcd_row(t, p, order) for t in orders]
     weights: dict[int, dict[int, int]] = {}  # rank -> orbit length o -> W_(R,o) / o
-    fixed: dict[int, list[int]] = {}  # rank -> w_R(1..order) of its torsion types
-    for rank, torsion, k in scheme.point_types:
-        if not torsion:
-            weights.setdefault(rank, {})[1] = k  # a rank's one torsion-free type
-            continue
-        w = repeat(k, order)
-        for t in torsion:
-            w = map(mul, w, gcds[t])
-        fixed[rank] = list(map(add, fixed.get(rank, repeat(0)), w))
-    for rank, w in fixed.items():
-        row = weights.setdefault(rank, {})
-        for o, c in enumerate(w, 1):  # c = W_(R,o): its divisors' shares are off
+    for rank, types, _ in rows:
+        row = weights[rank] = {}
+        fixed: list[int] = []  # w_R(1..order) of the rank's torsion types
+        for k, indices in types:
+            if not indices:
+                row[1] = k  # the rank's one torsion-free type
+                continue
+            w = repeat(k, order)
+            for i in indices:
+                w = map(mul, w, gcds[i])
+            fixed = list(map(add, fixed, w)) if fixed else list(w)
+        for o, c in enumerate(fixed, 1):  # c = W_(R,o): its divisors' shares are off
             if c:
                 for n in range(2 * o - 1, order, o):
-                    w[n] -= c
+                    fixed[n] -= c
                 row[o] = row.get(o, 0) + c // o
     return _spread(weights)
 

@@ -605,7 +605,7 @@ def test_stdout_is_byte_identical_to_recorded_output(capsys, tmp_path, case):
     argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in case["argv"]]
     code = cli.main(argv)
     captured = capsys.readouterr()
-    assert code == 0 and captured.err == ""
+    assert code == case.get("code", 0) and captured.err == ""
     assert captured.out == case["stdout"]
 
 

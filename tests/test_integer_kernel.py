@@ -323,7 +323,7 @@ def test_factored_series_matches_fraction_oracle(factors, base, order):
 def test_point_types_collapse_projective_space():
     scheme = projective_space_model(8)
     assert len(scheme.points) == 511
-    assert sorted((r, k) for r, _, k in scheme.point_types) == [
+    assert sorted((r, k) for r, types, _ in scheme.count_profile[1] for k, _ in types) == [
         (r, math.comb(9, r + 1)) for r in range(9)
     ]
     for p in (2, 3, 6):

@@ -17,6 +17,7 @@ from f1zeta.schemes import (
     FourierData,
     MonoidScheme,
     TorsionPoint,
+    counting_coefficients,
     exact_count,
     f1_point,
     fourier_data,
@@ -389,25 +390,46 @@ def test_count_profile_rows_run_from_the_top_rank_down():
     orders, rows = scheme.count_profile
     assert orders == (4, 6)
     # rank 5: one torsion-free point, two of torsion (6,); rank 0: two and one
-    assert rows == ((1, ((2, (1,)),), 5), (2, ((1, (0, 1)),), 0))
+    assert rows == ((5, ((2, (1,)), (1, ())), 5), (0, ((1, (0, 1)), (2, ())), 0))
     for q in (2, 5, 7**40, 2**64 + 1):
         assert exact_count(scheme, q) == _per_point_count(scheme, q)
-    assert projective_space_model(2).count_profile == ((), ((1, (), 1), (3, (), 1), (3, (), 0)))
+    assert projective_space_model(2).count_profile == (
+        (), ((2, ((1, ()),), 1), (1, ((3, ()),), 1), (0, ((3, ()),), 0)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(count_schemes(), st.one_of(
+_SMOOTHED_QS = st.one_of(
     st.integers(1, 10**6),
     st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
     st.floats(min_value=1e-6, max_value=1e6),
-))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_schemes(), _SMOOTHED_QS)
 def test_smoothed_count_matches_the_per_type_sum(scheme, q):
-    # the per-type sum smoothed_count evaluated before the Horner form
+    # sum_x T(x) (q-1)^R(x) point by point, independent of the count profile
     qq = Fraction(q)
-    want = sum((k * math.prod(torsion) * (qq - 1) ** rank
-                for rank, torsion, k in scheme.point_types), Fraction(0))
+    want = sum((math.prod(pt.torsion_orders) * (qq - 1) ** pt.rank
+                for pt in scheme.points), Fraction(0))
     got = smoothed_count(scheme, q)
     assert type(got) is Fraction and got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_schemes(), _SMOOTHED_QS)
+def test_count_profile_holds_each_point_type_once_and_both_smoothed_paths_agree(scheme, q):
+    orders, rows = scheme.count_profile
+    types = [(rank, tuple(orders[i] for i in indices), k) for rank, row, _ in rows
+             for k, indices in row]
+    assert sum(k for _, _, k in types) == len(scheme.points)
+    assert len({(rank, torsion) for rank, torsion, _ in types}) == len(types)
+    top = max(pt.rank for pt in scheme.points)
+    assert rows[0][0] == scheme.max_rank == top == sum(drop for _, _, drop in rows)
+    # smoothed_count runs the exact count's Horner; counting_coefficients is the other path
+    want = Fraction(0)
+    for a in reversed(counting_coefficients(scheme)):
+        want = want * Fraction(q) + a
+    assert smoothed_count(scheme, q) == want
 
 
 # -- the integer reconstruction check against its Fraction form --------------
