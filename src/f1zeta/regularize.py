@@ -15,10 +15,12 @@ sum_j (lam_j + s)^(-w).  One series continues it to w = 0: explicit
 head terms, then the binomial split sum_k C(-w, k) s^k T(w + k) of the
 rest into bare tails T(b) = sum lam_j^-b, continued by Euler-Maclaurin.
 log det'(Delta + s) = -d/dw zeta(0) is the w-derivative of that series
-at w = 0, a real series of its own: each quantity sums only its own
-terms.  For N(1) = 0 the same substitution gives log zeta_N itself as
-an integral over (1, oo) (`log_zeta_integral`); the one over (0, 1) is
-minus that of the dual N(1/u) at -s.
+at w = 0: a head of real logs, T'(0), and the same split at w = 0 from
+k = 1 with coefficient -1, the w-derivative of C(-w, 1).  One routine
+(`_split`) sums, stops and bounds the split for both.  For N(1) = 0 the
+same substitution gives log zeta_N itself as an integral over (1, oo)
+(`log_zeta_integral`); the one over (0, 1) is minus that of the dual
+N(1/u) at -s.
 
 The numeric core is stdlib only.  Integrals over [a, oo) use an exp-sinh
 double-exponential rule (`_complex_quad`) whose step halves level by
@@ -539,6 +541,43 @@ def _fsum(terms: list[complex]) -> complex:
     return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
+def _split(spectrum: Spectrum, pairs: tuple[tuple[float, int], ...], j: int, w: Complex,
+           x: complex, head: Complex, size: float, start: int = 0, coef: Complex = 1.0 + 0j,
+           tail: Complex = 0j, truncation: float = 0.0) -> tuple[complex, float]:
+    """(head + tail + sum_{k>=start} c_k x^k T(w + k), its achieved bound):
+    the binomial split of the tail beyond pairs[:j] from its term
+    k = start, with c_start = coef and c_(k+1) = c_k (-w - k) / (k + 1),
+    after a part `tail` already summed with truncation error
+    `truncation`; `size` is the magnitude summed before the split.
+
+    The terms are summed until one (from k = 1 on) is below 1e-18 of the
+    tail, or for _SPLIT_TERMS terms.  As T(b + 1) <= T(b) / lam_(j+1),
+    they shrink by about r = |x| / lam_(j+1) < 1/2 per step, and twice the
+    last term times r / (1 - r) bounds the rest.  Each tail's truncation
+    error err is charged at its term's weight |c_k x^k|.  Rounding adds
+    _ROUNDING times the result and the magnitudes summed, these scaled by
+    1 + |w log(lam + x)|.
+    """
+    guard = pairs[j][0]
+    for k in range(start, _SPLIT_TERMS):
+        t, _, err = spectrum.continued_tail(w + k, j)
+        power = x**k
+        term = coef * power * t
+        tail += term
+        size += abs(term)
+        truncation += abs(coef) * (abs(power) * err)
+        if k and abs(term) / max(1.0, abs(tail)) < 1e-18:
+            break
+        coef *= (-w - k) / (k + 1)
+    value = head + tail
+    rest = 2 * abs(x) / (guard - abs(x))  # 2 r / (1 - r)
+    # |log z| <= |log|z|| + pi, and _head's Re(s) > -lam_1 - shift puts
+    # every |lam + x| in [lam_1 + Re x, lam_(j+1) + |x|]
+    reach = max(math.log(guard + abs(x)), -math.log(pairs[0][0] + x.real)) + math.pi
+    charge = _ROUNDING * (1 + abs(w) * reach)
+    return value, rest * abs(term) + charge * size + _ROUNDING * abs(value) + truncation
+
+
 def spectral_zeta(
     spectrum: Spectrum, w: Complex, s: Complex, terms: int | None = None
 ) -> SpectralValue:
@@ -546,43 +585,14 @@ def spectral_zeta(
     achieved bound, from a head of `terms` eigenvalues (default 48, grown
     by `_head`).
 
-    math.fsum sums the head terms mult (lam + x)^-w.  The rest splits
-    binomially into sum_k C(-w, k) x^k T(w + k), summed until a term is
-    below 1e-18 of the sum, or for _SPLIT_TERMS terms.  As
-    T(b + 1) <= T(b) / lam_(j+1), the terms shrink by about
-    r = |x| / lam_(j+1) < 1/2 per step, and twice the last term times
-    r / (1 - r) bounds the rest.  Each tail's truncation error err is
-    charged at its term's weight |C(-w, k) x^k|.  Rounding adds _ROUNDING
-    times the result and the magnitudes summed, these scaled by
-    1 + |w log(lam + x)|.
+    math.fsum sums the head terms mult (lam + x)^-w; `_split` sums the
+    rest, sum_{k>=0} C(-w, k) x^k T(w + k), and bounds the whole.
     """
     j, pairs = _head(spectrum, s, 48 if terms is None else terms)
     ww = complex(w)
     x = complex(s) + spectrum.shift
-    guard = pairs[j][0]
     values = [mult * cmath.exp(-ww * cmath.log(lam + x)) for lam, mult in pairs[:j]]
-    head = _fsum(values)
-    size = sum(map(abs, values))
-    tail = 0j
-    truncation = 0.0
-    binom = 1.0 + 0j  # C(-w, k)
-    for k in range(_SPLIT_TERMS):
-        t, _, err = spectrum.continued_tail(ww + k, j)
-        power = x**k
-        term = binom * power * t
-        tail += term
-        size += abs(term)
-        truncation += abs(binom) * (abs(power) * err)
-        if k and abs(term) / max(1.0, abs(tail)) < 1e-18:
-            break
-        binom *= (-ww - k) / (k + 1)
-    value = head + tail
-    rest = 2 * abs(x) / (guard - abs(x))  # 2 r / (1 - r)
-    # |log z| <= |log|z|| + pi, and _head's Re(s) > -lam_1 - shift puts
-    # every |lam + x| in [lam_1 + Re x, lam_(j+1) + |x|]
-    reach = max(math.log(guard + abs(x)), -math.log(pairs[0][0] + x.real)) + math.pi
-    charge = _ROUNDING * (1 + abs(ww) * reach)
-    bound = rest * abs(term) + charge * size + _ROUNDING * abs(value) + truncation
+    value, bound = _split(spectrum, pairs, j, ww, x, _fsum(values), sum(map(abs, values)))
     return SpectralValue(value, bound, j)
 
 
@@ -598,39 +608,23 @@ def log_regularized_det(
 
     At w = 0 the w-derivative of spectral_zeta's series is real:
         -sum mult log(lam + x) + T'(0) + sum_{k>=1} c_k x^k T(k)
-    with x = s + shift and c_k = d/dw C(-w, k) at 0 = (-1)^k / k.  It is
-    summed, stopped and bounded as spectral_zeta's series is, with
-    |c_k x^k| err charged per tail.  Failure to meet `tol` raises with
-    the bound achieved.
+    with x = s + shift and c_k = d/dw C(-w, k) at 0 = (-1)^k / k.  After
+    the head of real logs and T'(0), that is `_split` at w = 0 from
+    k = 1 and c_1 = -1: its ratio (-w - k) / (k + 1) is then
+    -k / (k + 1), and its rounding charge _ROUNDING.  Failure to meet
+    `tol` raises with the bound achieved.
     """
     j, pairs = _head(spectrum, float(s), 64 if terms is None else terms)
     x = float(s) + spectrum.shift
-    guard = pairs[j][0]
     slopes = [-mult * math.log(lam + x) for lam, mult in pairs[:j]]
-    head = math.fsum(slopes)
-    size = sum(map(abs, slopes))
-    _, tail, truncation = spectrum.continued_tail(0.0, j)  # T'(0), its err
-    size += abs(tail)
-    term = tail
-    coef = -1.0  # c_1
-    for k in range(1, _SPLIT_TERMS):
-        t, _, err = spectrum.continued_tail(float(k), j)
-        # complex ** int squares repeatedly, as spectral_zeta's x**k does;
-        # float ** int (libm pow) would round some x^k otherwise
-        power = (complex(x) ** k).real
-        term = power * (coef * t)
-        tail += term
-        size += abs(term)
-        truncation += abs(coef) * (abs(power) * err)
-        if abs(term) / max(1.0, abs(tail)) < 1e-18:
-            break
-        coef *= -k / (k + 1)
-    log_det = -(head + tail).real
-    rest = 2 * abs(x) / (guard - abs(x))  # 2 r / (1 - r)
-    bound = rest * abs(term) + _ROUNDING * size + _ROUNDING * abs(log_det) + truncation
+    _, slope, err = spectrum.continued_tail(0.0, j)  # T'(0), its err
+    size = sum(map(abs, slopes)) + abs(slope)
+    # w = 0.0, not 0j: the tails see the real exponents b = k
+    value, bound = _split(spectrum, pairs, j, 0.0, complex(x), math.fsum(slopes), size,
+                          1, -1.0, slope, err)
     if bound > tol:
         raise ConvergenceError(f"tail bound not met: achieved {bound:.3e} > {tol:.3e}")
-    return SpectralValue(log_det, bound, j)
+    return SpectralValue(-value.real, bound, j)
 
 
 def regularized_det(

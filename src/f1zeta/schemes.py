@@ -125,6 +125,17 @@ class MonoidScheme(_Record):
         return tuple(orders), tuple(
             (r, tuple(typed), r - b) for (r, typed), b in zip(rows.items(), below))
 
+    @cached_property
+    def _coefficients(self) -> tuple[int, ...]:
+        """`counting_coefficients`, from the count profile's rows."""
+        orders, rows = self.count_profile
+        coeffs = [0] * (self.max_rank + 1)
+        for row in rows:
+            w = _count((row,), orders, 1)  # w_R: the row's own count at m = 1
+            for j, c in enumerate(_binomial_row(row[0])):
+                coeffs[j] += w * c
+        return tuple(coeffs)
+
 
 # -- counting ----------------------------------------------------------
 
@@ -180,14 +191,9 @@ def smoothed_count(scheme: MonoidScheme, q: Union[int, Fraction, float]) -> Frac
 def counting_coefficients(scheme: MonoidScheme) -> tuple[int, ...]:
     """a_0..a_R with sum_x T(x) (q-1)^R(x) = sum_k a_k q^k, the vector behind
     every torsion-smoothed quantity: a_k = sum_R w_R C(R, k) (-1)^(R-k)
-    over the rank weights w_R = sum_{x: R(x) = R} T(x)."""
-    orders, rows = scheme.count_profile
-    coeffs = [0] * (scheme.max_rank + 1)
-    for row in rows:
-        w = _count((row,), orders, 1)  # w_R: the row's own count at m = 1
-        for j, c in enumerate(_binomial_row(row[0])):
-            coeffs[j] += w * c
-    return tuple(coeffs)
+    over the rank weights w_R = sum_{x: R(x) = R} T(x).  Built once per
+    scheme from its count profile and kept with it."""
+    return scheme._coefficients
 
 
 # -- Fourier expansion of n |-> gcd(t, p^n - 1) -------------------------
@@ -197,16 +203,12 @@ def fourier_period(scheme: MonoidScheme) -> int:
     """lcm of phi(t) over all torsion orders; 1 for torsion-free schemes.
 
     phi(t) is always a multiple of the minimal period, and is used as-is
-    (no minimal-period reduction) because it is independent of p.  A
-    period past MAX_FOURIER_PERIOD is a PreconditionError.
+    (no minimal-period reduction) because it is independent of p.  The
+    lcm runs over the distinct orders and raises at the first one taking
+    it past MAX_FOURIER_PERIOD; as phi(t) >= sqrt(t / 2), an order past
+    2 cap^2 is rejected before any totient runs.
     """
-    return _capped_period(scheme.count_profile[0])
-
-
-def _capped_period(orders: Sequence[int]) -> int:
-    """lcm of phi(t) over `orders` as a running lcm that raises at the
-    first order taking it past MAX_FOURIER_PERIOD.  As phi(t) >= sqrt(t / 2),
-    an order past 2 cap^2 is rejected before any totient runs."""
+    orders = scheme.count_profile[0]
     if (top := max(orders, default=1)) > 2 * MAX_FOURIER_PERIOD**2:
         raise PreconditionError(f"torsion order {top}: a Fourier period of at most "
                                 f"{MAX_FOURIER_PERIOD} is supported")
@@ -369,7 +371,7 @@ def fourier_data(scheme: MonoidScheme, p: int) -> FourierData:
     """The coefficient table c_{x,j,nu}(p) of a scheme; the period is capped first."""
     if p < 2:
         raise PreconditionError(f"base prime must be >= 2, got {p}")
-    n0 = _capped_period(scheme.count_profile[0])
+    n0 = fourier_period(scheme)
     vectors = {t: gcd_fourier_coefficients(t, p, n0) for t in scheme.count_profile[0]}
     return FourierData(p, n0, tuple((i, j, t, vectors[t]) for i, pt in enumerate(scheme.points)
                                     for j, t in enumerate(pt.torsion_orders)))

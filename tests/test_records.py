@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from f1zeta import schemes
 from f1zeta.errors import PreconditionError
 from f1zeta.groups import FamilyIdentityReport, GroupFEReport, ReductiveGroupData
 from f1zeta.powerlog import FunctionalEquationWitness, PowerLogSum, TermMap, _Record
 from f1zeta.regularize import LogZetaIntegral, SpectralValue, Spectrum, circle_spectrum
-from f1zeta.scheme_zeta import BettiProfile, GlobalFEReport
-from f1zeta.schemes import FourierData, MonoidScheme, TorsionPoint
-from f1zeta.weil import LocalFEReport, LocalZetaFactors, TruncatedSeries
+from f1zeta.scheme_zeta import (
+    BettiProfile, GlobalFEReport, betti_profile, global_functional_equation, zeta_of_scheme)
+from f1zeta.schemes import FourierData, MonoidScheme, TorsionPoint, counting_coefficients
+from f1zeta.weil import LocalFEReport, LocalZetaFactors, TruncatedSeries, local_functional_equation
 from f1zeta.zetas import EpsilonFactor, FactoredZeta, ZetaFEReport
 
 TERMS = ((Fraction(0), 0, Fraction(-1)), (Fraction(1), 0, Fraction(1)))
@@ -129,10 +131,21 @@ def test_term_maps_of_different_classes_never_compare_equal():
     assert PowerLogSum(TERMS) != TERMS
 
 
-def test_cached_properties_cache_on_frozen_instances():
+def test_cached_properties_cache_on_frozen_instances(monkeypatch):
     scheme = MonoidScheme((TorsionPoint(1), TorsionPoint(0), TorsionPoint(0)))
     assert scheme.count_profile is scheme.count_profile
     assert scheme.count_profile == ((), ((1, ((1, ()),), 1), (0, ((2, ()),), 0)))
+    assert counting_coefficients(scheme) is counting_coefficients(scheme) == (1, 1)
+    # the zeta, the Betti profile and both functional equations read one
+    # vector, built once: one binomial row per occupied rank
+    rows = []
+    real = schemes._binomial_row
+    monkeypatch.setattr(schemes, "_binomial_row", lambda r: rows.append(r) or real(r))
+    line = MonoidScheme(scheme.points, smooth_projective=True)
+    zeta_of_scheme(line)
+    betti_profile(line)
+    assert global_functional_equation(line).holds and local_functional_equation(line, 3).holds
+    assert rows == [1, 0]
     group = ReductiveGroupData(1, 3, (1, 1), "SL2")
     assert group.coefficients is group.coefficients == (-1, 0, 1)
     # a cached value is not a field: equality, hash and repr stay as they were

@@ -341,16 +341,23 @@ def _mp_circle_zeta(w, x, j=20):
     # sum_k C(-w, k) x^k 2 zeta(2(w + k), 21), with x / 441 < 1/40.  At
     # large Re s mpmath's Hurwitz zeta is good to about 10^-dps absolute,
     # not relative (at 30 digits x^k zeta(2(w + k), 7) drifted by 1e-9):
-    # 50 digits and this head keep every term far below any bound
+    # 50 digits and this head keep every term far below any bound.  The
+    # split stops on a bound of the true term, never on the computed one:
+    # past k = 20 zeta(2(w + k), 21) is that absolute noise, which the
+    # weight |C(-w, k) x^k| (up to 1e45 at x = 10) would carry into the sum
     with mpmath.workdps(50):
         w, x = mpmath.mpc(w), mpmath.mpf(x)
+        a = mpmath.mpf(j + 1)
         total = mpmath.fsum(2 * (n * n + x) ** -w for n in range(1, j + 1))
         binom = mpmath.mpf(1)
         for k in range(200):
-            term = binom * x**k * 2 * mpmath.zeta(2 * (w + k), j + 1)
-            total += term
-            if abs(term) < mpmath.mpf(10) ** -34 * max(1, abs(total)):
-                return complex(total)
+            total += binom * x**k * 2 * mpmath.zeta(2 * (w + k), j + 1)
+            # |zeta(b, a)| <= sum_{n >= a} n^-sigma <= a^-sigma + a^(1 - sigma) / (sigma - 1)
+            sigma = 2 * (w.real + k)
+            if sigma > 1:
+                bound = abs(binom) * abs(x) ** k * 2 * (a**-sigma + a ** (1 - sigma) / (sigma - 1))
+                if bound < mpmath.mpf(10) ** -34 * max(1, abs(total)):
+                    return complex(total)
             binom *= (-w - k) / (k + 1)
     raise AssertionError("oracle split did not converge")
 
@@ -364,6 +371,8 @@ def _mp_circle_zeta(w, x, j=20):
 )
 @example(2 + 0j, 5.0, 0.0, 48)
 @example(0.6 + 2j, 10.0, -0.5, 1)
+# the oracle once stopped on its computed terms and drifted 1.6e-12 here
+@example(0.625 + 2j, 10.0, 0.0, 48)
 def test_spectral_zeta_meets_its_bound_against_mpmath(w, x, shift, terms):
     # the value series stops on its own terms; the bound must still cover
     # what it leaves out, with short heads and complex w alike
@@ -410,6 +419,113 @@ def test_spectral_outputs_are_pinned_bit_for_bit():
     for w, (real, imag, bound) in _PINNED_ZETAS.items():
         got = spectral_zeta(circle, w, 5)
         assert (got.value.real.hex(), got.value.imag.hex(), got.error_bound.hex()) == (real, imag, bound)
+
+
+# Reference oracles: the two split loops as they stood before `_split`
+# served both quantities, each with its own stop rule and bound
+def _own_loop_spectral_zeta(spectrum, w, s, terms):
+    j, pairs = regularize._head(spectrum, s, terms)
+    ww = complex(w)
+    x = complex(s) + spectrum.shift
+    guard = pairs[j][0]
+    values = [mult * cmath.exp(-ww * cmath.log(lam + x)) for lam, mult in pairs[:j]]
+    head = regularize._fsum(values)
+    size = sum(map(abs, values))
+    tail = 0j
+    truncation = 0.0
+    binom = 1.0 + 0j
+    for k in range(regularize._SPLIT_TERMS):
+        t, _, err = spectrum.continued_tail(ww + k, j)
+        power = x**k
+        term = binom * power * t
+        tail += term
+        size += abs(term)
+        truncation += abs(binom) * (abs(power) * err)
+        if k and abs(term) / max(1.0, abs(tail)) < 1e-18:
+            break
+        binom *= (-ww - k) / (k + 1)
+    value = head + tail
+    rest = 2 * abs(x) / (guard - abs(x))
+    reach = max(math.log(guard + abs(x)), -math.log(pairs[0][0] + x.real)) + math.pi
+    charge = regularize._ROUNDING * (1 + abs(ww) * reach)
+    return value, rest * abs(term) + charge * size + regularize._ROUNDING * abs(value) + truncation, j
+
+
+def _own_loop_log_det(spectrum, s, terms):
+    j, pairs = regularize._head(spectrum, float(s), terms)
+    x = float(s) + spectrum.shift
+    guard = pairs[j][0]
+    slopes = [-mult * math.log(lam + x) for lam, mult in pairs[:j]]
+    head = math.fsum(slopes)
+    size = sum(map(abs, slopes))
+    _, tail, truncation = spectrum.continued_tail(0.0, j)
+    size += abs(tail)
+    term = tail
+    coef = -1.0
+    for k in range(1, regularize._SPLIT_TERMS):
+        t, _, err = spectrum.continued_tail(float(k), j)
+        power = (complex(x) ** k).real
+        term = power * (coef * t)
+        tail += term
+        size += abs(term)
+        truncation += abs(coef) * (abs(power) * err)
+        if abs(term) / max(1.0, abs(tail)) < 1e-18:
+            break
+        coef *= -k / (k + 1)
+    log_det = -(head + tail).real
+    rest = 2 * abs(x) / (guard - abs(x))
+    rounding = regularize._ROUNDING
+    return log_det, rest * abs(term) + rounding * size + rounding * abs(log_det) + truncation, j, size
+
+
+def _ulps(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(complex, st.floats(-3.0, 4.0), st.floats(-3.0, 3.0)),
+    st.floats(0.05, 30.0),
+    st.floats(-5.0, 5.0),
+    st.floats(-0.9, 3.0),
+    st.integers(1, 128),
+)
+def test_the_one_split_reproduces_both_loops(w, offset, im_s, shift, terms):
+    # Re s = offset above -(lam_1 + shift); a w with 2 (w + k) = 1 is a tail's pole
+    assume(all(abs(2 * (w + k) - 1) > 1e-6 for k in range(regularize._SPLIT_TERMS)))
+    spectrum = shift_spectrum(circle_spectrum(), shift)
+    s = complex(offset - 1 - shift, im_s)
+    got = spectral_zeta(spectrum, w, s, terms=terms)
+    value, bound, j = _own_loop_spectral_zeta(spectrum, w, s, terms)
+    assert (got.value.real.hex(), got.value.imag.hex(), got.error_bound.hex(), got.terms_used) == (
+        value.real.hex(), value.imag.hex(), bound.hex(), j)
+    got = log_regularized_det(spectrum, s.real, tol=math.inf, terms=terms)
+    value, bound, j, size = _own_loop_log_det(spectrum, s.real, terms)
+    assert type(got.value) is float and got.terms_used == j
+    if terms >= 48:
+        assert (got.value.hex(), got.error_bound.hex()) == (value.hex(), bound.hex())
+    else:
+        # a split term now rounds as (c_k x^k) T, not x^k (c_k T): below 48
+        # head terms a value may move by a few ulps (4 seen), inside the
+        # rounding that the bound charges for the magnitudes summed
+        assert abs(got.value - value) <= regularize._ROUNDING * size
+        assert _ulps(got.error_bound, bound) <= 2
+
+
+def test_the_determinant_asks_its_tails_at_real_exponents():
+    circle = circle_spectrum()
+    asked = []
+
+    def continued_tail(b, j):
+        asked.append(b)
+        return circle.continued_tail(b, j)
+
+    spy = Spectrum("circle", circle.eigenvalues, continued_tail)
+    assert log_regularized_det(spy, 1.0) == log_regularized_det(circle, 1.0)
+    assert asked[:3] == [0.0, 1.0, 2.0] and {type(b) for b in asked} == {float}
+    asked.clear()
+    assert spectral_zeta(spy, 2, 1.0) == spectral_zeta(circle, 2, 1.0)
+    assert asked[:2] == [2, 3] and {type(b) for b in asked} == {complex}
 
 
 # Oracles: the circle's bare tail 2 T_em(2b), its derivative 4 T_em'(2b)
