@@ -375,17 +375,18 @@ _EM_COEFFS = tuple(float(b) / math.factorial(n) for n, b in sorted(_BERNOULLI.it
 _EM_TERMS = 8  # Euler-Maclaurin correction terms of a continued tail
 
 
-def _em_tail(b: Complex, start: int) -> tuple[complex, complex, float]:
-    """Continued tail sum_{n > start} n^(-b) with its d/db derivative.
+def _em_tail(b: Complex, start: float) -> tuple[complex, complex, float]:
+    """Continued tail sum_{i >= 0} (a + i)^(-b), a = start + 1, with its
+    d/db derivative; `start` may be any real >= 0.
 
-    Euler-Maclaurin with _EM_TERMS correction terms at a = start + 1:
+    Euler-Maclaurin with _EM_TERMS correction terms:
         a^(1-b)/(b-1) + a^(-b)/2
         + sum_k B_2k/(2k)! * b(b+1)...(b+2k-2) * a^(-b-2k+1).
     Also returns the magnitude of the first omitted correction as an
     error estimate.  The continued sum has a genuine pole at b = 1.
-    One exp gives a^-b, and each correction power is the previous one
-    times a^-2.  A b with zero imaginary part runs in float arithmetic,
-    which rounds exactly as the complex one does there.
+    One exp gives a^-b; after each term the power gains a factor a^-2 and
+    the rising factorial (b + 2k - 1)(b + 2k).  A b with zero imaginary
+    part runs in float arithmetic, which rounds as the complex one does.
     """
     bb = complex(b)
     if abs(bb - 1) < 1e-9:
@@ -399,22 +400,15 @@ def _em_tail(b: Complex, start: int) -> tuple[complex, complex, float]:
     apk = apow / a  # a^-(b + 2k - 1) for k = 1, times a^-2 per k
     val = a * apow / (bb - 1) + apow / 2
     der = a * apow / (bb - 1) * (-la - 1 / (bb - 1)) - la * apow / 2
-    rise_v, rise_d = 1.0, 0.0  # rising factorial prod_{i<len}(b+i) and d/db
-    length = 0
-    for k in range(1, _EM_TERMS + 2):
-        while length < 2 * k - 1:
-            f = bb + length
-            rise_v, rise_d = rise_v * f, rise_d * f + rise_v
-            length += 1
-        coef = _EM_COEFFS[k - 1]
-        term = coef * rise_v * apk
-        dterm = coef * apk * (rise_d - la * rise_v)
-        if k == _EM_TERMS + 1:
-            return val, der, abs(term) + abs(dterm)
-        val += term
-        der += dterm
+    rise_v, rise_d = bb, 1.0  # b(b+1)...(b+2k-2) for k = 1, and its d/db
+    for k, coef in enumerate(_EM_COEFFS[:_EM_TERMS], 1):
+        val += coef * rise_v * apk
+        der += coef * apk * (rise_d - la * rise_v)
         apk *= inv_a2
-    raise AssertionError("unreachable")
+        for f in (bb + (2 * k - 1), bb + 2 * k):
+            rise_v, rise_d = rise_v * f, rise_d * f + rise_v
+    coef = _EM_COEFFS[_EM_TERMS]  # the first omitted correction, read as the error
+    return val, der, abs(coef * rise_v * apk) + abs(coef * apk * (rise_d - la * rise_v))
 
 
 # -- spectra --------------------------------------------------------------
@@ -512,11 +506,12 @@ class SpectralValue(_Record):
         d["value"], d["error_bound"], d["terms_used"] = value, error_bound, terms_used
 
 
-def _head(spectrum: Spectrum, s: complex, start: int) -> tuple[int, tuple[tuple[float, int], ...]]:
-    """(j, the first j + 1 eigenvalue pairs) for the caller's s: j doubles
-    from `start` until lam_(j+1) > 2 |s + shift|, so that the binomial
-    split of the tail beyond j converges.  An s at or below the first
-    shifted eigenvalue fails before the head grows."""
+def _head(spectrum: Spectrum, x: Complex, start: int) -> tuple[int, tuple[tuple[float, int], ...]]:
+    """(j, the first j + 1 eigenvalue pairs) at x = s + shift: j doubles
+    from `start` until lam_(j+1) > 2 |x|, so that the binomial split of
+    the tail beyond j converges.  lam_1 + Re x <= 0 fails before the head
+    grows; above it every lam + Re x is positive, as the eigenvalues are
+    nondecreasing and float addition is monotone."""
     if start < 1:
         raise PreconditionError(f"at least 1 head term is needed, got {start}")
     if start > MAX_HEAD_TERMS:
@@ -525,11 +520,10 @@ def _head(spectrum: Spectrum, s: complex, start: int) -> tuple[int, tuple[tuple[
     pairs = spectrum.eigenvalues(j + 1)
     if not pairs:
         raise PreconditionError("spectrum enumerated no eigenvalues")
-    first = pairs[0][0] + spectrum.shift
-    if complex(s).real <= -first:
+    if pairs[0][0] + x.real <= 0:
+        first = pairs[0][0] + spectrum.shift
         raise PreconditionError(f"need Re(s) > {-first} for the first shifted eigenvalue")
-    moved = abs(complex(s) + spectrum.shift)
-    while pairs[j][0] <= 2 * moved:
+    while pairs[j][0] <= 2 * abs(x):
         j *= 2
         if j > MAX_HEAD_TERMS:
             raise ConvergenceError("eigenvalue growth too slow against |s|")
@@ -551,7 +545,8 @@ def _split(spectrum: Spectrum, pairs: tuple[tuple[float, int], ...], j: int, w: 
     `truncation`; `size` is the magnitude summed before the split.
 
     The terms are summed until one (from k = 1 on) is below 1e-18 of the
-    tail, or for _SPLIT_TERMS terms.  As T(b + 1) <= T(b) / lam_(j+1),
+    tail, or for _SPLIT_TERMS terms; a k >= 1 with x^k = 0 ends them as a
+    term 0 without asking its tail.  As T(b + 1) <= T(b) / lam_(j+1),
     they shrink by about r = |x| / lam_(j+1) < 1/2 per step, and twice the
     last term times r / (1 - r) bounds the rest.  Each tail's truncation
     error err is charged at its term's weight |c_k x^k|.  Rounding adds
@@ -560,8 +555,11 @@ def _split(spectrum: Spectrum, pairs: tuple[tuple[float, int], ...], j: int, w: 
     """
     guard = pairs[j][0]
     for k in range(start, _SPLIT_TERMS):
-        t, _, err = spectrum.continued_tail(w + k, j)
         power = x**k
+        if k and not power:
+            term = 0.0  # x^k = 0: this term and every later one vanish
+            break
+        t, _, err = spectrum.continued_tail(w + k, j)
         term = coef * power * t
         tail += term
         size += abs(term)
@@ -571,8 +569,8 @@ def _split(spectrum: Spectrum, pairs: tuple[tuple[float, int], ...], j: int, w: 
         coef *= (-w - k) / (k + 1)
     value = head + tail
     rest = 2 * abs(x) / (guard - abs(x))  # 2 r / (1 - r)
-    # |log z| <= |log|z|| + pi, and _head's Re(s) > -lam_1 - shift puts
-    # every |lam + x| in [lam_1 + Re x, lam_(j+1) + |x|]
+    # |log z| <= |log|z|| + pi, and _head's lam_1 + Re x > 0 puts every
+    # |lam + x| in [lam_1 + Re x, lam_(j+1) + |x|]
     reach = max(math.log(guard + abs(x)), -math.log(pairs[0][0] + x.real)) + math.pi
     charge = _ROUNDING * (1 + abs(w) * reach)
     return value, rest * abs(term) + charge * size + _ROUNDING * abs(value) + truncation
@@ -588,9 +586,9 @@ def spectral_zeta(
     math.fsum sums the head terms mult (lam + x)^-w; `_split` sums the
     rest, sum_{k>=0} C(-w, k) x^k T(w + k), and bounds the whole.
     """
-    j, pairs = _head(spectrum, s, 48 if terms is None else terms)
-    ww = complex(w)
     x = complex(s) + spectrum.shift
+    j, pairs = _head(spectrum, x, 48 if terms is None else terms)
+    ww = complex(w)
     values = [mult * cmath.exp(-ww * cmath.log(lam + x)) for lam, mult in pairs[:j]]
     value, bound = _split(spectrum, pairs, j, ww, x, _fsum(values), sum(map(abs, values)))
     return SpectralValue(value, bound, j)
@@ -614,8 +612,8 @@ def log_regularized_det(
     -k / (k + 1), and its rounding charge _ROUNDING.  Failure to meet
     `tol` raises with the bound achieved.
     """
-    j, pairs = _head(spectrum, float(s), 64 if terms is None else terms)
     x = float(s) + spectrum.shift
+    j, pairs = _head(spectrum, x, 64 if terms is None else terms)
     slopes = [-mult * math.log(lam + x) for lam, mult in pairs[:j]]
     _, slope, err = spectrum.continued_tail(0.0, j)  # T'(0), its err
     size = sum(map(abs, slopes)) + abs(slope)

@@ -29,6 +29,7 @@ from .powerlog import (
     Term,
     TermMap,
     _exp_in_range,
+    _fmt_exp,
     _parity,
     _Record,
     witness_holds,
@@ -209,9 +210,7 @@ def _witnessed_report(n: PowerLogSum, witness: FunctionalEquationWitness) -> Zet
 
 
 def _fmt_power(k: Fraction) -> str:
-    if k == 1:
-        return ""
-    return f"^{k.numerator}" if k.denominator == 1 else f"^({k})"
+    return "" if k == 1 else "^" + _fmt_exp(k)
 
 
 def _fmt_linear(lam: Fraction) -> str:
@@ -237,8 +236,7 @@ def pretty_zeta(z: FactoredZeta) -> str:
             elif coeff == -1:
                 exponentials.append(f"exp(-1/{inner})")
             else:
-                cs = str(coeff) if coeff.denominator == 1 else f"({coeff})"
-                exponentials.append(f"exp({cs}/{inner})")
+                exponentials.append(f"exp({_fmt_exp(coeff)}/{inner})")
     num = "".join(numerator) or "1"
     if denominator:
         den = "".join(denominator)

@@ -31,7 +31,7 @@ from f1zeta.regularize import (
     two_variable_zeta_numeric,
     zeta_from_regularization,
 )
-from f1zeta.zetas import zeta_of
+from f1zeta.zetas import log_evaluate_zeta, zeta_of
 
 from test_zetas import product_value
 
@@ -250,6 +250,31 @@ def test_w_derivative_agrees_with_factored_evaluation(n):
     assert abs(direct - factored) <= 1e-12 * abs(factored)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)), st.integers(0, 3)),
+        st.integers(-5, 5).filter(bool), min_size=1, max_size=5,
+    ).map(PowerLogSum.from_dict),
+    st.floats(0.2, 4.0),
+    st.floats(-5.0, 5.0),
+)
+def test_the_w_derivative_of_the_closed_form_is_log_zeta(n, offset, im_s):
+    # the regularization identity itself: a 4-point difference in w of
+    # Z_N(w, s) at w = 0 against log zeta_N(s) from the factors
+    s = complex(float(n.degree) + offset, im_s)
+    h = 1e-3
+    f = [two_variable_zeta_closed(n, w, s) for w in (h, -h, 2 * h, -2 * h)]
+    slope = (8 * (f[0] - f[1]) - (f[2] - f[3])) / (12 * h)
+    scale = sum(abs(c) * (abs(cmath.log(s - lam)) if m == 0 else
+                          math.factorial(m - 1) * abs(s - lam) ** -m) for lam, m, c in n.terms)
+    # the difference quotient rounds each m = 0 term, about |c| at w near
+    # 0, 18 times over 12 h: about 1e-12 |c|, which a log(s - lam) near 0
+    # leaves uncovered by the scale
+    rounding = 1e-12 * sum(abs(c) for _, m, c in n.terms if m == 0)
+    assert abs(slope - log_evaluate_zeta(zeta_of(n), s)) <= 1e-9 * scale + rounding
+
+
 def test_spectral_zeta_circle_values():
     circ = circle_spectrum()
     got = spectral_zeta(circ, 2, 0)
@@ -263,6 +288,18 @@ def test_spectral_zeta_circle_values():
     got1 = spectral_zeta(circ, 2, 1)
     assert got1.error_bound < 1e-10
     assert abs(got1.value.real - brute) <= tail + 1e-10
+
+
+def test_the_split_at_x_zero_stops_before_a_pole_of_its_tails():
+    # at x = 0 the terms k >= 1 vanish; T(w + 1), 2 zeta_R(2w + 2) less
+    # its head, has its pole at w = -1/2, where the circle zeta is
+    # 2 zeta_R(-1) = -1/6
+    circ = circle_spectrum()
+    got = spectral_zeta(circ, -0.5, 0)
+    assert abs(got.value + 1 / 6) <= got.error_bound < 1e-10
+    # log det' of the circle Laplacian is log 4 pi^2
+    got = log_regularized_det(circ, 0)
+    assert abs(got.value - math.log(4 * math.pi**2)) <= got.error_bound < 1e-11
 
 
 def test_spectral_zeta_w_zero_continuation():
@@ -279,6 +316,31 @@ def test_spectral_zeta_preconditions():
     # far below -lambda_1 the head would outgrow its cap: the precondition comes first
     with pytest.raises(PreconditionError, match="first shifted eigenvalue"):
         log_regularized_det(circ, -1e12)
+
+
+def test_the_circle_zeta_pole_is_a_singularity_error():
+    # zeta(w) = 2 zeta_R(2w) + O(s) has its pole at w = 1/2 for every s
+    with pytest.raises(SingularityError, match="pole at exponent 1"):
+        spectral_zeta(circle_spectrum(), 0.5, 1.0)
+
+
+def test_a_spectrum_without_eigenvalues_is_a_precondition_error():
+    circle = circle_spectrum()
+    empty = Spectrum("empty", lambda count: (), circle.continued_tail)
+    with pytest.raises(PreconditionError, match="spectrum enumerated no eigenvalues"):
+        spectral_zeta(empty, 2, 1.0)
+    with pytest.raises(PreconditionError, match="spectrum enumerated no eigenvalues"):
+        log_regularized_det(empty, 1.0)
+
+
+def test_a_constant_spectrum_outgrows_the_head_cap():
+    # lam_(j+1) = 1 <= 2 |x| however far the head doubles
+    circle = circle_spectrum()
+    constant = Spectrum("constant", lambda count: ((1.0, 1),) * count, circle.continued_tail)
+    with pytest.raises(ConvergenceError, match="eigenvalue growth too slow against"):
+        spectral_zeta(constant, 2, 1.0)
+    with pytest.raises(ConvergenceError, match="eigenvalue growth too slow against"):
+        log_regularized_det(constant, 1.0)
 
 
 @pytest.mark.parametrize("terms", [0, -3])
@@ -424,9 +486,9 @@ def test_spectral_outputs_are_pinned_bit_for_bit():
 # Reference oracles: the two split loops as they stood before `_split`
 # served both quantities, each with its own stop rule and bound
 def _own_loop_spectral_zeta(spectrum, w, s, terms):
-    j, pairs = regularize._head(spectrum, s, terms)
-    ww = complex(w)
     x = complex(s) + spectrum.shift
+    j, pairs = regularize._head(spectrum, x, terms)
+    ww = complex(w)
     guard = pairs[j][0]
     values = [mult * cmath.exp(-ww * cmath.log(lam + x)) for lam, mult in pairs[:j]]
     head = regularize._fsum(values)
@@ -452,8 +514,8 @@ def _own_loop_spectral_zeta(spectrum, w, s, terms):
 
 
 def _own_loop_log_det(spectrum, s, terms):
-    j, pairs = regularize._head(spectrum, float(s), terms)
     x = float(s) + spectrum.shift
+    j, pairs = regularize._head(spectrum, x, terms)
     guard = pairs[j][0]
     slopes = [-mult * math.log(lam + x) for lam, mult in pairs[:j]]
     head = math.fsum(slopes)
