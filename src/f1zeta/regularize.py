@@ -17,7 +17,9 @@ rest into bare tails T(b) = sum lam_j^-b, continued by Euler-Maclaurin.
 log det'(Delta + s) = -d/dw zeta(0) is the w-derivative of that series
 at w = 0: a head of real logs, T'(0), and the same split at w = 0 from
 k = 1 with coefficient -1, the w-derivative of C(-w, 1).  One routine
-(`_split`) sums, stops and bounds the split for both.  For N(1) = 0 the
+(`_split`) sums, stops and bounds the split for both.  Each asks the
+spectrum only for what it sums: the split for values T(b), the
+determinant once more for the slope T'(0).  For N(1) = 0 the
 same substitution gives log zeta_N itself as an integral over (1, oo)
 (`log_zeta_integral`); the one over (0, 1) is minus that of the dual
 N(1/u) at -s.
@@ -373,17 +375,23 @@ _BERNOULLI = {
 # B_2k / (2k)! for k = 1, 2, ..., as floats, built once
 _EM_COEFFS = tuple(float(b) / math.factorial(n) for n, b in sorted(_BERNOULLI.items()))
 _EM_TERMS = 8  # Euler-Maclaurin correction terms of a continued tail
+# per correction k = 1 .. _EM_TERMS: (B_2k/(2k)!, 2k - 1, 2k), the last two
+# the offsets of the factors that extend the rising factorial after it
+_EM_STEPS = tuple((coef, float(2 * k - 1), float(2 * k))
+                  for k, coef in enumerate(_EM_COEFFS[:_EM_TERMS], 1))
+_EM_OMITTED = _EM_COEFFS[_EM_TERMS]  # the first omitted correction, read as the error
 
 
-def _em_tail(b: Complex, start: float) -> tuple[complex, complex, float]:
-    """Continued tail sum_{i >= 0} (a + i)^(-b), a = start + 1, with its
-    d/db derivative; `start` may be any real >= 0.
+def _em_tail(b: Complex, start: float) -> tuple[complex, float]:
+    """Continued tail sum_{i >= 0} (a + i)^(-b), a = start + 1, with an
+    error estimate; `start` may be any real >= 0.
 
     Euler-Maclaurin with _EM_TERMS correction terms:
         a^(1-b)/(b-1) + a^(-b)/2
         + sum_k B_2k/(2k)! * b(b+1)...(b+2k-2) * a^(-b-2k+1).
-    Also returns the magnitude of the first omitted correction as an
-    error estimate.  The continued sum has a genuine pole at b = 1.
+    The estimate is the magnitude of the first omitted correction plus
+    that of its b-derivative; at b = 0 the sum is `_em_slope`'s
+    estimate.  The continued sum has a genuine pole at b = 1.
     One exp gives a^-b; after each term the power gains a factor a^-2 and
     the rising factorial (b + 2k - 1)(b + 2k).  A b with zero imaginary
     part runs in float arithmetic, which rounds as the complex one does.
@@ -399,16 +407,35 @@ def _em_tail(b: Complex, start: float) -> tuple[complex, complex, float]:
     inv_a2 = 1 / (a * a)
     apk = apow / a  # a^-(b + 2k - 1) for k = 1, times a^-2 per k
     val = a * apow / (bb - 1) + apow / 2
-    der = a * apow / (bb - 1) * (-la - 1 / (bb - 1)) - la * apow / 2
     rise_v, rise_d = bb, 1.0  # b(b+1)...(b+2k-2) for k = 1, and its d/db
-    for k, coef in enumerate(_EM_COEFFS[:_EM_TERMS], 1):
+    for coef, odd, even in _EM_STEPS:
         val += coef * rise_v * apk
-        der += coef * apk * (rise_d - la * rise_v)
         apk *= inv_a2
-        for f in (bb + (2 * k - 1), bb + 2 * k):
-            rise_v, rise_d = rise_v * f, rise_d * f + rise_v
-    coef = _EM_COEFFS[_EM_TERMS]  # the first omitted correction, read as the error
-    return val, der, abs(coef * rise_v * apk) + abs(coef * apk * (rise_d - la * rise_v))
+        f = bb + odd
+        rise_v, rise_d = rise_v * f, rise_d * f + rise_v
+        f = bb + even
+        rise_v, rise_d = rise_v * f, rise_d * f + rise_v
+    return val, abs(_EM_OMITTED * rise_v * apk) + abs(_EM_OMITTED * apk * (rise_d - la * rise_v))
+
+
+def _em_slope(start: float) -> tuple[float, float]:
+    """d/db of `_em_tail`'s continued tail at b = 0, the continued
+    -sum_{i >= 0} log(a + i), with the same error estimate as
+    `_em_tail(0.0, start)`.  At b = 0, a^-b is 1 and the rising factorial
+    b(b+1)...(b+2k-2) vanishes, so each correction's derivative is
+    B_2k/(2k)! (2k - 2)! a^(-2k+1) and the estimate that of the first
+    omitted one."""
+    a = float(start + 1)
+    la = math.log(a)
+    inv_a2 = 1 / (a * a)
+    apk = 1 / a
+    der = -a * (1 - la) - la / 2
+    rise_d = 1.0  # (2k - 2)!, exact in floats
+    for coef, odd, even in _EM_STEPS:
+        der += coef * apk * rise_d
+        apk *= inv_a2
+        rise_d = rise_d * odd * even
+    return der, abs(_EM_OMITTED * apk * rise_d)
 
 
 # -- spectra --------------------------------------------------------------
@@ -420,30 +447,33 @@ class Spectrum(_Record):
     The callbacks describe a sequence lam_j; the spectrum is
     lam_j + shift.  `eigenvalues(count)` yields the first `count`
     (lam_j, multiplicity) pairs in nondecreasing order.
-    `continued_tail(b, J)` returns (T(b), T'(b), err): the analytically
-    continued bare tail T(b) = sum_{j>J} mult lam_j^-b, its
-    b-derivative, and a bound on the truncation error of each, one
-    exponent per call.  spectral_zeta asks for T at complex b = w + k,
-    log_regularized_det for T'(0) and T at the real b = k.  Both evaluate
+    `continued_tail(b, J)` returns (T(b), err): the analytically
+    continued bare tail T(b) = sum_{j>J} mult lam_j^-b at one exponent
+    and a bound on its truncation error.  `continued_slope(J)` returns
+    (T'(0), err), the b-derivative of that tail at b = 0 and its bound.
+    spectral_zeta asks for T at complex b = w + k; log_regularized_det
+    asks once for T'(0) and then for T at the real b = k.  Both evaluate
     the callbacks at s + shift where the caller passed s, so a shifted
     spectrum costs what its base costs.
     """
 
     name: str
     eigenvalues: Callable[[int], tuple[tuple[float, int], ...]]
-    continued_tail: Callable[[complex, int], tuple[complex, complex, float]]
+    continued_tail: Callable[[complex, int], tuple[complex, float]]
+    continued_slope: Callable[[int], tuple[float, float]]
     shift: float = 0.0
 
     def __init__(
         self,
         name: str,
         eigenvalues: Callable[[int], tuple[tuple[float, int], ...]],
-        continued_tail: Callable[[complex, int], tuple[complex, complex, float]],
+        continued_tail: Callable[[complex, int], tuple[complex, float]],
+        continued_slope: Callable[[int], tuple[float, float]],
         shift: float = 0.0,
     ) -> None:
         d = self.__dict__
-        d["name"], d["eigenvalues"], d["continued_tail"], d["shift"] = (
-            name, eigenvalues, continued_tail, shift)
+        d["name"], d["eigenvalues"], d["continued_tail"], d["continued_slope"], d["shift"] = (
+            name, eigenvalues, continued_tail, continued_slope, shift)
 
 
 def circle_spectrum() -> Spectrum:
@@ -454,15 +484,20 @@ def circle_spectrum() -> Spectrum:
     """
 
     def eigenvalues(count: int) -> tuple[tuple[float, int], ...]:
-        return tuple((float(n * n), 2) for n in range(1, count + 1))
+        return tuple([(float(n * n), 2) for n in range(1, count + 1)])
 
-    def continued_tail(b: complex, j: int) -> tuple[complex, complex, float]:
-        # sum_{n>j} 2 (n^2)^-b = 2 T_em(2b), with d/db = 4 T_em'(2b); the
-        # omitted Euler-Maclaurin correction of both, times 4, bounds each
-        val, der, err = _em_tail(2 * complex(b), j)
-        return 2 * val, 4 * der, 4 * err
+    def continued_tail(b: complex, j: int) -> tuple[complex, float]:
+        # sum_{n>j} 2 (n^2)^-b = 2 T_em(2b); the omitted Euler-Maclaurin
+        # correction of T_em and of its derivative, times 4, bounds it
+        val, err = _em_tail(2 * complex(b), j)
+        return 2 * val, 4 * err
 
-    return Spectrum("circle", eigenvalues, continued_tail)
+    def continued_slope(j: int) -> tuple[float, float]:
+        # d/db 2 T_em(2b) at b = 0 is 4 T_em'(0), bounded as its value is
+        der, err = _em_slope(j)
+        return 4 * der, 4 * err
+
+    return Spectrum("circle", eigenvalues, continued_tail, continued_slope)
 
 
 def shift_spectrum(base: Spectrum, shift: float) -> Spectrum:
@@ -470,7 +505,7 @@ def shift_spectrum(base: Spectrum, shift: float) -> Spectrum:
     `shift`, evaluated at s + shift wherever the base is evaluated at s.
     The shifted eigenvalues must stay positive."""
     shifted = Spectrum(f"{base.name}+{shift}", base.eigenvalues, base.continued_tail,
-                       base.shift + shift)
+                       base.continued_slope, base.shift + shift)
     first = shifted.eigenvalues(1)
     if first and first[0][0] + shifted.shift <= 0:
         raise PreconditionError("shifted eigenvalues must stay positive")
@@ -520,13 +555,14 @@ def _head(spectrum: Spectrum, x: Complex, start: int) -> tuple[int, tuple[tuple[
     pairs = spectrum.eigenvalues(j + 1)
     if not pairs:
         raise PreconditionError("spectrum enumerated no eigenvalues")
-    if pairs[0][0] + x.real <= 0:
-        first = pairs[0][0] + spectrum.shift
-        raise PreconditionError(f"need Re(s) > {-first} for the first shifted eigenvalue")
+    first = pairs[0][0] + x.real
+    if first <= 0:
+        raise PreconditionError(
+            f"need lam_1 + Re(s + shift) > 0 for the first shifted eigenvalue, got {first!r}")
     while pairs[j][0] <= 2 * abs(x):
         j *= 2
         if j > MAX_HEAD_TERMS:
-            raise ConvergenceError("eigenvalue growth too slow against |s|")
+            raise ConvergenceError("eigenvalue growth too slow against |s + shift|")
         pairs = spectrum.eigenvalues(j + 1)
     return j, pairs
 
@@ -559,7 +595,7 @@ def _split(spectrum: Spectrum, pairs: tuple[tuple[float, int], ...], j: int, w: 
         if k and not power:
             term = 0.0  # x^k = 0: this term and every later one vanish
             break
-        t, _, err = spectrum.continued_tail(w + k, j)
+        t, err = spectrum.continued_tail(w + k, j)
         term = coef * power * t
         tail += term
         size += abs(term)
@@ -615,7 +651,7 @@ def log_regularized_det(
     x = float(s) + spectrum.shift
     j, pairs = _head(spectrum, x, 64 if terms is None else terms)
     slopes = [-mult * math.log(lam + x) for lam, mult in pairs[:j]]
-    _, slope, err = spectrum.continued_tail(0.0, j)  # T'(0), its err
+    slope, err = spectrum.continued_slope(j)  # T'(0), its err
     size = sum(map(abs, slopes)) + abs(slope)
     # w = 0.0, not 0j: the tails see the real exponents b = k
     value, bound = _split(spectrum, pairs, j, 0.0, complex(x), math.fsum(slopes), size,

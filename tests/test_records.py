@@ -44,7 +44,8 @@ RECORDS = [
     (ZetaFEReport, {"holds": True, "center": Fraction(1, 2), "exponent_sign": 1, "prefactor_sign": -1}),
     (LogZetaIntegral, {"value": 0.5 + 0j, "error_estimate": 1e-15}),
     (Spectrum, {"name": "circle", "eigenvalues": CIRCLE.eigenvalues,
-                "continued_tail": CIRCLE.continued_tail, "shift": 0.25}),
+                "continued_tail": CIRCLE.continued_tail, "continued_slope": CIRCLE.continued_slope,
+                "shift": 0.25}),
     (SpectralValue, {"value": 1.5 + 0j, "error_bound": 1e-14, "terms_used": 48}),
 ]
 
@@ -102,7 +103,7 @@ def test_defaults_fill_omitted_fields():
     assert (scheme.dimension, scheme.smooth_projective, scheme.name) == (None, False, "")
     assert TorsionPoint(2).torsion_orders == ()
     assert FourierData(2, 1).entries == ()
-    assert Spectrum("s", CIRCLE.eigenvalues, CIRCLE.continued_tail).shift == 0.0
+    assert Spectrum("s", CIRCLE.eigenvalues, CIRCLE.continued_tail, CIRCLE.continued_slope).shift == 0.0
     assert PowerLogSum() == PowerLogSum(()) == PowerLogSum.zero()
     with pytest.raises(TypeError, match="missing argument 'dimension'"):
         ReductiveGroupData(1)

@@ -326,7 +326,7 @@ def test_the_circle_zeta_pole_is_a_singularity_error():
 
 def test_a_spectrum_without_eigenvalues_is_a_precondition_error():
     circle = circle_spectrum()
-    empty = Spectrum("empty", lambda count: (), circle.continued_tail)
+    empty = Spectrum("empty", lambda count: (), circle.continued_tail, circle.continued_slope)
     with pytest.raises(PreconditionError, match="spectrum enumerated no eigenvalues"):
         spectral_zeta(empty, 2, 1.0)
     with pytest.raises(PreconditionError, match="spectrum enumerated no eigenvalues"):
@@ -336,7 +336,8 @@ def test_a_spectrum_without_eigenvalues_is_a_precondition_error():
 def test_a_constant_spectrum_outgrows_the_head_cap():
     # lam_(j+1) = 1 <= 2 |x| however far the head doubles
     circle = circle_spectrum()
-    constant = Spectrum("constant", lambda count: ((1.0, 1),) * count, circle.continued_tail)
+    constant = Spectrum("constant", lambda count: ((1.0, 1),) * count, circle.continued_tail,
+                        circle.continued_slope)
     with pytest.raises(ConvergenceError, match="eigenvalue growth too slow against"):
         spectral_zeta(constant, 2, 1.0)
     with pytest.raises(ConvergenceError, match="eigenvalue growth too slow against"):
@@ -448,7 +449,7 @@ def test_spectral_zeta_meets_its_bound_against_mpmath(w, x, shift, terms):
 def test_em_tail_matches_the_hurwitz_zeta(b, start):
     # for the completely monotone n^-b the first omitted correction bounds
     # the truncation; a^-b = e^(-b log a) rounds to about b log(a) 2^-52
-    value, _, estimate = _em_tail(b, start)
+    value, estimate = _em_tail(b, start)
     want = special.zeta(b, start + 1)
     rounding = 2 * (1 + b * math.log(start + 1)) * 2.0**-52
     assert abs(value - want) <= estimate + rounding * want
@@ -497,7 +498,7 @@ def _own_loop_spectral_zeta(spectrum, w, s, terms):
     truncation = 0.0
     binom = 1.0 + 0j
     for k in range(regularize._SPLIT_TERMS):
-        t, _, err = spectrum.continued_tail(ww + k, j)
+        t, err = spectrum.continued_tail(ww + k, j)
         power = x**k
         term = binom * power * t
         tail += term
@@ -520,12 +521,12 @@ def _own_loop_log_det(spectrum, s, terms):
     slopes = [-mult * math.log(lam + x) for lam, mult in pairs[:j]]
     head = math.fsum(slopes)
     size = sum(map(abs, slopes))
-    _, tail, truncation = spectrum.continued_tail(0.0, j)
+    tail, truncation = spectrum.continued_slope(j)
     size += abs(tail)
     term = tail
     coef = -1.0
     for k in range(1, regularize._SPLIT_TERMS):
-        t, _, err = spectrum.continued_tail(float(k), j)
+        t, err = spectrum.continued_tail(float(k), j)
         power = (complex(x) ** k).real
         term = power * (coef * t)
         tail += term
@@ -577,34 +578,72 @@ def test_the_one_split_reproduces_both_loops(w, offset, im_s, shift, terms):
 def test_the_determinant_asks_its_tails_at_real_exponents():
     circle = circle_spectrum()
     asked = []
+    sloped = []
 
     def continued_tail(b, j):
         asked.append(b)
         return circle.continued_tail(b, j)
 
-    spy = Spectrum("circle", circle.eigenvalues, continued_tail)
-    assert log_regularized_det(spy, 1.0) == log_regularized_det(circle, 1.0)
-    assert asked[:3] == [0.0, 1.0, 2.0] and {type(b) for b in asked} == {float}
+    def continued_slope(j):
+        sloped.append(j)
+        return circle.continued_slope(j)
+
+    spy = Spectrum("circle", circle.eigenvalues, continued_tail, continued_slope)
+    got = log_regularized_det(spy, 1.0)
+    assert got == log_regularized_det(circle, 1.0)
+    # the slope T'(0) once, at the head size; then the values T(k) from k = 1
+    assert sloped == [got.terms_used]
+    assert asked == [float(k) for k in range(1, len(asked) + 1)] and len(asked) >= 2
+    assert {type(b) for b in asked} == {float}
     asked.clear()
+    sloped.clear()
     assert spectral_zeta(spy, 2, 1.0) == spectral_zeta(circle, 2, 1.0)
-    assert asked[:2] == [2, 3] and {type(b) for b in asked} == {complex}
+    assert sloped == []
+    assert asked == [2 + k for k in range(len(asked))] and len(asked) >= 2
+    assert {type(b) for b in asked} == {complex}
+
+
+def _reference_em_tail(b, start):
+    # `_em_tail` as it stood when every tail also returned its d/db
+    # derivative: (value, derivative, first omitted correction of both)
+    bb = complex(b)
+    if abs(bb - 1) < 1e-9:
+        raise SingularityError("the continued Dirichlet tail has a pole at exponent 1")
+    if bb.imag == 0:
+        bb = bb.real
+    a = float(start + 1)
+    la = math.log(a)
+    apow = cmath.exp(-bb * la) if isinstance(bb, complex) else math.exp(-bb * la)
+    inv_a2 = 1 / (a * a)
+    apk = apow / a
+    val = a * apow / (bb - 1) + apow / 2
+    der = a * apow / (bb - 1) * (-la - 1 / (bb - 1)) - la * apow / 2
+    rise_v, rise_d = bb, 1.0
+    for k, coef in enumerate(regularize._EM_COEFFS[: regularize._EM_TERMS], 1):
+        val += coef * rise_v * apk
+        der += coef * apk * (rise_d - la * rise_v)
+        apk *= inv_a2
+        for f in (bb + (2 * k - 1), bb + 2 * k):
+            rise_v, rise_d = rise_v * f, rise_d * f + rise_v
+    coef = regularize._EM_COEFFS[regularize._EM_TERMS]
+    return val, der, abs(coef * rise_v * apk) + abs(coef * apk * (rise_d - la * rise_v))
 
 
 # Oracles: the circle's bare tail 2 T_em(2b), its derivative 4 T_em'(2b)
-# and their truncation bound 4 err straight from `_em_tail`, and the
-# binomial split of each that a shifted spectrum's own tails once were.
+# and their truncation bound 4 err straight from `_reference_em_tail`,
+# and the binomial split of each that a shifted spectrum's own tails once were.
 def _oracle_circle_tail(a, j):
-    val, _, _ = _em_tail(2 * complex(a), j)
+    val, _, _ = _reference_em_tail(2 * complex(a), j)
     return 2 * val
 
 
 def _oracle_circle_tail_deriv(a, j):
-    _, der, _ = _em_tail(2 * complex(a), j)
+    _, der, _ = _reference_em_tail(2 * complex(a), j)
     return 4 * der
 
 
 def _oracle_circle_tail_err(a, j):
-    _, _, err = _em_tail(2 * complex(a), j)
+    _, _, err = _reference_em_tail(2 * complex(a), j)
     return 4 * err
 
 
@@ -644,12 +683,12 @@ _DYADIC = st.builds(
 )
 def test_continued_tail_matches_the_per_exponent_oracle_bit_for_bit(a, count, j):
     # the exponents a, a + 1, ..., a + count - 1, as the binomial split asks for them
-    tail = circle_spectrum().continued_tail
+    circle = circle_spectrum()
     for m in range(count):
         b = complex(a) + m
-        assert tail(b, j) == (
-            _oracle_circle_tail(b, j), _oracle_circle_tail_deriv(b, j), _oracle_circle_tail_err(b, j)
-        )
+        assert circle.continued_tail(b, j) == (_oracle_circle_tail(b, j), _oracle_circle_tail_err(b, j))
+    # the determinant's slope T'(0) and its bound, the derivative at b = 0
+    assert circle.continued_slope(j) == (_oracle_circle_tail_deriv(0.0, j), _oracle_circle_tail_err(0.0, j))
 
 
 def _oracle_shifted_log_det(shift, s, j=64):
@@ -731,9 +770,15 @@ def test_a_shift_below_the_first_eigenvalue_is_a_precondition_error():
     circle = circle_spectrum()
     with pytest.raises(PreconditionError, match="shifted eigenvalues must stay positive"):
         regularized_det(shift_spectrum(circle, -1.5), 2.0)
-    # the messages name the caller's s and the shifted first eigenvalue
-    with pytest.raises(PreconditionError, match=r"need Re\(s\) > -1\.5 "):
+    # the message names the float sum lam_1 + Re(s + shift) found <= 0
+    with pytest.raises(PreconditionError, match=r"first shifted eigenvalue, got -0\.5$"):
         spectral_zeta(shift_spectrum(circle, 0.5), 2, -2.0)
+    # an s just above -(lam_1 + shift) whose s + shift rounds to -lam_1
+    edge = shift_spectrum(circle, -0.9)
+    with pytest.raises(PreconditionError, match=r"first shifted eigenvalue, got 0\.0$"):
+        log_regularized_det(edge, -0.09999999999999997)
+    with pytest.raises(PreconditionError, match=r"first shifted eigenvalue, got 0\.0$"):
+        spectral_zeta(edge, 2, -0.09999999999999997)
 
 
 def test_log_regularized_det():
@@ -781,7 +826,7 @@ def test_head_terms_above_the_cap_fail_before_enumerating():
         assert count <= 1 << 20, "enumerated past the cap"
         return circle.eigenvalues(count)
 
-    guarded = Spectrum("circle", eigenvalues, circle.continued_tail)
+    guarded = Spectrum("circle", eigenvalues, circle.continued_tail, circle.continued_slope)
     with pytest.raises(PreconditionError, match="head terms"):
         log_regularized_det(guarded, 1.0, terms=(1 << 20) + 1)
     assert asked == []
