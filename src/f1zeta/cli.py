@@ -1,10 +1,11 @@
 """Command-line surface.
 
-Each subcommand is one row of `_HANDLERS` (name -> handler, help line),
-which both `build_parser` and `run` read.  Every subcommand takes the
-same flags; the parsed `argparse.Namespace`, with `--tol` defaulted and
-`--tol`/`--terms` checked by `config_from_args`, is what a handler reads;
-it prints to stdout.
+Each command is one row of `_HANDLERS` (name -> handler, help line),
+which both `build_parser` and `run` read.  One parser takes the command
+as a positional choice and every flag, before or after it; the parsed
+`argparse.Namespace`, with `--tol` defaulted and `--tol`/`--terms`
+checked by `config_from_args`, is what a handler reads; it prints to
+stdout.
 Each handler imports the layer modules it uses, so that a fresh process
 loads only those of its own subcommand.
 
@@ -28,6 +29,7 @@ from .errors import ConvergenceError, ParseError, PreconditionError
 
 if TYPE_CHECKING:
     from .powerlog import PowerLogSum
+    from .schemes import MonoidScheme
 
 DEFAULT_TOL_ENV = "F1ZETA_TOL"
 
@@ -57,19 +59,27 @@ def parse_complex_value(text: str) -> complex:
     return value
 
 
-def _load_powers(arg: str) -> PowerLogSum:
-    from .powerlog import load_power_log, parse_power_log
-
-    if os.path.exists(arg):
-        return load_power_log(arg)
-    return parse_power_log(arg)
-
-
 def _require(config: argparse.Namespace, attr: str, flag: str) -> object:
     value = getattr(config, attr)
     if value is None:
         raise PreconditionError(f"command {config.command!r} requires {flag}")
     return value
+
+
+def _scheme(config: argparse.Namespace) -> MonoidScheme:
+    from .schemes import load_scheme
+
+    return load_scheme(str(_require(config, "scheme_path", "--scheme")))
+
+
+def _powers(config: argparse.Namespace) -> PowerLogSum:
+    """The --powers counting function: a records file, or an expression."""
+    from .powerlog import load_power_log, parse_power_log
+
+    arg = str(_require(config, "powers", "--powers"))
+    if os.path.exists(arg):
+        return load_power_log(arg)
+    return parse_power_log(arg)
 
 
 def _prime_base(config: argparse.Namespace, what: str) -> int:
@@ -100,9 +110,9 @@ def _print_records(records) -> None:
 
 def _cmd_count(config: argparse.Namespace) -> int:
     from .powerlog import _check_printable
-    from .schemes import exact_count, load_scheme
+    from .schemes import exact_count
 
-    scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
+    scheme = _scheme(config)
     q = int(_require(config, "q", "--q"))
     print(_check_printable(exact_count(scheme, q), "the point count"))
     return EXIT_OK
@@ -116,7 +126,7 @@ def _resolve_zeta(config: argparse.Namespace):
     if config.powers is not None:
         from .zetas import zeta_of
 
-        return zeta_of(_load_powers(config.powers))
+        return zeta_of(_powers(config))
     raise PreconditionError("need one of --scheme, --group, --powers")
 
 
@@ -141,9 +151,8 @@ def _cmd_zeta(config: argparse.Namespace) -> int:
     scheme = None
     if config.scheme_path is not None:
         from .scheme_zeta import betti_profile, zeta_of_scheme
-        from .schemes import load_scheme
 
-        scheme = load_scheme(config.scheme_path)
+        scheme = _scheme(config)
         z = zeta_of_scheme(scheme)
     else:
         z = _resolve_zeta(config)
@@ -161,9 +170,7 @@ def _cmd_zeta(config: argparse.Namespace) -> int:
 
 def _cmd_fe_check(config: argparse.Namespace) -> int:
     if config.scheme_path is not None:
-        from .schemes import load_scheme
-
-        scheme = load_scheme(config.scheme_path)
+        scheme = _scheme(config)
         if config.p is not None:
             from .weil import local_functional_equation
 
@@ -198,7 +205,7 @@ def _cmd_fe_check(config: argparse.Namespace) -> int:
         from .powerlog import detect_functional_equation
         from .zetas import _witnessed_report
 
-        n = _load_powers(config.powers)
+        n = _powers(config)
         witness = detect_functional_equation(n)
         if witness is None:
             print("no functional equation witness")
@@ -211,10 +218,9 @@ def _cmd_fe_check(config: argparse.Namespace) -> int:
 
 
 def _cmd_local(config: argparse.Namespace) -> int:
-    from .schemes import load_scheme
     from .weil import local_zeta_series
 
-    scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
+    scheme = _scheme(config)
     order = config.terms if config.terms is not None else 8
     series = local_zeta_series(scheme, _prime_base(config, "local series"), order)
     for n, c in enumerate(series.coefficients):
@@ -223,10 +229,9 @@ def _cmd_local(config: argparse.Namespace) -> int:
 
 
 def _cmd_limit(config: argparse.Namespace) -> int:
-    from .schemes import load_scheme
     from .weil import default_base_sequence, limit_toward_one, pole_order
 
-    scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
+    scheme = _scheme(config)
     s = parse_complex_value(str(_require(config, "s", "--s")))
     count = config.terms if config.terms is not None else 6
     seq = default_base_sequence(count)
@@ -249,7 +254,7 @@ def _cmd_limit(config: argparse.Namespace) -> int:
 def _cmd_dual(config: argparse.Namespace) -> int:
     from .powerlog import to_records
 
-    n = _load_powers(str(_require(config, "powers", "--powers")))
+    n = _powers(config)
     d = n.dual()
     if config.fmt == "records":
         _print_records(to_records(d))
@@ -261,7 +266,7 @@ def _cmd_dual(config: argparse.Namespace) -> int:
 def _cmd_epsilon(config: argparse.Namespace) -> int:
     from .zetas import epsilon_factor
 
-    n = _load_powers(str(_require(config, "powers", "--powers")))
+    n = _powers(config)
     eps = epsilon_factor(n)
     if config.fmt == "records":
         print(f"sign\t{eps.sign}")
@@ -309,9 +314,9 @@ def _cmd_regdet(config: argparse.Namespace) -> int:
 
 
 def _cmd_fourier(config: argparse.Namespace) -> int:
-    from .schemes import MAX_FOURIER_PERIOD, fourier_data, fourier_period, load_scheme
+    from .schemes import MAX_FOURIER_PERIOD, fourier_data, fourier_period
 
-    scheme = load_scheme(str(_require(config, "scheme_path", "--scheme")))
+    scheme = _scheme(config)
     p = _prime_base(config, "Fourier coefficients")
     # the table's size is known before any coefficient vector is built
     rows = sum(len(pt.torsion_orders) for pt in scheme.points) * fourier_period(scheme)
@@ -375,25 +380,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="f1zeta",
         description="Counting functions and zeta functions over the one-element base.",
+        epilog="commands:\n" + "\n".join(f"  {name:<9} {helptext}"
+                                          for name, (_, helptext) in _HANDLERS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    # the flags every subcommand takes, declared once
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scheme", dest="scheme_path", metavar="FILE")
-    common.add_argument("--powers", metavar="EXPR|FILE")
-    common.add_argument("--group", metavar="NAME|FILE")
-    common.add_argument("--spectrum", default="circle", metavar="NAME")
-    common.add_argument("--q", type=int)
-    common.add_argument("--p", metavar="PRIME")
-    common.add_argument("--s", metavar="COMPLEX")
-    common.add_argument("--terms", type=int)
-    common.add_argument("--tol", type=float)
-    common.add_argument("--format", dest="fmt", choices=("pretty", "records"),
-                        default="pretty")
-    common.add_argument("--pretty", action="store_const", const="pretty", dest="fmt",
+    parser.add_argument("command", choices=_HANDLERS, metavar="command",
+                        help="one of the commands below")
+    parser.add_argument("--scheme", dest="scheme_path", metavar="FILE")
+    parser.add_argument("--powers", metavar="EXPR|FILE")
+    parser.add_argument("--group", metavar="NAME|FILE")
+    parser.add_argument("--spectrum", default="circle", metavar="NAME")
+    parser.add_argument("--q", type=int)
+    parser.add_argument("--p", metavar="PRIME")
+    parser.add_argument("--s", metavar="COMPLEX")
+    parser.add_argument("--terms", type=int)
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--format", dest="fmt", choices=("pretty", "records"), default="pretty")
+    parser.add_argument("--pretty", action="store_const", const="pretty", dest="fmt",
                         help="shorthand for --format pretty")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (_, helptext) in _HANDLERS.items():
-        sub.add_parser(name, help=helptext, parents=[common])
     return parser
 
 

@@ -377,19 +377,8 @@ class TermMap(_Record):
         return type(self)(tuple([(lam + dd, m, c) for lam, m, c in self.terms]))
 
     def dual(self: _M) -> _M:
-        """Each term (lam, m, c) maps to (-lam, m, (-1)^m c): N*(u) = N(1/u).
-
-        Negating lam reverses the order of the lam groups.  Reversing the
-        terms does that, and reversing each group back keeps m ascending,
-        so the result is canonical without a sort."""
-        out = [(-lam, m, -c if m % 2 else c) for lam, m, c in reversed(self.terms)]
-        start = 0
-        for i in range(1, len(out) + 1):
-            if i == len(out) or out[i][0] != out[start][0]:
-                if i - start > 1:
-                    out[start:i] = reversed(out[start:i])
-                start = i
-        return type(self)(tuple(out))
+        """Each term (lam, m, c) maps to (-lam, m, (-1)^m c): N*(u) = N(1/u)."""
+        return self._canonical({(-lam, m): -c if m % 2 else c for lam, m, c in self.terms})
 
 
 class PowerLogSum(TermMap):

@@ -463,41 +463,35 @@ class Spectrum(_Record):
     continued_slope: Callable[[int], tuple[float, float]]
     shift: float = 0.0
 
-    def __init__(
-        self,
-        name: str,
-        eigenvalues: Callable[[int], tuple[tuple[float, int], ...]],
-        continued_tail: Callable[[complex, int], tuple[complex, float]],
-        continued_slope: Callable[[int], tuple[float, float]],
-        shift: float = 0.0,
-    ) -> None:
-        d = self.__dict__
-        d["name"], d["eigenvalues"], d["continued_tail"], d["continued_slope"], d["shift"] = (
-            name, eigenvalues, continued_tail, continued_slope, shift)
+
+def _circle_eigenvalues(count: int) -> tuple[tuple[float, int], ...]:
+    return tuple([(float(n * n), 2) for n in range(1, count + 1)])
+
+
+def _circle_tail(b: complex, j: int) -> tuple[complex, float]:
+    # sum_{n>j} 2 (n^2)^-b = 2 T_em(2b); the omitted Euler-Maclaurin
+    # correction of T_em and of its derivative, times 4, bounds it
+    val, err = _em_tail(2 * complex(b), j)
+    return 2 * val, 4 * err
+
+
+def _circle_slope(j: int) -> tuple[float, float]:
+    # d/db 2 T_em(2b) at b = 0 is 4 T_em'(0), bounded as its value is
+    der, err = _em_slope(j)
+    return 4 * der, 4 * err
+
+
+_CIRCLE = Spectrum("circle", _circle_eigenvalues, _circle_tail, _circle_slope)
 
 
 def circle_spectrum() -> Spectrum:
     """Circle of circumference 2 pi: eigenvalues n^2, multiplicity 2, n >= 1.
 
     Stated explicitly because determinant values depend on this
-    normalization.
+    normalization.  Every call returns the same immutable record, built
+    once when the module is imported.
     """
-
-    def eigenvalues(count: int) -> tuple[tuple[float, int], ...]:
-        return tuple([(float(n * n), 2) for n in range(1, count + 1)])
-
-    def continued_tail(b: complex, j: int) -> tuple[complex, float]:
-        # sum_{n>j} 2 (n^2)^-b = 2 T_em(2b); the omitted Euler-Maclaurin
-        # correction of T_em and of its derivative, times 4, bounds it
-        val, err = _em_tail(2 * complex(b), j)
-        return 2 * val, 4 * err
-
-    def continued_slope(j: int) -> tuple[float, float]:
-        # d/db 2 T_em(2b) at b = 0 is 4 T_em'(0), bounded as its value is
-        der, err = _em_slope(j)
-        return 4 * der, 4 * err
-
-    return Spectrum("circle", eigenvalues, continued_tail, continued_slope)
+    return _CIRCLE
 
 
 def shift_spectrum(base: Spectrum, shift: float) -> Spectrum:

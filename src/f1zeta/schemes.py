@@ -259,6 +259,14 @@ def _class_vector(divs: list[int], weights: list[int]) -> tuple[Fraction, ...]:
     return tuple([by_class[math.gcd(nu, n)] for nu in range(1, n + 1)])
 
 
+def _check_base(p: int) -> None:
+    """The base p of the counts over F_(p^n): an int, at least 2."""
+    if not isinstance(p, int):
+        raise PreconditionError(f"base prime must be >= 2 and an integer, got {p!r}")
+    if p < 2:
+        raise PreconditionError(f"base prime must be >= 2, got {p}")
+
+
 def gcd_fourier_coefficients(t: int, p: int, n0: int) -> tuple[Fraction, ...]:
     """Coefficients c_nu, nu = 1..n0, of gcd(t, p^n - 1) as a Fourier
     series sum_nu c_nu xi^(n nu) in n, where xi = e^(2 pi i / n0).
@@ -275,8 +283,7 @@ def gcd_fourier_coefficients(t: int, p: int, n0: int) -> tuple[Fraction, ...]:
     """
     if t < 2:
         raise PreconditionError(f"torsion order must be >= 2, got {t}")
-    if p < 2:
-        raise PreconditionError(f"base prime must be >= 2, got {p}")
+    _check_base(p)
     if n0 < 1:
         raise PreconditionError(f"period length must be >= 1, got {n0}")
     if not _period_divides(t, p, n0):
@@ -369,8 +376,7 @@ class FourierData(_Record):
 
 def fourier_data(scheme: MonoidScheme, p: int) -> FourierData:
     """The coefficient table c_{x,j,nu}(p) of a scheme; the period is capped first."""
-    if p < 2:
-        raise PreconditionError(f"base prime must be >= 2, got {p}")
+    _check_base(p)
     n0 = fourier_period(scheme)
     vectors = {t: gcd_fourier_coefficients(t, p, n0) for t in scheme.count_profile[0]}
     return FourierData(p, n0, tuple((i, j, t, vectors[t]) for i, pt in enumerate(scheme.points)

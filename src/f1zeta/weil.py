@@ -41,7 +41,7 @@ from typing import Sequence, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
 from .powerlog import _asymmetries, _binomial_row, _check_printable, _exp_in_range, _Record
-from .schemes import MonoidScheme, counting_coefficients, exact_count
+from .schemes import MonoidScheme, _check_base, counting_coefficients, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
 # coefficients of a d-dimensional scheme have about d n log2(p) bits.
@@ -86,8 +86,7 @@ def local_zeta_series(scheme: MonoidScheme, p: int, order: int) -> TruncatedSeri
     module docstring).  A coefficient too long to print is a
     PreconditionError naming the first such e_n."""
     _check_series_order(order, 1)
-    if not isinstance(p, int) or p < 2:
-        raise PreconditionError(f"need an integer base p >= 2, got {p!r}")
+    _check_base(p)
     # every N_k >= 0 makes every e_n >= 0, so e_order >= N_order / order: a last
     # coefficient too long to print shows in N_order, before any factor is made
     what = f"local zeta coefficient e_{{}} at p = {p}"
@@ -304,7 +303,6 @@ class LocalFEReport(_Record):
     holds: bool
     chi: int
     dimension: int
-    base: int
     mismatches: tuple[tuple[int, int, int], ...]  # (r, e_r, e_{d-r})
     exponent_ok: bool
     squared_form: bool
@@ -336,8 +334,7 @@ def local_functional_equation(scheme: MonoidScheme, p: int) -> LocalFEReport:
     """
     if not scheme.smooth_projective:
         raise PreconditionError("local functional equation requires smooth_projective")
-    if not isinstance(p, int) or p < 2:
-        raise PreconditionError(f"need an integer prime base >= 2, got {p!r}")
+    _check_base(p)
     coeffs = counting_coefficients(scheme)
     d = scheme.dim
     chi = sum(coeffs)
@@ -345,4 +342,4 @@ def local_functional_equation(scheme: MonoidScheme, p: int) -> LocalFEReport:
     exponent_ok = 2 * sum(r * a for r, a in enumerate(coeffs)) == d * chi
     squared = (d * chi) % 2 == 1
     holds = not mismatches and exponent_ok
-    return LocalFEReport(holds, chi, d, p, mismatches, exponent_ok, squared)
+    return LocalFEReport(holds, chi, d, mismatches, exponent_ok, squared)

@@ -261,6 +261,10 @@ def test_precondition_exit_code(capsys, p1_scheme):
     assert code == 3
     code, _ = _run(capsys, "zeta")
     assert code == 3
+    for argv, err in [(["fe-check"], "need one of --scheme, --group, --powers"),
+                      (["regdet", "--s", "1+1i"], "regularized determinants are evaluated at real s")]:
+        assert cli.main(argv) == 3
+        assert capsys.readouterr() == ("", f"precondition violated: {err}\n")
 
 
 def test_complex_parsing():
@@ -281,6 +285,9 @@ def test_tolerance_env_default(monkeypatch):
     config = cli.config_from_args(["epsilon", "--powers", "u"])
     assert config.tol == 1e-5
     monkeypatch.setenv(cli.DEFAULT_TOL_ENV, "nan")
+    config = cli.config_from_args(["epsilon", "--powers", "u"])
+    assert config.tol == 1e-9
+    monkeypatch.setenv(cli.DEFAULT_TOL_ENV, "abc")
     config = cli.config_from_args(["epsilon", "--powers", "u"])
     assert config.tol == 1e-9
     monkeypatch.delenv(cli.DEFAULT_TOL_ENV)
@@ -609,22 +616,47 @@ def test_stdout_is_byte_identical_to_recorded_output(capsys, tmp_path, case):
     assert captured.out == case["stdout"]
 
 
-# -- one command table, one base reader, one group-name parse ---------------
+# -- one command table, one parser, one base reader, one group-name parse ---
+
+# every flag with a value other than its default (--pretty after --format records)
+_FLAGS = [["--scheme", "x"], ["--powers", "u"], ["--group", "GL:2"], ["--spectrum", "other"],
+          ["--q", "5"], ["--p", "3"], ["--s", "2"], ["--terms", "4"], ["--tol", "1e-6"],
+          ["--format", "records"], ["--format", "records", "--pretty"]]
 
 
-def _subcommands(parser):
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+def test_every_command_takes_every_flag_before_or_after_it(monkeypatch):
+    monkeypatch.delenv(cli.DEFAULT_TOL_ENV, raising=False)
+    for name in cli._HANDLERS:
+        bare = cli.config_from_args([name])
+        assert bare.command == name
+        for flag in _FLAGS:
+            after = cli.config_from_args([name, *flag])
+            assert after == cli.config_from_args([*flag, name]), (name, flag)
+            assert after.command == name and (after != bare) == (flag[-1] != "--pretty")
+        everything = [arg for flag in _FLAGS[:-1] for arg in flag]
+        assert cli.config_from_args([*everything, name]) == cli.config_from_args([name, *everything])
 
 
-def test_parser_subcommands_are_the_handler_table():
-    assert list(_subcommands(cli.build_parser())) == list(cli._HANDLERS)
+def test_help_lists_every_command_with_its_help_line(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    for name, (_, helptext) in cli._HANDLERS.items():
+        assert f"  {name:<9} {helptext}" in lines
+    for flag in _FLAGS:
+        assert flag[-1 if flag[-1] == "--pretty" else 0] in out
 
 
-def test_every_subcommand_takes_the_same_flags():
-    flags = [["-h", "--help"], ["--scheme"], ["--powers"], ["--group"], ["--spectrum"], ["--q"],
-             ["--p"], ["--s"], ["--terms"], ["--tol"], ["--format"], ["--pretty"]]
-    for name, parser in _subcommands(cli.build_parser()).items():
-        assert [a.option_strings for a in parser._actions] == flags, name
+@pytest.mark.parametrize("argv", [[], ["wat"], ["--q", "7"], ["--q", "7", "wat"], ["count", "zeta"]],
+                         ids=["missing", "unknown", "flag-only", "flag-unknown", "two-commands"])
+def test_an_unknown_or_missing_command_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: f1zeta")
 
 
 def test_parsed_arguments_are_the_config(monkeypatch):

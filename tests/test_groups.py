@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from f1zeta.errors import ParseError, PreconditionError
 from f1zeta.groups import (
     MAX_COUNTING_DEGREE,
+    FamilyIdentityReport,
     ReductiveGroupData,
     gl_group_data,
     group_counting,
@@ -147,9 +148,16 @@ def test_group_fe_matches_the_fraction_checks(group):
 def test_family_identities(family, r):
     report = verify_family_identities(r, family)
     assert report.holds, report.first_failure
+    assert report.first_failure is None
     # (c) against the factored reflection it replaced
     group = gl_group_data(r) if family == "gl" else torus_group_data(r)
     assert report.results[2][1] == _fraction_group_fe(group)[0]
+    # a report with one failing identity names it first and marks it in its text
+    (shift, _), (dual, _), reflection = report.results
+    failing = FamilyIdentityReport(family, r, ((shift, True), (dual, False), reflection))
+    assert not failing.holds and failing.first_failure == dual
+    assert str(failing).splitlines() == [f"{family} identities at rank {r}:", f"  {shift}: holds",
+                                         f"  {dual}: FAILS", f"  {reflection[0]}: holds"]
 
 
 def _factored_family_identities(r, family):

@@ -36,7 +36,7 @@ RECORDS = [
     (FamilyIdentityReport, {"family": "GL", "rank": 2, "results": (("fe", True),)}),
     (TruncatedSeries, {"coefficients": (Fraction(1), Fraction(3))}),
     (LocalZetaFactors, {"base": 2, "factors": ((0, -1), (1, -1))}),
-    (LocalFEReport, {"holds": True, "chi": 2, "dimension": 1, "base": 2, "mismatches": (),
+    (LocalFEReport, {"holds": True, "chi": 2, "dimension": 1, "mismatches": (),
                      "exponent_ok": True, "squared_form": False}),
     (BettiProfile, {"values": (1, 1), "dimension": 1, "warning": None}),
     (GlobalFEReport, {"holds": False, "chi": 2, "dimension": 1, "asymmetries": ((0, 1, 2),)}),

@@ -604,11 +604,13 @@ def test_divisor_differences_invert_the_class_sums(n, data):
     assert _divisor_differences(divs, divs) == [totient(e) for e in divs]
 
 
-@pytest.mark.parametrize("p", [1, 0, -3])
+@pytest.mark.parametrize("p", [1, 0, -3, 2.5, 3.0])
 def test_fourier_data_rejects_a_base_below_2_for_every_scheme(p):
-    for scheme in (torus_model(1), f1_point(), torsion_point_model([3])):
+    for scheme in (torus_model(1), f1_point(), torsion_point_model([3]), torsion_point_model([5])):
         with pytest.raises(PreconditionError, match="base prime must be >= 2"):
             fourier_data(scheme, p)
+    with pytest.raises(PreconditionError, match="base prime must be >= 2"):
+        gcd_fourier_coefficients(5, p, 4)
 
 
 def test_fourier_period_cap():
