@@ -25,6 +25,7 @@ from .powerlog import (
     PowerLogSum,
     _asymmetries,
     _binomial_row,
+    _check_integer,
     _integer,
     _packed_product,
     _parity,
@@ -65,7 +66,11 @@ class ReductiveGroupData(_Record):
     name: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "flag_betti", tuple([int(b) for b in self.flag_betti]))
+        _check_integer(self.rank, "rank")
+        _check_integer(self.dimension, "dimension")
+        self.__dict__["flag_betti"] = tuple(self.flag_betti)
+        for b in self.flag_betti:
+            _check_integer(b, "a flag Betti number")
         if self.rank < 1:
             raise PreconditionError("rank must be >= 1")
         if self.dimension < 1:

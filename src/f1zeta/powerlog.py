@@ -75,6 +75,13 @@ def _integer(value: object) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
+def _check_integer(value: object, field: str) -> None:
+    """The constructors' form of that rule: an int that is not a bool, else
+    a PreconditionError naming the field.  Nothing is truncated."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise PreconditionError(f"{field} must be an integer, got {value!r}")
+
+
 # Pythons before 3.10.7 have neither the function nor a limit (0 means none);
 # called per check, so a limit set at run time applies
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)

@@ -233,11 +233,11 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
         return 0j
     ww = complex(w)
     ss = complex(s)
-    if ww.real <= 0:
-        raise PreconditionError(f"integral needs Re(w) > 0, got Re(w) = {ww.real}")
+    if not (ww.real > 0 and cmath.isfinite(ww)):
+        raise PreconditionError(f"integral needs a finite w with Re(w) > 0, got w = {ww}")
     edge = float(n.degree)
-    if ss.real <= edge:
-        raise PreconditionError(f"integral needs Re(s) > {edge}, got Re(s) = {ss.real}")
+    if not (ss.real > edge and cmath.isfinite(ss)):
+        raise PreconditionError(f"integral needs a finite s with Re(s) > {edge}, got s = {ss}")
     top, terms = _top_factored(n)
     lead = top - ss
     # split where the tail e^(-(Re s - degree) t) has fallen by e^-4, so
@@ -348,8 +348,9 @@ def log_zeta_integral(n: PowerLogSum, s: complex) -> LogZetaIntegral:
     if n.is_zero:
         return LogZetaIntegral(0j, 0.0)
     edge = float(n.degree)
-    if ss.real <= edge:
-        raise PreconditionError(f"upper integral diverges: need Re(s) > {edge}, got {ss.real}")
+    if not (ss.real > edge and cmath.isfinite(ss)):
+        raise PreconditionError(
+            f"upper integral diverges: need a finite s with Re(s) > {edge}, got {ss}")
     # substitution u = e^t maps it to int_0^oo N(e^t) e^(-s t) / t dt;
     # the rule never evaluates at t = 0 itself
     value, estimate = _complex_quad(_power_log_integrand(n, ss, -1), 0.0)
@@ -500,8 +501,10 @@ def shift_spectrum(base: Spectrum, shift: float) -> Spectrum:
     The shifted eigenvalues must stay positive."""
     shifted = Spectrum(f"{base.name}+{shift}", base.eigenvalues, base.continued_tail,
                        base.continued_slope, base.shift + shift)
+    if not math.isfinite(shifted.shift):
+        raise PreconditionError(f"a shift must be finite, got {shifted.shift!r}")
     first = shifted.eigenvalues(1)
-    if first and first[0][0] + shifted.shift <= 0:
+    if first and not first[0][0] + shifted.shift > 0:
         raise PreconditionError("shifted eigenvalues must stay positive")
     return shifted
 
@@ -545,12 +548,14 @@ def _head(spectrum: Spectrum, x: Complex, start: int) -> tuple[int, tuple[tuple[
         raise PreconditionError(f"at least 1 head term is needed, got {start}")
     if start > MAX_HEAD_TERMS:
         raise PreconditionError(f"at most {MAX_HEAD_TERMS} head terms are supported, got {start}")
+    if not cmath.isfinite(x):
+        raise PreconditionError(f"need a finite s + shift, got {x!r}")
     j = start
     pairs = spectrum.eigenvalues(j + 1)
     if not pairs:
         raise PreconditionError("spectrum enumerated no eigenvalues")
     first = pairs[0][0] + x.real
-    if first <= 0:
+    if not first > 0:
         raise PreconditionError(
             f"need lam_1 + Re(s + shift) > 0 for the first shifted eigenvalue, got {first!r}")
     while pairs[j][0] <= 2 * abs(x):
@@ -617,8 +622,10 @@ def spectral_zeta(
     rest, sum_{k>=0} C(-w, k) x^k T(w + k), and bounds the whole.
     """
     x = complex(s) + spectrum.shift
-    j, pairs = _head(spectrum, x, 48 if terms is None else terms)
     ww = complex(w)
+    if not cmath.isfinite(ww):
+        raise PreconditionError(f"need a finite w, got {ww!r}")
+    j, pairs = _head(spectrum, x, 48 if terms is None else terms)
     values = [mult * cmath.exp(-ww * cmath.log(lam + x)) for lam, mult in pairs[:j]]
     value, bound = _split(spectrum, pairs, j, ww, x, _fsum(values), sum(map(abs, values)))
     return SpectralValue(value, bound, j)
@@ -650,7 +657,7 @@ def log_regularized_det(
     # w = 0.0, not 0j: the tails see the real exponents b = k
     value, bound = _split(spectrum, pairs, j, 0.0, complex(x), math.fsum(slopes), size,
                           1, -1.0, slope, err)
-    if bound > tol:
+    if not bound <= tol:
         raise ConvergenceError(f"tail bound not met: achieved {bound:.3e} > {tol:.3e}")
     return SpectralValue(-value.real, bound, j)
 

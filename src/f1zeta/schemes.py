@@ -24,7 +24,8 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import ParseError, PreconditionError
-from .powerlog import MAX_COUNTING_DEGREE, _binomial_row, _integer, _read_json, _Record
+from .powerlog import (
+    MAX_COUNTING_DEGREE, _binomial_row, _check_integer, _integer, _read_json, _Record)
 
 COMPLEX_TOLERANCE = 1e-10  # declared tolerance for Fourier reconstruction
 MAX_FOURIER_PERIOD = 1 << 20  # coefficients per torsion order in a Fourier table
@@ -55,10 +56,12 @@ class TorsionPoint(_Record):
     torsion_orders: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        _check_integer(self.rank, "rank")
         if self.rank < 0:
             raise PreconditionError(f"rank must be nonnegative, got {self.rank}")
-        object.__setattr__(self, "torsion_orders", tuple(int(t) for t in self.torsion_orders))
-        for t in self.torsion_orders:
+        torsion = self.__dict__["torsion_orders"] = tuple(self.torsion_orders)
+        for t in torsion:
+            _check_integer(t, "a torsion order")
             if t < 2:
                 raise PreconditionError(f"torsion orders must be >= 2, got {t}")
 
@@ -84,6 +87,8 @@ class MonoidScheme(_Record):
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise PreconditionError("a scheme needs at least one point")
+        if self.dimension is not None:
+            _check_integer(self.dimension, "dimension")
         if self.dimension is not None and self.dimension < 0:
             raise PreconditionError("dimension must be nonnegative")
         if self.dimension is not None and self.dimension > MAX_COUNTING_DEGREE:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 from typing import Sequence, Union
@@ -64,16 +63,14 @@ def _check_series_order(order: int, least: int) -> None:
 
 
 class TruncatedSeries(_Record):
-    """Exact power-series jet in T with constant term 1."""
+    """Exact power-series jet in T: int coefficients, constant term 1."""
 
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coefficients", tuple([Fraction(c) for c in self.coefficients])
-        )
-        if not self.coefficients or self.coefficients[0] != 1:
-            raise PreconditionError("zeta series start with constant coefficient 1")
+        coefficients = self.__dict__["coefficients"] = tuple(self.coefficients)
+        if {*map(type, coefficients)} != {int} or coefficients[0] != 1:
+            raise PreconditionError("zeta series are ints with constant coefficient 1")
 
     @property
     def order(self) -> int:
@@ -102,13 +99,13 @@ def _orbit_exponents(scheme: MonoidScheme, p: int, order: int) -> dict[tuple[int
     o = 1 for its torsion-free type; m_(i,o) = sum_R C(R, i) (-1)^(R-i) W_(R,o) / o."""
     orders, rows = scheme.count_profile
     gcds = [_gcd_row(t, p, order) for t in orders]
-    weights: dict[int, dict[int, int]] = {}  # rank -> orbit length o -> W_(R,o) / o
+    exponents: dict[tuple[int, int], int] = {}
     for rank, types, _ in rows:
-        row = weights[rank] = {}
+        weights: list[tuple[int, int]] = []  # (o, W_(R,o) / o)
         fixed: list[int] = []  # w_R(1..order) of the rank's torsion types
         for k, indices in types:
             if not indices:
-                row[1] = k  # the rank's one torsion-free type
+                weights.append((1, k))  # the rank's one torsion-free type
                 continue
             w = repeat(k, order)
             for i in indices:
@@ -118,8 +115,12 @@ def _orbit_exponents(scheme: MonoidScheme, p: int, order: int) -> dict[tuple[int
             if c:
                 for n in range(2 * o - 1, order, o):
                     fixed[n] -= c
-                row[o] = row.get(o, 0) + c // o
-    return _spread(weights)
+                weights.append((o, c // o))
+        binomial = _binomial_row(rank)
+        for o, share in weights:
+            for i, c in enumerate(binomial):
+                exponents[i, o] = exponents.get((i, o), 0) + c * share
+    return {key: m for key, m in exponents.items() if m}
 
 
 def _gcd_row(t: int, p: int, order: int) -> list[int]:
@@ -131,17 +132,6 @@ def _gcd_row(t: int, p: int, order: int) -> list[int]:
         x = x * p % t
         row.append(math.gcd(t, x - 1))
     return (row * -(-order // len(row)))[:order]
-
-
-def _spread(weights: dict[int, dict[int, int]]) -> dict[tuple[int, int], int]:
-    """{(i, o): m != 0}, m = sum_R C(R, i) (-1)^(R-i) weights[R][o]: one binomial row per rank."""
-    out: dict[tuple[int, int], int] = {}
-    for rank, row in weights.items():
-        binomial = _binomial_row(rank)
-        for o, w in row.items():
-            for i, c in enumerate(binomial):
-                out[i, o] = out.get((i, o), 0) + c * w
-    return {key: m for key, m in out.items() if m}
 
 
 def _expand(factors: Sequence[tuple[int, int, int]], order: int, what: str) -> TruncatedSeries:

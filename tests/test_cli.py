@@ -154,13 +154,21 @@ def test_dual_records(capsys):
         parse_power_log("u^-1 - 1")
 
 
-def test_group_command(capsys):
+def test_group_command(capsys, monkeypatch):
+    from f1zeta import groups
+
     code, out = _run(capsys, "group", "--group", "SL2")
     assert code == 0
     assert "u^3 - u" in out and "(s-1)/(s-3)" in out
     code, out = _run(capsys, "group", "--group", "GL:2")
     assert code == 0
     assert out.count("identity\ttrue") == 3
+    # a failed family identity is an identity-check failure, reported on stdout
+    monkeypatch.setattr(groups, "_family_report", lambda group, family: groups.FamilyIdentityReport(
+        family, group.rank, (("shift", True), ("dual", False))))
+    code, out = _run(capsys, "group", "--group", "GL:2")
+    assert code == 4
+    assert _identity_lines(out) == ["identity\ttrue\tshift", "identity\tfalse\tdual"]
 
 
 def test_group_from_file(capsys, tmp_path):
@@ -193,7 +201,7 @@ def test_regdet_with_a_one_term_head_fails_its_tolerance(capsys):
     assert "achieved 2.238e-03" in captured.err
 
 
-def test_fourier(capsys, tmp_path):
+def test_fourier(capsys, tmp_path, monkeypatch):
     path = tmp_path / "t.scheme"
     path.write_text(json.dumps({"points": [{"rank": 0, "torsion": [3]}]}))
     code, out = _run(capsys, "fourier", "--scheme", str(path), "--p", "2")
@@ -203,6 +211,10 @@ def test_fourier(capsys, tmp_path):
     # gcd(3, 2^n - 1) alternates 1, 3 = 2 + (-1)^n: c_1 = 1, c_2 = 2, exactly
     assert lines[1:-1] == ["0\t0\t3\t1\t1.0\t0.0", "0\t0\t3\t2\t2.0\t0.0"]
     assert lines[-1] == "reconstruction_error\t0.0"
+    # a reconstruction error above --tol is a tolerance failure after the table
+    monkeypatch.setattr(schemes.FourierData, "reconstruction_error", lambda self: 0.5)
+    code, out = _run(capsys, "fourier", "--scheme", str(path), "--p", "2")
+    assert code == 5 and out.splitlines() == lines[:-1] + ["reconstruction_error\t0.5"]
 
 
 @pytest.mark.parametrize("points,p,message", [
@@ -254,6 +266,10 @@ def test_parse_error_exit_codes(capsys, tmp_path):
     assert code == 2
     code, _ = _run(capsys, "zeta", "--powers", "u^")
     assert code == 2
+    records = tmp_path / "object.powers"  # a records file holds a list
+    records.write_text(json.dumps({"terms": []}))
+    assert cli.main(["dual", "--powers", str(records)]) == 2
+    assert capsys.readouterr() == ("", f"parse error: {records}: expected a list of records\n")
 
 
 def test_precondition_exit_code(capsys, p1_scheme):
@@ -262,7 +278,8 @@ def test_precondition_exit_code(capsys, p1_scheme):
     code, _ = _run(capsys, "zeta")
     assert code == 3
     for argv, err in [(["fe-check"], "need one of --scheme, --group, --powers"),
-                      (["regdet", "--s", "1+1i"], "regularized determinants are evaluated at real s")]:
+                      (["regdet", "--s", "1+1i"], "regularized determinants are evaluated at real s"),
+                      (["count", "--q", "5"], "command 'count' requires --scheme")]:
         assert cli.main(argv) == 3
         assert capsys.readouterr() == ("", f"precondition violated: {err}\n")
 
@@ -774,7 +791,7 @@ def test_limit_base_count_above_the_float_range_is_a_precondition_error(capsys, 
     assert "at most 15 bases" in captured.err
 
 
-# -- count and fourier end in a documented exit on near-valid input ----------
+# -- scheme commands end in a documented exit on near-valid input ------------
 
 _NEAR_POINT = st.fixed_dictionaries(
     {"rank": st.sampled_from((0, 1, 2, 5, 500, 501))},
@@ -783,18 +800,18 @@ _NEAR_POINT = st.fixed_dictionaries(
 )
 _NEAR_SCHEME = st.fixed_dictionaries(
     {"points": st.lists(_NEAR_POINT, max_size=4)},
-    optional={"dimension": st.sampled_from((0, 3, 500, 501))},
+    optional={"dimension": st.sampled_from((0, 3, 500, 501)), "smooth_projective": st.booleans()},
 )
 _NEAR_Q = st.sampled_from(("1", "2", "0", "-3", "7", "1024", str(7**40), str(2**64 + 1),
                            str(10**400), "2.5", "1e3", "x"))
 _NEAR_P = st.sampled_from(("2", "5", "97", "4", "6", "9", "15", "1", "0", "-2", "-3", "2.5", "nan", "x"))
+_NEAR_TERMS = st.sampled_from(("4", "1", "8", "15", "16", "500", "501", "0", "2.5"))
+_NEAR_S = st.sampled_from(("2", "5/2", "3+1i", "1/2", "0", "1", "-1", "nan", "1e400", "x"))
 
 
-@settings(max_examples=150, deadline=None)
-@given(_NEAR_SCHEME, st.one_of(st.tuples(st.just("count"), st.just("--q"), _NEAR_Q),
-                               st.tuples(st.just("fourier"), st.just("--p"), _NEAR_P)))
-def test_count_and_fourier_end_in_a_documented_exit(scheme, call):
-    command, flag, value = call
+def _assert_documented_exit(scheme, args):
+    """Run `args` on `scheme` written as a file, in process: exit 0 or 4
+    reports on stdout alone, every other exit is 2, 3 or 5 with a message."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "near.scheme"
         path.write_text(json.dumps(scheme))
@@ -802,14 +819,33 @@ def test_count_and_fourier_end_in_a_documented_exit(scheme, call):
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = cli.main([command, "--scheme", str(path), flag, value])
-            except SystemExit as exc:  # argparse rejects a non-integer --q
+                code = cli.main([args[0], "--scheme", str(path), *args[1:]])
+            except SystemExit as exc:  # argparse rejects a non-integer --q or --terms
                 code = exc.code
         elapsed = time.perf_counter() - start
-    assert code in (0, 2, 3, 4, 5), (scheme, call, code)
+    assert code in (0, 2, 3, 4, 5), (scheme, args, code)
     assert "Traceback" not in err.getvalue()
-    assert elapsed < 5.0, (scheme, call, elapsed)
-    if code == 0:
+    assert elapsed < 5.0, (scheme, args, elapsed)
+    if code in (0, 4):  # an identity-check failure prints its report
         assert err.getvalue() == "" and out.getvalue().endswith("\n")
     else:
         assert err.getvalue() != ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(_NEAR_SCHEME, st.one_of(st.tuples(st.just("count"), st.just("--q"), _NEAR_Q),
+                               st.tuples(st.just("fourier"), st.just("--p"), _NEAR_P)))
+def test_count_and_fourier_end_in_a_documented_exit(scheme, call):
+    _assert_documented_exit(scheme, call)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NEAR_SCHEME,
+       st.one_of(st.tuples(st.just("local"), st.just("--p"), _NEAR_P, st.just("--terms"), _NEAR_TERMS),
+                 st.tuples(st.just("limit"), st.just("--s"), _NEAR_S, st.just("--terms"), _NEAR_TERMS),
+                 st.tuples(st.just("zeta")),
+                 st.tuples(st.just("fe-check")),
+                 st.tuples(st.just("fe-check"), st.just("--p"), _NEAR_P)),
+       st.sampled_from(("pretty", "records")))
+def test_local_limit_zeta_and_fe_check_end_in_a_documented_exit(scheme, call, form):
+    _assert_documented_exit(scheme, (*call, "--format", form))

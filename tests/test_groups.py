@@ -287,6 +287,8 @@ def test_counting_degree_cap():
 def test_group_data_validation():
     with pytest.raises(PreconditionError):
         ReductiveGroupData(0, 1, (1,))
+    with pytest.raises(PreconditionError, match="dimension must be >= 1"):
+        ReductiveGroupData(1, 0, ())
     with pytest.raises(PreconditionError):
         ReductiveGroupData(1, 2, (1,))  # d - r odd
     with pytest.raises(PreconditionError):
@@ -310,3 +312,12 @@ def test_catalog_and_files():
     assert group_from_dict(data) == sl2_group_data()
     with pytest.raises(ParseError):
         group_from_dict({"rank": 1})
+    with pytest.raises(ParseError, match="must contain a JSON object"):
+        group_from_dict([1, 3, [1, 1]])
+    with pytest.raises(ParseError, match="group name must be a string"):
+        group_from_dict({**data, "name": 2})
+    for build, message in ((lambda: torus_counting(-1), "torus rank must be >= 0"),
+                           (lambda: torus_group_data(0), "torus rank must be >= 1"),
+                           (lambda: gl_group_data(0), "GL rank must be >= 1")):
+        with pytest.raises(PreconditionError, match=message):
+            build()

@@ -300,7 +300,7 @@ def test_dual_support_and_coefficient_match_sorted_forms(d):
 def test_local_series_matches_fraction_oracle(scheme, p, order):
     series = local_zeta_series(scheme, p, order)
     assert series.coefficients == _oracle_local_series(scheme, p, order)
-    assert all(type(c) is Fraction for c in series.coefficients)
+    assert all(type(c) is int for c in series.coefficients)
     assert exact_count(scheme, p**order) == _oracle_count(scheme, p**order)
 
 
@@ -317,7 +317,7 @@ def test_factored_series_matches_fraction_oracle(factors, base, order):
     z = LocalZetaFactors(base, tuple(factors))
     series = z.series(order)
     assert series.coefficients == _oracle_factored_series(base, factors, order)
-    assert all(type(c) is Fraction for c in series.coefficients)
+    assert all(type(c) is int for c in series.coefficients)
 
 
 def test_point_types_collapse_projective_space():

@@ -65,6 +65,11 @@ def test_algebra_examples():
     assert (PowerLogSum.power(1) - one).scale(2) == PowerLogSum.from_dict(
         {(1, 0): 2, (0, 0): -2}
     )
+    assert (one - u_inv).scale(0) == PowerLogSum.zero()
+    with pytest.raises(PreconditionError, match="log power m must be nonnegative"):
+        PowerLogSum.from_dict({(0, -1): 1})
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        one.scale(0.5)
 
 
 def test_dual_examples():
@@ -202,6 +207,8 @@ def witness_cases(draw):
 # equal numerators over different denominators; a mirror with another log power
 @example((parse_power_log("1/2*u + 1/3"), FunctionalEquationWitness(1, Fraction(1))))
 @example((parse_power_log("u*log + 1"), FunctionalEquationWitness(1, Fraction(1))))
+# a group and its mirror of different sizes
+@example((parse_power_log("u*log + u + 1"), FunctionalEquationWitness(1, Fraction(1))))
 # a witness with |c| != 1 holds for the zero sum only
 @example((PowerLogSum.zero(), FunctionalEquationWitness(2, Fraction(0))))
 @example((PowerLogSum.power(0), FunctionalEquationWitness(2, Fraction(0))))
@@ -234,7 +241,7 @@ def test_parse_examples():
     )
 
 
-@pytest.mark.parametrize("bad", ["", "u^", "2**u", "log^-1", "u^a", "+"])
+@pytest.mark.parametrize("bad", ["", "u^", "2**u", "log^-1", "u^a", "+", "u + -", "u*log^x"])
 def test_parse_rejections(bad):
     with pytest.raises(ParseError):
         parse_power_log(bad)
@@ -266,6 +273,8 @@ def test_degree_and_min_exponent():
     assert n.min_exponent == -2
     with pytest.raises(PreconditionError):
         _ = PowerLogSum.zero().degree
+    with pytest.raises(PreconditionError, match="min exponent of the zero sum"):
+        _ = PowerLogSum.zero().min_exponent
 
 
 def test_str_is_readable():

@@ -34,7 +34,7 @@ RECORDS = [
     (GroupFEReport, {"holds": True, "witness": FunctionalEquationWitness(-1, Fraction(4)), "chi": 0,
                      "expected_center": Fraction(4), "expected_sign": -1}),
     (FamilyIdentityReport, {"family": "GL", "rank": 2, "results": (("fe", True),)}),
-    (TruncatedSeries, {"coefficients": (Fraction(1), Fraction(3))}),
+    (TruncatedSeries, {"coefficients": (1, 3)}),
     (LocalZetaFactors, {"base": 2, "factors": ((0, -1), (1, -1))}),
     (LocalFEReport, {"holds": True, "chi": 2, "dimension": 1, "mismatches": (),
                      "exponent_ok": True, "squared_form": False}),
@@ -120,6 +120,24 @@ def test_post_init_validates_and_normalizes():
         MonoidScheme(())
     with pytest.raises(PreconditionError):
         ReductiveGroupData(1, 2, (1,))
+    # an int that is not a bool, as the file readers ask; never truncated
+    for build, field in (
+        (lambda: TorsionPoint(0, (2.7,)), "a torsion order"),
+        (lambda: TorsionPoint(0, (True,)), "a torsion order"),
+        (lambda: TorsionPoint(1.5), "rank"),
+        (lambda: TorsionPoint(True), "rank"),
+        (lambda: ReductiveGroupData(1, 3, (1.9, 1.2)), "a flag Betti number"),
+        (lambda: ReductiveGroupData(1, 3, (True, 1)), "a flag Betti number"),
+        (lambda: ReductiveGroupData(1.0, 3, (1, 1)), "rank"),
+        (lambda: ReductiveGroupData(1, 3.0, (1, 1)), "dimension"),
+        (lambda: MonoidScheme((TorsionPoint(0),), dimension=1.5), "dimension"),
+        (lambda: MonoidScheme((TorsionPoint(0),), dimension=False), "dimension"),
+        (lambda: TruncatedSeries((1, Fraction(2))), "ints"),
+        (lambda: TruncatedSeries((True, 2)), "ints"),
+        (lambda: TruncatedSeries(()), "ints"),
+    ):
+        with pytest.raises(PreconditionError, match=field):
+            build()
     assert TorsionPoint(0, [3]).torsion_orders == (3,)
     assert MonoidScheme([TorsionPoint(0)]).points == (TorsionPoint(0),)
     assert TruncatedSeries([1, 2]).coefficients == (Fraction(1), Fraction(2))

@@ -94,6 +94,7 @@ def test_numeric_examples():
     assert two_variable_zeta_numeric(PowerLogSum.constant(1), 2, 1) == pytest.approx(
         1.0, rel=1e-9
     )
+    assert two_variable_zeta_numeric(PowerLogSum.zero(), 2, 1) == 0j
 
 
 def test_numeric_rejects_divergent_regions():
@@ -102,6 +103,12 @@ def test_numeric_rejects_divergent_regions():
         two_variable_zeta_numeric(n, -0.5, 5)
     with pytest.raises(PreconditionError):
         two_variable_zeta_numeric(n, 1, 2)  # needs Re(s) > 2
+    # NaN fails both half-plane tests before any quadrature; inf is no point of them
+    for bad in (float("nan"), complex(1, float("nan")), float("inf"), complex(1, float("inf"))):
+        with pytest.raises(PreconditionError, match="needs a finite w"):
+            two_variable_zeta_numeric(n, bad, 5)
+        with pytest.raises(PreconditionError, match="needs a finite s"):
+            two_variable_zeta_numeric(n, 1, 3 + bad)
 
 
 @settings(max_examples=15, deadline=None)
@@ -316,6 +323,15 @@ def test_spectral_zeta_preconditions():
     # far below -lambda_1 the head would outgrow its cap: the precondition comes first
     with pytest.raises(PreconditionError, match="first shifted eigenvalue"):
         log_regularized_det(circ, -1e12)
+    # a non-finite s + shift or w fails before the head grows: inf would double it to the cap
+    for bad in (float("nan"), float("inf"), float("-inf"), complex(1, float("nan"))):
+        with pytest.raises(PreconditionError, match="need a finite s \\+ shift"):
+            spectral_zeta(circ, 2, bad)
+        with pytest.raises(PreconditionError, match="need a finite w"):
+            spectral_zeta(circ, bad, 1)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(PreconditionError, match="need a finite s \\+ shift"):
+            log_regularized_det(circ, bad)
 
 
 def test_the_circle_zeta_pole_is_a_singularity_error():
@@ -770,6 +786,9 @@ def test_a_shift_below_the_first_eigenvalue_is_a_precondition_error():
     circle = circle_spectrum()
     with pytest.raises(PreconditionError, match="shifted eigenvalues must stay positive"):
         regularized_det(shift_spectrum(circle, -1.5), 2.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(PreconditionError, match="a shift must be finite"):
+            shift_spectrum(circle, bad)
     # the message names the float sum lam_1 + Re(s + shift) found <= 0
     with pytest.raises(PreconditionError, match=r"first shifted eigenvalue, got -0\.5$"):
         spectral_zeta(shift_spectrum(circle, 0.5), 2, -2.0)
@@ -794,6 +813,9 @@ def test_log_regularized_det():
         regularized_det(circ, 1e6)
     with pytest.raises(ConvergenceError, match="tail bound not met"):
         log_regularized_det(circ, 4.0, tol=1e-30)
+    # no bound is <= a NaN tolerance: the gate fails instead of passing a value unchecked
+    with pytest.raises(ConvergenceError, match="tail bound not met"):
+        log_regularized_det(circ, 4.0, tol=float("nan"))
 
 
 def test_spectral_identity_against_truncated_counting_function():

@@ -59,6 +59,10 @@ def test_validation():
         MonoidScheme(())
     with pytest.raises(PreconditionError):
         MonoidScheme((TorsionPoint(0),), dimension=-1)
+    with pytest.raises(PreconditionError, match="torus rank must be >= 1"):
+        torus_model(0)
+    with pytest.raises(PreconditionError, match="projective dimension must be >= 0"):
+        projective_space_model(-1)
     assert TorsionPoint(0, (2, 3)).torsion_cardinality == 6
     assert TorsionPoint(2).torsion_cardinality == 1
 
@@ -103,6 +107,8 @@ def test_smoothed_count_examples():
     assert smoothed_count(t3, 7) == 18
     assert exact_count(t3, 7) == 18  # 7 = 1 mod 3
     assert smoothed_count(projective_space_model(1), 5) == 6
+    with pytest.raises(PreconditionError, match="smoothed counts need q > 0"):
+        smoothed_count(tp, 0)
 
 
 def test_totient_small_values():
@@ -110,6 +116,8 @@ def test_totient_small_values():
     for n in range(1, 13):
         direct = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
         assert totient(n) == direct
+    with pytest.raises(PreconditionError, match="totient requires n >= 1"):
+        totient(0)
 
 
 def test_fourier_period_examples():
@@ -148,6 +156,10 @@ def test_gcd_fourier_examples():
 def test_gcd_fourier_rejects_wrong_period():
     with pytest.raises(PreconditionError):
         gcd_fourier_coefficients(3, 2, 1)  # actual period is 2
+    with pytest.raises(PreconditionError, match="torsion order must be >= 2"):
+        gcd_fourier_coefficients(1, 2, 1)
+    with pytest.raises(PreconditionError, match="period length must be >= 1"):
+        gcd_fourier_coefficients(3, 2, 0)
 
 
 def test_gcd_fourier_reconstruction_sweep():
@@ -239,6 +251,8 @@ def test_inner_fourier_matches_per_alpha_sum():
 
 def test_inner_fourier_examples():
     assert gcd_inner_fourier(1) == (Fraction(1),)
+    with pytest.raises(PreconditionError, match="modulus must be >= 1"):
+        gcd_inner_fourier(0)
     assert gcd_inner_fourier(2) == (Fraction(1, 2), Fraction(3, 2))
     assert sum(gcd_inner_fourier(3)) == 3
 
@@ -320,6 +334,9 @@ def test_scheme_json_round_trip():
         {"points": [{"rank": 0, "torsion": [2]}], "dimension": -2},
         {"points": [{"rank": "a", "torsion": []}]},
         {"points": [{"rank": 0}], "smooth_projective": "yes"},
+        {"points": [[0, [3]]]},
+        {"points": [{"rank": 0, "torsion": 3}]},
+        {"points": [{"rank": 0}], "name": 3},
     ],
 )
 def test_scheme_parser_rejections(payload):

@@ -267,6 +267,9 @@ def test_reflect_handles_log_factors():
     assert twice == z and sign1 == sign2
     for s in (2.3 + 1j,):
         assert sign1 * evaluate_zeta(once, s) == pytest.approx(evaluate_zeta(z, -s))
+    # the sign (-1)^(total order-zero exponent) needs an integer total
+    with pytest.raises(PreconditionError, match="reflection sign undefined"):
+        reflect_zeta(FactoredZeta.from_dict({(1, 0): Fraction(1, 2)}), 0)
 
 
 def test_epsilon_examples():
@@ -418,6 +421,10 @@ def test_log_zeta_integral_rejections():
     n = parse_power_log("1 - u^-1")
     with pytest.raises(PreconditionError):
         log_zeta_integral(n, 0)  # needs Re(s) > 0
+    # a NaN fails Re(s) > 0, and an infinite s is no point of the half-plane
+    for s in (float("nan"), complex(3, float("nan")), float("inf"), complex(3, float("inf"))):
+        with pytest.raises(PreconditionError, match="need a finite s"):
+            log_zeta_integral(n, s)
     with pytest.raises(PreconditionError):
         log_zeta_integral(n.dual(), 0)  # the lower form at s = 0 needs Re(s) < -1
 
