@@ -43,7 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
@@ -206,15 +206,21 @@ def gamma_ratio_poly(w: Complex, m: int) -> complex:
 
 
 def two_variable_zeta_closed(n: PowerLogSum, w: Complex, s: Complex) -> complex:
-    """Closed-form Z_N(w, s); defined for all w, singular only at s = lam."""
+    """Closed-form Z_N(w, s); defined for all finite w, singular only at
+    s = lam.  A value beyond float range is a ConvergenceError."""
     ww = complex(w)
     ss = complex(s)
+    if not (cmath.isfinite(ww) and cmath.isfinite(ss)):
+        raise PreconditionError(f"Z_N needs a finite w and s, got w = {ww}, s = {ss}")
     total = 0j
     for lam, m, c in n.terms:
         base = ss - float(lam)
         if base == 0:
             raise SingularityError(f"Z_N singular at s = {lam} (term with m = {m})")
-        total += float(c) * gamma_ratio_poly(ww, m) * cmath.exp(-(ww + m) * cmath.log(base))
+        power = _exp_in_range(-(ww + m) * cmath.log(base), f"(s - {lam})^-(w + {m})")
+        total += float(c) * gamma_ratio_poly(ww, m) * power
+    if not cmath.isfinite(total):
+        raise ConvergenceError(f"Z_N(w, s) overflows a float at w = {ww}, s = {ss}")
     return total
 
 
@@ -229,15 +235,15 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
     the two estimates together miss the tolerance on the sum (the pieces
     cancel), each piece is rerun to half of that tolerance.
     """
-    if n.is_zero:
-        return 0j
     ww = complex(w)
     ss = complex(s)
     if not (ww.real > 0 and cmath.isfinite(ww)):
         raise PreconditionError(f"integral needs a finite w with Re(w) > 0, got w = {ww}")
-    edge = float(n.degree)
+    edge = -math.inf if n.is_zero else float(n.degree)
     if not (ss.real > edge and cmath.isfinite(ss)):
         raise PreconditionError(f"integral needs a finite s with Re(s) > {edge}, got s = {ss}")
+    if n.is_zero:
+        return 0j
     top, terms = _top_factored(n)
     lead = top - ss
     # split where the tail e^(-(Re s - degree) t) has fallen by e^-4, so
@@ -345,12 +351,12 @@ def log_zeta_integral(n: PowerLogSum, s: complex) -> LogZetaIntegral:
     if n.value_at_one() != 0:
         raise PreconditionError("log-integral form requires N(1) = 0")
     ss = complex(s)
-    if n.is_zero:
-        return LogZetaIntegral(0j, 0.0)
-    edge = float(n.degree)
+    edge = -math.inf if n.is_zero else float(n.degree)
     if not (ss.real > edge and cmath.isfinite(ss)):
         raise PreconditionError(
             f"upper integral diverges: need a finite s with Re(s) > {edge}, got {ss}")
+    if n.is_zero:
+        return LogZetaIntegral(0j, 0.0)
     # substitution u = e^t maps it to int_0^oo N(e^t) e^(-s t) / t dt;
     # the rule never evaluates at t = 0 itself
     value, estimate = _complex_quad(_power_log_integrand(n, ss, -1), 0.0)
@@ -465,17 +471,39 @@ class Spectrum(_Record):
     shift: float = 0.0
 
 
+# The circle's head pairs are kept up to this count; a longer head is
+# built per call and dropped with it.  The tails and slopes are kept per
+# (exponent, head size), least recently used first out.  Full, the three
+# hold about 0.23 MB.
+_TABLED_PAIRS = 512
+_circle_table: tuple[tuple[float, int], ...] = ()
+
+
 def _circle_eigenvalues(count: int) -> tuple[tuple[float, int], ...]:
-    return tuple([(float(n * n), 2) for n in range(1, count + 1)])
+    """The first `count` pairs (n^2, 2), served from a prefix table that
+    grows to the largest count asked for, up to _TABLED_PAIRS.  Two
+    threads growing it at once can only leave a shorter correct prefix."""
+    global _circle_table
+    table = _circle_table
+    if count > len(table):
+        if count > _TABLED_PAIRS:
+            return tuple([(float(n * n), 2) for n in range(1, count + 1)])
+        table = _circle_table = table + tuple(
+            [(float(n * n), 2) for n in range(len(table) + 1, count + 1)])
+    return table if count == len(table) else table[:max(count, 0)]
 
 
+@lru_cache(maxsize=512)
 def _circle_tail(b: complex, j: int) -> tuple[complex, float]:
     # sum_{n>j} 2 (n^2)^-b = 2 T_em(2b); the omitted Euler-Maclaurin
-    # correction of T_em and of its derivative, times 4, bounds it
+    # correction of T_em and of its derivative, times 4, bounds it.  A
+    # real b and the complex b + 0j are one key: both run _em_tail's
+    # float path, so either caller gets the same value
     val, err = _em_tail(2 * complex(b), j)
     return 2 * val, 4 * err
 
 
+@lru_cache(maxsize=64)
 def _circle_slope(j: int) -> tuple[float, float]:
     # d/db 2 T_em(2b) at b = 0 is 4 T_em'(0), bounded as its value is
     der, err = _em_slope(j)
@@ -490,7 +518,9 @@ def circle_spectrum() -> Spectrum:
 
     Stated explicitly because determinant values depend on this
     normalization.  Every call returns the same immutable record, built
-    once when the module is imported.
+    once when the module is imported.  Its callbacks keep what they
+    compute: tails and slopes per (exponent, head size), and the head
+    pairs up to _TABLED_PAIRS, so every shifted circle reuses them.
     """
     return _CIRCLE
 
@@ -526,6 +556,10 @@ def spectrum_by_name(name: str) -> Spectrum:
 MAX_HEAD_TERMS = 1 << 20  # explicit eigenvalues summed before a tail
 _SPLIT_TERMS = 40  # at most this many terms of the binomial split of the tail
 _ROUNDING = 2.0**-50  # rounding charged per unit of magnitude summed: 4 units of 2^-52
+# the largest |w| a spectral zeta accepts: the circle tails' rising
+# factorials, of degree 17 in w, leave float range near |w| = 6e17 and
+# then make NaN values; up to 1e6 they stay far inside it
+_MAX_W = 1e6
 
 
 class SpectralValue(_Record):
@@ -623,11 +657,16 @@ def spectral_zeta(
     """
     x = complex(s) + spectrum.shift
     ww = complex(w)
-    if not cmath.isfinite(ww):
-        raise PreconditionError(f"need a finite w, got {ww!r}")
+    if not (cmath.isfinite(ww) and abs(ww) <= _MAX_W):
+        raise PreconditionError(f"need a finite w with |w| <= {_MAX_W:g}, got {ww!r}")
     j, pairs = _head(spectrum, x, 48 if terms is None else terms)
-    values = [mult * cmath.exp(-ww * cmath.log(lam + x)) for lam, mult in pairs[:j]]
-    value, bound = _split(spectrum, pairs, j, ww, x, _fsum(values), sum(map(abs, values)))
+    try:
+        values = [mult * cmath.exp(-ww * cmath.log(lam + x)) for lam, mult in pairs[:j]]
+        value, bound = _split(spectrum, pairs, j, ww, x, _fsum(values), sum(map(abs, values)))
+    except OverflowError:
+        value = bound = math.inf
+    if not (cmath.isfinite(value) and math.isfinite(bound)):
+        raise ConvergenceError(f"spectral zeta at w = {ww!r}, s + shift = {x!r} overflows a float")
     return SpectralValue(value, bound, j)
 
 
@@ -647,8 +686,11 @@ def log_regularized_det(
     the head of real logs and T'(0), that is `_split` at w = 0 from
     k = 1 and c_1 = -1: its ratio (-w - k) / (k + 1) is then
     -k / (k + 1), and its rounding charge _ROUNDING.  Failure to meet
-    `tol` raises with the bound achieved.
+    `tol` raises with the bound achieved; `tol` must be positive, and inf
+    asks for no gate.
     """
+    if not tol > 0:
+        raise PreconditionError(f"a tolerance must be positive, got {tol!r}")
     x = float(s) + spectrum.shift
     j, pairs = _head(spectrum, x, 64 if terms is None else terms)
     slopes = [-mult * math.log(lam + x) for lam, mult in pairs[:j]]

@@ -813,8 +813,8 @@ def test_log_regularized_det():
         regularized_det(circ, 1e6)
     with pytest.raises(ConvergenceError, match="tail bound not met"):
         log_regularized_det(circ, 4.0, tol=1e-30)
-    # no bound is <= a NaN tolerance: the gate fails instead of passing a value unchecked
-    with pytest.raises(ConvergenceError, match="tail bound not met"):
+    # a NaN tolerance is the caller's error: refused, never a value passed unchecked
+    with pytest.raises(PreconditionError, match="a tolerance must be positive"):
         log_regularized_det(circ, 4.0, tol=float("nan"))
 
 
@@ -853,3 +853,137 @@ def test_head_terms_above_the_cap_fail_before_enumerating():
         log_regularized_det(guarded, 1.0, terms=(1 << 20) + 1)
     assert asked == []
     assert regularize.MAX_HEAD_TERMS == 1 << 20
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-8, -math.inf])
+def test_a_tolerance_that_is_not_positive_is_refused_before_the_head(tol):
+    circle = circle_spectrum()
+    asked = []
+
+    def eigenvalues(count):
+        asked.append(count)
+        return circle.eigenvalues(count)
+
+    spy = Spectrum("circle", eigenvalues, circle.continued_tail, circle.continued_slope)
+    with pytest.raises(PreconditionError, match="a tolerance must be positive"):
+        log_regularized_det(spy, 4.0, tol=tol)
+    with pytest.raises(PreconditionError, match="a tolerance must be positive"):
+        regularized_det(spy, 4.0, tol=tol)
+    assert asked == []
+
+
+def test_the_zero_sum_checks_its_arguments_before_it_returns_zero():
+    zero = PowerLogSum.zero()
+    nan = float("nan")
+    for w, s in ((nan, nan), (nan, 2), (0, 2), (-1, 2), (1, nan), (1, math.inf), (1, complex(2, nan))):
+        with pytest.raises(PreconditionError, match="integral needs a finite"):
+            two_variable_zeta_numeric(zero, w, s)
+    for s in (nan, math.inf, complex(2, nan)):
+        with pytest.raises(PreconditionError, match="need a finite s"):
+            regularize.log_zeta_integral(zero, s)
+    # valid arguments still give 0, at any finite s: the zero sum has no edge
+    assert two_variable_zeta_numeric(zero, 1.5, -7) == 0j
+    assert regularize.log_zeta_integral(zero, -3) == regularize.LogZetaIntegral(0j, 0.0)
+
+
+def _clear_circle_caches():
+    regularize._circle_tail.cache_clear()
+    regularize._circle_slope.cache_clear()
+    regularize._circle_table = ()
+
+
+def test_escaping_inputs_end_in_a_library_error_before_any_tail_is_kept():
+    circle = circle_spectrum()
+    _clear_circle_caches()
+    # a NaN value and bound, and a bare OverflowError from the split
+    with pytest.raises(PreconditionError, match=r"need a finite w with \|w\| <= 1e\+06"):
+        spectral_zeta(circle, 1e308, 3)
+    with pytest.raises(PreconditionError, match=r"need a finite w with \|w\| <= 1e\+06"):
+        spectral_zeta(circle, 2**70, 0)
+    assert regularize._circle_tail.cache_info().currsize == 0
+    # a value beyond float range: the head (lam + x)^-w at w = -200, the split at |w| = 1e6
+    for w, s in ((-200, 3), (-1e6, 0), (1e6j, 3e4)):
+        with pytest.raises(ConvergenceError, match="spectral zeta at w = .* overflows a float"):
+            spectral_zeta(circle, w, s)
+    # the largest |w| still gives a finite value with a finite bound
+    for w, s in ((1e6, 0), (1e6j, 3), (-1e6j, 1000)):
+        got = spectral_zeta(circle, w, s)
+        assert cmath.isfinite(got.value) and math.isfinite(got.error_bound)
+    n = parse_power_log("u - 1")
+    for w, s in ((float("nan"), 1.5), (1, float("nan")), (math.inf, 1.5), (1, complex(2, math.inf))):
+        with pytest.raises(PreconditionError, match="Z_N needs a finite w and s"):
+            two_variable_zeta_closed(n, w, s)
+    # (s - 1)^-w = 0.5^-w overflows at w = 1e308, and (s - 0)^-w = 1.5^-w at w = -1e308
+    with pytest.raises(ConvergenceError, match="overflows a float"):
+        two_variable_zeta_closed(n, 1e308, 1.5)
+    with pytest.raises(ConvergenceError, match="overflows a float"):
+        two_variable_zeta_closed(n, -1e308, 1.5)
+    # Gamma(w + 3)/Gamma(w) is about w^3: past float range at w = 1e200
+    with pytest.raises(ConvergenceError, match=r"Z_N\(w, s\) overflows a float"):
+        two_variable_zeta_closed(parse_power_log("u*log^3 - 1"), 1e200, 2.5)
+
+
+def _outcome(call):
+    # the bits of a result, or the type and text of the error it raised
+    try:
+        got = call()
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc).__name__, str(exc)
+    if isinstance(got, float):
+        return (got.hex(),)
+    value = complex(got.value)
+    return value.real.hex(), value.imag.hex(), got.error_bound.hex(), got.terms_used
+
+
+_CACHED_CALLS = st.tuples(
+    st.sampled_from(["zeta", "log det", "det"]),
+    st.one_of(st.just(0.0), st.floats(-0.9, 3.0)),
+    st.floats(0.05, 40.0),
+    st.one_of(st.sampled_from([1, 2, 1.5, 2 + 0j]),
+              st.builds(complex, st.floats(-3.0, 4.0), st.floats(-3.0, 3.0))),
+    st.one_of(st.none(), st.sampled_from([48, 64]), st.integers(1, 128)),
+)
+
+
+def _cached_call(kind, shift, offset, w, terms):
+    spectrum = shift_spectrum(circle_spectrum(), shift) if shift else circle_spectrum()
+    s = offset - 1 - shift  # Re s = offset above -(lam_1 + shift)
+    if kind == "zeta":
+        return lambda: spectral_zeta(spectrum, w, s, terms=terms)
+    if kind == "log det":
+        return lambda: log_regularized_det(spectrum, s, tol=math.inf, terms=terms)
+    return lambda: regularized_det(spectrum, s, tol=math.inf, terms=terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_CACHED_CALLS, min_size=1, max_size=8))
+def test_kept_tails_slopes_and_heads_give_the_bits_of_a_cold_call(calls):
+    # a sequence run with the caches kept from call to call, then each call
+    # again from cleared caches: the determinant's float exponents b = k and
+    # the zeta's complex w + k share keys
+    calls = [_cached_call(*args) for args in calls]
+    warm = [_outcome(call) for call in calls]
+    for call, got in zip(calls, warm):
+        _clear_circle_caches()
+        assert _outcome(call) == got
+
+
+def test_a_head_past_the_table_cap_is_not_kept():
+    circle = circle_spectrum()
+    cap = regularize._TABLED_PAIRS
+    _clear_circle_caches()
+    # the table grows only to the count asked for, and serves shorter heads as prefixes
+    assert circle.eigenvalues(10) == tuple((float(n * n), 2) for n in range(1, 11))
+    assert len(regularize._circle_table) == 10
+    assert circle.eigenvalues(3) == regularize._circle_table[:3]
+    assert circle.eigenvalues(0) == circle.eigenvalues(-2) == ()
+    got = log_regularized_det(circle, 1.0, terms=cap + 1)  # asks for cap + 2 pairs
+    assert got.terms_used == cap + 1
+    assert len(regularize._circle_table) <= cap
+    assert abs(got.value - math.log(_circle_det_oracle(1.0))) <= got.error_bound
+    longer = circle.eigenvalues(cap + 5)
+    assert len(longer) == cap + 5 and longer[-1] == (float((cap + 5) ** 2), 2)
+    assert len(regularize._circle_table) <= cap
+    # up to the cap the table keeps what it was asked for
+    circle.eigenvalues(cap)
+    assert len(regularize._circle_table) == cap
