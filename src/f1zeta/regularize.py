@@ -28,14 +28,19 @@ The numeric core is stdlib only.  Integrals over [a, oo) use an exp-sinh
 double-exponential rule (`_complex_quad`) whose step halves level by
 level; the difference of the last two levels is its error estimate, and
 an estimate above 1e-12 relative (1e-14 absolute) after the last level
-is a ConvergenceError, never a returned value.  The integrand of a
-power-log sum is formed by top-exponent factoring, one complex exp per
+is a ConvergenceError, never a returned value.  One routine
+(`_power_log_integrand`) forms the integrand N(e^t) e^(-s t) t^k of all
+three integrals: Z_N's pieces below and above its split point t0 and the
+log integral.  It factors out the top exponent, one complex exp per
 node: e^((top - s) t) times a real sum of terms e^((lam - top) t) t^m,
-each at most 1 (`_power_log_integrand`).  An Euler-Maclaurin tail takes
-one exp and steps its correction powers by the real a^-2, in float
-arithmetic for a real exponent, and a determinant's head at real s sums
-real logs.  Gamma(w) is the exp of a Lanczos log-Gamma (`_log_gamma`),
-reflected in logs, so that it is finite wherever its value is.
+each at most 1; below t0 it takes t = t0 e^-x and folds the weight of
+t^(w-1) dt into that exp.  An Euler-Maclaurin tail takes one exp and
+steps its correction powers by the real a^-2, in float arithmetic for a
+real exponent, and a determinant's head at real s sums real logs.
+Bounds sum their magnitudes left to right (`_magnitude`), so they keep
+their bits on every interpreter.  Gamma(w) is the exp of a Lanczos
+log-Gamma (`_log_gamma`), reflected in logs, so that it is finite
+wherever its value is.
 """
 
 from __future__ import annotations
@@ -53,37 +58,53 @@ from .zetas import log_evaluate_zeta, zeta_of
 Complex = Union[complex, float, int]
 
 
-def _top_factored(n: PowerLogSum) -> tuple[float, list[tuple[float, int, float]]]:
-    """(top, [(lam - top, m, c)]) for N = sum c u^lam log^m u with top =
-    n.degree, so that e^((lam - top) t) <= 1 for every term at t >= 0."""
-    top = float(n.degree)
-    return top, [(float(lam) - top, m, float(c)) for lam, m, c in n.terms]
+def _number(value: Complex, name: str, real: bool = False) -> Union[complex, float]:
+    """`value` as a complex, or as a float if `real`.  A complex where a
+    real is needed, and a value past float range, are PreconditionErrors
+    naming `name`.  Such an int is named by its bit length: its digits may
+    be more than `str` converts (sys.get_int_max_str_digits)."""
+    if real and isinstance(value, complex):
+        raise PreconditionError(f"need a real {name}, got {value!r}")
+    try:
+        return float(value) if real else complex(value)
+    except OverflowError:
+        what = f"an int of {value.bit_length()} bits" if isinstance(value, int) else "a value"
+        raise PreconditionError(f"need a finite {name}, got {what} past float range") from None
 
 
-def _power_log_integrand(n: PowerLogSum, rate: complex, k: complex) -> Callable[[float], complex]:
-    """t |-> N(e^t) e^(-rate t) t^k for N = sum c u^lam log^m u at t > 0,
-    by top-exponent factoring, one complex exp per node:
+def _power_log_integrand(
+    n: PowerLogSum, rate: complex, k: complex, t0: Optional[float] = None
+) -> Callable[[float], complex]:
+    """x |-> N(e^t) e^(-rate t) t^k at t = x > 0 for N = sum c u^lam log^m u
+    with real lam.  Given t0, the integrand over x > 0 of
+    int_0^t0 N(e^t) e^(-rate t) t^(k-1) dt under t = t0 e^-x, less its
+    factor t0^k: N(e^t) e^(-rate t) e^(-k x).  Both by top-exponent
+    factoring, one complex exp per node:
         e^((top - rate) t) t^k sum c e^((lam - top) t) t^m,
     with top = n.degree.  Each real exp in the sum is at most 1, so no
-    power of e^t overflows; a node where e^((top - rate) t) is below
-    e^-745 underflows to 0 before any power of t is formed.  A real k
-    stays a real power t^k; a complex k joins the exponent as k log t."""
-    top, terms = _top_factored(n)
+    power of e^t overflows, and a top term takes none (c e^0 = c); a node
+    where the complex exp's argument is below -745 underflows to 0 before
+    any power of t is formed.  Without t0 a real k stays a real power t^k
+    and a complex k joins the exponent as k log t; given t0, -k x joins it.
+    """
+    top = float(n.degree)
+    terms = [(float(lam) - top, m, float(c)) for lam, m, c in n.terms]
     lead = top - complex(rate)
     kk = complex(k)
-    real_k = kk.real if kk.imag == 0 else None
+    real_k = kk.real if t0 is None and kk.imag == 0 else None
 
-    def integrand(t: float) -> complex:
-        expo = lead * t
+    def integrand(x: float) -> complex:
+        t = x if t0 is None else t0 * math.exp(-x)
+        expo = lead * t if t0 is None else lead * t - kk * x
         if expo.real < -745.0:
             return 0j
         total = 0.0
         for gap, m, c in terms:
-            term = c * math.exp(gap * t)
+            term = c * math.exp(gap * t) if gap else c
             total += term * t**m if m else term
-        if real_k is None:
-            return cmath.exp(expo + kk * math.log(t)) * total
-        return cmath.exp(expo) * (total * t**real_k if real_k else total)
+        if real_k is not None:
+            return cmath.exp(expo) * (total * t**real_k if real_k else total)
+        return cmath.exp(expo + kk * math.log(t) if t0 is None else expo) * total
 
     return integrand
 
@@ -208,8 +229,8 @@ def gamma_ratio_poly(w: Complex, m: int) -> complex:
 def two_variable_zeta_closed(n: PowerLogSum, w: Complex, s: Complex) -> complex:
     """Closed-form Z_N(w, s); defined for all finite w, singular only at
     s = lam.  A value beyond float range is a ConvergenceError."""
-    ww = complex(w)
-    ss = complex(s)
+    ww = _number(w, "w")
+    ss = _number(s, "s")
     if not (cmath.isfinite(ww) and cmath.isfinite(ss)):
         raise PreconditionError(f"Z_N needs a finite w and s, got w = {ww}, s = {ss}")
     total = 0j
@@ -235,8 +256,8 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
     the two estimates together miss the tolerance on the sum (the pieces
     cancel), each piece is rerun to half of that tolerance.
     """
-    ww = complex(w)
-    ss = complex(s)
+    ww = _number(w, "w")
+    ss = _number(s, "s")
     if not (ww.real > 0 and cmath.isfinite(ww)):
         raise PreconditionError(f"integral needs a finite w with Re(w) > 0, got w = {ww}")
     edge = -math.inf if n.is_zero else float(n.degree)
@@ -244,26 +265,11 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
         raise PreconditionError(f"integral needs a finite s with Re(s) > {edge}, got s = {ss}")
     if n.is_zero:
         return 0j
-    top, terms = _top_factored(n)
-    lead = top - ss
     # split where the tail e^(-(Re s - degree) t) has fallen by e^-4, so
     # that the upper piece starts near its bulk instead of far before it
     t0 = max(1.0, 4.0 / (ss.real - edge))
     scale = _exp_in_range(ww * math.log(t0), f"t0^w at t0 = {t0!r}")
-
-    def lower_fn(v: float) -> complex:
-        # the integrand of _power_log_integrand(n, ss, 0) at t = t0 e^-v,
-        # with e^(-w v) folded into its one complex exp
-        t = t0 * math.exp(-v)
-        expo = lead * t - ww * v
-        if expo.real < -745.0:
-            return 0j
-        total = 0.0
-        for gap, m, c in terms:
-            term = c * math.exp(gap * t)
-            total += term * t**m if m else term
-        return cmath.exp(expo) * total
-
+    lower_fn = _power_log_integrand(n, ss, ww, t0)
     upper_fn = _power_log_integrand(n, ss, ww - 1)
     lower, lower_estimate = _complex_quad(lower_fn, 0.0)
     upper, upper_estimate = _complex_quad(upper_fn, t0)
@@ -350,7 +356,7 @@ def log_zeta_integral(n: PowerLogSum, s: complex) -> LogZetaIntegral:
     """
     if n.value_at_one() != 0:
         raise PreconditionError("log-integral form requires N(1) = 0")
-    ss = complex(s)
+    ss = _number(s, "s")
     edge = -math.inf if n.is_zero else float(n.degree)
     if not (ss.real > edge and cmath.isfinite(ss)):
         raise PreconditionError(
@@ -604,6 +610,15 @@ def _fsum(terms: list[complex]) -> complex:
     return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
 
 
+def _magnitude(terms: list) -> float:
+    """sum |t| left to right.  The builtin `sum` of floats is compensated
+    from Python 3.12 on, which moves a bound's last bits by interpreter."""
+    size = 0.0
+    for term in terms:
+        size += abs(term)
+    return size
+
+
 def _split(spectrum: Spectrum, pairs: tuple[tuple[float, int], ...], j: int, w: Complex,
            x: complex, head: Complex, size: float, start: int = 0, coef: Complex = 1.0 + 0j,
            tail: Complex = 0j, truncation: float = 0.0) -> tuple[complex, float]:
@@ -655,14 +670,14 @@ def spectral_zeta(
     math.fsum sums the head terms mult (lam + x)^-w; `_split` sums the
     rest, sum_{k>=0} C(-w, k) x^k T(w + k), and bounds the whole.
     """
-    x = complex(s) + spectrum.shift
-    ww = complex(w)
+    x = _number(s, "s") + spectrum.shift
+    ww = _number(w, "w")
     if not (cmath.isfinite(ww) and abs(ww) <= _MAX_W):
         raise PreconditionError(f"need a finite w with |w| <= {_MAX_W:g}, got {ww!r}")
     j, pairs = _head(spectrum, x, 48 if terms is None else terms)
     try:
         values = [mult * cmath.exp(-ww * cmath.log(lam + x)) for lam, mult in pairs[:j]]
-        value, bound = _split(spectrum, pairs, j, ww, x, _fsum(values), sum(map(abs, values)))
+        value, bound = _split(spectrum, pairs, j, ww, x, _fsum(values), _magnitude(values))
     except OverflowError:
         value = bound = math.inf
     if not (cmath.isfinite(value) and math.isfinite(bound)):
@@ -691,11 +706,11 @@ def log_regularized_det(
     """
     if not tol > 0:
         raise PreconditionError(f"a tolerance must be positive, got {tol!r}")
-    x = float(s) + spectrum.shift
+    x = _number(s, "s", real=True) + spectrum.shift
     j, pairs = _head(spectrum, x, 64 if terms is None else terms)
     slopes = [-mult * math.log(lam + x) for lam, mult in pairs[:j]]
     slope, err = spectrum.continued_slope(j)  # T'(0), its err
-    size = sum(map(abs, slopes)) + abs(slope)
+    size = _magnitude(slopes) + abs(slope)
     # w = 0.0, not 0j: the tails see the real exponents b = k
     value, bound = _split(spectrum, pairs, j, 0.0, complex(x), math.fsum(slopes), size,
                           1, -1.0, slope, err)

@@ -186,6 +186,8 @@ def smoothed_count(scheme: MonoidScheme, q: Union[int, Fraction, float]) -> Frac
 
     Agrees with `exact_count` at integers q = 1 mod every torsion order.
     """
+    if isinstance(q, float) and not math.isfinite(q):
+        raise PreconditionError(f"smoothed counts need a finite q > 0, got {q!r}")
     qq = Fraction(q)
     if qq <= 0:
         raise PreconditionError(f"smoothed counts need q > 0, got {q!r}")
@@ -264,12 +266,13 @@ def _class_vector(divs: list[int], weights: list[int]) -> tuple[Fraction, ...]:
     return tuple([by_class[math.gcd(nu, n)] for nu in range(1, n + 1)])
 
 
-def _check_base(p: int) -> None:
-    """The base p of the counts over F_(p^n): an int, at least 2."""
-    if not isinstance(p, int):
-        raise PreconditionError(f"base prime must be >= 2 and an integer, got {p!r}")
-    if p < 2:
-        raise PreconditionError(f"base prime must be >= 2, got {p}")
+def _check_least(value: int, least: int, what: str) -> None:
+    """An int argument, at least `least`, such as the base p of the counts
+    over F_(p^n); anything else is a PreconditionError naming `what`."""
+    if not isinstance(value, int):
+        raise PreconditionError(f"{what} must be >= {least} and an integer, got {value!r}")
+    if value < least:
+        raise PreconditionError(f"{what} must be >= {least}, got {value}")
 
 
 def gcd_fourier_coefficients(t: int, p: int, n0: int) -> tuple[Fraction, ...]:
@@ -286,11 +289,9 @@ def gcd_fourier_coefficients(t: int, p: int, n0: int) -> tuple[Fraction, ...]:
     n0 must be a multiple of the actual period ord_t'(p) (phi(t) always
     works); other values are rejected since reconstruction would fail.
     """
-    if t < 2:
-        raise PreconditionError(f"torsion order must be >= 2, got {t}")
-    _check_base(p)
-    if n0 < 1:
-        raise PreconditionError(f"period length must be >= 1, got {n0}")
+    _check_least(t, 2, "torsion order")
+    _check_least(p, 2, "base prime")
+    _check_least(n0, 1, "period length")
     if not _period_divides(t, p, n0):
         raise PreconditionError(f"{n0} is not a multiple of the period of gcd({t}, {p}^n - 1)")
     heights = _divisors(n0)
@@ -307,8 +308,7 @@ def gcd_inner_fourier(t: int) -> tuple[Fraction, ...]:
     of phi(e)/e.  In particular sum_alpha d_alpha = sum_{e|t} phi(e) = t
     holds exactly in rational arithmetic.
     """
-    if t < 1:
-        raise PreconditionError(f"modulus must be >= 1, got {t}")
+    _check_least(t, 1, "modulus")
     divs = _divisors(t)
     return _class_vector(divs, _divisor_differences(divs, divs))  # e = sum_{q | e} phi(q)
 
@@ -381,7 +381,7 @@ class FourierData(_Record):
 
 def fourier_data(scheme: MonoidScheme, p: int) -> FourierData:
     """The coefficient table c_{x,j,nu}(p) of a scheme; the period is capped first."""
-    _check_base(p)
+    _check_least(p, 2, "base prime")
     n0 = fourier_period(scheme)
     vectors = {t: gcd_fourier_coefficients(t, p, n0) for t in scheme.count_profile[0]}
     return FourierData(p, n0, tuple((i, j, t, vectors[t]) for i, pt in enumerate(scheme.points)

@@ -40,7 +40,7 @@ from typing import Sequence, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
 from .powerlog import _asymmetries, _binomial_row, _check_printable, _exp_in_range, _Record
-from .schemes import MonoidScheme, _check_base, counting_coefficients, exact_count
+from .schemes import MonoidScheme, _check_least, counting_coefficients, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
 # coefficients of a d-dimensional scheme have about d n log2(p) bits.
@@ -83,7 +83,7 @@ def local_zeta_series(scheme: MonoidScheme, p: int, order: int) -> TruncatedSeri
     module docstring).  A coefficient too long to print is a
     PreconditionError naming the first such e_n."""
     _check_series_order(order, 1)
-    _check_base(p)
+    _check_least(p, 2, "base prime")
     # every N_k >= 0 makes every e_n >= 0, so e_order >= N_order / order: a last
     # coefficient too long to print shows in N_order, before any factor is made
     what = f"local zeta coefficient e_{{}} at p = {p}"
@@ -324,7 +324,7 @@ def local_functional_equation(scheme: MonoidScheme, p: int) -> LocalFEReport:
     """
     if not scheme.smooth_projective:
         raise PreconditionError("local functional equation requires smooth_projective")
-    _check_base(p)
+    _check_least(p, 2, "base prime")
     coeffs = counting_coefficients(scheme)
     d = scheme.dim
     chi = sum(coeffs)

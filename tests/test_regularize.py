@@ -500,8 +500,52 @@ def test_spectral_outputs_are_pinned_bit_for_bit():
         assert (got.value.real.hex(), got.value.imag.hex(), got.error_bound.hex()) == (real, imag, bound)
 
 
+# two_variable_zeta_numeric(N, w, s) as float.hex of its real and imaginary
+# parts, and log_zeta_integral(N, s) as those of its value and its estimate,
+# recorded before the two pieces of Z_N shared the log integral's integrand.
+# The last Z_N input's pieces cancel: it reruns both quadratures
+_PINNED_INTEGRALS = {
+    ("u", 1, 3): ("0x1.ffffffffffffbp-2", "0x0.0p+0"),
+    ("u", 1.5 + 0.7j, 4.2): ("0x1.eb2e55921fed5p-4", "-0x1.0429fc0a5091bp-3"),
+    ("u^2 - 2*u*log + 1", 0.05, 2.5 + 5j): ("0x1.d505eb4f0fbd6p+0", "-0x1.9f3bad55ce649p-4"),
+    ("3*u^(3/2) - u^-1*log^2", 3.0, 2.0): ("0x1.7f35ba781947cp+4", "0x0.0p+0"),
+    ("2*u^2 + 2*u^(1/2)", 2.2 - 1.1j, 3.3 + 0.7j): ("0x1.052dbb23c0d3ep-1", "-0x1.b71b074b8b1cap-3"),
+    ("1 - u^-1", 3, 0.1 - 2j): ("0x1.0b99df22f4fbap-4", "-0x1.e2ef5bfbc1975p-4"),
+    ("u - 1", 2.5 + 1j): ("0x1.9acd28271c731p-2", "-0x1.a8f3c814a92d3p-3", "0x1.38dd5c24038d2p-45"),
+    ("u^2 - 2*u + 1 - u*log", 3.1): ("-0x1.c091cb0042367p-3", "0x0.0p+0", "0x1.8000000000000p-54"),
+    ("-3*u^(1/2) + 3", 1.2 - 0.4j): ("-0x1.59e6eba95b452p+0", "-0x1.2f3317ab95c8cp-1",
+                                     "0x1.94c583ada5b53p-51"),
+}
+
+
+def test_quadrature_outputs_are_pinned_bit_for_bit(monkeypatch):
+    quadratures = []
+    quad = regularize._complex_quad
+    monkeypatch.setattr(regularize, "_complex_quad", lambda *args: quadratures.append(args) or quad(*args))
+    for (expr, *args), want in _PINNED_INTEGRALS.items():
+        n = parse_power_log(expr)
+        quadratures.clear()
+        if len(args) == 2:
+            value = two_variable_zeta_numeric(n, *args)
+            assert len(quadratures) == (4 if expr == "1 - u^-1" else 2)
+            got = (value.real.hex(), value.imag.hex())
+        else:
+            result = regularize.log_zeta_integral(n, *args)
+            got = (result.value.real.hex(), result.value.imag.hex(), result.error_estimate.hex())
+        assert got == want
+
+
 # Reference oracles: the two split loops as they stood before `_split`
-# served both quantities, each with its own stop rule and bound
+# served both quantities, each with its own stop rule and bound.  They sum
+# magnitudes left to right, as `regularize` does: the builtin `sum` of
+# floats is compensated from Python 3.12 on
+def _magnitude(values):
+    size = 0.0
+    for value in values:
+        size += abs(value)
+    return size
+
+
 def _own_loop_spectral_zeta(spectrum, w, s, terms):
     x = complex(s) + spectrum.shift
     j, pairs = regularize._head(spectrum, x, terms)
@@ -509,7 +553,7 @@ def _own_loop_spectral_zeta(spectrum, w, s, terms):
     guard = pairs[j][0]
     values = [mult * cmath.exp(-ww * cmath.log(lam + x)) for lam, mult in pairs[:j]]
     head = regularize._fsum(values)
-    size = sum(map(abs, values))
+    size = _magnitude(values)
     tail = 0j
     truncation = 0.0
     binom = 1.0 + 0j
@@ -536,7 +580,7 @@ def _own_loop_log_det(spectrum, s, terms):
     guard = pairs[j][0]
     slopes = [-mult * math.log(lam + x) for lam, mult in pairs[:j]]
     head = math.fsum(slopes)
-    size = sum(map(abs, slopes))
+    size = _magnitude(slopes)
     tail, truncation = spectrum.continued_slope(j)
     size += abs(tail)
     term = tail
@@ -884,6 +928,32 @@ def test_the_zero_sum_checks_its_arguments_before_it_returns_zero():
     # valid arguments still give 0, at any finite s: the zero sum has no edge
     assert two_variable_zeta_numeric(zero, 1.5, -7) == 0j
     assert regularize.log_zeta_integral(zero, -3) == regularize.LogZetaIntegral(0j, 0.0)
+
+
+_HUGE = 2**2000  # past float range, and 603 digits
+
+
+@pytest.mark.parametrize("name, call", [
+    ("s", lambda: spectral_zeta(circle_spectrum(), 2, _HUGE)),
+    ("w", lambda: spectral_zeta(circle_spectrum(), _HUGE, 3)),
+    ("s", lambda: log_regularized_det(circle_spectrum(), _HUGE)),
+    ("s", lambda: regularized_det(circle_spectrum(), -_HUGE)),
+    ("w", lambda: two_variable_zeta_closed(parse_power_log("u - 1"), _HUGE, 2)),
+    ("s", lambda: two_variable_zeta_closed(parse_power_log("u - 1"), 1, _HUGE)),
+    ("s", lambda: regularize.log_zeta_integral(parse_power_log("u - 1"), _HUGE)),
+    ("w", lambda: two_variable_zeta_numeric(parse_power_log("u - 1"), _HUGE, 2)),
+    ("s", lambda: two_variable_zeta_numeric(parse_power_log("u - 1"), 1, _HUGE)),
+])
+def test_an_int_past_float_range_is_named_by_its_bit_length(name, call):
+    with pytest.raises(PreconditionError, match=f"need a finite {name}, got an int of 2001 bits") as info:
+        call()
+    assert str(_HUGE)[:20] not in str(info.value)
+
+
+@pytest.mark.parametrize("det", [log_regularized_det, regularized_det])
+def test_a_determinant_at_a_complex_s_is_a_precondition_error(det):
+    with pytest.raises(PreconditionError, match=r"need a real s, got \(1\+2j\)"):
+        det(circle_spectrum(), 1 + 2j)
 
 
 def _clear_circle_caches():

@@ -111,6 +111,19 @@ def test_smoothed_count_examples():
         smoothed_count(tp, 0)
 
 
+# each escaped as a bare IndexError, ValueError, OverflowError or TypeError
+@pytest.mark.parametrize("call, message", [
+    (lambda: gcd_inner_fourier(1.5), r"modulus must be >= 1 and an integer, got 1\.5"),
+    (lambda: smoothed_count(projective_space_model(2), math.nan), "need a finite q > 0, got nan"),
+    (lambda: smoothed_count(projective_space_model(2), math.inf), "need a finite q > 0, got inf"),
+    (lambda: smoothed_count(projective_space_model(2), -math.inf), "need a finite q > 0, got -inf"),
+    (lambda: gcd_fourier_coefficients(3.0, 2, 2), r"torsion order must be >= 2 and an integer, got 3\.0"),
+])
+def test_a_float_outside_the_domain_is_a_precondition_error(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()
+
+
 def test_totient_small_values():
     # phi on 1..12 against the definition
     for n in range(1, 13):
