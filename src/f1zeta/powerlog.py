@@ -75,11 +75,42 @@ def _integer(value: object) -> int:
     raise ValueError(f"{value!r} is not an integer")
 
 
-def _check_integer(value: object, field: str) -> None:
-    """The constructors' form of that rule: an int that is not a bool, else
-    a PreconditionError naming the field.  Nothing is truncated."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise PreconditionError(f"{field} must be an integer, got {value!r}")
+def _shown(value: object) -> str:
+    """repr(value); an int too long for `str` (past
+    sys.get_int_max_str_digits()) is named by its bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an int of {value.bit_length()} bits"
+
+
+def _check_integer(value: object, what: str, least: int | None = None,
+                   most: int | None = None) -> int:
+    """The library's one rule for an int argument or field: `value` if it is
+    an int, not a bool, and within the given bounds; anything else is a
+    PreconditionError naming `what`, so 2.7 is never truncated to 2."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if least is not None and value < least:
+            raise PreconditionError(f"{what} must be >= {least}, got {_shown(value)}")
+        if most is not None and value > most:
+            raise PreconditionError(f"{what} {_shown(value)}; at most {most} is supported")
+        return value
+    bound = "" if least is None else f">= {least} and "
+    raise PreconditionError(f"{what} must be {bound}an integer, got {_shown(value)}")
+
+
+def _number(value: complex, name: str, real: bool = False) -> complex | float:
+    """`value` as a complex, or as a float if `real`.  A complex where a
+    real is needed, and a value past float range, are PreconditionErrors
+    naming `name`.  Such an int is named by its bit length: its digits may
+    be more than `str` converts (sys.get_int_max_str_digits)."""
+    if real and isinstance(value, complex):
+        raise PreconditionError(f"need a real {name}, got {value!r}")
+    try:
+        return float(value) if real else complex(value)
+    except OverflowError:
+        what = f"an int of {value.bit_length()} bits" if isinstance(value, int) else "a value"
+        raise PreconditionError(f"need a finite {name}, got {what} past float range") from None
 
 
 # Pythons before 3.10.7 have neither the function nor a limit (0 means none);
@@ -329,9 +360,8 @@ class TermMap(_Record):
     @classmethod
     def from_dict(cls: type[_M], d: Mapping[tuple[Rational, int], Rational]) -> _M:
         """The map with value d[(lam, m)] at (lam, m); equal keys accumulate."""
-        if any(m < 0 for _, m in d):
-            raise PreconditionError("log power m must be nonnegative")
-        return cls._collect(((_frac(lam), int(m)), _frac(c)) for (lam, m), c in d.items())
+        return cls._collect(((_frac(lam), _check_integer(m, "log power m", 0)), _frac(c))
+                            for (lam, m), c in d.items())
 
     @classmethod
     def from_records(cls: type[_M], records: Iterable[Sequence[int]]) -> _M:
@@ -409,7 +439,7 @@ class PowerLogSum(TermMap):
     @staticmethod
     def log_power(m: int = 1, coeff: Rational = 1, alpha: Rational = 0) -> "PowerLogSum":
         """c * u^alpha * (log u)^m."""
-        return PowerLogSum.from_dict({(_frac(alpha), int(m)): coeff})
+        return PowerLogSum.from_dict({(_frac(alpha), m): coeff})
 
     @staticmethod
     def from_int_coefficients(

@@ -52,24 +52,10 @@ from functools import cache, lru_cache
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
-from .powerlog import PowerLogSum, _exp_in_range, _Record
+from .powerlog import PowerLogSum, _check_integer, _exp_in_range, _number, _Record
 from .zetas import log_evaluate_zeta, zeta_of
 
 Complex = Union[complex, float, int]
-
-
-def _number(value: Complex, name: str, real: bool = False) -> Union[complex, float]:
-    """`value` as a complex, or as a float if `real`.  A complex where a
-    real is needed, and a value past float range, are PreconditionErrors
-    naming `name`.  Such an int is named by its bit length: its digits may
-    be more than `str` converts (sys.get_int_max_str_digits)."""
-    if real and isinstance(value, complex):
-        raise PreconditionError(f"need a real {name}, got {value!r}")
-    try:
-        return float(value) if real else complex(value)
-    except OverflowError:
-        what = f"an int of {value.bit_length()} bits" if isinstance(value, int) else "a value"
-        raise PreconditionError(f"need a finite {name}, got {what} past float range") from None
 
 
 def _power_log_integrand(
@@ -584,10 +570,7 @@ def _head(spectrum: Spectrum, x: Complex, start: int) -> tuple[int, tuple[tuple[
     the tail beyond j converges.  lam_1 + Re x <= 0 fails before the head
     grows; above it every lam + Re x is positive, as the eigenvalues are
     nondecreasing and float addition is monotone."""
-    if start < 1:
-        raise PreconditionError(f"at least 1 head term is needed, got {start}")
-    if start > MAX_HEAD_TERMS:
-        raise PreconditionError(f"at most {MAX_HEAD_TERMS} head terms are supported, got {start}")
+    _check_integer(start, "head terms", 1, MAX_HEAD_TERMS)
     if not cmath.isfinite(x):
         raise PreconditionError(f"need a finite s + shift, got {x!r}")
     j = start

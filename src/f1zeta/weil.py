@@ -39,8 +39,9 @@ from operator import add, mul
 from typing import Sequence, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
-from .powerlog import _asymmetries, _binomial_row, _check_printable, _exp_in_range, _Record
-from .schemes import MonoidScheme, _check_least, counting_coefficients, exact_count
+from .powerlog import (_asymmetries, _binomial_row, _check_integer, _check_printable,
+                       _exp_in_range, _number, _Record, _shown)
+from .schemes import MonoidScheme, counting_coefficients, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
 # coefficients of a d-dimensional scheme have about d n log2(p) bits.
@@ -51,15 +52,6 @@ from .schemes import MonoidScheme, _check_least, counting_coefficients, exact_co
 # rank <= 2.  Past sum |m| = n the recurrence makes about n^2/2 products:
 # 0.15 s on one rank-2 point of torsion 7^6 - 1, 0.4 s beside P4.
 MAX_SERIES_ORDER = 500
-
-
-def _check_series_order(order: int, least: int) -> None:
-    if order < least:
-        raise PreconditionError(f"series order must be >= {least}")
-    if order > MAX_SERIES_ORDER:
-        raise PreconditionError(
-            f"series order {order} requested; at most {MAX_SERIES_ORDER} is supported"
-        )
 
 
 class TruncatedSeries(_Record):
@@ -82,8 +74,8 @@ def local_zeta_series(scheme: MonoidScheme, p: int, order: int) -> TruncatedSeri
     orbit product of `_orbit_exponents`, expanded by `_expand` (see the
     module docstring).  A coefficient too long to print is a
     PreconditionError naming the first such e_n."""
-    _check_series_order(order, 1)
-    _check_least(p, 2, "base prime")
+    _check_integer(order, "series order", 1, MAX_SERIES_ORDER)
+    _check_integer(p, "base prime", 2)
     # every N_k >= 0 makes every e_n >= 0, so e_order >= N_order / order: a last
     # coefficient too long to print shows in N_order, before any factor is made
     what = f"local zeta coefficient e_{{}} at p = {p}"
@@ -198,12 +190,20 @@ class LocalZetaFactors(_Record):
         return dict(self.factors)
 
     def log_evaluate_s(self, s: complex) -> complex:
-        """sum_r e_r log(1 - base^(r-s)): a log of the value at T = base^(-s)
-        that stays in float range where the product of powers would not."""
+        """sum_r e_r log(1 - base^(r-s)) at a finite s: a log of the value at
+        T = base^(-s) that stays in float range where the product of powers
+        would not, and where base^(r-s) itself would not."""
+        if not cmath.isfinite(ss := _number(s, "s")):
+            raise PreconditionError(f"local zeta values need a finite s, got {ss!r}")
         lb = math.log(self.base)
         total = 0j
         for r, e in self.factors:
-            factor = 1 - cmath.exp((r - complex(s)) * lb)
+            z = (r - ss) * lb
+            try:
+                factor = 1 - cmath.exp(z)
+            except OverflowError:  # e^z past float range: 1 - e^z = e^z (e^-z - 1)
+                total += _float_exponent(e, f"e_{r}") * (z + cmath.log(cmath.exp(-z) - 1))
+                continue
             if abs(factor) < 1e-13:
                 raise SingularityError(
                     f"factor (1 - p^({r}-s))^{e} vanishes at s = {s}"
@@ -219,9 +219,8 @@ class LocalZetaFactors(_Record):
     def series(self, order: int) -> TruncatedSeries:
         """Exact expansion in T by `_expand`; requires an integer base; a
         coefficient too long to print is a PreconditionError."""
-        if not isinstance(self.base, int):
-            raise PreconditionError("exact expansion needs an integer base")
-        _check_series_order(order, 0)
+        _check_integer(self.base, "exact expansion base", 2)
+        _check_integer(order, "series order", 0, MAX_SERIES_ORDER)
         return _expand([(self.base**r, 1, e) for r, e in self.factors], order,
                        "coefficient {} of the factored local zeta series")
 
@@ -243,9 +242,9 @@ def _smoothed_factors(coeffs: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 
 def smoothed_local_zeta(scheme: MonoidScheme, p: Union[int, float]) -> LocalZetaFactors:
-    """Factored form of the torsion-smoothed local zeta at base p > 1."""
-    if p <= 1:
-        raise PreconditionError(f"smoothed local zeta needs p > 1, got {p!r}")
+    """Factored form of the torsion-smoothed local zeta at a finite base p > 1."""
+    if not 1 < p < math.inf:
+        raise PreconditionError(f"smoothed local zeta needs a finite p > 1, got {_shown(p)}")
     return LocalZetaFactors(p, _smoothed_factors(counting_coefficients(scheme)))
 
 
@@ -256,8 +255,7 @@ def pole_order(scheme: MonoidScheme) -> int:
 
 def default_base_sequence(count: int = 6) -> list[float]:
     """p = 1 + 10^-k for k = 1..count; from k = 16 on, p rounds to 1.0."""
-    if count > 15:
-        raise PreconditionError(f"at most 15 bases 1 + 10^-k are above 1.0 in floats, got {count}")
+    _check_integer(count, "base count", 0, 15)
     return [1 + 10.0**-k for k in range(1, count + 1)]
 
 
@@ -273,8 +271,8 @@ def limit_toward_one(
     raises ConvergenceError naming its logarithm.
     """
     seq = list(base_sequence) if base_sequence is not None else default_base_sequence()
-    if any(p <= 1 for p in seq) or any(a <= b for a, b in zip(seq, seq[1:])):
-        raise PreconditionError("base sequence must decrease strictly toward 1")
+    if any(not 1 < p < math.inf for p in seq) or any(a <= b for a, b in zip(seq, seq[1:])):
+        raise PreconditionError("base sequence must be finite and decrease strictly toward 1")
     coeffs = counting_coefficients(scheme)
     n = sum(coeffs)  # the pole order N(1)
     factors = _smoothed_factors(coeffs)
@@ -324,7 +322,7 @@ def local_functional_equation(scheme: MonoidScheme, p: int) -> LocalFEReport:
     """
     if not scheme.smooth_projective:
         raise PreconditionError("local functional equation requires smooth_projective")
-    _check_least(p, 2, "base prime")
+    _check_integer(p, "base prime", 2)
     coeffs = counting_coefficients(scheme)
     d = scheme.dim
     chi = sum(coeffs)

@@ -788,7 +788,7 @@ def test_limit_base_count_above_the_float_range_is_a_precondition_error(capsys, 
     code = cli.main(["limit", "--scheme", p1_scheme, "--s", "3", "--terms", "16"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert "at most 15 bases" in captured.err
+    assert "base count 16; at most 15 is supported" in captured.err
 
 
 # -- scheme commands end in a documented exit on near-valid input ------------

@@ -66,7 +66,7 @@ def test_algebra_examples():
         {(1, 0): 2, (0, 0): -2}
     )
     assert (one - u_inv).scale(0) == PowerLogSum.zero()
-    with pytest.raises(PreconditionError, match="log power m must be nonnegative"):
+    with pytest.raises(PreconditionError, match="log power m must be >= 0, got -1"):
         PowerLogSum.from_dict({(0, -1): 1})
     with pytest.raises(TypeError, match="expected an exact rational, got float"):
         one.scale(0.5)

@@ -363,9 +363,9 @@ def test_a_constant_spectrum_outgrows_the_head_cap():
 @pytest.mark.parametrize("terms", [0, -3])
 def test_a_head_below_one_term_is_a_precondition_error(terms):
     circ = circle_spectrum()
-    with pytest.raises(PreconditionError, match=f"at least 1 head term is needed, got {terms}"):
+    with pytest.raises(PreconditionError, match=f"head terms must be >= 1, got {terms}"):
         spectral_zeta(circ, 2, 1, terms=terms)
-    with pytest.raises(PreconditionError, match=f"at least 1 head term is needed, got {terms}"):
+    with pytest.raises(PreconditionError, match=f"head terms must be >= 1, got {terms}"):
         log_regularized_det(circ, 1.0, terms=terms)
 
 

@@ -129,7 +129,7 @@ def test_totient_small_values():
     for n in range(1, 13):
         direct = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
         assert totient(n) == direct
-    with pytest.raises(PreconditionError, match="totient requires n >= 1"):
+    with pytest.raises(PreconditionError, match="totient argument must be >= 1, got 0"):
         totient(0)
 
 

@@ -329,5 +329,5 @@ def test_factored_series_requires_integer_base():
 
 def test_base_sequence_stops_where_floats_reach_one():
     assert default_base_sequence(15)[-1] > 1.0
-    with pytest.raises(PreconditionError, match="at most 15 bases"):
+    with pytest.raises(PreconditionError, match="base count 16; at most 15 is supported"):
         default_base_sequence(16)
