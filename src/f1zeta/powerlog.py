@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from bisect import bisect_left
 from fractions import Fraction
@@ -99,18 +100,48 @@ def _check_integer(value: object, what: str, least: int | None = None,
     raise PreconditionError(f"{what} must be {bound}an integer, got {_shown(value)}")
 
 
-def _number(value: complex, name: str, real: bool = False) -> complex | float:
-    """`value` as a complex, or as a float if `real`.  A complex where a
-    real is needed, and a value past float range, are PreconditionErrors
-    naming `name`.  Such an int is named by its bit length: its digits may
+def _number(value: object, name: str, real: bool = False) -> complex | float:
+    """The library's one rule for a float or complex argument: the complex
+    image of `value`, or its float image if `real`, when `value` is a
+    number that is not a bool (a real one if `real`) and that image is
+    finite.  Anything else is a PreconditionError naming `name`: a str, a
+    bool, a complex where a real belongs, NaN, +-inf, or a value past
+    float range.  Such an int is named by its bit length: its digits may
     be more than `str` converts (sys.get_int_max_str_digits)."""
-    if real and isinstance(value, complex):
-        raise PreconditionError(f"need a real {name}, got {value!r}")
+    kind = type(value)
+    # the exact types first: an isinstance test of every argument costs
+    # the hottest numeric callers several percent
+    if not (kind is float or kind is int or kind is complex and not real) and (
+            kind is bool or not isinstance(value, numbers.Real if real else numbers.Complex)):
+        raise PreconditionError(f"need a {'real' if real else 'number'} {name}, got {_shown(value)}")
     try:
-        return float(value) if real else complex(value)
+        image = float(value) if real else complex(value)
     except OverflowError:
         what = f"an int of {value.bit_length()} bits" if isinstance(value, int) else "a value"
         raise PreconditionError(f"need a finite {name}, got {what} past float range") from None
+    if math.isfinite(image) if real else cmath.isfinite(image):
+        return image
+    raise PreconditionError(f"need a finite {name}, got {_shown(value)}")
+
+
+def _exact_or_real(value: object, name: str) -> Rational | float:
+    """`value` if it is an int (not a bool) or a Fraction, which stay exact
+    at any size; any other value by the number rule, as a finite float."""
+    kind = type(value)
+    return value if kind is int or kind is Fraction else _number(value, name, real=True)
+
+
+def _float_exponent(e: Rational, what: str, *args: object) -> float:
+    """An exact exponent or coefficient as a float; one beyond float range
+    is a ConvergenceError naming `what.format(*args)` and its size, as it
+    may be too long to print.  The message is formatted only on failure."""
+    try:
+        return float(e)
+    except OverflowError:
+        # about 2^size: the numerator's bits less the denominator's (an int's own)
+        size = abs(e.numerator).bit_length() - e.denominator.bit_length() + 1
+        raise ConvergenceError(
+            f"{what.format(*args)} of about 2^{size} is beyond float range") from None
 
 
 # Pythons before 3.10.7 have neither the function nor a limit (0 means none);
@@ -134,18 +165,20 @@ def _check_printable(value: int, what: str, *args: object) -> int:
     return value
 
 
-def _exp_in_range(log_value: float | complex, what: str, name: str = "log") -> float | complex:
+def _exp_in_range(log_value: float | complex, what: str, *args: object,
+                  name: str = "log") -> float | complex:
     """exp(log_value): `math.exp` of a real log, `cmath.exp` of a complex
     one.  A value that is not finite (a log too large, or not a number) is
-    a ConvergenceError naming `what` and the achieved log; a value too
-    small for a float rounds toward 0."""
+    a ConvergenceError naming `what.format(*args)` and the achieved log; a
+    value too small for a float rounds toward 0.  The message is formatted
+    only on failure."""
     try:
         value = cmath.exp(log_value) if isinstance(log_value, complex) else math.exp(log_value)
         if cmath.isfinite(value):
             return value
     except OverflowError:
         pass
-    raise ConvergenceError(f"{what} overflows a float: achieved {name} = {log_value!r}")
+    raise ConvergenceError(f"{what.format(*args)} overflows a float: achieved {name} = {log_value!r}")
 
 
 def _binomial_row(r: int) -> list[int]:
@@ -378,6 +411,16 @@ class TermMap(_Record):
 
     # -- inspection ----------------------------------------------------
 
+    def _floats(self) -> list[tuple[float, int, float]]:
+        """The terms as (float lam, m, float c): the one float image of the
+        map, read by every numeric evaluation.  An exponent or coefficient
+        beyond float range is a ConvergenceError (`_float_exponent`)."""
+        try:
+            return [(float(lam), m, float(c)) for lam, m, c in self.terms]
+        except OverflowError:  # again, naming the first value past float range
+            return [(_float_exponent(lam, "term exponent"), m,
+                     _float_exponent(c, "term coefficient")) for lam, m, c in self.terms]
+
     def as_dict(self) -> dict[Key, Fraction]:
         return {(lam, m): c for lam, m, c in self.terms}
 
@@ -512,14 +555,20 @@ class PowerLogSum(TermMap):
     # -- numeric -------------------------------------------------------
 
     def evaluate(self, u: complex) -> complex:
-        """Numeric value with the principal logarithm; u must be nonzero."""
-        uu = complex(u)
+        """Numeric value with the principal logarithm at a finite nonzero u;
+        a value beyond float range is a ConvergenceError."""
+        uu = _number(u, "u")
         if uu == 0:
             raise PreconditionError("counting functions are not defined at u = 0")
         lu = cmath.log(uu)
         total = 0j
-        for lam, m, c in self.terms:
-            total += float(c) * cmath.exp(float(lam) * lu) * lu**m
+        try:
+            for lam, m, c in self._floats():
+                total += c * cmath.exp(lam * lu) * lu**m
+        except OverflowError:
+            total = complex(math.inf)
+        if not cmath.isfinite(total):
+            raise ConvergenceError(f"N(u) overflows a float at u = {u!r}")
         return total
 
     # -- display -------------------------------------------------------
@@ -553,6 +602,13 @@ class FunctionalEquationWitness(_Record):
     omega: Fraction
 
     def __init__(self, c: int, omega: Fraction) -> None:
+        # the integer rule inline, by exact type first: every detection builds a witness
+        if type(c) is not int:
+            _check_integer(c, "witness sign c")
+        if type(omega) is not Fraction and type(omega) is not int and (
+                isinstance(omega, bool) or not isinstance(omega, (int, Fraction))):
+            raise PreconditionError(f"witness center omega must be an int or a Fraction, "
+                                    f"got {_shown(omega)}")
         self.__dict__["c"], self.__dict__["omega"] = c, omega
 
 

@@ -73,8 +73,9 @@ def _power_log_integrand(
     any power of t is formed.  Without t0 a real k stays a real power t^k
     and a complex k joins the exponent as k log t; given t0, -k x joins it.
     """
-    top = float(n.degree)
-    terms = [(float(lam) - top, m, float(c)) for lam, m, c in n.terms]
+    floats = n._floats()
+    top = floats[-1][0]
+    terms = [(lam - top, m, c) for lam, m, c in floats]
     lead = top - complex(rate)
     kk = complex(k)
     real_k = kk.real if t0 is None and kk.imag == 0 else None
@@ -205,10 +206,14 @@ def _complex_quad(
 
 
 def gamma_ratio_poly(w: Complex, m: int) -> complex:
-    """Gamma(w+m)/Gamma(w) = w (w+1) ... (w+m-1), a polynomial in w."""
+    """Gamma(w+m)/Gamma(w) = w (w+1) ... (w+m-1), a polynomial in w; a
+    value beyond float range is a ConvergenceError."""
+    ww = _number(w, "w")
     out = 1.0 + 0j
     for i in range(m):
-        out *= complex(w) + i
+        out *= ww + i
+    if not cmath.isfinite(out):
+        raise ConvergenceError(f"Gamma(w + {m})/Gamma(w) overflows a float at w = {ww}")
     return out
 
 
@@ -217,18 +222,27 @@ def two_variable_zeta_closed(n: PowerLogSum, w: Complex, s: Complex) -> complex:
     s = lam.  A value beyond float range is a ConvergenceError."""
     ww = _number(w, "w")
     ss = _number(s, "s")
-    if not (cmath.isfinite(ww) and cmath.isfinite(ss)):
-        raise PreconditionError(f"Z_N needs a finite w and s, got w = {ww}, s = {ss}")
     total = 0j
-    for lam, m, c in n.terms:
-        base = ss - float(lam)
+    for (lam, m, _), (x, _, c) in zip(n.terms, n._floats()):
+        base = ss - x
         if base == 0:
             raise SingularityError(f"Z_N singular at s = {lam} (term with m = {m})")
-        power = _exp_in_range(-(ww + m) * cmath.log(base), f"(s - {lam})^-(w + {m})")
-        total += float(c) * gamma_ratio_poly(ww, m) * power
+        power = _exp_in_range(-(ww + m) * cmath.log(base), "(s - {})^-(w + {})", lam, m)
+        total += c * gamma_ratio_poly(ww, m) * power
     if not cmath.isfinite(total):
         raise ConvergenceError(f"Z_N(w, s) overflows a float at w = {ww}, s = {ss}")
     return total
+
+
+def _convergent_s(n: PowerLogSum, s: Complex, what: str) -> tuple[complex, float]:
+    """(s, edge) for an s with Re s > edge, the degree of n (-inf for the
+    zero sum, where every s converges): the half-plane of the integrals
+    over u > 1.  Any other s is a PreconditionError saying `what` diverges."""
+    ss = _number(s, "s")
+    edge = -math.inf if n.is_zero else n._floats()[-1][0]
+    if not ss.real > edge:
+        raise PreconditionError(f"{what} diverges: need Re(s) > {edge}, got s = {ss}")
+    return ss, edge
 
 
 def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex:
@@ -243,18 +257,15 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
     cancel), each piece is rerun to half of that tolerance.
     """
     ww = _number(w, "w")
-    ss = _number(s, "s")
-    if not (ww.real > 0 and cmath.isfinite(ww)):
-        raise PreconditionError(f"integral needs a finite w with Re(w) > 0, got w = {ww}")
-    edge = -math.inf if n.is_zero else float(n.degree)
-    if not (ss.real > edge and cmath.isfinite(ss)):
-        raise PreconditionError(f"integral needs a finite s with Re(s) > {edge}, got s = {ss}")
+    if not ww.real > 0:
+        raise PreconditionError(f"integral needs Re(w) > 0, got w = {ww}")
+    ss, edge = _convergent_s(n, s, "integral")
     if n.is_zero:
         return 0j
     # split where the tail e^(-(Re s - degree) t) has fallen by e^-4, so
     # that the upper piece starts near its bulk instead of far before it
     t0 = max(1.0, 4.0 / (ss.real - edge))
-    scale = _exp_in_range(ww * math.log(t0), f"t0^w at t0 = {t0!r}")
+    scale = _exp_in_range(ww * math.log(t0), "t0^w at t0 = {!r}", t0)
     lower_fn = _power_log_integrand(n, ss, ww, t0)
     upper_fn = _power_log_integrand(n, ss, ww - 1)
     lower, lower_estimate = _complex_quad(lower_fn, 0.0)
@@ -319,7 +330,7 @@ def zeta_from_regularization(n: PowerLogSum, s: Complex) -> complex:
     c (m-1)! (s - lam)^-m for m >= 1, which sum to log_evaluate_zeta; a
     value beyond float range is a ConvergenceError naming that log.
     """
-    return _exp_in_range(log_evaluate_zeta(zeta_of(n), s), f"zeta value at s = {s!r}")
+    return _exp_in_range(log_evaluate_zeta(zeta_of(n), s), "zeta value at s = {!r}", s)
 
 
 # -- log-integral representation for N(1) = 0 --------------------------
@@ -342,11 +353,7 @@ def log_zeta_integral(n: PowerLogSum, s: complex) -> LogZetaIntegral:
     """
     if n.value_at_one() != 0:
         raise PreconditionError("log-integral form requires N(1) = 0")
-    ss = _number(s, "s")
-    edge = -math.inf if n.is_zero else float(n.degree)
-    if not (ss.real > edge and cmath.isfinite(ss)):
-        raise PreconditionError(
-            f"upper integral diverges: need a finite s with Re(s) > {edge}, got {ss}")
+    ss, _ = _convergent_s(n, s, "upper integral")
     if n.is_zero:
         return LogZetaIntegral(0j, 0.0)
     # substitution u = e^t maps it to int_0^oo N(e^t) e^(-s t) / t dt;
@@ -521,10 +528,11 @@ def shift_spectrum(base: Spectrum, shift: float) -> Spectrum:
     """The spectrum lam_j + shift: the base with its shift moved by
     `shift`, evaluated at s + shift wherever the base is evaluated at s.
     The shifted eigenvalues must stay positive."""
+    total = base.shift + _number(shift, "shift", real=True)
+    if not math.isfinite(total):
+        raise PreconditionError(f"a shift must be finite, got {total!r}")
     shifted = Spectrum(f"{base.name}+{shift}", base.eigenvalues, base.continued_tail,
-                       base.continued_slope, base.shift + shift)
-    if not math.isfinite(shifted.shift):
-        raise PreconditionError(f"a shift must be finite, got {shifted.shift!r}")
+                       base.continued_slope, total)
     first = shifted.eigenvalues(1)
     if first and not first[0][0] + shifted.shift > 0:
         raise PreconditionError("shifted eigenvalues must stay positive")
@@ -655,7 +663,7 @@ def spectral_zeta(
     """
     x = _number(s, "s") + spectrum.shift
     ww = _number(w, "w")
-    if not (cmath.isfinite(ww) and abs(ww) <= _MAX_W):
+    if not abs(ww) <= _MAX_W:
         raise PreconditionError(f"need a finite w with |w| <= {_MAX_W:g}, got {ww!r}")
     j, pairs = _head(spectrum, x, 48 if terms is None else terms)
     try:
@@ -687,6 +695,8 @@ def log_regularized_det(
     `tol` raises with the bound achieved; `tol` must be positive, and inf
     asks for no gate.
     """
+    if type(tol) is not float:  # a float is compared as it is: inf asks for no gate
+        tol = _number(tol, "tolerance", real=True)
     if not tol > 0:
         raise PreconditionError(f"a tolerance must be positive, got {tol!r}")
     x = _number(s, "s", real=True) + spectrum.shift
@@ -711,4 +721,4 @@ def regularized_det(
     """det'(Delta + s) = exp(log_regularized_det(...)); a determinant
     beyond float range raises with its achieved log."""
     log_det = log_regularized_det(spectrum, s, tol, terms).value
-    return _exp_in_range(log_det, "determinant", "log det")
+    return _exp_in_range(log_det, "determinant", name="log det")

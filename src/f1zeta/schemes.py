@@ -25,7 +25,8 @@ from typing import Sequence, Union
 
 from .errors import ParseError, PreconditionError
 from .powerlog import (
-    MAX_COUNTING_DEGREE, _binomial_row, _check_integer, _integer, _read_json, _Record, _shown)
+    MAX_COUNTING_DEGREE, _binomial_row, _check_integer, _exact_or_real, _integer, _read_json,
+    _Record, _shown)
 
 COMPLEX_TOLERANCE = 1e-10  # declared tolerance for Fourier reconstruction
 MAX_FOURIER_PERIOD = 1 << 20  # coefficients per torsion order in a Fourier table
@@ -176,9 +177,7 @@ def smoothed_count(scheme: MonoidScheme, q: Union[int, Fraction, float]) -> Frac
 
     Agrees with `exact_count` at integers q = 1 mod every torsion order.
     """
-    if isinstance(q, float) and not math.isfinite(q):
-        raise PreconditionError(f"smoothed counts need a finite q > 0, got {q!r}")
-    qq = Fraction(q)
+    qq = Fraction(_exact_or_real(q, "q > 0"))
     if qq <= 0:
         raise PreconditionError(f"smoothed counts need q > 0, got {_shown(q)}")
     orders, rows = scheme.count_profile

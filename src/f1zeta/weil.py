@@ -38,9 +38,10 @@ from itertools import repeat
 from operator import add, mul
 from typing import Sequence, Union
 
-from .errors import ConvergenceError, PreconditionError, SingularityError
+from .errors import PreconditionError, SingularityError
 from .powerlog import (_asymmetries, _binomial_row, _check_integer, _check_printable,
-                       _exp_in_range, _number, _Record, _shown)
+                       _exact_or_real, _exp_in_range, _float_exponent, _number, _Record,
+                       _shown)
 from .schemes import MonoidScheme, counting_coefficients, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
@@ -193,8 +194,7 @@ class LocalZetaFactors(_Record):
         """sum_r e_r log(1 - base^(r-s)) at a finite s: a log of the value at
         T = base^(-s) that stays in float range where the product of powers
         would not, and where base^(r-s) itself would not."""
-        if not cmath.isfinite(ss := _number(s, "s")):
-            raise PreconditionError(f"local zeta values need a finite s, got {ss!r}")
+        ss = _number(s, "s")
         lb = math.log(self.base)
         total = 0j
         for r, e in self.factors:
@@ -202,19 +202,19 @@ class LocalZetaFactors(_Record):
             try:
                 factor = 1 - cmath.exp(z)
             except OverflowError:  # e^z past float range: 1 - e^z = e^z (e^-z - 1)
-                total += _float_exponent(e, f"e_{r}") * (z + cmath.log(cmath.exp(-z) - 1))
+                total += _float_exponent(e, "exponent e_{}", r) * (z + cmath.log(cmath.exp(-z) - 1))
                 continue
             if abs(factor) < 1e-13:
                 raise SingularityError(
                     f"factor (1 - p^({r}-s))^{e} vanishes at s = {s}"
                 )
-            total += _float_exponent(e, f"e_{r}") * cmath.log(factor)
+            total += _float_exponent(e, "exponent e_{}", r) * cmath.log(factor)
         return total
 
     def evaluate_s(self, s: complex) -> complex:
         """Value at T = base^(-s); one beyond float range is a
         ConvergenceError naming its log."""
-        return _exp_in_range(self.log_evaluate_s(s), f"local zeta value at s = {s!r}")
+        return _exp_in_range(self.log_evaluate_s(s), "local zeta value at s = {!r}", s)
 
     def series(self, order: int) -> TruncatedSeries:
         """Exact expansion in T by `_expand`; requires an integer base; a
@@ -225,26 +225,17 @@ class LocalZetaFactors(_Record):
                        "coefficient {} of the factored local zeta series")
 
 
-def _float_exponent(e: int, name: str) -> float:
-    """An integer exponent as a float; one beyond float range is a
-    ConvergenceError naming it (its size, as it may be too long to print)."""
-    try:
-        return float(e)
-    except OverflowError:
-        raise ConvergenceError(
-            f"exponent {name} of about 2^{abs(e).bit_length()} is beyond float range"
-        ) from None
-
-
 def _smoothed_factors(coeffs: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """(r, e_r = -a_r) for the nonzero counting coefficients a_r."""
     return tuple([(r, -a) for r, a in enumerate(coeffs) if a])
 
 
 def smoothed_local_zeta(scheme: MonoidScheme, p: Union[int, float]) -> LocalZetaFactors:
-    """Factored form of the torsion-smoothed local zeta at a finite base p > 1."""
-    if not 1 < p < math.inf:
-        raise PreconditionError(f"smoothed local zeta needs a finite p > 1, got {_shown(p)}")
+    """Factored form of the torsion-smoothed local zeta at a base p > 1: an
+    int or a Fraction of any size, or a finite real."""
+    p = _exact_or_real(p, "p > 1")
+    if not p > 1:
+        raise PreconditionError(f"smoothed local zeta needs p > 1, got {_shown(p)}")
     return LocalZetaFactors(p, _smoothed_factors(counting_coefficients(scheme)))
 
 
@@ -270,17 +261,18 @@ def limit_toward_one(
     propagate as evaluation errors, and a value beyond float range
     raises ConvergenceError naming its logarithm.
     """
-    seq = list(base_sequence) if base_sequence is not None else default_base_sequence()
-    if any(not 1 < p < math.inf for p in seq) or any(a <= b for a, b in zip(seq, seq[1:])):
-        raise PreconditionError("base sequence must be finite and decrease strictly toward 1")
+    seq = default_base_sequence() if base_sequence is None else [
+        _exact_or_real(p, "base p > 1") for p in base_sequence]
+    if any(not p > 1 for p in seq) or any(a <= b for a, b in zip(seq, seq[1:])):
+        raise PreconditionError("base sequence must decrease strictly toward 1")
     coeffs = counting_coefficients(scheme)
     n = sum(coeffs)  # the pole order N(1)
     factors = _smoothed_factors(coeffs)
     out = []
     for p in seq:
-        log_value = (_float_exponent(n, "N(1)") * math.log(p - 1)
+        log_value = (_float_exponent(n, "exponent N(1)") * math.log(p - 1)
                      + LocalZetaFactors(p, factors).log_evaluate_s(s))
-        out.append(_exp_in_range(log_value, f"limit value at p = {p!r}"))
+        out.append(_exp_in_range(log_value, "limit value at p = {!r}", p))
     return out
 
 

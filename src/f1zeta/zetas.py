@@ -30,6 +30,7 @@ from .powerlog import (
     TermMap,
     _exp_in_range,
     _fmt_exp,
+    _number,
     _parity,
     _Record,
     witness_holds,
@@ -94,8 +95,9 @@ def evaluate_zeta(z: FactoredZeta, s: complex) -> complex:
     m = 0 factors with e < 0 sit at s) the value is 0; at a pole or an
     essential singularity it is a SingularityError.
     """
-    ss = complex(s)
-    at_s = [(lam, m, e) for lam, m, e in z.factors if ss == float(lam)]
+    ss = _number(s, "s")
+    floats = z._floats()
+    at_s = [(lam, m, e) for (lam, m, e), (x, _, _) in zip(z.factors, floats) if ss == x]
     for lam, m, e in at_s:
         if m:
             raise SingularityError(f"essential singularity at s = {lam} (log index m = {m})")
@@ -103,23 +105,28 @@ def evaluate_zeta(z: FactoredZeta, s: complex) -> complex:
             raise SingularityError(f"pole of order {e} at s = {lam}")
     if at_s:
         return 0j
-    return _exp_in_range(log_evaluate_zeta(z, ss), f"zeta value at s = {s!r}")
+    return _exp_in_range(_log_zeta(z, floats, ss), "zeta value at s = {!r}", s)
 
 
 def log_evaluate_zeta(z: FactoredZeta, s: complex) -> complex:
     """A logarithm of the value at s: sum of -e log(s - lam) over the m = 0
     factors plus e (m-1)! (s - lam)^(-m) over the others.  It stays in
     float range where the product of factors would over- or underflow."""
-    ss = complex(s)
+    return _log_zeta(z, z._floats(), _number(s, "s"))
+
+
+def _log_zeta(z: FactoredZeta, floats: list[tuple[float, int, float]], ss: complex) -> complex:
+    """`log_evaluate_zeta` at a checked complex s, from `floats`, the float
+    image of z; z's exact factors name a singular one."""
     total = 0j
-    for lam, m, e in z.factors:
-        base = ss - complex(float(lam))
+    for (lam, m, e), (x, _, ef) in zip(z.factors, floats):
+        base = ss - x
         if base == 0:
             raise SingularityError(f"log zeta is singular at s = {lam} (log index m = {m})")
         if m == 0:
-            total -= float(e) * cmath.log(base)
+            total -= ef * cmath.log(base)
         else:
-            total += float(e) * math.factorial(m - 1) * base ** (-m)
+            total += ef * math.factorial(m - 1) * base ** (-m)
     return total
 
 
@@ -148,12 +155,13 @@ def epsilon_factor(n: PowerLogSum) -> EpsilonFactor:
     sign = _parity(n1.numerator)
     z = zeta_of(n)
     zd = zeta_of(n.dual())
-    radius = max((abs(float(lam)) for lam, _, _ in n.terms), default=0.0)
+    floats, dual_floats = z._floats(), zd._floats()
+    radius = max((abs(lam) for lam, _, _ in floats), default=0.0)
     samples = tuple(radius + 1.5 + k + 0.7j * (k + 1) for k in range(3))
     residual = 0.0
     for s in samples:
         try:
-            ratio = cmath.exp(log_evaluate_zeta(zd, -s) - log_evaluate_zeta(z, s))
+            ratio = cmath.exp(_log_zeta(zd, dual_floats, -s) - _log_zeta(z, floats, s))
         except OverflowError:
             ratio = complex(math.inf)
         deviation = abs(ratio - sign)

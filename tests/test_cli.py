@@ -809,17 +809,21 @@ _NEAR_TERMS = st.sampled_from(("4", "1", "8", "15", "16", "500", "501", "0", "2.
 _NEAR_S = st.sampled_from(("2", "5/2", "3+1i", "1/2", "0", "1", "-1", "nan", "1e400", "x"))
 
 
-def _assert_documented_exit(scheme, args):
-    """Run `args` on `scheme` written as a file, in process: exit 0 or 4
-    reports on stdout alone, every other exit is 2, 3 or 5 with a message."""
+def _assert_documented_exit(scheme, args, empty=False):
+    """Run `args` in process, on `scheme` written as a file unless it is
+    None: exit 0 or 4 reports on stdout alone, every other exit is 2, 3 or
+    5 with a message.  With `empty`, an exit 0 may print nothing."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "near.scheme"
-        path.write_text(json.dumps(scheme))
+        argv = list(args)
+        if scheme is not None:
+            path = Path(tmp) / "near.scheme"
+            path.write_text(json.dumps(scheme))
+            argv[1:1] = ["--scheme", str(path)]
         out, err = io.StringIO(), io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = cli.main([args[0], "--scheme", str(path), *args[1:]])
+                code = cli.main(argv)
             except SystemExit as exc:  # argparse rejects a non-integer --q or --terms
                 code = exc.code
         elapsed = time.perf_counter() - start
@@ -827,7 +831,8 @@ def _assert_documented_exit(scheme, args):
     assert "Traceback" not in err.getvalue()
     assert elapsed < 5.0, (scheme, args, elapsed)
     if code in (0, 4):  # an identity-check failure prints its report
-        assert err.getvalue() == "" and out.getvalue().endswith("\n")
+        assert err.getvalue() == ""
+        assert out.getvalue().endswith("\n") or empty and code == 0 and out.getvalue() == ""
     else:
         assert err.getvalue() != ""
 
@@ -849,3 +854,30 @@ def test_count_and_fourier_end_in_a_documented_exit(scheme, call):
        st.sampled_from(("pretty", "records")))
 def test_local_limit_zeta_and_fe_check_end_in_a_documented_exit(scheme, call, form):
     _assert_documented_exit(scheme, (*call, "--format", form))
+
+
+# -- power-log commands end in a documented exit on near-valid input ---------
+
+# exact data past float range, a zero denominator, irrational-free roots,
+# a log term and two spellings of the zero sum
+_NEAR_POWERS = ("u^1e400", "1e400*u + 1", "u^{1/0}", "u^{-1/3} - u^{1/3}", "u*log", "0", "u - u")
+
+
+@pytest.mark.parametrize("form", ["pretty", "records"])
+@pytest.mark.parametrize("powers", _NEAR_POWERS)
+@pytest.mark.parametrize("command", ["dual", "epsilon", "zeta", "fe-check"])
+def test_powers_commands_end_in_a_documented_exit(command, powers, form):
+    # the records of the zero map are no lines at all
+    empty = form == "records" and powers in ("0", "u - u")
+    _assert_documented_exit(None, (command, "--powers", powers, "--format", form), empty)
+
+
+def test_exact_data_past_float_range_is_a_tolerance_failure_only_where_floats_are_formed(capsys):
+    # the epsilon residual evaluates the zeta in floats: exit 5 before any output
+    code = cli.main(["epsilon", "--powers", "u^1e400"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == "numeric failure: term exponent of about 2^1329 is beyond float range\n"
+    # the dual is exact
+    code, out = _run(capsys, "dual", "--powers", "u^1e400", "--format", "records")
+    assert code == 0 and out == f"{-10**400}\t1\t0\t1\t1\n"

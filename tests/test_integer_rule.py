@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from f1zeta.errors import PreconditionError
 from f1zeta.groups import (
     ReductiveGroupData, gl_group_data, torus_counting, torus_group_data, verify_family_identities)
-from f1zeta.powerlog import MAX_COUNTING_DEGREE, PowerLogSum, _check_integer
+from f1zeta.powerlog import (
+    MAX_COUNTING_DEGREE, FunctionalEquationWitness, PowerLogSum, _check_integer, witness_holds)
 from f1zeta.regularize import (
     MAX_HEAD_TERMS, circle_spectrum, log_regularized_det, regularized_det, spectral_zeta)
 from f1zeta.schemes import (
@@ -68,6 +69,12 @@ def test_the_rule_returns_an_int_within_its_bounds():
     (lambda: gcd_fourier_coefficients(2, 3, True), "period length"),
     (lambda: gcd_fourier_coefficients(3, 2, -2**20000), "an int of 20001 bits"),
     (lambda: exact_count(P1, -2**20000), "an int of 20001 bits"),
+    (lambda: FunctionalEquationWitness(True, 1), r"witness sign c must be an integer, got True"),
+    (lambda: FunctionalEquationWitness(2.5, 1), r"witness sign c must be an integer, got 2\.5"),
+    # witness_holds read omega's numerator: an AttributeError
+    (lambda: witness_holds(PowerLogSum.power(1), FunctionalEquationWitness(1, 0.5)),
+     r"witness center omega must be an int or a Fraction, got 0\.5"),
+    (lambda: FunctionalEquationWitness(1, True), "witness center omega"),
 ])
 def test_an_int_argument_that_breaks_the_rule_is_a_precondition_error(call, message):
     with pytest.raises(PreconditionError, match=message):
@@ -129,6 +136,7 @@ INT_PARAMETERS = [
     ("log_power", PowerLogSum.log_power, 0, None),
     ("from_dict m", lambda v: PowerLogSum.from_dict({(0, v): 1}), 0, None),
     ("TruncatedSeries", lambda v: TruncatedSeries((1, v)), None, None),
+    ("FunctionalEquationWitness c", lambda v: FunctionalEquationWitness(v, 1), None, None),
     ("local_zeta_series p", lambda v: local_zeta_series(P1, v, 3), 2, None),
     ("local_zeta_series order", lambda v: local_zeta_series(P1, 2, v), 1, MAX_SERIES_ORDER),
     ("LocalZetaFactors.series", lambda v: smoothed_local_zeta(P1, 2).series(v), 0, MAX_SERIES_ORDER),

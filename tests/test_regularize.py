@@ -105,9 +105,9 @@ def test_numeric_rejects_divergent_regions():
         two_variable_zeta_numeric(n, 1, 2)  # needs Re(s) > 2
     # NaN fails both half-plane tests before any quadrature; inf is no point of them
     for bad in (float("nan"), complex(1, float("nan")), float("inf"), complex(1, float("inf"))):
-        with pytest.raises(PreconditionError, match="needs a finite w"):
+        with pytest.raises(PreconditionError, match="need a finite w"):
             two_variable_zeta_numeric(n, bad, 5)
-        with pytest.raises(PreconditionError, match="needs a finite s"):
+        with pytest.raises(PreconditionError, match="need a finite s"):
             two_variable_zeta_numeric(n, 1, 3 + bad)
 
 
@@ -325,12 +325,12 @@ def test_spectral_zeta_preconditions():
         log_regularized_det(circ, -1e12)
     # a non-finite s + shift or w fails before the head grows: inf would double it to the cap
     for bad in (float("nan"), float("inf"), float("-inf"), complex(1, float("nan"))):
-        with pytest.raises(PreconditionError, match="need a finite s \\+ shift"):
+        with pytest.raises(PreconditionError, match="need a finite s"):
             spectral_zeta(circ, 2, bad)
         with pytest.raises(PreconditionError, match="need a finite w"):
             spectral_zeta(circ, bad, 1)
     for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(PreconditionError, match="need a finite s \\+ shift"):
+        with pytest.raises(PreconditionError, match="need a finite s"):
             log_regularized_det(circ, bad)
 
 
@@ -831,7 +831,7 @@ def test_a_shift_below_the_first_eigenvalue_is_a_precondition_error():
     with pytest.raises(PreconditionError, match="shifted eigenvalues must stay positive"):
         regularized_det(shift_spectrum(circle, -1.5), 2.0)
     for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(PreconditionError, match="a shift must be finite"):
+        with pytest.raises(PreconditionError, match="need a finite shift"):
             shift_spectrum(circle, bad)
     # the message names the float sum lam_1 + Re(s + shift) found <= 0
     with pytest.raises(PreconditionError, match=r"first shifted eigenvalue, got -0\.5$"):
@@ -920,7 +920,7 @@ def test_the_zero_sum_checks_its_arguments_before_it_returns_zero():
     zero = PowerLogSum.zero()
     nan = float("nan")
     for w, s in ((nan, nan), (nan, 2), (0, 2), (-1, 2), (1, nan), (1, math.inf), (1, complex(2, nan))):
-        with pytest.raises(PreconditionError, match="integral needs a finite"):
+        with pytest.raises(PreconditionError, match=r"need a finite|integral needs Re\(w\) > 0"):
             two_variable_zeta_numeric(zero, w, s)
     for s in (nan, math.inf, complex(2, nan)):
         with pytest.raises(PreconditionError, match="need a finite s"):
@@ -981,7 +981,7 @@ def test_escaping_inputs_end_in_a_library_error_before_any_tail_is_kept():
         assert cmath.isfinite(got.value) and math.isfinite(got.error_bound)
     n = parse_power_log("u - 1")
     for w, s in ((float("nan"), 1.5), (1, float("nan")), (math.inf, 1.5), (1, complex(2, math.inf))):
-        with pytest.raises(PreconditionError, match="Z_N needs a finite w and s"):
+        with pytest.raises(PreconditionError, match="need a finite [ws]"):
             two_variable_zeta_closed(n, w, s)
     # (s - 1)^-w = 0.5^-w overflows at w = 1e308, and (s - 0)^-w = 1.5^-w at w = -1e308
     with pytest.raises(ConvergenceError, match="overflows a float"):
@@ -989,8 +989,11 @@ def test_escaping_inputs_end_in_a_library_error_before_any_tail_is_kept():
     with pytest.raises(ConvergenceError, match="overflows a float"):
         two_variable_zeta_closed(n, -1e308, 1.5)
     # Gamma(w + 3)/Gamma(w) is about w^3: past float range at w = 1e200
-    with pytest.raises(ConvergenceError, match=r"Z_N\(w, s\) overflows a float"):
+    with pytest.raises(ConvergenceError, match=r"Gamma\(w \+ 3\)/Gamma\(w\) overflows a float"):
         two_variable_zeta_closed(parse_power_log("u*log^3 - 1"), 1e200, 2.5)
+    # each factor is in float range, their product 10^300 * 0.1^-10 is not
+    with pytest.raises(ConvergenceError, match=r"Z_N\(w, s\) overflows a float"):
+        two_variable_zeta_closed(parse_power_log("1e300"), 10, 0.1)
 
 
 def _outcome(call):
