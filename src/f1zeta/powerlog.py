@@ -29,6 +29,7 @@ import numbers
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
@@ -404,12 +405,21 @@ class TermMap(_Record):
 
     def to_records(self) -> list[list[int]]:
         """One record [lam_num, lam_den, m, c_num, c_den] per term, in order."""
-        return [
-            [lam.numerator, lam.denominator, m, c.numerator, c.denominator]
-            for lam, m, c in self.terms
-        ]
+        return [[a, d, m, cn, cd] for a, d, group in self._groups for m, cn, cd in group]
 
     # -- inspection ----------------------------------------------------
+
+    @cached_property
+    def _groups(self) -> tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...]:
+        """The terms in integers, grouped by exponent: per distinct lam, in
+        order, (lam numerator, lam denominator, the (m, c numerator,
+        c denominator) of each of its terms).  The one integer image of the
+        map, computed once per map and read by witness checks, N(1),
+        records and detection; `==`, `hash` and `repr` read `terms`."""
+        rows = [(lam.numerator, lam.denominator, (m, c.numerator, c.denominator))
+                for lam, m, c in self.terms]
+        return tuple([(a, d, tuple([row[2] for row in run]))
+                      for (a, d), run in groupby(rows, key=itemgetter(0, 1))])
 
     def _floats(self) -> list[tuple[float, int, float]]:
         """The terms as (float lam, m, float c): the one float image of the
@@ -538,9 +548,9 @@ class PowerLogSum(TermMap):
     def value_at_one(self) -> Fraction:
         """N(1): log-carrying terms vanish at u = 1.  The coefficients are
         summed as integers over the lcm of their denominators."""
-        cs = [c for _, m, c in self.terms if m == 0]
-        den = math.lcm(1, *(c.denominator for c in cs))
-        return Fraction(sum([c.numerator * (den // c.denominator) for c in cs]), den)
+        cs = [(cn, cd) for _, _, group in self._groups for m, cn, cd in group if m == 0]
+        den = math.lcm(1, *(cd for _, cd in cs))
+        return Fraction(sum([cn * (den // cd) for cn, cd in cs]), den)
 
     # -- algebra -------------------------------------------------------
 
@@ -613,7 +623,7 @@ class FunctionalEquationWitness(_Record):
 
 
 def witness_holds(n: PowerLogSum, witness: FunctionalEquationWitness) -> bool:
-    """Exact check of N(1/u) = c u^(-omega) N(u), on integer fields.
+    """Exact check of N(1/u) = c u^(-omega) N(u), on the map's integer image.
 
     It says c(lam, m) = c (-1)^m c(omega - lam, m): lam -> omega - lam
     reverses the lam groups, so group g pairs with group G-1-g slot by
@@ -626,21 +636,12 @@ def witness_holds(n: PowerLogSum, witness: FunctionalEquationWitness) -> bool:
     c, e, f = witness.c, witness.omega.numerator, witness.omega.denominator
     if c not in (1, -1):
         return not n.terms
-    # terms keyed by (numerator, denominator): grouping compares int pairs
-    keyed = [((lam.numerator, lam.denominator), m, coeff) for lam, m, coeff in n.terms]
-    groups = [list(g) for _, g in groupby(keyed, key=itemgetter(0))]
-    for low, high in zip(groups[: (len(groups) + 1) // 2], reversed(groups)):
-        if len(low) != len(high):
+    groups = n._groups
+    for (a1, d1, low), (a2, d2, high) in zip(groups[: (len(groups) + 1) // 2], reversed(groups)):
+        if len(low) != len(high) or (a1 * d2 + a2 * d1) * f != e * d1 * d2:
             return False
-        (a1, d1), (a2, d2) = low[0][0], high[0][0]
-        if (a1 * d2 + a2 * d1) * f != e * d1 * d2:
-            return False
-        for (_, m1, c1), (_, m2, c2) in zip(low, high):
-            if (
-                m1 != m2
-                or c1.denominator != c2.denominator
-                or c1.numerator != (-c if m1 % 2 else c) * c2.numerator
-            ):
+        for (m1, n1, q1), (m2, n2, q2) in zip(low, high):
+            if m1 != m2 or q1 != q2 or n1 != (-c if m1 % 2 else c) * n2:
                 return False
     return True
 
@@ -651,18 +652,22 @@ def detect_functional_equation(n: PowerLogSum) -> FunctionalEquationWitness | No
     The candidate omega is forced: the exponent support must map onto
     itself under lam -> omega - lam, so omega = min + max of the
     support (for a single exponent alpha this degenerates to 2*alpha).
-    The sign c is read off one matched coefficient pair and then the
-    whole identity is verified by `witness_holds`.
+    The sign c is read off the first terms of the lowest and the highest
+    exponent, which the identity pairs, and then the whole identity is
+    verified by `witness_holds`.
     """
     if n.is_zero:
         raise PreconditionError("functional equations of the zero sum are vacuous")
-    lam, m, coeff = n.terms[0]
-    omega = lam + n.degree
-    # the coefficient of N(1/u) at (lam - omega, m), matched against coeff
-    target = _parity(m) * n.coefficient(omega - lam, m)
-    if target == coeff:
+    omega = n.terms[0][0] + n.degree
+    groups = n._groups
+    (m, num, den), (top_m, top_num, top_den) = groups[0][2][0], groups[-1][2][0]
+    if top_m != m or top_den != den:  # the pair has different log powers or coefficients
+        return None
+    # N(1/u) has (-1)^m top_num/den at (lam - omega, m), matched against num/den
+    target = _parity(m) * top_num
+    if target == num:
         c = 1
-    elif target == -coeff:
+    elif target == -num:
         c = -1
     else:
         return None

@@ -34,14 +34,15 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 from typing import Sequence, Union
 
 from .errors import PreconditionError, SingularityError
-from .powerlog import (_asymmetries, _binomial_row, _check_integer, _check_printable,
-                       _exact_or_real, _exp_in_range, _float_exponent, _number, _Record,
-                       _shown)
+from .powerlog import (MAX_COUNTING_DEGREE, _asymmetries, _binomial_row, _check_integer,
+                       _check_printable, _exact_or_real, _exp_in_range, _float_exponent,
+                       _number, _Record, _shown)
 from .schemes import MonoidScheme, counting_coefficients, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
@@ -178,38 +179,65 @@ def _newton_series(counts: Sequence[int], what: str) -> list[int]:
 # -- factored smoothed local zeta ----------------------------------------
 
 
-class LocalZetaFactors(_Record):
-    """prod_r (1 - base^r T)^(e_r) for a real base > 1."""
+def _log(x: Union[int, float, Fraction]) -> float:
+    """log x of a positive int, float or Fraction.  `math.log` takes an int
+    of any size but a Fraction only through its float, which may overflow
+    or round to 0; such a Fraction is taken as log(numerator) -
+    log(denominator), which would cancel next to 1 where its float does not."""
+    try:
+        return math.log(x)
+    except (OverflowError, ValueError):
+        return math.log(x.numerator) - math.log(x.denominator)
 
-    base: Union[int, float]
+
+def _log_factors(log_base: float, factors: Sequence[tuple[int, int]], s: complex) -> complex:
+    """sum_r e_r log(1 - b^(r-s)) at a finite s, with log b = `log_base`:
+    a log of prod_r (1 - b^r T)^(e_r) at T = b^(-s) that stays in float
+    range where the product of powers would not, and where b^(r-s) itself
+    would not."""
+    ss = _number(s, "s")
+    total = 0j
+    for r, e in factors:
+        z = (r - ss) * log_base
+        try:
+            factor = 1 - cmath.exp(z)
+        except OverflowError:  # e^z past float range: 1 - e^z = e^z (e^-z - 1)
+            total += _float_exponent(e, "exponent e_{}", r) * (z + cmath.log(cmath.exp(-z) - 1))
+            continue
+        if abs(factor) < 1e-13:
+            raise SingularityError(
+                f"factor (1 - p^({r}-s))^{e} vanishes at s = {s}"
+            )
+        total += _float_exponent(e, "exponent e_{}", r) * cmath.log(factor)
+    return total
+
+
+class LocalZetaFactors(_Record):
+    """prod_r (1 - base^r T)^(e_r) for a base > 1: an int or a Fraction of
+    any size, or a finite real."""
+
+    base: Union[int, Fraction, float]
     factors: tuple[tuple[int, int], ...]  # (level r, exponent e_r), e_r != 0
 
-    def __init__(self, base: Union[int, float], factors: tuple[tuple[int, int], ...]) -> None:
+    def __init__(self, base: Union[int, Fraction, float],
+                 factors: tuple[tuple[int, int], ...]) -> None:
+        base = _exact_or_real(base, "p > 1")
+        if not base > 1:
+            raise PreconditionError(f"smoothed local zeta needs p > 1, got {_shown(base)}")
+        try:
+            factors = tuple([(_check_integer(r, "factor level r", 0, MAX_COUNTING_DEGREE),
+                              _check_integer(e, "factor exponent e_r")) for r, e in factors])
+        except (TypeError, ValueError):  # not an iterable of pairs
+            raise PreconditionError(
+                f"local zeta factors must be (r, e_r) pairs, got {_shown(factors)}") from None
         self.__dict__["base"], self.__dict__["factors"] = base, factors
 
     def exponents(self) -> dict[int, int]:
         return dict(self.factors)
 
     def log_evaluate_s(self, s: complex) -> complex:
-        """sum_r e_r log(1 - base^(r-s)) at a finite s: a log of the value at
-        T = base^(-s) that stays in float range where the product of powers
-        would not, and where base^(r-s) itself would not."""
-        ss = _number(s, "s")
-        lb = math.log(self.base)
-        total = 0j
-        for r, e in self.factors:
-            z = (r - ss) * lb
-            try:
-                factor = 1 - cmath.exp(z)
-            except OverflowError:  # e^z past float range: 1 - e^z = e^z (e^-z - 1)
-                total += _float_exponent(e, "exponent e_{}", r) * (z + cmath.log(cmath.exp(-z) - 1))
-                continue
-            if abs(factor) < 1e-13:
-                raise SingularityError(
-                    f"factor (1 - p^({r}-s))^{e} vanishes at s = {s}"
-                )
-            total += _float_exponent(e, "exponent e_{}", r) * cmath.log(factor)
-        return total
+        """sum_r e_r log(1 - base^(r-s)) at a finite s (`_log_factors`)."""
+        return _log_factors(_log(self.base), self.factors, s)
 
     def evaluate_s(self, s: complex) -> complex:
         """Value at T = base^(-s); one beyond float range is a
@@ -232,10 +260,8 @@ def _smoothed_factors(coeffs: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 def smoothed_local_zeta(scheme: MonoidScheme, p: Union[int, float]) -> LocalZetaFactors:
     """Factored form of the torsion-smoothed local zeta at a base p > 1: an
-    int or a Fraction of any size, or a finite real."""
-    p = _exact_or_real(p, "p > 1")
-    if not p > 1:
-        raise PreconditionError(f"smoothed local zeta needs p > 1, got {_shown(p)}")
+    int or a Fraction of any size, or a finite real (checked by
+    `LocalZetaFactors`)."""
     return LocalZetaFactors(p, _smoothed_factors(counting_coefficients(scheme)))
 
 
@@ -270,8 +296,8 @@ def limit_toward_one(
     factors = _smoothed_factors(coeffs)
     out = []
     for p in seq:
-        log_value = (_float_exponent(n, "exponent N(1)") * math.log(p - 1)
-                     + LocalZetaFactors(p, factors).log_evaluate_s(s))
+        log_value = (_float_exponent(n, "exponent N(1)") * _log(p - 1)
+                     + _log_factors(_log(p), factors, s))
         out.append(_exp_in_range(log_value, "limit value at p = {!r}", p))
     return out
 

@@ -101,6 +101,8 @@ def test_the_number_theory_helpers_are_capped():
     lambda: limit_toward_one(P1, complex(2, math.inf)),
     lambda: smoothed_local_zeta(P1, 2).evaluate_s(math.nan),
     lambda: smoothed_local_zeta(P1, 2).evaluate_s(2**2000),
+    lambda: LocalZetaFactors(math.inf, ((0, -1), (1, -1))).evaluate_s(2),
+    lambda: LocalZetaFactors(math.nan, ((0, -1), (1, -1))).evaluate_s(2),
 ])
 def test_a_local_zeta_at_a_nan_or_infinite_argument_is_a_precondition_error(call):
     with pytest.raises(PreconditionError):
@@ -140,6 +142,8 @@ INT_PARAMETERS = [
     ("local_zeta_series p", lambda v: local_zeta_series(P1, v, 3), 2, None),
     ("local_zeta_series order", lambda v: local_zeta_series(P1, 2, v), 1, MAX_SERIES_ORDER),
     ("LocalZetaFactors.series", lambda v: smoothed_local_zeta(P1, 2).series(v), 0, MAX_SERIES_ORDER),
+    ("LocalZetaFactors level r", lambda v: LocalZetaFactors(2, ((v, -1),)), 0, MAX_COUNTING_DEGREE),
+    ("LocalZetaFactors exponent e_r", lambda v: LocalZetaFactors(2, ((0, v),)), None, None),
     ("default_base_sequence", default_base_sequence, 0, 15),
     ("local_functional_equation p", lambda v: local_functional_equation(P1, v), 2, None),
     ("ReductiveGroupData rank", lambda v: ReductiveGroupData(v, 3, (1, 1)), 1, None),

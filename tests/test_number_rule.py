@@ -12,14 +12,14 @@ from fractions import Fraction
 
 import pytest
 
-from f1zeta.errors import ConvergenceError, F1ZetaError, PreconditionError
+from f1zeta.errors import ConvergenceError, F1ZetaError, PreconditionError, SingularityError
 from f1zeta.powerlog import PowerLogSum, _number, parse_power_log
 from f1zeta.regularize import (
     LogZetaIntegral, SpectralValue, Spectrum, circle_spectrum, gamma_ratio_poly, log_regularized_det,
     log_zeta_integral, regularized_det, shift_spectrum, spectral_zeta, two_variable_zeta_closed,
     two_variable_zeta_numeric, zeta_from_regularization)
 from f1zeta.schemes import projective_space_model, smoothed_count
-from f1zeta.weil import LocalZetaFactors, limit_toward_one, smoothed_local_zeta
+from f1zeta.weil import LocalZetaFactors, _log, limit_toward_one, smoothed_local_zeta
 from f1zeta.zetas import epsilon_factor, evaluate_zeta, log_evaluate_zeta, zeta_of
 
 P1 = projective_space_model(1)
@@ -85,6 +85,43 @@ def test_exact_bases_stay_exact_at_any_size():
     assert smoothed_count(P2, Fraction(1, 2)) == Fraction(7, 4)
 
 
+def test_an_exact_base_past_float_range_or_next_to_one_has_an_exact_log():
+    # log p = log(numerator) - log(denominator): the Fraction's float would
+    # overflow, or round p - 1 to 0
+    assert smoothed_local_zeta(P2, Fraction(10**500, 3)).evaluate_s(3) == 1
+    with pytest.raises(ConvergenceError, match=r"^limit value at p = .* overflows a float"):
+        limit_toward_one(P2, 3, [Fraction(10**500, 3)])
+    # log(p - 1) is finite; log p rounds to 0, so a factor vanishes in floats
+    with pytest.raises(SingularityError, match=r"vanishes at s = 3$"):
+        limit_toward_one(P2, 3, [1 + Fraction(1, 10**400)])
+    assert limit_toward_one(P2, 3, [Fraction(3, 2)]) == limit_toward_one(P2, 3, [1.5])
+    # within float range log p is read off p's float, whose error next to 1
+    # is about 1e-16 / (p - 1); the two integer logs would cancel to 2e-5
+    near = Fraction(10**10 + 1, 10**10)
+    assert _log(near) == pytest.approx(math.log1p(1e-10), rel=1e-6)
+    assert limit_toward_one(P2, 3, [near]) == pytest.approx([1 / 6], rel=1e-6)
+
+
+@pytest.mark.parametrize("base, factors, message", [
+    (math.inf, ((0, -1), (1, -1)), r"^need a finite p > 1, got inf$"),
+    ("2", ((0, -1), (1, -1)), r"^need a real p > 1, got '2'$"),
+    (1, ((0, -1), (1, -1)), r"^smoothed local zeta needs p > 1, got 1$"),
+    (2, ((0, 1.5),), r"^factor exponent e_r must be an integer, got 1\.5$"),
+    (2, ((501, -1),), r"^factor level r 501; at most 500 is supported$"),
+    (2, (0, 1), r"^local zeta factors must be \(r, e_r\) pairs, got \(0, 1\)$"),
+], ids=["inf", "str", "one", "float-exponent", "level-past-cap", "not-pairs"])
+def test_local_zeta_factors_check_their_fields(base, factors, message):
+    # inf returned (1+0j) and "2" raised a bare TypeError
+    with pytest.raises(PreconditionError, match=message):
+        LocalZetaFactors(base, factors).evaluate_s(2)
+
+
+def test_local_zeta_factors_keep_int_pairs():
+    z = LocalZetaFactors(Fraction(5, 2), [[0, -1], [1, -1]])
+    assert z.factors == ((0, -1), (1, -1))
+    assert hash(z) == hash(LocalZetaFactors(Fraction(5, 2), z.factors))
+
+
 def test_a_computed_shifted_point_past_float_range_is_still_refused():
     # s and the shift are each finite; their sum is not
     with pytest.raises(PreconditionError, match=r"need a finite s \+ shift"):
@@ -115,6 +152,8 @@ FLOAT_PARAMETERS = [
     ("shift_spectrum shift", lambda v: shift_spectrum(CIRCLE, v), True, False),
     ("LocalZetaFactors s", lambda v: LocalZetaFactors(2, ((0, -1), (1, -1))).evaluate_s(v), False,
      False),
+    ("LocalZetaFactors base", lambda v: LocalZetaFactors(v, ((0, -1), (1, -1))).evaluate_s(2), True,
+     True),
     ("limit_toward_one s", lambda v: limit_toward_one(P1, v), False, False),
     ("smoothed_local_zeta p", lambda v: smoothed_local_zeta(P2, v), True, True),
     ("limit_toward_one p", lambda v: limit_toward_one(P2, 3, [v]), True, True),

@@ -212,9 +212,36 @@ def witness_cases(draw):
 # a witness with |c| != 1 holds for the zero sum only
 @example((PowerLogSum.zero(), FunctionalEquationWitness(2, Fraction(0))))
 @example((PowerLogSum.power(0), FunctionalEquationWitness(2, Fraction(0))))
+# c = -1 across two groups; equal log powers whose coefficients differ in sign only
+@example((parse_power_log("u^2 - u^-1"), FunctionalEquationWitness(-1, Fraction(1))))
+@example((parse_power_log("u^2*log - log"), FunctionalEquationWitness(1, Fraction(2))))
+# numerators and denominators past a machine word
+@example((PowerLogSum.from_dict({(Fraction(10**30, 7), 0): Fraction(10**40, 3),
+                                 (Fraction(-10**30, 7), 0): Fraction(10**40, 3)}),
+          FunctionalEquationWitness(1, Fraction(0))))
 def test_witness_holds_agrees_with_term_algebra(case):
     n, witness = case
-    assert witness_holds(n, witness) == _term_algebra_witness_holds(n, witness)
+    want = _term_algebra_witness_holds(n, witness)
+    # a map caches one integer image on first use: check it cold, then warm,
+    # then on an equal fresh map
+    cold, fresh = PowerLogSum(n.terms), PowerLogSum(n.terms)
+    shown = (hash(cold), repr(cold))
+    first = (cold.value_at_one(), cold.to_records())
+    assert witness_holds(cold, witness) == want
+    assert witness_holds(cold, witness) == want
+    assert witness_holds(fresh, witness) == want
+    assert witness_holds(n, witness) == want
+    assert (cold.value_at_one(), cold.to_records()) == first
+    assert first == (sum([c for _, m, c in n.terms if m == 0], Fraction(0)),
+                     [[lam.numerator, lam.denominator, m, c.numerator, c.denominator]
+                      for lam, m, c in n.terms])
+    assert cold == fresh == n and (hash(cold), repr(cold)) == shown == (hash(fresh), repr(fresh))
+    if n.terms:  # detection reads the sign off the same image: omega is forced
+        omega = n.terms[0][0] + n.degree
+        signs = [c for c in (1, -1)
+                 if _term_algebra_witness_holds(n, FunctionalEquationWitness(c, omega))]
+        found = detect_functional_equation(cold)
+        assert found == (FunctionalEquationWitness(signs[0], omega) if signs else None)
 
 
 def test_product_builder_vanishes_at_one():
