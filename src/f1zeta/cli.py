@@ -314,16 +314,9 @@ def _cmd_regdet(config: argparse.Namespace) -> int:
 
 
 def _cmd_fourier(config: argparse.Namespace) -> int:
-    from .schemes import MAX_FOURIER_PERIOD, fourier_data, fourier_period
+    from .schemes import fourier_data
 
-    scheme = _scheme(config)
-    p = _prime_base(config, "Fourier coefficients")
-    # the table's size is known before any coefficient vector is built
-    rows = sum(len(pt.torsion_orders) for pt in scheme.points) * fourier_period(scheme)
-    if rows > MAX_FOURIER_PERIOD:
-        raise PreconditionError(f"a Fourier table of {rows} rows (entries times period); "
-                                f"at most {MAX_FOURIER_PERIOD} are supported")
-    data = fourier_data(scheme, p)
+    data = fourier_data(_scheme(config), _prime_base(config, "Fourier coefficients"))
     print(f"period\t{data.period}")
     for x, jidx, t, coeffs in data.entries:
         # the coefficients are exact rationals; the real/imaginary column

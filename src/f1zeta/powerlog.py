@@ -74,16 +74,18 @@ def _integer(value: object) -> int:
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    raise ValueError(f"{value!r} is not an integer")
+    raise ValueError(f"{_shown(value)} is not an integer")
 
 
 def _shown(value: object) -> str:
-    """repr(value); an int too long for `str` (past
-    sys.get_int_max_str_digits()) is named by its bit length."""
+    """repr(value); an int too long for `str` (past sys.get_int_max_str_digits())
+    is named by its bit length, and any other value holding one by its type."""
     try:
         return repr(value)
     except ValueError:
-        return f"an int of {value.bit_length()} bits"
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an int too long to print"
 
 
 def _check_integer(value: object, what: str, least: int | None = None,
@@ -170,16 +172,17 @@ def _exp_in_range(log_value: float | complex, what: str, *args: object,
                   name: str = "log") -> float | complex:
     """exp(log_value): `math.exp` of a real log, `cmath.exp` of a complex
     one.  A value that is not finite (a log too large, or not a number) is
-    a ConvergenceError naming `what.format(*args)` and the achieved log; a
-    value too small for a float rounds toward 0.  The message is formatted
-    only on failure."""
+    a ConvergenceError naming `what.format(*args)`, each argument by
+    `_shown`, and the achieved log; a value too small for a float rounds
+    toward 0.  The message is formatted only on failure."""
     try:
         value = cmath.exp(log_value) if isinstance(log_value, complex) else math.exp(log_value)
         if cmath.isfinite(value):
             return value
     except OverflowError:
         pass
-    raise ConvergenceError(f"{what.format(*args)} overflows a float: achieved {name} = {log_value!r}")
+    raise ConvergenceError(
+        f"{what.format(*map(_shown, args))} overflows a float: achieved {name} = {log_value!r}")
 
 
 def _binomial_row(r: int) -> list[int]:
@@ -258,15 +261,15 @@ def _read_json(path: str) -> object:
 
 def _decode_record(rec: object) -> tuple[Key, Fraction]:
     if not isinstance(rec, (list, tuple)):
-        raise ParseError(f"bad term record {rec!r}: expected a list of five integers")
+        raise ParseError(f"bad term record {_shown(rec)}: expected a list of five integers")
     try:
         ln, ld, m, cn, cd = (_integer(v) for v in rec)
     except ValueError as exc:
-        raise ParseError(f"bad term record {rec!r}: {exc}") from exc
+        raise ParseError(f"bad term record {_shown(rec)}: {exc}") from exc
     if m < 0:
-        raise ParseError(f"negative log power in record {rec!r}")
+        raise ParseError(f"negative log power in record {_shown(rec)}")
     if ld == 0 or cd == 0:
-        raise ParseError(f"zero denominator in record {rec!r}")
+        raise ParseError(f"zero denominator in record {_shown(rec)}")
     return (Fraction(ln, ld), m), Fraction(cn, cd)
 
 
@@ -578,7 +581,7 @@ class PowerLogSum(TermMap):
         except OverflowError:
             total = complex(math.inf)
         if not cmath.isfinite(total):
-            raise ConvergenceError(f"N(u) overflows a float at u = {u!r}")
+            raise ConvergenceError(f"N(u) overflows a float at u = {_shown(u)}")
         return total
 
     # -- display -------------------------------------------------------

@@ -265,7 +265,7 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
     # split where the tail e^(-(Re s - degree) t) has fallen by e^-4, so
     # that the upper piece starts near its bulk instead of far before it
     t0 = max(1.0, 4.0 / (ss.real - edge))
-    scale = _exp_in_range(ww * math.log(t0), "t0^w at t0 = {!r}", t0)
+    scale = _exp_in_range(ww * math.log(t0), "t0^w at t0 = {}", t0)
     lower_fn = _power_log_integrand(n, ss, ww, t0)
     upper_fn = _power_log_integrand(n, ss, ww - 1)
     lower, lower_estimate = _complex_quad(lower_fn, 0.0)
@@ -330,7 +330,7 @@ def zeta_from_regularization(n: PowerLogSum, s: Complex) -> complex:
     c (m-1)! (s - lam)^-m for m >= 1, which sum to log_evaluate_zeta; a
     value beyond float range is a ConvergenceError naming that log.
     """
-    return _exp_in_range(log_evaluate_zeta(zeta_of(n), s), "zeta value at s = {!r}", s)
+    return _exp_in_range(log_evaluate_zeta(zeta_of(n), s), "zeta value at s = {}", s)
 
 
 # -- log-integral representation for N(1) = 0 --------------------------

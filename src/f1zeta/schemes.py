@@ -1,9 +1,9 @@
 """Monoid-scheme point data and its counting functions.
 
-A scheme is encoded purely by its finite point set: at each point the
-unit group contributes a free rank R(x) and a list of torsion orders
-t_{x,j} >= 2 (the torsion cardinality T(x) is their product).  Over the
-field with q elements the point count is
+A scheme is encoded by its points, stored as runs of equal points in
+point order: at each point the unit group contributes a free rank R(x)
+and a list of torsion orders t_{x,j} >= 2 (the torsion cardinality T(x)
+is their product).  Over the field with q elements the point count is
 
     #X(F_q) = sum_x (q-1)^R(x) * prod_j gcd(t_{x,j}, q-1),
 
@@ -21,6 +21,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, groupby, repeat
 from typing import Sequence, Union
 
 from .errors import ParseError, PreconditionError
@@ -30,9 +31,6 @@ from .powerlog import (
 
 COMPLEX_TOLERANCE = 1e-10  # declared tolerance for Fourier reconstruction
 MAX_FOURIER_PERIOD = 1 << 20  # coefficients per torsion order in a Fourier table
-# P^n lists its 2^(n+1) - 1 points one by one: on a 2-core host P20 is built
-# in 0.1 s and counted in 0.3 s, each time doubling per dimension
-MAX_PROJECTIVE_DIMENSION = 20
 
 
 def totient(n: int) -> int:
@@ -71,27 +69,37 @@ class TorsionPoint(_Record):
 
 
 class MonoidScheme(_Record):
-    """Finite point list plus asserted dimension / projectivity metadata.
+    """Runs (point, k >= 1) in point order, adjacent equal points merged so that
+    equal schemes are equal however written (a plain point is a run of 1), plus
+    asserted dimension / projectivity metadata.  No library function reads `points`.
 
     `smooth_projective` is a caller assertion: it cannot be decided from
     point data, and its observable consequence (Betti symmetry) is
     verified by the functional-equation checks rather than assumed.
     """
 
-    points: tuple[TorsionPoint, ...]
+    runs: tuple[tuple[TorsionPoint, int], ...]
     dimension: int | None = None
     smooth_projective: bool = False
     name: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        if not self.points:
+        pairs = [(run, 1) if isinstance(run, TorsionPoint) else run for run in self.runs]
+        runs = self.__dict__["runs"] = tuple(
+            (pt, sum(_check_integer(k, "run multiplicity", 1) for _, k in group))
+            for pt, group in groupby(pairs, lambda run: run[0]))
+        if not runs:
             raise PreconditionError("a scheme needs at least one point")
         if self.dimension is not None:
             # the Betti profile and the zeta tables have an entry per index up to it
             _check_integer(self.dimension, "declared dimension", 0, MAX_COUNTING_DEGREE)
         # the top rank, the counting degree, by a walk that keeps the count profile lazy
-        _check_integer(max(pt.rank for pt in self.points), "point rank", most=MAX_COUNTING_DEGREE)
+        _check_integer(max(pt.rank for pt, _ in runs), "point rank", most=MAX_COUNTING_DEGREE)
+
+    @cached_property
+    def points(self) -> tuple[TorsionPoint, ...]:
+        """The points one by one, expanded from the runs on first read."""
+        return tuple(chain.from_iterable(repeat(pt, k) for pt, k in self.runs))
 
     @property
     def max_rank(self) -> int:
@@ -104,12 +112,14 @@ class MonoidScheme(_Record):
 
     @cached_property
     def count_profile(self) -> tuple[tuple[int, ...], tuple[tuple[int, tuple, int], ...]]:
-        """(orders, rows), built once per scheme: the distinct torsion orders,
-        and per occupied rank R from the top down the row (R, (k, indices
-        into orders) per point type of rank R with its multiplicity k, R minus
-        the next occupied rank).  Every count depends on a point only through
-        its type (P16 has 17 types for 131 071 points)."""
-        types = Counter((pt.rank, pt.torsion_orders) for pt in self.points)
+        """(orders, rows), built once per scheme from its runs: the distinct
+        torsion orders, and per occupied rank R from the top down the row
+        (R, (k, indices into orders) per point type of rank R with its
+        multiplicity k, R minus the next occupied rank).  Every count
+        depends on a point only through its type."""
+        types: Counter = Counter()
+        for pt, k in self.runs:
+            types[pt.rank, pt.torsion_orders] += k
         orders = sorted({t for _, torsion in types for t in torsion})
         index = {t: i for i, t in enumerate(orders)}
         rows: dict[int, list] = {}
@@ -360,12 +370,21 @@ class FourierData(_Record):
 
 
 def fourier_data(scheme: MonoidScheme, p: int) -> FourierData:
-    """The coefficient table c_{x,j,nu}(p) of a scheme; the period is capped first."""
+    """The table c_{x,j,nu}(p) point by point, its size capped before any vector is built."""
     _check_integer(p, "base prime", 2)
     n0 = fourier_period(scheme)
+    rows = n0 * sum(k * len(pt.torsion_orders) for pt, k in scheme.runs)
+    if rows > MAX_FOURIER_PERIOD:
+        raise PreconditionError(f"a Fourier table of {_shown(rows)} rows (entries times period); "
+                                f"at most {MAX_FOURIER_PERIOD} are supported")
     vectors = {t: gcd_fourier_coefficients(t, p, n0) for t in scheme.count_profile[0]}
-    return FourierData(p, n0, tuple((i, j, t, vectors[t]) for i, pt in enumerate(scheme.points)
-                                    for j, t in enumerate(pt.torsion_orders)))
+    entries, start = [], 0
+    for pt, k in scheme.runs:  # a run's points take the indices start .. start + k - 1
+        if pt.torsion_orders:  # the rows cap bounds these runs; a torsion-free one may be huge
+            entries += [(i, j, t, vectors[t]) for i in range(start, start + k)
+                        for j, t in enumerate(pt.torsion_orders)]
+        start += k
+    return FourierData(p, n0, tuple(entries))
 
 
 # -- ready-made models --------------------------------------------------
@@ -383,15 +402,13 @@ def torus_model(r: int = 1) -> MonoidScheme:
 
 
 def projective_space_model(n: int) -> MonoidScheme:
-    """n-dimensional projective space: C(n+1, r+1) points of rank r.
+    """n-dimensional projective space: a run of C(n+1, r+1) points per rank r.
 
-    The counts reproduce 1 + q + ... + q^n; n <= MAX_PROJECTIVE_DIMENSION.
+    The counts reproduce 1 + q + ... + q^n; n <= MAX_COUNTING_DEGREE.
     """
-    _check_integer(n, "projective dimension", 0, MAX_PROJECTIVE_DIMENSION)
-    pts = []
-    for r in range(n + 1):
-        pts.extend([TorsionPoint(r)] * math.comb(n + 1, r + 1))
-    return MonoidScheme(tuple(pts), dimension=n, smooth_projective=True, name=f"P{n}")
+    _check_integer(n, "projective dimension", 0, MAX_COUNTING_DEGREE)
+    return MonoidScheme(tuple((TorsionPoint(r), math.comb(n + 1, r + 1)) for r in range(n + 1)),
+                        dimension=n, smooth_projective=True, name=f"P{n}")
 
 
 def torsion_point_model(torsion_orders: Sequence[int], rank: int = 0) -> MonoidScheme:
@@ -413,7 +430,7 @@ def _bounded_integer(value: object, least: int, what: str) -> int:
     except ValueError:
         n = least - 1
     if n < least:
-        raise ParseError(f"{what} must be an integer >= {least}, got {value!r}")
+        raise ParseError(f"{what} must be an integer >= {least}, got {_shown(value)}")
     return n
 
 
@@ -423,16 +440,19 @@ def scheme_from_dict(data: object) -> MonoidScheme:
     raw_points = data.get("points")
     if not isinstance(raw_points, list) or not raw_points:
         raise ParseError("scheme file needs a nonempty 'points' list")
-    points = []
+    runs, key = [], None
     for rec in raw_points:
         if not isinstance(rec, dict):
-            raise ParseError(f"bad point record {rec!r}")
+            raise ParseError(f"bad point record {_shown(rec)}")
         rank = _bounded_integer(rec.get("rank"), 0, "point rank")
         torsion = rec.get("torsion", [])
         if not isinstance(torsion, list):
-            raise ParseError(f"torsion must be a list of integers >= 2, got {torsion!r}")
+            raise ParseError(f"torsion must be a list of integers >= 2, got {_shown(torsion)}")
         orders = tuple(_bounded_integer(t, 2, "a torsion entry") for t in torsion)
-        points.append(TorsionPoint(rank, orders))
+        k = _bounded_integer(rec["multiplicity"], 1, "multiplicity") if "multiplicity" in rec else 1
+        if (rank, orders) != key:  # one point object per run of equal records
+            key, pt = (rank, orders), TorsionPoint(rank, orders)
+        runs.append((pt, k))
     dimension = data.get("dimension")
     if dimension is not None:
         dimension = _bounded_integer(dimension, 0, "dimension")
@@ -442,15 +462,15 @@ def scheme_from_dict(data: object) -> MonoidScheme:
     name = data.get("name", "")
     if not isinstance(name, str):
         raise ParseError("name must be a string")
-    return MonoidScheme(tuple(points), dimension=dimension, smooth_projective=smooth, name=name)
+    return MonoidScheme(runs, dimension=dimension, smooth_projective=smooth, name=name)
 
 
 def scheme_to_dict(scheme: MonoidScheme) -> dict:
     out: dict = {
         "name": scheme.name,
         "points": [
-            {"rank": pt.rank, "torsion": list(pt.torsion_orders)}
-            for pt in scheme.points
+            {"rank": pt.rank, "torsion": list(pt.torsion_orders),
+             **({"multiplicity": k} if k > 1 else {})} for pt, k in scheme.runs
         ],
     }
     if scheme.dimension is not None:

@@ -242,7 +242,7 @@ class LocalZetaFactors(_Record):
     def evaluate_s(self, s: complex) -> complex:
         """Value at T = base^(-s); one beyond float range is a
         ConvergenceError naming its log."""
-        return _exp_in_range(self.log_evaluate_s(s), "local zeta value at s = {!r}", s)
+        return _exp_in_range(self.log_evaluate_s(s), "local zeta value at s = {}", s)
 
     def series(self, order: int) -> TruncatedSeries:
         """Exact expansion in T by `_expand`; requires an integer base; a
@@ -298,7 +298,7 @@ def limit_toward_one(
     for p in seq:
         log_value = (_float_exponent(n, "exponent N(1)") * _log(p - 1)
                      + _log_factors(_log(p), factors, s))
-        out.append(_exp_in_range(log_value, "limit value at p = {!r}", p))
+        out.append(_exp_in_range(log_value, "limit value at p = {}", p))
     return out
 
 

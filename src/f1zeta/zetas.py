@@ -105,7 +105,7 @@ def evaluate_zeta(z: FactoredZeta, s: complex) -> complex:
             raise SingularityError(f"pole of order {e} at s = {lam}")
     if at_s:
         return 0j
-    return _exp_in_range(_log_zeta(z, floats, ss), "zeta value at s = {!r}", s)
+    return _exp_in_range(_log_zeta(z, floats, ss), "zeta value at s = {}", s)
 
 
 def log_evaluate_zeta(z: FactoredZeta, s: complex) -> complex:

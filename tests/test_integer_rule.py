@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from f1zeta.errors import PreconditionError
+from f1zeta.errors import ParseError, PreconditionError
 from f1zeta.groups import (
     ReductiveGroupData, gl_group_data, torus_counting, torus_group_data, verify_family_identities)
 from f1zeta.powerlog import (
@@ -18,9 +18,9 @@ from f1zeta.powerlog import (
 from f1zeta.regularize import (
     MAX_HEAD_TERMS, circle_spectrum, log_regularized_det, regularized_det, spectral_zeta)
 from f1zeta.schemes import (
-    MAX_FOURIER_PERIOD, MAX_PROJECTIVE_DIMENSION, MonoidScheme, TorsionPoint, exact_count,
+    MAX_FOURIER_PERIOD, MonoidScheme, TorsionPoint, exact_count,
     fourier_data, gcd_fourier_coefficients, gcd_inner_fourier, projective_space_model,
-    torsion_point_model, torus_model, totient)
+    scheme_from_dict, torsion_point_model, torus_model, totient)
 from f1zeta.weil import (
     MAX_SERIES_ORDER, LocalZetaFactors, TruncatedSeries, default_base_sequence, limit_toward_one,
     local_functional_equation, local_zeta_series, smoothed_local_zeta)
@@ -44,6 +44,26 @@ CIRCLE = circle_spectrum()
 def test_the_rule_names_what_failed(value, least, most, message):
     with pytest.raises(PreconditionError, match=message):
         _check_integer(value, "n", least, most)
+
+
+# each ended in a bare ValueError from repr: more digits than `str` converts
+@pytest.mark.parametrize("call, message", [
+    (lambda: scheme_from_dict({"points": [{"rank": -10**5000}]}),
+     r"^point rank must be an integer >= 0, got an int of 16610 bits$"),
+    (lambda: scheme_from_dict({"points": [[10**5000]]}),
+     r"^bad point record a list holding an int too long to print$"),
+    (lambda: scheme_from_dict({"points": [{"rank": 1, "torsion": [-10**5000]}]}),
+     r"^a torsion entry must be an integer >= 2, got an int of 16610 bits$"),
+    (lambda: scheme_from_dict({"points": [{"rank": 1}], "dimension": -10**5000}),
+     r"^dimension must be an integer >= 0, got an int of 16610 bits$"),
+    (lambda: scheme_from_dict({"points": [{"rank": 1, "multiplicity": -10**5000}]}),
+     r"^multiplicity must be an integer >= 1, got an int of 16610 bits$"),
+    (lambda: PowerLogSum.from_records([[10**5000, 1, -1, 1, 1]]),
+     r"^negative log power in record a list holding an int too long to print$"),
+], ids=["rank", "record", "torsion", "dimension", "multiplicity", "term-record"])
+def test_a_record_int_too_long_to_print_is_named_by_its_size(call, message):
+    with pytest.raises(ParseError, match=message):
+        call()
 
 
 def test_the_rule_returns_an_int_within_its_bounds():
@@ -126,13 +146,14 @@ INT_PARAMETERS = [
     ("TorsionPoint rank", TorsionPoint, 0, None),
     ("TorsionPoint torsion", lambda v: TorsionPoint(0, (v,)), 2, None),
     ("MonoidScheme dimension", lambda v: MonoidScheme((TorsionPoint(0),), v), 0, MAX_COUNTING_DEGREE),
+    ("MonoidScheme run multiplicity", lambda v: MonoidScheme(((TorsionPoint(0), v),)), 1, None),
     ("exact_count q", lambda v: exact_count(P1, v), 2, None),
     ("fourier_data p", lambda v: fourier_data(torsion_point_model([3]), v), 2, None),
     ("gcd_fourier_coefficients t", lambda v: gcd_fourier_coefficients(v, 3, 2), 2, None),
     ("gcd_fourier_coefficients p", lambda v: gcd_fourier_coefficients(3, v, 2), 2, None),
     ("gcd_fourier_coefficients n0", lambda v: gcd_fourier_coefficients(3, 2, v), 1, MAX_FOURIER_PERIOD),
     ("gcd_inner_fourier", gcd_inner_fourier, 1, MAX_FOURIER_PERIOD),
-    ("projective_space_model", projective_space_model, 0, MAX_PROJECTIVE_DIMENSION),
+    ("projective_space_model", projective_space_model, 0, MAX_COUNTING_DEGREE),
     ("torus_model", torus_model, 1, None),
     ("torsion_point_model rank", lambda v: torsion_point_model([3], v), 0, None),
     ("log_power", PowerLogSum.log_power, 0, None),

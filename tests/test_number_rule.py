@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from f1zeta.errors import ConvergenceError, F1ZetaError, PreconditionError, SingularityError
-from f1zeta.powerlog import PowerLogSum, _number, parse_power_log
+from f1zeta.powerlog import PowerLogSum, _number, _shown, parse_power_log
 from f1zeta.regularize import (
     LogZetaIntegral, SpectralValue, Spectrum, circle_spectrum, gamma_ratio_poly, log_regularized_det,
     log_zeta_integral, regularized_det, shift_spectrum, spectral_zeta, two_variable_zeta_closed,
@@ -91,6 +91,11 @@ def test_an_exact_base_past_float_range_or_next_to_one_has_an_exact_log():
     assert smoothed_local_zeta(P2, Fraction(10**500, 3)).evaluate_s(3) == 1
     with pytest.raises(ConvergenceError, match=r"^limit value at p = .* overflows a float"):
         limit_toward_one(P2, 3, [Fraction(10**500, 3)])
+    # past the digits `str` converts, the base is named by its size
+    for base, shown in ((10**5000, "an int of 16610 bits"),
+                        (Fraction(10**5000, 3), "a Fraction holding an int too long to print")):
+        with pytest.raises(ConvergenceError, match=f"^limit value at p = {shown} overflows a float"):
+            limit_toward_one(P2, 3, [base])
     # log(p - 1) is finite; log p rounds to 0, so a factor vanishes in floats
     with pytest.raises(SingularityError, match=r"vanishes at s = 3$"):
         limit_toward_one(P2, 3, [1 + Fraction(1, 10**400)])
@@ -159,8 +164,9 @@ FLOAT_PARAMETERS = [
     ("limit_toward_one p", lambda v: limit_toward_one(P2, 3, [v]), True, True),
     ("smoothed_count q", lambda v: smoothed_count(P2, v), True, True),
 ]
+# 10**5000 has more digits than `str` converts: a message must name it by its size
 NEAR_NUMBERS = [math.nan, math.inf, -math.inf, 0.0, -0.0, True, 10**400, -10**400, 1e308, -1e308,
-                "2", 2 + 1j, 1e308j, 2.5, 3]
+                "2", 2 + 1j, 1e308j, 2.5, 3, 10**5000]
 
 
 def _finite(result):
@@ -178,7 +184,7 @@ def _finite(result):
 
 
 # every pair, about 1 s in all: a sample could miss the one escaping pair
-@pytest.mark.parametrize("value", NEAR_NUMBERS, ids=lambda value: repr(value)[:16])
+@pytest.mark.parametrize("value", NEAR_NUMBERS, ids=lambda value: _shown(value)[:16])
 @pytest.mark.parametrize("case", FLOAT_PARAMETERS, ids=lambda case: case[0])
 def test_a_float_parameter_returns_a_finite_value_or_a_library_error(case, value):
     name, call, real, exact = case

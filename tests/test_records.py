@@ -27,7 +27,7 @@ RECORDS = [
     (FactoredZeta, {"terms": TERMS}),
     (FunctionalEquationWitness, {"c": -1, "omega": Fraction(1)}),
     (TorsionPoint, {"rank": 1, "torsion_orders": (2, 3)}),
-    (MonoidScheme, {"points": (TorsionPoint(1), TorsionPoint(0)), "dimension": 1,
+    (MonoidScheme, {"runs": ((TorsionPoint(1), 1), (TorsionPoint(0), 2)), "dimension": 1,
                     "smooth_projective": True, "name": "P1"}),
     (FourierData, {"prime": 2, "period": 2, "entries": ((0, 0, 3, (Fraction(2), Fraction(-1))),)}),
     (ReductiveGroupData, {"rank": 1, "dimension": 3, "flag_betti": (1, 1), "name": "SL2"}),

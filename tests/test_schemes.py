@@ -1,6 +1,7 @@
 """Point counting and Fourier machinery."""
 
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from f1zeta import groups
+from f1zeta import cli, groups
 from f1zeta import schemes as schemes_module
-from f1zeta.errors import ParseError, PreconditionError
+from f1zeta.errors import F1ZetaError, ParseError, PreconditionError
 from f1zeta.powerlog import MAX_COUNTING_DEGREE
+from f1zeta.scheme_zeta import (
+    betti_profile, global_functional_equation, scheme_counting_function, zeta_of_scheme)
 from f1zeta.schemes import (
     MAX_FOURIER_PERIOD,
     FourierData,
@@ -34,6 +37,9 @@ from f1zeta.schemes import (
     _divisor_differences,
     _divisors,
 )
+from f1zeta.weil import (
+    limit_toward_one, local_functional_equation, local_zeta_series, pole_order,
+    smoothed_local_zeta)
 
 
 @st.composite
@@ -350,6 +356,10 @@ def test_scheme_json_round_trip():
         {"points": [[0, [3]]]},
         {"points": [{"rank": 0, "torsion": 3}]},
         {"points": [{"rank": 0}], "name": 3},
+        {"points": [{"rank": 0, "multiplicity": 0}]},
+        {"points": [{"rank": 0, "multiplicity": 2.0}]},
+        {"points": [{"rank": 0, "multiplicity": True}]},
+        {"points": [{"rank": 0, "multiplicity": None}]},
     ],
 )
 def test_scheme_parser_rejections(payload):
@@ -654,7 +664,10 @@ def test_fourier_period_cap():
     for t in (2 * MAX_FOURIER_PERIOD**2 + 1, 10**18 + 3):
         with pytest.raises(PreconditionError, match=f"torsion order {t}: a Fourier period"):
             fourier_data(torsion_point_model([3, t]), 2)
-    assert fourier_data(torsion_point_model([4, 1048573]), 3).period == 1048572
+    assert fourier_data(torsion_point_model([1048573]), 3).period == 1048572
+    # two entries at that period are a table past 2^20 rows, refused before any vector
+    with pytest.raises(PreconditionError, match="a Fourier table of 2097144 rows"):
+        fourier_data(torsion_point_model([4, 1048573]), 3)
 
 
 def test_fourier_period_stops_at_the_first_order_past_the_cap(monkeypatch):
@@ -667,3 +680,89 @@ def test_fourier_period_stops_at_the_first_order_past_the_cap(monkeypatch):
         fourier_period(torsion_point_model(primes))
     assert len(calls) <= 1
     assert fourier_period(torsion_point_model([4, 1048573])) == 1048572
+
+
+# -- runs: the one stored form of a scheme ----------------------------------------
+
+
+def _outcome(call):
+    """A call's value, or its library error's type and message."""
+    try:
+        return call()
+    except F1ZetaError as exc:  # both schemes must fail alike too
+        return type(exc), str(exc)
+
+
+_SCHEME_FUNCTIONS = [
+    lambda x: [exact_count(x, q) for q in (2, 3, 4, 5, 7, 8, 9, 13)],
+    lambda x: smoothed_count(x, Fraction(3, 2)),
+    counting_coefficients,
+    fourier_period,
+    lambda x: fourier_data(x, 3),
+    zeta_of_scheme,
+    betti_profile,
+    scheme_counting_function,
+    global_functional_equation,
+    lambda x: local_functional_equation(x, 3),
+    lambda x: local_zeta_series(x, 2, 6),
+    lambda x: smoothed_local_zeta(x, 2),
+    pole_order,
+    lambda x: limit_toward_one(x, 6.5 + 1j, [1.5, 1.25]),
+]
+
+
+@st.composite
+def runs(draw):
+    """Runs of small point types; adjacent runs may repeat a type."""
+    types = [TorsionPoint(r, t) for r in range(3) for t in ((), (2,), (3, 4), (5,))]
+    return draw(st.lists(st.tuples(st.sampled_from(types), st.integers(1, 4)), min_size=1,
+                         max_size=5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs(), st.booleans(), st.sampled_from([None, 2, 3]))
+def test_a_scheme_built_from_runs_agrees_with_one_built_from_its_points(drawn, smooth, dimension):
+    points = [pt for pt, k in drawn for _ in range(k)]
+    by_runs = MonoidScheme(drawn, dimension, smooth, "x")
+    by_points = MonoidScheme(points, dimension, smooth, "x")
+    assert by_runs == by_points and hash(by_runs) == hash(by_points)
+    assert by_runs.points == by_points.points == tuple(points)
+    # adjacent equal types merge; the stored runs are in point order
+    assert all(a != b for (a, _), (b, _) in zip(by_runs.runs, by_runs.runs[1:]))
+    for f in _SCHEME_FUNCTIONS:
+        assert _outcome(lambda: f(by_runs)) == _outcome(lambda: f(by_points))
+    # the table indexes a run's points offset .. offset + k - 1, as the points do
+    entries = [(i, j, t) for i, pt in enumerate(points) for j, t in enumerate(pt.torsion_orders)]
+    assert [e[:3] for e in fourier_data(by_runs, 3).entries] == entries
+    written = scheme_to_dict(by_runs)
+    assert scheme_from_dict(json.loads(json.dumps(written))) == by_runs
+    assert [rec.get("multiplicity", 1) for rec in written["points"]] == [k for _, k in by_runs.runs]
+    assert all(rec.get("multiplicity", 2) > 1 for rec in written["points"])
+
+
+def test_a_file_of_one_record_per_point_reads_as_its_runs_file():
+    x = MonoidScheme((TorsionPoint(1, (3,)),) * 3 + (TorsionPoint(0),) * 2 + (TorsionPoint(1, (3,)),),
+                     name="mixed")
+    old = {"name": "mixed", "points": [{"rank": pt.rank, "torsion": list(pt.torsion_orders)}
+                                       for pt in x.points]}
+    assert scheme_to_dict(x) == {"name": "mixed", "points": [
+        {"rank": 1, "torsion": [3], "multiplicity": 3}, {"rank": 0, "torsion": [], "multiplicity": 2},
+        {"rank": 1, "torsion": [3]}]}
+    assert scheme_from_dict(old) == scheme_from_dict(scheme_to_dict(x)) == x
+    assert len(x.runs) == 3 and len(x.points) == 6
+
+
+def test_projective_space_at_the_rank_cap_is_one_run_per_rank(tmp_path, capsys):
+    p500 = projective_space_model(MAX_COUNTING_DEGREE)
+    assert len(p500.runs) == 501
+    assert exact_count(p500, 2) == 2**501 - 1
+    # a torsion-free run adds no table rows, however long; a long torsion run is
+    # refused before any vector is built
+    assert fourier_data(p500, 2).entries == ()
+    with pytest.raises(PreconditionError, match=f"a Fourier table of {2 * 10**100} rows"):
+        fourier_data(MonoidScheme([(TorsionPoint(0, (3,)), 10**100)]), 2)
+    path = tmp_path / "p500.scheme"
+    path.write_text(json.dumps(scheme_to_dict(p500)))
+    assert schemes_module.load_scheme(str(path)) == p500
+    assert cli.main(["count", "--scheme", str(path), "--q", "2"]) == 0
+    assert capsys.readouterr().out == f"{2**501 - 1}\n"
