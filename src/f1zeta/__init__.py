@@ -24,7 +24,7 @@ _EXPORTS = {
     "local_functional_equation local_zeta_series pole_order smoothed_local_zeta",
     "zetas": "EpsilonFactor FactoredZeta epsilon_factor evaluate_zeta pretty_zeta "
     "reflect_zeta verify_functional_equation zeta_of",
-    "groups": "ReductiveGroupData gl_group_data group_counting group_from_name "
+    "groups": "ReductiveGroupData gl_group_data group_counting group_from_degrees group_from_name "
     "group_functional_equation group_zeta sl2_group_data torus_counting torus_group_data "
     "verify_family_identities",
     "regularize": "Spectrum circle_spectrum log_regularized_det log_zeta_integral "

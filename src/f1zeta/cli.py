@@ -130,19 +130,14 @@ def _resolve_zeta(config: argparse.Namespace):
     raise PreconditionError("need one of --scheme, --group, --powers")
 
 
-# catalog groups with family identities, by the prefix of the name
-# group_from_name gives them: GL(r) and Gm^r
-_FAMILIES = {"GL": "gl", "Gm": "gm_power"}
-
-
 def _resolve_group(arg: str):
-    """The --group group and its identity family (None for a file or SL2)."""
-    from .groups import group_from_name, load_group
+    """The --group group and its identity family (None for a file, or a
+    catalog group without one)."""
+    from .groups import _named_group, load_group
 
     if os.path.exists(arg):
         return load_group(arg), None
-    group = group_from_name(arg)
-    return group, _FAMILIES.get(group.name[:2])
+    return _named_group(arg)
 
 
 def _cmd_zeta(config: argparse.Namespace) -> int:
@@ -284,21 +279,16 @@ def _cmd_group(config: argparse.Namespace) -> int:
 
     name = str(_require(config, "group", "--group"))
     group, family = _resolve_group(name)
-    n = group_counting(group)
     report = group_functional_equation(group)
     print(f"group\t{group.name or name}")
-    print(f"counting\t{n}")
+    print(f"counting\t{group_counting(group)}")
     print(f"zeta\t{pretty_zeta(group_zeta(group))}")
     print(f"fe\t{str(report.holds).lower()}\tcenter\t{report.expected_center}"
           f"\tsign\t{report.expected_sign}")
-    status = EXIT_OK if report.holds else EXIT_IDENTITY
-    if family is not None:
-        fam = _family_report(group, family)
-        for label, ok in fam.results:
-            print(f"identity\t{str(ok).lower()}\t{label}")
-        if not fam.holds:
-            status = EXIT_IDENTITY
-    return status
+    results = () if family is None else _family_report(group, family).results
+    for label, ok in results:
+        print(f"identity\t{str(ok).lower()}\t{label}")
+    return EXIT_OK if report.holds and all(ok for _, ok in results) else EXIT_IDENTITY
 
 
 def _cmd_regdet(config: argparse.Namespace) -> int:

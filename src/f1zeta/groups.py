@@ -1,10 +1,14 @@
 """Counting polynomials and zeta functions of split reductive groups.
 
-A group is described by its rank r, dimension d, positive-root count
-p = (d - r)/2 and the (palindromic) Betti numbers of its flag variety;
-the counting polynomial is
+A split group with Weyl group degrees d_1, .., d_r has rank r,
+p = sum (d_i - 1) positive roots, dimension d = r + 2p and
 
-    N_G(q) = (q - 1)^r q^p sum_l b_{2l} q^l.
+    N_G(q) = q^p prod_i (q^(d_i) - 1) = (q - 1)^r q^p sum_l b_{2l} q^l
+
+points over F_q (Chevalley; Carter, Finite Groups of Lie Type, 1985),
+the b_{2l} being the (palindromic) Betti numbers of its flag variety,
+the coefficients of prod_i (1 + q + .. + q^(d_i - 1)).  A group is
+stored as (r, d, b); `group_from_degrees` builds every catalog group.
 
 Coefficient symmetry a_k = (-1)^r a_{d+p-k} gives the functional
 equation N_G(1/q) = (-1)^r q^(-d-p) N_G(q), equivalently
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from .errors import ParseError, PreconditionError
 from .powerlog import (
@@ -32,16 +37,15 @@ from .powerlog import (
     _read_json,
     _reciprocal_power_coefficients,
     _Record,
+    _shown,
 )
 from .zetas import FactoredZeta, zeta_of
 
 # MAX_COUNTING_DEGREE (shared with the scheme rank cap) bounds the degree
-# d + p of a group's counting polynomial: GL(18) (degree 477) and Gm^500
-# are accepted, GL(19) (degree 532) is not.  The polynomials are expanded
-# and their functional equations and family identities checked in int.
-# In-process `cli.main` on a 2-core host, best of 5 (median of 3 such
-# runs): `group --group GL:18` takes 0.005 s and `Gm:500` 0.015 s (with
-# the cap lifted: GL:40 0.021 s, Gm:1000 0.030 s, Gm:2000 0.056 s).
+# d + p = r + 3p of a counting polynomial: GL(18) (477), E8 (368) and
+# Gm^500 are accepted, GL(19) (532) is not.  In-process `cli.main` on a
+# 2-core host, best of 5: `group --group GL:18` and `E8` take 0.002 s and
+# `Gm:500` 0.008 s (with the cap lifted: GL:40 0.012 s, Gm:2000 0.050 s).
 
 
 class ReductiveGroupData(_Record):
@@ -64,16 +68,13 @@ class ReductiveGroupData(_Record):
         for b in self.flag_betti:
             _check_integer(b, "a flag Betti number", 0)
         if (self.dimension - self.rank) % 2 or self.dimension < self.rank:
-            raise PreconditionError(
-                f"dimension - rank must be even and nonnegative, got d={self.dimension}, r={self.rank}"
-            )
+            raise PreconditionError("dimension - rank must be even and nonnegative, got "
+                                    f"d={_shown(self.dimension)}, r={_shown(self.rank)}")
         _check_integer(self.dimension + self.positive_roots,
                        f"{self.name or 'the group'} has a counting polynomial of degree",
                        most=MAX_COUNTING_DEGREE)
         if len(self.flag_betti) != self.positive_roots + 1:
-            raise PreconditionError(
-                f"flag Betti list must have length p + 1 = {self.positive_roots + 1}"
-            )
+            raise PreconditionError(f"flag Betti list must have length p + 1 = {self.positive_roots + 1}")
 
     @property
     def positive_roots(self) -> int:
@@ -81,9 +82,7 @@ class ReductiveGroupData(_Record):
 
     def validate_palindrome(self) -> None:
         if self.flag_betti != self.flag_betti[::-1]:
-            raise PreconditionError(
-                f"flag Betti numbers {self.flag_betti} are not palindromic"
-            )
+            raise PreconditionError(f"flag Betti numbers {_shown(self.flag_betti)} are not palindromic")
 
     @cached_property
     def coefficients(self) -> tuple[int, ...]:
@@ -109,43 +108,85 @@ def group_counting(group: ReductiveGroupData) -> PowerLogSum:
     return PowerLogSum.from_int_coefficients(group.coefficients, group.positive_roots)
 
 
-def gl_group_data(r: int) -> ReductiveGroupData:
-    """GL(r): dimension r^2, with flag Betti numbers from the Gaussian
-    q-factorial prod_{i=1}^{r} (1 + q + ... + q^(i-1))."""
-    _check_integer(r, "GL rank", 1)
-    _check_integer(r * r + r * (r - 1) // 2, f"GL({r}) has a counting polynomial of degree",
+def group_from_degrees(degrees: Sequence[int], name: str = "") -> ReductiveGroupData:
+    """The split group with Weyl degrees d_i (see the module docstring).  The
+    flag Betti numbers prod_i (q^d_i - 1) / (q - 1)^r sum to |W| = prod_i d_i;
+    the counting degree r + 3p is checked before they are expanded."""
+    degrees = tuple(degrees)
+    r = len(degrees)
+    factors = {1: -r}
+    for d in degrees:
+        _check_integer(d, "a Weyl degree", 1)
+        factors[d] = factors.get(d, 0) + 1
+    roots = sum(degrees) - r
+    _check_integer(r + 3 * roots, f"{name or 'the group'} has a counting polynomial of degree",
                    most=MAX_COUNTING_DEGREE)
-    # prod_{i=2}^{r} (q^i - 1) / (q - 1)^(r-1): the Mahonian numbers, of sum r!
-    factors = {1: 1 - r, **dict.fromkeys(range(2, r + 1), 1)}
-    poly = _packed_product([1], factors, math.factorial(r))
-    return ReductiveGroupData(r, r * r, tuple(poly), name=f"GL({r})")
+    poly = _packed_product([1], factors, math.prod(degrees))
+    return ReductiveGroupData(r, r + 2 * roots, tuple(poly), name)
+
+
+# catalog name -> the group's name and Weyl degrees, or for a family
+# "name:n" a rule taking the rank n to both (n degrees)
+_CATALOG = {
+    "GL": lambda n: (f"GL({n})", range(1, n + 1)),
+    "Gm": lambda n: (f"Gm^{n}" if n > 1 else "Gm", (1,) * n),
+    "SL2": ("SL(2)", (2,)),
+    "A": lambda n: (f"A{n}", range(2, n + 2)),
+    "B": lambda n: (f"B{n}", range(2, 2 * n + 1, 2)),
+    "C": lambda n: (f"C{n}", range(2, 2 * n + 1, 2)),
+    "D": lambda n: (f"D{n}", (*range(2, 2 * n - 1, 2), n)),
+    "G2": ("G2", (2, 6)),
+    "F4": ("F4", (2, 6, 8, 12)),
+    "E6": ("E6", (2, 5, 6, 8, 9, 12)),
+    "E7": ("E7", (2, 6, 8, 10, 12, 14, 18)),
+    "E8": ("E8", (2, 8, 12, 14, 18, 20, 24, 30)),
+}
+
+
+def _catalog_group(key: str, n: int | None = None) -> ReductiveGroupData:
+    """The group of catalog row `key`, at rank n for a family."""
+    entry = _CATALOG[key]
+    if n is not None:
+        _check_integer(n, f"{key} rank", 1)
+        # the counting degree is at least the rank: past the cap no degree is built
+        _check_integer(n, f"{key}:n has a counting polynomial of degree at least its rank",
+                       most=MAX_COUNTING_DEGREE)
+        entry = entry(n)
+    return group_from_degrees(entry[1], entry[0])
+
+
+def gl_group_data(r: int) -> ReductiveGroupData:
+    """GL(r): degrees 1..r, dimension r^2, flag Betti numbers the Mahonian numbers."""
+    return _catalog_group("GL", r)
 
 
 def torus_group_data(r: int) -> ReductiveGroupData:
-    _check_integer(r, "torus rank", 1)
-    return ReductiveGroupData(r, r, (1,), name=f"Gm^{r}" if r > 1 else "Gm")
+    return _catalog_group("Gm", _check_integer(r, "torus rank", 1))
 
 
 def sl2_group_data() -> ReductiveGroupData:
-    return ReductiveGroupData(1, 3, (1, 1), name="SL(2)")
+    return _catalog_group("SL2")
+
+
+def _named_group(name: str) -> tuple[ReductiveGroupData, str | None]:
+    """The catalog group `name` names, in any letter case, and its identity
+    family for `verify_family_identities` (None if it has none)."""
+    head, colon, arg = name.strip().partition(":")
+    key = next((k for k in _CATALOG if k.lower() == head.lower()), None)
+    if key is None or callable(_CATALOG[key]) != bool(colon):
+        names = ", ".join(k + ":n" * callable(entry) for k, entry in _CATALOG.items())
+        raise ParseError(f"unknown group {name!r} (expected one of {names})")
+    try:
+        n = int(arg) if colon else None
+    except ValueError as exc:
+        raise ParseError(f"bad group rank in {name!r}") from exc
+    family = next((f for f, (k, _) in _IDENTITIES.items() if k == key), None)
+    return _catalog_group(key, n), family
 
 
 def group_from_name(name: str) -> ReductiveGroupData:
-    """Catalog lookup: "GL:r", "Gm:r", "SL2"."""
-    key = name.strip()
-    if key.lower() == "sl2":
-        return sl2_group_data()
-    if ":" in key:
-        family, _, arg = key.partition(":")
-        try:
-            r = int(arg)
-        except ValueError as exc:
-            raise ParseError(f"bad group rank in {name!r}") from exc
-        if family.lower() == "gl":
-            return gl_group_data(r)
-        if family.lower() == "gm":
-            return torus_group_data(r)
-    raise ParseError(f"unknown group {name!r} (expected GL:r, Gm:r or SL2)")
+    """Catalog lookup: "GL:r", "Gm:r", "SL2", "A:n" .. "D:n", "G2", "F4", "E6", "E7", "E8"."""
+    return _named_group(name)[0]
 
 
 def group_from_dict(data: object) -> ReductiveGroupData:
@@ -182,11 +223,9 @@ class GroupFEReport(_Record):
     expected_sign: int
 
     def __str__(self) -> str:
-        status = "holds" if self.holds else "FAILS"
-        return (
-            f"N(1/q) = ({self.expected_sign})*q^(-{self.expected_center}) N(q) and "
-            f"zeta({self.expected_center}-s) = zeta(s)^({self.expected_sign}): {status}"
-        )
+        c, e = self.expected_center, self.expected_sign
+        return f"N(1/q) = ({e})*q^(-{c}) N(q) and zeta({c}-s) = zeta(s)^({e}): " + (
+            "holds" if self.holds else "FAILS")
 
 
 def group_functional_equation(group: ReductiveGroupData) -> GroupFEReport:
@@ -222,72 +261,54 @@ class FamilyIdentityReport(_Record):
 
     @property
     def first_failure(self) -> str | None:
-        for label, ok in self.results:
-            if not ok:
-                return label
-        return None
+        return next((label for label, ok in self.results if not ok), None)
 
     def __str__(self) -> str:
-        lines = [f"{self.family} identities at rank {self.rank}:"]
-        for label, ok in self.results:
-            lines.append(f"  {label}: {'holds' if ok else 'FAILS'}")
-        return "\n".join(lines)
+        return "\n".join([f"{self.family} identities at rank {self.rank}:"] + [
+            f"  {label}: {'holds' if ok else 'FAILS'}" for label, ok in self.results])
 
 
 def verify_family_identities(r: int, family: str) -> FamilyIdentityReport:
     """Exact verification of the shift, duality and reflection identities
-    tying N = prod (1 - u^-omega_i) to the torus-power and general-linear
-    zeta functions.
-
-    family "gm_power": N = (1 - 1/u)^r against zeta of the r-fold torus:
-      (a) zeta_N(s) = zeta_T(s + r)
-      (b) zeta_{N*}(s) = zeta_T(s)^((-1)^r)
-      (c) zeta_T(r - s) = zeta_T(s)^((-1)^r)
-
-    family "gl": N = prod_{i<=r} (1 - u^-i) against zeta of GL(r):
-      (a) zeta_N(s) = zeta_GL(s + r^2)
-      (b) zeta_{N*}(s) = zeta_GL(s + r(r-1)/2)^((-1)^r)
-      (c) zeta_GL(r(3r-1)/2 - s) = zeta_GL(s)^((-1)^r)
-
-    i.e. the shifts d and p and the center d + p of the group.  As zeta_of
-    keeps the terms of N, all three are checked on integer vectors: v, top
-    and den from `_reciprocal_power_coefficients` (den = 1, as the omegas
-    are integers) and a = `ReductiveGroupData.coefficients`.  (a) is
-    N = u^(-d) N_G: top = d - p and v reversed is a.  (b) is
-    N(1/u) = (-1)^r u^(-p) N_G: the lowest power of v is v^0 (for
-    len(v) = r + p + 1 again top = d - p) and (-1)^r v is a.  (c) is
+    tying N = prod_i (1 - u^-d_i), over the Weyl degrees d_i of the r-fold
+    torus (family "gm_power", d_i = 1) or of GL(r) ("gl", d_i = i), to the
+    zeta of that group G, of dimension d and with p positive roots:
+      (a) zeta_N(s) = zeta_G(s + d)
+      (b) zeta_{N*}(s) = zeta_G(s + p)^((-1)^r)
+      (c) zeta_G(d + p - s) = zeta_G(s)^((-1)^r)
+    (d = r, p = 0 for the torus; d = r^2, p = r(r-1)/2 for GL(r)).  As
+    zeta_of keeps the terms of N, all three are checked on integer
+    vectors: v, top and den from `_reciprocal_power_coefficients` (den = 1)
+    and a = `ReductiveGroupData.coefficients`.  (a) is N = u^(-d) N_G:
+    top = d - p and v reversed is a.  (b) is N(1/u) = (-1)^r u^(-p) N_G:
+    the lowest power of v is v^0 and (-1)^r v is a.  (c) is
     `group_functional_equation`, whose (-1)^chi is 1 as N_G(1) = 0.  Both
-    v and a have nonzero ends (b_0 = b_p = 1 here), so equal term maps
-    are equal vectors.
+    v and a have nonzero ends (b_0 = b_p = 1), so equal term maps are
+    equal vectors.
     """
     _check_integer(r, "family rank", 1)
-    if family == "gm_power":
-        return _family_report(torus_group_data(r), family)
-    if family == "gl":
-        return _family_report(gl_group_data(r), family)
-    raise PreconditionError(f"unknown family {family!r} (gm_power or gl)")
+    if family not in tuple(_IDENTITIES):
+        raise PreconditionError(f"unknown family {family!r} (gm_power or gl)")
+    return _family_report(_catalog_group(_IDENTITIES[family][0], r), family)
+
+
+# identity family -> its catalog row, whose degrees are the omegas, and labels
+_IDENTITIES = {
+    "gm_power": ("Gm", ("shift: zeta_N(s) = zeta_T(s+r)",
+                        "dual: zeta_{N*}(s) = zeta_T(s)^((-1)^r)",
+                        "reflection: zeta_T(r-s) = zeta_T(s)^((-1)^r)")),
+    "gl": ("GL", ("shift: zeta_N(s) = zeta_GL(s+r^2)",
+                  "dual: zeta_{N*}(s) = zeta_GL(s+r(r-1)/2)^((-1)^r)",
+                  "reflection: zeta_GL(r(3r-1)/2-s) = zeta_GL(s)^((-1)^r)")),
+}
 
 
 def _family_report(group: ReductiveGroupData, family: str) -> FamilyIdentityReport:
     """`verify_family_identities(group.rank, family)` for the group it
-    builds (the torus power or GL(r)), passed in by a caller that has it."""
-    r = group.rank
-    if family == "gm_power":
-        omegas = [1] * r
-        labels = (
-            "shift: zeta_N(s) = zeta_T(s+r)",
-            "dual: zeta_{N*}(s) = zeta_T(s)^((-1)^r)",
-            "reflection: zeta_T(r-s) = zeta_T(s)^((-1)^r)",
-        )
-    else:
-        omegas = range(1, r + 1)
-        labels = (
-            "shift: zeta_N(s) = zeta_GL(s+r^2)",
-            "dual: zeta_{N*}(s) = zeta_GL(s+r(r-1)/2)^((-1)^r)",
-            "reflection: zeta_GL(r(3r-1)/2-s) = zeta_GL(s)^((-1)^r)",
-        )
-    coeffs = group.coefficients
-    v, top, den = _reciprocal_power_coefficients(omegas)
+    builds, passed in by a caller that has it."""
+    key, labels = _IDENTITIES[family]
+    r, coeffs = group.rank, group.coefficients
+    v, top, den = _reciprocal_power_coefficients(_CATALOG[key](r)[1])
     sign = _parity(r)
     aligned = den == 1 and top == group.dimension - group.positive_roots
     checks = (

@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, groupby
 from operator import attrgetter, itemgetter
-from typing import Iterable, Mapping, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import ConvergenceError, ParseError, PreconditionError
 
@@ -77,11 +77,12 @@ def _integer(value: object) -> int:
     raise ValueError(f"{_shown(value)} is not an integer")
 
 
-def _shown(value: object) -> str:
-    """repr(value); an int too long for `str` (past sys.get_int_max_str_digits())
-    is named by its bit length, and any other value holding one by its type."""
+def _shown(value: object, text: Callable[[object], str] = repr) -> str:
+    """text(value), repr by default; an int too long for `str` (past
+    sys.get_int_max_str_digits()) is named by its bit length, and any other
+    value holding one by its type."""
     try:
-        return repr(value)
+        return text(value)
     except ValueError:
         if isinstance(value, int):
             return f"an int of {value.bit_length()} bits"

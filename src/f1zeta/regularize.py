@@ -52,7 +52,7 @@ from functools import cache, lru_cache
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
-from .powerlog import PowerLogSum, _check_integer, _exp_in_range, _number, _Record
+from .powerlog import PowerLogSum, _check_integer, _exp_in_range, _number, _Record, _shown
 from .zetas import log_evaluate_zeta, zeta_of
 
 Complex = Union[complex, float, int]
@@ -531,7 +531,7 @@ def shift_spectrum(base: Spectrum, shift: float) -> Spectrum:
     total = base.shift + _number(shift, "shift", real=True)
     if not math.isfinite(total):
         raise PreconditionError(f"a shift must be finite, got {total!r}")
-    shifted = Spectrum(f"{base.name}+{shift}", base.eigenvalues, base.continued_tail,
+    shifted = Spectrum(f"{base.name}+{_shown(shift, str)}", base.eigenvalues, base.continued_tail,
                        base.continued_slope, total)
     first = shifted.eigenvalues(1)
     if first and not first[0][0] + shifted.shift > 0:

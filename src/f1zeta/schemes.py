@@ -68,6 +68,16 @@ class TorsionPoint(_Record):
         return math.prod(self.torsion_orders)
 
 
+def _as_run(run: object) -> tuple[TorsionPoint, object]:
+    """A run (point, k), its k still unchecked; a plain point is a run of 1."""
+    if isinstance(run, TorsionPoint):
+        return run, 1
+    if isinstance(run, (tuple, list)) and len(run) == 2 and isinstance(run[0], TorsionPoint):
+        return run
+    raise PreconditionError(
+        f"a run must be a TorsionPoint or a pair (TorsionPoint, k), got {_shown(run)}")
+
+
 class MonoidScheme(_Record):
     """Runs (point, k >= 1) in point order, adjacent equal points merged so that
     equal schemes are equal however written (a plain point is a run of 1), plus
@@ -84,7 +94,7 @@ class MonoidScheme(_Record):
     name: str = ""
 
     def __post_init__(self) -> None:
-        pairs = [(run, 1) if isinstance(run, TorsionPoint) else run for run in self.runs]
+        pairs = [_as_run(run) for run in self.runs]
         runs = self.__dict__["runs"] = tuple(
             (pt, sum(_check_integer(k, "run multiplicity", 1) for _, k in group))
             for pt, group in groupby(pairs, lambda run: run[0]))

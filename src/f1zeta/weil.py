@@ -206,7 +206,7 @@ def _log_factors(log_base: float, factors: Sequence[tuple[int, int]], s: complex
             continue
         if abs(factor) < 1e-13:
             raise SingularityError(
-                f"factor (1 - p^({r}-s))^{e} vanishes at s = {s}"
+                f"factor (1 - p^({r}-s))^{_shown(e)} vanishes at s = {_shown(s, str)}"
             )
         total += _float_exponent(e, "exponent e_{}", r) * cmath.log(factor)
     return total

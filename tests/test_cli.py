@@ -749,13 +749,13 @@ def test_group_builds_its_group_once(capsys, monkeypatch):
 
     builds = []
 
-    def counted(r, build=groups.gl_group_data):
-        builds.append(r)
-        return build(r)
+    def counted(degrees, name, build=groups.group_from_degrees):
+        builds.append(name)
+        return build(degrees, name)
 
-    monkeypatch.setattr(groups, "gl_group_data", counted)
+    monkeypatch.setattr(groups, "group_from_degrees", counted)
     code, out = _run(capsys, "group", "--group", "GL:5")
-    assert code == 0 and builds == [5]
+    assert code == 0 and builds == ["GL(5)"]
     assert _identity_lines(out) == [f"identity\ttrue\t{label}" for label, _ in
                                     groups.verify_family_identities(5, "gl").results]
 
@@ -782,6 +782,26 @@ def test_catalog_names_print_identities_in_any_case_and_spacing(capsys, name):
     _, want = _run(capsys, "group", "--group", canonical)
     code, out = _run(capsys, "group", "--group", name)
     assert code == 0 and out == want and len(_identity_lines(out)) == 3
+
+
+def test_chevalley_catalog_groups(capsys):
+    code, out = _run(capsys, "group", "--group", "E8")
+    assert code == 0 and "fe\ttrue\tcenter\t368\tsign\t1" in out.splitlines()
+    assert out.splitlines()[0] == "group\tE8" and _identity_lines(out) == []
+    # B_n and C_n have the same Weyl degrees 2, 4, .., 2n
+    counting = [[line for line in _run(capsys, "group", "--group", name)[1].splitlines()
+                 if line.startswith("counting\t")] for name in ("B:3", "C:3")]
+    assert counting[0] == counting[1] and len(counting[0]) == 1
+
+
+@pytest.mark.parametrize("name, code, err", [
+    ("E9", 2, "parse error: unknown group 'E9'"),
+    ("A:0", 3, "precondition violated: A rank must be >= 1, got 0"),
+])
+def test_an_unknown_or_empty_catalog_name(capsys, name, code, err):
+    assert cli.main(["group", "--group", name]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(err)
 
 
 def test_limit_base_count_above_the_float_range_is_a_precondition_error(capsys, p1_scheme):

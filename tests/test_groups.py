@@ -1,6 +1,8 @@
 """Reductive-group counting polynomials and their functional equations."""
 
+import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from f1zeta.groups import (
     ReductiveGroupData,
     gl_group_data,
     group_counting,
+    group_from_degrees,
     group_from_dict,
     group_from_name,
     group_functional_equation,
@@ -21,6 +24,7 @@ from f1zeta.groups import (
     torus_counting,
     torus_group_data,
     verify_family_identities,
+    _CATALOG,
 )
 from f1zeta.powerlog import (
     FunctionalEquationWitness,
@@ -304,7 +308,7 @@ def test_catalog_and_files():
     assert group_from_name("Gm:2") == torus_group_data(2)
     assert group_from_name("SL2") == sl2_group_data()
     with pytest.raises(ParseError):
-        group_from_name("E8")
+        group_from_name("E9")
     with pytest.raises(ParseError):
         group_from_name("GL:x")
 
@@ -320,4 +324,137 @@ def test_catalog_and_files():
                            (lambda: torus_group_data(0), "torus rank must be >= 1"),
                            (lambda: gl_group_data(0), "GL rank must be >= 1")):
         with pytest.raises(PreconditionError, match=message):
+            build()
+
+
+# -- one constructor from the Weyl degrees, and the catalog it serves --------
+
+
+def _mahonian(r):
+    """Coefficients of prod_{i<=r} (1 + x + .. + x^(i-1)), by naive products."""
+    poly = [1]
+    for i in range(1, r + 1):
+        out = [0] * (len(poly) + i - 1)
+        for k, c in enumerate(poly):
+            for j in range(i):
+                out[k + j] += c
+        poly = out
+    return tuple(poly)
+
+
+def test_the_constructors_keep_their_records():
+    # the records GL(r), Gm^r and SL(2) had before they were built from degrees
+    for r in range(1, 19):
+        assert gl_group_data(r) == ReductiveGroupData(r, r * r, _mahonian(r), name=f"GL({r})")
+    for r in range(1, 501):
+        name = f"Gm^{r}" if r > 1 else "Gm"
+        assert torus_group_data(r) == ReductiveGroupData(r, r, (1,), name=name)
+    assert sl2_group_data() == ReductiveGroupData(1, 3, (1, 1), name="SL(2)")
+
+
+def _order(group, q):
+    """|G(F_q)| from the counting polynomial."""
+    return q**group.positive_roots * sum(a * q**k for k, a in enumerate(group.coefficients))
+
+
+def _naive_counting(degrees):
+    """Coefficients of q^N prod_i (q^(d_i) - 1) from q^0 up, by naive products."""
+    poly = [0] * (sum(degrees) - len(degrees)) + [1]
+    for d in degrees:
+        out = [0] * (len(poly) + d)
+        for k, c in enumerate(poly):
+            out[k] -= c
+            out[k + d] += c
+        poly = out
+    return poly
+
+
+# the dimension of each catalog group, from its root system: r + 2N
+_DIMENSIONS = {"GL": lambda n: n * n, "Gm": lambda n: n, "A": lambda n: n * (n + 2),
+               "B": lambda n: n * (2 * n + 1), "C": lambda n: n * (2 * n + 1),
+               "D": lambda n: n * (2 * n - 1), "SL2": 3, "G2": 14, "F4": 52, "E6": 78,
+               "E7": 133, "E8": 248}
+
+
+def _catalog_names():
+    """(name, Weyl degrees, dimension): every fixed catalog name, and every
+    family at ranks 1..5."""
+    for key, entry in _CATALOG.items():
+        if callable(entry):
+            yield from ((f"{key}:{n}", tuple(entry(n)[1]), _DIMENSIONS[key](n)) for n in range(1, 6))
+        else:
+            yield key, entry[1], _DIMENSIONS[key]
+
+
+@pytest.mark.parametrize("name, degrees, dimension", list(_catalog_names()),
+                         ids=[name for name, _, _ in _catalog_names()])
+def test_every_catalog_group_counts_as_its_degrees_say(name, degrees, dimension):
+    group = group_from_name(name)
+    assert group.dimension == dimension and group.rank == len(degrees)
+    report = group_functional_equation(group)
+    assert report.holds and report.chi == 0
+    assert report.expected_center == group.dimension + group.positive_roots
+    counting = [0] * group.positive_roots + list(group.coefficients)
+    assert counting == _naive_counting(degrees)
+    assert sum(group.flag_betti) == math.prod(degrees)  # |W|
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_b_and_c_share_a_counting_polynomial(n):
+    b, c = group_from_name(f"B:{n}"), group_from_name(f"C:{n}")
+    assert group_counting(b) == group_counting(c) and b.dimension == c.dimension == n * (2 * n + 1)
+
+
+def test_small_orders_by_brute_force():
+    def det3(m):
+        a, b, c, d, e, f, g, h, i = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+    sl3_f2 = sum(1 for m in product(range(2), repeat=9) if det3(m) % 2 == 1)
+    sl2_f3 = sum(1 for a, b, c, d in product(range(3), repeat=4) if (a * d - b * c) % 3 == 1)
+    assert sl3_f2 == 168 == _order(group_from_name("A:2"), 2)
+    assert sl2_f3 == 24 == _order(sl2_group_data(), 3) == _order(group_from_name("A:1"), 3)
+    assert _order(gl_group_data(3), 2) == 168  # GL(3, F_2) = SL(3, F_2)
+
+
+def test_sp4_f2_by_enumerating_every_matrix():
+    # the columns of a 4x4 matrix over F_2 as 4-bit ints; the symplectic form
+    # w(x, y) = x1 y3 + x3 y1 + x2 y4 + x4 y2 is the parity of x & (y with its halves swapped)
+    form = [[bin(x & ((y & 3) << 2 | y >> 2)).count("1") & 1 for y in range(16)] for x in range(16)]
+    pairs = [(i, j, form[1 << i][1 << j]) for i in range(4) for j in range(i + 1, 4)]
+    count = sum(1 for cols in product(range(16), repeat=4)
+                if all(form[cols[i]][cols[j]] == w for i, j, w in pairs))
+    assert count == 720 == _order(group_from_name("C:2"), 2) == _order(group_from_name("B:2"), 2)
+
+
+def test_pinned_exceptional_orders():
+    assert _order(group_from_name("G2"), 2) == 12096
+    e8 = group_from_name("E8")
+    assert (e8.rank, e8.dimension, e8.positive_roots) == (8, 248, 120)
+    assert group_functional_equation(e8).expected_center == 368
+    assert f"{float(_order(e8, 2)):.4g}" == "3.378e+74"
+
+
+def test_group_from_degrees_checks_its_degrees():
+    assert group_from_degrees([2], "SL(2)") == sl2_group_data()
+    assert group_from_degrees(range(1, 4)) == ReductiveGroupData(3, 9, (1, 2, 2, 1))
+    for degrees, message in (([0], "a Weyl degree must be >= 1, got 0"),
+                             ([2.0], "a Weyl degree must be >= 1 and an integer, got 2.0"),
+                             ([True], "a Weyl degree must be >= 1 and an integer, got True"),
+                             ([], "rank must be >= 1, got 0"),
+                             ([168], "the group has a counting polynomial of degree 502")):
+        with pytest.raises(PreconditionError, match=message):
+            group_from_degrees(degrees)
+
+
+def test_a_huge_rank_fails_before_any_degree_is_built(monkeypatch):
+    def unbuilt(n):
+        raise AssertionError(f"degrees built at rank {n}")
+
+    for key in ("GL", "Gm", "D"):
+        monkeypatch.setitem(_CATALOG, key, unbuilt)
+    for build in (lambda: torus_group_data(10**6), lambda: gl_group_data(10**6),
+                  lambda: group_from_name("D:1000000"), lambda: gl_group_data(10**5000),
+                  lambda: torus_group_data(501)):
+        with pytest.raises(PreconditionError, match="counting polynomial of degree at least its rank"):
             build()

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from f1zeta.errors import ParseError, PreconditionError
 from f1zeta.groups import (
-    ReductiveGroupData, gl_group_data, torus_counting, torus_group_data, verify_family_identities)
+    ReductiveGroupData, gl_group_data, group_from_degrees, torus_counting, torus_group_data,
+    verify_family_identities)
 from f1zeta.powerlog import (
     MAX_COUNTING_DEGREE, FunctionalEquationWitness, PowerLogSum, _check_integer, witness_holds)
 from f1zeta.regularize import (
@@ -95,6 +96,11 @@ def test_the_rule_returns_an_int_within_its_bounds():
     (lambda: witness_holds(PowerLogSum.power(1), FunctionalEquationWitness(1, 0.5)),
      r"witness center omega must be an int or a Fraction, got 0\.5"),
     (lambda: FunctionalEquationWitness(1, True), "witness center omega"),
+    # each ended in a bare ValueError from str: more digits than `str` converts
+    (lambda: ReductiveGroupData(1, 10**5000, (1,)),
+     r"^dimension - rank must be even and nonnegative, got d=an int of 16610 bits, r=1$"),
+    (lambda: ReductiveGroupData(1, 3, (10**5000, 1)).coefficients,
+     r"^flag Betti numbers a tuple holding an int too long to print are not palindromic$"),
 ])
 def test_an_int_argument_that_breaks_the_rule_is_a_precondition_error(call, message):
     with pytest.raises(PreconditionError, match=message):
@@ -173,6 +179,9 @@ INT_PARAMETERS = [
     ("torus_counting", torus_counting, 0, MAX_COUNTING_DEGREE),
     ("gl_group_data", gl_group_data, 1, None),
     ("torus_group_data", torus_group_data, 1, None),
+    # one degree d: counting degree 1 + 3 (d - 1), at most 500 up to d = 167
+    ("group_from_degrees degree", lambda v: group_from_degrees((v,)), 1,
+     (MAX_COUNTING_DEGREE + 2) // 3),
     ("verify_family_identities gl", lambda v: verify_family_identities(v, "gl"), 1, None),
     ("verify_family_identities gm_power", lambda v: verify_family_identities(v, "gm_power"), 1, None),
     ("spectral_zeta terms", lambda v: spectral_zeta(CIRCLE, 2, 1, terms=v), 1, MAX_HEAD_TERMS),

@@ -107,6 +107,15 @@ def test_an_exact_base_past_float_range_or_next_to_one_has_an_exact_log():
     assert limit_toward_one(P2, 3, [near]) == pytest.approx([1 / 6], rel=1e-6)
 
 
+def test_a_shift_names_its_spectrum_as_str_does_until_str_fails():
+    assert shift_spectrum(CIRCLE, Fraction(1, 2)).name == "circle+1/2"
+    assert shift_spectrum(CIRCLE, 0.5).name == "circle+0.5"
+    # str(shift) ended in a bare ValueError: more digits than `str` converts
+    huge = shift_spectrum(CIRCLE, Fraction(10**5000 + 1, 10**5000))
+    assert huge.name == "circle+a Fraction holding an int too long to print"
+    assert huge.shift == 1.0
+
+
 @pytest.mark.parametrize("base, factors, message", [
     (math.inf, ((0, -1), (1, -1)), r"^need a finite p > 1, got inf$"),
     ("2", ((0, -1), (1, -1)), r"^need a real p > 1, got '2'$"),
@@ -166,7 +175,7 @@ FLOAT_PARAMETERS = [
 ]
 # 10**5000 has more digits than `str` converts: a message must name it by its size
 NEAR_NUMBERS = [math.nan, math.inf, -math.inf, 0.0, -0.0, True, 10**400, -10**400, 1e308, -1e308,
-                "2", 2 + 1j, 1e308j, 2.5, 3, 10**5000]
+                "2", 2 + 1j, 1e308j, 2.5, 3, 10**5000, Fraction(10**5000 + 1, 10**5000)]
 
 
 def _finite(result):

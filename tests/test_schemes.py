@@ -740,6 +740,20 @@ def test_a_scheme_built_from_runs_agrees_with_one_built_from_its_points(drawn, s
     assert all(rec.get("multiplicity", 2) > 1 for rec in written["points"])
 
 
+# each raised a bare TypeError, AttributeError or ValueError
+@pytest.mark.parametrize("run, shown", [
+    (0, "0"),
+    ((0, 1), r"\(0, 1\)"),
+    ((TorsionPoint(0), 1, 2), r"\(TorsionPoint\(rank=0, torsion_orders=\(\)\), 1, 2\)"),
+    ((TorsionPoint(0),), r"\(TorsionPoint\(rank=0, torsion_orders=\(\)\),\)"),
+    ("x", "'x'"),
+], ids=["int", "pair-without-point", "triple", "single", "str"])
+def test_a_run_of_the_wrong_shape_is_a_precondition_error_naming_it(run, shown):
+    with pytest.raises(PreconditionError,
+                       match=f"^a run must be a TorsionPoint or a pair \\(TorsionPoint, k\\), got {shown}$"):
+        MonoidScheme([run])
+
+
 def test_a_file_of_one_record_per_point_reads_as_its_runs_file():
     x = MonoidScheme((TorsionPoint(1, (3,)),) * 3 + (TorsionPoint(0),) * 2 + (TorsionPoint(1, (3,)),),
                      name="mixed")
