@@ -170,12 +170,15 @@ def sl2_group_data() -> ReductiveGroupData:
 
 def _named_group(name: str) -> tuple[ReductiveGroupData, str | None]:
     """The catalog group `name` names, in any letter case, and its identity
-    family for `verify_family_identities` (None if it has none)."""
-    head, colon, arg = name.strip().partition(":")
-    key = next((k for k in _CATALOG if k.lower() == head.lower()), None)
+    family for `verify_family_identities` (None if it has none); a name
+    that is no str is unknown."""
+    key = None
+    if isinstance(name, str):
+        head, colon, arg = name.strip().partition(":")
+        key = next((k for k in _CATALOG if k.lower() == head.lower()), None)
     if key is None or callable(_CATALOG[key]) != bool(colon):
         names = ", ".join(k + ":n" * callable(entry) for k, entry in _CATALOG.items())
-        raise ParseError(f"unknown group {name!r} (expected one of {names})")
+        raise ParseError(f"unknown group {_shown(name)} (expected one of {names})")
     try:
         n = int(arg) if colon else None
     except ValueError as exc:

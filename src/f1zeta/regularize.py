@@ -24,11 +24,15 @@ same substitution gives log zeta_N itself as an integral over (1, oo)
 (`log_zeta_integral`); the one over (0, 1) is minus that of the dual
 N(1/u) at -s.
 
-The numeric core is stdlib only.  Integrals over [a, oo) use an exp-sinh
-double-exponential rule (`_complex_quad`) whose step halves level by
-level; the difference of the last two levels is its error estimate, and
-an estimate above 1e-12 relative (1e-14 absolute) after the last level
-is a ConvergenceError, never a returned value.  One routine
+The numeric core is stdlib only.  Integrals over [a, oo) use the exp-exp
+rule x = a + exp(t - e^-t) / rate (`_complex_quad`; Takahasi-Mori 1974,
+Mori-Sugihara 2001) at each integral's decay rate: Re w for Z_N's piece
+below t0, Re s - degree above it and for the log integral.  It reaches
+89/rate past a, or 11 bulk lengths where the peak of t^(Re w - 1 + m)
+lies further out.  Its step halves level by level; the difference of the
+last two levels is its error estimate, and an estimate above 1e-12
+relative (1e-14 absolute) after the last level is a ConvergenceError,
+never a returned value.  One routine
 (`_power_log_integrand`) forms the integrand N(e^t) e^(-s t) t^k of all
 three integrals: Z_N's pieces below and above its split point t0 and the
 log integral.  It factors out the top exponent, one complex exp per
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Callable, Iterator, Optional, Union
@@ -96,18 +101,21 @@ def _power_log_integrand(
     return integrand
 
 
-# -- exp-sinh quadrature on [a, oo) ----------------------------------------
+# -- exp-exp quadrature on [a, oo) -----------------------------------------
 
-# x = a + exp(pi/2 sinh t) for t in [-4.5, 4.5] puts x within 2e-31 of a
-# at the left end and beyond 5e30 at the right.  Level 0 has step 1 and
-# the nodes at every integer t; level k >= 1 halves the step and adds the
-# nodes at the odd multiples of 2^-k, 9 * 2^(k-1) of them.  Levels 11-14
-# serve integrands that turn hundreds of times before they decay, such as
-# e^(-(0.05 + 5i) x).
+# The tables hold the rate-free nodes (t, u, du/dt) of the exp-exp map
+# x = a + scale * u, u = exp(t - e^-t), t in [-4.5, 4.5] (Takahasi-Mori
+# 1974; Mori-Sugihara 2001); a call scales them by its 1/rate, or by
+# bulk / _BULK_U, a reach of 11 bulk lengths, where that is larger.  u runs
+# from 8e-42 to 89: the rule reaches 89/rate past a.  Level 0 has step 1
+# and the nodes at every integer t; level k >= 1 halves the step and adds
+# the nodes at the odd multiples of 2^-k, 9 * 2^(k-1) of them.  Levels
+# 11-14 serve integrands that turn hundreds of times before they decay,
+# such as e^(-(0.05 + 5i) x).
 _T_MAX = 4.5
 _LEVELS = 15
 # the node tables of levels 0-10 are kept (4608 nodes at level 10); the
-# deeper levels, 129 024 nodes together, are generated when reached
+# deeper levels, 138 240 nodes together, are generated when reached
 _TABLED_LEVELS = 11
 _EPSREL = 1e-12
 _EPSABS = 1e-14
@@ -115,33 +123,35 @@ _EPSABS = 1e-14
 # skip: those beyond the last term above _NEGLIGIBLE times the largest
 _SCOUT_LEVELS = 2
 _NEGLIGIBLE = 1e-20
+_BULK_U = 8.0  # the bulk sits at u = 8 (t = 2.2) at most
 
 
-def _exp_sinh_nodes(level: int) -> Iterator[tuple[float, float, float]]:
-    """(t, exp(pi/2 sinh t), its t-derivative) for the nodes a level adds,
-    in increasing t."""
+def _exp_exp_nodes(level: int) -> Iterator[tuple[float, float, float]]:
+    """(t, u = exp(t - e^-t), du/dt) for the nodes a level adds, in
+    increasing t."""
     step = 2.0**-level
     last = int(_T_MAX / step)
     for i in range(-last, last + 1):
         if level and i % 2 == 0:
             continue  # a node of an earlier level
         t = i * step
-        u = math.exp(math.pi / 2 * math.sinh(t))
-        yield t, u, math.pi / 2 * math.cosh(t) * u
+        fall = math.exp(-t)
+        u = math.exp(t - fall)
+        yield t, u, (1 + fall) * u
 
 
 @cache
 def _node_table(level: int) -> tuple[tuple[float, float, float], ...]:
     """The nodes of a level below _TABLED_LEVELS, built on the first call
     that reaches it."""
-    return tuple(_exp_sinh_nodes(level))
+    return tuple(_exp_exp_nodes(level))
 
 
 def _right_cut(terms: list[tuple[float, complex]]) -> float:
     """The first t beyond which every scouted term is negligible against
     the largest one (inf if the rightmost term is not negligible)."""
     terms.sort(key=lambda item: item[0])
-    floor = _NEGLIGIBLE * max(abs(term) for _, term in terms)
+    floor = _NEGLIGIBLE * max((abs(term) for _, term in terms), default=0.0)
     cut = math.inf
     for t, term in reversed(terms):
         if abs(term) > floor:
@@ -151,48 +161,63 @@ def _right_cut(terms: list[tuple[float, complex]]) -> float:
 
 
 def _complex_quad(
-    fn: Callable[[float], complex], a: float, target: Optional[float] = None
+    fn: Callable[[float], complex], a: float, rate: float, bulk: float = 0.0,
+    target: Optional[float] = None,
 ) -> tuple[complex, float]:
-    """(value, estimate) of int_a^oo fn(x) dx for a complex integrand.
+    """(value, estimate) of int_a^oo fn(x) dx for a complex integrand whose
+    mass sits about `bulk` past a and decays like e^(-rate x) beyond it.
 
-    The exp-sinh rule (Takahasi-Mori; Bailey-Jeyabalan-Li): substituting
-    x = a + exp(pi/2 sinh t) makes the integrand decay double
-    exponentially in t at both ends, so the trapezoidal sum over
-    t in [-4.5, 4.5] converges fast as its step halves level by level.
-    `fn` is evaluated once per node.  Once the levels of step 1 and 1/2
-    show that the terms right of some node are negligible, later levels
-    skip the nodes there.
+    The exp-exp rule (Takahasi-Mori, Publ. RIMS 9 (1974); Mori-Sugihara,
+    J. Comput. Appl. Math. 127 (2001)): x = a + scale exp(t - e^-t), with
+    scale = 1/rate, or bulk / _BULK_U if larger, makes such an integrand
+    decay double exponentially in t at both ends, so the trapezoidal sum
+    over t in [-4.5, 4.5] converges fast as its step halves level by
+    level.  `fn` is evaluated once per node, never at a node whose offset
+    from a underflows (below the least normal float, or x == a).  Once
+    the levels of step 1 and 1/2 show that the terms right of some node
+    are negligible, later levels skip the nodes there; if no such node
+    exists, the integrand decays too slowly, a ConvergenceError.
 
     The estimate is the difference of the last two levels.  The rule
     stops at the first level (from the second on) whose estimate is
     within the tolerance: `target` if given, else max(1e-12 |value|,
     1e-14).  A miss after the last level (step 2^-14) is a
-    ConvergenceError naming the estimate and the tolerance; an integrand
-    decaying too slowly to be negligible at x = 5e30 ends there, and so
-    does one that overflows a float.
+    ConvergenceError naming the estimate and the tolerance, and so are an
+    integrand that overflows a float and a rate whose 1/rate does.
     """
-    total = 0j  # sum of fn(x) dx/dt over the nodes of every level so far
+    scale = max(1 / rate, bulk / _BULK_U)
+    if scale == math.inf:
+        raise ConvergenceError(f"exp-exp quadrature: a decay rate of {rate!r} leaves float range")
+    tiny = sys.float_info.min
+    total = 0j  # sum of fn(x) du/dt over the nodes of every level so far
     previous = 0j
     estimate = tolerance = math.inf
     scouted: list[tuple[float, complex]] = []
     cut = math.inf
     for level in range(_LEVELS):
-        nodes = _node_table(level) if level < _TABLED_LEVELS else _exp_sinh_nodes(level)
+        nodes = _node_table(level) if level < _TABLED_LEVELS else _exp_exp_nodes(level)
         for t, u, weight in nodes:
             if t > cut:
                 break
+            x = a + scale * u
+            if x - a < tiny:
+                continue
             try:
-                term = fn(a + u) * weight
+                term = fn(x) * weight
             except OverflowError:
                 raise ConvergenceError(
-                    f"exp-sinh quadrature: the integrand overflows a float at x = {a + u!r}"
+                    f"exp-exp quadrature: the integrand overflows a float at x = {x!r}"
                 ) from None
             total += term
             if level < _SCOUT_LEVELS:
                 scouted.append((t, term))
         if level == _SCOUT_LEVELS - 1:
             cut = _right_cut(scouted)
-        value = total * 2.0**-level
+            if cut == math.inf and scouted:  # u is the last node's, at t = 4.5
+                raise ConvergenceError(
+                    f"exp-exp quadrature: the integrand is not negligible at x = {a + scale * u!r}; "
+                    f"it decays slower than e^(-{rate!r} x)")
+        value = total * (scale * 2.0**-level)
         if level:
             estimate = abs(value - previous)
             tolerance = max(_EPSREL * abs(value), _EPSABS) if target is None else target
@@ -200,7 +225,7 @@ def _complex_quad(
                 return value, estimate
         previous = value
     raise ConvergenceError(
-        f"exp-sinh quadrature missed its tolerance after {_LEVELS} levels: "
+        f"exp-exp quadrature missed its tolerance after {_LEVELS} levels: "
         f"estimate {estimate:.3e} > {tolerance:.3e}"
     )
 
@@ -264,19 +289,25 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
         return 0j
     # split where the tail e^(-(Re s - degree) t) has fallen by e^-4, so
     # that the upper piece starts near its bulk instead of far before it
-    t0 = max(1.0, 4.0 / (ss.real - edge))
+    rate = ss.real - edge
+    t0 = max(1.0, 4.0 / rate)
     scale = _exp_in_range(ww * math.log(t0), "t0^w at t0 = {}", t0)
-    lower_fn = _power_log_integrand(n, ss, ww, t0)
-    upper_fn = _power_log_integrand(n, ss, ww - 1)
-    lower, lower_estimate = _complex_quad(lower_fn, 0.0)
-    upper, upper_estimate = _complex_quad(upper_fn, t0)
+    # (integrand, a, rate, bulk) of each piece: e^(-w x) e^(-rate t0 e^-x)
+    # peaks at x = log(rate t0 / w), t^(w - 1 + m) e^(-rate t) at
+    # t = (w - 1 + m) / rate
+    lower_args = (_power_log_integrand(n, ss, ww, t0), 0.0, ww.real,
+                  math.log(rate * t0) - math.log(ww.real))
+    upper_args = (_power_log_integrand(n, ss, ww - 1), t0, rate,
+                  (ww.real - 1 + max(m for _, m, _ in n.terms)) / rate - t0)
+    lower, lower_estimate = _complex_quad(*lower_args)
+    upper, upper_estimate = _complex_quad(*upper_args)
     total = lower * scale + upper
     tolerance = max(_EPSREL * abs(total), _EPSABS)
     if lower_estimate * abs(scale) + upper_estimate > tolerance:
         # the pieces are far larger than their sum when e^(-st) turns many
         # times over (0, t0): rerun each to half the tolerance on the sum
-        lower, lower_estimate = _complex_quad(lower_fn, 0.0, tolerance / 2 / abs(scale))
-        upper, upper_estimate = _complex_quad(upper_fn, t0, tolerance / 2)
+        lower, lower_estimate = _complex_quad(*lower_args, tolerance / 2 / abs(scale))
+        upper, upper_estimate = _complex_quad(*upper_args, tolerance / 2)
         total = lower * scale + upper
     return total / _gamma(ww)
 
@@ -353,12 +384,15 @@ def log_zeta_integral(n: PowerLogSum, s: complex) -> LogZetaIntegral:
     """
     if n.value_at_one() != 0:
         raise PreconditionError("log-integral form requires N(1) = 0")
-    ss, _ = _convergent_s(n, s, "upper integral")
+    ss, edge = _convergent_s(n, s, "upper integral")
     if n.is_zero:
         return LogZetaIntegral(0j, 0.0)
-    # substitution u = e^t maps it to int_0^oo N(e^t) e^(-s t) / t dt;
-    # the rule never evaluates at t = 0 itself
-    value, estimate = _complex_quad(_power_log_integrand(n, ss, -1), 0.0)
+    # substitution u = e^t maps it to int_0^oo N(e^t) e^(-s t) / t dt, whose
+    # t^(m - 1) e^(-(s - degree) t) peaks at t = (m - 1) / (s - degree); the
+    # rule never evaluates at t = 0 itself
+    rate = ss.real - edge
+    value, estimate = _complex_quad(_power_log_integrand(n, ss, -1), 0.0, rate,
+                                    (max(m for _, m, _ in n.terms) - 1) / rate)
     return LogZetaIntegral(value, estimate)
 
 

@@ -1,6 +1,7 @@
 """Reductive-group counting polynomials and their functional equations."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -29,6 +30,7 @@ from f1zeta.groups import (
 from f1zeta.powerlog import (
     FunctionalEquationWitness,
     PowerLogSum,
+    _shown,
     detect_functional_equation,
     parse_power_log,
     product_of_reciprocal_powers,
@@ -311,6 +313,10 @@ def test_catalog_and_files():
         group_from_name("E9")
     with pytest.raises(ParseError):
         group_from_name("GL:x")
+    # a name that is no str is an unknown group, named as it was given
+    for name in (5, None, b"GL:2", 10**5000):
+        with pytest.raises(ParseError, match=re.escape(f"unknown group {_shown(name)} (")):
+            group_from_name(name)
 
     data = {"rank": 1, "dimension": 3, "flag_betti": [1, 1], "name": "SL(2)"}
     assert group_from_dict(data) == sl2_group_data()

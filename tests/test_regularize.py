@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -178,31 +179,53 @@ def test_power_log_integrand_at_large_t():
     assert _power_log_integrand(n, 4 + 1j, 2 + 1j)(1e3) == 0j
 
 
-def test_exp_sinh_rule_values_and_estimates():
+def test_exp_exp_rule_values_and_estimates():
     xs = []
 
     def decay(x):
         xs.append(x)
         return complex(math.exp(-x), math.exp(-2 * x))
 
-    value, estimate = _complex_quad(decay, 0.0)
+    value, estimate = _complex_quad(decay, 0.0, 1.0)
     assert abs(value - (1 + 0.5j)) <= 1e-14
     assert 0 < estimate <= 1e-12 * abs(value)
     assert len(set(xs)) == len(xs)  # one evaluation per node
-    value, estimate = _complex_quad(lambda x: 1 / (1 + x * x), 2.0)
-    assert value == pytest.approx(math.pi / 2 - math.atan(2), rel=1e-13)
-    assert 0 < estimate <= 1e-12 * abs(value)
-    assert _complex_quad(lambda x: 0j, 3.0) == (0j, 0.0)
+    # the map scales by 1/rate, and stretches to a bulk far past a
+    value, estimate = _complex_quad(lambda x: cmath.exp(-(3 + 4j) * x), 0.0, 3.0)
+    assert abs(value - 1 / (3 + 4j)) <= 1e-14
+    value, estimate = _complex_quad(lambda x: x**20 * math.exp(-x), 0.0, 1.0, 20.0)
+    assert value == pytest.approx(math.factorial(20), rel=1e-14)
+    assert estimate <= 1e-12 * abs(value)
+    # a hump far from a, like Z_N's lower piece: e^(-w x + r (1 - e^-x))
+    # peaks at x = log(r / w), and its integral is e^r gamma(w, r) / r^w
+    value, estimate = _complex_quad(lambda x: math.exp(-20 * x + 200 * (1 - math.exp(-x))), 0.0,
+                                    20.0, math.log(10))
+    want = mpmath.exp(200) * mpmath.gammainc(20, 0, 200) / mpmath.mpf(200) ** 20
+    assert abs(value - float(want)) <= 1e-13 * float(want)
+    assert _complex_quad(lambda x: 0j, 3.0, 1.0) == (0j, 0.0)
+    # an offset below the least normal float, or lost in a, is never a node
+    for a, rate in ((0.0, 1e300), (1.0, 1e12)):
+        xs.clear()
+        _complex_quad(lambda x: xs.append(x) or cmath.exp(-rate * (x - a)), a, rate)
+        assert xs and min(xs) - a >= sys.float_info.min
 
 
-def test_exp_sinh_rule_raises_when_it_cannot_converge(monkeypatch):
-    # an algebraic tail x^-1.1 is still far from negligible at x = 5e30
-    with pytest.raises(ConvergenceError, match=r"estimate \S+ > \S+"):
-        _complex_quad(lambda x: (1 + x) ** -1.1, 0.0)
-    # e^-x needs step 2^-5: a table cut after step 2^-3 misses
-    monkeypatch.setattr(regularize, "_LEVELS", 4)
-    with pytest.raises(ConvergenceError, match="after 4 levels"):
-        _complex_quad(lambda x: cmath.exp(-x), 0.0)
+def test_exp_exp_rule_raises_when_it_cannot_converge(monkeypatch):
+    # an algebraic tail x^-1.1 is far from negligible where the rule ends,
+    # and so is x^20 e^-x without its bulk
+    for fn in (lambda x: (1 + x) ** -1.1, lambda x: x**20 * math.exp(-x)):
+        with pytest.raises(ConvergenceError, match="not negligible at x = 89.02"):
+            _complex_quad(fn, 0.0, 1.0)
+    # a rate whose reciprocal overflows would put every node at x = inf
+    with pytest.raises(ConvergenceError, match="a decay rate of 5e-324 leaves float range"):
+        _complex_quad(lambda x: 0j, 0.0, 5e-324)
+    # a jump is not smooth: no step brings the trapezoidal sums together
+    with pytest.raises(ConvergenceError, match=r"after 15 levels: estimate \S+ > \S+"):
+        _complex_quad(lambda x: 1.0 if x < 1 else 0.0, 0.0, 1.0)
+    # e^-x needs step 2^-3: a table cut after step 2^-2 misses
+    monkeypatch.setattr(regularize, "_LEVELS", 3)
+    with pytest.raises(ConvergenceError, match="after 3 levels"):
+        _complex_quad(lambda x: cmath.exp(-x), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("expr", ["u^2 - 2*u*log + 1", "3*u^(3/2) - u^-1*log^2"])
@@ -221,6 +244,49 @@ def test_numeric_at_the_edges_of_convergence(expr, offset, re_w, im_s):
             two_variable_zeta_numeric(n, w, s)
         return
     assert abs(two_variable_zeta_numeric(n, w, s) - closed) <= 1e-12 * abs(closed)
+
+
+@st.composite
+def quadrature_sums(draw):
+    """1-3 terms u^lam log^m with m <= 2 and small nonzero coefficients."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        key = (Fraction(draw(st.integers(-4, 6)), draw(st.integers(1, 2))), draw(st.integers(0, 2)))
+        terms[key] = terms.get(key, Fraction(0)) + draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    assume(any(terms.values()))
+    return PowerLogSum.from_dict(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadrature_sums(), st.floats(0.05, 5), st.floats(-1, 1), st.floats(0.05, 5), st.floats(-5, 5))
+def test_numeric_zeta_agrees_with_the_closed_form_or_raises(n, re_w, im_w, offset, im_s):
+    w, s = complex(re_w, im_w), complex(float(n.degree) + offset, im_s)
+    try:
+        got = two_variable_zeta_numeric(n, w, s)
+    except ConvergenceError:
+        return  # the pieces cancel beyond what the rule resolves
+    # the error is charged against the sum of the terms' magnitudes
+    size = sum(abs(c) * abs(two_variable_zeta_closed(PowerLogSum.from_dict({(lam, m): 1}), w, s))
+               for lam, m, c in n.terms)
+    assert abs(got - two_variable_zeta_closed(n, w, s)) <= 1e-11 * size
+
+
+@settings(max_examples=60, deadline=None)
+@given(quadrature_sums(), st.floats(0.05, 5), st.floats(-5, 5))
+def test_log_zeta_integral_inverts_the_zeta_where_n_vanishes_at_one(n, offset, im_s):
+    n = n - PowerLogSum.from_dict({(Fraction(0), 0): n.value_at_one()})  # N(1) = 0
+    assume(not n.is_zero)
+    s = complex(float(n.degree) + offset, im_s)
+    got = regularize.log_zeta_integral(n, s).value
+    # exp(-I) zeta_N(s) = 1, in logs: zeta_N(s) itself may leave float range
+    assert abs(cmath.exp(log_evaluate_zeta(zeta_of(n), s) - got) - 1) <= 1e-11 * max(1.0, abs(got))
+
+
+def test_numeric_where_the_lower_piece_peaks_far_from_zero():
+    # e^(-20 x) e^(-60 e^-x) peaks at x = log 3; a rule that ignored that
+    # bulk would end at x = 4.45, before the peak's tail is negligible
+    n = parse_power_log("1")
+    assert abs(two_variable_zeta_numeric(n, 20, 60) - two_variable_zeta_closed(n, 20, 60)) <= 1e-14
 
 
 def test_numeric_at_large_re_w():
@@ -502,26 +568,44 @@ def test_spectral_outputs_are_pinned_bit_for_bit():
 
 # two_variable_zeta_numeric(N, w, s) as float.hex of its real and imaginary
 # parts, and log_zeta_integral(N, s) as those of its value and its estimate,
-# recorded before the two pieces of Z_N shared the log integral's integrand.
-# The last Z_N input's pieces cancel: it reruns both quadratures
+# recorded under the exp-exp rule; each Z_N value is within 1e-12 of the
+# closed form and of mpmath, and each log integral I has
+# |exp(-I) zeta_N(s) - 1| <= 1e-15.  The "1 - u^-1" input's pieces cancel:
+# it reruns both quadratures
 _PINNED_INTEGRALS = {
     ("u", 1, 3): ("0x1.ffffffffffffbp-2", "0x0.0p+0"),
-    ("u", 1.5 + 0.7j, 4.2): ("0x1.eb2e55921fed5p-4", "-0x1.0429fc0a5091bp-3"),
-    ("u^2 - 2*u*log + 1", 0.05, 2.5 + 5j): ("0x1.d505eb4f0fbd6p+0", "-0x1.9f3bad55ce649p-4"),
-    ("3*u^(3/2) - u^-1*log^2", 3.0, 2.0): ("0x1.7f35ba781947cp+4", "0x0.0p+0"),
-    ("2*u^2 + 2*u^(1/2)", 2.2 - 1.1j, 3.3 + 0.7j): ("0x1.052dbb23c0d3ep-1", "-0x1.b71b074b8b1cap-3"),
-    ("1 - u^-1", 3, 0.1 - 2j): ("0x1.0b99df22f4fbap-4", "-0x1.e2ef5bfbc1975p-4"),
-    ("u - 1", 2.5 + 1j): ("0x1.9acd28271c731p-2", "-0x1.a8f3c814a92d3p-3", "0x1.38dd5c24038d2p-45"),
-    ("u^2 - 2*u + 1 - u*log", 3.1): ("-0x1.c091cb0042367p-3", "0x0.0p+0", "0x1.8000000000000p-54"),
-    ("-3*u^(1/2) + 3", 1.2 - 0.4j): ("-0x1.59e6eba95b452p+0", "-0x1.2f3317ab95c8cp-1",
-                                     "0x1.94c583ada5b53p-51"),
+    ("u", 1.5 + 0.7j, 4.2): ("0x1.eb2e55921fed8p-4", "-0x1.0429fc0a50918p-3"),
+    ("u^2 - 2*u*log + 1", 0.05, 2.5 + 5j): ("0x1.d505eb4f0fbd0p+0", "-0x1.9f3bad55ce64ap-4"),
+    ("3*u^(3/2) - u^-1*log^2", 3.0, 2.0): ("0x1.7f35ba781947dp+4", "0x0.0p+0"),
+    ("2*u^2 + 2*u^(1/2)", 2.2 - 1.1j, 3.3 + 0.7j): ("0x1.052dbb23c0d3dp-1", "-0x1.b71b074b8b1d0p-3"),
+    ("1 - u^-1", 3, 0.1 - 2j): ("0x1.0b99df22f3fbap-4", "-0x1.e2ef5bfbc5bc5p-4"),
+    ("u - 1", 2.5 + 1j): ("0x1.9acd28271c73ap-2", "-0x1.a8f3c814a92d6p-3", "0x1.1e3779b97f4a8p-53"),
+    ("u^2 - 2*u + 1 - u*log", 3.1): ("-0x1.c091cb0042375p-3", "0x0.0p+0", "0x1.6000000000000p-50"),
+    ("-3*u^(1/2) + 3", 1.2 - 0.4j): ("-0x1.59e6eba95b44cp+0", "-0x1.2f3317ab95c8bp-1",
+                                     "0x1.8000000000000p-50"),
 }
+
+
+# integrand evaluations over the _PINNED_INTEGRALS inputs under the
+# exp-sinh rule x = a + exp(pi/2 sinh t) of commit 75bb8fc, which the
+# exp-exp rule replaced
+_EXP_SINH_NODES = 35673
 
 
 def test_quadrature_outputs_are_pinned_bit_for_bit(monkeypatch):
     quadratures = []
+    nodes = 0
     quad = regularize._complex_quad
-    monkeypatch.setattr(regularize, "_complex_quad", lambda *args: quadratures.append(args) or quad(*args))
+
+    def counted(fn, *args):
+        def counting(x):
+            nonlocal nodes
+            nodes += 1
+            return fn(x)
+        quadratures.append(args)
+        return quad(counting, *args)
+
+    monkeypatch.setattr(regularize, "_complex_quad", counted)
     for (expr, *args), want in _PINNED_INTEGRALS.items():
         n = parse_power_log(expr)
         quadratures.clear()
@@ -533,6 +617,7 @@ def test_quadrature_outputs_are_pinned_bit_for_bit(monkeypatch):
             result = regularize.log_zeta_integral(n, *args)
             got = (result.value.real.hex(), result.value.imag.hex(), result.error_estimate.hex())
         assert got == want
+    assert nodes <= _EXP_SINH_NODES / 2
 
 
 # Reference oracles: the two split loops as they stood before `_split`
