@@ -19,6 +19,7 @@ checked at once, on the integer coefficients.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -89,12 +90,21 @@ class ReductiveGroupData(_Record):
         """Coefficients a_k of N_G(q) / q^p = (q-1)^r sum_l b_{2l} q^l from
         q^0 up; N_G(1/q) = (-1)^r q^(-d-p) N_G(q) iff a_k = (-1)^r a_{r+p-k}.
 
-        Expanded once per group.  Broken (non-palindromic) data raises on
-        every access, since a raising property caches nothing."""
+        Expanded once per group and kept with it; a catalog group is one
+        shared record while any caller holds it (`_catalog_group`).
+        Broken (non-palindromic) data raises on every access, since a
+        raising property caches nothing."""
         self.validate_palindrome()
         # |a_k| <= 2^r sum b, the L1 norm of (q-1)^r times that of the flag
         bound = (1 << self.rank) * sum(self.flag_betti)
         return tuple(_packed_product(self.flag_betti, {1: self.rank}, bound))
+
+    @cached_property
+    def counting(self) -> PowerLogSum:
+        """N_G(q) = q^p sum_k a_k q^k as a power-log sum, built once per
+        group from `coefficients` and kept with it; like them, it raises on
+        every access for broken data."""
+        return PowerLogSum.from_int_coefficients(self.coefficients, self.positive_roots)
 
 
 def torus_counting(r: int) -> PowerLogSum:
@@ -104,8 +114,10 @@ def torus_counting(r: int) -> PowerLogSum:
 
 
 def group_counting(group: ReductiveGroupData) -> PowerLogSum:
-    """(q-1)^r q^p sum_l b_{2l} q^l expanded exactly, in integers."""
-    return PowerLogSum.from_int_coefficients(group.coefficients, group.positive_roots)
+    """(q-1)^r q^p sum_l b_{2l} q^l expanded exactly, in integers: the
+    function kept with the group (`ReductiveGroupData.counting`), so every
+    call on one record returns the same immutable sum."""
+    return group.counting
 
 
 def group_from_degrees(degrees: Sequence[int], name: str = "") -> ReductiveGroupData:
@@ -143,16 +155,27 @@ _CATALOG = {
 }
 
 
+# (catalog row, rank or None) -> its group, while any caller holds it
+_HELD: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def _catalog_group(key: str, n: int | None = None) -> ReductiveGroupData:
-    """The group of catalog row `key`, at rank n for a family."""
+    """The group of catalog row `key`, at rank n for a family.  It is one
+    shared immutable record, with its coefficients and counting function,
+    for as long as any caller holds it, and is built again on the first
+    call after none does.  The rank passes the integer rule before the
+    lookup: True and 1.0 equal 1 as keys."""
     entry = _CATALOG[key]
     if n is not None:
         _check_integer(n, f"{key} rank", 1)
         # the counting degree is at least the rank: past the cap no degree is built
         _check_integer(n, f"{key}:n has a counting polynomial of degree at least its rank",
                        most=MAX_COUNTING_DEGREE)
-        entry = entry(n)
-    return group_from_degrees(entry[1], entry[0])
+    group = _HELD.get((key, n))
+    if group is None:
+        name, degrees = entry if n is None else entry(n)
+        group = _HELD[key, n] = group_from_degrees(degrees, name)
+    return group
 
 
 def gl_group_data(r: int) -> ReductiveGroupData:
@@ -212,7 +235,7 @@ def load_group(path: str) -> ReductiveGroupData:
 
 
 def group_zeta(group: ReductiveGroupData) -> FactoredZeta:
-    return zeta_of(group_counting(group))
+    return zeta_of(group.counting)
 
 
 # -- functional equation ---------------------------------------------------

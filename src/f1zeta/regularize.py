@@ -183,7 +183,8 @@ def _complex_quad(
     within the tolerance: `target` if given, else max(1e-12 |value|,
     1e-14).  A miss after the last level (step 2^-14) is a
     ConvergenceError naming the estimate and the tolerance, and so are an
-    integrand that overflows a float and a rate whose 1/rate does.
+    integrand that overflows a float or whose phase does (a ValueError
+    from cmath.exp), both naming x, and a rate whose 1/rate overflows.
     """
     scale = max(1 / rate, bulk / _BULK_U)
     if scale == math.inf:
@@ -207,6 +208,10 @@ def _complex_quad(
             except OverflowError:
                 raise ConvergenceError(
                     f"exp-exp quadrature: the integrand overflows a float at x = {x!r}"
+                ) from None
+            except ValueError:  # cmath.exp of an exponent whose imaginary part is inf
+                raise ConvergenceError(
+                    f"exp-exp quadrature: the integrand's phase leaves float range at x = {x!r}"
                 ) from None
             total += term
             if level < _SCOUT_LEVELS:

@@ -9,6 +9,7 @@ import math
 import random
 import tempfile
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -758,6 +759,25 @@ def test_group_builds_its_group_once(capsys, monkeypatch):
     assert code == 0 and builds == ["GL(5)"]
     assert _identity_lines(out) == [f"identity\ttrue\t{label}" for label, _ in
                                     groups.verify_family_identities(5, "gl").results]
+
+
+def test_group_expands_its_counting_polynomial_once(capsys, monkeypatch):
+    # counting and zeta both read the function kept with the group
+    from f1zeta import groups
+    from f1zeta.powerlog import PowerLogSum
+
+    calls = []
+
+    def counted(coeffs, offset=0, step=1, expand=PowerLogSum.from_int_coefficients):
+        calls.append(tuple(coeffs))
+        return expand(coeffs, offset, step)
+
+    # an empty table: no GL(5) held elsewhere in the process hides the expansion
+    monkeypatch.setattr(groups, "_HELD", weakref.WeakValueDictionary())
+    monkeypatch.setattr(PowerLogSum, "from_int_coefficients", staticmethod(counted))
+    code, out = _run(capsys, "group", "--group", "GL:5")
+    assert code == 0 and len(calls) == 1
+    assert f"counting\t{groups.group_counting(groups.gl_group_data(5))}" in out.splitlines()
 
 
 def _identity_lines(out):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from f1zeta import groups
 from f1zeta.errors import ParseError, PreconditionError
 from f1zeta.groups import (
     MAX_COUNTING_DEGREE,
@@ -216,6 +218,7 @@ def test_family_identities_fail_on_a_wrong_coefficient_vector(monkeypatch, famil
 def test_group_coefficients_are_expanded_once():
     group = gl_group_data(4)
     assert group.coefficients is group.coefficients
+    assert group_counting(group) is group_counting(group)
     assert group_counting(group) == PowerLogSum.from_int_coefficients(
         group.coefficients, group.positive_roots)
     # a broken palindrome raises on every access: nothing is cached
@@ -224,7 +227,38 @@ def test_group_coefficients_are_expanded_once():
         with pytest.raises(PreconditionError, match="not palindromic"):
             broken.coefficients
         with pytest.raises(PreconditionError, match="not palindromic"):
+            group_counting(broken)
+        with pytest.raises(PreconditionError, match="not palindromic"):
             group_functional_equation(broken)
+
+
+def test_a_catalog_group_is_one_record_while_it_is_held(monkeypatch):
+    group = gl_group_data(5)
+    assert group is group_from_name("gl:5") is group_from_name(" GL:5 ")
+    assert torus_group_data(3) is group_from_name("Gm:3") and sl2_group_data() is group_from_name("SL2")
+    # the table holds no record that no caller holds: a dropped one is built again
+    monkeypatch.setattr(groups, "_HELD", weakref.WeakValueDictionary())
+    dropped = weakref.ref(group_from_name("E7"))
+    assert dropped() is None and not groups._HELD
+    e7 = group_from_name("E7")
+    assert dict(groups._HELD) == {("E7", None): e7} and group_from_name("E7") is e7
+
+
+def test_family_identities_expand_their_product_on_every_call(monkeypatch):
+    # the kept counting function is never one side of its own check
+    calls = []
+
+    def counted(omegas, expand=groups._reciprocal_power_coefficients):
+        calls.append(tuple(omegas))
+        return expand(omegas)
+
+    monkeypatch.setattr(groups, "_reciprocal_power_coefficients", counted)
+    held = gl_group_data(6), torus_group_data(6)  # both calls get these records
+    for family in ("gl", "gm_power"):
+        for _ in range(2):
+            calls.clear()
+            assert verify_family_identities(6, family).holds and len(calls) == 1
+    assert held[0] is gl_group_data(6) and held[1] is torus_group_data(6)
 
 
 def test_family_identities_gl1_reduces_to_torus():
@@ -402,6 +436,8 @@ def test_every_catalog_group_counts_as_its_degrees_say(name, degrees, dimension)
     assert report.expected_center == group.dimension + group.positive_roots
     counting = [0] * group.positive_roots + list(group.coefficients)
     assert counting == _naive_counting(degrees)
+    assert group_counting(group) == PowerLogSum.from_int_coefficients(
+        group.coefficients, group.positive_roots)
     assert sum(group.flag_betti) == math.prod(degrees)  # |W|
 
 

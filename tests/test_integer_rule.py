@@ -193,6 +193,22 @@ INT_PARAMETERS = [
 NEAR_INTS = [True, 2.0, 2.5, math.nan, -1, 2**2000, -2**20000]
 
 
+# True and 1.0 equal 1 as keys: the rule runs before the shared catalog records are looked up
+@pytest.mark.parametrize("build, value, message", [
+    (gl_group_data, True, r"^GL rank must be >= 1 and an integer, got True$"),
+    (gl_group_data, 1.0, r"^GL rank must be >= 1 and an integer, got 1\.0$"),
+    (gl_group_data, 10**6, r"^GL:n has a counting polynomial of degree at least its rank 1000000; "),
+    (torus_group_data, True, r"^torus rank must be >= 1 and an integer, got True$"),
+    (torus_group_data, 1.0, r"^torus rank must be >= 1 and an integer, got 1\.0$"),
+    (torus_group_data, 10**6, r"^Gm:n has a counting polynomial of degree at least its rank 1000000; "),
+], ids=["gl-bool", "gl-float", "gl-huge", "gm-bool", "gm-float", "gm-huge"])
+def test_a_held_catalog_group_keeps_the_rule(build, value, message):
+    held = gl_group_data(1), torus_group_data(1)
+    with pytest.raises(PreconditionError, match=message):
+        build(value)
+    assert held[0] is gl_group_data(1) and held[1] is torus_group_data(1)
+
+
 def _draws(case):
     _, _, least, most = case
     edges = [b + d for b in (least, most) if b is not None for d in (-1, 0, 1)]

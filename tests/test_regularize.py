@@ -222,6 +222,9 @@ def test_exp_exp_rule_raises_when_it_cannot_converge(monkeypatch):
     # a jump is not smooth: no step brings the trapezoidal sums together
     with pytest.raises(ConvergenceError, match=r"after 15 levels: estimate \S+ > \S+"):
         _complex_quad(lambda x: 1.0 if x < 1 else 0.0, 0.0, 1.0)
+    # t0 = 4e200 puts Im(s) t near 4e500: cmath.exp of an infinite phase was a bare ValueError
+    with pytest.raises(ConvergenceError, match=r"phase leaves float range at x = \S+"):
+        two_variable_zeta_numeric(parse_power_log("1"), 1, 1e-200 + 1e300j)
     # e^-x needs step 2^-3: a table cut after step 2^-2 misses
     monkeypatch.setattr(regularize, "_LEVELS", 3)
     with pytest.raises(ConvergenceError, match="after 3 levels"):
