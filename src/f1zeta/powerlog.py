@@ -377,7 +377,9 @@ class TermMap(_Record):
 
     # New term tuples are built from lists: tuple() of a generator grows
     # the tuple by repeated reallocation, and over many calls that churn
-    # keeps raising the process's resident memory.
+    # keeps raising the process's resident memory.  A star-unpacked call
+    # argument is a list for the same reason: f(*gen) builds its argument
+    # tuple the same way.
 
     # -- constructors -------------------------------------------------
 
@@ -553,7 +555,7 @@ class PowerLogSum(TermMap):
         """N(1): log-carrying terms vanish at u = 1.  The coefficients are
         summed as integers over the lcm of their denominators."""
         cs = [(cn, cd) for _, _, group in self._groups for m, cn, cd in group if m == 0]
-        den = math.lcm(1, *(cd for _, cd in cs))
+        den = math.lcm(1, *[cd for _, cd in cs])
         return Fraction(sum([cn * (den // cd) for cn, cd in cs]), den)
 
     # -- algebra -------------------------------------------------------
@@ -690,7 +692,7 @@ def _reciprocal_power_coefficients(omegas: Sequence[Rational]) -> tuple[list[int
     nonzero ends; a zero omega gives ([], 0, 1).
     """
     ws = [_frac(w) for w in omegas]
-    den = math.lcm(1, *(w.denominator for w in ws))
+    den = math.lcm(1, *[w.denominator for w in ws])
     powers: dict[int, int] = {}
     sign, shift = 1, 0  # the product is sign v^shift prod (v^|k| - 1)
     for w in ws:

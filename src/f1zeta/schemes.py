@@ -353,7 +353,7 @@ class FourierData(_Record):
                 values = [Fraction(by_class[g]) for g in divs]
             except (TypeError, ValueError, OverflowError):  # complex, nan, inf
                 return math.inf
-            scale = math.lcm(*(v.denominator for v in values))
+            scale = math.lcm(*[v.denominator for v in values])
             pieces = _divisor_differences(
                 divs, [v.numerator * (scale // v.denominator) for v in values])
             terms = [(n0 // q, c * (n0 // q)) for q, c in zip(divs, pieces) if c]

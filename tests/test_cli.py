@@ -22,6 +22,8 @@ from f1zeta.powerlog import from_records, parse_power_log, to_records
 from f1zeta.schemes import load_scheme, projective_space_model, scheme_to_dict
 from f1zeta.weil import default_base_sequence, limit_toward_one
 
+from test_cold_start import _fresh
+
 
 @pytest.fixture()
 def p1_scheme(tmp_path):
@@ -616,22 +618,77 @@ def test_declared_dimension_above_the_cap_is_a_precondition_error(capsys, tmp_pa
     assert "dimension 1000000" in captured.err
 
 
-# Recorded with the Fraction implementation that preceded the integer
-# kernel; these outputs must never change.
+# -- the CLI contract table ---------------------------------------------------
+
+# The table's fields are described in the README's "CLI contract".  The
+# outputs of the first 91 cases were recorded with the Fraction
+# implementation that preceded the integer kernel; they must never change.
 _GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
+# A nonzero exit that writes to stderr writes one message with the prefix
+# of its code.  Exits 0 and 4 write nothing there, and neither does the
+# exit 5 of an `epsilon` or `fourier` residual above --tol: it reports on
+# stdout.
+_STDERR_PREFIXES = {0: (), 2: ("parse error: ", "usage: "), 3: ("precondition violated: ",),
+                    4: (), 5: ("numeric failure: ",)}
 
-@pytest.mark.parametrize("case", _GOLDEN["cases"], ids=lambda case: " ".join(case["argv"]))
-def test_stdout_is_byte_identical_to_recorded_output(capsys, tmp_path, case):
+
+def _generated_scheme(name):
+    """`P<n>` is projective_space_model(n) as scheme_to_dict writes it,
+    `P<n>-points` the same scheme one record per point."""
+    n, _, form = name.removeprefix("P").partition("-")
+    data = scheme_to_dict(projective_space_model(int(n)))
+    if form == "points":
+        data["points"] = [{"rank": pt["rank"], "torsion": pt["torsion"]}
+                          for pt in data["points"] for _ in range(pt.get("multiplicity", 1))]
+    return data
+
+
+@pytest.fixture(scope="module")
+def golden_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
     paths = {}
-    for name, data in _GOLDEN["schemes"].items():
-        paths[name] = str(tmp_path / f"{name}.json")
-        Path(paths[name]).write_text(json.dumps(data))
-    argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in case["argv"]]
-    code = cli.main(argv)
+    for name in {arg[1:-1] for case in _GOLDEN["cases"] for arg in case["argv"] if arg[:1] == "{"}:
+        paths[name] = root / f"{name}.scheme"
+        paths[name].write_text(json.dumps(_GOLDEN["schemes"].get(name) or _generated_scheme(name)))
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _in_process(capsys, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        code = exc.code
     captured = capsys.readouterr()
-    assert code == case.get("code", 0) and captured.err == ""
-    assert captured.out == case["stdout"]
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["in-process", "fresh-process"])
+@pytest.mark.parametrize("case", _GOLDEN["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_cli_contract_case(capsys, monkeypatch, golden_paths, case, fresh):
+    monkeypatch.delenv(cli.DEFAULT_TOL_ENV, raising=False)
+    argv = [golden_paths[arg[1:-1]] if arg[:1] == "{" else arg for arg in case["argv"]]
+    start = time.perf_counter()
+    if fresh:
+        proc = _fresh("-m", "f1zeta.cli", *argv, timeout=case.get("timeout", 120))
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        code, out, err = _in_process(capsys, argv)
+    elapsed = time.perf_counter() - start
+    assert code == case.get("code", 0), err
+    assert "Traceback" not in err
+    if err or code in (2, 3):
+        assert err.startswith(_STDERR_PREFIXES[code]), err
+    assert elapsed <= case.get("timeout", math.inf)
+    expectations = [key for key in ("stdout", "lines", "approx") if key in case]
+    assert len(expectations) == 1, expectations
+    if "stdout" in case:
+        assert out == case["stdout"]
+    elif "lines" in case:
+        assert [line for line in case["lines"] if line not in out.splitlines()] == []
+    else:
+        value, rel = case["approx"]
+        assert abs(float(out) - value) <= rel * abs(value), out
 
 
 # -- one command table, one parser, one base reader, one group-name parse ---
@@ -852,7 +909,8 @@ _NEAR_S = st.sampled_from(("2", "5/2", "3+1i", "1/2", "0", "1", "-1", "nan", "1e
 def _assert_documented_exit(scheme, args, empty=False):
     """Run `args` in process, on `scheme` written as a file unless it is
     None: exit 0 or 4 reports on stdout alone, every other exit is 2, 3 or
-    5 with a message.  With `empty`, an exit 0 may print nothing."""
+    5 with a message under its prefix.  With `empty`, an exit 0 may print
+    nothing."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = list(args)
         if scheme is not None:
@@ -874,7 +932,7 @@ def _assert_documented_exit(scheme, args, empty=False):
         assert err.getvalue() == ""
         assert out.getvalue().endswith("\n") or empty and code == 0 and out.getvalue() == ""
     else:
-        assert err.getvalue() != ""
+        assert err.getvalue().startswith(_STDERR_PREFIXES[code]), err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)

@@ -53,11 +53,12 @@ print(",".join(m for m in ("scipy", "numpy") if m in sys.modules) or "-")
 """
 
 
-def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+def _fresh(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """`python *args` in a fresh process that imports f1zeta from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, text=True, timeout=120, check=False)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout, check=False)
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +108,7 @@ def _run_case(inputs, argv) -> dict[str, list[str]]:
     """The child's closing stderr lines: which of the watched modules
     (scipy, numpy, dataclasses, inspect, json) and which f1zeta layers it
     loaded."""
-    proc = _fresh(CLI_CHILD, *(arg.format(**inputs) for arg in argv))
+    proc = _fresh("-c", CLI_CHILD, *(arg.format(**inputs) for arg in argv))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     lines = proc.stderr.strip().splitlines()[-2:]
@@ -151,7 +152,7 @@ def test_subcommand_loads_only_its_layers(child, argv):
 
 
 def test_numeric_integrals_never_load_scipy_or_numpy():
-    proc = _fresh(NUMERIC_CHILD)
+    proc = _fresh("-c", NUMERIC_CHILD)
     assert proc.returncode == 0, proc.stderr
     rel_two_variable, rel_log_integral, loaded = proc.stdout.split()
     assert float(rel_two_variable) < 1e-9
@@ -160,13 +161,13 @@ def test_numeric_integrals_never_load_scipy_or_numpy():
 
 
 def test_import_loads_no_layer_module():
-    proc = _fresh(IMPORT_CHILD, "f1zeta")
+    proc = _fresh("-c", IMPORT_CHILD, "f1zeta")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "-"
 
 
 def test_zetas_loads_no_numeric_layer():
-    proc = _fresh(IMPORT_CHILD, "f1zeta.zetas")
+    proc = _fresh("-c", IMPORT_CHILD, "f1zeta.zetas")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "f1zeta.errors,f1zeta.powerlog,f1zeta.zetas"
 

@@ -1,8 +1,11 @@
 """The frozen value classes: construction, immutability, equality, hash
-and repr of every class built on `powerlog._Record`."""
+and repr of every class built on `powerlog._Record`, and the rule that
+builds their tuples from lists."""
 
+import ast
 import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +196,17 @@ def test_a_class_is_checked_when_it_is_created():
     assert repr(Extended(1)) == f"{Extended.__qualname__}(rank=1, torsion_orders=(), label='')"
     with pytest.raises(PreconditionError):
         Extended(-1)
+
+
+def test_no_call_star_unpacks_a_generator():
+    # f(*gen) grows its argument tuple from the generator by repeated
+    # reallocation, churn that raises resident memory over many calls; the
+    # rule at TermMap builds such tuples from lists
+    root = Path(schemes.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(root.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and any(isinstance(arg, ast.Starred) and isinstance(arg.value, ast.GeneratorExp)
+                     for arg in node.args)]
+    assert found == []
