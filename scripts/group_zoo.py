@@ -22,7 +22,7 @@ def main() -> None:
             print(f"\n{g.name}  (r={g.rank}, d={g.dimension}, p={g.positive_roots})")
             print(f"  N(q)   = {n}")
             print(f"  zeta   = {pretty_zeta(group_zeta(g))}")
-            print(f"  FE     = zeta({fe.expected_center}-s) = zeta(s)^({fe.expected_sign})"
+            print(f"  FE     = zeta({fe.center}-s) = zeta(s)^({fe.sign})"
                   f"  [{'ok' if fe.holds else 'FAILS'}]")
     for family in ("gm_power", "gl"):
         for r in (1, 2, 3, 4):

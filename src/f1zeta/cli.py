@@ -163,40 +163,42 @@ def _cmd_zeta(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# fe-check's wording of a report r (`powerlog.FEReport`) per domain: its
+# header; the line of one asymmetry (k, a_k, a_(center-k)), where one is
+# shown; and, for a scheme, its records: the fields after `holds` and the
+# tag and sign of an asymmetry row.  The local check shows the exponents
+# e_r = -a_r of the smoothed local zeta.
+_FE_WORDING = {
+    "global": (lambda r: f"zeta({r.center} - s) = (-1)^{r.chi} zeta(s)",
+               lambda r, k, a, b: (f"Betti asymmetry: b_{2 * k} = {a} "
+                                   f"but b_{2 * (r.center - k)} = {b}"),
+               (("chi",), "asymmetry", 1)),
+    "local": (lambda r: (f"Z(p, 1/(p^{r.center} T)) vs (-1)^{r.chi} p^({r.center}*{r.chi}/2) "
+                         f"T^{r.chi} Z(p, T)"),
+              lambda r, k, a, b: f"exponent mismatch: e_{k} = {-a} but e_{r.center - k} = {-b}",
+              (("chi", "squared_form"), "mismatch", -1)),
+    "group": (lambda r: (f"N(1/q) = ({r.sign})*q^(-{r.center}) N(q) and "
+                         f"zeta({r.center}-s) = zeta(s)^({r.sign})"), None, None),
+    "powers": (lambda r: (f"zeta({r.center} - s) = {'-' if r.prefactor_sign < 0 else ''}"
+                          f"zeta(s){'^(-1)' if r.sign < 0 else ''}"), None, None),
+}
+
+
 def _cmd_fe_check(config: argparse.Namespace) -> int:
     if config.scheme_path is not None:
+        from .schemes import global_functional_equation, local_functional_equation
+
         scheme = _scheme(config)
         if config.p is not None:
-            from .weil import local_functional_equation
-
-            local = local_functional_equation(scheme, _prime_base(config, "local checks"))
-            if config.fmt == "records":
-                print(f"holds\t{str(local.holds).lower()}")
-                print(f"chi\t{local.chi}")
-                print(f"squared_form\t{str(local.squared_form).lower()}")
-                for r, er, em in local.mismatches:
-                    print(f"mismatch\t{r}\t{er}\t{em}")
-            else:
-                print(local)
-            return EXIT_OK if local.holds else EXIT_IDENTITY
-        from .scheme_zeta import global_functional_equation
-
-        report = global_functional_equation(scheme)
-        if config.fmt == "records":
-            print(f"holds\t{str(report.holds).lower()}")
-            print(f"chi\t{report.chi}")
-            for l, bl, bm in report.asymmetries:
-                print(f"asymmetry\t{l}\t{bl}\t{bm}")
+            domain = "local"
+            report = local_functional_equation(scheme, _prime_base(config, "local checks"))
         else:
-            print(report)
-        return EXIT_OK if report.holds else EXIT_IDENTITY
-    if config.group is not None:
+            domain, report = "global", global_functional_equation(scheme)
+    elif config.group is not None:
         from .groups import group_functional_equation
 
-        report = group_functional_equation(_resolve_group(config.group)[0])
-        print(report)
-        return EXIT_OK if report.holds else EXIT_IDENTITY
-    if config.powers is not None:
+        domain, report = "group", group_functional_equation(_resolve_group(config.group)[0])
+    elif config.powers is not None:
         from .powerlog import detect_functional_equation
         from .zetas import _witnessed_report
 
@@ -206,10 +208,23 @@ def _cmd_fe_check(config: argparse.Namespace) -> int:
             print("no functional equation witness")
             return EXIT_IDENTITY
         # detect_functional_equation has checked the witness
-        fe = _witnessed_report(n, witness)
-        print(fe)
-        return EXIT_OK if fe.holds else EXIT_IDENTITY
-    raise PreconditionError("need one of --scheme, --group, --powers")
+        domain, report = "powers", _witnessed_report(n, witness)
+    else:
+        raise PreconditionError("need one of --scheme, --group, --powers")
+    header, asymmetry, records = _FE_WORDING[domain]
+    if config.fmt == "records" and records is not None:
+        fields, tag, sign = records
+        for name in ("holds", *fields):
+            print(f"{name}\t{str(getattr(report, name)).lower()}")
+        for k, a, b in report.asymmetries:
+            print(f"{tag}\t{k}\t{sign * a}\t{sign * b}")
+    else:
+        print(f"{header(report)}: {'holds' if report.holds else 'FAILS'}")
+        for k, a, b in report.asymmetries if asymmetry is not None else ():
+            print("  " + asymmetry(report, k, a, b))
+        if domain == "local" and not report.exponent_ok:
+            print("  p-power bookkeeping fails")
+    return EXIT_OK if report.holds else EXIT_IDENTITY
 
 
 def _cmd_local(config: argparse.Namespace) -> int:
@@ -283,8 +298,7 @@ def _cmd_group(config: argparse.Namespace) -> int:
     print(f"group\t{group.name or name}")
     print(f"counting\t{group_counting(group)}")
     print(f"zeta\t{pretty_zeta(group_zeta(group))}")
-    print(f"fe\t{str(report.holds).lower()}\tcenter\t{report.expected_center}"
-          f"\tsign\t{report.expected_sign}")
+    print(f"fe\t{str(report.holds).lower()}\tcenter\t{report.center}\tsign\t{report.sign}")
     results = () if family is None else _family_report(group, family).results
     for label, ok in results:
         print(f"identity\t{str(ok).lower()}\t{label}")

@@ -20,18 +20,17 @@ from __future__ import annotations
 
 import math
 import weakref
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .errors import ParseError, PreconditionError
 from .powerlog import (
     MAX_COUNTING_DEGREE,
-    FunctionalEquationWitness,
+    FEReport,
     PowerLogSum,
-    _asymmetries,
     _binomial_row,
     _check_integer,
+    _fe_report,
     _integer,
     _packed_product,
     _parity,
@@ -241,36 +240,21 @@ def group_zeta(group: ReductiveGroupData) -> FactoredZeta:
 # -- functional equation ---------------------------------------------------
 
 
-class GroupFEReport(_Record):
-    holds: bool
-    witness: FunctionalEquationWitness | None
-    chi: int
-    expected_center: Fraction
-    expected_sign: int
-
-    def __str__(self) -> str:
-        c, e = self.expected_center, self.expected_sign
-        return f"N(1/q) = ({e})*q^(-{c}) N(q) and zeta({c}-s) = zeta(s)^({e}): " + (
-            "holds" if self.holds else "FAILS")
-
-
-def group_functional_equation(group: ReductiveGroupData) -> GroupFEReport:
+def group_functional_equation(group: ReductiveGroupData) -> FEReport:
     """Verify the counting and zeta functional equations of a group.
 
     Both hold iff the coefficients are a signed palindrome (see
     `ReductiveGroupData.coefficients`): zeta_of keeps the terms of N_G,
     and the sign (-1)^chi of the reflected zeta is 1, as
-    chi = N_G(1) = 0.  The witness is ((-1)^r, d + p) when they hold and
-    None otherwise.
+    chi = N_G(1) = 0.  The stored coefficients of N_G / q^p are checked
+    about r + p, and the report is in the exponents of N_G, with center
+    d + p, sign (-1)^r and, when they hold, that pair as its witness.
     """
     coeffs = group.coefficients
     if not any(coeffs):
         raise PreconditionError("functional equations of the zero sum are vacuous")
-    center = Fraction(group.dimension + group.positive_roots)
-    sign = _parity(group.rank)
-    holds = not _asymmetries(coeffs, len(coeffs) - 1, sign)
-    witness = FunctionalEquationWitness(sign, center) if holds else None
-    return GroupFEReport(holds, witness, sum(coeffs), center, sign)
+    p = group.positive_roots
+    return _fe_report(coeffs, group.dimension + p, _parity(group.rank), p)
 
 
 # -- shift / duality / reflection identity families -------------------------

@@ -628,6 +628,56 @@ class FunctionalEquationWitness(_Record):
         self.__dict__["c"], self.__dict__["omega"] = c, omega
 
 
+class FEReport(_Record):
+    """An exact check of N(1/u) = sign u^(-center) N(u), hence of
+    zeta(center - s) = (-1)^chi zeta(s)^sign with chi = N(1): on integer
+    coefficients, the signed palindrome a_k = sign a_(center-k), broken at
+    each asymmetry (k, a_k, a_(center-k))."""
+
+    holds: bool
+    center: Rational
+    sign: int
+    chi: int
+    asymmetries: tuple[tuple[int, int, int], ...]
+
+    @property
+    def dimension(self) -> Rational:
+        """The center: a scheme check's declared dimension."""
+        return self.center
+
+    @property
+    def exponent_ok(self) -> bool:
+        """2 sum_k k a_k = center chi for sign 1: a pair k, center - k adds
+        (2k - center)(a_k - a_(center-k))."""
+        return not sum([(2 * k - self.center) * (a - b) for k, a, b in self.asymmetries])
+
+    @property
+    def squared_form(self) -> bool:
+        """center chi is odd, so p^(center chi / 2) is irrational."""
+        return self.center * self.chi % 2 == 1
+
+    @property
+    def witness(self) -> FunctionalEquationWitness | None:
+        """(sign, center) when the check holds, else None."""
+        return FunctionalEquationWitness(self.sign, Fraction(self.center)) if self.holds else None
+
+    @property
+    def prefactor_sign(self) -> int:
+        """(-1)^chi, the sign of the reflected zeta."""
+        return _parity(self.chi)
+
+
+def _fe_report(coeffs: Sequence[int], center: int, sign: int = 1, low: int = 0,
+               bounded: bool = True) -> FEReport:
+    """The check of N(1/u) = sign u^(-center) N(u) for N(u) =
+    sum_k coeffs[k] u^(low + k), its asymmetries read in the exponents of
+    u; it holds when none shows and `bounded`, a condition that the
+    coefficients do not carry."""
+    asymmetries = _asymmetries(coeffs, center - 2 * low, sign)
+    asymmetries = tuple([(k + low, a, b) for k, a, b in asymmetries])
+    return FEReport(bounded and not asymmetries, center, sign, sum(coeffs), asymmetries)
+
+
 def witness_holds(n: PowerLogSum, witness: FunctionalEquationWitness) -> bool:
     """Exact check of N(1/u) = c u^(-omega) N(u), on the map's integer image.
 

@@ -10,14 +10,13 @@ zeta is the rational function
 so the even Betti numbers are b_{2l} = a_l (odd ones vanish in this
 class) and the Euler characteristic is N(1) = sum_k a_k.  The global
 functional equation zeta(d-s) = (-1)^chi zeta(s) holds exactly iff no
-rank exceeds d and the Betti profile is palindromic, an integer check.
+rank exceeds d and the Betti profile is palindromic, an integer check
+made by `schemes.global_functional_equation`.
 """
 
 from __future__ import annotations
 
-
-from .errors import PreconditionError
-from .powerlog import PowerLogSum, _asymmetries, _Record
+from .powerlog import PowerLogSum, _Record
 from .schemes import MonoidScheme, counting_coefficients
 from .zetas import FactoredZeta, zeta_of
 
@@ -37,10 +36,6 @@ class BettiProfile(_Record):
     @property
     def euler_characteristic(self) -> int:
         return sum(self.values)
-
-    def asymmetries(self) -> tuple[tuple[int, int, int], ...]:
-        """(l, b_{2l}, b_{2(d-l)}) for each l <= d - l where they differ."""
-        return _asymmetries(self.values, self.dimension)
 
 
 def betti_profile(scheme: MonoidScheme) -> BettiProfile:
@@ -67,34 +62,3 @@ def zeta_of_scheme(scheme: MonoidScheme) -> FactoredZeta:
 def scheme_counting_function(scheme: MonoidScheme) -> PowerLogSum:
     """Smoothed counting function sum_x T(x) (u - 1)^R(x) as an exact sum."""
     return PowerLogSum.from_int_coefficients(counting_coefficients(scheme))
-
-
-class GlobalFEReport(_Record):
-    holds: bool
-    chi: int
-    dimension: int
-    asymmetries: tuple[tuple[int, int, int], ...]
-
-    def __str__(self) -> str:
-        status = "holds" if self.holds else "FAILS"
-        out = f"zeta({self.dimension} - s) = (-1)^{self.chi} zeta(s): {status}"
-        for l, bl, bm in self.asymmetries:
-            out += f"\n  Betti asymmetry: b_{2 * l} = {bl} but b_{2 * (self.dimension - l)} = {bm}"
-        return out
-
-
-def global_functional_equation(scheme: MonoidScheme) -> GlobalFEReport:
-    """Exact check of zeta(d - s) = (-1)^chi zeta(s), in integers.
-
-    Reflection sends the factor (s - r)^(-a_r) to (s - d + r)^(-a_r), with
-    sign (-1)^N(1), so the identity holds iff a_r = a_{d-r} and no rank
-    exceeds d (the top coefficient is positive).  Requires the
-    smooth_projective assertion; a failing check is diagnosed through
-    the Betti asymmetry that causes it.
-    """
-    if not scheme.smooth_projective:
-        raise PreconditionError("global functional equation requires smooth_projective")
-    profile = betti_profile(scheme)
-    asymmetries = profile.asymmetries()
-    holds = scheme.max_rank <= scheme.dim and not asymmetries
-    return GlobalFEReport(holds, profile.euler_characteristic, scheme.dim, asymmetries)

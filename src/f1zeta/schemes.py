@@ -26,8 +26,8 @@ from typing import Sequence, Union
 
 from .errors import ParseError, PreconditionError
 from .powerlog import (
-    MAX_COUNTING_DEGREE, _binomial_row, _check_integer, _exact_or_real, _integer, _read_json,
-    _Record, _shown)
+    MAX_COUNTING_DEGREE, FEReport, _binomial_row, _check_integer, _exact_or_real, _fe_report,
+    _integer, _read_json, _Record, _shown)
 
 COMPLEX_TOLERANCE = 1e-10  # declared tolerance for Fourier reconstruction
 MAX_FOURIER_PERIOD = 1 << 20  # coefficients per torsion order in a Fourier table
@@ -210,6 +210,42 @@ def counting_coefficients(scheme: MonoidScheme) -> tuple[int, ...]:
     over the rank weights w_R = sum_{x: R(x) = R} T(x).  Built once per
     scheme from its count profile and kept with it."""
     return scheme._coefficients
+
+
+# -- functional equations ------------------------------------------------
+
+
+def global_functional_equation(scheme: MonoidScheme) -> FEReport:
+    """Exact check of zeta(d - s) = (-1)^chi zeta(s), in integers.
+
+    Reflection sends the factor (s - r)^(-a_r) to (s - d + r)^(-a_r), with
+    sign (-1)^N(1), so the identity holds iff no rank exceeds d (the top
+    coefficient is positive) and the Betti profile, the coefficients cut
+    or padded to d + 1 entries, is a palindrome; chi is its sum, and an
+    asymmetry (l, b_2l, b_2(d-l)) names a cause.  Requires the
+    smooth_projective assertion.
+    """
+    if not scheme.smooth_projective:
+        raise PreconditionError("global functional equation requires smooth_projective")
+    d = scheme.dim
+    profile = (counting_coefficients(scheme) + (0,) * d)[: d + 1]
+    return _fe_report(profile, d, bounded=scheme.max_rank <= d)
+
+
+def local_functional_equation(scheme: MonoidScheme, p: int) -> FEReport:
+    """Exact check of Z(p, 1/(p^d T)) = (-1)^chi p^(d chi/2) T^chi Z(p, T)
+    on the smoothed local zeta prod_r (1 - p^r T)^(e_r), e_r = -a_r.
+
+    T -> 1/(p^d T) sends each (1 - p^r T)^e to (-p^(r-d) / T)^e
+    (1 - p^(d-r) T)^e, so the identity holds iff e_r = e_(d-r) for every
+    r, which also balances the power of p (`exponent_ok`).  That is the
+    palindrome of the whole counting polynomial, chi = N(1), and holds
+    exactly when the global check does: p is only validated.
+    """
+    if not scheme.smooth_projective:
+        raise PreconditionError("local functional equation requires smooth_projective")
+    _check_integer(p, "base prime", 2)
+    return _fe_report(counting_coefficients(scheme), scheme.dim)
 
 
 # -- Fourier expansion of n |-> gcd(t, p^n - 1) -------------------------

@@ -8,8 +8,9 @@ and factors exactly as
 
 with N(q) = sum_r a_r q^r the smoothed counting function.  Multiplying
 by (p-1)^N, N = N(1) the pole order at p = 1, and letting p -> 1 along
-reals gives the global zeta; the limit probe (in log space) and the
-exact functional-equation check in T both use the factored form.
+reals gives the global zeta; the limit probe (in log space) uses the
+factored form.  Its exact functional equation in T is the palindrome
+check of `schemes.local_functional_equation`.
 
 Both series are computed in int and are exact.  For any integer p >= 2,
 #X(F_{p^n}) counts the fixed points of the n-th iterate of x -> p x on
@@ -40,9 +41,8 @@ from operator import add, mul
 from typing import Sequence, Union
 
 from .errors import PreconditionError, SingularityError
-from .powerlog import (MAX_COUNTING_DEGREE, _asymmetries, _binomial_row, _check_integer,
-                       _check_printable, _exact_or_real, _exp_in_range, _float_exponent,
-                       _number, _Record, _shown)
+from .powerlog import (MAX_COUNTING_DEGREE, _binomial_row, _check_integer, _check_printable,
+                       _exact_or_real, _exp_in_range, _float_exponent, _number, _Record, _shown)
 from .schemes import MonoidScheme, counting_coefficients, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
@@ -300,52 +300,3 @@ def limit_toward_one(
                      + _log_factors(_log(p), factors, s))
         out.append(_exp_in_range(log_value, "limit value at p = {}", p))
     return out
-
-
-# -- local functional equation -------------------------------------------
-
-
-class LocalFEReport(_Record):
-    holds: bool
-    chi: int
-    dimension: int
-    mismatches: tuple[tuple[int, int, int], ...]  # (r, e_r, e_{d-r})
-    exponent_ok: bool
-    squared_form: bool
-
-    def __str__(self) -> str:
-        status = "holds" if self.holds else "FAILS"
-        out = (
-            f"Z(p, 1/(p^{self.dimension} T)) vs (-1)^{self.chi} "
-            f"p^({self.dimension}*{self.chi}/2) T^{self.chi} Z(p, T): {status}"
-        )
-        for r, er, em in self.mismatches:
-            out += f"\n  exponent mismatch: e_{r} = {er} but e_{self.dimension - r} = {em}"
-        if not self.exponent_ok:
-            out += "\n  p-power bookkeeping fails"
-        return out
-
-
-def local_functional_equation(scheme: MonoidScheme, p: int) -> LocalFEReport:
-    """Exact check of Z(p, 1/(p^d T)) = (-1)^chi p^(d chi/2) T^chi Z(p, T).
-
-    Performed on the factored smoothed zeta: substituting T -> 1/(p^d T)
-    sends each (1 - p^r T)^e to (-p^(r-d) / T)^e (1 - p^(d-r) T)^e, so the
-    identity holds exactly once the exponents are symmetric, e_r = e_{d-r},
-    and 2 sum_r r a_r = d chi, both checked in integers on the counting
-    coefficients a_r = -e_r; the prefactor is then the positive root
-    p^(d chi/2).  No float evaluation enters.  `squared_form` reports an
-    odd d chi, where p^(d chi/2) is irrational; as 2 sum_r r a_r is even,
-    the bookkeeping check fails there.
-    """
-    if not scheme.smooth_projective:
-        raise PreconditionError("local functional equation requires smooth_projective")
-    _check_integer(p, "base prime", 2)
-    coeffs = counting_coefficients(scheme)
-    d = scheme.dim
-    chi = sum(coeffs)
-    mismatches = tuple([(r, -a, -b) for r, a, b in _asymmetries(coeffs, d)])
-    exponent_ok = 2 * sum(r * a for r, a in enumerate(coeffs)) == d * chi
-    squared = (d * chi) % 2 == 1
-    holds = not mismatches and exponent_ok
-    return LocalFEReport(holds, chi, d, mismatches, exponent_ok, squared)

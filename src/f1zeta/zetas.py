@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 from .errors import PreconditionError, SingularityError
 from .powerlog import (
+    FEReport,
     FunctionalEquationWitness,
     PowerLogSum,
     Rational,
@@ -172,22 +173,9 @@ def epsilon_factor(n: PowerLogSum) -> EpsilonFactor:
 # -- functional equation at the zeta level -----------------------------
 
 
-class ZetaFEReport(_Record):
-    holds: bool
-    center: Fraction
-    exponent_sign: int
-    prefactor_sign: int
-
-    def __str__(self) -> str:
-        status = "holds" if self.holds else "FAILS"
-        pre = "" if self.prefactor_sign == 1 else "-"
-        expo = "" if self.exponent_sign == 1 else "^(-1)"
-        return f"zeta({self.center} - s) = {pre}zeta(s){expo}: {status}"
-
-
 def verify_functional_equation(
     n: PowerLogSum, witness: FunctionalEquationWitness
-) -> ZetaFEReport:
+) -> FEReport:
     """zeta_N(omega - s) = (-1)^N(1) zeta_N(s)^c, from the witness.
 
     Requires a pure-power N (all m = 0), an integer N(1) and a witness of
@@ -203,7 +191,7 @@ def verify_functional_equation(
     return _witnessed_report(n, witness)
 
 
-def _witnessed_report(n: PowerLogSum, witness: FunctionalEquationWitness) -> ZetaFEReport:
+def _witnessed_report(n: PowerLogSum, witness: FunctionalEquationWitness) -> FEReport:
     """`verify_functional_equation` for a nonzero N and a witness that has
     already passed `witness_holds`, as every detected witness has."""
     if not n.is_pure_power:
@@ -211,7 +199,7 @@ def _witnessed_report(n: PowerLogSum, witness: FunctionalEquationWitness) -> Zet
     n1 = n.value_at_one()
     if n1.denominator != 1:
         raise PreconditionError(f"N(1) = {n1} is not an integer")
-    return ZetaFEReport(True, witness.omega, witness.c, _parity(n1.numerator))
+    return FEReport(True, witness.omega, witness.c, n1.numerator, ())
 
 
 # -- display and serialization ------------------------------------------

@@ -27,7 +27,6 @@ from f1zeta.regularize import (
 )
 from f1zeta.scheme_zeta import (
     betti_profile,
-    global_functional_equation,
     zeta_of_scheme,
 )
 from f1zeta.schemes import (
@@ -35,12 +34,14 @@ from f1zeta.schemes import (
     TorsionPoint,
     gcd_fourier_coefficients,
     gcd_inner_fourier,
+    global_functional_equation,
+    local_functional_equation,
     projective_space_model,
     torsion_point_model,
     torus_model,
     totient,
 )
-from f1zeta.weil import limit_toward_one, local_functional_equation, smoothed_local_zeta
+from f1zeta.weil import limit_toward_one, smoothed_local_zeta
 from f1zeta.zetas import (
     FactoredZeta,
     epsilon_factor,

@@ -88,7 +88,7 @@ CASES = [
 # the f1zeta modules each CASES row loads, besides cli and errors
 LAYERS = {
     "count": "powerlog schemes",
-    "fe-check": "powerlog scheme_zeta schemes zetas",
+    "fe-check": "powerlog schemes",
     "zeta": "groups powerlog zetas",
     "local": "powerlog schemes weil",
     "limit": "powerlog scheme_zeta schemes weil zetas",

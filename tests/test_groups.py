@@ -98,16 +98,16 @@ def test_group_fe_examples():
     for r in range(1, 5):
         report = group_functional_equation(torus_group_data(r))
         assert report.holds
-        assert report.expected_center == r
-        assert report.expected_sign == (-1) ** r
+        assert report.center == r
+        assert report.sign == (-1) ** r
         assert report.chi == 0
 
     gl2 = group_functional_equation(gl_group_data(2))
-    assert gl2.holds and gl2.expected_center == 5 and gl2.expected_sign == 1
+    assert gl2.holds and gl2.center == 5 and gl2.sign == 1
     assert pretty_zeta(group_zeta(gl_group_data(2))) == "(s-3)(s-2)/((s-4)(s-1))"
 
     sl2 = group_functional_equation(sl2_group_data())
-    assert sl2.holds and sl2.expected_center == 4 and sl2.expected_sign == -1
+    assert sl2.holds and sl2.center == 4 and sl2.sign == -1
     # N(1/q) = -q^-4 N(q) for N = q^3 - q, by exact evaluation
     n = group_counting(sl2_group_data())
     for q in (Fraction(2), Fraction(7, 3)):
@@ -433,7 +433,7 @@ def test_every_catalog_group_counts_as_its_degrees_say(name, degrees, dimension)
     assert group.dimension == dimension and group.rank == len(degrees)
     report = group_functional_equation(group)
     assert report.holds and report.chi == 0
-    assert report.expected_center == group.dimension + group.positive_roots
+    assert report.center == group.dimension + group.positive_roots
     counting = [0] * group.positive_roots + list(group.coefficients)
     assert counting == _naive_counting(degrees)
     assert group_counting(group) == PowerLogSum.from_int_coefficients(
@@ -473,7 +473,7 @@ def test_pinned_exceptional_orders():
     assert _order(group_from_name("G2"), 2) == 12096
     e8 = group_from_name("E8")
     assert (e8.rank, e8.dimension, e8.positive_roots) == (8, 248, 120)
-    assert group_functional_equation(e8).expected_center == 368
+    assert group_functional_equation(e8).center == 368
     assert f"{float(_order(e8, 2)):.4g}" == "3.378e+74"
 
 

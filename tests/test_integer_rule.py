@@ -20,11 +20,11 @@ from f1zeta.regularize import (
     MAX_HEAD_TERMS, circle_spectrum, log_regularized_det, regularized_det, spectral_zeta)
 from f1zeta.schemes import (
     MAX_FOURIER_PERIOD, MonoidScheme, TorsionPoint, exact_count,
-    fourier_data, gcd_fourier_coefficients, gcd_inner_fourier, projective_space_model,
-    scheme_from_dict, torsion_point_model, torus_model, totient)
+    fourier_data, gcd_fourier_coefficients, gcd_inner_fourier, local_functional_equation,
+    projective_space_model, scheme_from_dict, torsion_point_model, torus_model, totient)
 from f1zeta.weil import (
     MAX_SERIES_ORDER, LocalZetaFactors, TruncatedSeries, default_base_sequence, limit_toward_one,
-    local_functional_equation, local_zeta_series, smoothed_local_zeta)
+    local_zeta_series, smoothed_local_zeta)
 
 P1 = projective_space_model(1)
 P2 = projective_space_model(2)

@@ -11,7 +11,6 @@ from f1zeta.errors import PreconditionError
 from f1zeta.powerlog import PowerLogSum
 from f1zeta.scheme_zeta import (
     betti_profile,
-    global_functional_equation,
     scheme_counting_function,
     zeta_of_scheme,
 )
@@ -19,6 +18,8 @@ from f1zeta.schemes import (
     MonoidScheme,
     TorsionPoint,
     counting_coefficients,
+    global_functional_equation,
+    local_functional_equation,
     projective_space_model,
     smoothed_count,
     torsion_point_model,
@@ -26,7 +27,6 @@ from f1zeta.schemes import (
 )
 from f1zeta.weil import (
     limit_toward_one,
-    local_functional_equation,
     pole_order,
     smoothed_local_zeta,
 )
@@ -257,13 +257,18 @@ def _exponent_mismatches(scheme) -> tuple:
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(
+# smooth-projective schemes with declared dimensions below, at and above
+# the maximal rank
+SMOOTH_PROJECTIVE = st.one_of(
     schemes(declared_dim=True).map(
         lambda x: MonoidScheme(x.points, x.dimension, smooth_projective=True, name=x.name)
     ),
     palindromic_schemes(),
-))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SMOOTH_PROJECTIVE)
 @example(MonoidScheme((TorsionPoint(0), TorsionPoint(2)), dimension=1, smooth_projective=True))
 @example(projective_space_model(3))
 def test_integer_fe_checks_match_the_reflected_zeta(scheme):
@@ -273,4 +278,21 @@ def test_integer_fe_checks_match_the_reflected_zeta(scheme):
     assert report.holds == _reflected_zeta_holds(scheme)
     assert report.holds == (scheme.max_rank <= scheme.dim and not report.asymmetries)
     local = local_functional_equation(scheme, 2)
-    assert local.mismatches == _exponent_mismatches(scheme)
+    assert tuple([(k, -a, -b) for k, a, b in local.asymmetries]) == _exponent_mismatches(scheme)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SMOOTH_PROJECTIVE)
+@example(MonoidScheme((TorsionPoint(0), TorsionPoint(1), TorsionPoint(1), TorsionPoint(2)),
+                      dimension=1, smooth_projective=True))  # a rank above d: a = (0, 0, 1)
+@example(MonoidScheme((TorsionPoint(0),), dimension=1, smooth_projective=True))  # d chi = 1
+def test_local_check_is_the_global_palindrome(scheme):
+    # the local check reads p only to validate it: it holds exactly when the
+    # global one does, and its derived fields are the direct integer checks
+    local = local_functional_equation(scheme, 2)
+    assert local.holds == global_functional_equation(scheme).holds
+    a, d = counting_coefficients(scheme), scheme.dim
+    chi = sum(a)
+    assert local.chi == chi
+    assert local.exponent_ok == (2 * sum([r * c for r, c in enumerate(a)]) == d * chi)
+    assert local.squared_form == (d * chi % 2 == 1)

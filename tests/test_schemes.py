@@ -13,8 +13,7 @@ from f1zeta import cli, groups
 from f1zeta import schemes as schemes_module
 from f1zeta.errors import F1ZetaError, ParseError, PreconditionError
 from f1zeta.powerlog import MAX_COUNTING_DEGREE
-from f1zeta.scheme_zeta import (
-    betti_profile, global_functional_equation, scheme_counting_function, zeta_of_scheme)
+from f1zeta.scheme_zeta import betti_profile, scheme_counting_function, zeta_of_scheme
 from f1zeta.schemes import (
     MAX_FOURIER_PERIOD,
     FourierData,
@@ -27,6 +26,8 @@ from f1zeta.schemes import (
     fourier_period,
     gcd_fourier_coefficients,
     gcd_inner_fourier,
+    global_functional_equation,
+    local_functional_equation,
     projective_space_model,
     scheme_from_dict,
     scheme_to_dict,
@@ -37,9 +38,7 @@ from f1zeta.schemes import (
     _divisor_differences,
     _divisors,
 )
-from f1zeta.weil import (
-    limit_toward_one, local_functional_equation, local_zeta_series, pole_order,
-    smoothed_local_zeta)
+from f1zeta.weil import limit_toward_one, local_zeta_series, pole_order, smoothed_local_zeta
 
 
 @st.composite

@@ -15,6 +15,7 @@ from f1zeta.schemes import (
     TorsionPoint,
     counting_coefficients,
     f1_point,
+    local_functional_equation,
     projective_space_model,
     torsion_point_model,
     torus_model,
@@ -25,7 +26,6 @@ from f1zeta.weil import (
     TruncatedSeries,
     default_base_sequence,
     limit_toward_one,
-    local_functional_equation,
     local_zeta_series,
     pole_order,
     smoothed_local_zeta,
@@ -313,7 +313,7 @@ def test_local_fe_failure_reports_mismatch():
     )
     report = local_functional_equation(lopsided, 2)
     assert not report.holds
-    assert report.mismatches  # exponent multiset is not symmetric
+    assert report.asymmetries  # exponent multiset is not symmetric
 
 
 def test_local_fe_requires_assertion():

@@ -361,7 +361,7 @@ def test_verify_fe_agrees_with_the_zeta_reflection(case):
         return
     report = verify_functional_equation(n, witness)
     assert report.holds and _zeta_reflection_holds(n, witness)
-    assert (report.center, report.exponent_sign) == (witness.omega, witness.c)
+    assert (report.center, report.sign) == (witness.omega, witness.c)
     assert report.prefactor_sign == (-1) ** (n.value_at_one().numerator % 2)
 
 
