@@ -322,14 +322,18 @@ def _cmd_fourier(config: argparse.Namespace) -> int:
 
     data = fourier_data(_scheme(config), _prime_base(config, "Fourier coefficients"))
     print(f"period\t{data.period}")
+    # the coefficients are exact rationals; the real/imaginary column pair
+    # keeps the complex layout of the table.  fourier_data gives each torsion
+    # order one vector, whose classes gcd(nu, period) share one Fraction
+    # object each: each order's line tails are formatted once, and each
+    # distinct object once among them.
+    tails: dict[int, list[str]] = {}
     for x, jidx, t, coeffs in data.entries:
-        # the coefficients are exact rationals; the real/imaginary column
-        # pair keeps the complex layout of the table.  The classes
-        # gcd(nu, period) share one Fraction object each, so each distinct
-        # object is formatted once.
-        shown = {k: f"{float(c)!r}\t0.0\n" for k, c in {id(c): c for c in coeffs}.items()}
+        if t not in tails:
+            shown = {k: f"{float(c)!r}\t0.0\n" for k, c in {id(c): c for c in coeffs}.items()}
+            tails[t] = [f"{nu}\t{shown[id(c)]}" for nu, c in enumerate(coeffs, start=1)]
         head = f"{x}\t{jidx}\t{t}\t"
-        sys.stdout.writelines(f"{head}{nu}\t{shown[id(c)]}" for nu, c in enumerate(coeffs, start=1))
+        sys.stdout.writelines([head + tail for tail in tails[t]])
     err = data.reconstruction_error()
     print(f"reconstruction_error\t{err!r}")
     if err > config.tol:

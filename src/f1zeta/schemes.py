@@ -283,12 +283,16 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _period_divides(t: int, p: int, n: int) -> bool:
-    """The part of t prime to p divides p^n - 1, decided in residues: then
-    n is a multiple of the period of h |-> gcd(t, p^h - 1)."""
+def _prime_to(t: int, p: int) -> int:
+    """t', the part of t prime to p: gcd(t, p^h - 1) = gcd(t', p^h - 1), of period ord_t'(p)."""
     while (g := math.gcd(t, p)) > 1:
         t //= g
-    return (pow(p, n, t) - 1) % t == 0
+    return t
+
+
+def _period_divides(t: int, p: int, n: int) -> bool:
+    """ord_t'(p) divides n: gcd(t, p^n - 1), taken in residues, is all of t'."""
+    return math.gcd(t, pow(p, n, t) - 1) == _prime_to(t, p)
 
 
 def _divisor_differences(divs: list[int], values: Sequence[int]) -> list[int]:
@@ -361,29 +365,40 @@ class FourierData(_Record):
     entries: tuple[tuple[int, int, int, tuple[Fraction, ...]], ...] = ()
     # entry layout: (point index, torsion index, torsion order, coefficient vector)
 
+    def __post_init__(self) -> None:
+        _check_integer(self.prime, "base prime", 2)
+        _check_integer(self.period, "Fourier period", 1, MAX_FOURIER_PERIOD)
+
     def reconstruction_error(self) -> float:
-        """Max |sum_nu c_nu xi^(n nu) - gcd(t, p^n - 1)| over n = 1..3 n0,
-        evaluated exactly; inf for a vector that is not constant on the
-        classes gcd(nu, n0) (or not of length n0), and for a class value
-        that is not a real rational, such as a complex one.  Ints,
+        """Max |sum_nu c_nu xi^(n nu) - gcd(t, p^n - 1)| over all n, exactly
+        at one n per class gcd(n, n0) and once per distinct (torsion order
+        t >= 2, vector) pair; inf for a vector that is not constant on the
+        classes gcd(nu, n0) (or not of length n0), for a class value that
+        is not a real rational, such as a complex one, and for a row whose
+        period ord_t'(p) does not divide n0 (`_period_divides`).  Ints,
         Fractions and floats are read exactly, as Fraction(c).
 
         The inverse of `_class_vector`: the class values, scaled to
         integers by their common denominator D, are split into pieces
         P_q (q | n0) with c_nu = sum of P_q over the q dividing nu, and the
         indicator [q | nu] has the series (n0/q) [(n0/q) | n].  So D times
-        the series is an integer at every n, and each entry's error
+        the series is an integer at every n, and each pair's error
         max_n |value D - gcd D| / D is rounded once.
         """
-        n0 = self.period
+        n0, p = self.period, self.prime
+        # fourier_data shares one vector per torsion order; the type keeps 3.0 from passing as 3
+        pairs = {(type(t), t, id(c)): (t, c) for _, _, t, c in self.entries}.values()
+        for t, _ in pairs:
+            _check_integer(t, "a torsion order", 2)
         divs = _divisors(n0)
         classes = [math.gcd(nu, n0) for nu in range(1, n0 + 1)]
         worst = 0.0
-        for _, _, t, coeffs in self.entries:
-            if len(coeffs) != n0:
-                return math.inf
+        for t, coeffs in pairs:
+            # The series depends on n only through gcd(n, n0), and the row does
+            # iff ord_t'(p) divides n0: the smallest n in class g is g.
             by_class = dict(zip(classes, coeffs))
-            if list(map(by_class.__getitem__, classes)) != list(coeffs):
+            if (len(coeffs) != n0 or list(map(by_class.__getitem__, classes)) != list(coeffs)
+                    or not _period_divides(t, p, n0)):
                 return math.inf
             try:
                 values = [Fraction(by_class[g]) for g in divs]
@@ -393,25 +408,16 @@ class FourierData(_Record):
             pieces = _divisor_differences(
                 divs, [v.numerator * (scale // v.denominator) for v in values])
             terms = [(n0 // q, c * (n0 // q)) for q, c in zip(divs, pieces) if c]
-            # The series depends on n only through gcd(n, n0), and so does
-            # gcd(t, p^n - 1) when every ord_e(p) divides n0, i.e. when t's
-            # part prime to p divides p^n0 - 1.  Then one n per class
-            # suffices, and the smallest n in class g is g.
-            if _period_divides(t, self.prime, n0):
-                ns = divs
-            else:
-                ns = range(1, 3 * n0 + 1)
-            err = 0
-            for n in ns:
-                value = sum(c for o, c in terms if n % o == 0)
-                exact = math.gcd(t, pow(self.prime, n, t) - 1)  # gcd(t, p^n - 1)
-                err = max(err, abs(value - exact * scale))
+            err = max(abs(sum(c for o, c in terms if g % o == 0)
+                          - math.gcd(t, pow(p, g, t) - 1) * scale)  # gcd(t, p^g - 1)
+                      for g in divs)
             # int / int is correctly rounded: the float of Fraction(err, scale)
             worst = max(worst, err / scale)
         return worst
 
     def verify(self) -> bool:
-        """Reconstruction holds within the declared complex tolerance."""
+        """The exact error of `reconstruction_error`, one n per class gcd(n, n0),
+        is within the declared complex tolerance; an inf table never is."""
         return self.reconstruction_error() <= COMPLEX_TOLERANCE
 
 

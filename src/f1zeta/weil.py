@@ -43,7 +43,7 @@ from typing import Sequence, Union
 from .errors import PreconditionError, SingularityError
 from .powerlog import (MAX_COUNTING_DEGREE, _binomial_row, _check_integer, _check_printable,
                        _exact_or_real, _exp_in_range, _float_exponent, _number, _Record, _shown)
-from .schemes import MonoidScheme, counting_coefficients, exact_count
+from .schemes import MonoidScheme, _prime_to, counting_coefficients, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
 # coefficients of a d-dimensional scheme have about d n log2(p) bits.
@@ -118,11 +118,12 @@ def _orbit_exponents(scheme: MonoidScheme, p: int, order: int) -> dict[tuple[int
 
 
 def _gcd_row(t: int, p: int, order: int) -> list[int]:
-    """gcd(t, p^h - 1) = gcd(t, x - 1) for h = 1..order, x = p^h mod t;
-    once x is back at 1 the row repeats with that period."""
+    """gcd(t, p^h - 1) = gcd(t', x - 1) for h = 1..order, x = p^h mod t' (`_prime_to`);
+    once t' | x - 1, at h = ord_t'(p), the row repeats with that period."""
+    t = _prime_to(t, p)
     x = p % t
     row = [math.gcd(t, x - 1)]
-    while x != 1 and len(row) < order:
+    while row[-1] != t and len(row) < order:
         x = x * p % t
         row.append(math.gcd(t, x - 1))
     return (row * -(-order // len(row)))[:order]

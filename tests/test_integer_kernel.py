@@ -11,6 +11,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -386,6 +387,20 @@ def test_orbit_product_at_a_large_order_matches_newton_over_the_counts():
     scheme, p = projective_space_model(6), 5
     assert weil._orbit_exponents(scheme, p, 300) == {(i, 1): 1 for i in range(7)}
     assert local_zeta_series(scheme, p, 300).coefficients == _newton_over_counts(scheme, p, 300)
+
+
+def test_the_orbit_row_stops_at_its_period_when_p_divides_t(monkeypatch):
+    # gcd(12, 2^h - 1) = gcd(3, 2^h - 1): 2^h mod 3 is back at 1 at h = 2,
+    # while 2^h mod 12 cycles 4, 8 and never is
+    scheme = MonoidScheme((TorsionPoint(1, (12,)), TorsionPoint(0, (12, 8))))
+    assert local_zeta_series(scheme, 2, 40).coefficients == _newton_over_counts(scheme, 2, 40)
+    gcds = []
+    monkeypatch.setattr(weil, "math", SimpleNamespace(
+        gcd=lambda a, b: gcds.append(b) or math.gcd(a, b)))
+    assert weil._gcd_row(12, 2, 40) == [1, 3] * 20
+    assert len(gcds) == 2
+    assert weil._gcd_row(8, 2, 40) == [1] * 40  # t' = 1: one residue
+    assert len(gcds) == 3
 
 
 def test_a_torsion_point_of_long_period_adds_one_factor():

@@ -5,6 +5,7 @@ PreconditionError naming it (`powerlog._check_integer`)."""
 import cmath
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from f1zeta.powerlog import (
 from f1zeta.regularize import (
     MAX_HEAD_TERMS, circle_spectrum, log_regularized_det, regularized_det, spectral_zeta)
 from f1zeta.schemes import (
-    MAX_FOURIER_PERIOD, MonoidScheme, TorsionPoint, exact_count,
+    MAX_FOURIER_PERIOD, FourierData, MonoidScheme, TorsionPoint, exact_count,
     fourier_data, gcd_fourier_coefficients, gcd_inner_fourier, local_functional_equation,
     projective_space_model, scheme_from_dict, torsion_point_model, torus_model, totient)
 from f1zeta.weil import (
@@ -29,6 +30,7 @@ from f1zeta.weil import (
 P1 = projective_space_model(1)
 P2 = projective_space_model(2)
 CIRCLE = circle_spectrum()
+SHARED = gcd_fourier_coefficients(3, 2, 2)  # the vector of torsion 3 at p = 2, period 2
 
 
 @pytest.mark.parametrize("value, least, most, message", [
@@ -90,6 +92,15 @@ def test_the_rule_returns_an_int_within_its_bounds():
     (lambda: gcd_fourier_coefficients(2, 3, True), "period length"),
     (lambda: gcd_fourier_coefficients(3, 2, -2**20000), "an int of 20001 bits"),
     (lambda: exact_count(P1, -2**20000), "an int of 20001 bits"),
+    (lambda: FourierData(2, 1.5), r"^Fourier period must be >= 1 and an integer, got 1\.5$"),
+    (lambda: FourierData(2.0, 2), r"^base prime must be >= 2 and an integer, got 2\.0$"),
+    (lambda: FourierData(2, 1, ((0, 0, 3.0, (Fraction(1),)),)).verify(),
+     r"^a torsion order must be >= 2 and an integer, got 3\.0$"),
+    # an order 3.0 beside the 3 it equals, on one shared vector, is still read
+    (lambda: FourierData(2, 2, ((0, 0, 3, SHARED), (1, 0, 3.0, SHARED))).verify(),
+     r"^a torsion order must be >= 2 and an integer, got 3\.0$"),
+    # verify() was True: an empty table of period 0
+    (lambda: FourierData(2, 0).verify(), r"^Fourier period must be >= 1, got 0$"),
     (lambda: FunctionalEquationWitness(True, 1), r"witness sign c must be an integer, got True"),
     (lambda: FunctionalEquationWitness(2.5, 1), r"witness sign c must be an integer, got 2\.5"),
     # witness_holds read omega's numerator: an AttributeError
@@ -159,6 +170,9 @@ INT_PARAMETERS = [
     ("gcd_fourier_coefficients p", lambda v: gcd_fourier_coefficients(3, v, 2), 2, None),
     ("gcd_fourier_coefficients n0", lambda v: gcd_fourier_coefficients(3, 2, v), 1, MAX_FOURIER_PERIOD),
     ("gcd_inner_fourier", gcd_inner_fourier, 1, MAX_FOURIER_PERIOD),
+    ("FourierData prime", lambda v: FourierData(v, 1), 2, None),
+    ("FourierData period", lambda v: FourierData(2, v), 1, MAX_FOURIER_PERIOD),
+    ("FourierData torsion order", lambda v: FourierData(2, 1, ((0, 0, v, (1,)),)).verify(), 2, None),
     ("projective_space_model", projective_space_model, 0, MAX_COUNTING_DEGREE),
     ("torus_model", torus_model, 1, None),
     ("torsion_point_model rank", lambda v: torsion_point_model([3], v), 0, None),

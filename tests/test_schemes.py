@@ -249,11 +249,26 @@ def test_reconstruction_check_catches_changed_coefficients():
 
 
 def test_reconstruction_check_with_too_short_period():
-    # gcd(3, 2^n - 1) alternates 1, 3; no constant matches it, and the
-    # check then walks every n instead of one n per class
-    data = FourierData(2, 1, ((0, 0, 3, (Fraction(1),)),))
-    assert data.reconstruction_error() == 2.0
-    assert not data.verify()
+    # gcd(3, 2^n - 1) alternates 1, 3 (period 2); gcd(31, 2^n - 1) is 1 for
+    # n = 1..4 and 31 at n = 5 (period 5), which a walk over n = 1..3 n0
+    # missed.  Neither period divides 1: no series of period 1 matches
+    assert math.gcd(31, 2**5 - 1) == 31
+    for t in (3, 31):
+        data = FourierData(2, 1, ((0, 0, t, (Fraction(1),)),))
+        assert data.reconstruction_error() == math.inf
+        assert not data.verify()
+
+
+def test_the_check_inverts_each_shared_vector_once(monkeypatch):
+    # fourier_data gives all 20 000 points of torsion 3 one vector
+    data = fourier_data(MonoidScheme(((TorsionPoint(0, (3,)), 20_000),)), 2)
+    assert len(data.entries) == 20_000
+    calls = []
+    monkeypatch.setattr(schemes_module, "_divisor_differences",
+                        lambda divs, values, real=schemes_module._divisor_differences:
+                        calls.append(divs) or real(divs, values))
+    assert data.reconstruction_error() == 0.0
+    assert calls == [[1, 2]]
 
 
 def test_inner_fourier_matches_per_alpha_sum():
@@ -475,8 +490,9 @@ def test_count_profile_holds_each_point_type_once_and_both_smoothed_paths_agree(
 
 
 def _fraction_reconstruction_error(data):
-    # FourierData.reconstruction_error as it was before the integer check:
-    # Fraction class values times Ramanujan sums, one float per n
+    # FourierData.reconstruction_error as it was before the integer check,
+    # with its period test: Fraction class values times Ramanujan sums, one
+    # float per n
     def divisors(n):
         return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -499,11 +515,9 @@ def _fraction_reconstruction_error(data):
         part = t
         while math.gcd(part, p) > 1:
             part //= math.gcd(part, p)
-        if (pow(p, n0, part) - 1) % part == 0:
-            ns = divisors(n0)
-        else:
-            ns = range(1, 3 * n0 + 1)
-        for n in ns:
+        if (pow(p, n0, part) - 1) % part:
+            return math.inf  # a row of period not dividing n0: no series of period n0
+        for n in divisors(n0):
             value = sum(c * ramanujan(n0 // g, n) for g, c in by_class.items() if c)
             worst = max(worst, float(abs(value - math.gcd(t, pow(p, n, t) - 1))))
     return worst
