@@ -220,7 +220,11 @@ def group_from_dict(data: object) -> ReductiveGroupData:
     try:
         rank = _integer(data["rank"])
         dimension = _integer(data["dimension"])
-        flag = tuple(_integer(b) for b in data["flag_betti"])
+        flag = data["flag_betti"]
+        # a string or an object would pass its characters or keys as the numbers
+        if not isinstance(flag, list):
+            raise TypeError(f"flag_betti must be a list, got {_shown(flag)}")
+        flag = tuple(_integer(b) for b in flag)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"group file needs integer rank, dimension, flag_betti: {exc}") from exc
     name = data.get("name", "")

@@ -667,15 +667,13 @@ class FEReport(_Record):
         return _parity(self.chi)
 
 
-def _fe_report(coeffs: Sequence[int], center: int, sign: int = 1, low: int = 0,
-               bounded: bool = True) -> FEReport:
+def _fe_report(coeffs: Sequence[int], center: int, sign: int = 1, low: int = 0) -> FEReport:
     """The check of N(1/u) = sign u^(-center) N(u) for N(u) =
     sum_k coeffs[k] u^(low + k), its asymmetries read in the exponents of
-    u; it holds when none shows and `bounded`, a condition that the
-    coefficients do not carry."""
+    u; it holds when none shows."""
     asymmetries = _asymmetries(coeffs, center - 2 * low, sign)
     asymmetries = tuple([(k + low, a, b) for k, a, b in asymmetries])
-    return FEReport(bounded and not asymmetries, center, sign, sum(coeffs), asymmetries)
+    return FEReport(not asymmetries, center, sign, sum(coeffs), asymmetries)
 
 
 def witness_holds(n: PowerLogSum, witness: FunctionalEquationWitness) -> bool:

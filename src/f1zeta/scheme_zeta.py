@@ -8,10 +8,10 @@ zeta is the rational function
     zeta(s) = prod_{r=0}^{R} (s - r)^(E_r),   E_r = -a_r,
 
 so the even Betti numbers are b_{2l} = a_l (odd ones vanish in this
-class) and the Euler characteristic is N(1) = sum_k a_k.  The global
-functional equation zeta(d-s) = (-1)^chi zeta(s) holds exactly iff no
-rank exceeds d and the Betti profile is palindromic, an integer check
-made by `schemes.global_functional_equation`.
+class) and the Euler characteristic is N(1) = sum_k a_k.  The declared
+dimension d pads the coefficients with zeros and never cuts them: the
+global functional equation zeta(d-s) = (-1)^chi zeta(s) holds iff they
+are a palindrome about d (`schemes.global_functional_equation`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .zetas import FactoredZeta, zeta_of
 
 
 class BettiProfile(_Record):
-    """Even Betti numbers b_{2l}, l = 0..d, with their Euler characteristic.
+    """Even Betti numbers b_{2l}, l = 0..max(d, R), with their Euler characteristic N(1).
 
     For inputs that are not asserted smooth projective the formula can
     produce negative values; these are returned with a warning rather
@@ -39,9 +39,9 @@ class BettiProfile(_Record):
 
 
 def betti_profile(scheme: MonoidScheme) -> BettiProfile:
-    """b_{2l} = a_l for l = 0..dim, zero above the maximal rank."""
+    """b_{2l} = a_l: the counting coefficients padded to d + 1 entries, never cut."""
     d = scheme.dim
-    values = (counting_coefficients(scheme) + (0,) * d)[: d + 1]
+    values = counting_coefficients(scheme) + (0,) * (d - scheme.max_rank)
     warning = None
     if not scheme.smooth_projective:
         warning = "smooth_projective not asserted; values are formal"

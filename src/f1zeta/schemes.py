@@ -219,17 +219,15 @@ def global_functional_equation(scheme: MonoidScheme) -> FEReport:
     """Exact check of zeta(d - s) = (-1)^chi zeta(s), in integers.
 
     Reflection sends the factor (s - r)^(-a_r) to (s - d + r)^(-a_r), with
-    sign (-1)^N(1), so the identity holds iff no rank exceeds d (the top
-    coefficient is positive) and the Betti profile, the coefficients cut
-    or padded to d + 1 entries, is a palindrome; chi is its sum, and an
-    asymmetry (l, b_2l, b_2(d-l)) names a cause.  Requires the
+    sign (-1)^N(1), so the identity holds iff the whole counting
+    polynomial is a palindrome about d, a_k = a_(d-k); the declared
+    dimension pads it with zeros and never cuts it, so a rank R > d shows
+    as the asymmetry (d - R, 0, a_R > 0).  chi = N(1).  Requires the
     smooth_projective assertion.
     """
     if not scheme.smooth_projective:
         raise PreconditionError("global functional equation requires smooth_projective")
-    d = scheme.dim
-    profile = (counting_coefficients(scheme) + (0,) * d)[: d + 1]
-    return _fe_report(profile, d, bounded=scheme.max_rank <= d)
+    return _fe_report(counting_coefficients(scheme), scheme.dim)
 
 
 def local_functional_equation(scheme: MonoidScheme, p: int) -> FEReport:
@@ -239,13 +237,13 @@ def local_functional_equation(scheme: MonoidScheme, p: int) -> FEReport:
     T -> 1/(p^d T) sends each (1 - p^r T)^e to (-p^(r-d) / T)^e
     (1 - p^(d-r) T)^e, so the identity holds iff e_r = e_(d-r) for every
     r, which also balances the power of p (`exponent_ok`).  That is the
-    palindrome of the whole counting polynomial, chi = N(1), and holds
-    exactly when the global check does: p is only validated.
+    global check's palindrome of the whole counting polynomial, padded by
+    d and never cut: p is only validated, and the report is the global one.
     """
     if not scheme.smooth_projective:
         raise PreconditionError("local functional equation requires smooth_projective")
     _check_integer(p, "base prime", 2)
-    return _fe_report(counting_coefficients(scheme), scheme.dim)
+    return global_functional_equation(scheme)
 
 
 # -- Fourier expansion of n |-> gcd(t, p^n - 1) -------------------------
@@ -387,7 +385,10 @@ class FourierData(_Record):
         """
         n0, p = self.period, self.prime
         # fourier_data shares one vector per torsion order; the type keeps 3.0 from passing as 3
-        pairs = {(type(t), t, id(c)): (t, c) for _, _, t, c in self.entries}.values()
+        try:
+            pairs = {(type(t), t, id(c)): (t, c) for _, _, t, c in self.entries}.values()
+        except (TypeError, ValueError) as exc:  # not four fields, or an order such as [3]
+            raise PreconditionError(f"a Fourier entry is (point, slot, order, vector): {exc}") from None
         for t, _ in pairs:
             _check_integer(t, "a torsion order", 2)
         divs = _divisors(n0)

@@ -360,6 +360,10 @@ def test_catalog_and_files():
         group_from_dict([1, 3, [1, 1]])
     with pytest.raises(ParseError, match="group name must be a string"):
         group_from_dict({**data, "name": 2})
+    # a string's characters or an object's keys are no flag Betti numbers: both once read as SL(2)
+    for flag in ("11", {"1": 0, "1 ": 0}):
+        with pytest.raises(ParseError, match="flag_betti must be a list, got "):
+            group_from_dict({**data, "flag_betti": flag})
     for build, message in ((lambda: torus_counting(-1), "torus rank must be >= 0"),
                            (lambda: torus_group_data(0), "torus rank must be >= 1"),
                            (lambda: gl_group_data(0), "GL rank must be >= 1")):

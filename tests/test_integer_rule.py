@@ -99,6 +99,11 @@ def test_the_rule_returns_an_int_within_its_bounds():
     # an order 3.0 beside the 3 it equals, on one shared vector, is still read
     (lambda: FourierData(2, 2, ((0, 0, 3, SHARED), (1, 0, 3.0, SHARED))).verify(),
      r"^a torsion order must be >= 2 and an integer, got 3\.0$"),
+    # each ended in a bare ValueError or TypeError from the unpack or the hash
+    (lambda: FourierData(2, 1, ((0, 0, 3),)).verify(),
+     r"^a Fourier entry is \(point, slot, order, vector\): not enough values"),
+    (lambda: FourierData(2, 1, ((0, 0, [3], (Fraction(1),)),)).verify(),
+     r"^a Fourier entry is \(point, slot, order, vector\): unhashable type"),
     # verify() was True: an empty table of period 0
     (lambda: FourierData(2, 0).verify(), r"^Fourier period must be >= 1, got 0$"),
     (lambda: FunctionalEquationWitness(True, 1), r"witness sign c must be an integer, got True"),

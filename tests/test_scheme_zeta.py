@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from f1zeta.errors import PreconditionError
-from f1zeta.powerlog import PowerLogSum
+from f1zeta.powerlog import FEReport, PowerLogSum
 from f1zeta.scheme_zeta import (
     betti_profile,
     scheme_counting_function,
@@ -195,7 +195,7 @@ def _per_point_reference(scheme):
             _sign(l + pt.rank) * math.comb(pt.rank, l) * pt.torsion_cardinality
             for pt in scheme.points
         )
-        for l in range(scheme.dim + 1)
+        for l in range(max(scheme.dim, scheme.max_rank) + 1)  # padded to d, never cut
     )
     return zeta_exps, betti, counting, local_exps, pole
 
@@ -203,6 +203,7 @@ def _per_point_reference(scheme):
 @settings(max_examples=80, deadline=None)
 @given(schemes(declared_dim=True))
 @example(MonoidScheme((TorsionPoint(3, (2, 5)), TorsionPoint(1)), dimension=6))
+# ranks above d: the Betti values are (7, -20, 22, -12, 3)
 @example(MonoidScheme((TorsionPoint(4, (3,)), TorsionPoint(2, (2, 2))), dimension=1))
 def test_derived_quantities_match_per_point_formulas(scheme):
     zeta_exps, betti, counting, local_exps, pole = _per_point_reference(scheme)
@@ -286,13 +287,19 @@ def test_integer_fe_checks_match_the_reflected_zeta(scheme):
 @example(MonoidScheme((TorsionPoint(0), TorsionPoint(1), TorsionPoint(1), TorsionPoint(2)),
                       dimension=1, smooth_projective=True))  # a rank above d: a = (0, 0, 1)
 @example(MonoidScheme((TorsionPoint(0),), dimension=1, smooth_projective=True))  # d chi = 1
+@example(projective_space_model(3))  # d at the maximal rank
 def test_local_check_is_the_global_palindrome(scheme):
-    # the local check reads p only to validate it: it holds exactly when the
-    # global one does, and its derived fields are the direct integer checks
-    local = local_functional_equation(scheme, 2)
-    assert local.holds == global_functional_equation(scheme).holds
+    # the local check reads p only to validate it: its report is the global
+    # one field by field, and its derived fields are the direct integer checks
+    local, report = local_functional_equation(scheme, 2), global_functional_equation(scheme)
+    for field in FEReport._fields:
+        assert getattr(local, field) == getattr(report, field), field
     a, d = counting_coefficients(scheme), scheme.dim
     chi = sum(a)
-    assert local.chi == chi
+    # the declared dimension pads the coefficients and never cuts them,
+    # below, at and above the maximal rank alike
+    profile = betti_profile(scheme)
+    assert profile.values == a + (0,) * max(0, d + 1 - len(a))
+    assert local.chi == chi == pole_order(scheme) == profile.euler_characteristic
     assert local.exponent_ok == (2 * sum([r * c for r, c in enumerate(a)]) == d * chi)
     assert local.squared_form == (d * chi % 2 == 1)
