@@ -236,6 +236,8 @@ def _asymmetries(a: Sequence[int], center: int, sign: int = 1) -> tuple[tuple[in
     a_k != sign * a_{center-k}, in ascending k; entries outside `a` are
     zero.  None means sum a_k x^k = sign x^center sum a_k x^-k, the
     counting identity N(1/u) = sign u^-center N(u) in integers."""
+    if center == len(a) - 1 and [*a] == [sign * v for v in reversed(a)]:
+        return ()  # an aligned palindrome, the common case, in one comparison
 
     def at(i: int) -> int:
         return a[i] if 0 <= i < len(a) else 0

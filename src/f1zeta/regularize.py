@@ -54,11 +54,12 @@ import math
 import sys
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import islice
+from operator import attrgetter
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import ConvergenceError, PreconditionError, SingularityError
 from .powerlog import PowerLogSum, _check_integer, _exp_in_range, _number, _Record, _shown
-from .zetas import log_evaluate_zeta, zeta_of
 
 Complex = Union[complex, float, int]
 
@@ -365,7 +366,11 @@ def zeta_from_regularization(n: PowerLogSum, s: Complex) -> complex:
     Term derivatives at w = 0: -c log(s - lam) for m = 0 and
     c (m-1)! (s - lam)^-m for m >= 1, which sum to log_evaluate_zeta; a
     value beyond float range is a ConvergenceError naming that log.
+    `zetas` is imported here, so that a process that asks no zeta of a
+    power-log sum never loads it.
     """
+    from .zetas import log_evaluate_zeta, zeta_of
+
     return _exp_in_range(log_evaluate_zeta(zeta_of(n), s), "zeta value at s = {}", s)
 
 
@@ -637,7 +642,8 @@ def _head(spectrum: Spectrum, x: Complex, start: int) -> tuple[int, tuple[tuple[
 
 
 def _fsum(terms: list[complex]) -> complex:
-    return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+    return complex(math.fsum(map(attrgetter("real"), terms)),
+                   math.fsum(map(attrgetter("imag"), terms)))
 
 
 def _magnitude(terms: list) -> float:
@@ -706,7 +712,7 @@ def spectral_zeta(
         raise PreconditionError(f"need a finite w with |w| <= {_MAX_W:g}, got {ww!r}")
     j, pairs = _head(spectrum, x, 48 if terms is None else terms)
     try:
-        values = [mult * cmath.exp(-ww * cmath.log(lam + x)) for lam, mult in pairs[:j]]
+        values = [mult * cmath.exp(-ww * cmath.log(lam + x)) for lam, mult in islice(pairs, j)]
         value, bound = _split(spectrum, pairs, j, ww, x, _fsum(values), _magnitude(values))
     except OverflowError:
         value = bound = math.inf
@@ -740,7 +746,7 @@ def log_regularized_det(
         raise PreconditionError(f"a tolerance must be positive, got {tol!r}")
     x = _number(s, "s", real=True) + spectrum.shift
     j, pairs = _head(spectrum, x, 64 if terms is None else terms)
-    slopes = [-mult * math.log(lam + x) for lam, mult in pairs[:j]]
+    slopes = [-mult * math.log(lam + x) for lam, mult in islice(pairs, j)]
     slope, err = spectrum.continued_slope(j)  # T'(0), its err
     size = _magnitude(slopes) + abs(slope)
     # w = 0.0, not 0j: the tails see the real exponents b = k

@@ -51,7 +51,8 @@ def betti_profile(scheme: MonoidScheme) -> BettiProfile:
 
 
 def zeta_of_scheme(scheme: MonoidScheme) -> FactoredZeta:
-    """The scheme's zeta, the zeta of its smoothed counting function.
+    """The scheme's zeta, the zeta of its smoothed counting function, which
+    the scheme keeps (`scheme_counting_function`), so no call rebuilds it.
 
     In factored-zeta orientation the exponent at s = r is a_r, i.e.
     zeta(s) = prod_r (s - r)^(-a_r) with N(q) = sum_r a_r q^r.
@@ -60,5 +61,6 @@ def zeta_of_scheme(scheme: MonoidScheme) -> FactoredZeta:
 
 
 def scheme_counting_function(scheme: MonoidScheme) -> PowerLogSum:
-    """Smoothed counting function sum_x T(x) (u - 1)^R(x) as an exact sum."""
-    return PowerLogSum.from_int_coefficients(counting_coefficients(scheme))
+    """Smoothed counting function sum_x T(x) (u - 1)^R(x) as an exact sum,
+    built once per scheme and kept with it: two calls return the same object."""
+    return scheme.counting

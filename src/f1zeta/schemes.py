@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Collection
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, groupby, repeat
@@ -26,8 +27,8 @@ from typing import Sequence, Union
 
 from .errors import ParseError, PreconditionError
 from .powerlog import (
-    MAX_COUNTING_DEGREE, FEReport, _binomial_row, _check_integer, _exact_or_real, _fe_report,
-    _integer, _read_json, _Record, _shown)
+    MAX_COUNTING_DEGREE, FEReport, PowerLogSum, _binomial_row, _check_integer, _exact_or_real,
+    _fe_report, _integer, _read_json, _Record, _shown)
 
 COMPLEX_TOLERANCE = 1e-10  # declared tolerance for Fourier reconstruction
 MAX_FOURIER_PERIOD = 1 << 20  # coefficients per torsion order in a Fourier table
@@ -149,6 +150,12 @@ class MonoidScheme(_Record):
             for j, c in enumerate(_binomial_row(row[0])):
                 coeffs[j] += w * c
         return tuple(coeffs)
+
+    @cached_property
+    def counting(self) -> PowerLogSum:
+        """The smoothed counting function sum_k a_k u^k as a power-log sum,
+        built once per scheme from `counting_coefficients` and kept with it."""
+        return PowerLogSum.from_int_coefficients(self._coefficients)
 
 
 # -- counting ----------------------------------------------------------
@@ -389,8 +396,10 @@ class FourierData(_Record):
             pairs = {(type(t), t, id(c)): (t, c) for _, _, t, c in self.entries}.values()
         except (TypeError, ValueError) as exc:  # not four fields, or an order such as [3]
             raise PreconditionError(f"a Fourier entry is (point, slot, order, vector): {exc}") from None
-        for t, _ in pairs:
+        for t, coeffs in pairs:
             _check_integer(t, "a torsion order", 2)
+            if not isinstance(coeffs, Collection):  # None or a number: no length to read
+                raise PreconditionError(f"a Fourier vector must be a sequence, got {_shown(coeffs)}")
         divs = _divisors(n0)
         classes = [math.gcd(nu, n0) for nu in range(1, n0 + 1)]
         worst = 0.0

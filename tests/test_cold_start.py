@@ -95,7 +95,7 @@ LAYERS = {
     "dual": "powerlog",
     "epsilon": "powerlog zetas",
     "group": "groups powerlog zetas",
-    "regdet": "powerlog regularize zetas",
+    "regdet": "powerlog regularize",
     "fourier": "powerlog schemes",
 }
 

@@ -262,6 +262,34 @@ def test_asymmetries_examples():
     assert _asymmetries([0, 0, 1, 2], 1) == ((-2, 0, 2), (-1, 0, 1))
 
 
+@st.composite
+def _asymmetry_inputs(draw):
+    """(a, center, sign): an int vector of length 0..12, half of them forced to
+    palindromes under a mirror sign drawn apart from `sign`, and a center
+    from len - 3 to len + 2."""
+    a = draw(st.lists(st.integers(-3, 3), max_size=12))
+    if draw(st.booleans()):
+        mirror = draw(st.sampled_from((1, -1)))
+        half = a[: len(a) // 2]
+        middle = a[len(a) // 2 : len(a) - len(half)] if mirror == 1 else [0] * (len(a) % 2)
+        a = half + middle + [mirror * v for v in reversed(half)]
+    center = draw(st.integers(len(a) - 3, len(a) + 2))
+    return a, center, draw(st.sampled_from((1, -1)))
+
+
+@settings(max_examples=300)
+@given(_asymmetry_inputs())
+@example(([1, 0, 1], 2, -1))  # a palindrome that fails under the sign -1
+def test_asymmetries_match_a_reference_enumeration(case):
+    a, center, sign = case
+    at = dict(enumerate(a))
+    # every k <= center - k in a window wider than any index that can differ
+    reference = tuple(
+        (k, at.get(k, 0), at.get(center - k, 0)) for k in range(-20, 21)
+        if 2 * k <= center and at.get(k, 0) != sign * at.get(center - k, 0))
+    assert _asymmetries(a, center, sign) == _asymmetries(tuple(a), center, sign) == reference
+
+
 def test_from_int_coefficients_is_canonical():
     n =PowerLogSum.from_int_coefficients([3, 0, -1, 0, 2], Fraction(-1, 2), Fraction(2, 3))
     assert n == PowerLogSum.from_dict(

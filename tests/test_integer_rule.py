@@ -104,6 +104,11 @@ def test_the_rule_returns_an_int_within_its_bounds():
      r"^a Fourier entry is \(point, slot, order, vector\): not enough values"),
     (lambda: FourierData(2, 1, ((0, 0, [3], (Fraction(1),)),)).verify(),
      r"^a Fourier entry is \(point, slot, order, vector\): unhashable type"),
+    # a vector with no length: a bare TypeError from len() or from zip()
+    (lambda: FourierData(2, 1, ((0, 0, 3, None),)).verify(),
+     r"^a Fourier vector must be a sequence, got None$"),
+    (lambda: FourierData(2, 1, ((0, 0, 3, 5),)).verify(),
+     r"^a Fourier vector must be a sequence, got 5$"),
     # verify() was True: an empty table of period 0
     (lambda: FourierData(2, 0).verify(), r"^Fourier period must be >= 1, got 0$"),
     (lambda: FunctionalEquationWitness(True, 1), r"witness sign c must be an integer, got True"),

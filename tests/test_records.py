@@ -15,7 +15,7 @@ from f1zeta.groups import (
     FamilyIdentityReport, ReductiveGroupData, group_functional_equation, sl2_group_data)
 from f1zeta.powerlog import FEReport, FunctionalEquationWitness, PowerLogSum, TermMap, _Record
 from f1zeta.regularize import LogZetaIntegral, SpectralValue, Spectrum, circle_spectrum
-from f1zeta.scheme_zeta import BettiProfile, betti_profile, zeta_of_scheme
+from f1zeta.scheme_zeta import BettiProfile, betti_profile, scheme_counting_function, zeta_of_scheme
 from f1zeta.schemes import (
     FourierData, MonoidScheme, TorsionPoint, counting_coefficients, global_functional_equation,
     local_functional_equation, projective_space_model)
@@ -167,9 +167,16 @@ def test_term_maps_of_different_classes_never_compare_equal():
 
 def test_cached_properties_cache_on_frozen_instances(monkeypatch):
     scheme = MonoidScheme((TorsionPoint(1), TorsionPoint(0), TorsionPoint(0)))
+    shown = (hash(scheme), repr(scheme))
     assert scheme.count_profile is scheme.count_profile
     assert scheme.count_profile == ((), ((1, ((1, ()),), 1), (0, ((2, ()),), 0)))
     assert counting_coefficients(scheme) is counting_coefficients(scheme) == (1, 1)
+    # the scheme keeps its counting function: two calls return one object
+    counting = scheme_counting_function(scheme)
+    assert counting is scheme_counting_function(scheme)
+    assert counting == PowerLogSum.from_int_coefficients(counting_coefficients(scheme))
+    # a cached value is not a field: equality, hash and repr stay as they were
+    assert scheme == MonoidScheme(scheme.runs) and (hash(scheme), repr(scheme)) == shown
     # the zeta, the Betti profile and both functional equations read one
     # vector, built once: one binomial row per occupied rank
     rows = []
@@ -182,7 +189,7 @@ def test_cached_properties_cache_on_frozen_instances(monkeypatch):
     assert rows == [1, 0]
     group = ReductiveGroupData(1, 3, (1, 1), "SL2")
     assert group.coefficients is group.coefficients == (-1, 0, 1)
-    # a cached value is not a field: equality, hash and repr stay as they were
+    # nor are a group's cached coefficients
     assert group == ReductiveGroupData(1, 3, (1, 1), "SL2")
     assert repr(group) == "ReductiveGroupData(rank=1, dimension=3, flag_betti=(1, 1), name='SL2')"
 
