@@ -423,7 +423,8 @@ class TermMap(_Record):
         order, (lam numerator, lam denominator, the (m, c numerator,
         c denominator) of each of its terms).  The one integer image of the
         map, computed once per map and read by witness checks, N(1),
-        records and detection; `==`, `hash` and `repr` read `terms`."""
+        records and detection.  A holding witness check stores `_mirror`
+        beside it (`witness_holds`); `==`, `hash` and `repr` read `terms`."""
         rows = [(lam.numerator, lam.denominator, (m, c.numerator, c.denominator))
                 for lam, m, c in self.terms]
         return tuple([(a, d, tuple([row[2] for row in run]))
@@ -678,6 +679,18 @@ def _fe_report(coeffs: Sequence[int], center: int, sign: int = 1, low: int = 0) 
     return FEReport(not asymmetries, center, sign, sum(coeffs), asymmetries)
 
 
+def _mirrors(groups: tuple[tuple[int, int, tuple[tuple[int, int, int], ...]], ...],
+             c: int, e: int, f: int) -> bool:
+    """N(1/u) = c u^(-e/f) N(u) on `_groups`, for c = +-1: see `witness_holds`."""
+    for (a1, d1, low), (a2, d2, high) in zip(groups[: (len(groups) + 1) // 2], reversed(groups)):
+        if len(low) != len(high) or (a1 * d2 + a2 * d1) * f != e * d1 * d2:
+            return False
+        for (m1, n1, q1), (m2, n2, q2) in zip(low, high):
+            if m1 != m2 or q1 != q2 or n1 != (-c if m1 % 2 else c) * n2:
+                return False
+    return True
+
+
 def witness_holds(n: PowerLogSum, witness: FunctionalEquationWitness) -> bool:
     """Exact check of N(1/u) = c u^(-omega) N(u), on the map's integer image.
 
@@ -688,17 +701,21 @@ def witness_holds(n: PowerLogSum, witness: FunctionalEquationWitness) -> bool:
     coefficients have equal denominators and numerators c1 = c (-1)^m c2.
     For c = +-1 the relation is symmetric, so the first half of the
     groups decides; for any other c only the empty sum holds.
+
+    A nonzero map keeps the witness it was verified for as `_mirror`,
+    (c, e, f) beside `_groups`, so a later check of it is one tuple
+    comparison.  No other witness can hold for that map: omega is forced
+    by the support and c by the first term pair.  A failed check, the zero
+    map and |c| != 1 store nothing.
     """
-    c, e, f = witness.c, witness.omega.numerator, witness.omega.denominator
-    if c not in (1, -1):
+    c, e, f = mirror = (witness.c, witness.omega.numerator, witness.omega.denominator)
+    if n.__dict__.get("_mirror") == mirror:
+        return True
+    if not n.terms or c not in (1, -1):
         return not n.terms
-    groups = n._groups
-    for (a1, d1, low), (a2, d2, high) in zip(groups[: (len(groups) + 1) // 2], reversed(groups)):
-        if len(low) != len(high) or (a1 * d2 + a2 * d1) * f != e * d1 * d2:
-            return False
-        for (m1, n1, q1), (m2, n2, q2) in zip(low, high):
-            if m1 != m2 or q1 != q2 or n1 != (-c if m1 % 2 else c) * n2:
-                return False
+    if not _mirrors(n._groups, c, e, f):
+        return False
+    n.__dict__["_mirror"] = mirror
     return True
 
 
@@ -710,7 +727,9 @@ def detect_functional_equation(n: PowerLogSum) -> FunctionalEquationWitness | No
     support (for a single exponent alpha this degenerates to 2*alpha).
     The sign c is read off the first terms of the lowest and the highest
     exponent, which the identity pairs, and then the whole identity is
-    verified by `witness_holds`.
+    verified by one `witness_holds` call.  The map keeps a verified
+    witness, so checking it again, as `verify_functional_equation` does
+    after detection, or detecting on the same map again, walks no group.
     """
     if n.is_zero:
         raise PreconditionError("functional equations of the zero sum are vacuous")

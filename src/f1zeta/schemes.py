@@ -379,9 +379,10 @@ class FourierData(_Record):
         at one n per class gcd(n, n0) and once per distinct (torsion order
         t >= 2, vector) pair; inf for a vector that is not constant on the
         classes gcd(nu, n0) (or not of length n0), for a class value that
-        is not a real rational, such as a complex one, and for a row whose
-        period ord_t'(p) does not divide n0 (`_period_divides`).  Ints,
-        Fractions and floats are read exactly, as Fraction(c).
+        is not a real rational, such as a complex one or a str, and for a
+        row whose period ord_t'(p) does not divide n0 (`_period_divides`).
+        Ints, Fractions and floats are read exactly, as Fraction(c); a
+        vector that is a str, or no sequence, is a PreconditionError.
 
         The inverse of `_class_vector`: the class values, scaled to
         integers by their common denominator D, are split into pieces
@@ -398,7 +399,8 @@ class FourierData(_Record):
             raise PreconditionError(f"a Fourier entry is (point, slot, order, vector): {exc}") from None
         for t, coeffs in pairs:
             _check_integer(t, "a torsion order", 2)
-            if not isinstance(coeffs, Collection):  # None or a number: no length to read
+            # None or a number has no length to read; a str's characters are no numbers
+            if not isinstance(coeffs, Collection) or isinstance(coeffs, str):
                 raise PreconditionError(f"a Fourier vector must be a sequence, got {_shown(coeffs)}")
         divs = _divisors(n0)
         classes = [math.gcd(nu, n0) for nu in range(1, n0 + 1)]
@@ -410,9 +412,11 @@ class FourierData(_Record):
             if (len(coeffs) != n0 or list(map(by_class.__getitem__, classes)) != list(coeffs)
                     or not _period_divides(t, p, n0)):
                 return math.inf
-            try:
-                values = [Fraction(by_class[g]) for g in divs]
+            try:  # Fraction would parse a str: one is dropped here, so the count falls short
+                values = [Fraction(v) for v in map(by_class.__getitem__, divs) if not isinstance(v, str)]
             except (TypeError, ValueError, OverflowError):  # complex, nan, inf
+                return math.inf
+            if len(values) < len(divs):  # a str class value
                 return math.inf
             scale = math.lcm(*[v.denominator for v in values])
             pieces = _divisor_differences(

@@ -109,6 +109,9 @@ def test_the_rule_returns_an_int_within_its_bounds():
      r"^a Fourier vector must be a sequence, got None$"),
     (lambda: FourierData(2, 1, ((0, 0, 3, 5),)).verify(),
      r"^a Fourier vector must be a sequence, got 5$"),
+    # a str vector was parsed character by character: '3' read as (3,), and verify() was True
+    (lambda: FourierData(4, 1, ((0, 0, 3, '3'),)).verify(),
+     r"^a Fourier vector must be a sequence, got '3'$"),
     # verify() was True: an empty table of period 0
     (lambda: FourierData(2, 0).verify(), r"^Fourier period must be >= 1, got 0$"),
     (lambda: FunctionalEquationWitness(True, 1), r"witness sign c must be an integer, got True"),
@@ -126,6 +129,14 @@ def test_the_rule_returns_an_int_within_its_bounds():
 def test_an_int_argument_that_breaks_the_rule_is_a_precondition_error(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()
+
+
+# each verify() was True, as for the vector (3,): Fraction(c) parses a str
+@pytest.mark.parametrize("coefficient", ["3", " 3 ", "6/2"])
+def test_a_str_fourier_coefficient_reads_as_inf(coefficient):
+    data = FourierData(4, 1, ((0, 0, 3, (coefficient,)),))
+    assert data.reconstruction_error() == math.inf and not data.verify()
+    assert FourierData(4, 1, ((0, 0, 3, (3,)),)).verify()
 
 
 def test_the_number_theory_helpers_are_capped():

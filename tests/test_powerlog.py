@@ -244,6 +244,87 @@ def test_witness_holds_agrees_with_term_algebra(case):
         assert found == (FunctionalEquationWitness(signs[0], omega) if signs else None)
 
 
+def _group_loop_witness_holds(n, witness) -> bool:
+    """Reference: `witness_holds` before a map kept its verified witness,
+    one walk over the integer groups per call."""
+    c, e, f = witness.c, witness.omega.numerator, witness.omega.denominator
+    if c not in (1, -1):
+        return not n.terms
+    groups = n._groups
+    for (a1, d1, low), (a2, d2, high) in zip(groups[: (len(groups) + 1) // 2], reversed(groups)):
+        if len(low) != len(high) or (a1 * d2 + a2 * d1) * f != e * d1 * d2:
+            return False
+        for (m1, n1, q1), (m2, n2, q2) in zip(low, high):
+            if m1 != m2 or q1 != q2 or n1 != (-c if m1 % 2 else c) * n2:
+                return False
+    return True
+
+
+@st.composite
+def mirror_cases(draw):
+    """A map and the witnesses checked on it in turn: the zero map, a
+    single term (of odd log power, or any), a map that holds under
+    (c, omega) by construction, or that one broken by one more term.  The
+    witnesses come from (+-1 or 2, omega or the forced min + max, as a
+    Fraction or an int, or off by 1/2), repeats allowed."""
+    fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    c, omega = draw(st.sampled_from((1, -1, 2))), draw(fractions)
+    shape = draw(st.sampled_from(("zero", "single", "holding", "broken")))
+    if shape == "zero":
+        n = PowerLogSum.zero()
+    elif shape == "single":
+        m = draw(st.sampled_from((1, 3)) | st.integers(0, 2))
+        n = PowerLogSum.log_power(m, draw(st.integers(-3, 3).filter(bool)), draw(fractions))
+    else:
+        seed = draw(power_log_sums(max_terms=4))
+        n = seed + seed.dual().shift_exponents(omega).scale(c)
+        if shape == "broken":
+            lam = draw(st.sampled_from([t[0] for t in n.terms]) | fractions if n.terms else fractions)
+            n = n + PowerLogSum.log_power(draw(st.integers(0, 2)), draw(st.integers(-2, 2).filter(bool)), lam)
+    centers = [omega, omega + Fraction(1, 2)]
+    if n.terms:
+        centers.append(n.terms[0][0] + n.degree)
+    centers += [int(w) for w in centers if w.denominator == 1]
+    pool = [FunctionalEquationWitness(s, w) for s in (1, -1, 2) for w in centers]
+    return n, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+@settings(max_examples=300)
+@given(mirror_cases())
+# a failing witness twice, then the holding one, then the failing one again
+@example((parse_power_log("u^2 + u"), [FunctionalEquationWitness(-1, Fraction(3))] * 2
+          + [FunctionalEquationWitness(1, 3), FunctionalEquationWitness(-1, Fraction(3))]))
+# the holding witness first: its other sign and another center still fail
+@example((parse_power_log("u^3 - 1"), [FunctionalEquationWitness(-1, Fraction(3)),
+                                        FunctionalEquationWitness(1, Fraction(3)),
+                                        FunctionalEquationWitness(-1, Fraction(5, 2))]))
+# a single term of odd log power holds for c = -1 only; the zero map for any c
+@example((PowerLogSum.log_power(1, 2, Fraction(1, 2)), [FunctionalEquationWitness(-1, 1),
+                                                         FunctionalEquationWitness(1, 1)]))
+@example((PowerLogSum.zero(), [FunctionalEquationWitness(2, 0), FunctionalEquationWitness(1, 0),
+                               FunctionalEquationWitness(-1, 0)]))
+# |c| != 1 after the holding witness on a nonzero map
+@example((PowerLogSum.power(1), [FunctionalEquationWitness(1, 2), FunctionalEquationWitness(2, 2)]))
+def test_a_kept_mirror_answers_as_the_group_loop(case):
+    n, witnesses = case
+    fresh = PowerLogSum(n.terms)
+    shown, found = (hash(fresh), repr(fresh)), None
+    for witness in witnesses:
+        want = _group_loop_witness_holds(fresh, witness)
+        assert witness_holds(fresh, witness) == want
+        assert witness_holds(fresh, witness) == want  # and again, now from what the map keeps
+        if fresh.terms:  # detection on the same map reads the same verdicts
+            omega = fresh.terms[0][0] + fresh.degree
+            signs = [c for c in (1, -1)
+                     if _group_loop_witness_holds(fresh, FunctionalEquationWitness(c, omega))]
+            found = detect_functional_equation(fresh)
+            assert found == (FunctionalEquationWitness(signs[0], omega) if signs else None)
+    assert fresh == n and (hash(fresh), repr(fresh)) == shown
+    # a nonzero map keeps the one witness that holds for it, which detection finds
+    kept = fresh.__dict__.get("_mirror")
+    assert kept == (found and (found.c, found.omega.numerator, found.omega.denominator))
+
+
 def test_product_builder_vanishes_at_one():
     for omegas in ([1], [1, 2, 3], [Fraction(1, 2), 2], [5] * 4):
         n = product_of_reciprocal_powers(omegas)

@@ -13,7 +13,8 @@ from f1zeta import schemes
 from f1zeta.errors import PreconditionError
 from f1zeta.groups import (
     FamilyIdentityReport, ReductiveGroupData, group_functional_equation, sl2_group_data)
-from f1zeta.powerlog import FEReport, FunctionalEquationWitness, PowerLogSum, TermMap, _Record
+from f1zeta.powerlog import (
+    FEReport, FunctionalEquationWitness, PowerLogSum, TermMap, _Record, witness_holds)
 from f1zeta.regularize import LogZetaIntegral, SpectralValue, Spectrum, circle_spectrum
 from f1zeta.scheme_zeta import BettiProfile, betti_profile, scheme_counting_function, zeta_of_scheme
 from f1zeta.schemes import (
@@ -192,6 +193,13 @@ def test_cached_properties_cache_on_frozen_instances(monkeypatch):
     # nor are a group's cached coefficients
     assert group == ReductiveGroupData(1, 3, (1, 1), "SL2")
     assert repr(group) == "ReductiveGroupData(rank=1, dimension=3, flag_betti=(1, 1), name='SL2')"
+    # nor is the witness a term map keeps once it holds
+    counting = PowerLogSum.from_int_coefficients((1, 0, -1))
+    shown = (hash(counting), repr(counting))
+    assert witness_holds(counting, FunctionalEquationWitness(-1, Fraction(2)))
+    assert counting.__dict__["_mirror"] == (-1, 2, 1)
+    assert counting == PowerLogSum.from_int_coefficients((1, 0, -1))
+    assert (hash(counting), repr(counting)) == shown
 
 
 def test_a_class_is_checked_when_it_is_created():

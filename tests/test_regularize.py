@@ -276,11 +276,17 @@ def test_numeric_zeta_agrees_with_the_closed_form_or_raises(n, re_w, im_w, offse
 
 @settings(max_examples=60, deadline=None)
 @given(quadrature_sums(), st.floats(0.05, 5), st.floats(-5, 5))
+# the strategy's bounds: u log^2 u at Re s = 1.05 turns too often for the
+# rule to resolve, and its estimate ends just above the target
+@example(PowerLogSum.from_dict({(Fraction(1), 2): -3}), 0.05, 5.0)
 def test_log_zeta_integral_inverts_the_zeta_where_n_vanishes_at_one(n, offset, im_s):
     n = n - PowerLogSum.from_dict({(Fraction(0), 0): n.value_at_one()})  # N(1) = 0
     assume(not n.is_zero)
     s = complex(float(n.degree) + offset, im_s)
-    got = regularize.log_zeta_integral(n, s).value
+    try:
+        got = regularize.log_zeta_integral(n, s).value
+    except ConvergenceError:
+        return  # a rule that misses its tolerance says so, as the numeric zeta does
     # exp(-I) zeta_N(s) = 1, in logs: zeta_N(s) itself may leave float range
     assert abs(cmath.exp(log_evaluate_zeta(zeta_of(n), s) - got) - 1) <= 1e-11 * max(1.0, abs(got))
 
