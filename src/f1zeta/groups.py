@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import weakref
 from functools import cached_property
+from operator import neg
 from typing import Sequence
 
 from .errors import ParseError, PreconditionError
@@ -186,10 +187,6 @@ def torus_group_data(r: int) -> ReductiveGroupData:
     return _catalog_group("Gm", _check_integer(r, "torus rank", 1))
 
 
-def sl2_group_data() -> ReductiveGroupData:
-    return _catalog_group("SL2")
-
-
 def _named_group(name: str) -> tuple[ReductiveGroupData, str | None]:
     """The catalog group `name` names, in any letter case, and its identity
     family for `verify_family_identities` (None if it has none); a name
@@ -323,11 +320,10 @@ def _family_report(group: ReductiveGroupData, family: str) -> FamilyIdentityRepo
     key, labels = _IDENTITIES[family]
     r, coeffs = group.rank, group.coefficients
     v, top, den = _reciprocal_power_coefficients(_CATALOG[key](r)[1])
-    sign = _parity(r)
     aligned = den == 1 and top == group.dimension - group.positive_roots
     checks = (
-        aligned and tuple(v[::-1]) == coeffs,
-        aligned and tuple([sign * x for x in v]) == coeffs,
+        aligned and tuple(reversed(v)) == coeffs,
+        aligned and tuple(map(neg, v) if r % 2 else v) == coeffs,
         group_functional_equation(group).holds,
     )
     return FamilyIdentityReport(family, r, tuple(zip(labels, checks)))

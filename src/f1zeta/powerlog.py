@@ -30,8 +30,8 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, groupby
-from operator import attrgetter, itemgetter
+from itertools import chain, groupby, repeat
+from operator import attrgetter, floordiv, itemgetter, mul, neg
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar, Union
 
 from .errors import ConvergenceError, ParseError, PreconditionError
@@ -233,10 +233,11 @@ def _packed_product(base: Sequence[int], factors: Mapping[int, int], bound: int)
 
 def _asymmetries(a: Sequence[int], center: int, sign: int = 1) -> tuple[tuple[int, int, int], ...]:
     """(k, a_k, a_{center-k}) for each k <= center - k with
-    a_k != sign * a_{center-k}, in ascending k; entries outside `a` are
-    zero.  None means sum a_k x^k = sign x^center sum a_k x^-k, the
-    counting identity N(1/u) = sign u^-center N(u) in integers."""
-    if center == len(a) - 1 and [*a] == [sign * v for v in reversed(a)]:
+    a_k != sign * a_{center-k}, in ascending k, for sign = +-1; entries
+    outside `a` are zero.  None means sum a_k x^k = sign x^center sum
+    a_k x^-k, the counting identity N(1/u) = sign u^-center N(u) in
+    integers."""
+    if center == len(a) - 1 and [*a] == [*(reversed(a) if sign > 0 else map(neg, reversed(a)))]:
         return ()  # an aligned palindrome, the common case, in one comparison
 
     def at(i: int) -> int:
@@ -555,11 +556,18 @@ class PowerLogSum(TermMap):
         return self.terms[0][0]
 
     def value_at_one(self) -> Fraction:
-        """N(1): log-carrying terms vanish at u = 1.  The coefficients are
-        summed as integers over the lcm of their denominators."""
-        cs = [(cn, cd) for _, _, group in self._groups for m, cn, cd in group if m == 0]
-        den = math.lcm(1, *[cd for _, cd in cs])
-        return Fraction(sum([cn * (den // cd) for cn, cd in cs]), den)
+        """N(1): log-carrying terms vanish at u = 1, and an exponent's term
+        without a log, if it has one, leads its group in `_groups`.  The
+        coefficients are summed as integers over the lcm of their
+        denominators; with every denominator 1 the sum is N(1) itself."""
+        heads = [group[0] for _, _, group in self._groups if not group[0][0]]
+        if not heads:
+            return Fraction(0)
+        _, nums, dens = zip(*heads)
+        den = math.lcm(*dens)
+        if den == 1:
+            return Fraction(sum(nums))
+        return Fraction(sum(map(mul, nums, map(floordiv, repeat(den), dens))), den)
 
     # -- algebra -------------------------------------------------------
 
@@ -760,7 +768,7 @@ def _reciprocal_power_coefficients(omegas: Sequence[Rational]) -> tuple[list[int
     norm at most 2^len(omegas), is one `_packed_product`.  coeffs has
     nonzero ends; a zero omega gives ([], 0, 1).
     """
-    ws = [_frac(w) for w in omegas]
+    ws = [w if type(w) is int else _frac(w) for w in omegas]  # an int has a denominator, 1
     den = math.lcm(1, *[w.denominator for w in ws])
     powers: dict[int, int] = {}
     sign, shift = 1, 0  # the product is sign v^shift prod (v^|k| - 1)

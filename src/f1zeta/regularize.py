@@ -440,11 +440,12 @@ def _em_tail(b: Complex, start: float) -> tuple[complex, float]:
         a^(1-b)/(b-1) + a^(-b)/2
         + sum_k B_2k/(2k)! * b(b+1)...(b+2k-2) * a^(-b-2k+1).
     The estimate is the magnitude of the first omitted correction plus
-    that of its b-derivative; at b = 0 the sum is `_em_slope`'s
-    estimate.  The continued sum has a genuine pole at b = 1.
-    One exp gives a^-b; after each term the power gains a factor a^-2 and
-    the rising factorial (b + 2k - 1)(b + 2k).  A b with zero imaginary
-    part runs in float arithmetic, which rounds as the complex one does.
+    that of its b-derivative (at b = 0 that sum is `_em_slope`'s
+    estimate), plus the rounding of a^-b.  The continued sum has a
+    genuine pole at b = 1.  One exp gives a^-b, a factor of every term;
+    after each term the power gains a factor a^-2 and the rising
+    factorial (b + 2k - 1)(b + 2k).  A b with zero imaginary part runs in
+    float arithmetic, which rounds as the complex one does.
     """
     bb = complex(b)
     if abs(bb - 1) < 1e-9:
@@ -465,7 +466,11 @@ def _em_tail(b: Complex, start: float) -> tuple[complex, float]:
         rise_v, rise_d = rise_v * f, rise_d * f + rise_v
         f = bb + even
         rise_v, rise_d = rise_v * f, rise_d * f + rise_v
-    return val, abs(_EM_OMITTED * rise_v * apk) + abs(_EM_OMITTED * apk * (rise_d - la * rise_v))
+    # exp(-b log a) carries the rounding of log a times |b|, of the product
+    # and of the exp: about (|b| log a + 2) 2^-52 relative, in every term
+    rounding = (abs(bb) * la + 2) * 2.0**-52 * abs(val)
+    return val, (abs(_EM_OMITTED * rise_v * apk) + abs(_EM_OMITTED * apk * (rise_d - la * rise_v))
+                 + rounding)
 
 
 def _em_slope(start: float) -> tuple[float, float]:

@@ -22,7 +22,8 @@ from .zetas import FactoredZeta, zeta_of
 
 
 class BettiProfile(_Record):
-    """Even Betti numbers b_{2l}, l = 0..max(d, R), with their Euler characteristic N(1).
+    """Even Betti numbers b_{2l}, l = 0..max(d, R).  Their sum, the Euler
+    characteristic N(1), is the global report's `chi` and `weil.pole_order`.
 
     For inputs that are not asserted smooth projective the formula can
     produce negative values; these are returned with a warning rather
@@ -32,10 +33,6 @@ class BettiProfile(_Record):
     values: tuple[int, ...]
     dimension: int
     warning: str | None = None
-
-    @property
-    def euler_characteristic(self) -> int:
-        return sum(self.values)
 
 
 def betti_profile(scheme: MonoidScheme) -> BettiProfile:

@@ -42,7 +42,8 @@ from typing import Sequence, Union
 
 from .errors import PreconditionError, SingularityError
 from .powerlog import (MAX_COUNTING_DEGREE, _binomial_row, _check_integer, _check_printable,
-                       _exact_or_real, _exp_in_range, _float_exponent, _number, _Record, _shown)
+                       _exact_or_real, _exp_in_range, _float_exponent, _int_max_str_digits,
+                       _number, _Record, _shown)
 from .schemes import MonoidScheme, _prime_to, counting_coefficients, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
@@ -153,8 +154,11 @@ def _expand(factors: Sequence[tuple[int, int, int]], order: int, what: str) -> T
             else:  # over 1 - aT^o: c_n += a c_(n-o), from the bottom up
                 for n in range(o, order + 1):
                     coeffs[n] += a * coeffs[n - o]
-    for n, c in enumerate(coeffs):
-        _check_printable(c, what, n)
+    # one length test for the whole series; a walk names the first coefficient it fails
+    limit = _int_max_str_digits()
+    if limit and max(map(int.bit_length, coeffs)) > 3 * limit:
+        for n, c in enumerate(coeffs):
+            _check_printable(c, what, n)
     return TruncatedSeries(tuple(coeffs))
 
 
@@ -165,6 +169,7 @@ def _newton_series(counts: Sequence[int], what: str) -> list[int]:
     a PreconditionError naming `what.format(n)`, raised before the
     recurrence runs on to the next coefficient."""
     e = [1]
+    bits = 3 * _int_max_str_digits()  # no int of at most these bits is too long to print
     for n in range(1, len(counts) + 1):
         # reversed(e) is e_{n-1}..e_0, so map pairs it with N_1..N_n
         q, r = divmod(sum(map(mul, counts, reversed(e))), n)
@@ -173,7 +178,9 @@ def _newton_series(counts: Sequence[int], what: str) -> list[int]:
                 f"{what.format(n)} is not an integer: "
                 "the power sums are not a Dold sequence"
             )
-        e.append(_check_printable(q, what, n))
+        if bits and q.bit_length() > bits:
+            _check_printable(q, what, n)
+        e.append(q)
     return e
 
 
@@ -292,9 +299,8 @@ def limit_toward_one(
         _exact_or_real(p, "base p > 1") for p in base_sequence]
     if any(not p > 1 for p in seq) or any(a <= b for a, b in zip(seq, seq[1:])):
         raise PreconditionError("base sequence must decrease strictly toward 1")
-    coeffs = counting_coefficients(scheme)
-    n = sum(coeffs)  # the pole order N(1)
-    factors = _smoothed_factors(coeffs)
+    n = pole_order(scheme)
+    factors = _smoothed_factors(counting_coefficients(scheme))
     out = []
     for p in seq:
         log_value = (_float_exponent(n, "exponent N(1)") * _log(p - 1)

@@ -12,8 +12,8 @@ from fractions import Fraction
 from f1zeta.groups import (
     gl_group_data,
     group_counting,
+    group_from_name,
     group_zeta,
-    sl2_group_data,
     torus_group_data,
     verify_family_identities,
 )
@@ -144,7 +144,7 @@ def test_criterion_5_local_functional_equation():
 
 def test_criterion_6_reductive_groups():
     for r in range(1, 6):
-        for group in (gl_group_data(r), torus_group_data(r), sl2_group_data()):
+        for group in (gl_group_data(r), torus_group_data(r), group_from_name("SL2")):
             n = group_counting(group)
             center = group.dimension + group.positive_roots
             sign = (-1) ** group.rank

@@ -23,7 +23,6 @@ from f1zeta.groups import (
     group_from_name,
     group_functional_equation,
     group_zeta,
-    sl2_group_data,
     torus_counting,
     torus_group_data,
     verify_family_identities,
@@ -71,7 +70,7 @@ def test_group_counting_examples():
     for q in (Fraction(2), Fraction(3), Fraction(7, 2)):
         assert _eval_exact(n2, q) == (q**2 - 1) * (q**2 - q)
 
-    sl2 = sl2_group_data()
+    sl2 = group_from_name("SL2")
     assert group_counting(sl2) == parse_power_log("u^3 - u")
 
 
@@ -106,10 +105,10 @@ def test_group_fe_examples():
     assert gl2.holds and gl2.center == 5 and gl2.sign == 1
     assert pretty_zeta(group_zeta(gl_group_data(2))) == "(s-3)(s-2)/((s-4)(s-1))"
 
-    sl2 = group_functional_equation(sl2_group_data())
+    sl2 = group_functional_equation(group_from_name("SL2"))
     assert sl2.holds and sl2.center == 4 and sl2.sign == -1
     # N(1/q) = -q^-4 N(q) for N = q^3 - q, by exact evaluation
-    n = group_counting(sl2_group_data())
+    n = group_counting(group_from_name("SL2"))
     for q in (Fraction(2), Fraction(7, 3)):
         assert _eval_exact(n, 1 / q) == -(q**-4) * _eval_exact(n, q)
 
@@ -235,7 +234,7 @@ def test_group_coefficients_are_expanded_once():
 def test_a_catalog_group_is_one_record_while_it_is_held(monkeypatch):
     group = gl_group_data(5)
     assert group is group_from_name("gl:5") is group_from_name(" GL:5 ")
-    assert torus_group_data(3) is group_from_name("Gm:3") and sl2_group_data() is group_from_name("SL2")
+    assert torus_group_data(3) is group_from_name("Gm:3") and group_from_name("SL2") is group_from_name("sl2")
     # the table holds no record that no caller holds: a dropped one is built again
     monkeypatch.setattr(groups, "_HELD", weakref.WeakValueDictionary())
     dropped = weakref.ref(group_from_name("E7"))
@@ -342,7 +341,7 @@ def test_group_data_validation():
 def test_catalog_and_files():
     assert group_from_name("GL:3") == gl_group_data(3)
     assert group_from_name("Gm:2") == torus_group_data(2)
-    assert group_from_name("SL2") == sl2_group_data()
+    assert group_from_name("SL2") == ReductiveGroupData(1, 3, (1, 1), name="SL(2)")
     with pytest.raises(ParseError):
         group_from_name("E9")
     with pytest.raises(ParseError):
@@ -353,7 +352,7 @@ def test_catalog_and_files():
             group_from_name(name)
 
     data = {"rank": 1, "dimension": 3, "flag_betti": [1, 1], "name": "SL(2)"}
-    assert group_from_dict(data) == sl2_group_data()
+    assert group_from_dict(data) == group_from_name("SL2")
     with pytest.raises(ParseError):
         group_from_dict({"rank": 1})
     with pytest.raises(ParseError, match="must contain a JSON object"):
@@ -393,7 +392,7 @@ def test_the_constructors_keep_their_records():
     for r in range(1, 501):
         name = f"Gm^{r}" if r > 1 else "Gm"
         assert torus_group_data(r) == ReductiveGroupData(r, r, (1,), name=name)
-    assert sl2_group_data() == ReductiveGroupData(1, 3, (1, 1), name="SL(2)")
+    assert group_from_name("SL2") == ReductiveGroupData(1, 3, (1, 1), name="SL(2)")
 
 
 def _order(group, q):
@@ -459,7 +458,7 @@ def test_small_orders_by_brute_force():
     sl3_f2 = sum(1 for m in product(range(2), repeat=9) if det3(m) % 2 == 1)
     sl2_f3 = sum(1 for a, b, c, d in product(range(3), repeat=4) if (a * d - b * c) % 3 == 1)
     assert sl3_f2 == 168 == _order(group_from_name("A:2"), 2)
-    assert sl2_f3 == 24 == _order(sl2_group_data(), 3) == _order(group_from_name("A:1"), 3)
+    assert sl2_f3 == 24 == _order(group_from_name("SL2"), 3) == _order(group_from_name("A:1"), 3)
     assert _order(gl_group_data(3), 2) == 168  # GL(3, F_2) = SL(3, F_2)
 
 
@@ -482,7 +481,7 @@ def test_pinned_exceptional_orders():
 
 
 def test_group_from_degrees_checks_its_degrees():
-    assert group_from_degrees([2], "SL(2)") == sl2_group_data()
+    assert group_from_degrees([2], "SL(2)") == group_from_name("SL2")
     assert group_from_degrees(range(1, 4)) == ReductiveGroupData(3, 9, (1, 2, 2, 1))
     for degrees, message in (([0], "a Weyl degree must be >= 1, got 0"),
                              ([2.0], "a Weyl degree must be >= 1 and an integer, got 2.0"),

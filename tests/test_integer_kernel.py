@@ -218,12 +218,22 @@ def _naive_reciprocal(omegas):
     return [poly.get(e, 0) for e in range(lo, hi + 1)], hi, den
 
 
+_INT_OMEGAS = [1, -1, 2, -2, 3]
+_FRACTION_OMEGAS = [Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3), Fraction(2), Fraction(-1)]
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)]),
-                max_size=80))
+@given(st.one_of([st.lists(st.sampled_from(pool), max_size=80)
+                  for pool in (_INT_OMEGAS, _FRACTION_OMEGAS, _INT_OMEGAS + _FRACTION_OMEGAS)]))
 def test_reciprocal_coefficients_match_naive_double_loops(ws):
-    # repeated omegas of both signs; up to 2^80 as the bound, 11 bytes per digit
-    assert _reciprocal_power_coefficients(ws) == _naive_reciprocal(ws)
+    # plain ints, Fractions and mixes, repeated and of both signs; up to
+    # 2^80 as the bound, 11 bytes per digit.  An int is read as it is,
+    # every other omega through the exact rule, so a float still raises
+    coeffs, top, den = got = _reciprocal_power_coefficients(ws)
+    assert got == _naive_reciprocal(ws)
+    assert {type(c) for c in coeffs} <= {int} and type(top) is int and type(den) is int
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        _reciprocal_power_coefficients(ws + [1.0])
 
 
 def test_packed_product_examples():
@@ -505,6 +515,20 @@ def test_series_stop_at_the_first_coefficient_too_long_to_print(digit_limit):
     digit_limit(646)
     with pytest.raises(PreconditionError, match="e_72 at p = 1000000000 has more than 646"):
         local_zeta_series(scheme, p, 72)
+    # 80 tori: sum |m| = 160 > 70 runs the recurrence, and there too only the
+    # last coefficient, e_70, is longer than e_69's 665 digits; N_70 // 70 has 631
+    digit_limit(4300)
+    many = MonoidScheme((torus,) * 80)
+    want = local_zeta_series(many, p, 70).coefficients
+    assert [len(str(c)) for c in want[69:]] == [665, 674]
+    assert len(str(exact_count(many, p**70) // 70)) == 631
+    digit_limit(665)
+    assert local_zeta_series(many, p, 69).coefficients == want[:70]
+    with pytest.raises(PreconditionError, match="e_70 at p = 1000000000 has more than 665"):
+        local_zeta_series(many, p, 70)
+    assert smoothed_local_zeta(many, p).series(69).coefficients == want[:70]
+    with pytest.raises(PreconditionError, match="coefficient 70 .* more than 665"):
+        smoothed_local_zeta(many, p).series(70)
 
 
 def test_orbit_product_stops_at_the_first_coefficient_too_long_to_print(digit_limit):

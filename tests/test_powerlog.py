@@ -90,6 +90,20 @@ def test_dual_examples():
 def test_value_at_one():
     n = PowerLogSum.from_dict({(2, 0): 3, (1, 1): 7, (0, 0): -1})
     assert n.value_at_one() == 2  # the log term vanishes at u = 1
+    # integer coefficients, denominators > 1, and exponents whose only
+    # terms carry logs, against a Fraction sum over the m = 0 terms
+    for d in (
+        {(2, 0): 3, (1, 1): 7, (0, 0): -1},
+        {(Fraction(1, 2), 0): Fraction(1, 3), (1, 0): Fraction(-5, 6), (1, 2): 4},
+        {(0, 0): Fraction(3, 4), (0, 1): Fraction(1, 4), (-1, 0): Fraction(1, 4)},
+        {(1, 1): 2, (Fraction(-3, 2), 3): Fraction(1, 7)},
+        {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)},
+        {},
+    ):
+        n = PowerLogSum.from_dict(d)
+        got = n.value_at_one()
+        assert type(got) is Fraction
+        assert got == sum([Fraction(c) for (_, m), c in d.items() if m == 0], Fraction(0))
 
 
 @settings(max_examples=100)

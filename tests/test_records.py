@@ -12,7 +12,7 @@ import pytest
 from f1zeta import schemes
 from f1zeta.errors import PreconditionError
 from f1zeta.groups import (
-    FamilyIdentityReport, ReductiveGroupData, group_functional_equation, sl2_group_data)
+    FamilyIdentityReport, ReductiveGroupData, group_functional_equation, group_from_name)
 from f1zeta.powerlog import (
     FEReport, FunctionalEquationWitness, PowerLogSum, TermMap, _Record, witness_holds)
 from f1zeta.regularize import LogZetaIntegral, SpectralValue, Spectrum, circle_spectrum
@@ -54,7 +54,7 @@ RECORDS = [
 # the report each domain's functional-equation check returns, under the name
 # of the class that domain had before one FEReport served all four
 FE_DOMAINS = {
-    "GroupFEReport": group_functional_equation(sl2_group_data()),
+    "GroupFEReport": group_functional_equation(group_from_name("SL2")),
     "LocalFEReport": local_functional_equation(projective_space_model(1), 2),
     "GlobalFEReport": global_functional_equation(
         MonoidScheme(((TorsionPoint(0), 1), (TorsionPoint(1), 2)), 1, True)),

@@ -546,21 +546,41 @@ def test_em_tail_matches_the_hurwitz_zeta(b, start):
     assert abs(value - want) <= estimate + rounding * want
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.floats(1.5, 40), st.integers(0, 10**5)),
+    st.tuples(st.builds(complex, st.floats(1.5, 6), st.floats(-8, 8)), st.integers(0, 1000)),
+))
+@example((24.0, 999))  # off by 5.8e-15 relative, past a truncation estimate of 4.5e-41
+@example((40.0, 99999))  # off by 2.2e-14 relative, past 1.4e-73
+@example((26.5, 580))  # 80 flat digits of mpmath put the oracle 3.7e-14 off
+def test_em_tail_meets_its_own_bound_against_mpmath(tail):
+    # its bound alone covers the rounding of a^-b = exp(-b log a), about
+    # b log(a) 2^-52 relative.  mpmath's Hurwitz zeta is good to about
+    # 10^-dps absolute, not relative, and |T| is about a^(1 - Re b): the
+    # oracle runs at 80 digits beyond that size
+    b, start = tail
+    value, bound = _em_tail(b, start)
+    with mpmath.workdps(80 + int(complex(b).real * math.log10(start + 1))):
+        assert abs(mpmath.mpc(value) - mpmath.zeta(mpmath.mpmathify(b), start + 1)) <= bound
+
+
 # (value, error_bound) as float.hex, recorded with the head evaluated in
 # complex logs and exps and every Euler-Maclaurin power by its own exp:
 # the real determinant head and the power recurrence leave them unchanged;
-# the bounds include each tail's Euler-Maclaurin truncation.  The zeta
+# the bounds include each tail's Euler-Maclaurin truncation and the
+# rounding of its power a^-b.  The zeta
 # bounds are those of a value series that stops on its own terms; mpmath
 # puts the w = 2 value 7.5e-18 from the sum
 _PINNED_LOG_DETS = {
-    (0.0, 0.3): ("0x1.252422e2e5d80p+2", "0x1.9ac9e7bbcb0a4p-40"),
-    (0.0, 5): ("0x1.8e16094518a40p+3", "0x1.9eb7f88cf82bcp-40"),
-    (0.0, 39): ("0x1.1c996e9e88d00p+5", "0x1.aa4989efdb76ep-40"),
-    (0.6, 2): ("0x1.259fab330ca00p+3", "0x1.9d162448d77c3p-40"),
+    (0.0, 0.3): ("0x1.252422e2e5d80p+2", "0x1.9accfc5c11e8ep-40"),
+    (0.0, 5): ("0x1.8e16094518a40p+3", "0x1.9eeb54caf6f1fp-40"),
+    (0.0, 39): ("0x1.1c996e9e88d00p+5", "0x1.abdb240cb8647p-40"),
+    (0.6, 2): ("0x1.259fab330ca00p+3", "0x1.9d30d82e9b4c1p-40"),
 }
 _PINNED_ZETAS = {
-    2: ("0x1.9ba582e599b02p-4", "0x0.0p+0", "0x1.32dd78c0fefb5p-49"),
-    1.5 + 0.5j: ("0x1.c802221eb10f3p-4", "-0x1.0ce83a36eff06p-2", "0x1.7d7c9ff162385p-48"),
+    2: ("0x1.9ba582e599b02p-4", "0x0.0p+0", "0x1.32df28d34bd75p-49"),
+    1.5 + 0.5j: ("0x1.c802221eb10f3p-4", "-0x1.0ce83a36eff06p-2", "0x1.7da94f90b9a88p-48"),
 }
 
 
@@ -801,6 +821,14 @@ def _oracle_circle_tail_err(a, j):
     return 4 * err
 
 
+def _oracle_circle_tail_bound(a, j):
+    # the truncation bound plus the rounding of (j + 1)^-2a = exp(-2a log(j + 1)),
+    # (|2a| log(j + 1) + 2) 2^-52 relative in the tail
+    b = 2 * complex(a)
+    val, _, err = _reference_em_tail(b, j)
+    return 4 * (err + (abs(b) * math.log(j + 1) + 2) * 2.0**-52 * abs(val))
+
+
 def _oracle_shift_tail(shift, a, j, split_order=24):
     total = 0j
     binom = 1.0 + 0j
@@ -840,7 +868,7 @@ def test_continued_tail_matches_the_per_exponent_oracle_bit_for_bit(a, count, j)
     circle = circle_spectrum()
     for m in range(count):
         b = complex(a) + m
-        assert circle.continued_tail(b, j) == (_oracle_circle_tail(b, j), _oracle_circle_tail_err(b, j))
+        assert circle.continued_tail(b, j) == (_oracle_circle_tail(b, j), _oracle_circle_tail_bound(b, j))
     # the determinant's slope T'(0) and its bound, the derivative at b = 0
     assert circle.continued_slope(j) == (_oracle_circle_tail_deriv(0.0, j), _oracle_circle_tail_err(0.0, j))
 

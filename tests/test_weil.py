@@ -223,11 +223,16 @@ def test_factored_series_names_its_first_unprintable_coefficient(e):
     expected = _binomial_product_series(z, 30)
     assert z.series(30).coefficients == expected
     first = next(n for n, c in enumerate(expected) if abs(c) >= 10**640)
+    assert 3 <= first < 30  # at order `first` each path stays the one it is at 30
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
         with pytest.raises(PreconditionError, match=f"coefficient {first} of .* 640 decimal"):
             z.series(30)
+        # only the last coefficient too long: still named, and one order less passes
+        with pytest.raises(PreconditionError, match=f"coefficient {first} of .* 640 decimal"):
+            z.series(first)
+        assert z.series(first - 1).coefficients == expected[:first]
     finally:
         sys.set_int_max_str_digits(saved)
 
