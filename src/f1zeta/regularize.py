@@ -65,26 +65,61 @@ Complex = Union[complex, float, int]
 
 
 def _power_log_integrand(
-    n: PowerLogSum, rate: complex, k: complex, t0: Optional[float] = None
+    floats: list[tuple[float, int, float]], rate: complex, k: complex, t0: Optional[float] = None
 ) -> Callable[[float], complex]:
     """x |-> N(e^t) e^(-rate t) t^k at t = x > 0 for N = sum c u^lam log^m u
-    with real lam.  Given t0, the integrand over x > 0 of
+    with real lam, given by `floats`, its float image (`TermMap._floats`),
+    which must not be empty.  Given t0, the integrand over x > 0 of
     int_0^t0 N(e^t) e^(-rate t) t^(k-1) dt under t = t0 e^-x, less its
     factor t0^k: N(e^t) e^(-rate t) e^(-k x).  Both by top-exponent
     factoring, one complex exp per node:
         e^((top - rate) t) t^k sum c e^((lam - top) t) t^m,
-    with top = n.degree.  Each real exp in the sum is at most 1, so no
-    power of e^t overflows, and a top term takes none (c e^0 = c); a node
-    where the complex exp's argument is below -745 underflows to 0 before
-    any power of t is formed.  Without t0 a real k stays a real power t^k
-    and a complex k joins the exponent as k log t; given t0, -k x joins it.
+    with top the last exponent.  Each real exp in the sum is at most 1, so
+    no power of e^t overflows, and a top term takes none (c e^0 = c); a
+    node where the complex exp's argument is below -745 underflows to 0
+    before any power of t is formed.  Without t0 a real k stays a real
+    power t^k and a complex k joins the exponent as k log t; given t0, -k x
+    joins it.  This routine picks the closure: a sum without a log power
+    whose piece is the lower one, or the upper one at a real k, takes a
+    pure-power closure that walks (gap, c) pairs and adds the top
+    coefficient last, the sum the general closure forms, bit for bit.
     """
-    floats = n._floats()
     top = floats[-1][0]
-    terms = [(lam - top, m, c) for lam, m, c in floats]
     lead = top - complex(rate)
     kk = complex(k)
     real_k = kk.real if t0 is None and kk.imag == 0 else None
+    if (t0 is not None or real_k is not None) and not any(m for _, m, _ in floats):
+        pairs = [(x - top, c) for x, _, c in floats[:-1]]
+        c_top = floats[-1][2]
+        exp, cexp = math.exp, cmath.exp
+
+        if t0 is None:
+            def upper(x: float) -> complex:
+                expo = lead * x
+                if expo.real < -745.0:
+                    return 0j
+                total = 0.0
+                for gap, c in pairs:
+                    total += c * exp(gap * x)
+                total += c_top
+                return cexp(expo) * (total * x**real_k if real_k else total)
+
+            return upper
+
+        def lower(x: float) -> complex:
+            t = t0 * exp(-x)
+            expo = lead * t - kk * x
+            if expo.real < -745.0:
+                return 0j
+            total = 0.0
+            for gap, c in pairs:
+                total += c * exp(gap * t)
+            total += c_top
+            return cexp(expo) * total
+
+        return lower
+
+    terms = [(lam - top, m, c) for lam, m, c in floats]
 
     def integrand(x: float) -> complex:
         t = x if t0 is None else t0 * math.exp(-x)
@@ -243,8 +278,8 @@ def gamma_ratio_poly(w: Complex, m: int) -> complex:
     out = 1.0 + 0j
     for i in range(m):
         out *= ww + i
-    if not cmath.isfinite(out):
-        raise ConvergenceError(f"Gamma(w + {m})/Gamma(w) overflows a float at w = {ww}")
+        if not cmath.isfinite(out):  # no later factor brings it back
+            raise ConvergenceError(f"Gamma(w + {m})/Gamma(w) overflows a float at w = {ww}")
     return out
 
 
@@ -265,15 +300,18 @@ def two_variable_zeta_closed(n: PowerLogSum, w: Complex, s: Complex) -> complex:
     return total
 
 
-def _convergent_s(n: PowerLogSum, s: Complex, what: str) -> tuple[complex, float]:
-    """(s, edge) for an s with Re s > edge, the degree of n (-inf for the
-    zero sum, where every s converges): the half-plane of the integrals
-    over u > 1.  Any other s is a PreconditionError saying `what` diverges."""
+def _convergent_s(n: PowerLogSum, s: Complex, what: str
+                  ) -> tuple[complex, float, list[tuple[float, int, float]]]:
+    """(s, edge, n's float image) for an s with Re s > edge, the degree of
+    n (-inf for the zero sum, where every s converges): the half-plane of
+    the integrals over u > 1.  Any other s is a PreconditionError saying
+    `what` diverges.  The caller's integrands read the same image."""
     ss = _number(s, "s")
-    edge = -math.inf if n.is_zero else n._floats()[-1][0]
+    floats = n._floats()
+    edge = floats[-1][0] if floats else -math.inf
     if not ss.real > edge:
         raise PreconditionError(f"{what} diverges: need Re(s) > {edge}, got s = {ss}")
-    return ss, edge
+    return ss, edge, floats
 
 
 def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex:
@@ -290,8 +328,8 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
     ww = _number(w, "w")
     if not ww.real > 0:
         raise PreconditionError(f"integral needs Re(w) > 0, got w = {ww}")
-    ss, edge = _convergent_s(n, s, "integral")
-    if n.is_zero:
+    ss, edge, floats = _convergent_s(n, s, "integral")
+    if not floats:
         return 0j
     # split where the tail e^(-(Re s - degree) t) has fallen by e^-4, so
     # that the upper piece starts near its bulk instead of far before it
@@ -301,10 +339,10 @@ def two_variable_zeta_numeric(n: PowerLogSum, w: Complex, s: Complex) -> complex
     # (integrand, a, rate, bulk) of each piece: e^(-w x) e^(-rate t0 e^-x)
     # peaks at x = log(rate t0 / w), t^(w - 1 + m) e^(-rate t) at
     # t = (w - 1 + m) / rate
-    lower_args = (_power_log_integrand(n, ss, ww, t0), 0.0, ww.real,
+    lower_args = (_power_log_integrand(floats, ss, ww, t0), 0.0, ww.real,
                   math.log(rate * t0) - math.log(ww.real))
-    upper_args = (_power_log_integrand(n, ss, ww - 1), t0, rate,
-                  (ww.real - 1 + max(m for _, m, _ in n.terms)) / rate - t0)
+    upper_args = (_power_log_integrand(floats, ss, ww - 1), t0, rate,
+                  (ww.real - 1 + max(m for _, m, _ in floats)) / rate - t0)
     lower, lower_estimate = _complex_quad(*lower_args)
     upper, upper_estimate = _complex_quad(*upper_args)
     total = lower * scale + upper
@@ -394,15 +432,15 @@ def log_zeta_integral(n: PowerLogSum, s: complex) -> LogZetaIntegral:
     """
     if n.value_at_one() != 0:
         raise PreconditionError("log-integral form requires N(1) = 0")
-    ss, edge = _convergent_s(n, s, "upper integral")
-    if n.is_zero:
+    ss, edge, floats = _convergent_s(n, s, "upper integral")
+    if not floats:
         return LogZetaIntegral(0j, 0.0)
     # substitution u = e^t maps it to int_0^oo N(e^t) e^(-s t) / t dt, whose
     # t^(m - 1) e^(-(s - degree) t) peaks at t = (m - 1) / (s - degree); the
     # rule never evaluates at t = 0 itself
     rate = ss.real - edge
-    value, estimate = _complex_quad(_power_log_integrand(n, ss, -1), 0.0, rate,
-                                    (max(m for _, m, _ in n.terms) - 1) / rate)
+    value, estimate = _complex_quad(_power_log_integrand(floats, ss, -1), 0.0, rate,
+                                    (max(m for _, m, _ in floats) - 1) / rate)
     return LogZetaIntegral(value, estimate)
 
 

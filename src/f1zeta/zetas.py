@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, SingularityError
+from .errors import ConvergenceError, PreconditionError, SingularityError
 from .powerlog import (
     FEReport,
     FunctionalEquationWitness,
@@ -34,6 +34,7 @@ from .powerlog import (
     _number,
     _parity,
     _Record,
+    _shown,
     witness_holds,
 )
 
@@ -90,7 +91,8 @@ def evaluate_zeta(z: FactoredZeta, s: complex) -> complex:
 
     The value is exp(log_evaluate_zeta(z, s)), so a product of factors
     whose partial products leave float range is still evaluated; a value
-    beyond float range is a ConvergenceError naming its log.  The relative
+    beyond float range is a ConvergenceError naming its log, and so is a
+    factor's log term beyond it (see `log_evaluate_zeta`).  The relative
     error is about 2^-52 times sum |e log(s - lam)| over the m = 0 factors
     plus sum |e (m-1)! (s - lam)^-m| over the others.  At a zero (only
     m = 0 factors with e < 0 sit at s) the value is 0; at a pole or an
@@ -106,29 +108,61 @@ def evaluate_zeta(z: FactoredZeta, s: complex) -> complex:
             raise SingularityError(f"pole of order {e} at s = {lam}")
     if at_s:
         return 0j
-    return _exp_in_range(_log_zeta(z, floats, ss), "zeta value at s = {}", s)
+    return _exp_in_range(_log_zeta(floats, ss, z.factors), "zeta value at s = {}", s)
 
 
 def log_evaluate_zeta(z: FactoredZeta, s: complex) -> complex:
     """A logarithm of the value at s: sum of -e log(s - lam) over the m = 0
     factors plus e (m-1)! (s - lam)^(-m) over the others.  It stays in
-    float range where the product of factors would over- or underflow."""
-    return _log_zeta(z, z._floats(), _number(s, "s"))
+    float range where the product of factors would over- or underflow.
+    A log term e (m-1)! (s - lam)^(-m) beyond float range, or an m beyond
+    it, is a ConvergenceError naming its factor."""
+    return _log_zeta(z._floats(), _number(s, "s"), z.factors)
 
 
-def _log_zeta(z: FactoredZeta, floats: list[tuple[float, int, float]], ss: complex) -> complex:
-    """`log_evaluate_zeta` at a checked complex s, from `floats`, the float
-    image of z; z's exact factors name a singular one."""
+# (m-1)! is a float up to m = 171 (170! ~ 7.3e306): up to there a log term
+# is e (m-1)! (s - lam)^-m; above it exp(lgamma(m) - m log(s - lam)), so
+# that no factorial of a large m is formed
+_FLOAT_FACTORIAL_M = 171
+
+
+def _log_zeta(floats: list[tuple[float, int, float]], ss: complex,
+              factors: Sequence[Term] = ()) -> complex:
+    """`log_evaluate_zeta` at a checked complex s from `floats`, the float
+    image of a factored zeta.  Its exact `factors`, in the same order, are
+    read only to name a singular factor or one whose term leaves float
+    range; without them (`epsilon_factor`, whose samples sit off the real
+    axis, where no factor is singular) the factor is named by its float."""
     total = 0j
-    for (lam, m, e), (x, _, ef) in zip(z.factors, floats):
+    for x, m, e in floats:
         base = ss - x
         if base == 0:
+            lam = _exponent(floats, factors, x, m, e)
             raise SingularityError(f"log zeta is singular at s = {lam} (log index m = {m})")
         if m == 0:
-            total -= ef * cmath.log(base)
-        else:
-            total += ef * math.factorial(m - 1) * base ** (-m)
+            total -= e * cmath.log(base)
+            continue
+        try:
+            if m <= _FLOAT_FACTORIAL_M:
+                term = e * math.factorial(m - 1) * base ** (-m)
+            else:
+                term = e * cmath.exp(math.lgamma(m) - m * cmath.log(base))
+            if not cmath.isfinite(term):
+                raise OverflowError
+        except OverflowError:  # the power, the exp, the product, or m itself
+            lam = _exponent(floats, factors, x, m, e)
+            raise ConvergenceError(
+                f"the log term of the factor at lam = {lam} with log index m = {_shown(m)} "
+                f"is beyond float range at s = {ss}") from None
+        total += term
     return total
+
+
+def _exponent(floats: list[tuple[float, int, float]], factors: Sequence[Term],
+              x: float, m: int, e: float) -> Rational | float:
+    """The exact exponent of the first factor whose float image is
+    (x, m, e), or x itself without `factors`."""
+    return factors[floats.index((x, m, e))][0] if factors else x
 
 
 # -- epsilon factor ----------------------------------------------------
@@ -140,6 +174,23 @@ class EpsilonFactor(_Record):
     sample_points: tuple[complex, ...]
 
 
+def _dual_floats(n: PowerLogSum, floats: list[tuple[float, int, float]]
+                 ) -> list[tuple[float, int, float]]:
+    """The float image of n.dual(), read off `floats`, n's own: the
+    exponent groups of `_groups` in reverse order, each term (x, m, c)
+    as (-x, m, (-1)^m c).  Float negation is exact, so each entry is the
+    float of the exact dual term; a zero exponent stays +0.0, as
+    float(-Fraction(0)) does."""
+    out: list[tuple[float, int, float]] = []
+    end = len(floats)
+    for a, _, group in reversed(n._groups):
+        start = end - len(group)
+        for x, m, c in floats[start:end]:
+            out.append((-x if a else 0.0, m, -c if m % 2 else c))
+        end = start
+    return out
+
+
 def epsilon_factor(n: PowerLogSum) -> EpsilonFactor:
     """The constant zeta_{N*}(-s) / zeta_N(s) = (-1)^N(1).
 
@@ -147,23 +198,24 @@ def epsilon_factor(n: PowerLogSum) -> EpsilonFactor:
     maximal deviation of the evaluated ratio from it at three sample
     points chosen away from all singularities.  The ratio is the exp of
     a difference of logs, so that large exponents cannot under- or
-    overflow a product of factors; a ratio that still leaves float range
-    counts as an infinite residual.
+    overflow a product of factors; a ratio that still leaves float range,
+    or a log term that does, counts as an infinite residual.  Both logs
+    read floats only: N's float image, and the dual's read off it
+    (`_dual_floats`), without forming the exact dual.
     """
     n1 = n.value_at_one()
     if n1.denominator != 1:
         raise PreconditionError(f"epsilon sign undefined: N(1) = {n1} is not an integer")
     sign = _parity(n1.numerator)
-    z = zeta_of(n)
-    zd = zeta_of(n.dual())
-    floats, dual_floats = z._floats(), zd._floats()
+    floats = n._floats()
+    dual_floats = _dual_floats(n, floats)
     radius = max((abs(lam) for lam, _, _ in floats), default=0.0)
     samples = tuple(radius + 1.5 + k + 0.7j * (k + 1) for k in range(3))
     residual = 0.0
     for s in samples:
         try:
-            ratio = cmath.exp(_log_zeta(zd, dual_floats, -s) - _log_zeta(z, floats, s))
-        except OverflowError:
+            ratio = cmath.exp(_log_zeta(dual_floats, -s) - _log_zeta(floats, s))
+        except (OverflowError, ConvergenceError):
             ratio = complex(math.inf)
         deviation = abs(ratio - sign)
         residual = max(residual, math.inf if math.isnan(deviation) else deviation)

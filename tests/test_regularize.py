@@ -3,6 +3,7 @@
 import cmath
 import math
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -57,6 +58,24 @@ def test_gamma_ratio_poly():
     assert gamma_ratio_poly(0.7, 0) == 1
     assert gamma_ratio_poly(2, 3) == 2 * 3 * 4
     assert gamma_ratio_poly(0, 2) == 0
+
+
+def test_gamma_ratio_poly_stops_at_its_first_overflow():
+    # the product leaves float range at its 171st factor: the loop stops
+    # there, not after all 10^8 of them
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=r"Gamma\(w \+ 100000000\)/Gamma\(w\) overflows a float "
+                                               r"at w = \(1\+0j\)"):
+        gamma_ratio_poly(1.0, 10**8)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ConvergenceError):
+        gamma_ratio_poly(1.0, 171)  # 171! is past float range
+    # a finite value is the full product, as before
+    for w, m in ((1.0, 170), (0.5 - 2j, 60), (-3.0, 200)):
+        out = 1.0 + 0j
+        for i in range(m):
+            out *= complex(w) + i
+        assert gamma_ratio_poly(w, m) == out
 
 
 def test_closed_examples():
@@ -165,18 +184,18 @@ def test_power_log_integrand_matches_the_per_term_definition(case):
     # keep every exponent where that stays below the 1e-13 compared
     assume(abs((float(n.degree) - rate) * t) <= 300)
     terms = [float(c) * cmath.exp((float(lam) - rate) * t) * t ** (m + k) for lam, m, c in n.terms]
-    got = _power_log_integrand(n, rate, k)(t)
+    got = _power_log_integrand(n._floats(), rate, k)(t)
     assert abs(got - sum(terms)) <= 1e-13 * sum(map(abs, terms))
 
 
 def test_power_log_integrand_at_large_t():
     n = parse_power_log("u^3 - 2*u^2*log^2")
     # e^(3 t) alone overflows a float at t = 400; the integrand is e^-200
-    got = _power_log_integrand(n, 3.5 + 1j, -1)(400.0)
+    got = _power_log_integrand(n._floats(), 3.5 + 1j, -1)(400.0)
     want = cmath.exp(-(0.5 + 1j) * 400) / 400 * (1 - 2 * math.exp(-400) * 400**2)
     assert cmath.isfinite(got) and abs(got - want) <= 1e-12 * abs(want)
     # below e^-745 the node underflows to 0 before any power of t
-    assert _power_log_integrand(n, 4 + 1j, 2 + 1j)(1e3) == 0j
+    assert _power_log_integrand(n._floats(), 4 + 1j, 2 + 1j)(1e3) == 0j
 
 
 def test_exp_exp_rule_values_and_estimates():
@@ -647,6 +666,45 @@ def test_quadrature_outputs_are_pinned_bit_for_bit(monkeypatch):
             got = (result.value.real.hex(), result.value.imag.hex(), result.error_estimate.hex())
         assert got == want
     assert nodes <= _EXP_SINH_NODES / 2
+
+
+# The boundary of `_power_log_integrand`'s pure-power closures, pinned as
+# _PINNED_INTEGRALS is, with values recorded while every sum took the
+# general closure.  Both exponents of the first sum read 1.0 as floats, so
+# two terms take no exp; the second's only log term sits at its top
+# exponent, so it takes the general closure.  Each Z_N value is within
+# 1e-15 of the closed form, and each log integral I has
+# |exp(-I) zeta_N(s) - 1| <= 1e-14
+_NEAR_ONE = "u^{10000000000000000001/10000000000000000000}"
+_PINNED_SELECTION = {
+    (f"u + 2*{_NEAR_ONE}", 1.5, 3.0): ("0x1.0f876ccdf6cd7p+0", "0x0.0p+0"),
+    (f"u + 2*{_NEAR_ONE}", 0.4, 2.5 + 1.5j): ("0x1.0e549ba079555p+1", "-0x1.5f57c2bf2f2dbp-1"),
+    ("u^2*log - 3*u + 2", 1.25, 3.5 + 0.5j): ("-0x1.4d97b40faca65p-3", "-0x1.201897c3afc2dp-3"),
+    ("u^2*log - 3*u + 2", 0.7 + 0.3j, 4.0): ("-0x1.91d82a852cce8p-2", "0x1.847b86722dad5p-3"),
+    (f"u + 2*{_NEAR_ONE} - 3", 2.5): ("0x1.8850677c19e7cp+0", "0x0.0p+0", "0x0.0p+0"),
+    ("u^2*log - 3*u + 3", 3.2 - 0.6j): ("-0x1.9b43f33aeebddp-2", "0x1.732f0b16193e9p-4",
+                                       "0x1.001ffe003ff60p-50"),
+}
+
+
+def test_the_pure_power_selection_keeps_its_boundary_bit_for_bit():
+    for (expr, *args), want in _PINNED_SELECTION.items():
+        n = parse_power_log(expr)
+        floats = n._floats()
+        pure = "log" not in expr
+        if len(args) == 2:
+            value = two_variable_zeta_numeric(n, *args)
+            got = (value.real.hex(), value.imag.hex())
+            w, s = map(complex, args)
+            lower = _power_log_integrand(floats, s, w, 1.0).__name__
+            upper = _power_log_integrand(floats, s, w - 1).__name__
+            assert (lower, upper) == (("lower", "upper" if w.imag == 0 else "integrand") if pure
+                                      else ("integrand", "integrand"))
+        else:
+            result = regularize.log_zeta_integral(n, *args)
+            got = (result.value.real.hex(), result.value.imag.hex(), result.error_estimate.hex())
+            assert _power_log_integrand(floats, args[0], -1).__name__ == ("upper" if pure else "integrand")
+        assert got == want, expr
 
 
 # Reference oracles: the two split loops as they stood before `_split`

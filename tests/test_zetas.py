@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from f1zeta.errors import ConvergenceError, ParseError, PreconditionError, Singu
 from f1zeta.powerlog import (
     FunctionalEquationWitness,
     PowerLogSum,
+    TermMap,
     detect_functional_equation,
     from_records,
     parse_power_log,
@@ -19,9 +21,10 @@ from f1zeta.powerlog import (
     to_records,
     witness_holds,
 )
-from f1zeta.regularize import log_zeta_integral
+from f1zeta.regularize import log_zeta_integral, zeta_from_regularization
 from f1zeta.zetas import (
     FactoredZeta,
+    _dual_floats,
     epsilon_factor,
     evaluate_zeta,
     log_evaluate_zeta,
@@ -289,6 +292,142 @@ def test_epsilon_law(n):
     expected = -1 if n.value_at_one().numerator % 2 else 1
     assert eps.sign == expected
     assert eps.numeric_residual <= 1e-9
+
+
+# -- the dual's float image, read off N's ---------------------------------
+
+# exponents whose floats coincide (1 and 1 + 10^-19 both read 1.0), zero,
+# and one whose float underflows to 0.0 while its negation reads -0.0
+_NEAR = Fraction(10**19 + 1, 10**19)
+_SPECIAL_EXPONENTS = (Fraction(0), Fraction(1), _NEAR, -_NEAR, Fraction(-1), Fraction(1, 10**400),
+                      Fraction(-1, 10**400))
+
+
+@st.composite
+def dual_image_sums(draw):
+    """Sums with rational exponents, log powers 0 to 3 and coefficients
+    that keep N(1) an integer: each term without a log has an integer one."""
+    exponent = st.one_of(st.fractions(-5, 5, max_denominator=6), st.sampled_from(_SPECIAL_EXPONENTS))
+    terms = {}
+    for _ in range(draw(st.integers(1, 6))):
+        lam, m = draw(exponent), draw(st.integers(0, 3))
+        c = Fraction(draw(st.integers(-9, 9))) if m == 0 else draw(st.fractions(-9, 9, max_denominator=5))
+        terms[(lam, m)] = terms.get((lam, m), Fraction(0)) + c
+    return PowerLogSum.from_dict(terms)
+
+
+def _hex_image(floats):
+    return [(x.hex(), m, c.hex()) for x, m, c in floats]
+
+
+def _reference_log_zeta(z, floats, ss):
+    """The reference log of a zeta: the exact factors read beside their
+    floats, each log term formed as e (m-1)! (s - lam)^-m, unchecked."""
+    total = 0j
+    for (lam, m, e), (x, _, ef) in zip(z.factors, floats):
+        base = ss - x
+        if base == 0:
+            raise SingularityError(f"log zeta is singular at s = {lam} (log index m = {m})")
+        if m == 0:
+            total -= ef * cmath.log(base)
+        else:
+            total += ef * math.factorial(m - 1) * base ** (-m)
+    return total
+
+
+def _reference_epsilon_residual(n):
+    """The reference epsilon residual: the exact dual and a second factored
+    zeta are formed, and their floats read."""
+    z, zd = zeta_of(n), zeta_of(n.dual())
+    floats, dual_floats = z._floats(), zd._floats()
+    radius = max((abs(lam) for lam, _, _ in floats), default=0.0)
+    residual = 0.0
+    sign = -1 if n.value_at_one().numerator % 2 else 1
+    for s in (radius + 1.5 + k + 0.7j * (k + 1) for k in range(3)):
+        try:
+            ratio = cmath.exp(_reference_log_zeta(zd, dual_floats, -s) - _reference_log_zeta(z, floats, s))
+        except OverflowError:
+            ratio = complex(math.inf)
+        deviation = abs(ratio - sign)
+        residual = max(residual, math.inf if math.isnan(deviation) else deviation)
+    return residual
+
+
+@settings(max_examples=200, deadline=None)
+@given(dual_image_sums())
+def test_the_dual_image_is_the_float_image_of_the_exact_dual(n):
+    assert _hex_image(_dual_floats(n, n._floats())) == _hex_image(zeta_of(n.dual())._floats())
+    if not n.is_zero:
+        assert epsilon_factor(n).numeric_residual.hex() == _reference_epsilon_residual(n).hex()
+
+
+def test_the_dual_image_keeps_the_order_of_coinciding_floats():
+    # 1 < 1 + 10^-19 exactly, both 1.0 as floats: the dual reverses them
+    n = PowerLogSum.from_dict({(1, 0): 2, (_NEAR, 0): 3, (_NEAR, 1): 5, (0, 1): 7})
+    assert _dual_floats(n, n._floats()) == [
+        (-1.0, 0, 3.0), (-1.0, 1, -5.0), (-1.0, 0, 2.0), (0.0, 1, -7.0)]
+    zero = PowerLogSum.from_dict({(0, 0): 1, (Fraction(1, 10**400), 2): 1})
+    assert _hex_image(_dual_floats(zero, zero._floats())) == [
+        ((-0.0).hex(), 2, "0x1.0000000000000p+0"), ("0x0.0p+0", 0, "0x1.0000000000000p+0")]
+
+
+def test_epsilon_factor_never_forms_the_exact_dual(monkeypatch):
+    def refused(self):
+        raise AssertionError("epsilon_factor formed the exact dual")
+
+    monkeypatch.setattr(TermMap, "dual", refused)
+    for expr in ("u^2 - u + 1", "u*log^3 - 2*u^{1/2} + 1", "log"):
+        n = parse_power_log(expr)
+        eps = epsilon_factor(n)
+        assert eps.numeric_residual <= 1e-9 and eps.sign == (-1) ** (n.value_at_one().numerator % 2)
+
+
+# -- log terms at large log powers ------------------------------------------
+
+
+def test_log_terms_up_to_the_float_factorial_keep_their_arithmetic():
+    for m in (1, 2, 3, 50, 170, 171):
+        z = FactoredZeta.from_dict({(Fraction(1, 3), m): Fraction(-5, 7)})
+        for s in (2.5 + 0.25j, 400.0, -9.0 + 3j):
+            want = _reference_log_zeta(z, z._floats(), complex(s))
+            got = log_evaluate_zeta(z, s)
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+@pytest.mark.parametrize("m", [172, 200, 400])
+def test_log_terms_past_the_float_factorial_take_log_gamma(m):
+    mpmath = pytest.importorskip("mpmath")
+    z = FactoredZeta.from_dict({(Fraction(1, 2), m): 3})
+    for s in (800.5 + 3j, 1500.0):
+        got = log_evaluate_zeta(z, s)
+        want = complex(3 * mpmath.factorial(m - 1) * mpmath.mpc(complex(s) - 0.5) ** -m)
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("expr, s", [("u^2*log^120", 2.001), ("u*log^200", 3), ("u*log^1000000", 3)])
+def test_a_log_term_past_float_range_names_its_factor(expr, s):
+    n = parse_power_log(expr)
+    lam = n.terms[0][0]
+    for evaluate in (lambda: evaluate_zeta(zeta_of(n), s), lambda: log_evaluate_zeta(zeta_of(n), s),
+                     lambda: zeta_from_regularization(n, s)):
+        with pytest.raises(ConvergenceError, match=f"factor at lam = {lam} with log index m = "):
+            evaluate()
+
+
+def test_a_log_power_past_float_range_is_a_convergence_error():
+    z = FactoredZeta.from_dict({(0, 10**400): 1})
+    with pytest.raises(ConvergenceError, match="log index m = "):
+        log_evaluate_zeta(z, 2.5)
+
+
+def test_epsilon_of_a_huge_log_power_is_an_infinite_residual_at_once():
+    # forming (m-1)! at m = 10^6 takes many seconds; the log-Gamma term
+    # overflows at once
+    start = time.perf_counter()
+    for m in (10**6, 4 * 10**6):
+        eps = epsilon_factor(PowerLogSum.log_power(m, 1, 1))
+        assert eps.sign == 1 and eps.numeric_residual == math.inf
+    assert time.perf_counter() - start < 5
 
 
 @settings(max_examples=80)
