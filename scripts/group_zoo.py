@@ -7,10 +7,9 @@ from f1zeta.groups import (
     group_counting,
     group_from_name,
     group_functional_equation,
-    group_zeta,
     verify_family_identities,
 )
-from f1zeta.zetas import pretty_zeta
+from f1zeta.zetas import pretty_zeta, zeta_of
 
 
 def main() -> None:
@@ -21,7 +20,7 @@ def main() -> None:
             fe = group_functional_equation(g)
             print(f"\n{g.name}  (r={g.rank}, d={g.dimension}, p={g.positive_roots})")
             print(f"  N(q)   = {n}")
-            print(f"  zeta   = {pretty_zeta(group_zeta(g))}")
+            print(f"  zeta   = {pretty_zeta(zeta_of(n))}")
             print(f"  FE     = zeta({fe.center}-s) = zeta(s)^({fe.sign})"
                   f"  [{'ok' if fe.holds else 'FAILS'}]")
     for family in ("gm_power", "gl"):

@@ -15,18 +15,17 @@ _EXPORTS = {
     "errors": "ConvergenceError F1ZetaError ParseError PreconditionError SingularityError",
     "powerlog": "FEReport FunctionalEquationWitness PowerLogSum detect_functional_equation "
     "parse_power_log product_of_reciprocal_powers witness_holds",
-    "schemes": "FourierData MonoidScheme TorsionPoint counting_coefficients exact_count "
-    "f1_point fourier_data fourier_period gcd_fourier_coefficients gcd_inner_fourier "
-    "global_functional_equation load_scheme local_functional_equation projective_space_model "
-    "smoothed_count torsion_point_model torus_model totient",
+    "schemes": "FourierData MonoidScheme TorsionPoint exact_count f1_point fourier_data "
+    "fourier_period gcd_fourier_coefficients gcd_inner_fourier global_functional_equation "
+    "load_scheme local_functional_equation projective_space_model smoothed_count "
+    "torsion_point_model torus_model totient",
     "scheme_zeta": "BettiProfile betti_profile scheme_counting_function zeta_of_scheme",
     "weil": "LocalZetaFactors TruncatedSeries default_base_sequence limit_toward_one "
-    "local_zeta_series pole_order smoothed_local_zeta",
+    "local_zeta_series smoothed_local_zeta",
     "zetas": "EpsilonFactor FactoredZeta epsilon_factor evaluate_zeta pretty_zeta "
     "reflect_zeta verify_functional_equation zeta_of",
     "groups": "ReductiveGroupData gl_group_data group_counting group_from_degrees group_from_name "
-    "group_functional_equation group_zeta torus_counting torus_group_data "
-    "verify_family_identities",
+    "group_functional_equation torus_group_data verify_family_identities",
     "regularize": "Spectrum circle_spectrum log_regularized_det log_zeta_integral "
     "regularized_det shift_spectrum spectral_zeta spectrum_by_name two_variable_zeta_closed "
     "two_variable_zeta_numeric zeta_from_regularization",

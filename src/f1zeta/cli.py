@@ -119,13 +119,11 @@ def _cmd_count(config: argparse.Namespace) -> int:
 
 
 def _resolve_zeta(config: argparse.Namespace):
+    from .zetas import zeta_of
+
     if config.group is not None:
-        from .groups import group_zeta
-
-        return group_zeta(_resolve_group(config.group)[0])
+        return zeta_of(_resolve_group(config.group)[0].counting)
     if config.powers is not None:
-        from .zetas import zeta_of
-
         return zeta_of(_powers(config))
     raise PreconditionError("need one of --scheme, --group, --powers")
 
@@ -239,7 +237,7 @@ def _cmd_local(config: argparse.Namespace) -> int:
 
 
 def _cmd_limit(config: argparse.Namespace) -> int:
-    from .weil import default_base_sequence, limit_toward_one, pole_order
+    from .weil import default_base_sequence, limit_toward_one
 
     scheme = _scheme(config)
     s = parse_complex_value(str(_require(config, "s", "--s")))
@@ -257,7 +255,7 @@ def _cmd_limit(config: argparse.Namespace) -> int:
         print(f"{p!r}\t{_fmt_complex(v)}")
     if target is not None:
         print(f"target\t{_fmt_complex(target)}")
-        print(f"pole_order\t{pole_order(scheme)}")
+        print(f"pole_order\t{scheme.counting.value_at_one()}")
     return EXIT_OK
 
 
@@ -289,15 +287,15 @@ def _cmd_epsilon(config: argparse.Namespace) -> int:
 
 
 def _cmd_group(config: argparse.Namespace) -> int:
-    from .groups import _family_report, group_counting, group_functional_equation, group_zeta
-    from .zetas import pretty_zeta
+    from .groups import _family_report, group_counting, group_functional_equation
+    from .zetas import pretty_zeta, zeta_of
 
     name = str(_require(config, "group", "--group"))
     group, family = _resolve_group(name)
     report = group_functional_equation(group)
     print(f"group\t{group.name or name}")
     print(f"counting\t{group_counting(group)}")
-    print(f"zeta\t{pretty_zeta(group_zeta(group))}")
+    print(f"zeta\t{pretty_zeta(zeta_of(group.counting))}")
     print(f"fe\t{str(report.holds).lower()}\tcenter\t{report.center}\tsign\t{report.sign}")
     results = () if family is None else _family_report(group, family).results
     for label, ok in results:

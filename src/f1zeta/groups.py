@@ -29,7 +29,6 @@ from .powerlog import (
     MAX_COUNTING_DEGREE,
     FEReport,
     PowerLogSum,
-    _binomial_row,
     _check_integer,
     _fe_report,
     _integer,
@@ -40,7 +39,6 @@ from .powerlog import (
     _Record,
     _shown,
 )
-from .zetas import FactoredZeta, zeta_of
 
 # MAX_COUNTING_DEGREE (shared with the scheme rank cap) bounds the degree
 # d + p = r + 3p of a counting polynomial: GL(18) (477), E8 (368) and
@@ -105,12 +103,6 @@ class ReductiveGroupData(_Record):
         group from `coefficients` and kept with it; like them, it raises on
         every access for broken data."""
         return PowerLogSum.from_int_coefficients(self.coefficients, self.positive_roots)
-
-
-def torus_counting(r: int) -> PowerLogSum:
-    """(u - 1)^r, the counting polynomial of the r-fold torus."""
-    _check_integer(r, "torus rank", 0, MAX_COUNTING_DEGREE)
-    return PowerLogSum.from_int_coefficients(_binomial_row(r))
 
 
 def group_counting(group: ReductiveGroupData) -> PowerLogSum:
@@ -232,10 +224,6 @@ def group_from_dict(data: object) -> ReductiveGroupData:
 
 def load_group(path: str) -> ReductiveGroupData:
     return group_from_dict(_read_json(path))
-
-
-def group_zeta(group: ReductiveGroupData) -> FactoredZeta:
-    return zeta_of(group.counting)
 
 
 # -- functional equation ---------------------------------------------------

@@ -278,6 +278,8 @@ def gamma_ratio_poly(w: Complex, m: int) -> complex:
     out = 1.0 + 0j
     for i in range(m):
         out *= ww + i
+        if not out:  # w = -i: every later factor is positive and keeps the zero's bits
+            return out
         if not cmath.isfinite(out):  # no later factor brings it back
             raise ConvergenceError(f"Gamma(w + {m})/Gamma(w) overflows a float at w = {ww}")
     return out

@@ -1,9 +1,9 @@
 """Global zeta functions of monoid schemes over the one-element base.
 
 The zeta of a scheme is the zeta of its torsion-smoothed counting
-function N(q) = sum_x T(x) (q-1)^R(x) = sum_k a_k q^k (coefficients from
-`schemes.counting_coefficients`): the p -> 1 limit of the smoothed local
-zeta is the rational function
+function N(q) = sum_x T(x) (q-1)^R(x) = sum_k a_k q^k (the coefficients
+the scheme keeps, `MonoidScheme.coefficients`): the p -> 1 limit of the
+smoothed local zeta is the rational function
 
     zeta(s) = prod_{r=0}^{R} (s - r)^(E_r),   E_r = -a_r,
 
@@ -17,13 +17,14 @@ are a palindrome about d (`schemes.global_functional_equation`).
 from __future__ import annotations
 
 from .powerlog import PowerLogSum, _Record
-from .schemes import MonoidScheme, counting_coefficients
+from .schemes import MonoidScheme
 from .zetas import FactoredZeta, zeta_of
 
 
 class BettiProfile(_Record):
     """Even Betti numbers b_{2l}, l = 0..max(d, R).  Their sum, the Euler
-    characteristic N(1), is the global report's `chi` and `weil.pole_order`.
+    characteristic N(1), is the global report's `chi` and the kept counting
+    function's `value_at_one()`, the pole order at p = 1.
 
     For inputs that are not asserted smooth projective the formula can
     produce negative values; these are returned with a warning rather
@@ -38,7 +39,7 @@ class BettiProfile(_Record):
 def betti_profile(scheme: MonoidScheme) -> BettiProfile:
     """b_{2l} = a_l: the counting coefficients padded to d + 1 entries, never cut."""
     d = scheme.dim
-    values = counting_coefficients(scheme) + (0,) * (d - scheme.max_rank)
+    values = scheme.coefficients + (0,) * (d - scheme.max_rank)
     warning = None
     if not scheme.smooth_projective:
         warning = "smooth_projective not asserted; values are formal"

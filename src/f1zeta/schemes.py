@@ -141,8 +141,11 @@ class MonoidScheme(_Record):
             (r, tuple(typed), r - b) for (r, typed), b in zip(rows.items(), below))
 
     @cached_property
-    def _coefficients(self) -> tuple[int, ...]:
-        """`counting_coefficients`, from the count profile's rows."""
+    def coefficients(self) -> tuple[int, ...]:
+        """a_0..a_R with sum_x T(x) (q-1)^R(x) = sum_k a_k q^k, the vector behind
+        every torsion-smoothed quantity: a_k = sum_R w_R C(R, k) (-1)^(R-k)
+        over the rank weights w_R = sum_{x: R(x) = R} T(x).  Built once per
+        scheme from its count profile's rows and kept with it."""
         orders, rows = self.count_profile
         coeffs = [0] * (self.max_rank + 1)
         for row in rows:
@@ -154,8 +157,9 @@ class MonoidScheme(_Record):
     @cached_property
     def counting(self) -> PowerLogSum:
         """The smoothed counting function sum_k a_k u^k as a power-log sum,
-        built once per scheme from `counting_coefficients` and kept with it."""
-        return PowerLogSum.from_int_coefficients(self._coefficients)
+        built once per scheme from `coefficients` and kept with it; its
+        `value_at_one()` is N(1), the pole order at p = 1."""
+        return PowerLogSum.from_int_coefficients(self.coefficients)
 
 
 # -- counting ----------------------------------------------------------
@@ -211,14 +215,6 @@ def smoothed_count(scheme: MonoidScheme, q: Union[int, Fraction, float]) -> Frac
     return Fraction(_count(rows, orders, qq - 1))  # an int when every point has rank 0
 
 
-def counting_coefficients(scheme: MonoidScheme) -> tuple[int, ...]:
-    """a_0..a_R with sum_x T(x) (q-1)^R(x) = sum_k a_k q^k, the vector behind
-    every torsion-smoothed quantity: a_k = sum_R w_R C(R, k) (-1)^(R-k)
-    over the rank weights w_R = sum_{x: R(x) = R} T(x).  Built once per
-    scheme from its count profile and kept with it."""
-    return scheme._coefficients
-
-
 # -- functional equations ------------------------------------------------
 
 
@@ -234,7 +230,7 @@ def global_functional_equation(scheme: MonoidScheme) -> FEReport:
     """
     if not scheme.smooth_projective:
         raise PreconditionError("global functional equation requires smooth_projective")
-    return _fe_report(counting_coefficients(scheme), scheme.dim)
+    return _fe_report(scheme.coefficients, scheme.dim)
 
 
 def local_functional_equation(scheme: MonoidScheme, p: int) -> FEReport:

@@ -6,11 +6,13 @@ and factors exactly as
 
     Z~(p, T) = prod_{r=0}^{R} (1 - p^r T)^(e_r),   e_r = E_r = -a_r = -b_{2r},
 
-with N(q) = sum_r a_r q^r the smoothed counting function.  Multiplying
-by (p-1)^N, N = N(1) the pole order at p = 1, and letting p -> 1 along
-reals gives the global zeta; the limit probe (in log space) uses the
-factored form.  Its exact functional equation in T is the palindrome
-check of `schemes.local_functional_equation`.
+with N(q) = sum_r a_r q^r the smoothed counting function, which the
+scheme keeps (`MonoidScheme.counting`, on its `coefficients`).
+Multiplying by (p-1)^N, N = N(1) the pole order at p = 1 (read as
+`scheme.counting.value_at_one()`), and letting p -> 1 along reals gives
+the global zeta; the limit probe (in log space) uses the factored form.
+Its exact functional equation in T is the palindrome check of
+`schemes.local_functional_equation`.
 
 Both series are computed in int and are exact.  For any integer p >= 2,
 #X(F_{p^n}) counts the fixed points of the n-th iterate of x -> p x on
@@ -44,7 +46,7 @@ from .errors import PreconditionError, SingularityError
 from .powerlog import (MAX_COUNTING_DEGREE, _binomial_row, _check_integer, _check_printable,
                        _exact_or_real, _exp_in_range, _float_exponent, _int_max_str_digits,
                        _number, _Record, _shown)
-from .schemes import MonoidScheme, _prime_to, counting_coefficients, exact_count
+from .schemes import MonoidScheme, _prime_to, exact_count
 
 # Largest accepted order of an exact series in T.  At order n the
 # coefficients of a d-dimensional scheme have about d n log2(p) bits.
@@ -270,12 +272,7 @@ def smoothed_local_zeta(scheme: MonoidScheme, p: Union[int, float]) -> LocalZeta
     """Factored form of the torsion-smoothed local zeta at a base p > 1: an
     int or a Fraction of any size, or a finite real (checked by
     `LocalZetaFactors`)."""
-    return LocalZetaFactors(p, _smoothed_factors(counting_coefficients(scheme)))
-
-
-def pole_order(scheme: MonoidScheme) -> int:
-    """Order of the pole of the smoothed local zeta at p = 1, i.e. N(1)."""
-    return sum(counting_coefficients(scheme))
+    return LocalZetaFactors(p, _smoothed_factors(scheme.coefficients))
 
 
 def default_base_sequence(count: int = 6) -> list[float]:
@@ -299,8 +296,8 @@ def limit_toward_one(
         _exact_or_real(p, "base p > 1") for p in base_sequence]
     if any(not p > 1 for p in seq) or any(a <= b for a, b in zip(seq, seq[1:])):
         raise PreconditionError("base sequence must decrease strictly toward 1")
-    n = pole_order(scheme)
-    factors = _smoothed_factors(counting_coefficients(scheme))
+    n = scheme.counting.value_at_one()
+    factors = _smoothed_factors(scheme.coefficients)
     out = []
     for p in seq:
         log_value = (_float_exponent(n, "exponent N(1)") * _log(p - 1)

@@ -116,8 +116,14 @@ def log_evaluate_zeta(z: FactoredZeta, s: complex) -> complex:
     factors plus e (m-1)! (s - lam)^(-m) over the others.  It stays in
     float range where the product of factors would over- or underflow.
     A log term e (m-1)! (s - lam)^(-m) beyond float range, or an m beyond
-    it, is a ConvergenceError naming its factor."""
-    return _log_zeta(z._floats(), _number(s, "s"), z.factors)
+    it, is a ConvergenceError naming its factor, and a sum of finite terms
+    beyond it is one naming s."""
+    ss = _number(s, "s")
+    total = _log_zeta(z._floats(), ss, z.factors)
+    if not cmath.isfinite(total):
+        raise ConvergenceError(f"the log of zeta at s = {ss} overflows a float: "
+                               f"its terms sum to {total!r}")
+    return total
 
 
 # (m-1)! is a float up to m = 171 (170! ~ 7.3e306): up to there a log term

@@ -13,7 +13,6 @@ from f1zeta.groups import (
     gl_group_data,
     group_counting,
     group_from_name,
-    group_zeta,
     torus_group_data,
     verify_family_identities,
 )
@@ -153,7 +152,7 @@ def test_criterion_6_reductive_groups():
         for family in ("gm_power", "gl"):
             report = verify_family_identities(r, family)
             assert report.holds, report.first_failure
-    printed = pretty_zeta(group_zeta(gl_group_data(2)))
+    printed = pretty_zeta(zeta_of(gl_group_data(2).counting))
     assert printed == "(s-3)(s-2)/((s-4)(s-1))"
     _report(6, True, f"r = 1..5 coefficient symmetry + all family identities; GL(2) prints {printed}")
 

@@ -22,8 +22,6 @@ from f1zeta.groups import (
     group_from_dict,
     group_from_name,
     group_functional_equation,
-    group_zeta,
-    torus_counting,
     torus_group_data,
     verify_family_identities,
     _CATALOG,
@@ -36,6 +34,7 @@ from f1zeta.powerlog import (
     parse_power_log,
     product_of_reciprocal_powers,
 )
+from f1zeta.schemes import f1_point, torus_model
 from f1zeta.zetas import pretty_zeta, reflect_zeta, zeta_of
 
 
@@ -103,7 +102,7 @@ def test_group_fe_examples():
 
     gl2 = group_functional_equation(gl_group_data(2))
     assert gl2.holds and gl2.center == 5 and gl2.sign == 1
-    assert pretty_zeta(group_zeta(gl_group_data(2))) == "(s-3)(s-2)/((s-4)(s-1))"
+    assert pretty_zeta(zeta_of(gl_group_data(2).counting)) == "(s-3)(s-2)/((s-4)(s-1))"
 
     sl2 = group_functional_equation(group_from_name("SL2"))
     assert sl2.holds and sl2.center == 4 and sl2.sign == -1
@@ -129,10 +128,10 @@ def _fraction_group_fe(group):
     center = Fraction(group.dimension + group.positive_roots)
     sign = (-1) ** group.rank
     witness = detect_functional_equation(n)
-    sign_of_reflection, reflected = reflect_zeta(group_zeta(group), center)
+    sign_of_reflection, reflected = reflect_zeta(zeta_of(n), center)
     holds = (
         witness == FunctionalEquationWitness(sign, center)
-        and reflected == group_zeta(group).scale(sign)
+        and reflected == zeta_of(n).scale(sign)
         and sign_of_reflection == (-1) ** (n.value_at_one().numerator % 2)
     )
     return holds, witness
@@ -264,15 +263,16 @@ def test_family_identities_gl1_reduces_to_torus():
     gl1 = verify_family_identities(1, "gl")
     gm1 = verify_family_identities(1, "gm_power")
     assert gl1.holds and gm1.holds
-    assert group_counting(gl_group_data(1)) == torus_counting(1)
+    assert group_counting(gl_group_data(1)) == torus_model(1).counting
 
 
 @pytest.mark.parametrize("r", range(0, 7))
-def test_torus_counting_is_binomial_power(r):
+def test_torus_model_counting_is_binomial_power(r):
+    # the rank-0 torus is the point
     expected = PowerLogSum.constant(1)
     for _ in range(r):
         expected = expected * (PowerLogSum.power(1) - PowerLogSum.constant(1))
-    assert torus_counting(r) == expected
+    assert (torus_model(r) if r else f1_point()).counting == expected
 
 
 def test_family_identities_rejections():
@@ -363,7 +363,7 @@ def test_catalog_and_files():
     for flag in ("11", {"1": 0, "1 ": 0}):
         with pytest.raises(ParseError, match="flag_betti must be a list, got "):
             group_from_dict({**data, "flag_betti": flag})
-    for build, message in ((lambda: torus_counting(-1), "torus rank must be >= 0"),
+    for build, message in ((lambda: torus_model(0), "torus rank must be >= 1"),
                            (lambda: torus_group_data(0), "torus rank must be >= 1"),
                            (lambda: gl_group_data(0), "GL rank must be >= 1")):
         with pytest.raises(PreconditionError, match=message):

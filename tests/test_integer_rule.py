@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from f1zeta.errors import ParseError, PreconditionError
 from f1zeta.groups import (
-    ReductiveGroupData, gl_group_data, group_from_degrees, torus_counting, torus_group_data,
+    ReductiveGroupData, gl_group_data, group_from_degrees, torus_group_data,
     verify_family_identities)
 from f1zeta.powerlog import (
     MAX_COUNTING_DEGREE, FunctionalEquationWitness, PowerLogSum, _check_integer, witness_holds)
@@ -85,7 +85,7 @@ def test_the_rule_returns_an_int_within_its_bounds():
     (lambda: smoothed_local_zeta(P1, 2).series(3.0), "series order"),
     (lambda: projective_space_model(2.5), "projective dimension"),
     (lambda: gl_group_data(2.5), "GL rank"),
-    (lambda: torus_counting(2.5), "torus rank"),
+    (lambda: torus_model(2.5), "torus rank"),
     (lambda: verify_family_identities(2.5, "gl"), "family rank"),
     (lambda: default_base_sequence(2.5), "base count"),
     (lambda: spectral_zeta(CIRCLE, 2, 1, terms=2.5), "head terms"),
@@ -195,7 +195,7 @@ INT_PARAMETERS = [
     ("FourierData period", lambda v: FourierData(2, v), 1, MAX_FOURIER_PERIOD),
     ("FourierData torsion order", lambda v: FourierData(2, 1, ((0, 0, v, (1,)),)).verify(), 2, None),
     ("projective_space_model", projective_space_model, 0, MAX_COUNTING_DEGREE),
-    ("torus_model", torus_model, 1, None),
+    ("torus_model", lambda v: torus_model(v).counting, 1, MAX_COUNTING_DEGREE),
     ("torsion_point_model rank", lambda v: torsion_point_model([3], v), 0, None),
     ("log_power", PowerLogSum.log_power, 0, None),
     ("from_dict m", lambda v: PowerLogSum.from_dict({(0, v): 1}), 0, None),
@@ -211,7 +211,6 @@ INT_PARAMETERS = [
     ("ReductiveGroupData rank", lambda v: ReductiveGroupData(v, 3, (1, 1)), 1, None),
     ("ReductiveGroupData dimension", lambda v: ReductiveGroupData(1, v, (1, 1)), 1, None),
     ("ReductiveGroupData flag_betti", lambda v: ReductiveGroupData(1, 3, (v, v)), 0, None),
-    ("torus_counting", torus_counting, 0, MAX_COUNTING_DEGREE),
     ("gl_group_data", gl_group_data, 1, None),
     ("torus_group_data", torus_group_data, 1, None),
     # one degree d: counting degree 1 + 3 (d - 1), at most 500 up to d = 167

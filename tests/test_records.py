@@ -18,7 +18,7 @@ from f1zeta.powerlog import (
 from f1zeta.regularize import LogZetaIntegral, SpectralValue, Spectrum, circle_spectrum
 from f1zeta.scheme_zeta import BettiProfile, betti_profile, scheme_counting_function, zeta_of_scheme
 from f1zeta.schemes import (
-    FourierData, MonoidScheme, TorsionPoint, counting_coefficients, global_functional_equation,
+    FourierData, MonoidScheme, TorsionPoint, global_functional_equation,
     local_functional_equation, projective_space_model)
 from f1zeta.weil import LocalZetaFactors, TruncatedSeries
 from f1zeta.zetas import EpsilonFactor, FactoredZeta, verify_functional_equation
@@ -171,11 +171,11 @@ def test_cached_properties_cache_on_frozen_instances(monkeypatch):
     shown = (hash(scheme), repr(scheme))
     assert scheme.count_profile is scheme.count_profile
     assert scheme.count_profile == ((), ((1, ((1, ()),), 1), (0, ((2, ()),), 0)))
-    assert counting_coefficients(scheme) is counting_coefficients(scheme) == (1, 1)
+    assert scheme.coefficients is scheme.coefficients == (1, 1)
     # the scheme keeps its counting function: two calls return one object
     counting = scheme_counting_function(scheme)
     assert counting is scheme_counting_function(scheme)
-    assert counting == PowerLogSum.from_int_coefficients(counting_coefficients(scheme))
+    assert counting == PowerLogSum.from_int_coefficients(scheme.coefficients)
     # a cached value is not a field: equality, hash and repr stay as they were
     assert scheme == MonoidScheme(scheme.runs) and (hash(scheme), repr(scheme)) == shown
     # the zeta, the Betti profile and both functional equations read one

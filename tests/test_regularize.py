@@ -78,6 +78,25 @@ def test_gamma_ratio_poly_stops_at_its_first_overflow():
         assert gamma_ratio_poly(w, m) == out
 
 
+def test_gamma_ratio_poly_stops_at_its_first_zero():
+    # at a nonpositive integer w the product is 0 from the factor w + (-w)
+    # on, and every later factor is positive: the loop stops there, not
+    # after all 10^7 factors
+    start = time.perf_counter()
+    assert gamma_ratio_poly(-3.0, 10**7) == 0
+    assert two_variable_zeta_closed(PowerLogSum.log_power(10**7), -3, 2.5) == 0
+    assert time.perf_counter() - start < 0.1
+    # the zero keeps the bits of the full product, signed zeros included
+    for w in (0, -1, -2, -3, -7, -20):
+        for v in (w, float(w), complex(w, 0.0), complex(w, -0.0)):
+            for m in range(60):
+                out = 1.0 + 0j
+                for i in range(m):
+                    out *= complex(v) + i
+                got = gamma_ratio_poly(v, m)
+                assert (got.real.hex(), got.imag.hex()) == (out.real.hex(), out.imag.hex()), (v, m)
+
+
 def test_closed_examples():
     alpha = Fraction(3, 2)
     n = PowerLogSum.power(alpha)

@@ -17,7 +17,6 @@ from f1zeta.scheme_zeta import (
 from f1zeta.schemes import (
     MonoidScheme,
     TorsionPoint,
-    counting_coefficients,
     global_functional_equation,
     local_functional_equation,
     projective_space_model,
@@ -27,7 +26,6 @@ from f1zeta.schemes import (
 )
 from f1zeta.weil import (
     limit_toward_one,
-    pole_order,
     smoothed_local_zeta,
 )
 from f1zeta.zetas import FactoredZeta, evaluate_zeta, reflect_zeta
@@ -130,7 +128,7 @@ def test_zeta_exponents_are_betti_numbers(scheme):
 @given(schemes())
 def test_pole_order_agrees_with_euler_characteristic(scheme):
     # two independent displays of the same quantity
-    assert pole_order(scheme) == sum(betti_profile(scheme).values)
+    assert scheme.counting.value_at_one() == sum(betti_profile(scheme).values)
 
 
 @settings(max_examples=60)
@@ -214,29 +212,29 @@ def test_derived_quantities_match_per_point_formulas(scheme):
     assert scheme_counting_function(scheme) == counting
     expected_factors = tuple((r, e) for r, e in sorted(local_exps.items()) if e != 0)
     assert smoothed_local_zeta(scheme, 3).factors == expected_factors
-    assert pole_order(scheme) == pole
+    assert scheme.counting.value_at_one() == pole
 
 
 def test_counting_coefficients_examples():
     # P^2: 1 + q + q^2
-    assert counting_coefficients(projective_space_model(2)) == (1, 1, 1)
+    assert projective_space_model(2).coefficients == (1, 1, 1)
     # T = 6 at rank 1 plus a rank-0 point: 6(q - 1) + 1 = 6q - 5
     scheme = MonoidScheme((TorsionPoint(1, (2, 3)), TorsionPoint(0)))
-    assert counting_coefficients(scheme) == (-5, 6)
+    assert scheme.coefficients == (-5, 6)
     # zero coefficients below the top stay in the vector: (q-1)^2 + 2(q-1) = q^2 - 1
     scheme = MonoidScheme((TorsionPoint(2), TorsionPoint(1), TorsionPoint(1)))
-    assert counting_coefficients(scheme) == (-1, 0, 1)
+    assert scheme.coefficients == (-1, 0, 1)
 
 
 def test_projective_space_p16():
     scheme = projective_space_model(16)
     assert len(scheme.points) == 131071
-    assert counting_coefficients(scheme) == (1,) * 17
+    assert scheme.coefficients == (1,) * 17
     z = zeta_of_scheme(scheme)
     assert tuple(z.exponent(r) for r in range(17)) == (1,) * 17
     assert len(z.factors) == 17
     assert betti_profile(scheme).values == (1,) * 17
-    assert pole_order(scheme) == 17
+    assert scheme.counting.value_at_one() == 17
 
 
 def _reflected_zeta_holds(scheme) -> bool:
@@ -244,7 +242,7 @@ def _reflected_zeta_holds(scheme) -> bool:
     about the declared dimension is the zeta itself, with sign (-1)^chi."""
     z = zeta_of_scheme(scheme)
     sign, reflected = reflect_zeta(z, scheme.dim)
-    return reflected == z and sign == _sign(pole_order(scheme))
+    return reflected == z and sign == _sign(scheme.counting.value_at_one())
 
 
 def _exponent_mismatches(scheme) -> tuple:
@@ -294,12 +292,12 @@ def test_local_check_is_the_global_palindrome(scheme):
     local, report = local_functional_equation(scheme, 2), global_functional_equation(scheme)
     for field in FEReport._fields:
         assert getattr(local, field) == getattr(report, field), field
-    a, d = counting_coefficients(scheme), scheme.dim
+    a, d = scheme.coefficients, scheme.dim
     chi = sum(a)
     # the declared dimension pads the coefficients and never cuts them,
     # below, at and above the maximal rank alike
     profile = betti_profile(scheme)
     assert profile.values == a + (0,) * max(0, d + 1 - len(a))
-    assert local.chi == chi == pole_order(scheme) == sum(profile.values)
+    assert local.chi == chi == scheme.counting.value_at_one() == sum(profile.values)
     assert local.exponent_ok == (2 * sum([r * c for r, c in enumerate(a)]) == d * chi)
     assert local.squared_form == (d * chi % 2 == 1)

@@ -19,7 +19,6 @@ from f1zeta.schemes import (
     FourierData,
     MonoidScheme,
     TorsionPoint,
-    counting_coefficients,
     exact_count,
     f1_point,
     fourier_data,
@@ -38,7 +37,7 @@ from f1zeta.schemes import (
     _divisor_differences,
     _divisors,
 )
-from f1zeta.weil import limit_toward_one, local_zeta_series, pole_order, smoothed_local_zeta
+from f1zeta.weil import limit_toward_one, local_zeta_series, smoothed_local_zeta
 
 
 @st.composite
@@ -479,9 +478,9 @@ def test_count_profile_holds_each_point_type_once_and_both_smoothed_paths_agree(
     assert len({(rank, torsion) for rank, torsion, _ in types}) == len(types)
     top = max(pt.rank for pt in scheme.points)
     assert rows[0][0] == scheme.max_rank == top == sum(drop for _, _, drop in rows)
-    # smoothed_count runs the exact count's Horner; counting_coefficients is the other path
+    # smoothed_count runs the exact count's Horner; the kept coefficients are the other path
     want = Fraction(0)
-    for a in reversed(counting_coefficients(scheme)):
+    for a in reversed(scheme.coefficients):
         want = want * Fraction(q) + a
     assert smoothed_count(scheme, q) == want
 
@@ -709,7 +708,7 @@ def _outcome(call):
 _SCHEME_FUNCTIONS = [
     lambda x: [exact_count(x, q) for q in (2, 3, 4, 5, 7, 8, 9, 13)],
     lambda x: smoothed_count(x, Fraction(3, 2)),
-    counting_coefficients,
+    lambda x: x.coefficients,
     fourier_period,
     lambda x: fourier_data(x, 3),
     zeta_of_scheme,
@@ -719,7 +718,7 @@ _SCHEME_FUNCTIONS = [
     lambda x: local_functional_equation(x, 3),
     lambda x: local_zeta_series(x, 2, 6),
     lambda x: smoothed_local_zeta(x, 2),
-    pole_order,
+    lambda x: x.counting.value_at_one(),
     lambda x: limit_toward_one(x, 6.5 + 1j, [1.5, 1.25]),
 ]
 
@@ -751,6 +750,18 @@ def test_a_scheme_built_from_runs_agrees_with_one_built_from_its_points(drawn, s
     assert scheme_from_dict(json.loads(json.dumps(written))) == by_runs
     assert [rec.get("multiplicity", 1) for rec in written["points"]] == [k for _, k in by_runs.runs]
     assert all(rec.get("multiplicity", 2) > 1 for rec in written["points"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(runs(), st.booleans(), st.sampled_from([None, 2, 3]))
+def test_the_kept_counting_function_reads_n1_off_the_kept_coefficients(drawn, smooth, dimension):
+    x = MonoidScheme(drawn, dimension, smooth)
+    n1 = x.counting.value_at_one()
+    # N(1) = sum_x T(x) 0^R(x): the torsion cardinalities of the rank-0 points
+    assert n1 == sum(x.coefficients) == sum(
+        pt.torsion_cardinality * k for pt, k in drawn if pt.rank == 0)
+    if smooth:
+        assert global_functional_equation(x).chi == n1
 
 
 # each raised a bare TypeError, AttributeError or ValueError

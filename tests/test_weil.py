@@ -13,7 +13,6 @@ from f1zeta.errors import ConvergenceError, PreconditionError, SingularityError
 from f1zeta.schemes import (
     MonoidScheme,
     TorsionPoint,
-    counting_coefficients,
     f1_point,
     local_functional_equation,
     projective_space_model,
@@ -27,7 +26,6 @@ from f1zeta.weil import (
     default_base_sequence,
     limit_toward_one,
     local_zeta_series,
-    pole_order,
     smoothed_local_zeta,
 )
 from f1zeta.zetas import evaluate_zeta
@@ -89,9 +87,9 @@ def test_smoothed_evaluation_and_singularities():
 
 
 def test_pole_order_examples():
-    assert pole_order(f1_point()) == 1
-    assert pole_order(torus_model()) == 0
-    assert pole_order(torsion_point_model([2])) == 2
+    assert f1_point().counting.value_at_one() == 1
+    assert torus_model().counting.value_at_one() == 0
+    assert torsion_point_model([2]).counting.value_at_one() == 2
 
 
 def test_limit_examples():
@@ -165,7 +163,7 @@ def test_limit_reads_the_per_base_factors(scheme, re, im):
     s = complex(scheme.max_rank + re, im)
     seq = default_base_sequence()
     want = [
-        cmath.exp(pole_order(scheme) * math.log(p - 1)
+        cmath.exp(scheme.counting.value_at_one() * math.log(p - 1)
                   + smoothed_local_zeta(scheme, p).log_evaluate_s(s))
         for p in seq
     ]
@@ -211,7 +209,7 @@ def _binomial_product_series(z: LocalZetaFactors, order: int) -> tuple[int, ...]
 @settings(max_examples=40, deadline=None)
 @given(torsion_schemes(), st.sampled_from([2, 3, 5, 7]), st.integers(0, 14))
 def test_factored_series_matches_the_binomial_product(scheme, p, order):
-    assume(any(a < 0 for a in counting_coefficients(scheme)))
+    assume(any(a < 0 for a in scheme.coefficients))
     z = smoothed_local_zeta(scheme, p)
     assert z.series(order).coefficients == _binomial_product_series(z, order)
 

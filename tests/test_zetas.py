@@ -420,6 +420,19 @@ def test_a_log_power_past_float_range_is_a_convergence_error():
         log_evaluate_zeta(z, 2.5)
 
 
+def test_a_log_sum_past_float_range_is_a_convergence_error_naming_s():
+    # every term is finite, their sum is not: the log names s, and the value
+    # keeps its error naming the achieved log
+    z = zeta_of(parse_power_log("1e308*u^5 + 1e308*u^{9/2} + 1e308*u^4 - 1e308*u^{-5}"))
+    s = 5.5 + 0.1j
+    with pytest.raises(ConvergenceError, match=r"^the log of zeta at s = \(5\.5\+0\.1j\) overflows a float: "
+                                               r"its terms sum to \(inf-3\.54\d*e\+307j\)$"):
+        log_evaluate_zeta(z, s)
+    with pytest.raises(ConvergenceError, match=r"^zeta value at s = \(5\.5\+0\.1j\) overflows a float: "
+                                               r"achieved log = \(inf-3\.54\d*e\+307j\)$"):
+        evaluate_zeta(z, s)
+
+
 def test_epsilon_of_a_huge_log_power_is_an_infinite_residual_at_once():
     # forming (m-1)! at m = 10^6 takes many seconds; the log-Gamma term
     # overflows at once
